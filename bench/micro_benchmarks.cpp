@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "cluster/node.hpp"
 #include "core/control_array.hpp"
 #include "core/fan_policy.hpp"
 #include "core/mode_selector.hpp"
@@ -75,10 +74,11 @@ BENCHMARK(BM_PackagePhysicsStep);
 
 void BM_NodeFullStep(benchmark::State& state) {
   cluster::NodeParams params;
-  cluster::Node node{0, params};
+  cluster::Cluster fleet{1, params};
+  cluster::Node& node = fleet.node(0);
   node.set_utilization(Utilization{0.8});
   for (auto _ : state) {
-    node.step(Seconds{0.05});
+    fleet.step(Seconds{0.05});
   }
   benchmark::DoNotOptimize(node.die_temperature());
 }
@@ -88,14 +88,15 @@ void BM_ControllerTickThroughSysfs(benchmark::State& state) {
   // Full in-band control tick: hwmon read (vfs + string parse) + window +
   // selector + pwm write (vfs -> driver -> i2c -> chip).
   cluster::NodeParams params;
-  cluster::Node node{0, params};
+  cluster::Cluster fleet{1, params};
+  cluster::Node& node = fleet.node(0);
   core::FanControlConfig cfg;
   cfg.pp = core::PolicyParam{50};
   core::DynamicFanController fan{node.hwmon(), cfg};
   node.set_utilization(Utilization{1.0});
   SimTime now;
   for (auto _ : state) {
-    node.step(Seconds{0.05});
+    fleet.step(Seconds{0.05});
     node.sample_sensor();
     now.advance_us(250000);
     fan.on_sample(now);
@@ -150,9 +151,7 @@ void BM_SimulatedSecondFourNodes(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (int step = 0; step < 20; ++step) {
-      for (std::size_t i = 0; i < 4; ++i) {
-        rack.node(i).step(Seconds{0.05});
-      }
+      rack.step(Seconds{0.05});
     }
   }
 }

@@ -19,10 +19,9 @@ namespace thermctl::cluster {
 
 class Cluster {
  public:
-  /// Builds `count` nodes from `base`, giving each a distinct seed. By
-  /// default the nodes share a FleetState (SoA hot state + batched RC
-  /// solver); `batched = false` builds the historical per-node-object layout
-  /// instead — trajectories are bit-identical either way.
+  /// Builds `count` nodes from `base`, giving each a distinct seed. The
+  /// nodes share one FleetState (SoA hot state + batched RC solver). The
+  /// `batched` flag is kept only for source compatibility and must be true.
   Cluster(std::size_t count, const NodeParams& base, bool batched = true);
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
@@ -37,14 +36,20 @@ class Cluster {
   /// Unchecked flat node-pointer array for the engine's hot loops.
   [[nodiscard]] const std::vector<Node*>& raw_nodes() const { return raw_; }
 
-  /// The shared SoA state, or nullptr for a per-node-object cluster.
+  /// The shared SoA state (never null).
   [[nodiscard]] FleetState* fleet() { return fleet_.get(); }
   [[nodiscard]] const FleetState* fleet() const { return fleet_.get(); }
 
-  /// The batched device/OS sweep over the fleet arrays, or nullptr for a
-  /// per-node-object cluster. Built only for the homogeneous batched layout;
-  /// the engine falls back to per-node stepping without it.
+  /// The batched device/OS sweep over the fleet arrays (never null).
   [[nodiscard]] FleetSweep* sweep() { return sweep_.get(); }
+
+  /// Advances nodes [begin, end) by `dt`: device/OS pre-pass, batched RC
+  /// solve, post-pass (protection ladder, meters, counters). Touches only
+  /// those nodes' state, so disjoint ranges may run concurrently.
+  void step_range(std::size_t begin, std::size_t end, Seconds dt);
+  /// step_range over every node. Sensor sampling is separate
+  /// (FleetSweep::sample_range, or Node::sample_sensor).
+  void step(Seconds dt) { step_range(0, size(), dt); }
 
   [[nodiscard]] sysfs::IpmiNetwork& ipmi() { return ipmi_; }
 
@@ -61,7 +66,7 @@ class Cluster {
   std::unique_ptr<FleetState> fleet_;  // must outlive the nodes viewing it
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Node*> raw_;
-  std::unique_ptr<FleetSweep> sweep_;  // batched layout only
+  std::unique_ptr<FleetSweep> sweep_;
   sysfs::IpmiNetwork ipmi_;
 };
 

@@ -88,8 +88,7 @@ class Engine {
   /// std::function dispatches (at 100k nodes the per-node hops cost more
   /// than the RC solve). The callback must write
   /// `util[i] = halted[i] != 0 ? 0.0 : <fraction in [0, 1]>` for every i.
-  /// Requires the fleet-backed (SoA) cluster layout; per-node load functions
-  /// still override individual nodes afterwards.
+  /// Per-node load functions still override individual nodes afterwards.
   using FleetLoadFn =
       std::function<void(SimTime, double* util, const std::uint8_t* halted, std::size_t count)>;
   void set_fleet_load_fn(FleetLoadFn load);

@@ -13,15 +13,14 @@
 //   * the CPU operating point and counter block (CpuDevice::bind_state);
 //   * the fan chip's latched measurement registers (Adt7467::bind_state);
 //   * meter integrals, jiffy counters, protection state, sampling schedules —
-//     everything Node::step_pre/post_thermal touches every physics step.
+//     everything FleetSweep touches every physics step.
 //
-// Node/Cluster keep their exact APIs: each Node's PackageModel becomes a view
-// onto one batch column, and its devices rebind their state pointers into the
-// arrays. Controllers, sysfs, and tests are untouched, and trajectories stay
-// bit-identical to the per-node layout (RcBatch contract). The payoff is the
-// engine's hot loop: one vectorized RcBatch::step_range call advances the
-// whole fleet's thermals, and FleetSweep runs the per-node device/OS phases
-// as contiguous array passes instead of N object-graph walks.
+// Every Node is a view over one slot: its PackageModel is one batch column,
+// and its devices bind their state pointers into the arrays, so controllers
+// and sysfs keep their per-node object API. The payoff is the engine's hot
+// loop: one vectorized RcBatch::step_range call advances the whole fleet's
+// thermals, and FleetSweep runs the per-node device/OS phases as contiguous
+// array passes instead of N object-graph walks.
 #pragma once
 
 #include <cstddef>
@@ -102,8 +101,6 @@ class FleetState {
   [[nodiscard]] std::uint64_t* total_jiffies_slot(std::size_t i) {
     return &at(total_jiffies_, i);
   }
-  [[nodiscard]] double* jiffy_rem_busy_slot(std::size_t i) { return &at(jiffy_rem_busy_, i); }
-  [[nodiscard]] double* jiffy_rem_total_slot(std::size_t i) { return &at(jiffy_rem_total_, i); }
   [[nodiscard]] std::int32_t* prochot_events_slot(std::size_t i) {
     return &at(prochot_events_, i);
   }

@@ -1,30 +1,24 @@
-// Batched per-node device/OS sweep over FleetState's SoA arrays.
+// Batched per-node device/OS sweep over FleetState's SoA arrays — the only
+// code that steps nodes (Cluster::step_range drives it around the RcBatch
+// solve).
 //
-// PR 5 batched the RC physics (RcBatch), but the per-step device/OS work —
-// utilization latching, fan rotor dynamics, the CPU power model, the fan
-// chip's measurement protocol, meter integration, counter advance, the
-// protection ladder, jiffy accounting and the sensor sampling schedule — was
-// still an object-graph walk per node. At fleet scale those walks dominate:
-// each Node's scalars sit on their own cache lines, so 100k nodes per step
-// touch 100k scattered objects. With every hot field now fleet-resident
+// Per physics step every node needs utilization latching, fan rotor
+// dynamics, the CPU power model, the fan chip's measurement protocol, meter
+// integration, counter advance, the protection ladder, jiffy accounting and
+// the sensor sampling schedule. Walking those as N object graphs touches N
+// scattered objects per step; with every hot field fleet-resident
 // (bind_state across CpuDevice/FanDevice/Adt7467/PowerMeter/ThermalSensor/
-// PackageModel/Node), FleetSweep replays Node::step_pre_thermal /
-// step_post_thermal / sampling as contiguous array passes.
-//
-// Bit-exactness contract: for every node, the sweep performs the *same
-// arithmetic in the same per-node order* as Node's methods — it reads and
-// writes the very same storage the Node objects are bound to, so the two
-// paths are interchangeable mid-run. Cross-node reordering (pass-at-a-time
-// instead of node-at-a-time) is safe because the pre/post phases only touch
-// their own node's state; the differential oracle's batched-vs-per-node
-// pairing holds this to bitwise identity.
+// PackageModel, and Node's scalars) FleetSweep runs them as contiguous array
+// passes. Each pass performs, per node, the same arithmetic the device
+// objects' own methods perform on the same storage, so the object API and
+// the sweep are interchangeable mid-run. The passes only touch their own
+// node's state, so any split of the node range is bit-identical;
+// tests/golden/ pins the trajectories.
 //
 // Rare events fall back to the objects they model: an integer-degree change
 // of the chip's temperature register re-runs the Adt7467 auto-curve through
 // the register object, and a due sensor schedule samples through the node's
-// ThermalSensor (per-node RNG). Heterogeneous fleets never build a sweep —
-// Cluster only constructs one for the homogeneous batched layout, and the
-// engine falls back to per-node stepping otherwise.
+// ThermalSensor (per-node RNG).
 #pragma once
 
 #include <cstddef>
@@ -46,11 +40,11 @@ class FleetSweep {
   /// built from — the sweep caches the shared constants once.
   FleetSweep(FleetState& fleet, const NodeParams& base, const std::vector<Node*>& nodes);
 
-  /// Node::step_pre_thermal for slots [begin, end): utilization/die latch,
-  /// fan rotor step, CPU power into the batch, airflow → convection.
+  /// Pre-solve pass for slots [begin, end): utilization/die latch, fan
+  /// rotor step, CPU power into the batch, airflow → convection.
   void pre_range(std::size_t begin, std::size_t end, Seconds dt);
 
-  /// Node::step_post_thermal for slots [begin, end): chip protocol, meter,
+  /// Post-solve pass for slots [begin, end): chip protocol, meter,
   /// counters, PROCHOT/THERMTRIP ladder, jiffy accounting.
   void post_range(std::size_t begin, std::size_t end, Seconds dt);
 

@@ -1,62 +1,39 @@
 #include "cluster/node.hpp"
 
-#include <cmath>
-
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace thermctl::cluster {
 
-namespace {
-
-thermal::PackageModel make_package(const NodeParams& params, FleetState* fleet,
-                                   std::size_t slot) {
-  if (fleet != nullptr) {
-    return thermal::PackageModel{params.package, fleet->batch(), slot};
-  }
-  return thermal::PackageModel{params.package};
-}
-
-}  // namespace
-
-Node::Node(int id, const NodeParams& params, FleetState* fleet, std::size_t slot)
+Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot)
     : id_(id),
-      params_(params),
       cpu_(params.cpu),
       fan_(params.fan),
-      package_(make_package(params, fleet, slot)),
+      package_(params.package, fleet.batch(), slot),
       sensor_([this] { return package_.die_temperature(); }, params.sensor,
               Rng{params.seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}),
       meter_([this] { return Watts{cpu_.power().value() + fan_.power().value()}; },
              params.meter),
       driver_(i2c_),
-      sample_schedule_storage_(static_cast<std::int64_t>(params.sample_period.value() * 1e6)) {
-  if (fleet != nullptr) {
-    // Hot device + OS state moves into the fleet's SoA arrays before first
-    // use, so the batched sweep and the per-object API share one storage.
-    fan_.bind_state(fleet->fan_duty_slot(slot), fleet->fan_rpm_slot(slot),
-                    fleet->fan_stuck_slot(slot));
-    sensor_.bind_state(fleet->sensor_last_slot(slot));
-    cpu_.bind_state(fleet->cpu_slots(slot));
-    chip_.bind_state(fleet->chip_slots(slot));
-    meter_.bind_state(fleet->meter_energy_slot(slot), fleet->meter_elapsed_slot(slot));
-    package_.bind_airflow_memo(fleet->airflow_slot(slot), fleet->airflow_set_slot(slot));
-    auto rebind = [](auto*& ptr, auto* cell) {
-      *cell = *ptr;
-      ptr = cell;
-    };
-    rebind(util_, fleet->util_slot(slot));
-    rebind(busy_jiffies_, fleet->busy_jiffies_slot(slot));
-    rebind(total_jiffies_, fleet->total_jiffies_slot(slot));
-    rebind(jiffy_remainder_busy_, fleet->jiffy_rem_busy_slot(slot));
-    rebind(jiffy_remainder_total_, fleet->jiffy_rem_total_slot(slot));
-    rebind(prochot_events_, fleet->prochot_events_slot(slot));
-    rebind(prochot_seconds_, fleet->prochot_seconds_slot(slot));
-    rebind(halted_, fleet->halted_slot(slot));
-    rebind(bmc_override_duty_, fleet->bmc_override_duty_slot(slot));
-    rebind(bmc_override_set_, fleet->bmc_override_set_slot(slot));
-    rebind(sample_schedule_, fleet->sample_schedule_slot(slot));
-  }
+      sample_schedule_(fleet.sample_schedule_slot(slot)),
+      util_(fleet.util_slot(slot)),
+      busy_jiffies_(fleet.busy_jiffies_slot(slot)),
+      total_jiffies_(fleet.total_jiffies_slot(slot)),
+      prochot_events_(fleet.prochot_events_slot(slot)),
+      prochot_seconds_(fleet.prochot_seconds_slot(slot)),
+      halted_(fleet.halted_slot(slot)),
+      bmc_override_duty_(fleet.bmc_override_duty_slot(slot)),
+      bmc_override_set_(fleet.bmc_override_set_slot(slot)) {
+  // Hot device state moves into the fleet's SoA arrays before first use, so
+  // the batched sweep and the per-object API share one storage.
+  fan_.bind_state(fleet.fan_duty_slot(slot), fleet.fan_rpm_slot(slot),
+                  fleet.fan_stuck_slot(slot));
+  sensor_.bind_state(fleet.sensor_last_slot(slot));
+  cpu_.bind_state(fleet.cpu_slots(slot));
+  chip_.bind_state(fleet.chip_slots(slot));
+  meter_.bind_state(fleet.meter_energy_slot(slot), fleet.meter_elapsed_slot(slot));
+  package_.bind_airflow_memo(fleet.airflow_slot(slot), fleet.airflow_set_slot(slot));
+  *sample_schedule_ =
+      PeriodicSchedule{static_cast<std::int64_t>(params.sample_period.value() * 1e6)};
   i2c_.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip_);
 
   // In-band plane: cpufreq + hwmon sysfs trees.
@@ -98,75 +75,6 @@ Node::Node(int id, const NodeParams& params, FleetState* fleet, std::size_t slot
 }
 
 void Node::set_utilization(Utilization u) { *util_ = halted() ? 0.0 : u.fraction(); }
-
-void Node::apply_protection(Celsius die) {
-  if (params_.protection.critical_enabled && die >= params_.protection.critical && !halted()) {
-    *halted_ = 1;
-    THERMCTL_LOG_WARN("node", "node %d THERMTRIP at %.1f C — halted", id_, die.value());
-  }
-  if (!params_.protection.prochot_enabled) {
-    return;
-  }
-  if (!cpu_.thermal_throttled() && die >= params_.protection.prochot) {
-    cpu_.set_thermal_throttle(true);
-    ++*prochot_events_;
-    THERMCTL_LOG_INFO("node", "node %d PROCHOT asserted at %.1f C", id_, die.value());
-  } else if (cpu_.thermal_throttled() &&
-             die <= params_.protection.prochot - params_.protection.prochot_hysteresis) {
-    cpu_.set_thermal_throttle(false);
-    THERMCTL_LOG_INFO("node", "node %d PROCHOT released at %.1f C", id_, die.value());
-  }
-}
-
-void Node::step_pre_thermal(Seconds dt) {
-  THERMCTL_ASSERT(dt.value() > 0.0, "step duration must be positive");
-  if (halted()) {
-    *util_ = 0.0;
-  }
-  cpu_.set_utilization(Utilization{*util_});
-  cpu_.set_die_temperature(package_.die_temperature());
-
-  // The fan follows the chip's PWM pin unless the BMC has overridden it
-  // (the out-of-band plane wins, as on real servers).
-  fan_.set_duty(*bmc_override_set_ != 0 ? DutyCycle{*bmc_override_duty_}
-                                        : chip_.output_duty());
-  fan_.step(dt);
-
-  package_.set_cpu_power(halted() ? Watts{2.0} : cpu_.power());  // halted: trickle
-  package_.set_airflow(fan_.airflow());
-}
-
-void Node::step_post_thermal(Seconds dt) {
-  const Celsius die = package_.die_temperature();
-
-  // The chip continuously tracks its remote diode and tach inputs.
-  chip_.set_measured_temperature(die);
-  chip_.set_measured_rpm(fan_.rpm());
-
-  meter_.integrate_with(dt, dc_power());
-  cpu_.advance_counters(dt);
-
-  if (cpu_.thermal_throttled()) {
-    *prochot_seconds_ += dt.value();
-  }
-  apply_protection(die);
-
-  // /proc/stat accounting at USER_HZ with fractional carry.
-  *jiffy_remainder_busy_ += *util_ * dt.value() * 100.0;
-  *jiffy_remainder_total_ += dt.value() * 100.0;
-  const auto busy_whole = static_cast<std::uint64_t>(*jiffy_remainder_busy_);
-  const auto total_whole = static_cast<std::uint64_t>(*jiffy_remainder_total_);
-  *busy_jiffies_ += busy_whole;
-  *total_jiffies_ += total_whole;
-  *jiffy_remainder_busy_ -= static_cast<double>(busy_whole);
-  *jiffy_remainder_total_ -= static_cast<double>(total_whole);
-}
-
-void Node::step(Seconds dt) {
-  step_pre_thermal(dt);
-  package_.step(dt);
-  step_post_thermal(dt);
-}
 
 void Node::settle() {
   cpu_.set_utilization(Utilization{*util_});

@@ -12,10 +12,10 @@
 //   VirtualFs: /sys cpufreq + hwmon          controllers read here
 //   BmcEndpoint: IPMI sensors + fan override (out-of-band plane)
 //
-// The node also models the hardware protection ladder the controllers are
-// trying to stay clear of: PROCHOT clock throttling above `prochot`, and a
-// THERMTRIP-style halt above `critical` (counts as a thermal emergency /
-// availability loss).
+// Stepping (FleetSweep, through Cluster::step) also models the hardware
+// protection ladder the controllers are trying to stay clear of: PROCHOT
+// clock throttling above `prochot`, and a THERMTRIP-style halt above
+// `critical` (counts as a thermal emergency / availability loss).
 #pragma once
 
 #include <cstdint>
@@ -66,31 +66,22 @@ struct NodeParams {
   std::uint64_t seed = 1;
 };
 
+/// One machine of a Cluster: the device/OS object graph controllers and
+/// sysfs consumers talk to, with its hot state resident in a FleetState slot.
+/// Cluster builds the nodes and steps them (FleetSweep); a node never steps
+/// itself.
 class Node {
  public:
-  /// Standalone node: owns all of its state, including its own RcNetwork.
-  /// With a `fleet`, the node is a thin view over `fleet`'s SoA arrays at
-  /// `slot` — same API, same trajectories, fleet-resident hot state.
-  Node(int id, const NodeParams& params, FleetState* fleet = nullptr, std::size_t slot = 0);
+  /// A view over `fleet`'s SoA arrays at `slot`.
+  Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot);
 
   [[nodiscard]] int id() const { return id_; }
 
-  // ---- physics loop (driven by the engine) ----
+  // ---- physics inputs (stepping is Cluster::step) ----
 
   /// Sets the utilization the workload imposes for the next step.
   void set_utilization(Utilization u);
   [[nodiscard]] Utilization utilization() const { return Utilization{*util_}; }
-
-  /// Advances devices, thermal model, protection and meters by `dt`.
-  void step(Seconds dt);
-
-  /// step() split at the thermal solve, so a fleet engine can run the
-  /// device/OS phases per node and the RC solve batched:
-  ///   step(dt) ≡ step_pre_thermal(dt); package().step(dt); step_post_thermal(dt)
-  /// The phases only touch this node's state, so any interleaving across
-  /// nodes is bit-identical to sequential per-node step() calls.
-  void step_pre_thermal(Seconds dt);
-  void step_post_thermal(Seconds dt);
 
   /// Takes a thermal-sensor reading (called on the 4 Hz schedule).
   Celsius sample_sensor() { return sensor_.sample(); }
@@ -143,10 +134,7 @@ class Node {
   void settle();
 
  private:
-  void apply_protection(Celsius die);
-
   int id_;
-  NodeParams params_;
   hw::CpuDevice cpu_;
   hw::FanDevice fan_;
   hw::Adt7467 chip_;
@@ -163,32 +151,17 @@ class Node {
   std::unique_ptr<sysfs::ProcStat> proc_stat_;
   sysfs::BmcEndpoint bmc_;
 
-  // OS/protection scalars default to inline storage; a fleet-backed node
-  // repoints them into the FleetState SoA arrays in its constructor, so the
-  // batched sweep can walk them contiguously. Behaviour is identical either
-  // way — the accessors above read through the pointers.
-  PeriodicSchedule sample_schedule_storage_;
-  double util_storage_ = 0.0;  // Utilization fraction
-  std::uint64_t busy_jiffies_storage_ = 0;
-  std::uint64_t total_jiffies_storage_ = 0;
-  double jiffy_remainder_busy_storage_ = 0.0;
-  double jiffy_remainder_total_storage_ = 0.0;
-  std::int32_t prochot_events_storage_ = 0;
-  double prochot_seconds_storage_ = 0.0;
-  std::uint8_t halted_storage_ = 0;
-  double bmc_override_duty_storage_ = 0.0;  // percent; valid when set flag != 0
-  std::uint8_t bmc_override_set_storage_ = 0;
-  PeriodicSchedule* sample_schedule_ = &sample_schedule_storage_;
-  double* util_ = &util_storage_;
-  std::uint64_t* busy_jiffies_ = &busy_jiffies_storage_;
-  std::uint64_t* total_jiffies_ = &total_jiffies_storage_;
-  double* jiffy_remainder_busy_ = &jiffy_remainder_busy_storage_;
-  double* jiffy_remainder_total_ = &jiffy_remainder_total_storage_;
-  std::int32_t* prochot_events_ = &prochot_events_storage_;
-  double* prochot_seconds_ = &prochot_seconds_storage_;
-  std::uint8_t* halted_ = &halted_storage_;
-  double* bmc_override_duty_ = &bmc_override_duty_storage_;
-  std::uint8_t* bmc_override_set_ = &bmc_override_set_storage_;
+  // OS/protection scalars, resident in the FleetState SoA arrays so the
+  // FleetSweep passes walk them contiguously.
+  PeriodicSchedule* sample_schedule_;
+  double* util_;  // Utilization fraction
+  std::uint64_t* busy_jiffies_;
+  std::uint64_t* total_jiffies_;
+  std::int32_t* prochot_events_;
+  double* prochot_seconds_;
+  std::uint8_t* halted_;
+  double* bmc_override_duty_;  // percent; valid when the set flag != 0
+  std::uint8_t* bmc_override_set_;
 };
 
 }  // namespace thermctl::cluster

@@ -129,23 +129,6 @@ void ControlBank::tick_unified(SimTime now) {
   }
 }
 
-void ControlBank::stagger_windows() {
-  for (std::size_t i = 0; i < fans_.size(); ++i) {
-    TwoLevelWindow& w = fans_[i].window();
-    w.stagger(i % w.config().level1_size);
-  }
-  for (std::size_t i = 0; i < tdvfs_.size(); ++i) {
-    TwoLevelWindow& w = tdvfs_[i].window();
-    w.stagger(i % w.config().level1_size);
-  }
-  for (std::size_t i = 0; i < unified_.size(); ++i) {
-    TwoLevelWindow& wf = unified_[i].fan().window();
-    wf.stagger(i % wf.config().level1_size);
-    TwoLevelWindow& wd = unified_[i].dvfs().window();
-    wd.stagger(i % wd.config().level1_size);
-  }
-}
-
 bool ControlBank::fan_window_pooled(std::size_t node) const {
   return fan_pool_.sized && node < fan_pool_.pooled.size() && fan_pool_.pooled[node] != 0;
 }

@@ -15,17 +15,9 @@
 //   2. run each controller's on_sample_with(now, readings[i]) in node order —
 //      the same tick logic, same order, as N independent periodics.
 //
-// Bit-exactness against the per-node path is enforced by the differential
-// oracle's batched-vs-per-node pairing. Heterogeneous rigs (per-node window
-// configs that differ from the family's) keep per-object inline window
-// storage — correctness never depends on the SoA rebind.
-//
-// The bank also hosts the opt-in phase wheel: stagger_windows() shortens each
-// node's FIRST window round by (node mod level1_size) samples so window
-// closes — the expensive part of a controller tick — spread round-robin
-// across engine steps instead of all landing on the same tick. Deliberately
-// NOT bit-identical (the short first round averages fewer samples), hence
-// opt-in and excluded from the oracle's default corpus.
+// The golden digests (tests/golden/) pin the bits. Heterogeneous rigs
+// (per-node window configs that differ from the family's) keep per-object
+// inline window storage — correctness never depends on the SoA rebind.
 #pragma once
 
 #include <cstddef>
@@ -119,11 +111,6 @@ class ControlBank {
   void tick_fans(SimTime now);
   void tick_tdvfs(SimTime now);
   void tick_unified(SimTime now);
-
-  /// Phase wheel (opt-in, NOT bit-identical): staggers every emplaced
-  /// window's next round by (node mod level1_size) samples. Call once, after
-  /// emplacement; sticky across window resets.
-  void stagger_windows();
 
   [[nodiscard]] std::size_t nodes() const { return nodes_; }
   [[nodiscard]] std::size_t fan_count() const { return fans_.size(); }

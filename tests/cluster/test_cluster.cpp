@@ -65,8 +65,7 @@ TEST(Cluster, IpmiFanOverridePerNode) {
   Cluster cluster{2, quiet()};
   ASSERT_EQ(cluster.ipmi().set_fan_override(1, DutyCycle{95.0}), sysfs::IpmiCompletion::kOk);
   for (int i = 0; i < 100; ++i) {
-    cluster.node(0).step(Seconds{0.05});
-    cluster.node(1).step(Seconds{0.05});
+    cluster.step(Seconds{0.05});
   }
   EXPECT_NEAR(cluster.node(1).fan().duty().percent(), 95.0, 0.5);
   EXPECT_LT(cluster.node(0).fan().duty().percent(), 50.0);
@@ -74,6 +73,10 @@ TEST(Cluster, IpmiFanOverridePerNode) {
 
 TEST(ClusterDeath, ZeroNodesAborts) {
   EXPECT_DEATH(Cluster(0, NodeParams{}), "node");
+}
+
+TEST(ClusterDeath, PerNodeObjectLayoutIsGone) {
+  EXPECT_DEATH(Cluster(2, NodeParams{}, false), "fleet-backed");
 }
 
 }  // namespace

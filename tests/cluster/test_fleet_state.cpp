@@ -1,9 +1,5 @@
-// FleetState: the SoA layout must be invisible except for the footprint.
-//
-// A batched cluster (nodes viewing FleetState arrays) and an unbatched one
-// (per-node object graphs) run the same scenario and must agree *bitwise* on
-// every observable: die temperatures, sensor readings, fan state, meters,
-// jiffy counters. The layout is a performance change, not a semantic one.
+// FleetState: every node's hot state lives in the fleet's SoA arrays, and
+// the Node objects are views over them.
 #include <cstdint>
 #include <cstring>
 
@@ -19,68 +15,6 @@ std::uint64_t bits(double x) {
   std::uint64_t u = 0;
   std::memcpy(&u, &x, sizeof(u));
   return u;
-}
-
-void expect_nodes_bitwise_equal(Node& a, Node& b) {
-  ASSERT_EQ(bits(a.die_temperature().value()), bits(b.die_temperature().value()));
-  ASSERT_EQ(bits(a.package().heatsink_temperature().value()),
-            bits(b.package().heatsink_temperature().value()));
-  ASSERT_EQ(bits(a.sensor_reading().value()), bits(b.sensor_reading().value()));
-  ASSERT_EQ(bits(a.fan().rpm().value()), bits(b.fan().rpm().value()));
-  ASSERT_EQ(bits(a.fan().duty().percent()), bits(b.fan().duty().percent()));
-  ASSERT_EQ(bits(a.meter().energy().value()), bits(b.meter().energy().value()));
-  ASSERT_EQ(a.busy_jiffies(), b.busy_jiffies());
-  ASSERT_EQ(a.total_jiffies(), b.total_jiffies());
-}
-
-TEST(FleetState, BatchedClusterBitIdenticalToPerNodeLayout) {
-  constexpr std::size_t kNodes = 6;
-  NodeParams params;
-  params.seed = 99;
-  Cluster batched{kNodes, params, /*batched=*/true};
-  Cluster objects{kNodes, params, /*batched=*/false};
-  ASSERT_NE(batched.fleet(), nullptr);
-  ASSERT_EQ(objects.fleet(), nullptr);
-
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    const double util = 0.1 + 0.13 * static_cast<double>(i);
-    batched.node(i).set_utilization(Utilization{util});
-    objects.node(i).set_utilization(Utilization{util});
-  }
-  batched.settle_all();
-  objects.settle_all();
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    expect_nodes_bitwise_equal(batched.node(i), objects.node(i));
-  }
-
-  // 30 simulated seconds with load changes, inlet hot spots, sampling, and a
-  // fan fault — the full per-node surface.
-  const Seconds dt{0.05};
-  for (int step = 0; step < 600; ++step) {
-    if (step == 100) {
-      batched.set_inlet_temperature(2, Celsius{38.0});
-      objects.set_inlet_temperature(2, Celsius{38.0});
-    }
-    if (step == 250) {
-      batched.node(4).fan().inject_stuck_fault();
-      objects.node(4).fan().inject_stuck_fault();
-    }
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      const double util = (step % 120 < 60) ? 0.95 : 0.05;
-      batched.node(i).set_utilization(Utilization{util});
-      objects.node(i).set_utilization(Utilization{util});
-      batched.node(i).step(dt);
-      objects.node(i).step(dt);
-      if (step % 5 == 0) {
-        batched.node(i).sample_sensor();
-        objects.node(i).sample_sensor();
-      }
-    }
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      expect_nodes_bitwise_equal(batched.node(i), objects.node(i));
-    }
-  }
-  ASSERT_EQ(bits(batched.total_power().value()), bits(objects.total_power().value()));
 }
 
 TEST(FleetState, DeviceStateLivesInFleetArrays) {

@@ -1,4 +1,4 @@
-#include "cluster/node.hpp"
+#include "cluster/cluster.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,34 +11,41 @@ NodeParams quiet_sensor_params() {
   return p;
 }
 
+// A node is a fleet slot: each test runs a fleet of one and steps it through
+// Cluster::step, the same code the engine's shards run.
+
 TEST(Node, BootsNearAmbientAndProbed) {
-  Node node{0, quiet_sensor_params()};
+  Cluster fleet{1, quiet_sensor_params()};
+  Node& node = fleet.node(0);
   EXPECT_EQ(node.id(), 0);
   EXPECT_NEAR(node.die_temperature().value(), 28.0, 2.0);
   EXPECT_TRUE(node.fan_driver().probed());
 }
 
 TEST(Node, SysfsPlanesExist) {
-  Node node{0, quiet_sensor_params()};
+  Cluster fleet{1, quiet_sensor_params()};
+  Node& node = fleet.node(0);
   EXPECT_TRUE(node.vfs().exists("/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq"));
   EXPECT_TRUE(node.vfs().exists("/sys/class/hwmon/hwmon0/temp1_input"));
 }
 
 TEST(Node, FullLoadHeatsUp) {
-  Node node{0, quiet_sensor_params()};
+  Cluster fleet{1, quiet_sensor_params()};
+  Node& node = fleet.node(0);
   node.set_utilization(Utilization{0.02});
   node.settle();
   const double idle = node.die_temperature().value();
   node.set_utilization(Utilization{1.0});
   for (int i = 0; i < 600; ++i) {  // 30 s
-    node.step(Seconds{0.05});
+    fleet.step(Seconds{0.05});
   }
   EXPECT_GT(node.die_temperature().value(), idle + 8.0);
 }
 
 TEST(Node, SettleAtIdleIsBelowStaticCurveTmin) {
   // The paper platform idles below 38 °C so the static curve sits at PWMmin.
-  Node node{0, quiet_sensor_params()};
+  Cluster fleet{1, quiet_sensor_params()};
+  Node& node = fleet.node(0);
   node.set_utilization(Utilization{0.02});
   node.settle();
   EXPECT_LT(node.die_temperature().value(), 38.0);
@@ -46,28 +53,31 @@ TEST(Node, SettleAtIdleIsBelowStaticCurveTmin) {
 }
 
 TEST(Node, ChipAutoModeDrivesFanWithTemperature) {
-  Node node{0, quiet_sensor_params()};
+  Cluster fleet{1, quiet_sensor_params()};
+  Node& node = fleet.node(0);
   node.set_utilization(Utilization{0.02});
   node.settle();
   const double idle_duty = node.fan().duty().percent();
   node.set_utilization(Utilization{1.0});
   for (int i = 0; i < 2000; ++i) {  // 100 s
-    node.step(Seconds{0.05});
+    fleet.step(Seconds{0.05});
   }
   EXPECT_GT(node.fan().duty().percent(), idle_duty + 5.0);
 }
 
 TEST(Node, SensorSampleScheduleIsFourHz) {
   NodeParams p = quiet_sensor_params();
-  Node node{0, p};
+  Cluster fleet{1, p};
+  Node& node = fleet.node(0);
   EXPECT_EQ(node.sample_schedule().period_us(), 250000);
 }
 
 TEST(Node, JiffyAccountingTracksUtilization) {
-  Node node{0, quiet_sensor_params()};
+  Cluster fleet{1, quiet_sensor_params()};
+  Node& node = fleet.node(0);
   node.set_utilization(Utilization{0.5});
   for (int i = 0; i < 200; ++i) {  // 10 s
-    node.step(Seconds{0.05});
+    fleet.step(Seconds{0.05});
   }
   EXPECT_NEAR(static_cast<double>(node.total_jiffies()), 1000.0, 2.0);
   EXPECT_NEAR(static_cast<double>(node.busy_jiffies()), 500.0, 2.0);
@@ -76,12 +86,13 @@ TEST(Node, JiffyAccountingTracksUtilization) {
 TEST(Node, ProchotAssertsAboveThresholdAndThrottles) {
   NodeParams p = quiet_sensor_params();
   p.protection.prochot = Celsius{50.0};  // low threshold to force it
-  Node node{0, p};
+  Cluster fleet{1, p};
+  Node& node = fleet.node(0);
   node.set_utilization(Utilization{1.0});
   // Pin the fan low via BMC override so the node overheats.
   node.bmc().set_fan_override(DutyCycle{1.0});
   for (int i = 0; i < 4000 && !node.prochot_active(); ++i) {
-    node.step(Seconds{0.05});
+    fleet.step(Seconds{0.05});
   }
   EXPECT_TRUE(node.prochot_active());
   EXPECT_GE(node.prochot_events(), 1);
@@ -91,22 +102,24 @@ TEST(Node, ProchotAssertsAboveThresholdAndThrottles) {
 }
 
 TEST(Node, BmcFanOverrideWins) {
-  Node node{0, quiet_sensor_params()};
+  Cluster fleet{1, quiet_sensor_params()};
+  Node& node = fleet.node(0);
   ASSERT_EQ(node.bmc().set_fan_override(DutyCycle{90.0}), sysfs::IpmiCompletion::kOk);
   for (int i = 0; i < 100; ++i) {
-    node.step(Seconds{0.05});
+    fleet.step(Seconds{0.05});
   }
   EXPECT_NEAR(node.fan().duty().percent(), 90.0, 0.5);
   // Release the override: chip resumes control.
   ASSERT_EQ(node.bmc().set_fan_override(std::nullopt), sysfs::IpmiCompletion::kOk);
   for (int i = 0; i < 100; ++i) {
-    node.step(Seconds{0.05});
+    fleet.step(Seconds{0.05});
   }
   EXPECT_LT(node.fan().duty().percent(), 50.0);
 }
 
 TEST(Node, BmcSensorsReportState) {
-  Node node{0, quiet_sensor_params()};
+  Cluster fleet{1, quiet_sensor_params()};
+  Node& node = fleet.node(0);
   node.sample_sensor();
   sysfs::SensorReading reading;
   ASSERT_EQ(node.bmc().get_sensor_reading(1, reading), sysfs::IpmiCompletion::kOk);
@@ -119,11 +132,12 @@ TEST(Node, CriticalHaltStopsWork) {
   NodeParams p = quiet_sensor_params();
   p.protection.prochot_enabled = false;  // let it run away
   p.protection.critical = Celsius{55.0};
-  Node node{0, p};
+  Cluster fleet{1, p};
+  Node& node = fleet.node(0);
   node.set_utilization(Utilization{1.0});
   node.bmc().set_fan_override(DutyCycle{1.0});
   for (int i = 0; i < 8000 && !node.halted(); ++i) {
-    node.step(Seconds{0.05});
+    fleet.step(Seconds{0.05});
   }
   ASSERT_TRUE(node.halted());
   node.set_utilization(Utilization{1.0});
@@ -134,10 +148,11 @@ TEST(Node, CriticalHaltStopsWork) {
 }
 
 TEST(Node, PowerMeterIntegratesDuringSteps) {
-  Node node{0, quiet_sensor_params()};
+  Cluster fleet{1, quiet_sensor_params()};
+  Node& node = fleet.node(0);
   node.set_utilization(Utilization{1.0});
   for (int i = 0; i < 200; ++i) {
-    node.step(Seconds{0.05});
+    fleet.step(Seconds{0.05});
   }
   EXPECT_GT(node.meter().energy().value(), 500.0);  // ~100 W * 10 s
   EXPECT_GT(node.meter().average_power().value(), 80.0);

@@ -1,7 +1,6 @@
 // ControlBank — batched family ticks must be indistinguishable from N
-// independent controllers, window pooling must degrade gracefully on
-// heterogeneous configs, and the phase wheel must actually spread round
-// closes across ticks.
+// independent controllers, and window pooling must degrade gracefully on
+// heterogeneous configs.
 #include "core/control_bank.hpp"
 
 #include <cstddef>
@@ -45,8 +44,7 @@ TEST(FixedSlab, ConstructsInPlaceAndDestroysInReverse) {
 TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
   // Three nodes with *different* temperature scripts, run once through a
   // bank (one tick_fans per step) and once as three standalone controllers
-  // (three on_sample calls) — duty trajectories must agree exactly. This is
-  // the unit-scale version of the oracle's batched-vs-per-node pairing.
+  // (three on_sample calls) — duty trajectories must agree exactly.
   constexpr std::size_t kNodes = 3;
   std::vector<std::unique_ptr<ControllerRig>> bank_rigs;
   std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
@@ -152,41 +150,6 @@ TEST(ControlBank, HeterogeneousWindowConfigKeepsInlineStorage) {
   }
   EXPECT_EQ(bank.fan(1).window().level1_fill(), 0u);  // exactly one round closed
   EXPECT_EQ(bank.fan(0).window().level1_fill(), 0u);  // two rounds of 4
-}
-
-TEST(ControlBank, StaggerWindowsSpreadsRoundClosesAcrossTicks) {
-  // Synchronized fleets close every window on the same tick; the phase wheel
-  // must spread closes so each tick closes ~nodes/level1_size of them.
-  constexpr std::size_t kNodes = 8;
-  std::vector<std::unique_ptr<ControllerRig>> rigs;
-  ControlBank bank{kNodes, nullptr};
-  FanControlConfig cfg;  // level1_size = 4
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    rigs.push_back(std::make_unique<ControllerRig>());
-    bank.emplace_fan(i, *rigs[i]->hwmon, cfg);
-  }
-  bank.stagger_windows();
-
-  SimTime now;
-  for (int tick = 0; tick < 8; ++tick) {
-    now.advance_us(250000);
-    for (auto& rig : rigs) {
-      rig->truth = 45.0;
-      rig->sensor.sample();
-    }
-    std::vector<std::size_t> fill_before(kNodes);
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      fill_before[i] = bank.fan(i).window().level1_fill();
-    }
-    bank.tick_fans(now);
-    std::size_t closes = 0;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      closes += bank.fan(i).window().level1_fill() < fill_before[i] + 1 ? 1 : 0;
-    }
-    // 8 nodes over a 4-phase wheel: exactly 2 windows close per tick, every
-    // tick, instead of 8 closing together every 4th tick.
-    EXPECT_EQ(closes, 2u) << "tick " << tick;
-  }
 }
 
 TEST(ControlBankDeath, SparseEmplacementAborts) {

@@ -145,7 +145,7 @@ TEST(Failures, BmcStaysReachableWhileNodeHalted) {
   cluster.node(0).bmc().set_fan_override(DutyCycle{1.0});
   cluster.node(0).set_utilization(Utilization{1.0});
   for (int i = 0; i < 20000 && !cluster.node(0).halted(); ++i) {
-    cluster.node(0).step(Seconds{0.05});
+    cluster.step(Seconds{0.05});
   }
   ASSERT_TRUE(cluster.node(0).halted());
   sysfs::SensorReading reading;

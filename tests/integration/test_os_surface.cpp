@@ -6,14 +6,15 @@
 // equivalent of a kernel ABI test.
 #include <gtest/gtest.h>
 
-#include "cluster/node.hpp"
+#include "cluster/cluster.hpp"
 
 namespace thermctl::cluster {
 namespace {
 
 TEST(OsSurface, FullAttributeInventory) {
   NodeParams params;
-  Node node{0, params};
+  Cluster fleet{1, params};
+  Node& node = fleet.node(0);
 
   const std::vector<std::string> expected{
       // cpufreq (in-band DVFS plane)
@@ -56,7 +57,8 @@ TEST(OsSurface, FullAttributeInventory) {
 
 TEST(OsSurface, EveryAttributeReadableOrWritable) {
   NodeParams params;
-  Node node{0, params};
+  Cluster fleet{1, params};
+  Node& node = fleet.node(0);
   node.sample_sensor();
   for (const std::string& path : node.vfs().list("/sys")) {
     const bool readable = node.vfs().read(path).has_value();
@@ -70,7 +72,8 @@ TEST(OsSurface, EveryAttributeReadableOrWritable) {
 TEST(OsSurface, KernelUnitsConventionsHold) {
   NodeParams params;
   params.sensor.noise_sigma_degc = 0.0;
-  Node node{0, params};
+  Cluster fleet{1, params};
+  Node& node = fleet.node(0);
   node.sample_sensor();
   // temp1_input: millidegrees; scaling_cur_freq: kHz; pwm1: 0-255.
   const long milli = node.vfs().read_long("/sys/class/hwmon/hwmon0/temp1_input").value();
