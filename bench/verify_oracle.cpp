@@ -1,12 +1,15 @@
 // verify_oracle — the differential determinism oracle as a CI gate.
 //
 // Generates a seeded corpus of small experiment configs and runs each one
-// under the three paired configurations the runtime promises are inert
+// under the seven paired configurations the runtime promises are inert
 // (serial vs parallel sweep, telemetry on vs off, fault-aware gating on a
-// zero-fault run), diffing every behavioural output bit-exactly. Exits
-// non-zero on the first report with failures so CI fails loudly; the
-// printed report carries the corpus seed and config index needed to replay
-// a failing pair locally.
+// zero-fault run, sharded vs serial engine, passive plane vs none, live
+// telemetry on vs off, command-free daemon vs plain run), diffing every
+// behavioural output bit-exactly. Exits non-zero on the first report with
+// failures so CI fails loudly; the printed report carries the corpus seed
+// and config index needed to replay a failing pair locally. The pairings
+// check configurations against each other; the GoldenDigests test in
+// test_verify checks the corpus against tests/golden/.
 //
 // Usage: verify_oracle [--corpus N] [--seed S] [--threads T]
 #include <cstdio>

@@ -167,6 +167,11 @@ void Daemon::on_rig_built(const core::RigView& rig) {
     std::lock_guard<std::mutex> lock{rig_mutex_};
     rig_ = rig;
     rig_active_.store(true, std::memory_order_release);
+    // A shutdown that arrived while the rig was being built found no engine
+    // to stop; honour it now.
+    if (shutdown_requested_.load(std::memory_order_acquire)) {
+      rig.engine->request_stop();
+    }
   }
   pet();
   watchdog_armed_.store(true, std::memory_order_release);
@@ -523,8 +528,17 @@ void Daemon::server_main() {
       std::string& buf = bufs[i - 2];
       buf.append(chunk, static_cast<std::size_t>(n));
       bool dead = false;
-      std::size_t nl = 0;
-      while ((nl = buf.find('\n')) != std::string::npos) {
+      while (true) {
+        const std::size_t nl = buf.find('\n');
+        if ((nl == std::string::npos ? buf.size() : nl) > kMaxRequestLine) {
+          static constexpr char kTooLong[] = "ERR line-too-long\n";
+          (void)write_all(fds[i].fd, kTooLong, sizeof kTooLong - 1);
+          dead = true;
+          break;
+        }
+        if (nl == std::string::npos) {
+          break;
+        }
         std::string request = buf.substr(0, nl);
         buf.erase(0, nl + 1);
         std::string response = handle_request(request);

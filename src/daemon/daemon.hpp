@@ -15,6 +15,10 @@
 //   shutdown                 clean stop: spill finalize, result as usual
 //   ping | pet               liveness probe (pet also feeds the keepalive)
 //
+// A request line longer than kMaxRequestLine bytes (newline excluded) gets
+// `ERR line-too-long` and its client is disconnected, so a peer that never
+// sends '\n' cannot grow the server's buffers without bound.
+//
 // Commands mutate through a queue drained by the engine-thread control
 // round, so actuation always happens on the thread that owns the rig and
 // lands within one control period (default 0.25 s sim — well inside one
@@ -85,6 +89,9 @@ struct DaemonStats {
 
 class Daemon {
  public:
+  /// Longest accepted request line in bytes, newline excluded.
+  static constexpr std::size_t kMaxRequestLine = 4096;
+
   explicit Daemon(DaemonConfig config);
   ~Daemon();
   Daemon(const Daemon&) = delete;

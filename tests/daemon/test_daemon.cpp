@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -164,6 +166,100 @@ TEST(DaemonLifecycle, ConcurrentClientsDuringHotReload) {
   const auto expected_rounds = static_cast<std::uint64_t>(result.run.exec_time_s /
                                                           dc.control_period_s);
   EXPECT_GE(stats.control_rounds + 1, expected_rounds);
+}
+
+TEST(DaemonLifecycle, OverlongRequestLineIsRejectedWithoutStallingOthers) {
+  DaemonConfig dc;
+  dc.socket_path = unique_socket_path();
+  dc.experiment = service_config();
+  Daemon d{dc};
+
+  core::ExperimentResult result;
+  std::thread runner{[&] { result = d.run(); }};
+
+  const int good = connect_client(dc.socket_path);
+  const int hostile = connect_client(dc.socket_path);
+  ASSERT_GE(good, 0);
+  ASSERT_GE(hostile, 0);
+  // A reply that never comes must fail the test, not hang it.
+  const timeval timeout{1, 0};
+  ASSERT_EQ(::setsockopt(hostile, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+
+  // 64 KiB with no newline: far past the line cap.
+  const std::string flood(64 * 1024, 'x');
+  ASSERT_GT(::send(hostile, flood.data(), flood.size(), MSG_NOSIGNAL), 0);
+  EXPECT_EQ(request(good, "ping"), "OK pong\n");
+
+  std::string reply;
+  char chunk[256];
+  ssize_t n = 0;
+  while (reply.find('\n') == std::string::npos &&
+         (n = ::read(hostile, chunk, sizeof chunk)) > 0) {
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(reply, "ERR line-too-long\n");
+  // The server hung up on the flooding client...
+  const ssize_t after = ::read(hostile, chunk, sizeof chunk);
+  EXPECT_TRUE(after == 0 || (after < 0 && errno == ECONNRESET)) << "read returned " << after;
+  // ...and kept serving the well-behaved one.
+  EXPECT_EQ(request(good, "ping"), "OK pong\n");
+  EXPECT_EQ(request(good, "shutdown"), "OK shutting-down\n");
+  ::close(hostile);
+  ::close(good);
+  runner.join();
+}
+
+TEST(DaemonLifecycle, RequestLineCapIsInclusive) {
+  DaemonConfig dc;
+  dc.socket_path = unique_socket_path();
+  dc.experiment = service_config();
+  Daemon d{dc};
+
+  core::ExperimentResult result;
+  std::thread runner{[&] { result = d.run(); }};
+
+  const int at_cap = connect_client(dc.socket_path);
+  const int over_cap = connect_client(dc.socket_path);
+  ASSERT_GE(at_cap, 0);
+  ASSERT_GE(over_cap, 0);
+  const timeval timeout{1, 0};
+  ASSERT_EQ(::setsockopt(at_cap, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+  ASSERT_EQ(::setsockopt(over_cap, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout), 0);
+
+  // Exactly kMaxRequestLine bytes is still a request: it is parsed (and, being
+  // junk, answered as an unknown command) and the connection stays open.
+  const std::string longest(Daemon::kMaxRequestLine, 'x');
+  EXPECT_EQ(request(at_cap, longest).rfind("ERR unknown-command", 0), 0U);
+  EXPECT_EQ(request(at_cap, "ping"), "OK pong\n");
+
+  // One byte more is rejected, even though the newline follows right after.
+  EXPECT_EQ(request(over_cap, longest + "x"), "ERR line-too-long\n");
+
+  EXPECT_EQ(request(at_cap, "shutdown"), "OK shutting-down\n");
+  ::close(over_cap);
+  ::close(at_cap);
+  runner.join();
+}
+
+TEST(DaemonLifecycle, ShutdownDuringRigBuildStopsTheRun) {
+  // The server accepts before run_experiment has built the rig (a wide fleet
+  // takes a while), so a shutdown can land before there is an engine to
+  // stop. It must still end the run promptly, not at the horizon.
+  DaemonConfig dc;
+  dc.socket_path = unique_socket_path();
+  dc.experiment = service_config();
+  dc.experiment.nodes = 1024;
+  dc.experiment.engine.horizon = Seconds{600.0};
+  Daemon d{dc};
+
+  core::ExperimentResult result;
+  std::thread runner{[&] { result = d.run(); }};
+  const int fd = connect_client(dc.socket_path);
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(request(fd, "shutdown"), "OK shutting-down\n");
+  ::close(fd);
+  runner.join();
+  EXPECT_LT(result.run.exec_time_s, 1.0);
 }
 
 TEST(DaemonLifecycle, WatchdogStallFailsafeAndRecovery) {
