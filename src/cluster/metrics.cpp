@@ -118,15 +118,12 @@ void RunResult::write_csv(const std::string& path, const std::string& field) con
   }
 }
 
-MetricsRecorder::MetricsRecorder(std::size_t node_count) : node_count_(node_count) {
-  result_.nodes.resize(node_count);
-  result_.summaries.resize(node_count);
-}
+MetricsRecorder::MetricsRecorder(std::size_t node_count) : node_count_(node_count) {}
 
-void MetricsRecorder::stamp(double t_seconds) { result_.times.push_back(t_seconds); }
+void MetricsRecorder::stamp(double t_seconds) { times_.push_back(t_seconds); }
 
 void MetricsRecorder::reserve(std::size_t samples) {
-  result_.times.reserve(samples);
+  times_.reserve(samples);
   for (std::vector<double>& col : cols_) {
     col.reserve(samples * node_count_);
   }
@@ -150,11 +147,15 @@ void MetricsRecorder::sample(double t_seconds, std::size_t node, double die, dou
   cols_[7].push_back(static_cast<double>(static_cast<int>(activity)));
 }
 
-void MetricsRecorder::flush_columns() const {
-  if (node_count_ == 0 || cols_[0].empty()) {
-    return;
+RunResult MetricsRecorder::result() const {
+  RunResult result;
+  result.times = times_;
+  result.nodes.resize(node_count_);
+  result.summaries.resize(node_count_);
+  if (node_count_ == 0) {
+    return result;
   }
-  THERMCTL_ASSERT(cols_[0].size() % node_count_ == 0, "flush mid-row");
+  THERMCTL_ASSERT(next_node_ == 0, "result read mid-row");
   const std::size_t rows = cols_[0].size() / node_count_;
 
   static constexpr std::vector<double> NodeSeries::*kFields[] = {
@@ -165,15 +166,13 @@ void MetricsRecorder::flush_columns() const {
 
   // Blocked transpose: a block of destination series stays cache-resident
   // across all rows while the column side is read in contiguous row spans,
-  // so the scatter cost is paid once per element instead of once per record
-  // tick.
+  // so the scatter cost is paid once per element.
   constexpr std::size_t kBlock = 128;
   for (std::size_t b0 = 0; b0 < node_count_; b0 += kBlock) {
     const std::size_t b1 = std::min(node_count_, b0 + kBlock);
     for (std::size_t i = b0; i < b1; ++i) {
       for (auto field : kFields) {
-        std::vector<double>& dst = result_.nodes[i].*field;
-        dst.reserve(dst.size() + rows);
+        (result.nodes[i].*field).reserve(rows);
       }
     }
     for (std::size_t f = 0; f < kFieldCount; ++f) {
@@ -181,14 +180,12 @@ void MetricsRecorder::flush_columns() const {
       for (std::size_t r = 0; r < rows; ++r) {
         const double* row = col + r * node_count_;
         for (std::size_t i = b0; i < b1; ++i) {
-          (result_.nodes[i].*kFields[f]).push_back(row[i]);
+          (result.nodes[i].*kFields[f]).push_back(row[i]);
         }
       }
     }
   }
-  for (std::vector<double>& col : cols_) {
-    col.clear();
-  }
+  return result;
 }
 
 }  // namespace thermctl::cluster

@@ -94,10 +94,11 @@ struct RunResult {
 /// loop visits every node each round. Appending into per-node series here
 /// would touch 8 x node_count scattered heap buffers per round (at 100k
 /// nodes that is ~800k cache misses every record tick, and it shows up as
-/// ~30% of a fleet-ladder run). The per-node `RunResult::nodes` shape that
-/// everything downstream consumes is materialized once, by a blocked
-/// transpose, the first time result() is read — same values, same order,
-/// bit-identical output.
+/// ~30% of a fleet-ladder run). The columns plus `times` are the only record:
+/// result() builds the per-node `RunResult::nodes` shape that everything
+/// downstream consumes by a blocked transpose into a fresh RunResult — same
+/// values, same order, bit-identical output — so a run holds at most two
+/// copies of its samples, the columns and the one result handed out.
 class MetricsRecorder {
  public:
   explicit MetricsRecorder(std::size_t node_count);
@@ -112,28 +113,18 @@ class MetricsRecorder {
   /// never reallocates mid-run. A hint: recording past it still works.
   void reserve(std::size_t samples);
 
-  [[nodiscard]] RunResult& result() {
-    flush_columns();
-    return result_;
-  }
-  [[nodiscard]] const RunResult& result() const {
-    flush_columns();
-    return result_;
-  }
+  /// Every row recorded so far, transposed into per-node series, with one
+  /// default summary per node. Reading does not consume: recording may
+  /// continue, and the next read holds every row again.
+  [[nodiscard]] RunResult result() const;
 
  private:
-  /// Drains the staged columns into result_.nodes (append, so recording may
-  /// continue afterwards and a later flush picks up where this one left off).
-  void flush_columns() const;
-
   static constexpr std::size_t kFieldCount = 8;
 
   std::size_t node_count_ = 0;
   std::size_t next_node_ = 0;  // enforced node-major arrival order
-  // Staging is logically part of building result_, so a const result() read
-  // may drain it.
-  mutable std::array<std::vector<double>, kFieldCount> cols_;
-  mutable RunResult result_;
+  std::vector<double> times_;
+  std::array<std::vector<double>, kFieldCount> cols_;
 };
 
 }  // namespace thermctl::cluster

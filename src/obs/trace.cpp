@@ -116,7 +116,8 @@ std::uint64_t TraceRing::read_new(std::uint64_t cursor, std::size_t max_events,
   if (max_events != 0 && n > max_events) {
     n = max_events;
   }
-  out.reserve(out.size() + static_cast<std::size_t>(n));
+  // No exact reserve: callers append many rings into one reused batch, and
+  // reserving size + n per ring would reallocate the whole batch every call.
   for (std::uint64_t k = 0; k < n; ++k) {
     // Absolute index j was written at slot j % capacity (head_ starts at 0
     // and advances one slot per emit).

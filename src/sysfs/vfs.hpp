@@ -9,11 +9,12 @@
 // temp*_input).
 #pragma once
 
+#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 namespace thermctl::sysfs {
@@ -30,24 +31,29 @@ using LongWriteFn = std::function<bool(long)>;
 
 class VirtualFs {
  private:
-  struct Attribute {
+  // An attribute holds either a text handler pair or a typed pair, never
+  // both: the text surface of a typed (add_attribute_long) attribute is
+  // rendered at call time rather than stored as wrapper closures.
+  struct TextHandlers {
     ReadFn read;
     WriteFn write;
-    // Set only for attributes registered via add_attribute_long; the fast
-    // path for numeric handle access on the sampling hot path.
-    LongReadFn read_long;
-    LongWriteFn write_long;
   };
+  struct LongHandlers {
+    LongReadFn read;
+    LongWriteFn write;
+  };
+  using Attribute = std::variant<TextHandlers, LongHandlers>;
 
  public:
   /// Opaque cached handle to one attribute, resolved once with open().
   /// Skips the per-access path lookup on the sampling hot path (controllers
   /// read temperatures every tick on up to 100k nodes). Removing the
-  /// attribute *invalidates* the handle safely: the attribute is retired in
-  /// place (handlers cleared, storage kept alive), so a stale handle reads
-  /// nullopt / writes false rather than dangling — and if the path is later
-  /// re-registered with new handlers, old handles can never observe the old
-  /// (stale) values; callers re-open() to see the new attribute.
+  /// attribute *invalidates* the handle safely: the attribute's slot is
+  /// cleared in place and never reused, so a stale handle reads nullopt /
+  /// writes false rather than dangling — and if the path is later
+  /// re-registered with new handlers, they land in a fresh slot, so old
+  /// handles can never observe them; callers re-open() to see the new
+  /// attribute.
   class Handle {
    public:
     Handle() = default;
@@ -58,6 +64,11 @@ class VirtualFs {
     explicit Handle(const Attribute* attr) : attr_(attr) {}
     const Attribute* attr_ = nullptr;
   };
+
+  VirtualFs() = default;
+  // Handles and the index point into slots_; a copy would alias them.
+  VirtualFs(const VirtualFs&) = delete;
+  VirtualFs& operator=(const VirtualFs&) = delete;
 
   /// Registers an attribute at `path` (e.g. "/sys/class/hwmon/hwmon0/temp1_input").
   /// Either handler may be null for write-only / read-only attributes.
@@ -103,15 +114,22 @@ class VirtualFs {
   [[nodiscard]] std::vector<std::string> list(const std::string& dir_prefix) const;
 
  private:
-  // unique_ptr storage: attribute addresses outlive map surgery, and
-  // remove_attribute() can retire the allocation into the graveyard below
-  // instead of freeing memory live handles may still point at.
-  std::map<std::string, std::unique_ptr<Attribute>> attrs_;
-  // Removed attributes, kept alive (with handlers cleared) so stale cached
-  // handles fail closed instead of reading freed — or re-registered-and-
-  // different — state. Bounded by the number of removals, which is tiny
-  // (device unpublish events), not per-access.
-  std::vector<std::unique_ptr<Attribute>> retired_;
+  struct Entry {
+    const std::string* path;  // interned: one copy per distinct path per process
+    Attribute* attr;          // into slots_
+  };
+
+  [[nodiscard]] std::vector<Entry>::const_iterator lower_bound(std::string_view path) const;
+  [[nodiscard]] const Entry* find(std::string_view path) const;
+  void insert(const std::string& path, Attribute attr);
+
+  // Stable storage: deque growth never moves an element, so handles stay
+  // valid. A removed attribute's slot is cleared in place and left behind as
+  // its own graveyard — bounded by the number of removals (device unpublish
+  // events), not by accesses.
+  std::deque<Attribute> slots_;
+  // Live attributes sorted by path: binary-search lookup and prefix scans.
+  std::vector<Entry> index_;
 };
 
 }  // namespace thermctl::sysfs

@@ -159,9 +159,9 @@ TEST(Engine, PerNodeLoadFnOverridesFleetLoad) {
 }
 
 TEST(Engine, RepeatedRunsAppendToRecordedSeries) {
-  // Two runs on one engine keep appending to the same recorder — the
-  // columnar staging behind MetricsRecorder must drain per result() read and
-  // keep accepting rows afterwards.
+  // Two runs on one engine keep appending to the same recorder — each
+  // result() read transposes every row staged so far into a fresh RunResult,
+  // and the recorder keeps accepting rows afterwards.
   Cluster cluster{2, quiet()};
   Engine engine{cluster, short_run(2.0)};
   const std::size_t first = engine.run().times.size();

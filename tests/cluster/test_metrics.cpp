@@ -1,5 +1,7 @@
 #include "cluster/metrics.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -30,6 +32,83 @@ RunResult sample_result() {
   r.summaries[0].i2c_bus_faults = 4;
   r.summaries[1].i2c_exhausted = 1;
   return r;
+}
+
+// Bit patterns of every recorded value, times first, then node-major.
+std::vector<std::uint64_t> series_bits(const RunResult& r) {
+  std::vector<std::uint64_t> bits;
+  for (double t : r.times) {
+    bits.push_back(std::bit_cast<std::uint64_t>(t));
+  }
+  for (const NodeSeries& n : r.nodes) {
+    for (const std::vector<double>* s : {&n.die_temp, &n.sensor_temp, &n.duty, &n.rpm,
+                                         &n.freq_ghz, &n.power_w, &n.util, &n.activity}) {
+      EXPECT_EQ(s->size(), r.times.size());
+      for (double x : *s) {
+        bits.push_back(std::bit_cast<std::uint64_t>(x));
+      }
+    }
+  }
+  return bits;
+}
+
+void record_rows(MetricsRecorder& rec, int first, int count) {
+  for (int i = first; i < first + count; ++i) {
+    const double t = 0.25 * i;
+    rec.stamp(t);
+    for (std::size_t n = 0; n < 3; ++n) {
+      const double x = 0.1 * i + static_cast<double>(n) / 3.0;
+      rec.sample(t, n, 40.0 + x, 40.5 + x, x, 1000.0 + x, 2.4 - x / 100.0, 90.0 + x, x / 10.0,
+                 ActivityCode::kCompute);
+    }
+  }
+}
+
+TEST(MetricsRecorder, RepeatedReadsAreBitIdentical) {
+  MetricsRecorder rec{3};
+  record_rows(rec, 0, 5);
+  const RunResult a = rec.result();
+  const RunResult b = rec.result();
+  EXPECT_EQ(a.times.size(), 5u);
+  EXPECT_EQ(series_bits(a), series_bits(b));
+}
+
+TEST(MetricsRecorder, RecordingContinuesAfterARead) {
+  MetricsRecorder rec{3};
+  record_rows(rec, 0, 4);
+  const RunResult early = rec.result();
+  record_rows(rec, 4, 3);
+  const RunResult later = rec.result();
+  ASSERT_EQ(later.times.size(), 7u);
+  ASSERT_EQ(later.nodes.size(), 3u);
+  // The later read holds every row, the early ones unchanged...
+  for (std::size_t n = 0; n < 3; ++n) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(later.nodes[n].die_temp[k]),
+                std::bit_cast<std::uint64_t>(early.nodes[n].die_temp[k]));
+    }
+  }
+  // ...and matches a recorder that saw the same rows with no read between.
+  MetricsRecorder whole{3};
+  record_rows(whole, 0, 7);
+  EXPECT_EQ(series_bits(later), series_bits(whole.result()));
+}
+
+TEST(MetricsRecorder, EmptyRecorderYieldsAlignedEmptySeries) {
+  for (const bool reserved : {false, true}) {
+    MetricsRecorder rec{4};
+    if (reserved) {
+      rec.reserve(100);
+    }
+    const RunResult r = rec.result();
+    EXPECT_TRUE(r.times.empty());
+    ASSERT_EQ(r.nodes.size(), 4u);
+    EXPECT_EQ(r.summaries.size(), 4u);
+    for (const NodeSeries& n : r.nodes) {
+      EXPECT_TRUE(n.die_temp.empty());
+      EXPECT_TRUE(n.activity.empty());
+    }
+  }
 }
 
 TEST(Metrics, SeriesAlignedWithTimes) {

@@ -119,6 +119,30 @@ TEST(TraceRing, ReadNewCountsLapLossAndHonorsBudget) {
   EXPECT_EQ(lost, 6u);  // no further loss once the reader catches up
 }
 
+TEST(TraceRing, ReadNewAppendsAfterExistingEvents) {
+  // A spill drain appends ring after ring into one batch: what a read adds
+  // goes after what earlier rings put there, which stays intact and in order.
+  TraceRing a{1, 8};
+  TraceRing b{2, 8};
+  for (int i = 0; i < 3; ++i) {
+    a.emit(TraceEvent{.t_s = 1.0 + i, .type = TraceEventType::kWindowRound});
+    b.emit(TraceEvent{.t_s = 10.0 + i, .type = TraceEventType::kWindowRound});
+  }
+  std::vector<TraceEvent> out;
+  std::uint64_t lost = 0;
+  EXPECT_EQ(a.read_new(0, 0, out, lost), 3u);
+  EXPECT_EQ(b.read_new(0, 0, out, lost), 3u);
+  ASSERT_EQ(out.size(), 6u);
+  for (int i = 0; i < 3; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_EQ(out[k].node, 1);
+    EXPECT_DOUBLE_EQ(out[k].t_s, 1.0 + i);
+    EXPECT_EQ(out[k + 3].node, 2);
+    EXPECT_DOUBLE_EQ(out[k + 3].t_s, 10.0 + i);
+  }
+  EXPECT_EQ(lost, 0u);
+}
+
 TEST(RunTrace, DroppedByNodeIsPerNodeNotAggregate) {
   RunTrace trace{3, 2};
   trace.ring(0).emit(TraceEvent{.t_s = 1.0});

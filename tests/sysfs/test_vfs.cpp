@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 namespace thermctl::sysfs {
 namespace {
 
@@ -162,6 +167,144 @@ TEST(VirtualFs, StaleHandleNeverReadsReRegisteredAttribute) {
   EXPECT_FALSE(fs.read_long(stale).has_value());  // ...and never the new one
   const VirtualFs::Handle reopened = fs.open("/sys/test/temp");
   EXPECT_EQ(fs.read_long(reopened).value(), 53000);
+}
+
+TEST(VirtualFs, TreesWithIdenticalPathsAreIndependent) {
+  // Every node registers the same paths, so the path keys are shared across
+  // trees; the handlers behind them must not be.
+  VirtualFs a;
+  VirtualFs b;
+  long va = 1;
+  long vb = 2;
+  const std::string path = "/sys/class/hwmon/hwmon0/pwm1";
+  for (auto [fs, v] : {std::pair{&a, &va}, std::pair{&b, &vb}}) {
+    fs->add_attribute_long(
+        path, [v] { return *v; },
+        [v](long x) {
+          *v = x;
+          return true;
+        });
+  }
+  EXPECT_TRUE(a.write_long(path, 100));
+  EXPECT_EQ(va, 100);
+  EXPECT_EQ(vb, 2);
+  EXPECT_EQ(b.read(path).value(), "2");
+  EXPECT_EQ(b.read_long(b.open(path)).value(), 2);
+
+  b.remove_attribute(path);
+  EXPECT_FALSE(b.exists(path));
+  EXPECT_EQ(a.read(path).value(), "100");
+}
+
+TEST(VirtualFs, TreesBuiltConcurrentlyShareNoState) {
+  // Rigs are built on runner threads at once, all interning the same paths.
+  constexpr int kThreads = 4;
+  constexpr int kTrees = 50;
+  std::vector<long> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      for (int k = 0; k < kTrees; ++k) {
+        VirtualFs fs;
+        const long value = t * 1000 + k;
+        fs.add_attribute_long("/sys/class/hwmon/hwmon0/temp1_input", [value] { return value; });
+        fs.add_attribute("/sys/class/hwmon/hwmon0/name", [] { return std::string{"adt7467"}; });
+        if (fs.read_long("/sys/class/hwmon/hwmon0/temp1_input") != value ||
+            fs.list("/sys/class/hwmon/hwmon0").size() != 2) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(mismatches, std::vector<long>(kThreads, 0));
+}
+
+TEST(VirtualFs, StaleHandleWritesFailAfterReRegister) {
+  VirtualFs fs;
+  long old_value = 1;
+  fs.add_attribute_long(
+      "/sys/test/pwm", [&old_value] { return old_value; },
+      [&old_value](long v) {
+        old_value = v;
+        return true;
+      });
+  const VirtualFs::Handle stale = fs.open("/sys/test/pwm");
+  fs.remove_attribute("/sys/test/pwm");
+  std::string new_value = "fresh";
+  fs.add_attribute(
+      "/sys/test/pwm", [&new_value] { return new_value; },
+      [&new_value](const std::string& v) {
+        new_value = v;
+        return true;
+      });
+
+  EXPECT_FALSE(fs.read(stale).has_value());
+  EXPECT_FALSE(fs.read_long(stale).has_value());
+  EXPECT_FALSE(fs.write(stale, "7"));
+  EXPECT_FALSE(fs.write_long(stale, 7));
+  EXPECT_EQ(old_value, 1);
+  EXPECT_EQ(new_value, "fresh");
+
+  const VirtualFs::Handle fresh = fs.open("/sys/test/pwm");
+  EXPECT_EQ(fs.read(fresh).value(), "fresh");
+  EXPECT_TRUE(fs.write(fresh, "set"));
+  EXPECT_EQ(new_value, "set");
+}
+
+TEST(VirtualFs, ListStaysSortedAcrossAddAndRemove) {
+  VirtualFs fs;
+  auto ro = [] { return std::string{}; };
+  fs.add_attribute("/sys/a/z", ro);
+  fs.add_attribute("/sys/b/x", ro);
+  fs.add_attribute("/sys/a/m", ro);
+  fs.add_attribute("/sys/ab/c", ro);  // shares the "/sys/a" text, not the dir
+  fs.remove_attribute("/sys/a/z");
+  fs.add_attribute("/sys/a/b", ro);
+  fs.add_attribute("/sys/a/z", ro);
+  fs.remove_attribute("/sys/a/m");
+  fs.add_attribute("/sys/a", ro);  // the directory name itself is no child
+  EXPECT_EQ(fs.list("/sys/a"), (std::vector<std::string>{"/sys/a/b", "/sys/a/z"}));
+  EXPECT_EQ(fs.list("/sys/a/"), (std::vector<std::string>{"/sys/a/b", "/sys/a/z"}));
+  EXPECT_EQ(fs.list("/sys"), (std::vector<std::string>{"/sys/a", "/sys/a/b", "/sys/a/z",
+                                                       "/sys/ab/c", "/sys/b/x"}));
+  EXPECT_TRUE(fs.list("/sys/c").empty());
+}
+
+TEST(VirtualFs, LongAttributeTextAndTypedSurfacesAgree) {
+  VirtualFs fs;
+  long stored = -42;
+  fs.add_attribute_long(
+      "/sys/test/n", [&stored] { return stored; },
+      [&stored](long v) {
+        stored = v;
+        return true;
+      });
+  const VirtualFs::Handle h = fs.open("/sys/test/n");
+  EXPECT_EQ(fs.read("/sys/test/n").value(), "-42");
+  EXPECT_EQ(fs.read(h).value(), "-42");
+  EXPECT_EQ(fs.read_long("/sys/test/n").value(), -42);
+  EXPECT_EQ(fs.read_long(h).value(), -42);
+
+  EXPECT_TRUE(fs.write(h, "2400000"));
+  EXPECT_EQ(stored, 2400000);
+  EXPECT_TRUE(fs.write_long("/sys/test/n", 1800000));
+  EXPECT_EQ(fs.read(h).value(), "1800000");
+
+  // Non-numeric text never reaches the typed handler.
+  EXPECT_FALSE(fs.write("/sys/test/n", "fast"));
+  EXPECT_FALSE(fs.write(h, ""));
+  EXPECT_EQ(stored, 1800000);
+}
+
+TEST(VirtualFs, ReadOnlyLongAttributeRejectsWrites) {
+  VirtualFs fs;
+  fs.add_attribute_long("/sys/test/ro", [] { return 5L; });
+  EXPECT_FALSE(fs.write("/sys/test/ro", "6"));
+  EXPECT_FALSE(fs.write_long(fs.open("/sys/test/ro"), 6));
+  EXPECT_EQ(fs.read_long("/sys/test/ro").value(), 5);
 }
 
 TEST(VirtualFsDeath, RelativePathAborts) {

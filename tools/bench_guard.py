@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Throughput regression gate for the engine hot path.
+"""Throughput and memory regression gate for the engine hot path.
 
 Runs `micro_engine_throughput` (best of N short runs), reads its JSON
 report, and fails when `hot_path.steps_per_sec` lands below the checked-in
-floor in tools/bench_floor.json.
+floor in tools/bench_floor.json, when a scaling-ladder point's
+node_steps_per_sec falls below its floor, or when a ladder point's
+rss_bytes_per_node rises above its ceiling.
 
 The floor is deliberately far below the recorded baseline in
 BENCH_engine.json: CI runners, sanitizer overhead, and shared developer
@@ -17,6 +19,13 @@ Single-core runners: when the bench report says parallelism_available is
 false, the floor is multiplied by single_core_floor_scale from the floor
 file (a scale of 0 skips the gate) — the recorded floor assumes worker
 parallelism that a one-hardware-thread machine cannot provide.
+
+Memory: rss_bytes_per_node is the resident growth of building one ladder
+point's rig (cluster plus controllers) divided by its node count. The
+ceilings sit ~25 % above the measured values, so allocator jitter passes
+and a structural regression (a per-node object graph that grows by
+kilobytes) fails. RSS does not depend on runner speed, so no single-core
+scale applies; the best (lowest) reading across runs is judged.
 
 Usage:
     tools/bench_guard.py <path-to-micro_engine_throughput> [options]
@@ -47,6 +56,31 @@ def run_once(bench, horizon, max_scale, timeout_s):
         ]
         subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL, timeout=timeout_s)
         return json.loads(out.read_text())
+
+
+def check_rss_ceilings(floor_doc, ladder_rss):
+    """Per-ladder-point memory ceilings on the rig's resident bytes per node.
+
+    Prints one verdict line per gated point; returns False if any point
+    exceeds its ceiling.
+    """
+    ceilings = {int(k): float(v) for k, v in
+                floor_doc.get("scaling_rss_bytes_per_node_ceilings", {}).items()}
+    heavy_points = []
+    for nodes in sorted(ceilings):
+        if nodes not in ladder_rss:
+            continue  # above --ladder-scale in this guard run
+        got = ladder_rss[nodes]
+        verdict = "PASS" if got <= ceilings[nodes] else "FAIL"
+        print(f"bench_guard: ladder {nodes:>6} nodes: {got:,.0f} rss bytes/node "
+              f"vs ceiling {ceilings[nodes]:,.0f} -> {verdict}")
+        if verdict == "FAIL":
+            heavy_points.append(nodes)
+    if heavy_points:
+        print(f"bench_guard: per-node memory grew past its ceiling at "
+              f"{heavy_points} nodes; look for a per-node object (sysfs tree, "
+              f"controller, recorder) that gained heap state.", file=sys.stderr)
+    return not heavy_points
 
 
 def main():
@@ -82,6 +116,7 @@ def main():
     best = 0.0
     best_node_steps = 0.0
     ladder_best = {}  # node count -> best node_steps_per_sec across runs
+    ladder_rss = {}  # node count -> lowest rss_bytes_per_node across runs
     parallelism_available = True
     for i in range(max(1, args.runs)):
         report = run_once(bench, args.horizon, max_scale=args.ladder_scale,
@@ -95,8 +130,13 @@ def main():
             nodes = int(point["nodes"])
             point_nsps = float(point.get("node_steps_per_sec", 0.0))
             ladder_best[nodes] = max(ladder_best.get(nodes, 0.0), point_nsps)
+            point_rss = float(point.get("rss_bytes_per_node", 0.0))
+            ladder_rss[nodes] = min(ladder_rss.get(nodes, point_rss), point_rss)
         if sps > best:
             best, best_node_steps = sps, nsps
+
+    # Judged first and on every runner: memory does not depend on its speed.
+    memory_ok = check_rss_ceilings(floor_doc, ladder_rss)
 
     if not parallelism_available:
         # The floor was recorded on a multi-core host where the sharded
@@ -114,7 +154,7 @@ def main():
             print("bench_guard: floor disabled on this runner (scale 0); "
                   "throughput recorded but not gated")
             print(f"bench_guard: best {best:,.0f} steps/s -> PASS (ungated)")
-            return 0
+            return 0 if memory_ok else 1
 
     verdict = "PASS" if best >= floor else "FAIL"
     print(f"bench_guard: best {best:,.0f} steps/s vs floor {floor:,.0f} -> {verdict}")
@@ -149,7 +189,7 @@ def main():
               f"vectorized RC substeps likely lost their layout win.",
               file=sys.stderr)
         return 1
-    return 0
+    return 0 if memory_ok else 1
 
 
 if __name__ == "__main__":
