@@ -4,7 +4,8 @@
 // own overhead must be negligible next to the workload. These benchmarks
 // quantify that claim for every layer: window update, array fill, selector
 // arithmetic, the full controller tick including the sysfs + i2c round
-// trips, one RC physics step, and a whole-node engine step.
+// trips, one RC physics step, a whole-node engine step, and the set-up
+// settle of a whole cluster.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -140,6 +141,31 @@ void BM_RcBatchStepFleet(benchmark::State& state) {
                           static_cast<std::int64_t>(instances));
 }
 BENCHMARK(BM_RcBatchStepFleet)->Arg(1)->Arg(64)->Arg(4096);
+
+void BM_ClusterSettleAll(benchmark::State& state) {
+  // Set-up priming, as run_experiment does it: a fresh (ambient) cluster
+  // settled at idle load, one batched RC march of every node per settle
+  // pass. Building and tearing down the cluster is not timed; items/sec is
+  // nodes settled per second.
+  const std::size_t nodes = static_cast<std::size_t>(state.range(0));
+  const cluster::NodeParams params;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto rack = std::make_unique<cluster::Cluster>(nodes, params);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      rack->node(i).set_utilization(Utilization{0.02});
+    }
+    state.ResumeTiming();
+    rack->settle_all();
+    state.PauseTiming();
+    benchmark::DoNotOptimize(rack->node(0).die_temperature());
+    rack.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(nodes));
+}
+BENCHMARK(BM_ClusterSettleAll)->Arg(4)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatedSecondFourNodes(benchmark::State& state) {
   // Cost of simulating one wall-clock second of a 4-node cluster at the

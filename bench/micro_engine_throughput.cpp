@@ -340,7 +340,7 @@ int main(int argc, char** argv) {
   std::size_t nodes = 16;
   std::size_t sweep_points = 8;
   std::size_t threads = 0;    // 0 = hardware
-  int engine_workers = 0;     // 0 = auto (one shard per hardware thread)
+  int engine_workers = 0;     // 0 = auto (Engine::resolved_workers)
   std::size_t max_scale = 100000;
   int hot_reps = 3;  // best-of; see measure_hot_path
   std::string out_path = "BENCH_engine.json";

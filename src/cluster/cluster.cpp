@@ -43,8 +43,17 @@ Watts Cluster::total_power() const {
 }
 
 void Cluster::settle_all() {
-  for (auto& n : nodes_) {
-    n->settle();
+  // Node::settle's passes, each device stage over every node and then one
+  // batched march of every package. Nodes share nothing while settling, so
+  // each ends bitwise where settling it alone would leave it.
+  for (int pass = 0; pass < Node::kSettlePasses; ++pass) {
+    for (Node* n : raw_) {
+      n->prepare_settle(pass);
+    }
+    fleet_->batch().settle_range(0, size());
+  }
+  for (Node* n : raw_) {
+    n->finish_settle();
   }
 }
 

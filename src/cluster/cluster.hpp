@@ -59,7 +59,8 @@ class Cluster {
   /// Total wall power across the rack right now.
   [[nodiscard]] Watts total_power() const;
 
-  /// Brings every node to equilibrium at its current load.
+  /// Brings every node to equilibrium at its current load: Node::settle for
+  /// every node, with one batched RC march of the whole fleet per pass.
   void settle_all();
 
  private:

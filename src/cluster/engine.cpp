@@ -20,9 +20,10 @@ Engine::Engine(Cluster& cluster, EngineConfig config)
 }
 
 std::size_t Engine::resolved_workers() const {
-  const std::size_t requested = config_.workers == 0
-                                    ? runtime::default_thread_count()
-                                    : static_cast<std::size_t>(config_.workers);
+  const std::size_t requested =
+      config_.workers == 0
+          ? std::min(runtime::default_thread_count(), cluster_.size() / kMinNodesPerShard)
+          : static_cast<std::size_t>(config_.workers);
   return std::max<std::size_t>(1, std::min(requested, cluster_.size()));
 }
 

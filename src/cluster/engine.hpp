@@ -64,8 +64,9 @@ struct EngineConfig {
   /// cool-down tail); 0 stops immediately.
   Seconds cooldown{0.0};
   /// Node shards for the per-step physics/sampling phase: 1 = serial engine
-  /// (no pool), >1 = that many shards on a ThreadPool, 0 = one per hardware
-  /// thread. Results are bit-identical for every value.
+  /// (no pool), >1 = that many shards on a ThreadPool, 0 = auto (one shard
+  /// per Engine::kMinNodesPerShard nodes, at most one per hardware thread).
+  /// Results are bit-identical for every value.
   int workers = 1;
 };
 
@@ -150,8 +151,13 @@ class Engine {
 
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Shard count the physics phase will actually use (config workers
-  /// resolved against hardware threads and clamped to the node count).
+  /// Auto sharding (workers = 0) gives every shard at least this many nodes.
+  /// A sharded step pays one ThreadPool submit-and-wait round trip, which
+  /// costs more than a smaller shard's physics saves.
+  static constexpr std::size_t kMinNodesPerShard = 512;
+
+  /// Shard count the physics phase will actually use (config workers, or
+  /// the auto rule above, clamped to the node count).
   [[nodiscard]] std::size_t resolved_workers() const;
 
  private:

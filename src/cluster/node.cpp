@@ -77,23 +77,41 @@ Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot
 void Node::set_utilization(Utilization u) { *util_ = halted() ? 0.0 : u.fraction(); }
 
 void Node::settle() {
-  cpu_.set_utilization(Utilization{*util_});
-  cpu_.set_die_temperature(package_.die_temperature());
-  package_.set_cpu_power(cpu_.power());
-  fan_.settle();
-  package_.set_airflow(fan_.airflow());
-  package_.settle();
-  // One more pass so leakage (a function of the settled temperature) and the
-  // chip's auto curve are consistent with the equilibrium.
-  cpu_.set_die_temperature(package_.die_temperature());
-  package_.set_cpu_power(cpu_.power());
-  package_.settle();
-  chip_.set_measured_temperature(package_.die_temperature());
-  fan_.set_duty(*bmc_override_set_ != 0 ? DutyCycle{*bmc_override_duty_}
-                                        : chip_.output_duty());
-  fan_.settle();
-  package_.set_airflow(fan_.airflow());
-  package_.settle();
+  for (int pass = 0; pass < kSettlePasses; ++pass) {
+    prepare_settle(pass);
+    package_.settle();
+  }
+  finish_settle();
+}
+
+void Node::prepare_settle(int pass) {
+  switch (pass) {
+    case 0:
+      cpu_.set_utilization(Utilization{*util_});
+      cpu_.set_die_temperature(package_.die_temperature());
+      package_.set_cpu_power(cpu_.power());
+      fan_.settle();
+      package_.set_airflow(fan_.airflow());
+      break;
+    case 1:
+      // One more pass so leakage (a function of the settled temperature) and
+      // the chip's auto curve are consistent with the equilibrium.
+      cpu_.set_die_temperature(package_.die_temperature());
+      package_.set_cpu_power(cpu_.power());
+      break;
+    case 2:
+      chip_.set_measured_temperature(package_.die_temperature());
+      fan_.set_duty(*bmc_override_set_ != 0 ? DutyCycle{*bmc_override_duty_}
+                                            : chip_.output_duty());
+      fan_.settle();
+      package_.set_airflow(fan_.airflow());
+      break;
+    default:
+      THERMCTL_ASSERT(false, "settle pass out of range");
+  }
+}
+
+void Node::finish_settle() {
   chip_.set_measured_temperature(package_.die_temperature());
   chip_.set_measured_rpm(fan_.rpm());
   sensor_.sample();

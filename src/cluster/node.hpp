@@ -133,6 +133,14 @@ class Node {
   /// priming: the machine has been idling before the job starts).
   void settle();
 
+  /// settle() in stages, so Cluster::settle_all can march every node's
+  /// package in one batched RC settle per pass: for each pass p in
+  /// [0, kSettlePasses), prepare_settle(p) and then the package settle;
+  /// finally finish_settle().
+  static constexpr int kSettlePasses = 3;
+  void prepare_settle(int pass);
+  void finish_settle();
+
  private:
   int id_;
   hw::CpuDevice cpu_;

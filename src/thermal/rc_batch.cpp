@@ -302,23 +302,55 @@ void RcBatch::step_range(Seconds dt, std::size_t begin, std::size_t end) {
   }
 }
 
-void RcBatch::settle(std::size_t b, int max_iterations, double tolerance_kelvin) {
-  THERMCTL_ASSERT(b < instances_, "instance out of range");
-  // March the instance with large (but stable) steps until quiescent —
-  // RcNetwork::settle, one column at a time.
-  const double h = min_time_constant(b).value() / 2.0;
-  std::vector<double> before(node_count_);
-  for (int it = 0; it < max_iterations; ++it) {
-    for (std::size_t k = 0; k < node_count_; ++k) {
-      before[k] = row(temp_, k)[b];
+void RcBatch::settle_range(std::size_t begin, std::size_t end, int max_iterations,
+                           double tolerance_kelvin) {
+  THERMCTL_ASSERT(begin <= end && end <= instances_, "instance range out of bounds");
+  // Columns per block: the block's temperature, flux, power, conductance and
+  // before-copy rows stay cache-resident across its whole march.
+  const std::size_t block = std::min<std::size_t>(256, end - begin);
+  std::vector<double> step(end - begin);
+  for (std::size_t b = begin; b < end; ++b) {
+    step[b - begin] = min_time_constant(b).value() / 2.0;
+  }
+  std::vector<double> before(node_count_ * block);
+  std::vector<double> delta(block);
+  std::vector<std::size_t> active;
+  active.reserve(block);
+  for (std::size_t lo = begin; lo < end; lo += block) {
+    const std::size_t hi = std::min(lo + block, end);
+    active.clear();
+    for (std::size_t b = lo; b < hi; ++b) {
+      active.push_back(b);
     }
-    euler_substep_range(h, b, b + 1);
-    double delta = 0.0;
-    for (std::size_t k = 0; k < node_count_; ++k) {
-      delta = std::max(delta, std::abs(row(temp_, k)[b] - before[k]));
-    }
-    if (delta < tolerance_kelvin) {
-      return;
+    for (int it = 0; it < max_iterations && !active.empty(); ++it) {
+      for (std::size_t r = 0; r < active.size();) {
+        // A run: consecutive active columns with one step length.
+        const std::size_t i = active[r];
+        const double h = step[i - begin];
+        std::size_t j = i + 1;
+        for (++r; r < active.size() && active[r] == j && step[j - begin] == h; ++r) {
+          ++j;
+        }
+        // Fixed rows never move, so they cannot raise a column's delta.
+        for (std::size_t k = 0; k < node_count_; ++k) {
+          if (!fixed_[k]) {
+            std::copy(row(temp_, k) + i, row(temp_, k) + j, before.begin() + (k * block + i - lo));
+          }
+        }
+        euler_substep_range(h, i, j);
+        std::fill(delta.begin() + (i - lo), delta.begin() + (j - lo), 0.0);
+        for (std::size_t k = 0; k < node_count_; ++k) {
+          if (fixed_[k]) {
+            continue;
+          }
+          const double* t = row(temp_, k);
+          const double* t0 = &before[k * block];
+          for (std::size_t b = i; b < j; ++b) {
+            delta[b - lo] = std::max(delta[b - lo], std::abs(t[b] - t0[b - lo]));
+          }
+        }
+      }
+      std::erase_if(active, [&](std::size_t b) { return delta[b - lo] < tolerance_kelvin; });
     }
   }
 }

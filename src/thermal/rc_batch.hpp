@@ -84,9 +84,17 @@ class RcBatch {
   void step_all(Seconds dt) { step_range(dt, 0, instances_); }
   void step_one(std::size_t b, Seconds dt) { step_range(dt, b, b + 1); }
 
-  /// RcNetwork::settle for one instance: marches with large stable steps
-  /// until quiescent.
-  void settle(std::size_t b, int max_iterations = 200000, double tolerance_kelvin = 1e-7);
+  /// RcNetwork::settle for every instance in [begin, end). Each column
+  /// marches with its own large stable step, min_time_constant(b) / 2 (the
+  /// read clears the column's stale-plan bit, as RcNetwork::settle's does),
+  /// until the largest move of one iteration drops below `tolerance_kelvin`,
+  /// or `max_iterations` pass. The columns march together in cache-sized
+  /// blocks: each iteration advances maximal runs of still-active columns
+  /// that share a step in one vectorized pass, and a converged column leaves
+  /// the active set. Every column ends bitwise where marching it alone ends.
+  void settle_range(std::size_t begin, std::size_t end, int max_iterations = 200000,
+                    double tolerance_kelvin = 1e-7);
+  void settle(std::size_t b) { settle_range(b, b + 1); }
 
   /// Stable pointers to one instance's state cells, for per-node views
   /// (fleet-backed PackageModel) that access a fixed (instance, node)

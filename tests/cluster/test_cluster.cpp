@@ -1,5 +1,8 @@
 #include "cluster/cluster.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace thermctl::cluster {
@@ -69,6 +72,58 @@ TEST(Cluster, IpmiFanOverridePerNode) {
   }
   EXPECT_NEAR(cluster.node(1).fan().duty().percent(), 95.0, 0.5);
   EXPECT_LT(cluster.node(0).fan().duty().percent(), 50.0);
+}
+
+/// Uneven nodes: loads, inlets and one BMC fan override differ, so the
+/// nodes' packages march with different steps and stop at different
+/// iterations of the batched settle.
+void make_uneven(Cluster& cluster) {
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    cluster.node(i).set_utilization(Utilization{0.1 * static_cast<double>(i % 11)});
+    cluster.set_inlet_temperature(i, Celsius{22.0 + static_cast<double>(i % 7)});
+  }
+  ASSERT_EQ(cluster.ipmi().set_fan_override(1, DutyCycle{90.0}), sysfs::IpmiCompletion::kOk);
+}
+
+#define EXPECT_SAME_BITS(a, b, i) \
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b)) << "node " << (i)
+
+TEST(Cluster, SettleAllMatchesPerNodeSettleOnEveryObservable) {
+  // 300 nodes span two 256-column blocks of the batched march. Default
+  // params keep sensor noise on, so the sensor's RNG stream is observable.
+  constexpr std::size_t kNodes = 300;
+  const NodeParams params;
+  Cluster together{kNodes, params};
+  Cluster alone{kNodes, params};
+  make_uneven(together);
+  make_uneven(alone);
+  together.settle_all();
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    alone.node(i).settle();
+  }
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    Node& a = together.node(i);
+    Node& b = alone.node(i);
+    EXPECT_SAME_BITS(a.die_temperature().value(), b.die_temperature().value(), i);
+    EXPECT_SAME_BITS(a.package().heatsink_temperature().value(),
+                     b.package().heatsink_temperature().value(), i);
+    EXPECT_SAME_BITS(a.sensor_reading().value(), b.sensor_reading().value(), i);
+    EXPECT_SAME_BITS(a.fan().duty().percent(), b.fan().duty().percent(), i);
+    EXPECT_SAME_BITS(a.fan().rpm().value(), b.fan().rpm().value(), i);
+    EXPECT_SAME_BITS(a.wall_power().value(), b.wall_power().value(), i);
+    EXPECT_SAME_BITS(a.effective_frequency().value(), b.effective_frequency().value(), i);
+    // The noise stream continues from the same point.
+    EXPECT_SAME_BITS(a.sample_sensor().value(), b.sample_sensor().value(), i);
+  }
+  // The next physics steps agree too, stale substep plans included.
+  for (int step = 0; step < 20; ++step) {
+    together.step(Seconds{0.05});
+    alone.step(Seconds{0.05});
+  }
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    EXPECT_SAME_BITS(together.node(i).die_temperature().value(),
+                     alone.node(i).die_temperature().value(), i);
+  }
 }
 
 TEST(ClusterDeath, ZeroNodesAborts) {

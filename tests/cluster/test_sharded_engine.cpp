@@ -100,6 +100,30 @@ TEST(ShardedEngine, ResolvedWorkersClampsToNodesAndHardware) {
   }
 }
 
+TEST(ShardedEngine, AutoWorkersKeepSmallClustersSerial) {
+  // A 16-node step is microseconds of physics; a pool round trip per step
+  // would cost more than sharding saves, so auto stays serial.
+  NodeParams params;
+  Cluster cluster{16, params};
+  EngineConfig cfg;
+  cfg.workers = 0;
+  EXPECT_EQ(Engine(cluster, cfg).resolved_workers(), 1u);
+  // An explicit count is taken as requested, so small rigs can still shard.
+  cfg.workers = 4;
+  EXPECT_EQ(Engine(cluster, cfg).resolved_workers(), 4u);
+}
+
+TEST(ShardedEngine, AutoWorkersShardLargeClusters) {
+  if (runtime::default_thread_count() < 2) {
+    GTEST_SKIP() << "one hardware thread: auto never shards";
+  }
+  NodeParams params;
+  Cluster cluster{2 * Engine::kMinNodesPerShard, params};
+  EngineConfig cfg;
+  cfg.workers = 0;
+  EXPECT_EQ(Engine(cluster, cfg).resolved_workers(), 2u);
+}
+
 TEST(ShardedEngine, BitIdenticalToSerialAcrossPartitions) {
   // 7 nodes: workers 2 -> shards 4+3, 3 -> 3+2+2, 7 -> all singletons, and
   // 16 clamps to 7. None but the last divide evenly.

@@ -7,9 +7,13 @@
 // the settle()/min_time_constant() interaction that can leave a stale plan.
 // Heterogeneous structures must be rejected by matches() so callers fall
 // back to per-node stepping.
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -354,6 +358,184 @@ TEST(RcBatch, StepRangeMisalignedBoundsStayBitExact) {
                      solo[b]->net.temperature(solo[b]->die).value())
           << "instance " << b << " step " << step;
     }
+  }
+}
+
+// ---- batched settle ----
+// settle_range marches many columns at once. Its contract: every column ends
+// bitwise where settling that column alone (settle(b), which is
+// settle_range(b, b + 1)) leaves it, including the stale-plan bit the step's
+// min_time_constant() read clears.
+
+/// Column b's load: power and convection vary with b, so neighbouring columns
+/// march with different steps and converge at different iterations. The
+/// tighter convections make the heatsink, not the die, bound the step; the
+/// looser ones leave the die bound, so some neighbours share a step.
+Watts settle_power(std::size_t b) { return Watts{5.0 + 7.0 * static_cast<double>(b % 13)}; }
+KelvinPerWatt settle_conv(std::size_t b) {
+  return KelvinPerWatt{0.004 + 0.004 * static_cast<double>(b % 7)};
+}
+
+RcBatch loaded_batch(const PackageWiring& w, std::size_t instances) {
+  RcBatch batch{w.net, instances};
+  for (std::size_t b = 0; b < instances; ++b) {
+    batch.set_power(b, w.die, settle_power(b));
+    batch.set_resistance(b, w.conv, settle_conv(b));
+  }
+  return batch;
+}
+
+void expect_columns_bitwise_equal(const RcBatch& a, const RcBatch& b, const PackageWiring& w) {
+  ASSERT_EQ(a.instance_count(), b.instance_count());
+  for (std::size_t col = 0; col < a.instance_count(); ++col) {
+    for (const NodeId n : {w.die, w.hs, w.amb}) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.temperature(col, n).value()),
+                std::bit_cast<std::uint64_t>(b.temperature(col, n).value()))
+          << "column " << col << " node " << n.index;
+    }
+  }
+}
+
+/// Iterations column b of `batch` marches before settle stops it, counted
+/// one capped iteration at a time (every call takes the same step).
+int settle_iterations(RcBatch batch, const PackageWiring& w, std::size_t b) {
+  for (int it = 1; it <= 200000; ++it) {
+    const double die = batch.temperature(b, w.die).value();
+    const double hs = batch.temperature(b, w.hs).value();
+    batch.settle_range(b, b + 1, 1);
+    const double move = std::max(std::abs(batch.temperature(b, w.die).value() - die),
+                                 std::abs(batch.temperature(b, w.hs).value() - hs));
+    if (move < 1e-7) {
+      return it;
+    }
+  }
+  return -1;
+}
+
+TEST(RcBatchSettle, DifferentStepsAndStopsMatchPerColumnSettle) {
+  constexpr std::size_t kInstances = 9;
+  auto w = make_package_wiring();
+  // The premise: the columns march with different steps and stop at
+  // different iterations, so runs split and the active set shrinks.
+  std::set<std::uint64_t> steps;
+  std::set<int> stops;
+  for (std::size_t b = 0; b < kInstances; ++b) {
+    RcBatch probe = loaded_batch(*w, kInstances);
+    steps.insert(std::bit_cast<std::uint64_t>(probe.min_time_constant(b).value()));
+    stops.insert(settle_iterations(loaded_batch(*w, kInstances), *w, b));
+  }
+  EXPECT_GT(steps.size(), 1u);
+  EXPECT_GT(stops.size(), 1u);
+  EXPECT_EQ(stops.count(-1), 0u) << "a column never converged";
+
+  RcBatch together = loaded_batch(*w, kInstances);
+  RcBatch alone = loaded_batch(*w, kInstances);
+  together.settle_range(0, kInstances);
+  for (std::size_t b = 0; b < kInstances; ++b) {
+    alone.settle(b);
+  }
+  expect_columns_bitwise_equal(together, alone, *w);
+}
+
+TEST(RcBatchSettle, RangesStartingAndEndingMidBlockMatchPerColumnSettle) {
+  // 600 columns span several 256-column march blocks; each range leaves a
+  // partial last block, and the columns outside it must not move.
+  constexpr std::size_t kInstances = 600;
+  auto w = make_package_wiring();
+  const std::pair<std::size_t, std::size_t> ranges[] = {{3, 517}, {255, 257}, {511, 600},
+                                                        {0, 1}};
+  for (const auto& [lo, hi] : ranges) {
+    SCOPED_TRACE("range [" + std::to_string(lo) + ", " + std::to_string(hi) + ")");
+    RcBatch together = loaded_batch(*w, kInstances);
+    RcBatch alone = loaded_batch(*w, kInstances);
+    together.settle_range(lo, hi);
+    for (std::size_t b = lo; b < hi; ++b) {
+      alone.settle(b);
+    }
+    expect_columns_bitwise_equal(together, alone, *w);
+  }
+}
+
+TEST(RcBatchSettle, TinyIterationCapMatchesPerColumnSettle) {
+  constexpr std::size_t kInstances = 11;
+  auto w = make_package_wiring();
+  for (const int cap : {0, 1, 2, 5}) {
+    SCOPED_TRACE("max_iterations=" + std::to_string(cap));
+    RcBatch together = loaded_batch(*w, kInstances);
+    RcBatch alone = loaded_batch(*w, kInstances);
+    together.settle_range(0, kInstances, cap);
+    for (std::size_t b = 0; b < kInstances; ++b) {
+      alone.settle_range(b, b + 1, cap);
+    }
+    expect_columns_bitwise_equal(together, alone, *w);
+    // Stopped by the cap, not by convergence: the next iteration still moves.
+    if (cap > 0) {
+      const double die = together.temperature(0, w->die).value();
+      together.settle_range(0, 1, 1);
+      EXPECT_NE(std::bit_cast<std::uint64_t>(together.temperature(0, w->die).value()),
+                std::bit_cast<std::uint64_t>(die));
+    }
+  }
+}
+
+TEST(RcBatchSettle, SettleThenStepKeepsThePlanCacheQuirk) {
+  // Prime a substep plan, shrink every column's time constant (the plan goes
+  // stale), then settle: the settle's step read clears the stale bit without
+  // refreshing the plan, so the next step at the same dt reuses the old plan.
+  // Batched settle, per-column settle and standalone networks must agree.
+  constexpr std::size_t kInstances = 6;
+  auto w = make_package_wiring();
+  RcBatch together = loaded_batch(*w, kInstances);
+  RcBatch alone = loaded_batch(*w, kInstances);
+  std::vector<std::unique_ptr<PackageWiring>> solo;
+  for (std::size_t b = 0; b < kInstances; ++b) {
+    solo.push_back(make_package_wiring());
+    solo[b]->net.set_power(solo[b]->die, settle_power(b));
+    solo[b]->net.set_resistance(solo[b]->conv, settle_conv(b));
+  }
+  const Seconds dt{1.0};
+  together.step_all(dt);
+  alone.step_all(dt);
+  for (auto& s : solo) {
+    s->net.step(dt);
+  }
+  // Tight enough that the heatsink, not the die, bounds the substep: a fresh
+  // plan at dt would take more substeps than the primed one.
+  auto tight = [](std::size_t b) {
+    return KelvinPerWatt{0.005 + 0.002 * static_cast<double>(b % 3)};
+  };
+  {
+    RcBatch probe = loaded_batch(*w, kInstances);
+    const double primed_tau = probe.min_time_constant(0).value();
+    probe.set_resistance(0, w->conv, tight(0));
+    EXPECT_NE(std::ceil(dt.value() * 8.0 / primed_tau),
+              std::ceil(dt.value() * 8.0 / probe.min_time_constant(0).value()));
+  }
+  for (std::size_t b = 0; b < kInstances; ++b) {
+    together.set_resistance(b, w->conv, tight(b));
+    alone.set_resistance(b, w->conv, tight(b));
+    solo[b]->net.set_resistance(solo[b]->conv, tight(b));
+  }
+  together.settle_range(0, kInstances);
+  for (std::size_t b = 0; b < kInstances; ++b) {
+    alone.settle(b);
+    solo[b]->net.settle();
+  }
+  for (int step = 0; step < 3; ++step) {
+    together.step_all(dt);
+    alone.step_all(dt);
+    for (auto& s : solo) {
+      s->net.step(dt);
+    }
+  }
+  expect_columns_bitwise_equal(together, alone, *w);
+  for (std::size_t b = 0; b < kInstances; ++b) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(together.temperature(b, w->die).value()),
+              std::bit_cast<std::uint64_t>(solo[b]->net.temperature(solo[b]->die).value()))
+        << "column " << b;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(together.temperature(b, w->hs).value()),
+              std::bit_cast<std::uint64_t>(solo[b]->net.temperature(solo[b]->hs).value()))
+        << "column " << b;
   }
 }
 
