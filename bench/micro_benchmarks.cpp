@@ -5,7 +5,7 @@
 // quantify that claim for every layer: window update, array fill, selector
 // arithmetic, the full controller tick including the sysfs + i2c round
 // trips, one RC physics step, a whole-node engine step, and the set-up
-// settle of a whole cluster.
+// settle of a whole cluster and of its unified controller bank.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -13,6 +13,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/control_array.hpp"
+#include "core/control_bank.hpp"
 #include "core/fan_policy.hpp"
 #include "core/mode_selector.hpp"
 #include "core/two_level_window.hpp"
@@ -35,9 +36,17 @@ void BM_WindowAddSample(benchmark::State& state) {
 BENCHMARK(BM_WindowAddSample);
 
 void BM_ControlArrayFill(benchmark::State& state) {
+  // Arrays are handles into a process-wide intern of fills, so with every
+  // Pp's fill held warm this times an interned lookup (key compare under the
+  // intern's lock plus a shared_ptr copy), the cost every controller after
+  // the first pays. Eq. (1)'s arithmetic runs once per distinct fill.
   std::vector<double> duties;
   for (int d = 1; d <= 100; ++d) {
     duties.push_back(static_cast<double>(d));
+  }
+  std::vector<core::ThermalControlArray> warm;
+  for (int p = core::PolicyParam::kMin; p <= core::PolicyParam::kMax; ++p) {
+    warm.emplace_back(duties, 100, core::PolicyParam{p});
   }
   int pp = 1;
   for (auto _ : state) {
@@ -104,6 +113,29 @@ void BM_ControllerTickThroughSysfs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ControllerTickThroughSysfs);
+
+void BM_ControlBankEmplaceUnified(benchmark::State& state) {
+  // Controller set-up at fleet scale: a unified ControlBank emplaced over an
+  // already-built cluster, as a fleet rig does it. Every node's fan and tDVFS
+  // arrays share two interned fills. The cluster is built once and the
+  // bank's teardown is not timed; items/sec is controllers emplaced per second.
+  const std::size_t nodes = static_cast<std::size_t>(state.range(0));
+  cluster::Cluster rack{nodes, cluster::NodeParams{}};
+  core::UnifiedConfig cfg;
+  cfg.pp = core::PolicyParam{50};
+  for (auto _ : state) {
+    auto bank = std::make_unique<core::ControlBank>(nodes, rack.fleet()->sensor_last_data());
+    for (std::size_t i = 0; i < nodes; ++i) {
+      bank->emplace_unified(i, rack.node(i).hwmon(), rack.node(i).cpufreq(), cfg);
+    }
+    state.PauseTiming();
+    bank.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(nodes));
+}
+BENCHMARK(BM_ControlBankEmplaceUnified)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 void BM_RcNetworkStepFleet(benchmark::State& state) {
   // Per-node reference: N standalone package networks stepped one at a time

@@ -1,17 +1,72 @@
 #include "core/control_array.hpp"
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <mutex>
 
 #include "common/assert.hpp"
 
 namespace thermctl::core {
+namespace {
+
+/// Intern key: the exact bits of the modes, N and Pp. `modes` views storage
+/// owned by the caller (lookups) or by the interned fill (map keys).
+struct FillKey {
+  std::span<const double> modes;
+  std::size_t n = 0;
+  int pp = 0;
+};
+
+struct FillKeyLess {
+  bool operator()(const FillKey& a, const FillKey& b) const {
+    if (a.n != b.n) {
+      return a.n < b.n;
+    }
+    if (a.pp != b.pp) {
+      return a.pp < b.pp;
+    }
+    if (a.modes.size() != b.modes.size()) {
+      return a.modes.size() < b.modes.size();
+    }
+    return std::memcmp(a.modes.data(), b.modes.data(), a.modes.size_bytes()) < 0;
+  }
+};
+
+/// Eq. (1)'s cells for `available` at bound `n` and special index `np`.
+std::vector<double> eq1_fill(std::span<const double> available, std::size_t n, std::size_t np) {
+  std::vector<double> cells(n);
+  const std::size_t m = available.size();
+
+  // Cells [n_p, N] (1-based) take the most effective mode g_N.
+  for (std::size_t i = np; i <= n; ++i) {
+    cells[i - 1] = available.back();
+  }
+
+  // Cells [1, n_p−1] take an evenly extracted subset of the physical modes,
+  // least effective first. The ratio (n_p−1)/m decides whether modes are
+  // skipped (< 1) or duplicated (> 1, when N exceeds the physical count).
+  const std::size_t ramp = np - 1;
+  for (std::size_t i = 1; i <= ramp; ++i) {
+    const std::size_t pick = (i - 1) * m / ramp;  // floor; < m since i-1 < ramp
+    cells[i - 1] = available[pick];
+  }
+  // §3.2.2 boundary conditions: "The first array element g1 always stores
+  // the least effective temperature control mode, the last element gN always
+  // stores the most effective mode." The ramp guarantees this whenever
+  // n_p >= 2; for n_p == 1 (maximally aggressive fills) cell 1 must be
+  // forced back to the least effective mode.
+  cells.front() = available.front();
+  return cells;
+}
+
+}  // namespace
 
 ThermalControlArray::ThermalControlArray(std::vector<double> available_modes, std::size_t n,
-                                         PolicyParam pp)
-    : available_(std::move(available_modes)), cells_(n), pp_(pp) {
-  THERMCTL_ASSERT(!available_.empty(), "need at least one physical mode");
+                                         PolicyParam pp) {
+  THERMCTL_ASSERT(!available_modes.empty(), "need at least one physical mode");
   THERMCTL_ASSERT(n >= 2, "control array needs at least two cells");
-  fill();
+  fill_ = lookup(available_modes, n, pp);
 }
 
 std::size_t ThermalControlArray::eq1_np(PolicyParam pp, std::size_t n) {
@@ -21,49 +76,78 @@ std::size_t ThermalControlArray::eq1_np(PolicyParam pp, std::size_t n) {
   return static_cast<std::size_t>(std::floor(num / den)) + 1;
 }
 
-void ThermalControlArray::fill() {
-  const std::size_t n = cells_.size();
-  np_ = eq1_np(pp_, n);
-  THERMCTL_ASSERT(np_ >= 1 && np_ <= n, "Eq. (1) produced an out-of-range n_p");
+/// Fills keyed by (modes, N, Pp), held weakly so each dies with its last
+/// array. Rigs are built on several runner threads at once, hence the lock.
+struct ThermalControlArray::Intern {
+  std::mutex mu;
+  std::map<FillKey, std::weak_ptr<const Fill>, FillKeyLess> fills;
 
-  const std::size_t m = available_.size();
+  static Intern& get() {
+    // Leaked on purpose: an array with static storage duration may be
+    // destroyed after any function-local static, and its fill's deleter
+    // still takes the lock and edits the map.
+    static auto* const intern = new Intern;
+    return *intern;
+  }
+};
 
-  // Cells [n_p, N] (1-based) take the most effective mode g_N.
-  for (std::size_t i = np_; i <= n; ++i) {
-    cells_[i - 1] = available_.back();
+std::shared_ptr<const ThermalControlArray::Fill> ThermalControlArray::lookup(
+    std::span<const double> modes, std::size_t n, PolicyParam pp) {
+  Intern& intern = Intern::get();
+  const std::lock_guard<std::mutex> lock{intern.mu};
+  if (const auto it = intern.fills.find(FillKey{modes, n, pp.value}); it != intern.fills.end()) {
+    if (auto live = it->second.lock()) {
+      return live;
+    }
+    // Its last array is gone and its deleter is waiting on the lock, so the
+    // storage the key views is still alive. Replace the entry.
+    intern.fills.erase(it);
   }
 
-  // Cells [1, n_p−1] take an evenly extracted subset of the physical modes,
-  // least effective first. The ratio (n_p−1)/m decides whether modes are
-  // skipped (< 1) or duplicated (> 1, when N exceeds the physical count).
-  const std::size_t ramp = np_ - 1;
-  for (std::size_t i = 1; i <= ramp; ++i) {
-    const std::size_t pick = (i - 1) * m / ramp;  // floor; < m since i-1 < ramp
-    cells_[i - 1] = available_[pick];
-  }
-  // §3.2.2 boundary conditions: "The first array element g1 always stores
-  // the least effective temperature control mode, the last element gN always
-  // stores the most effective mode." The ramp guarantees this whenever
-  // n_p >= 2; for n_p == 1 (maximally aggressive fills) cell 1 must be
-  // forced back to the least effective mode.
-  cells_.front() = available_.front();
+  const std::size_t np = eq1_np(pp, n);
+  THERMCTL_ASSERT(np >= 1 && np <= n, "Eq. (1) produced an out-of-range n_p");
+  // The deleter drops the map entry before the storage its key views, unless
+  // a lookup has already replaced it with a live fill.
+  const auto release = [](const Fill* dead) {
+    {
+      Intern& owner = Intern::get();
+      const std::lock_guard<std::mutex> relock{owner.mu};
+      const auto it =
+          owner.fills.find(FillKey{dead->available, dead->cells.size(), dead->pp.value});
+      if (it != owner.fills.end() && it->second.expired()) {
+        owner.fills.erase(it);
+      }
+    }
+    delete dead;
+  };
+  auto* fill =
+      new Fill{std::vector<double>(modes.begin(), modes.end()), eq1_fill(modes, n, np), pp, np};
+  std::shared_ptr<const Fill> shared{fill, release};
+  intern.fills.emplace(FillKey{fill->available, n, pp.value}, shared);
+  return shared;
+}
+
+std::size_t ThermalControlArray::interned_fills() {
+  Intern& intern = Intern::get();
+  const std::lock_guard<std::mutex> lock{intern.mu};
+  return intern.fills.size();
 }
 
 double ThermalControlArray::mode(std::size_t i) const {
-  THERMCTL_ASSERT(i < cells_.size(), "control-array index out of range");
-  return cells_[i];
+  THERMCTL_ASSERT(i < size(), "control-array index out of range");
+  return fill_->cells[i];
 }
 
 void ThermalControlArray::set_policy(PolicyParam pp) {
-  pp_ = pp;
-  fill();
+  fill_ = lookup(fill_->available, size(), pp);
 }
 
 std::size_t ThermalControlArray::index_of_nearest(double mode_value) const {
+  const std::vector<double>& cells = fill_->cells;
   std::size_t best = 0;
-  double best_err = std::abs(cells_[0] - mode_value);
-  for (std::size_t i = 1; i < cells_.size(); ++i) {
-    const double err = std::abs(cells_[i] - mode_value);
+  double best_err = std::abs(cells[0] - mode_value);
+  for (std::size_t i = 1; i < cells.size(); ++i) {
+    const double err = std::abs(cells[i] - mode_value);
     if (err < best_err) {
       best_err = err;
       best = i;

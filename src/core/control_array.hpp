@@ -16,9 +16,16 @@
 // Modes are doubles whose *meaning* belongs to the technique (duty percent
 // for fans, GHz for DVFS); the array itself only promises the effectiveness
 // ordering given at construction.
+//
+// A fill depends only on (modes, N, Pp), so every array with the same three
+// shares one immutable fill: an array is a handle into a process-wide intern
+// keyed by the exact mode bits, N and Pp. A fleet of identical controllers
+// holds one table per policy, not one per node. Fills are held weakly by the
+// intern and die with their last array.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -34,23 +41,26 @@ class ThermalControlArray {
   ThermalControlArray(std::vector<double> available_modes, std::size_t n, PolicyParam pp);
 
   /// Number of cells N.
-  [[nodiscard]] std::size_t size() const { return cells_.size(); }
+  [[nodiscard]] std::size_t size() const { return fill_->cells.size(); }
 
   /// Eq. (1)'s special index (1-based, as in the paper).
-  [[nodiscard]] std::size_t np() const { return np_; }
+  [[nodiscard]] std::size_t np() const { return fill_->np; }
 
   /// Mode at 0-based index i (cell i+1 in the paper's 1-based notation).
   [[nodiscard]] double mode(std::size_t i) const;
 
   /// The least / most effective modes (cells 1 and N).
-  [[nodiscard]] double least_effective() const { return cells_.front(); }
-  [[nodiscard]] double most_effective() const { return cells_.back(); }
+  [[nodiscard]] double least_effective() const { return fill_->cells.front(); }
+  [[nodiscard]] double most_effective() const { return fill_->cells.back(); }
 
-  [[nodiscard]] std::span<const double> cells() const { return cells_; }
-  [[nodiscard]] std::span<const double> available_modes() const { return available_; }
-  [[nodiscard]] PolicyParam policy() const { return pp_; }
+  /// Views into the shared fill: arrays with equal (modes, N, Pp) return the
+  /// same storage.
+  [[nodiscard]] std::span<const double> cells() const { return fill_->cells; }
+  [[nodiscard]] std::span<const double> available_modes() const { return fill_->available; }
+  [[nodiscard]] PolicyParam policy() const { return fill_->pp; }
 
-  /// Recomputes the fill for a new policy (user re-tunes Pp at runtime).
+  /// Re-points this array at the fill for a new policy (user re-tunes Pp at
+  /// runtime). Other arrays sharing the old fill are unaffected.
   void set_policy(PolicyParam pp);
 
   /// Index of the cell whose mode is nearest `mode_value` (first match).
@@ -59,13 +69,24 @@ class ThermalControlArray {
   /// Eq. (1) by itself, exposed for tests and documentation.
   [[nodiscard]] static std::size_t eq1_np(PolicyParam pp, std::size_t n);
 
- private:
-  void fill();
+  /// Number of fills alive in the process-wide intern (diagnostics / tests).
+  [[nodiscard]] static std::size_t interned_fills();
 
-  std::vector<double> available_;
-  std::vector<double> cells_;
-  PolicyParam pp_;
-  std::size_t np_ = 1;
+ private:
+  struct Fill {
+    std::vector<double> available;
+    std::vector<double> cells;
+    PolicyParam pp;
+    std::size_t np = 1;
+  };
+
+  struct Intern;
+
+  /// The interned fill for (modes, n, pp), built on first use.
+  [[nodiscard]] static std::shared_ptr<const Fill> lookup(std::span<const double> modes,
+                                                          std::size_t n, PolicyParam pp);
+
+  std::shared_ptr<const Fill> fill_;
 };
 
 }  // namespace thermctl::core

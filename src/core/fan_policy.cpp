@@ -30,7 +30,7 @@ DynamicFanController::DynamicFanController(sysfs::HwmonDevice& hwmon, FanControl
       selector_(config.selector, config.array_size),
       window_(config.window) {
   if (config_.fault_aware) {
-    health_.emplace(config_.health);
+    health_ = std::make_unique<SensorHealthMonitor>(config_.health);
   }
 }
 
@@ -65,7 +65,7 @@ void DynamicFanController::on_sample_with(SimTime now, Celsius reading) {
     initialized_ = true;
   }
 
-  if (health_.has_value()) {
+  if (health_ != nullptr) {
     const SensorState state = health_->observe(now, reading);
     const bool sample_ok = state == SensorState::kOk;
     if (!sample_ok || !last_sample_ok_) {

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -86,7 +86,7 @@ class DynamicFanController {
   [[nodiscard]] std::uint64_t failsafe_exits() const { return failsafe_exits_; }
   /// The gating monitor, or nullptr when not fault-aware.
   [[nodiscard]] const SensorHealthMonitor* health() const {
-    return health_.has_value() ? &*health_ : nullptr;
+    return health_.get();
   }
 
   /// Re-tunes the policy parameter at runtime.
@@ -113,7 +113,7 @@ class DynamicFanController {
   bool initialized_ = false;
   std::vector<FanEvent> events_;
   std::uint64_t retargets_ = 0;
-  std::optional<SensorHealthMonitor> health_;
+  std::unique_ptr<SensorHealthMonitor> health_;  // allocated only when fault-aware
   bool failsafe_ = false;
   bool failsafe_applied_ = false;  // fail-safe duty reached the chip
   std::uint64_t failsafe_entries_ = 0;

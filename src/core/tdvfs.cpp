@@ -1,8 +1,6 @@
 #include "core/tdvfs.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <string>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -32,7 +30,7 @@ TdvfsDaemon::TdvfsDaemon(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufre
   THERMCTL_ASSERT(config_.consistency_rounds >= 1, "consistency must be >= 1 round");
   THERMCTL_ASSERT(config_.restore_rounds >= 1, "restore consistency must be >= 1 round");
   if (config_.fault_aware) {
-    health_.emplace(config_.health);
+    health_ = std::make_unique<SensorHealthMonitor>(config_.health);
   }
 }
 
@@ -74,7 +72,7 @@ void TdvfsDaemon::on_sample(SimTime now) {
 void TdvfsDaemon::on_sample_with(SimTime now, Celsius reading) {
   THERMCTL_TRACE_SET_TIME(trace_, now.seconds());
 
-  if (health_.has_value()) {
+  if (health_ != nullptr) {
     const SensorState state = health_->observe(now, reading);
     const bool sample_ok = state == SensorState::kOk;
     if (!sample_ok || !last_sample_ok_) {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -101,7 +102,7 @@ class TdvfsDaemon {
   [[nodiscard]] std::uint64_t held_ticks() const { return held_ticks_; }
   /// The gating monitor, or nullptr when not fault-aware.
   [[nodiscard]] const SensorHealthMonitor* health() const {
-    return health_.has_value() ? &*health_ : nullptr;
+    return health_.get();
   }
 
   void set_policy(PolicyParam pp);
@@ -132,7 +133,7 @@ class TdvfsDaemon {
   int rounds_below_ = 0;
   std::optional<Celsius> last_round_average_;
   std::vector<TdvfsEvent> events_;
-  std::optional<SensorHealthMonitor> health_;
+  std::unique_ptr<SensorHealthMonitor> health_;  // allocated only when fault-aware
   bool holding_ = false;
   std::uint64_t hold_entries_ = 0;
   std::uint64_t held_ticks_ = 0;

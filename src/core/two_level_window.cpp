@@ -29,6 +29,8 @@ void TwoLevelWindow::bind_state(const WindowSlots& slots) {
   level1_fill_ = slots.level1_fill;
   level2_head_ = slots.level2_head;
   level2_count_ = slots.level2_count;
+  // The slots now hold every cell; free the inline copy.
+  inline_cells_ = std::vector<double>{};
 }
 
 void TwoLevelWindow::reset() {

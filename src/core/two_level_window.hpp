@@ -70,7 +70,7 @@ class TwoLevelWindow {
   TwoLevelWindow& operator=(const TwoLevelWindow&) = delete;
 
   /// Rebinds all hot state onto external storage (ControlBank SoA slots).
-  /// Current contents carry over.
+  /// Current contents carry over; the inline cells are released.
   void bind_state(const WindowSlots& slots);
 
   /// Adds a sample; returns a WindowRound when this sample completes a
@@ -103,7 +103,7 @@ class TwoLevelWindow {
   WindowConfig config_;
   // Hot state defaults to inline storage; bind_state() repoints it into
   // ControlBank SoA slots without changing behaviour.
-  std::vector<double> inline_cells_;  // level1_size + level2_size doubles
+  std::vector<double> inline_cells_;  // level1_size + level2_size doubles; empty once bound
   std::size_t level1_fill_storage_ = 0;
   std::size_t level2_head_storage_ = 0;
   std::size_t level2_count_storage_ = 0;

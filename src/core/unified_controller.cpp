@@ -24,7 +24,7 @@ UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPo
                                      sysfs::PowerClampDevice& clamp, UnifiedConfig config)
     : fan_(hwmon, harmonize(config).fan), dvfs_(hwmon, cpufreq, harmonize(config).tdvfs) {
   if (config.enable_idle_injection) {
-    idle_.emplace(hwmon, clamp, harmonize(config).idle);
+    idle_ = std::make_unique<IdleInjectionController>(hwmon, clamp, harmonize(config).idle);
   }
 }
 
@@ -35,7 +35,7 @@ void UnifiedController::on_sample(SimTime now) {
   // still-higher threshold.
   fan_.on_sample(now);
   dvfs_.on_sample(now);
-  if (idle_.has_value()) {
+  if (idle_ != nullptr) {
     idle_->on_sample(now);
   }
 }
@@ -43,7 +43,7 @@ void UnifiedController::on_sample(SimTime now) {
 void UnifiedController::on_sample_with(SimTime now, Celsius reading) {
   fan_.on_sample_with(now, reading);
   dvfs_.on_sample_with(now, reading);
-  if (idle_.has_value()) {
+  if (idle_ != nullptr) {
     idle_->on_sample(now);
   }
 }
@@ -51,7 +51,7 @@ void UnifiedController::on_sample_with(SimTime now, Celsius reading) {
 void UnifiedController::set_policy(PolicyParam pp) {
   fan_.set_policy(pp);
   dvfs_.set_policy(pp);
-  if (idle_.has_value()) {
+  if (idle_ != nullptr) {
     idle_->set_policy(pp);
   }
 }

@@ -10,7 +10,7 @@
 // lets tDVFS fire earlier. That interplay is exactly Fig. 10.
 #pragma once
 
-#include <optional>
+#include <memory>
 
 #include "common/sim_time.hpp"
 #include "core/fan_policy.hpp"
@@ -67,7 +67,7 @@ class UnifiedController {
   [[nodiscard]] const DynamicFanController& fan() const { return fan_; }
   [[nodiscard]] TdvfsDaemon& dvfs() { return dvfs_; }
   [[nodiscard]] const TdvfsDaemon& dvfs() const { return dvfs_; }
-  [[nodiscard]] bool has_idle_injection() const { return idle_.has_value(); }
+  [[nodiscard]] bool has_idle_injection() const { return idle_ != nullptr; }
   [[nodiscard]] IdleInjectionController& idle_injection() { return *idle_; }
   [[nodiscard]] const IdleInjectionController& idle_injection() const { return *idle_; }
 
@@ -88,7 +88,7 @@ class UnifiedController {
 
   DynamicFanController fan_;
   TdvfsDaemon dvfs_;
-  std::optional<IdleInjectionController> idle_;
+  std::unique_ptr<IdleInjectionController> idle_;  // only with enable_idle_injection
 };
 
 }  // namespace thermctl::core

@@ -1,21 +1,21 @@
 #include "sysfs/cpufreq.hpp"
 
 #include <cstdlib>
-#include <sstream>
+#include <string>
 
 namespace thermctl::sysfs {
 
 CpufreqPolicy::CpufreqPolicy(VirtualFs& fs, std::string root, int index, hw::CpuDevice& cpu)
     : fs_(fs), dir_(root + "/cpu" + std::to_string(index) + "/cpufreq"), cpu_(cpu) {
   fs_.add_attribute(dir_ + "/scaling_available_frequencies", [this] {
-    std::ostringstream out;
+    std::string out;
     for (std::size_t i = 0; i < cpu_.pstate_count(); ++i) {
       if (i > 0) {
-        out << ' ';
+        out += ' ';
       }
-      out << to_khz(cpu_.pstates()[i].frequency);
+      out += std::to_string(to_khz(cpu_.pstates()[i].frequency));
     }
-    return out.str();
+    return out;
   });
   fs_.add_attribute_long(dir_ + "/scaling_cur_freq",
                          [this] { return to_khz(cpu_.frequency()); });
@@ -65,12 +65,16 @@ std::vector<double> CpufreqPolicy::available_ghz() const {
   if (!contents.has_value()) {
     return out;
   }
-  std::istringstream in{*contents};
-  long khz = 0;
-  while (in >> khz) {
+  const char* at = contents->c_str();
+  for (;;) {
+    char* end = nullptr;
+    const long khz = std::strtol(at, &end, 10);
+    if (end == at) {
+      return out;
+    }
     out.push_back(from_khz(khz).value());
+    at = end;
   }
-  return out;
 }
 
 }  // namespace thermctl::sysfs

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <latch>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -267,6 +271,151 @@ TEST(ControlArrayExhaustive, EveryPpAcrossGeometriesAndRetunes) {
         ASSERT_TRUE(report.ok()) << "N=" << n << " M=" << m << " Pp=" << pp
                                  << " retuned to " << 101 - pp << "\n" << report.to_string();
       }
+    }
+  }
+}
+
+// ---- Shared fills: one table per (modes, N, Pp) per process ----
+
+/// Modes no other test uses, so intern counts and sharing are this test's own.
+std::vector<double> odd_modes(int m, double offset) {
+  std::vector<double> modes;
+  for (int k = 0; k < m; ++k) {
+    modes.push_back(offset + 1.37 * k);
+  }
+  return modes;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST(ControlArrayIntern, EqualKeysShareOneFill) {
+  const ThermalControlArray a{duty_1_to(100), 100, PolicyParam{50}};
+  const ThermalControlArray b{duty_1_to(100), 100, PolicyParam{50}};
+  EXPECT_EQ(a.cells().data(), b.cells().data());
+  EXPECT_EQ(a.available_modes().data(), b.available_modes().data());
+
+  // Any difference in Pp, N, the modes, or even one mode's bits is a
+  // different fill.
+  const ThermalControlArray other_pp{duty_1_to(100), 100, PolicyParam{51}};
+  const ThermalControlArray other_n{duty_1_to(100), 99, PolicyParam{50}};
+  const ThermalControlArray other_modes{duty_1_to(99), 100, PolicyParam{50}};
+  std::vector<double> signed_zero = duty_1_to(100);
+  signed_zero.insert(signed_zero.begin(), -0.0);
+  std::vector<double> plain_zero = duty_1_to(100);
+  plain_zero.insert(plain_zero.begin(), 0.0);
+  const ThermalControlArray neg{signed_zero, 100, PolicyParam{50}};
+  const ThermalControlArray pos{plain_zero, 100, PolicyParam{50}};
+  for (const ThermalControlArray* x : {&other_pp, &other_n, &other_modes}) {
+    EXPECT_NE(x->cells().data(), a.cells().data());
+  }
+  EXPECT_NE(neg.cells().data(), pos.cells().data());
+}
+
+TEST(ControlArrayIntern, SetPolicyLeavesSharersUnchanged) {
+  ThermalControlArray retuned{duty_1_to(75), 100, PolicyParam{60}};
+  const ThermalControlArray sharer{duty_1_to(75), 100, PolicyParam{60}};
+  ASSERT_EQ(retuned.cells().data(), sharer.cells().data());
+  const std::vector<double> before(sharer.cells().begin(), sharer.cells().end());
+
+  retuned.set_policy(PolicyParam{20});
+  EXPECT_TRUE(same_bits(sharer.cells(), before));
+  EXPECT_EQ(sharer.policy().value, 60);
+  EXPECT_EQ(sharer.np(), ThermalControlArray::eq1_np(PolicyParam{60}, 100));
+
+  const ThermalControlArray fresh{duty_1_to(75), 100, PolicyParam{20}};
+  EXPECT_EQ(retuned.cells().data(), fresh.cells().data());
+  EXPECT_TRUE(same_bits(retuned.cells(), fresh.cells()));
+  EXPECT_EQ(retuned.np(), fresh.np());
+  EXPECT_EQ(retuned.policy().value, 20);
+}
+
+TEST(ControlArrayIntern, EveryFillMatchesReferenceBitForBit) {
+  // The reference fill is Eq. (1) written out in integer arithmetic: n_p =
+  // (Pp−1)(N−1)/99 + 1, ramp cell i (0-based) = modes[i·M/(n_p−1)], plateau
+  // = g_N, and cell 1 pinned to g_1.
+  for (const std::size_t n : {std::size_t{2}, std::size_t{16}, std::size_t{100}}) {
+    for (const int m : {1, 5, 100}) {
+      const std::vector<double> modes = odd_modes(m, 0.25);
+      for (int pp = 1; pp <= 100; ++pp) {
+        const std::size_t np = static_cast<std::size_t>(pp - 1) * (n - 1) / 99 + 1;
+        std::vector<double> expected(n, modes.back());
+        for (std::size_t i = 0; i + 1 < np; ++i) {
+          expected[i] = modes[i * static_cast<std::size_t>(m) / (np - 1)];
+        }
+        expected.front() = modes.front();
+
+        const ThermalControlArray arr{modes, n, PolicyParam{pp}};
+        ASSERT_EQ(arr.np(), np) << "N=" << n << " M=" << m << " Pp=" << pp;
+        ASSERT_TRUE(same_bits(arr.cells(), expected)) << "N=" << n << " M=" << m << " Pp=" << pp;
+        ASSERT_TRUE(same_bits(arr.available_modes(), modes));
+        verify::InvariantReport report;
+        verify::check_control_array(arr, report);
+        ASSERT_TRUE(report.ok())
+            << "N=" << n << " M=" << m << " Pp=" << pp << "\n" << report.to_string();
+      }
+    }
+  }
+}
+
+TEST(ControlArrayIntern, FillDiesWithItsLastArray) {
+  const std::size_t before = ThermalControlArray::interned_fills();
+  const std::vector<double> modes = odd_modes(7, 3.5);
+  {
+    const ThermalControlArray a{modes, 16, PolicyParam{40}};
+    EXPECT_EQ(ThermalControlArray::interned_fills(), before + 1);
+    {
+      const ThermalControlArray b{modes, 16, PolicyParam{40}};
+      EXPECT_EQ(ThermalControlArray::interned_fills(), before + 1);
+    }
+    EXPECT_EQ(ThermalControlArray::interned_fills(), before + 1);  // `a` still holds it
+  }
+  EXPECT_EQ(ThermalControlArray::interned_fills(), before);
+
+  // A fresh lookup builds the fill again, with the same values.
+  const ThermalControlArray again{modes, 16, PolicyParam{40}};
+  EXPECT_EQ(ThermalControlArray::interned_fills(), before + 1);
+  const ThermalControlArray reference{modes, 16, PolicyParam{40}};
+  EXPECT_TRUE(same_bits(again.cells(), reference.cells()));
+
+  // Re-tuning away from a fill releases it too.
+  ThermalControlArray retuned{modes, 16, PolicyParam{90}};
+  EXPECT_EQ(ThermalControlArray::interned_fills(), before + 2);
+  retuned.set_policy(PolicyParam{40});
+  EXPECT_EQ(ThermalControlArray::interned_fills(), before + 1);
+}
+
+TEST(ControlArrayIntern, ConcurrentBuildersShareOneFill) {
+  // Eight threads build the same arrays at once, and churn short-lived ones
+  // through the die-and-rebuild path, then compare what they kept.
+  constexpr int kThreads = 8;
+  const std::vector<double> modes = odd_modes(100, 7.75);
+  std::vector<std::vector<ThermalControlArray>> kept(kThreads);
+  std::latch start{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int round = 0; round < 200; ++round) {
+        const ThermalControlArray churn{modes, 16, PolicyParam{1 + round % 100}};
+        ThermalControlArray retuned{modes, 100, PolicyParam{1 + (round + t) % 100}};
+        retuned.set_policy(PolicyParam{50});
+      }
+      for (const int pp : {25, 50, 75}) {
+        kept[t].emplace_back(modes, 100, PolicyParam{pp});
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t k = 0; k < 3; ++k) {
+    const ThermalControlArray& first = kept[0][k];
+    const ThermalControlArray reference{modes, 100, first.policy()};
+    EXPECT_TRUE(same_bits(first.cells(), reference.cells()));
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(kept[t][k].cells().data(), first.cells().data()) << "thread " << t;
     }
   }
 }

@@ -12,6 +12,7 @@
 #include "common/sim_time.hpp"
 #include "core/fan_policy.hpp"
 #include "core/tdvfs.hpp"
+#include "core/unified_controller.hpp"
 #include "controller_rig.hpp"
 
 namespace thermctl::core {
@@ -150,6 +151,64 @@ TEST(ControlBank, HeterogeneousWindowConfigKeepsInlineStorage) {
   }
   EXPECT_EQ(bank.fan(1).window().level1_fill(), 0u);  // exactly one round closed
   EXPECT_EQ(bank.fan(0).window().level1_fill(), 0u);  // two rounds of 4
+}
+
+TEST(ControlBank, PooledUnifiedWindowsReadTheSameRoundsAsInlineOnes) {
+  // bind_state frees a pooled window's inline cells; from then on every
+  // round reads the bank's slots. Both windows of each unified node must
+  // track a standalone (inline) controller's windows exactly.
+  constexpr std::size_t kNodes = 2;
+  std::vector<std::unique_ptr<ControllerRig>> bank_rigs;
+  std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    bank_rigs.push_back(std::make_unique<ControllerRig>());
+    solo_rigs.push_back(std::make_unique<ControllerRig>());
+  }
+  UnifiedConfig cfg;
+  cfg.tdvfs.threshold = Celsius{50.0};
+  ControlBank bank{kNodes, nullptr};
+  std::vector<std::unique_ptr<UnifiedController>> solo;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    bank.emplace_unified(i, *bank_rigs[i]->hwmon, *bank_rigs[i]->cpufreq, cfg);
+    solo.push_back(std::make_unique<UnifiedController>(*solo_rigs[i]->hwmon,
+                                                       *solo_rigs[i]->cpufreq, cfg));
+    ASSERT_TRUE(bank.fan_window_pooled(i));
+    ASSERT_TRUE(bank.tdvfs_window_pooled(i));
+  }
+
+  auto same_window = [](TwoLevelWindow& a, TwoLevelWindow& b) {
+    if (a.level1_fill() != b.level1_fill() || a.level2_fill() != b.level2_fill()) {
+      return false;
+    }
+    return a.level2_fill() == 0 || (a.level2_front().value() == b.level2_front().value() &&
+                                     a.level2_rear().value() == b.level2_rear().value());
+  };
+  SimTime now;
+  for (int step = 0; step < 200; ++step) {
+    now.advance_us(250000);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const double ramp = step < 130 ? step : 260 - step;
+      const double temp = 42.0 + 0.07 * static_cast<double>(i + 1) * ramp;
+      bank_rigs[i]->truth = temp;
+      bank_rigs[i]->sensor.sample();
+      solo_rigs[i]->truth = temp;
+      solo_rigs[i]->sensor.sample();
+    }
+    bank.tick_unified(now);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      solo[i]->on_sample(now);
+      UnifiedController& pooled = bank.unified(i);
+      ASSERT_TRUE(same_window(pooled.fan().window(), solo[i]->fan().window()))
+          << "node " << i << " step " << step;
+      ASSERT_TRUE(same_window(pooled.dvfs().window(), solo[i]->dvfs().window()))
+          << "node " << i << " step " << step;
+      ASSERT_EQ(pooled.fan().current_duty().percent(), solo[i]->fan().current_duty().percent());
+      ASSERT_EQ(bank_rigs[i]->cpu.frequency().value(), solo_rigs[i]->cpu.frequency().value());
+    }
+  }
+  // The script drove both techniques.
+  EXPECT_GT(bank.unified(1).fan().retarget_count(), 0u);
+  EXPECT_FALSE(bank.unified(1).dvfs().events().empty());
 }
 
 TEST(ControlBankDeath, SparseEmplacementAborts) {

@@ -6,6 +6,7 @@
 #include "controller_rig.hpp"
 #include "core/fan_policy.hpp"
 #include "core/tdvfs.hpp"
+#include "core/unified_controller.hpp"
 
 namespace thermctl::core {
 namespace {
@@ -24,6 +25,29 @@ SensorHealthConfig quick_health() {
 /// Alternates between two adjacent sensor codes — the healthy-jitter
 /// signature that never looks stuck.
 double jitter(double base, int i) { return base + 0.25 * (i % 2); }
+
+TEST(FaultAware, MonitorsExistOnlyWhenFaultAware) {
+  // Off by default: no monitor is allocated, and the accessors say so.
+  ControllerRig rig;
+  const DynamicFanController blind_fan{*rig.hwmon, FanControlConfig{}};
+  const TdvfsDaemon blind_dvfs{*rig.hwmon, *rig.cpufreq, TdvfsConfig{}};
+  const UnifiedController blind{*rig.hwmon, *rig.cpufreq, UnifiedConfig{}};
+  EXPECT_EQ(blind_fan.health(), nullptr);
+  EXPECT_EQ(blind_dvfs.health(), nullptr);
+  EXPECT_EQ(blind.fan().health(), nullptr);
+  EXPECT_EQ(blind.dvfs().health(), nullptr);
+  EXPECT_FALSE(blind.has_idle_injection());
+
+  UnifiedConfig aware;
+  aware.fault_aware = true;
+  aware.health = quick_health();
+  const UnifiedController gated{*rig.hwmon, *rig.cpufreq, aware};
+  ASSERT_NE(gated.fan().health(), nullptr);
+  ASSERT_NE(gated.dvfs().health(), nullptr);
+  EXPECT_NE(gated.fan().health(), gated.dvfs().health());  // one monitor each
+  EXPECT_EQ(gated.fan().health()->config().stuck_samples, 4);
+  EXPECT_FALSE(gated.has_idle_injection());
+}
 
 TEST(FaultAwareFan, StuckSensorTriggersFailsafeCooling) {
   ControllerRig rig;

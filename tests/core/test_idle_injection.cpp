@@ -136,5 +136,15 @@ TEST(UnifiedThreeTechniques, TwoArgConstructorHasNoClamp) {
   EXPECT_FALSE(uc.has_idle_injection());
 }
 
+TEST(UnifiedThreeTechniques, ClampConstructorWithoutFlagHasNoBackstop) {
+  // The clamp alone does not allocate a backstop; only the flag does.
+  ClampControllerRig rig;
+  UnifiedConfig cfg;
+  UnifiedController uc{*rig.hwmon, *rig.cpufreq, rig.clamp, cfg};
+  EXPECT_FALSE(uc.has_idle_injection());
+  rig.run_flat(uc, 70.0, 24);  // hot, yet nothing injects idle time
+  EXPECT_FALSE(rig.cpu.idle_injector().active());
+}
+
 }  // namespace
 }  // namespace thermctl::core
