@@ -72,7 +72,12 @@ void BM_ModeSelectorDecide(benchmark::State& state) {
 BENCHMARK(BM_ModeSelectorDecide);
 
 void BM_PackagePhysicsStep(benchmark::State& state) {
-  thermal::PackageModel pkg{thermal::PackageParams{}};
+  // One package: a view onto a one-column batch.
+  const thermal::PackageParams params;
+  thermal::RcNetwork tmpl;
+  const thermal::PackageWiring wiring = thermal::PackageModel::wire_network(params, tmpl);
+  thermal::RcBatch batch{tmpl, 1};
+  thermal::PackageModel pkg{params, wiring, batch, 0};
   pkg.set_cpu_power(Watts{60.0});
   pkg.set_airflow(Cfm{16.0});
   for (auto _ : state) {
@@ -137,31 +142,10 @@ void BM_ControlBankEmplaceUnified(benchmark::State& state) {
 }
 BENCHMARK(BM_ControlBankEmplaceUnified)->Arg(2048)->Unit(benchmark::kMillisecond);
 
-void BM_RcNetworkStepFleet(benchmark::State& state) {
-  // Per-node reference: N standalone package networks stepped one at a time
-  // — the object-walk layout the batched solver replaces.
-  const std::size_t instances = static_cast<std::size_t>(state.range(0));
-  std::vector<std::unique_ptr<thermal::RcNetwork>> nets;
-  nets.reserve(instances);
-  for (std::size_t i = 0; i < instances; ++i) {
-    nets.push_back(std::make_unique<thermal::RcNetwork>());
-    thermal::PackageModel::wire_network(thermal::PackageParams{}, *nets.back());
-  }
-  for (auto _ : state) {
-    for (auto& net : nets) {
-      net->step(Seconds{0.05});
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(instances));
-}
-BENCHMARK(BM_RcNetworkStepFleet)->Arg(1)->Arg(64)->Arg(4096);
-
 void BM_RcBatchStepFleet(benchmark::State& state) {
-  // The batched solver: same package topology, N instances advanced by
+  // The RC solver at fleet scale: N package instances advanced by
   // restrict-qualified, compiler-vectorized SoA sweeps over the instance
-  // axis. items/sec here vs BM_RcNetworkStepFleet is the layout win; the
-  // trajectories are bit-identical by RcBatch's contract.
+  // axis. items/sec is package-steps per second.
   const std::size_t instances = static_cast<std::size_t>(state.range(0));
   thermal::RcNetwork tmpl;
   thermal::PackageModel::wire_network(thermal::PackageParams{}, tmpl);

@@ -8,9 +8,8 @@ namespace thermctl::cluster {
 
 namespace {
 
-// The batch template is wired by the same code path a standalone
-// PackageModel uses, so every batch column starts bitwise-identical to a
-// freshly constructed per-node network.
+// The batch template comes from PackageModel::wire_network; its handles are
+// the wiring every node's PackageModel view addresses its column through.
 thermal::RcBatch make_batch(const thermal::PackageParams& package, std::size_t count,
                             thermal::PackageWiring* wiring_out) {
   thermal::RcNetwork tmpl;

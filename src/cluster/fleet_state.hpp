@@ -1,9 +1,8 @@
 // Fleet-wide structure-of-arrays node state.
 //
-// One rack of N simulated machines used to mean N pointer-chasing object
-// graphs: every node owned its own RcNetwork, its fan kept its rotor state,
-// its sensor kept its sample-and-hold register. FleetState hoists the hot
-// per-node state into contiguous arrays owned in one place:
+// A rack of N simulated machines is N node object graphs for the per-node
+// API (sysfs, controllers), but none of them owns its hot state: FleetState
+// keeps it in contiguous arrays owned in one place:
 //
 //   * temperatures, power inputs, edge conductances, capacitances — inside an
 //     RcBatch built from the shared package wiring (capacitances and
@@ -43,7 +42,7 @@ class FleetState {
 
   [[nodiscard]] std::size_t size() const { return batch_.instance_count(); }
 
-  /// The batched RC solver all fleet-backed PackageModels view into.
+  /// The batched RC solver every node's PackageModel views into.
   [[nodiscard]] thermal::RcBatch& batch() { return batch_; }
   [[nodiscard]] const thermal::RcBatch& batch() const { return batch_; }
   /// Handles into the shared die—heatsink—ambient wiring.

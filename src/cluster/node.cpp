@@ -8,7 +8,7 @@ Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot
     : id_(id),
       cpu_(params.cpu),
       fan_(params.fan),
-      package_(params.package, fleet.batch(), slot),
+      package_(params.package, fleet.wiring(), fleet.batch(), slot),
       sensor_([this] { return package_.die_temperature(); }, params.sensor,
               Rng{params.seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}),
       meter_([this] { return Watts{cpu_.power().value() + fan_.power().value()}; },

@@ -7,6 +7,7 @@ namespace thermctl::core {
 ControlBank::ControlBank(std::size_t nodes, const double* sensor_last)
     : nodes_(nodes), sensor_last_(sensor_last), readings_(nodes, 0.0) {
   THERMCTL_ASSERT(nodes > 0, "bank needs at least one node");
+  THERMCTL_ASSERT(sensor_last != nullptr, "bank needs the fleet's sensor array");
   fans_.reserve(nodes);
   tdvfs_.reserve(nodes);
   unified_.reserve(nodes);
@@ -76,20 +77,17 @@ UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDe
   return ctl;
 }
 
-void ControlBank::tick_fans(SimTime now) {
-  const std::size_t n = fans_.size();
-  if (sensor_last_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      fans_[i].on_sample(now);
-    }
-    return;
-  }
+void ControlBank::latch_readings(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     // Millidegree quantization exactly as the hwmon temp1_input attribute:
     // lround to long millidegrees, back to degrees.
-    readings_[i] =
-        static_cast<double>(std::lround(sensor_last_[i] * 1000.0)) / 1000.0;
+    readings_[i] = static_cast<double>(std::lround(sensor_last_[i] * 1000.0)) / 1000.0;
   }
+}
+
+void ControlBank::tick_fans(SimTime now) {
+  const std::size_t n = fans_.size();
+  latch_readings(n);
   for (std::size_t i = 0; i < n; ++i) {
     fans_[i].on_sample_with(now, Celsius{readings_[i]});
   }
@@ -97,16 +95,7 @@ void ControlBank::tick_fans(SimTime now) {
 
 void ControlBank::tick_tdvfs(SimTime now) {
   const std::size_t n = tdvfs_.size();
-  if (sensor_last_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      tdvfs_[i].on_sample(now);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    readings_[i] =
-        static_cast<double>(std::lround(sensor_last_[i] * 1000.0)) / 1000.0;
-  }
+  latch_readings(n);
   for (std::size_t i = 0; i < n; ++i) {
     tdvfs_[i].on_sample_with(now, Celsius{readings_[i]});
   }
@@ -114,16 +103,7 @@ void ControlBank::tick_tdvfs(SimTime now) {
 
 void ControlBank::tick_unified(SimTime now) {
   const std::size_t n = unified_.size();
-  if (sensor_last_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      unified_[i].on_sample(now);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    readings_[i] =
-        static_cast<double>(std::lround(sensor_last_[i] * 1000.0)) / 1000.0;
-  }
+  latch_readings(n);
   for (std::size_t i = 0; i < n; ++i) {
     unified_[i].on_sample_with(now, Celsius{readings_[i]});
   }

@@ -86,9 +86,8 @@ class FixedSlab {
 class ControlBank {
  public:
   /// `sensor_last` is the fleet's node-major array of raw sensor
-  /// sample-and-hold values (FleetState::sensor_last_data()), or nullptr for
-  /// rigs without fleet SoA state — the bank then falls back to each
-  /// controller's own VFS read path (on_sample), still batching dispatch.
+  /// sample-and-hold values (FleetState::sensor_last_data()): node i's
+  /// ThermalSensor must be bound onto sensor_last[i].
   ControlBank(std::size_t nodes, const double* sensor_last);
 
   ControlBank(const ControlBank&) = delete;
@@ -141,9 +140,11 @@ class ControlBank {
   };
 
   void bind_window(WindowPool& pool, std::size_t node, TwoLevelWindow& window);
+  /// Step 1 of a tick: readings_[i] for the first `n` nodes.
+  void latch_readings(std::size_t n);
 
   std::size_t nodes_ = 0;
-  const double* sensor_last_ = nullptr;
+  const double* sensor_last_;
   std::vector<double> readings_;  // per-tick millidegree-quantized latch
   FixedSlab<DynamicFanController> fans_;
   FixedSlab<TdvfsDaemon> tdvfs_;

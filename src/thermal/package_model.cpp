@@ -15,34 +15,19 @@ PackageWiring PackageModel::wire_network(const PackageParams& params, RcNetwork&
   return w;
 }
 
-PackageModel::PackageModel(const PackageParams& params)
-    : params_(params), convection_(params.convection), net_(std::make_unique<RcNetwork>()) {
-  wiring_ = wire_network(params_, *net_);
-}
-
-PackageModel::PackageModel(const PackageParams& params, RcBatch& batch, std::size_t slot)
-    : params_(params), convection_(params.convection), batch_(&batch), slot_(slot) {
-  // Wiring ids are deterministic (same build order as wire_network); recover
-  // them structurally rather than hard-coding indices.
-  RcNetwork probe;
-  wiring_ = wire_network(params_, probe);
-  THERMCTL_ASSERT(batch.matches(probe), "batch was not built from this package wiring");
-  THERMCTL_ASSERT(slot < batch.instance_count(), "batch slot out of range");
-  die_power_cell_ = batch.power_cell(slot, wiring_.die);
-  die_temp_cell_ = batch.temperature_cell(slot, wiring_.die);
-}
+PackageModel::PackageModel(const PackageParams& params, const PackageWiring& wiring,
+                           RcBatch& batch, std::size_t slot)
+    : params_(params),
+      convection_(params.convection),
+      batch_(batch),
+      slot_(slot),
+      wiring_(wiring),
+      die_power_cell_(batch.power_cell(slot, wiring.die)),
+      die_temp_cell_(batch.temperature_cell(slot, wiring.die)) {}
 
 void PackageModel::set_ambient(Celsius t) {
   params_.ambient = t;
-  if (batch_ != nullptr) {
-    batch_->set_fixed_temperature(slot_, wiring_.ambient, t);
-  } else {
-    net_->set_fixed_temperature(wiring_.ambient, t);
-  }
-}
-
-Watts PackageModel::cpu_power() const {
-  return batch_ != nullptr ? batch_->power(slot_, wiring_.die) : net_->power(wiring_.die);
+  batch_.set_fixed_temperature(slot_, wiring_.ambient, t);
 }
 
 Celsius PackageModel::steady_state_die(Watts p, Cfm v) const {

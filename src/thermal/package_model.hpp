@@ -8,8 +8,8 @@
 // tens of seconds (the "gradual" behaviour).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "common/units.hpp"
 #include "thermal/convection.hpp"
@@ -33,8 +33,7 @@ struct PackageParams {
   ConvectionParams convection{};
 };
 
-/// Handles into the die—heatsink—ambient wiring shared by the standalone
-/// network and the fleet batch (identical build order ⇒ identical ids).
+/// Handles into the die—heatsink—ambient wiring that wire_network builds.
 struct PackageWiring {
   NodeId die{};
   NodeId heatsink{};
@@ -46,18 +45,15 @@ struct PackageWiring {
 /// The die—heatsink—ambient RC model with fan-speed-dependent convection on
 /// the heatsink-ambient edge.
 ///
-/// Two backends share one API: a standalone PackageModel owns its own
-/// RcNetwork (the historical layout — tests and one-off rigs use it), while a
-/// fleet-backed PackageModel is a *view* onto one instance column of an
-/// RcBatch built from the same wiring. Trajectories are bit-identical either
-/// way (RcBatch's contract), so callers never need to know which backend
-/// they're on.
+/// A PackageModel is a *view* onto one instance column of an RcBatch built
+/// from wire_network's topology: a fleet's nodes share one batch, and a
+/// single package is a batch of one.
 class PackageModel {
  public:
-  explicit PackageModel(const PackageParams& params);
-  /// Fleet-backed view onto instance `slot` of `batch`. The batch must have
-  /// been built from `wire_network(params, ...)` so the wiring ids line up.
-  PackageModel(const PackageParams& params, RcBatch& batch, std::size_t slot);
+  /// View onto instance `slot` of `batch`, which must have been built from
+  /// the network that `wire_network(params, ...)` returned `wiring` for.
+  PackageModel(const PackageParams& params, const PackageWiring& wiring, RcBatch& batch,
+               std::size_t slot);
 
   // The airflow memo may be rebound into fleet-owned SoA arrays
   // (bind_airflow_memo), so the model must not be duplicated with pointers
@@ -67,18 +63,13 @@ class PackageModel {
   PackageModel& operator=(const PackageModel&) = delete;
 
   /// Builds the three-node chain into `net` (initial temperatures at
-  /// ambient, still-air convection) and returns the handles. Both the
-  /// standalone backend and FleetState's batch template go through here, so
-  /// the two layouts start from bitwise-identical state.
+  /// ambient, still-air convection) and returns the handles. Every batch a
+  /// PackageModel views is built from a network wired here.
   static PackageWiring wire_network(const PackageParams& params, RcNetwork& net);
 
   /// Power dissipated in the die for subsequent steps.
   void set_cpu_power(Watts p) {
-    if (die_power_cell_ != nullptr) {
-      *die_power_cell_ = p.value();  // == batch set_power: a plain cell write
-    } else {
-      net_->set_power(wiring_.die, p);
-    }
+    *die_power_cell_ = p.value();  // == batch set_power: a plain cell write
   }
   /// Airflow delivered by the fan across the heatsink. The convection power
   /// law is only re-evaluated when the airflow actually moved — the fan's
@@ -89,45 +80,28 @@ class PackageModel {
     }
     *airflow_cfm_ = v.value();
     *airflow_set_ = 1;
-    const KelvinPerWatt r = convection_.resistance(v);
-    if (batch_ != nullptr) {
-      batch_->set_resistance(slot_, wiring_.hs_amb, r);
-    } else {
-      net_->set_resistance(wiring_.hs_amb, r);
-    }
+    batch_.set_resistance(slot_, wiring_.hs_amb, convection_.resistance(v));
   }
   /// Chassis inlet temperature (hot-spot / HVAC scenarios).
   void set_ambient(Celsius t);
 
-  /// Advances this package only. Fleet-backed packages are normally advanced
+  /// Advances this package only. A fleet's packages are normally advanced
   /// en masse via RcBatch::step_range by the engine; stepping one instance
   /// here is the same arithmetic on one column.
-  void step(Seconds dt) {
-    if (batch_ != nullptr) {
-      batch_->step_one(slot_, dt);
-    } else {
-      net_->step(dt);
-    }
-  }
+  void step(Seconds dt) { batch_.step_one(slot_, dt); }
 
   /// Primes the model at equilibrium for the current power/airflow.
-  void settle() {
-    if (batch_ != nullptr) {
-      batch_->settle(slot_);
-    } else {
-      net_->settle();
-    }
-  }
+  void settle() { batch_.settle(slot_); }
 
   [[nodiscard]] Celsius die_temperature() const {
-    // Hottest read in the simulator (several per node per step); the fleet
-    // backend resolves to a cached cell pointer bound at construction.
-    return die_temp_cell_ != nullptr ? Celsius{*die_temp_cell_} : net_->temperature(wiring_.die);
+    // Hottest read in the simulator (several per node per step): a cell
+    // pointer bound at construction.
+    return Celsius{*die_temp_cell_};
   }
   [[nodiscard]] Celsius heatsink_temperature() const { return temperature(wiring_.heatsink); }
   [[nodiscard]] Celsius ambient_temperature() const { return temperature(wiring_.ambient); }
   [[nodiscard]] Cfm airflow() const { return Cfm{*airflow_cfm_}; }
-  [[nodiscard]] Watts cpu_power() const;
+  [[nodiscard]] Watts cpu_power() const { return Watts{*die_power_cell_}; }
 
   /// Steady-state die temperature for a hypothetical (power, airflow) point —
   /// the analytic solution of the two-resistor chain. Useful for calibration
@@ -135,8 +109,6 @@ class PackageModel {
   [[nodiscard]] Celsius steady_state_die(Watts p, Cfm v) const;
 
   [[nodiscard]] const PackageParams& params() const { return params_; }
-  /// True when this package is a view onto a FleetState batch column.
-  [[nodiscard]] bool fleet_backed() const { return batch_ != nullptr; }
 
   /// Rebinds the airflow memo (last applied CFM + applied flag) onto
   /// external storage — FleetState SoA slots — so the fleet sweep can run
@@ -150,20 +122,17 @@ class PackageModel {
   }
 
  private:
-  [[nodiscard]] Celsius temperature(NodeId n) const {
-    return batch_ != nullptr ? batch_->temperature(slot_, n) : net_->temperature(n);
-  }
+  [[nodiscard]] Celsius temperature(NodeId n) const { return batch_.temperature(slot_, n); }
 
   PackageParams params_;
   ConvectionModel convection_;
-  std::unique_ptr<RcNetwork> net_;  // standalone backend; null when batched
-  RcBatch* batch_ = nullptr;        // fleet backend; null when standalone
-  // Fleet-backend fast path: cells for this view's fixed (slot, node)
-  // coordinates, validated once in the constructor (see RcBatch::power_cell).
-  double* die_power_cell_ = nullptr;
-  const double* die_temp_cell_ = nullptr;
-  std::size_t slot_ = 0;
-  PackageWiring wiring_{};
+  RcBatch& batch_;
+  std::size_t slot_;
+  PackageWiring wiring_;
+  // Cells for this view's fixed (slot, die) coordinates, validated once in
+  // the constructor (see RcBatch::power_cell).
+  double* die_power_cell_;
+  const double* die_temp_cell_;
   // Airflow memo defaults to inline storage; bind_airflow_memo() repoints it
   // into FleetState SoA slots without changing behaviour.
   double airflow_cfm_storage_ = 0.0;

@@ -22,9 +22,8 @@ RcBatch::RcBatch(const RcNetwork& tmpl, std::size_t instances)
     names_[k] = tmpl.node_name(n);
   }
 
-  // CSR built with the same counting-sort fill as RcNetwork::ensure_adjacency
-  // so each node's half-edges sit in edge-insertion order — the flux
-  // accumulation order the bit-exactness contract depends on.
+  // Counting-sort CSR fill, so each node's half-edges sit in edge-insertion
+  // order — the flux accumulation order the recorded bits depend on.
   const std::size_t e_count = tmpl.edge_count();
   edge_nodes_.resize(e_count);
   csr_offset_.assign(node_count_ + 1, 0);
@@ -48,15 +47,13 @@ RcBatch::RcBatch(const RcNetwork& tmpl, std::size_t instances)
     edge_slots_[e] = {slot_a, slot_b};
   }
 
-  // Instance state: every column starts as a copy of the template.
+  // Instance state: every column starts at the template's temperatures,
+  // with no power injected.
   temp_.resize(node_count_ * instances_);
-  power_.resize(node_count_ * instances_);
+  power_.assign(node_count_ * instances_, 0.0);
   flux_.assign(node_count_ * instances_, 0.0);
   for (std::size_t k = 0; k < node_count_; ++k) {
-    const double t0 = tmpl.temperature(NodeId{k}).value();
-    const double p0 = fixed_[k] ? 0.0 : tmpl.power(NodeId{k}).value();
-    std::fill_n(row(temp_, k), instances_, t0);
-    std::fill_n(row(power_, k), instances_, p0);
+    std::fill_n(row(temp_, k), instances_, tmpl.temperature(NodeId{k}).value());
   }
   cond_.resize(2 * e_count * instances_);
   for (std::size_t e = 0; e < e_count; ++e) {
@@ -78,28 +75,6 @@ RcBatch::RcBatch(const RcNetwork& tmpl, std::size_t instances)
     std::fill_n(row(node_tau_, k), instances_, row(node_tau_, k)[0]);
   }
   std::fill(min_tau_.begin(), min_tau_.end(), min_tau_[0]);
-}
-
-bool RcBatch::matches(const RcNetwork& candidate) const {
-  if (candidate.node_count() != node_count_ || candidate.edge_count() != edge_slots_.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < node_count_; ++k) {
-    const NodeId n{k};
-    if (candidate.is_fixed(n) != (fixed_[k] != 0)) {
-      return false;
-    }
-    if (!fixed_[k] && candidate.capacitance(n).value() != capacitance_[k]) {
-      return false;
-    }
-  }
-  for (std::size_t e = 0; e < edge_nodes_.size(); ++e) {
-    const auto [a, b] = candidate.edge_nodes(EdgeId{e});
-    if (a.index != edge_nodes_[e].first || b.index != edge_nodes_[e].second) {
-      return false;
-    }
-  }
-  return true;
 }
 
 const std::string& RcBatch::node_name(NodeId n) const {
@@ -171,9 +146,8 @@ void RcBatch::refresh_node_tau(std::size_t k, std::size_t b) {
     return;  // fixed nodes keep the sentinel; they never bound the substep
   }
   // Sum the node's incident conductances from its CSR row. The row was
-  // filled in edge-insertion order, so the addends arrive in the same order
-  // as RcNetwork::ensure_min_tau's per-edge accumulation — same partial
-  // sums, same rounding, same bits.
+  // filled in edge-insertion order, so the addends always arrive in that
+  // order — same partial sums, same rounding, same bits.
   double g_sum = 0.0;
   const std::size_t slot_end = csr_offset_[k + 1];
   for (std::size_t s = csr_offset_[k]; s < slot_end; ++s) {
@@ -183,9 +157,8 @@ void RcBatch::refresh_node_tau(std::size_t k, std::size_t b) {
 }
 
 double RcBatch::min_over_taus(std::size_t b) const {
-  // RcNetwork scans nodes in index order starting from 1e30; sentinel
-  // entries (fixed / zero-conductance nodes) are absorbed without changing
-  // the result, so the chain is bitwise identical to its skip-scan.
+  // Node-order scan from 1e30; sentinel entries (fixed / zero-conductance
+  // nodes) are absorbed without changing the result.
   double min_tau = 1e30;
   for (std::size_t k = 0; k < node_count_; ++k) {
     min_tau = std::min(min_tau, row(node_tau_, k)[b]);
@@ -203,16 +176,18 @@ void RcBatch::rebuild_taus(std::size_t b) {
 
 Seconds RcBatch::min_time_constant(std::size_t b) const {
   THERMCTL_ASSERT(b < instances_, "instance out of range");
-  // min_tau_ is always fresh; clearing plan_stale_ mirrors RcNetwork's
-  // ensure_min_tau clearing min_tau_dirty_ on read — which leaves a
-  // then-stale substep plan cached, a quirk step() reproduces.
+  // min_tau_ is always fresh. Clearing plan_stale_ on read leaves a
+  // then-stale substep plan cached — the kept quirk the header comment
+  // describes.
   plan_stale_[b] = 0;
   return Seconds{min_tau_[b]};
 }
 
 void RcBatch::ensure_plan(std::size_t b, double dt) {
-  // Mirrors RcNetwork::step's cache: recompute only after a conductance
-  // change or when the caller varies dt.
+  // Explicit Euler is stable for h < 2*tau; keep sub-steps below tau/8 for
+  // accuracy (sub-degree error per time constant) on top of the stability
+  // margin. Recompute only after a conductance change or when the caller
+  // varies dt.
   if (plan_stale_[b] || dt != cached_dt_[b]) {
     const double max_sub = std::max(1e-6, min_tau_[b] / 8.0);
     cached_substeps_[b] = std::max(1, static_cast<int>(std::ceil(dt / max_sub)));

@@ -1,32 +1,33 @@
-// Batched RC thermal networks: one solver advancing a whole fleet.
+// Batched RC thermal networks: the one RC solver.
 //
 // A datacenter rack is thousands of *structurally identical* package models
 // (same nodes, capacitances and edges; only temperatures, powers and the
-// fan-dependent convection conductance differ per machine). Stepping each
-// instance through its own RcNetwork costs a virtual-free but pointer-chasing
-// object walk per node per physics step; at 100k nodes that layout is the
-// bottleneck, not the arithmetic.
+// fan-dependent convection conductance differ per machine). RcBatch lifts B
+// instances of one RcNetwork topology into structure-of-arrays storage: the
+// CSR adjacency, capacitances and fixed-node mask are shared, while
+// temperatures, injected powers and edge conductances live in node-major
+// rows of length B (`temp[k*B + b]`). One euler_substep pass then advances
+// *every* instance with tight unit-stride loops over the instance axis that
+// the compiler auto-vectorizes — no per-instance dispatch at all. A single
+// package is a batch of one.
 //
-// RcBatch lifts B instances of one template topology into structure-of-arrays
-// storage: the CSR adjacency, capacitances and fixed-node mask are shared,
-// while temperatures, injected powers and edge conductances live in
-// node-major rows of length B (`temp[k*B + b]`). One euler_substep pass then
-// advances *every* instance with tight unit-stride loops over the instance
-// axis that the compiler auto-vectorizes — no per-instance dispatch at all.
+// Integration is explicit Euler with automatic sub-stepping: each step is
+// split so that every sub-step stays below an eighth of the instance's
+// smallest node time constant, which keeps the scheme stable for the stiff
+// die/heatsink combination without an implicit solver. The substep count is
+// cached per instance and recomputed only after a conductance change or
+// when the caller varies dt. Reading min_time_constant() (settle does) clears
+// the stale bit without refreshing an already-cached plan, so the next step
+// at an unchanged dt reuses the old plan. The quirk is kept on purpose:
+// dropping it changes the bits of any step that follows such a read, so it
+// waits for a deliberate, documented trajectory change.
 //
-// Bit-exactness contract: an RcBatch instance's trajectory is bitwise
-// identical to the same sequence of calls on a standalone RcNetwork. Flux
-// accumulation visits half-edges in the same CSR order, min-time-constant
-// accumulation runs in edge-insertion order, and the per-instance substep
-// plan cache reproduces RcNetwork::step's recompute conditions exactly
-// (including its quirk that settle() can clear the dirty bit without
-// refreshing an already-cached plan). The differential oracle and the
-// rc_batch unit tests assert this equivalence.
-//
-// Heterogeneous fleets (mixed hardware) fail `matches()`; callers fall back
-// to per-node RcNetwork stepping for the odd ones out. The batch makes no
-// attempt to mask or gather across structural differences — fallback is the
-// compatibility story.
+// Bit-exactness contract: a column's trajectory depends only on the calls
+// made on that column — never on the batch size, the column's neighbours,
+// their substep plans or the step_range/settle_range bounds. Flux
+// accumulation visits half-edges in edge-insertion order and the time
+// constants accumulate in the same order. tests/golden/ pins the bits; the
+// batch-of-one tests in tests/thermal pin column independence.
 #pragma once
 
 #include <cstddef>
@@ -44,23 +45,17 @@ namespace thermctl::thermal {
 
 class RcBatch {
  public:
-  /// Builds a batch of `instances` copies of `tmpl`: shared topology, and
-  /// every instance's temperatures/powers/conductances initialized from the
-  /// template's current state.
+  /// Builds a batch of `instances` copies of `tmpl`: shared topology, every
+  /// instance's temperatures and conductances initialized from the
+  /// template's, and zero injected power.
   RcBatch(const RcNetwork& tmpl, std::size_t instances);
-
-  /// True if `candidate` has the template's structure (node count, fixed
-  /// mask, capacitances, edge endpoints) and could therefore be an instance
-  /// of this batch. Conductances/temperatures/powers are per-instance state,
-  /// not structure.
-  [[nodiscard]] bool matches(const RcNetwork& candidate) const;
 
   [[nodiscard]] std::size_t instance_count() const { return instances_; }
   [[nodiscard]] std::size_t rc_node_count() const { return node_count_; }
   [[nodiscard]] std::size_t edge_count() const { return edge_slots_.size(); }
   [[nodiscard]] const std::string& node_name(NodeId n) const;
 
-  // ---- per-instance state, mirroring the RcNetwork API ----
+  // ---- per-instance state ----
   void set_power(std::size_t b, NodeId n, Watts p);
   [[nodiscard]] Watts power(std::size_t b, NodeId n) const;
   void set_resistance(std::size_t b, EdgeId e, KelvinPerWatt r);
@@ -84,24 +79,26 @@ class RcBatch {
   void step_all(Seconds dt) { step_range(dt, 0, instances_); }
   void step_one(std::size_t b, Seconds dt) { step_range(dt, b, b + 1); }
 
-  /// RcNetwork::settle for every instance in [begin, end). Each column
+  /// Solves every instance in [begin, end) for the steady state under its
+  /// current powers and resistances, by marching it to quiescence: used to
+  /// prime experiments that start from thermal equilibrium. Each column
   /// marches with its own large stable step, min_time_constant(b) / 2 (the
-  /// read clears the column's stale-plan bit, as RcNetwork::settle's does),
-  /// until the largest move of one iteration drops below `tolerance_kelvin`,
-  /// or `max_iterations` pass. The columns march together in cache-sized
-  /// blocks: each iteration advances maximal runs of still-active columns
-  /// that share a step in one vectorized pass, and a converged column leaves
-  /// the active set. Every column ends bitwise where marching it alone ends.
+  /// read clears the column's stale-plan bit), until the largest move of one
+  /// iteration drops below `tolerance_kelvin`, or `max_iterations` pass. The
+  /// columns march together in cache-sized blocks: each iteration advances
+  /// maximal runs of still-active columns that share a step in one
+  /// vectorized pass, and a converged column leaves the active set. Every
+  /// column ends bitwise where marching it alone ends.
   void settle_range(std::size_t begin, std::size_t end, int max_iterations = 200000,
                     double tolerance_kelvin = 1e-7);
   void settle(std::size_t b) { settle_range(b, b + 1); }
 
   /// Stable pointers to one instance's state cells, for per-node views
-  /// (fleet-backed PackageModel) that access a fixed (instance, node)
-  /// coordinate every physics step. Range/fixed-node validation happens here,
-  /// once, instead of per access; the SoA arrays never reallocate after
-  /// construction, so the pointers live as long as the batch. Writing through
-  /// power_cell is exactly set_power (a plain cell write with no bookkeeping);
+  /// (PackageModel) that access a fixed (instance, node) coordinate every
+  /// physics step. Range/fixed-node validation happens here, once, instead
+  /// of per access; the SoA arrays never reallocate after construction, so
+  /// the pointers live as long as the batch. Writing through power_cell is
+  /// exactly set_power (a plain cell write with no bookkeeping);
   /// temperature_cell reads are exactly temperature().
   [[nodiscard]] double* power_cell(std::size_t b, NodeId n) {
     THERMCTL_ASSERT(b < instances_, "instance out of range");
@@ -122,18 +119,15 @@ class RcBatch {
  private:
   /// One Jacobi substep of length `h` for instances [begin, end).
   void euler_substep_range(double h, std::size_t begin, std::size_t end);
-  /// Full per-node tau rebuild for instance b (edge-order accumulation, like
-  /// RcNetwork::ensure_min_tau). Only needed at construction; afterwards
-  /// set_resistance keeps node_tau_/min_tau_ fresh incrementally.
+  /// Full per-node tau rebuild for instance b. Only needed at construction;
+  /// afterwards set_resistance keeps node_tau_/min_tau_ fresh incrementally.
   void rebuild_taus(std::size_t b);
   /// Recomputes node k's tau for instance b from its CSR row. The row holds
-  /// the node's half-edges in edge-insertion order, so the partial sums are
-  /// the same addends in the same order as the full edge-order accumulation
-  /// — bitwise identical result.
+  /// the node's half-edges in edge-insertion order, so the conductance sum
+  /// always adds the same addends in the same order.
   void refresh_node_tau(std::size_t k, std::size_t b);
-  /// min over the cached per-node taus, in node order (RcNetwork's scan
-  /// order; fixed/zero-conductance nodes hold the 1e30 sentinel and never
-  /// win).
+  /// min over the cached per-node taus, in node order (fixed and
+  /// zero-conductance nodes hold the 1e30 sentinel and never win).
   [[nodiscard]] double min_over_taus(std::size_t b) const;
   /// Refreshes instance b's substep plan if its recompute condition fires.
   void ensure_plan(std::size_t b, double dt);
@@ -163,13 +157,13 @@ class RcBatch {
   AlignedVector<double> cond_;   // [2E*B], slot-major rows
   AlignedVector<double> flux_;   // [K*B] scratch
 
-  // Per-instance substep plan cache (mirrors RcNetwork's). Unlike RcNetwork,
-  // the batch keeps min_tau_ *always fresh*: set_resistance refreshes only
-  // the touched edge's endpoint taus (node_tau_) and re-takes the min, so a
-  // slewing fan costs O(degree) per step instead of a full O(E+K) rescan.
-  // plan_stale_ then plays exactly the role of RcNetwork's min_tau_dirty_ in
-  // the substep-plan recompute condition — including the quirk that reading
-  // min_time_constant() clears it without refreshing an already-cached plan.
+  // Per-instance substep plan cache. min_tau_ is kept *always fresh*:
+  // set_resistance refreshes only the touched edge's endpoint taus
+  // (node_tau_) and re-takes the min, so a slewing fan costs O(degree) per
+  // step instead of a full O(E+K) rescan. plan_stale_ marks a conductance
+  // change the cached plan has not seen yet; reading min_time_constant()
+  // clears it without refreshing an already-cached plan (the quirk in the
+  // header comment).
   AlignedVector<double> node_tau_;               // [K*B]; 1e30 = never wins
   mutable std::vector<double> min_tau_;          // [B]
   mutable std::vector<std::uint8_t> plan_stale_;  // [B]

@@ -1,26 +1,17 @@
 #include "thermal/rc_network.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/assert.hpp"
 
 namespace thermctl::thermal {
 
 NodeId RcNetwork::add_node(std::string name, JoulesPerKelvin c, Celsius t0) {
   THERMCTL_ASSERT(c.value() > 0.0, "dynamic node needs positive capacitance");
-  nodes_.push_back(Node{std::move(name), c.value(), t0.value(), 0.0, false});
-  flux_.push_back(0.0);
-  adjacency_dirty_ = true;
-  min_tau_dirty_ = true;
+  nodes_.push_back(Node{std::move(name), c.value(), t0.value(), false});
   return NodeId{nodes_.size() - 1};
 }
 
 NodeId RcNetwork::add_fixed_node(std::string name, Celsius t) {
-  nodes_.push_back(Node{std::move(name), 0.0, t.value(), 0.0, true});
-  flux_.push_back(0.0);
-  adjacency_dirty_ = true;
-  min_tau_dirty_ = true;
+  nodes_.push_back(Node{std::move(name), 0.0, t.value(), true});
   return NodeId{nodes_.size() - 1};
 }
 
@@ -29,173 +20,7 @@ EdgeId RcNetwork::add_edge(NodeId a, NodeId b, KelvinPerWatt r) {
   THERMCTL_ASSERT(a.index != b.index, "self-edge");
   THERMCTL_ASSERT(r.value() > 0.0, "thermal resistance must be positive");
   edges_.push_back(Edge{a.index, b.index, 1.0 / r.value()});
-  adjacency_dirty_ = true;
-  min_tau_dirty_ = true;
   return EdgeId{edges_.size() - 1};
-}
-
-void RcNetwork::set_resistance(EdgeId e, KelvinPerWatt r) {
-  THERMCTL_ASSERT(e.index < edges_.size(), "edge out of range");
-  THERMCTL_ASSERT(r.value() > 0.0, "thermal resistance must be positive");
-  const double g = 1.0 / r.value();
-  if (g == edges_[e.index].conductance) {
-    return;  // steady fans re-set the same convection value every step
-  }
-  edges_[e.index].conductance = g;
-  if (!adjacency_dirty_) {
-    csr_conductance_[edge_slots_[e.index].first] = g;
-    csr_conductance_[edge_slots_[e.index].second] = g;
-  }
-  min_tau_dirty_ = true;
-}
-
-KelvinPerWatt RcNetwork::resistance(EdgeId e) const {
-  THERMCTL_ASSERT(e.index < edges_.size(), "edge out of range");
-  return KelvinPerWatt{1.0 / edges_[e.index].conductance};
-}
-
-Watts RcNetwork::power(NodeId n) const {
-  THERMCTL_ASSERT(n.index < nodes_.size(), "node out of range");
-  return Watts{nodes_[n.index].power};
-}
-
-void RcNetwork::set_fixed_temperature(NodeId n, Celsius t) {
-  THERMCTL_ASSERT(n.index < nodes_.size(), "node out of range");
-  THERMCTL_ASSERT(nodes_[n.index].fixed, "not a fixed node");
-  nodes_[n.index].temperature = t.value();
-}
-
-void RcNetwork::set_temperature(NodeId n, Celsius t) {
-  THERMCTL_ASSERT(n.index < nodes_.size(), "node out of range");
-  nodes_[n.index].temperature = t.value();
-}
-
-const std::string& RcNetwork::node_name(NodeId n) const {
-  THERMCTL_ASSERT(n.index < nodes_.size(), "node out of range");
-  return nodes_[n.index].name;
-}
-
-void RcNetwork::ensure_adjacency() const {
-  if (!adjacency_dirty_) {
-    return;
-  }
-  const std::size_t n = nodes_.size();
-  csr_offset_.assign(n + 1, 0);
-  for (const Edge& e : edges_) {
-    ++csr_offset_[e.a + 1];
-    ++csr_offset_[e.b + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    csr_offset_[i + 1] += csr_offset_[i];
-  }
-  csr_neighbor_.assign(2 * edges_.size(), 0);
-  csr_conductance_.assign(2 * edges_.size(), 0.0);
-  edge_slots_.assign(edges_.size(), {0, 0});
-  std::vector<std::size_t> cursor(csr_offset_.begin(), csr_offset_.end() - 1);
-  // Filling in edge-insertion order keeps each node's half-edges sorted by
-  // edge index, so per-node flux accumulation visits addends in exactly the
-  // order the edge-list loop did — bitwise-identical trajectories.
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    const std::size_t slot_a = cursor[edges_[e].a]++;
-    const std::size_t slot_b = cursor[edges_[e].b]++;
-    csr_neighbor_[slot_a] = edges_[e].b;
-    csr_neighbor_[slot_b] = edges_[e].a;
-    csr_conductance_[slot_a] = edges_[e].conductance;
-    csr_conductance_[slot_b] = edges_[e].conductance;
-    edge_slots_[e] = {slot_a, slot_b};
-  }
-  node_conductance_.assign(n, 0.0);
-  adjacency_dirty_ = false;
-}
-
-void RcNetwork::ensure_min_tau() const {
-  if (!min_tau_dirty_) {
-    return;
-  }
-  ensure_adjacency();
-  // tau_i = C_i / G_i where G_i is the total conductance attached to node i.
-  // Accumulated in edge order (not CSR order) to match the original
-  // implementation's rounding exactly.
-  std::fill(node_conductance_.begin(), node_conductance_.end(), 0.0);
-  for (const Edge& e : edges_) {
-    node_conductance_[e.a] += e.conductance;
-    node_conductance_[e.b] += e.conductance;
-  }
-  double min_tau = 1e30;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].fixed && node_conductance_[i] > 0.0) {
-      min_tau = std::min(min_tau, nodes_[i].capacitance / node_conductance_[i]);
-    }
-  }
-  min_tau_ = min_tau;
-  min_tau_dirty_ = false;
-}
-
-Seconds RcNetwork::min_time_constant() const {
-  ensure_min_tau();
-  return Seconds{min_tau_};
-}
-
-void RcNetwork::euler_substep(double dt) {
-  ensure_adjacency();
-  const std::size_t n = nodes_.size();
-  // Two passes (flux from pre-step temperatures, then update) keep the
-  // scheme Jacobi, matching the edge-list formulation.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (nodes_[i].fixed) {
-      continue;
-    }
-    const double t_i = nodes_[i].temperature;
-    double f = 0.0;
-    const std::size_t end = csr_offset_[i + 1];
-    for (std::size_t k = csr_offset_[i]; k < end; ++k) {
-      f += (nodes_[csr_neighbor_[k]].temperature - t_i) * csr_conductance_[k];
-    }
-    flux_[i] = f;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    Node& node = nodes_[i];
-    if (!node.fixed) {
-      node.temperature += dt * (node.power + flux_[i]) / node.capacitance;
-    }
-  }
-}
-
-void RcNetwork::step(Seconds dt) {
-  THERMCTL_ASSERT(dt.value() > 0.0, "step duration must be positive");
-  // Explicit Euler is stable for dt < 2*tau; keep sub-steps below tau/8 for
-  // accuracy (sub-degree error per time constant) on top of the stability
-  // margin. The plan is cached: recomputed only after a resistance or
-  // topology change, or when the caller varies dt.
-  if (min_tau_dirty_ || dt.value() != cached_dt_) {
-    ensure_min_tau();
-    const double max_sub = std::max(1e-6, min_tau_ / 8.0);
-    cached_substeps_ = std::max(1, static_cast<int>(std::ceil(dt.value() / max_sub)));
-    cached_dt_ = dt.value();
-  }
-  const double h = dt.value() / cached_substeps_;
-  for (int s = 0; s < cached_substeps_; ++s) {
-    euler_substep(h);
-  }
-}
-
-void RcNetwork::settle(int max_iterations, double tolerance_kelvin) {
-  // March the network with large (but stable) steps until quiescent.
-  const double h = min_time_constant().value() / 2.0;
-  std::vector<double> before(nodes_.size());
-  for (int it = 0; it < max_iterations; ++it) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      before[i] = nodes_[i].temperature;
-    }
-    euler_substep(h);
-    double delta = 0.0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      delta = std::max(delta, std::abs(nodes_[i].temperature - before[i]));
-    }
-    if (delta < tolerance_kelvin) {
-      return;
-    }
-  }
 }
 
 }  // namespace thermctl::thermal

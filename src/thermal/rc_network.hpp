@@ -1,4 +1,4 @@
-// Lumped-parameter RC thermal network.
+// Lumped-parameter RC thermal network topology.
 //
 // The standard compact model for package-level thermals (cf. Skadron et al.,
 // "Temperature-aware microarchitecture", and the RC web-farm model of
@@ -9,26 +9,16 @@
 //   C_i * dT_i/dt = P_i(t) + sum_j (T_j - T_i) / R_ij
 //
 // Nodes are either *dynamic* (finite capacitance, integrated) or *fixed*
-// (boundary conditions such as ambient air). Edge resistances may be updated
-// between steps — that is how fan-speed-dependent convection enters the model.
+// (boundary conditions such as ambient air).
 //
-// Integration is explicit Euler with automatic sub-stepping: the solver
-// splits a requested step so that every sub-step is comfortably below the
-// smallest node time constant, which keeps the scheme stable for the stiff
-// die/heatsink combination without dragging in an implicit solver.
-//
-// step() is the simulator's innermost loop (every node of every cluster runs
-// it every physics step), so the solver keeps all of its working state in
-// preallocated members: edge adjacency is flattened into a CSR-style layout
-// rebuilt only when the topology changes, and the stability bound (smallest
-// time constant, hence the sub-step count) is cached and recomputed only
-// after a resistance change. Flux accumulation order matches the original
-// edge-ordered implementation bit-for-bit, so refactors here are verifiable
-// against recorded trajectories.
+// RcNetwork only *describes* a network: nodes, edges and initial state. The
+// one integrator is RcBatch, which lifts the description into B instance
+// columns; a single package is a batch of one.
 #pragma once
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -59,76 +49,29 @@ class RcNetwork {
   /// Connects two nodes with thermal resistance `r` (> 0).
   EdgeId add_edge(NodeId a, NodeId b, KelvinPerWatt r);
 
-  /// Updates an edge's resistance (fan-dependent convection). Cheap: the
-  /// flattened adjacency is patched in place; only the cached stability
-  /// bound is invalidated, and only when the value actually changed.
-  void set_resistance(EdgeId e, KelvinPerWatt r);
-  [[nodiscard]] KelvinPerWatt resistance(EdgeId e) const;
-
-  /// Sets the power injected into a dynamic node for the next step(s).
-  void set_power(NodeId n, Watts p) {
-    THERMCTL_ASSERT(n.index < nodes_.size(), "node out of range");
-    THERMCTL_ASSERT(!nodes_[n.index].fixed, "cannot inject power into a fixed node");
-    nodes_[n.index].power = p.value();
-  }
-  [[nodiscard]] Watts power(NodeId n) const;
-
-  /// Overrides a fixed node's boundary temperature (ambient drift, hot spots).
-  void set_fixed_temperature(NodeId n, Celsius t);
-
-  /// Forces a dynamic node's state (initialization / steady-state priming).
-  void set_temperature(NodeId n, Celsius t);
-
-  [[nodiscard]] Celsius temperature(NodeId n) const {
-    THERMCTL_ASSERT(n.index < nodes_.size(), "node out of range");
-    return Celsius{nodes_[n.index].temperature};
-  }
+  // ---- structure queries (RcBatch's constructor reads the network
+  // through these) ----
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
-  [[nodiscard]] const std::string& node_name(NodeId n) const;
-
-  // ---- structure introspection (used by RcBatch to lift homogeneous
-  // networks into a shared-topology SoA batch) ----
-  [[nodiscard]] bool is_fixed(NodeId n) const {
-    THERMCTL_ASSERT(n.index < nodes_.size(), "node out of range");
-    return nodes_[n.index].fixed;
-  }
+  [[nodiscard]] const std::string& node_name(NodeId n) const { return node(n).name; }
+  [[nodiscard]] bool is_fixed(NodeId n) const { return node(n).fixed; }
   [[nodiscard]] JoulesPerKelvin capacitance(NodeId n) const {
-    THERMCTL_ASSERT(n.index < nodes_.size(), "node out of range");
-    return JoulesPerKelvin{nodes_[n.index].capacitance};
+    return JoulesPerKelvin{node(n).capacitance};
   }
+  /// Initial temperature of node `n`.
+  [[nodiscard]] Celsius temperature(NodeId n) const { return Celsius{node(n).temperature}; }
   /// The two endpoints of edge `e`, in insertion (a, b) order.
   [[nodiscard]] std::pair<NodeId, NodeId> edge_nodes(EdgeId e) const {
-    THERMCTL_ASSERT(e.index < edges_.size(), "edge out of range");
-    return {NodeId{edges_[e.index].a}, NodeId{edges_[e.index].b}};
+    return {NodeId{edge(e).a}, NodeId{edge(e).b}};
   }
-  /// Raw stored conductance (1/R, W/K) of edge `e`. RcBatch replicates state
-  /// through this instead of resistance() because the double reciprocal
-  /// round-trip 1/(1/g) is not bitwise lossless for every g.
-  [[nodiscard]] double edge_conductance(EdgeId e) const {
-    THERMCTL_ASSERT(e.index < edges_.size(), "edge out of range");
-    return edges_[e.index].conductance;
-  }
-
-  /// Advances the network by `dt`, sub-stepping internally for stability.
-  void step(Seconds dt);
-
-  /// Solves for the steady state under the current powers/resistances by
-  /// fixed-point iteration, and writes it into the node temperatures. Used to
-  /// prime experiments that start from thermal equilibrium (machine idling
-  /// before the benchmark launches).
-  void settle(int max_iterations = 200000, double tolerance_kelvin = 1e-7);
-
-  /// Smallest dynamic-node time constant under current resistances; the
-  /// stability bound the sub-stepper enforces against.
-  [[nodiscard]] Seconds min_time_constant() const;
+  /// Stored conductance (1/R, W/K) of edge `e`, as add_edge computed it.
+  [[nodiscard]] double edge_conductance(EdgeId e) const { return edge(e).conductance; }
 
  private:
   struct Node {
     std::string name;
     double capacitance = 0.0;  // J/K; 0 marks a fixed node
     double temperature = 0.0;  // degC
-    double power = 0.0;        // W
     bool fixed = false;
   };
   struct Edge {
@@ -137,33 +80,17 @@ class RcNetwork {
     double conductance = 0.0;  // W/K
   };
 
-  void euler_substep(double dt);
-  /// Rebuilds the CSR adjacency after a topology change (node/edge added).
-  void ensure_adjacency() const;
-  /// Recomputes and caches the smallest time constant if invalidated.
-  void ensure_min_tau() const;
+  [[nodiscard]] const Node& node(NodeId n) const {
+    THERMCTL_ASSERT(n.index < nodes_.size(), "node out of range");
+    return nodes_[n.index];
+  }
+  [[nodiscard]] const Edge& edge(EdgeId e) const {
+    THERMCTL_ASSERT(e.index < edges_.size(), "edge out of range");
+    return edges_[e.index];
+  }
 
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
-  std::vector<double> flux_;  // scratch: net heat into each node (W)
-
-  // CSR adjacency: node i's incident half-edges occupy
-  // [csr_offset_[i], csr_offset_[i+1]) of csr_neighbor_/csr_conductance_,
-  // in edge-insertion order (which keeps flux summation order identical to
-  // the edge-list formulation). edge_slots_ maps an edge to its two
-  // half-edge slots so set_resistance() can patch without a rebuild.
-  mutable std::vector<std::size_t> csr_offset_;
-  mutable std::vector<std::size_t> csr_neighbor_;
-  mutable std::vector<double> csr_conductance_;
-  mutable std::vector<std::pair<std::size_t, std::size_t>> edge_slots_;
-  mutable std::vector<double> node_conductance_;  // scratch for min-tau scan
-  mutable double min_tau_ = 0.0;
-  mutable bool adjacency_dirty_ = true;
-  mutable bool min_tau_dirty_ = true;
-
-  // Sub-step plan cache: valid while min_tau_ and the requested dt hold.
-  double cached_dt_ = -1.0;
-  int cached_substeps_ = 1;
 };
 
 }  // namespace thermctl::thermal

@@ -39,7 +39,8 @@ TEST(FleetState, DeviceStateLivesInFleetArrays) {
   const auto& wiring = fleet->wiring();
   EXPECT_EQ(bits(fleet->batch().temperature(0, wiring.die).value()),
             bits(rack.node(0).die_temperature().value()));
-  EXPECT_TRUE(rack.node(0).package().fleet_backed());
+  rack.node(0).package().set_cpu_power(Watts{47.0});
+  EXPECT_EQ(fleet->batch().power(0, wiring.die).value(), 47.0);
 }
 
 TEST(FleetState, MemoryFootprintIsFlatPerNode) {

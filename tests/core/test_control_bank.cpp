@@ -1,6 +1,12 @@
 // ControlBank — batched family ticks must be indistinguishable from N
 // independent controllers, and window pooling must degrade gracefully on
 // heterogeneous configs.
+//
+// Each bank rig's ThermalSensor is bound onto a test-owned sample-and-hold
+// array, the way a fleet binds its sensors, and the bank latches from that
+// array. The standalone controllers read the same temperatures through the
+// hwmon temp1_input attribute, so every comparison pits the batched latch
+// against the per-node VFS read path.
 #include "core/control_bank.hpp"
 
 #include <cstddef>
@@ -19,6 +25,17 @@ namespace thermctl::core {
 namespace {
 
 using testing::ControllerRig;
+
+/// `n` controller rigs whose sensors are bound onto `last` (resized to `n`).
+std::vector<std::unique_ptr<ControllerRig>> bound_rigs(std::size_t n, std::vector<double>& last) {
+  last.assign(n, 0.0);
+  std::vector<std::unique_ptr<ControllerRig>> rigs;
+  for (std::size_t i = 0; i < n; ++i) {
+    rigs.push_back(std::make_unique<ControllerRig>());
+    rigs[i]->sensor.bind_state(&last[i]);
+  }
+  return rigs;
+}
 
 TEST(FixedSlab, ConstructsInPlaceAndDestroysInReverse) {
   static std::vector<int> destroyed;
@@ -47,15 +64,15 @@ TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
   // bank (one tick_fans per step) and once as three standalone controllers
   // (three on_sample calls) — duty trajectories must agree exactly.
   constexpr std::size_t kNodes = 3;
-  std::vector<std::unique_ptr<ControllerRig>> bank_rigs;
+  std::vector<double> last;
+  auto bank_rigs = bound_rigs(kNodes, last);
   std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
   for (std::size_t i = 0; i < kNodes; ++i) {
-    bank_rigs.push_back(std::make_unique<ControllerRig>());
     solo_rigs.push_back(std::make_unique<ControllerRig>());
   }
 
   FanControlConfig cfg;
-  ControlBank bank{kNodes, nullptr};  // no fleet SoA: per-object read path
+  ControlBank bank{kNodes, last.data()};
   std::vector<std::unique_ptr<DynamicFanController>> solo;
   for (std::size_t i = 0; i < kNodes; ++i) {
     bank.emplace_fan(i, *bank_rigs[i]->hwmon, cfg);
@@ -86,15 +103,15 @@ TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
 
 TEST(ControlBank, BatchedTdvfsTicksMatchStandaloneDaemons) {
   constexpr std::size_t kNodes = 2;
-  std::vector<std::unique_ptr<ControllerRig>> bank_rigs;
+  std::vector<double> last;
+  auto bank_rigs = bound_rigs(kNodes, last);
   std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
   for (std::size_t i = 0; i < kNodes; ++i) {
-    bank_rigs.push_back(std::make_unique<ControllerRig>());
     solo_rigs.push_back(std::make_unique<ControllerRig>());
   }
   TdvfsConfig cfg;
   cfg.threshold = Celsius{50.0};
-  ControlBank bank{kNodes, nullptr};
+  ControlBank bank{kNodes, last.data()};
   std::vector<std::unique_ptr<TdvfsDaemon>> solo;
   for (std::size_t i = 0; i < kNodes; ++i) {
     bank.emplace_tdvfs(i, *bank_rigs[i]->hwmon, *bank_rigs[i]->cpufreq, cfg);
@@ -124,17 +141,16 @@ TEST(ControlBank, HeterogeneousWindowConfigKeepsInlineStorage) {
   // The SoA window pool is sized from the family's first window; a node with
   // a different geometry must keep its inline storage (pooled = false) and
   // still control correctly.
-  ControllerRig a;
-  ControllerRig b;
-  ControllerRig c;
+  std::vector<double> last;
+  auto rigs = bound_rigs(3, last);
   FanControlConfig standard;
   FanControlConfig wide = standard;
   wide.window.level1_size = 8;
 
-  ControlBank bank{3, nullptr};
-  bank.emplace_fan(0, *a.hwmon, standard);
-  bank.emplace_fan(1, *b.hwmon, wide);  // odd one out
-  bank.emplace_fan(2, *c.hwmon, standard);
+  ControlBank bank{3, last.data()};
+  bank.emplace_fan(0, *rigs[0]->hwmon, standard);
+  bank.emplace_fan(1, *rigs[1]->hwmon, wide);  // odd one out
+  bank.emplace_fan(2, *rigs[2]->hwmon, standard);
   EXPECT_TRUE(bank.fan_window_pooled(0));
   EXPECT_FALSE(bank.fan_window_pooled(1));
   EXPECT_TRUE(bank.fan_window_pooled(2));
@@ -143,7 +159,7 @@ TEST(ControlBank, HeterogeneousWindowConfigKeepsInlineStorage) {
   SimTime now;
   for (int step = 0; step < 8; ++step) {
     now.advance_us(250000);
-    for (ControllerRig* rig : {&a, &b, &c}) {
+    for (auto& rig : rigs) {
       rig->truth = 55.0;
       rig->sensor.sample();
     }
@@ -158,15 +174,15 @@ TEST(ControlBank, PooledUnifiedWindowsReadTheSameRoundsAsInlineOnes) {
   // round reads the bank's slots. Both windows of each unified node must
   // track a standalone (inline) controller's windows exactly.
   constexpr std::size_t kNodes = 2;
-  std::vector<std::unique_ptr<ControllerRig>> bank_rigs;
+  std::vector<double> last;
+  auto bank_rigs = bound_rigs(kNodes, last);
   std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
   for (std::size_t i = 0; i < kNodes; ++i) {
-    bank_rigs.push_back(std::make_unique<ControllerRig>());
     solo_rigs.push_back(std::make_unique<ControllerRig>());
   }
   UnifiedConfig cfg;
   cfg.tdvfs.threshold = Celsius{50.0};
-  ControlBank bank{kNodes, nullptr};
+  ControlBank bank{kNodes, last.data()};
   std::vector<std::unique_ptr<UnifiedController>> solo;
   for (std::size_t i = 0; i < kNodes; ++i) {
     bank.emplace_unified(i, *bank_rigs[i]->hwmon, *bank_rigs[i]->cpufreq, cfg);
@@ -212,10 +228,15 @@ TEST(ControlBank, PooledUnifiedWindowsReadTheSameRoundsAsInlineOnes) {
 }
 
 TEST(ControlBankDeath, SparseEmplacementAborts) {
-  ControllerRig rig;
-  ControlBank bank{4, nullptr};
+  std::vector<double> last;
+  auto rigs = bound_rigs(4, last);
+  ControlBank bank{4, last.data()};
   FanControlConfig cfg;
-  EXPECT_DEATH(bank.emplace_fan(2, *rig.hwmon, cfg), "dense");
+  EXPECT_DEATH(bank.emplace_fan(2, *rigs[0]->hwmon, cfg), "dense");
+}
+
+TEST(ControlBankDeath, MissingSensorArrayAborts) {
+  EXPECT_DEATH(ControlBank(2, nullptr), "sensor array");
 }
 
 }  // namespace
