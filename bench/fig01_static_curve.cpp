@@ -17,7 +17,9 @@ int main() {
 
   tb::banner("Figure 1", "static PWM-vs-temperature curve (ADT7467 automatic mode)");
 
-  hw::Adt7467 chip;  // boots with the paper's curve: PWMmin 10%, Tmin 38, Trange 44
+  // The chip boots with the paper's curve: PWMmin 10%, Tmin 38, Trange 44.
+  hw::ChipColumns chip_row{1};
+  hw::Adt7467 chip{chip_row, 0};
 
   CsvWriter csv{tb::out_dir() + "/fig01_static_curve.csv", {"temp_c", "duty_pct"}};
   TextTable table{{"temp (degC)", "PWM duty (%)"}};

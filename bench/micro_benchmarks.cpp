@@ -77,7 +77,8 @@ void BM_PackagePhysicsStep(benchmark::State& state) {
   thermal::RcNetwork tmpl;
   const thermal::PackageWiring wiring = thermal::PackageModel::wire_network(params, tmpl);
   thermal::RcBatch batch{tmpl, 1};
-  thermal::PackageModel pkg{params, wiring, batch, 0};
+  thermal::AirflowColumns airflow{1};
+  thermal::PackageModel pkg{params, wiring, batch, airflow, 0};
   pkg.set_cpu_power(Watts{60.0});
   pkg.set_airflow(Cfm{16.0});
   for (auto _ : state) {
@@ -129,7 +130,8 @@ void BM_ControlBankEmplaceUnified(benchmark::State& state) {
   core::UnifiedConfig cfg;
   cfg.pp = core::PolicyParam{50};
   for (auto _ : state) {
-    auto bank = std::make_unique<core::ControlBank>(nodes, rack.fleet()->sensor_last_data());
+    auto bank =
+        std::make_unique<core::ControlBank>(nodes, rack.fleet()->sensor().last_degc.data());
     for (std::size_t i = 0; i < nodes; ++i) {
       bank->emplace_unified(i, rack.node(i).hwmon(), rack.node(i).cpufreq(), cfg);
     }

@@ -155,7 +155,7 @@ HotPathResult measure_hot_path_once(std::size_t nodes, double horizon_s, int wor
   }
   engine.attach_app(app, mapping);
 
-  ControlBank bank{nodes, rack.fleet()->sensor_last_data()};
+  ControlBank bank{nodes, rack.fleet()->sensor().last_degc.data()};
   for (std::size_t i = 0; i < nodes; ++i) {
     UnifiedConfig cfg;
     cfg.pp = PolicyParam{50};
@@ -233,7 +233,7 @@ ScalePoint measure_scale(std::size_t nodes, int workers) {
   engine_cfg.horizon = Seconds{static_cast<double>(steps) * engine_cfg.physics_dt.value()};
   cluster::Engine engine{rack, engine_cfg};
 
-  ControlBank bank{nodes, rack.fleet()->sensor_last_data()};
+  ControlBank bank{nodes, rack.fleet()->sensor().last_degc.data()};
   for (std::size_t i = 0; i < nodes; ++i) {
     UnifiedConfig cfg;
     cfg.pp = PolicyParam{50};

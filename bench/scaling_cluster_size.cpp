@@ -101,7 +101,7 @@ Outcome run_scale(std::size_t nodes, bool quality) {
     }
   }
 
-  ControlBank bank{nodes, rack.fleet()->sensor_last_data()};
+  ControlBank bank{nodes, rack.fleet()->sensor().last_degc.data()};
   for (std::size_t i = 0; i < nodes; ++i) {
     UnifiedConfig cfg;
     cfg.pp = PolicyParam{50};

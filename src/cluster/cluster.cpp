@@ -37,7 +37,7 @@ void Cluster::set_inlet_temperature(std::size_t i, Celsius t) {
 Watts Cluster::total_power() const {
   double sum = 0.0;
   for (const auto& n : nodes_) {
-    sum += n->meter().read().value();
+    sum += n->wall_power().value();
   }
   return Watts{sum};
 }

@@ -175,10 +175,10 @@ void Engine::record_sample() {
   FleetSweep* sweep = cluster_.sweep();
   FleetState* fleet = cluster_.fleet();
   const double* die = sweep->die_temp_row();
-  const double* sensor = fleet->sensor_last_data();
-  const double* duty = fleet->fan_duty_data();
-  const double* rpm = fleet->fan_rpm_data();
-  const double* util = fleet->util_data();
+  const double* sensor = fleet->sensor().last_degc.data();
+  const double* duty = fleet->fan().duty_pct.data();
+  const double* rpm = fleet->fan().rpm.data();
+  const double* util = fleet->node().util.data();
   for (std::size_t i = 0; i < cluster_.size(); ++i) {
     recorder_.sample(now_.seconds(), i, die[i], sensor[i], duty[i], rpm[i],
                      sweep->nominal_freq_ghz(i), sweep->wall_power_w(i), util[i],
@@ -207,8 +207,8 @@ RunResult Engine::run() {
   const Seconds dt = config_.physics_dt;
   const std::size_t node_count = cluster_.size();
   Node* const* nodes = cluster_.raw_nodes().data();
-  double* util = cluster_.fleet()->util_data();
-  const std::uint8_t* halted = cluster_.fleet()->halted_data();
+  double* util = cluster_.fleet()->node().util.data();
+  const std::uint8_t* halted = cluster_.fleet()->node().halted.data();
   const std::size_t shards = resolved_workers();
   if (shards > 1 && pool_ == nullptr) {
     // Pool threads only run step_shard on disjoint node ranges; the barrier

@@ -17,46 +17,50 @@ FleetSweep::FleetSweep(FleetState& fleet, const NodeParams& base,
   die_power_ = fleet_.batch().power_cell(0, fleet_.wiring().die);
   hs_amb_ = fleet_.wiring().hs_amb;
 
-  fan_duty_ = fleet_.fan_duty_data();
-  fan_rpm_ = fleet_.fan_rpm_data();
-  fan_stuck_ = fleet_.fan_stuck_data();
-  sensor_last_ = fleet_.sensor_last_data();
-  pstate_ = fleet_.cpu_pstate_data();
-  cpu_util_ = fleet_.cpu_util_data();
-  cpu_die_temp_ = fleet_.cpu_die_temp_data();
-  power_cache_ = fleet_.cpu_power_cache_data();
-  power_valid_ = fleet_.cpu_power_valid_data();
-  power_gen_ = fleet_.cpu_power_gen_data();
-  throttled_ = fleet_.cpu_throttled_data();
-  aperf_ = fleet_.cpu_aperf_data();
-  mperf_ = fleet_.cpu_mperf_data();
-  energy_uj_ = fleet_.cpu_energy_data();
-  aperf_frac_ = fleet_.cpu_aperf_frac_data();
-  mperf_frac_ = fleet_.cpu_mperf_frac_data();
-  energy_frac_ = fleet_.cpu_energy_frac_data();
-  inj_dyn_ = fleet_.inj_dyn_factor_data();
-  inj_leak_ = fleet_.inj_leak_factor_data();
-  inj_thr_ = fleet_.inj_thr_factor_data();
-  inj_gen_ = fleet_.inj_generation_data();
-  chip_temp_reg_ = fleet_.chip_temp_reg_data();
-  chip_tach_ = fleet_.chip_tach_data();
-  chip_last_rpm_ = fleet_.chip_last_rpm_data();
-  chip_out_duty_ = fleet_.chip_out_duty_data();
-  meter_energy_ = fleet_.meter_energy_data();
-  meter_elapsed_ = fleet_.meter_elapsed_data();
-  airflow_ = fleet_.airflow_data();
-  airflow_set_ = fleet_.airflow_set_data();
-  util_ = fleet_.util_data();
-  busy_jiffies_ = fleet_.busy_jiffies_data();
-  total_jiffies_ = fleet_.total_jiffies_data();
-  jiffy_rem_busy_ = fleet_.jiffy_rem_busy_data();
-  jiffy_rem_total_ = fleet_.jiffy_rem_total_data();
-  prochot_events_ = fleet_.prochot_events_data();
-  prochot_seconds_ = fleet_.prochot_seconds_data();
-  halted_ = fleet_.halted_data();
-  bmc_duty_ = fleet_.bmc_override_duty_data();
-  bmc_set_ = fleet_.bmc_override_set_data();
-  sample_schedule_ = fleet_.sample_schedule_data();
+  hw::FanColumns& fan = fleet_.fan();
+  fan_duty_ = fan.duty_pct.data();
+  fan_rpm_ = fan.rpm.data();
+  fan_stuck_ = fan.stuck.data();
+  sensor_last_ = fleet_.sensor().last_degc.data();
+  hw::CpuColumns& cpu_cols = fleet_.cpu();
+  pstate_ = cpu_cols.pstate.data();
+  cpu_util_ = cpu_cols.utilization.data();
+  cpu_die_temp_ = cpu_cols.die_temperature.data();
+  power_cache_ = cpu_cols.power_cache.data();
+  power_valid_ = cpu_cols.power_valid.data();
+  power_gen_ = cpu_cols.power_gen.data();
+  throttled_ = cpu_cols.throttled.data();
+  aperf_ = cpu_cols.aperf.data();
+  mperf_ = cpu_cols.mperf.data();
+  energy_uj_ = cpu_cols.energy_uj.data();
+  aperf_frac_ = cpu_cols.aperf_frac.data();
+  mperf_frac_ = cpu_cols.mperf_frac.data();
+  energy_frac_ = cpu_cols.energy_frac.data();
+  inj_dyn_ = cpu_cols.injector.dynamic_factor.data();
+  inj_leak_ = cpu_cols.injector.leakage_factor.data();
+  inj_thr_ = cpu_cols.injector.throughput_factor.data();
+  inj_gen_ = cpu_cols.injector.generation.data();
+  hw::ChipColumns& chip = fleet_.chip();
+  chip_temp_reg_ = chip.temp_remote1.data();
+  chip_tach_ = chip.tach1.data();
+  chip_last_rpm_ = chip.last_measured_rpm.data();
+  chip_out_duty_ = chip.output_duty_pct.data();
+  meter_energy_ = fleet_.meter().energy_j.data();
+  meter_elapsed_ = fleet_.meter().elapsed_s.data();
+  airflow_ = fleet_.airflow().cfm.data();
+  airflow_set_ = fleet_.airflow().set.data();
+  NodeColumns& node = fleet_.node();
+  util_ = node.util.data();
+  busy_jiffies_ = node.busy_jiffies.data();
+  total_jiffies_ = node.total_jiffies.data();
+  jiffy_rem_busy_ = node.jiffy_rem_busy.data();
+  jiffy_rem_total_ = node.jiffy_rem_total.data();
+  prochot_events_ = node.prochot_events.data();
+  prochot_seconds_ = node.prochot_seconds.data();
+  halted_ = node.halted.data();
+  bmc_duty_ = node.bmc_override_duty.data();
+  bmc_set_ = node.bmc_override_set.data();
+  sample_schedule_ = node.sample_schedule.data();
 
   const hw::CpuParams& cpu = base.cpu;
   pstate_freq_.reserve(cpu.pstates.size());
@@ -134,10 +138,10 @@ void FleetSweep::pre_range(std::size_t begin, std::size_t end, Seconds dt) {
     power_valid_[i] = 0;
   }
 
-  // Pass 2 — fan duty latch + rotor dynamics (FanDevice::step). The BMC
-  // override wins over the chip's PWM pin, as on real servers. The smoothing
-  // factor is a function of dt alone; computing it per range call instead of
-  // caching it per device avoids cross-shard mutable state.
+  // Pass 2 — fan duty latch + rotor dynamics: a first-order lag toward
+  // FanDevice::target_rpm, via the exact discrete update. The BMC override
+  // wins over the chip's PWM pin, as on real servers. The smoothing factor
+  // is a function of dt alone, computed once per range call.
   const double alpha = 1.0 - std::exp(-dtv / rotor_tau_);
   for (std::size_t i = begin; i < end; ++i) {
     const double duty = (bmc_set_[i] != 0) ? bmc_duty_[i] : chip_out_duty_[i];
@@ -208,10 +212,11 @@ void FleetSweep::post_range(std::size_t begin, std::size_t end, Seconds dt) {
     }
   }
 
-  // Pass 3 — meter integration + hardware counters (PowerMeter::
-  // integrate_with, CpuDevice::advance_counters). cpu_power_w resolves the
-  // memo exactly like CpuDevice::power(): valid from pre for live nodes,
-  // recomputed here for halted ones (whose pre phase skipped power()).
+  // Pass 3 — meter integration (AC draw through the PSU efficiency, the
+  // meter's display arithmetic before rounding) + hardware counters
+  // (CpuDevice::advance_counters). cpu_power_w resolves the memo exactly
+  // like CpuDevice::power(): valid from pre for live nodes, recomputed here
+  // for halted ones (whose pre phase skipped power()).
   for (std::size_t i = begin; i < end; ++i) {
     const double p_cpu = cpu_power_w(i);
     const double frac = fan_rpm_[i] / fan_max_rpm_;

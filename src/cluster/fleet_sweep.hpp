@@ -6,14 +6,22 @@
 // dynamics, the CPU power model, the fan chip's measurement protocol, meter
 // integration, counter advance, the protection ladder, jiffy accounting and
 // the sensor sampling schedule. Walking those as N object graphs touches N
-// scattered objects per step; with every hot field fleet-resident
-// (bind_state across CpuDevice/FanDevice/Adt7467/PowerMeter/ThermalSensor/
-// PackageModel, and Node's scalars) FleetSweep runs them as contiguous array
-// passes. Each pass performs, per node, the same arithmetic the device
-// objects' own methods perform on the same storage, so the object API and
-// the sweep are interchangeable mid-run. The passes only touch their own
-// node's state, so any split of the node range is bit-identical;
-// tests/golden/ pins the trajectories.
+// scattered objects per step. Every hot field has one home instead: a
+// column of its device's group in FleetState (hw::CpuColumns, FanColumns,
+// ChipColumns, MeterColumns, SensorColumns, thermal::AirflowColumns and
+// NodeColumns), which the device objects read and write by slot and which
+// FleetSweep runs as contiguous array passes. Where a pass shares a device
+// method's job (the CPU power memo, the tach latch, the airflow early-out)
+// it performs the same arithmetic on the same storage, so the object API
+// and the sweep are interchangeable mid-run; the rotor lag and the meter
+// integral are stepped here only. The passes only touch their own node's
+// state, so any split of the node range is bit-identical; tests/golden/
+// pins the trajectories.
+//
+// The constructor hoists each column's data pointer into a member once: the
+// passes must not index through the groups, because a store to a uint8_t
+// column may alias any object, and the compiler would then reload every
+// vector's data pointer inside the loops.
 //
 // Rare events fall back to the objects they model: an integer-degree change
 // of the chip's temperature register re-runs the Adt7467 auto-curve through
@@ -80,7 +88,7 @@ class FleetSweep {
   double* die_power_ = nullptr;
   thermal::EdgeId hs_amb_{};
 
-  // Raw SoA arrays (fixed for the fleet's lifetime).
+  // Column data pointers, hoisted once (fixed for the fleet's lifetime).
   double* fan_duty_ = nullptr;
   double* fan_rpm_ = nullptr;
   const std::uint8_t* fan_stuck_ = nullptr;

@@ -6,33 +6,18 @@ namespace thermctl::cluster {
 
 Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot)
     : id_(id),
-      cpu_(params.cpu),
-      fan_(params.fan),
-      package_(params.package, fleet.wiring(), fleet.batch(), slot),
+      fleet_(fleet),
+      slot_(slot),
+      cpu_(params.cpu, fleet.cpu(), slot),
+      fan_(params.fan, fleet.fan(), slot),
+      chip_(fleet.chip(), slot),
+      package_(params.package, fleet.wiring(), fleet.batch(), fleet.airflow(), slot),
       sensor_([this] { return package_.die_temperature(); }, params.sensor,
-              Rng{params.seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}),
-      meter_([this] { return Watts{cpu_.power().value() + fan_.power().value()}; },
-             params.meter),
-      driver_(i2c_),
-      sample_schedule_(fleet.sample_schedule_slot(slot)),
-      util_(fleet.util_slot(slot)),
-      busy_jiffies_(fleet.busy_jiffies_slot(slot)),
-      total_jiffies_(fleet.total_jiffies_slot(slot)),
-      prochot_events_(fleet.prochot_events_slot(slot)),
-      prochot_seconds_(fleet.prochot_seconds_slot(slot)),
-      halted_(fleet.halted_slot(slot)),
-      bmc_override_duty_(fleet.bmc_override_duty_slot(slot)),
-      bmc_override_set_(fleet.bmc_override_set_slot(slot)) {
-  // Hot device state moves into the fleet's SoA arrays before first use, so
-  // the batched sweep and the per-object API share one storage.
-  fan_.bind_state(fleet.fan_duty_slot(slot), fleet.fan_rpm_slot(slot),
-                  fleet.fan_stuck_slot(slot));
-  sensor_.bind_state(fleet.sensor_last_slot(slot));
-  cpu_.bind_state(fleet.cpu_slots(slot));
-  chip_.bind_state(fleet.chip_slots(slot));
-  meter_.bind_state(fleet.meter_energy_slot(slot), fleet.meter_elapsed_slot(slot));
-  package_.bind_airflow_memo(fleet.airflow_slot(slot), fleet.airflow_set_slot(slot));
-  *sample_schedule_ =
+              Rng{params.seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1},
+              fleet.sensor(), slot),
+      meter_(params.meter, fleet.meter(), slot),
+      driver_(i2c_) {
+  sample_schedule() =
       PeriodicSchedule{static_cast<std::int64_t>(params.sample_period.value() * 1e6)};
   i2c_.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip_);
 
@@ -56,13 +41,13 @@ Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot
   // Out-of-band plane: BMC sensors + fan override.
   bmc_.add_sensor("CPU Temp", "degrees C", [this] { return sensor_.last_reading().value(); });
   bmc_.add_sensor("Fan1", "RPM", [this] { return fan_.rpm().value(); });
-  bmc_.add_sensor("System Power", "Watts", [this] { return meter_.read().value(); });
+  bmc_.add_sensor("System Power", "Watts", [this] { return wall_power().value(); });
   bmc_.set_fan_override_handler([this](std::optional<DutyCycle> duty) {
     if (duty.has_value()) {
-      *bmc_override_duty_ = duty->percent();
-      *bmc_override_set_ = 1;
+      row().bmc_override_duty[slot_] = duty->percent();
+      row().bmc_override_set[slot_] = 1;
     } else {
-      *bmc_override_set_ = 0;
+      row().bmc_override_set[slot_] = 0;
     }
   });
 
@@ -74,7 +59,7 @@ Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot
   package_.set_airflow(fan_.airflow());
 }
 
-void Node::set_utilization(Utilization u) { *util_ = halted() ? 0.0 : u.fraction(); }
+void Node::set_utilization(Utilization u) { row().util[slot_] = halted() ? 0.0 : u.fraction(); }
 
 void Node::settle() {
   for (int pass = 0; pass < kSettlePasses; ++pass) {
@@ -87,7 +72,7 @@ void Node::settle() {
 void Node::prepare_settle(int pass) {
   switch (pass) {
     case 0:
-      cpu_.set_utilization(Utilization{*util_});
+      cpu_.set_utilization(utilization());
       cpu_.set_die_temperature(package_.die_temperature());
       package_.set_cpu_power(cpu_.power());
       fan_.settle();
@@ -101,8 +86,9 @@ void Node::prepare_settle(int pass) {
       break;
     case 2:
       chip_.set_measured_temperature(package_.die_temperature());
-      fan_.set_duty(*bmc_override_set_ != 0 ? DutyCycle{*bmc_override_duty_}
-                                            : chip_.output_duty());
+      fan_.set_duty(row().bmc_override_set[slot_] != 0
+                        ? DutyCycle{row().bmc_override_duty[slot_]}
+                        : chip_.output_duty());
       fan_.settle();
       package_.set_airflow(fan_.airflow());
       break;

@@ -81,33 +81,35 @@ class Node {
 
   /// Sets the utilization the workload imposes for the next step.
   void set_utilization(Utilization u);
-  [[nodiscard]] Utilization utilization() const { return Utilization{*util_}; }
+  [[nodiscard]] Utilization utilization() const { return Utilization{row().util[slot_]}; }
 
   /// Takes a thermal-sensor reading (called on the 4 Hz schedule).
   Celsius sample_sensor() { return sensor_.sample(); }
-  [[nodiscard]] const PeriodicSchedule& sample_schedule() const { return *sample_schedule_; }
-  PeriodicSchedule& sample_schedule() { return *sample_schedule_; }
+  [[nodiscard]] const PeriodicSchedule& sample_schedule() const {
+    return row().sample_schedule[slot_];
+  }
+  PeriodicSchedule& sample_schedule() { return row().sample_schedule[slot_]; }
 
   // ---- state the experiments observe ----
   [[nodiscard]] Celsius die_temperature() const { return package_.die_temperature(); }
   [[nodiscard]] Celsius sensor_reading() const { return sensor_.last_reading(); }
   [[nodiscard]] GigaHertz effective_frequency() const { return cpu_.effective_frequency(); }
-  /// DC-side component power sum (what the meter's dc_load supplier returns).
+  /// DC-side component power sum behind the PSU (CPU + fan).
   [[nodiscard]] Watts dc_power() const { return Watts{cpu_.power().value() + fan_.power().value()}; }
-  /// Metered AC wall power — meter().read() minus the supplier indirection.
+  /// Metered AC wall power: the meter's display of dc_power().
   [[nodiscard]] Watts wall_power() const { return meter_.read_with(dc_power()); }
 
   /// /proc/stat-style cumulative counters at USER_HZ (100 jiffies/second);
   /// utilization governors diff these, exactly like the real daemon.
-  [[nodiscard]] std::uint64_t busy_jiffies() const { return *busy_jiffies_; }
-  [[nodiscard]] std::uint64_t total_jiffies() const { return *total_jiffies_; }
+  [[nodiscard]] std::uint64_t busy_jiffies() const { return row().busy_jiffies[slot_]; }
+  [[nodiscard]] std::uint64_t total_jiffies() const { return row().total_jiffies[slot_]; }
 
   [[nodiscard]] bool prochot_active() const { return cpu_.thermal_throttled(); }
-  [[nodiscard]] int prochot_events() const { return *prochot_events_; }
-  [[nodiscard]] Seconds prochot_time() const { return Seconds{*prochot_seconds_}; }
-  [[nodiscard]] bool halted() const { return *halted_ != 0; }
+  [[nodiscard]] int prochot_events() const { return row().prochot_events[slot_]; }
+  [[nodiscard]] Seconds prochot_time() const { return Seconds{row().prochot_seconds[slot_]}; }
+  [[nodiscard]] bool halted() const { return row().halted[slot_] != 0; }
   /// Clears a THERMTRIP halt (operator power-cycles the node).
-  void clear_halt() { *halted_ = 0; }
+  void clear_halt() { row().halted[slot_] = 0; }
 
   // ---- subsystem access for wiring controllers ----
   [[nodiscard]] hw::CpuDevice& cpu() { return cpu_; }
@@ -142,7 +144,12 @@ class Node {
   void finish_settle();
 
  private:
+  /// This node's OS/protection scalars live in row `slot_` of these columns.
+  [[nodiscard]] NodeColumns& row() const { return fleet_.node(); }
+
   int id_;
+  FleetState& fleet_;
+  std::size_t slot_;
   hw::CpuDevice cpu_;
   hw::FanDevice fan_;
   hw::Adt7467 chip_;
@@ -158,18 +165,6 @@ class Node {
   std::unique_ptr<sysfs::RaplDomain> rapl_;
   std::unique_ptr<sysfs::ProcStat> proc_stat_;
   sysfs::BmcEndpoint bmc_;
-
-  // OS/protection scalars, resident in the FleetState SoA arrays so the
-  // FleetSweep passes walk them contiguously.
-  PeriodicSchedule* sample_schedule_;
-  double* util_;  // Utilization fraction
-  std::uint64_t* busy_jiffies_;
-  std::uint64_t* total_jiffies_;
-  std::int32_t* prochot_events_;
-  double* prochot_seconds_;
-  std::uint8_t* halted_;
-  double* bmc_override_duty_;  // percent; valid when the set flag != 0
-  std::uint8_t* bmc_override_set_;
 };
 
 }  // namespace thermctl::cluster

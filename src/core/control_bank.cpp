@@ -22,13 +22,11 @@ void ControlBank::bind_window(WindowPool& pool, std::size_t node, TwoLevelWindow
     pool.fill.assign(nodes_, 0);
     pool.head.assign(nodes_, 0);
     pool.count.assign(nodes_, 0);
-    pool.pooled.assign(nodes_, 0);
     pool.sized = true;
   }
-  if (cfg.level1_size != pool.config.level1_size || cfg.level2_size != pool.config.level2_size) {
-    // Heterogeneous geometry: this window keeps its inline storage.
-    return;
-  }
+  THERMCTL_ASSERT(
+      cfg.level1_size == pool.config.level1_size && cfg.level2_size == pool.config.level2_size,
+      "one window geometry per controller family");
   WindowSlots slots;
   slots.level1 = pool.level1.data() + node * cfg.level1_size;
   slots.level2 = pool.level2.data() + node * cfg.level2_size;
@@ -36,7 +34,6 @@ void ControlBank::bind_window(WindowPool& pool, std::size_t node, TwoLevelWindow
   slots.level2_head = pool.head.data() + node;
   slots.level2_count = pool.count.data() + node;
   window.bind_state(slots);
-  pool.pooled[node] = 1;
 }
 
 DynamicFanController& ControlBank::emplace_fan(std::size_t node, sysfs::HwmonDevice& hwmon,
@@ -107,14 +104,6 @@ void ControlBank::tick_unified(SimTime now) {
   for (std::size_t i = 0; i < n; ++i) {
     unified_[i].on_sample_with(now, Celsius{readings_[i]});
   }
-}
-
-bool ControlBank::fan_window_pooled(std::size_t node) const {
-  return fan_pool_.sized && node < fan_pool_.pooled.size() && fan_pool_.pooled[node] != 0;
-}
-
-bool ControlBank::tdvfs_window_pooled(std::size_t node) const {
-  return tdvfs_pool_.sized && node < tdvfs_pool_.pooled.size() && tdvfs_pool_.pooled[node] != 0;
 }
 
 }  // namespace thermctl::core

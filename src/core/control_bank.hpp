@@ -15,9 +15,9 @@
 //   2. run each controller's on_sample_with(now, readings[i]) in node order —
 //      the same tick logic, same order, as N independent periodics.
 //
-// The golden digests (tests/golden/) pin the bits. Heterogeneous rigs
-// (per-node window configs that differ from the family's) keep per-object
-// inline window storage — correctness never depends on the SoA rebind.
+// The golden digests (tests/golden/) pin the bits. A family has one window
+// geometry: every rig passes one window config per family, and a window of
+// any other geometry aborts at emplace.
 #pragma once
 
 #include <cstddef>
@@ -86,8 +86,8 @@ class FixedSlab {
 class ControlBank {
  public:
   /// `sensor_last` is the fleet's node-major array of raw sensor
-  /// sample-and-hold values (FleetState::sensor_last_data()): node i's
-  /// ThermalSensor must be bound onto sensor_last[i].
+  /// sample-and-hold values (FleetState::sensor().last_degc): node i's
+  /// ThermalSensor must hold its reading in sensor_last[i].
   ControlBank(std::size_t nodes, const double* sensor_last);
 
   ControlBank(const ControlBank&) = delete;
@@ -95,7 +95,8 @@ class ControlBank {
 
   /// Controllers must be emplaced densely in ascending node order (node ==
   /// number already emplaced in that family); each window is rebound into
-  /// the family's SoA arrays when its config matches the family's first.
+  /// the family's SoA arrays, and its geometry (level sizes) must match the
+  /// family's first.
   DynamicFanController& emplace_fan(std::size_t node, sysfs::HwmonDevice& hwmon,
                                     const FanControlConfig& config);
   TdvfsDaemon& emplace_tdvfs(std::size_t node, sysfs::HwmonDevice& hwmon,
@@ -119,15 +120,10 @@ class ControlBank {
   [[nodiscard]] TdvfsDaemon& tdvfs(std::size_t i) { return tdvfs_[i]; }
   [[nodiscard]] UnifiedController& unified(std::size_t i) { return unified_[i]; }
 
-  /// True when the window at `node` of the given family landed in the SoA
-  /// arrays (diagnostics / tests).
-  [[nodiscard]] bool fan_window_pooled(std::size_t node) const;
-  [[nodiscard]] bool tdvfs_window_pooled(std::size_t node) const;
-
  private:
   /// Node-major SoA backing for one family's windows. Sized lazily from the
-  /// family's first window config; later windows with a different geometry
-  /// keep their inline storage (pooled[] = false).
+  /// family's first window config, whose geometry every later window of the
+  /// family must share.
   struct WindowPool {
     WindowConfig config{};
     bool sized = false;
@@ -136,7 +132,6 @@ class ControlBank {
     std::vector<std::size_t> fill;     // nodes
     std::vector<std::size_t> head;     // nodes
     std::vector<std::size_t> count;    // nodes
-    std::vector<std::uint8_t> pooled;  // nodes — window rebound here?
   };
 
   void bind_window(WindowPool& pool, std::size_t node, TwoLevelWindow& window);

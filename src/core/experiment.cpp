@@ -466,7 +466,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   rig.cluster = std::make_unique<cluster::Cluster>(config.nodes, node_params);
   if (config.fan == FanPolicyKind::kDynamic || config.dvfs == DvfsPolicyKind::kTdvfs) {
     rig.bank = std::make_unique<ControlBank>(config.nodes,
-                                             rig.cluster->fleet()->sensor_last_data());
+                                             rig.cluster->fleet()->sensor().last_degc.data());
   }
 
   // The machine idles before the job starts: settle at near-zero load.

@@ -3,19 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/assert.hpp"
+
 namespace thermctl::hw {
 
-Adt7467::Adt7467() { refresh_output(); }
+ChipColumns::ChipColumns(std::size_t n)
+    : temp_remote1(n, 25),
+      tach1(n, 0xFFFF),
+      last_measured_rpm(n, -1.0),
+      output_duty_pct(n, Adt7467::reg_to_duty(Adt7467::kPowerOnPwm1Min).percent()) {}
 
-void Adt7467::bind_state(const ChipStateSlots& slots) {
-  *slots.temp_remote1 = *temp_remote1_;
-  *slots.tach1 = *tach1_;
-  *slots.last_measured_rpm = *last_measured_rpm_;
-  *slots.output_duty_pct = *output_duty_pct_;
-  temp_remote1_ = slots.temp_remote1;
-  tach1_ = slots.tach1;
-  last_measured_rpm_ = slots.last_measured_rpm;
-  output_duty_pct_ = slots.output_duty_pct;
+Adt7467::Adt7467(ChipColumns& cols, std::size_t slot) : cols_(cols), slot_(slot) {
+  THERMCTL_ASSERT(slot < cols.tach1.size(), "column slot out of range");
+  refresh_output();
 }
 
 std::uint8_t Adt7467::duty_to_reg(DutyCycle d) {
@@ -29,23 +29,23 @@ DutyCycle Adt7467::reg_to_duty(std::uint8_t v) {
 void Adt7467::set_measured_temperature(Celsius t) {
   const double clamped = std::clamp(t.value(), -128.0, 127.0);
   const auto reg = static_cast<std::int8_t>(std::lround(clamped));
-  if (reg == *temp_remote1_) {
+  if (reg == cols_.temp_remote1[slot_]) {
     return;  // sub-degree drift doesn't move the register or the auto curve
   }
-  *temp_remote1_ = reg;
+  cols_.temp_remote1[slot_] = reg;
   refresh_output();
 }
 
 void Adt7467::set_measured_rpm(Rpm rpm) {
-  if (rpm.value() == *last_measured_rpm_) {
+  if (rpm.value() == cols_.last_measured_rpm[slot_]) {
     return;  // rotor at steady state: the latched tach period is current
   }
-  *last_measured_rpm_ = rpm.value();
+  cols_.last_measured_rpm[slot_] = rpm.value();
   if (rpm.value() < 100.0) {
-    *tach1_ = 0xFFFF;  // stalled / too slow to measure
+    cols_.tach1[slot_] = 0xFFFF;  // stalled / too slow to measure
   } else {
     const double count = kTachClock / rpm.value();
-    *tach1_ = static_cast<std::uint16_t>(std::min(count, 65534.0));
+    cols_.tach1[slot_] = static_cast<std::uint16_t>(std::min(count, 65534.0));
   }
 }
 
@@ -65,7 +65,8 @@ DutyCycle Adt7467::auto_curve(Celsius t) const {
 void Adt7467::refresh_output() {
   if (!manual_mode()) {
     pwm1_duty_ = std::min(
-        duty_to_reg(auto_curve(Celsius{static_cast<double>(*temp_remote1_)})), pwm1_max_);
+        duty_to_reg(auto_curve(Celsius{static_cast<double>(cols_.temp_remote1[slot_])})),
+        pwm1_max_);
   }
   refresh_duty_mirror();
 }
@@ -75,11 +76,11 @@ DutyCycle Adt7467::output_duty() const { return reg_to_duty(pwm1_duty_); }
 std::optional<std::uint8_t> Adt7467::read_register(std::uint8_t reg) {
   switch (reg) {
     case kRegTempRemote1:
-      return static_cast<std::uint8_t>(*temp_remote1_);
+      return static_cast<std::uint8_t>(cols_.temp_remote1[slot_]);
     case kRegTach1Low:
-      return static_cast<std::uint8_t>(*tach1_ & 0xFF);
+      return static_cast<std::uint8_t>(cols_.tach1[slot_] & 0xFF);
     case kRegTach1High:
-      return static_cast<std::uint8_t>(*tach1_ >> 8);
+      return static_cast<std::uint8_t>(cols_.tach1[slot_] >> 8);
     case kRegPwm1Duty:
       return pwm1_duty_;
     case kRegPwm1Max:

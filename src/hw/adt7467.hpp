@@ -25,28 +25,33 @@
 //   0x3E  COMPANY_ID     0x41 (Analog Devices)
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/units.hpp"
 #include "hw/i2c.hpp"
 
 namespace thermctl::hw {
 
-/// External storage the chip's latched measurements and output mirror can be
-/// rebound onto (bind_state) — slots into FleetState's SoA arrays so the
-/// fleet sweep can batch the measurement-side protocol without touching the
-/// register objects.
-struct ChipStateSlots {
-  std::int8_t* temp_remote1 = nullptr;
-  std::uint16_t* tach1 = nullptr;
-  double* last_measured_rpm = nullptr;
+/// The chips' latched measurements and PWM-pin mirror, one row per chip:
+/// what FleetSweep's measurement-side passes read and write without touching
+/// the register objects. A fresh row is the power-on latch: TEMP_REMOTE1
+/// 25 °C, tach 0xFFFF (stalled), no RPM latched yet (-1), and the pin at the
+/// automatic curve's PWM1_MIN.
+struct ChipColumns {
+  explicit ChipColumns(std::size_t n);
+
+  std::vector<std::int8_t> temp_remote1;  // °C
+  std::vector<std::uint16_t> tach1;       // tach period counter
+  std::vector<double> last_measured_rpm;  // skip tach recompute when unchanged
   /// Mirror of reg_to_duty(PWM1_DUTY).percent(), refreshed whenever the duty
   /// register changes (auto-curve refresh or manual write).
-  double* output_duty_pct = nullptr;
+  std::vector<double> output_duty_pct;
 };
 
-class Adt7467 final : public I2cSlave {
+class Adt7467 : public I2cSlave {
  public:
   // Register addresses (public so drivers and tests share one definition).
   static constexpr std::uint8_t kRegTempRemote1 = 0x26;
@@ -70,16 +75,16 @@ class Adt7467 final : public I2cSlave {
   /// Datasheet tach convention: counter = 5.4e6 / RPM; 0xFFFF = stalled.
   static constexpr double kTachClock = 5.4e6;
 
-  Adt7467();
+  /// Power-on PWM1_MIN: ~10% of 255 (PWMmin in the paper).
+  static constexpr std::uint8_t kPowerOnPwm1Min = 26;
 
-  // Latched state may be rebound into fleet-owned SoA arrays (bind_state),
-  // so the chip must not be duplicated with pointers into the old storage.
+  /// The register file, with its latched measurements and PWM-pin mirror in
+  /// row `slot` of `cols`.
+  Adt7467(ChipColumns& cols, std::size_t slot);
+
+  // One chip per row: a copy would be a second writer of the same latch.
   Adt7467(const Adt7467&) = delete;
   Adt7467& operator=(const Adt7467&) = delete;
-
-  /// Rebinds the latched measurements and the output-duty mirror onto
-  /// external storage (FleetState SoA slots). Current values carry over.
-  void bind_state(const ChipStateSlots& slots);
 
   // --- physical-side interface (wired by the node model, not by drivers) ---
 
@@ -109,22 +114,16 @@ class Adt7467 final : public I2cSlave {
 
  private:
   void refresh_output();
-  void refresh_duty_mirror() { *output_duty_pct_ = reg_to_duty(pwm1_duty_).percent(); }
+  void refresh_duty_mirror() {
+    cols_.output_duty_pct[slot_] = reg_to_duty(pwm1_duty_).percent();
+  }
 
-  // Latched measurements default to inline storage; bind_state() repoints
-  // them into FleetState SoA slots without changing behaviour.
-  std::int8_t temp_remote1_storage_ = 25;    // latched measurement, °C
-  std::uint16_t tach1_storage_ = 0xFFFF;     // latched tach period
-  double last_measured_rpm_storage_ = -1.0;  // skip tach recompute when unchanged
-  double output_duty_pct_storage_ = 0.0;     // mirror of the PWM output pin
-  std::int8_t* temp_remote1_ = &temp_remote1_storage_;
-  std::uint16_t* tach1_ = &tach1_storage_;
-  double* last_measured_rpm_ = &last_measured_rpm_storage_;
-  double* output_duty_pct_ = &output_duty_pct_storage_;
+  ChipColumns& cols_;
+  std::size_t slot_;
   std::uint8_t pwm1_duty_ = 0;      // current duty register
   std::uint8_t pwm1_max_ = 0xFF;    // automatic-curve ceiling
   std::uint8_t pwm1_config_ = static_cast<std::uint8_t>(kBehaviourAutoRemote1 << 5);
-  std::uint8_t pwm1_min_ = 26;      // ~10% of 255 (PWMmin in the paper)
+  std::uint8_t pwm1_min_ = kPowerOnPwm1Min;
   std::int8_t tmin_remote1_ = 38;   // paper platform: Tmin = 38 °C
   std::uint8_t trange_remote1_ = 44;  // paper platform: Tmax = 82 °C
 };

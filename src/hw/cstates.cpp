@@ -14,7 +14,9 @@ std::vector<CState> default_cstates() {
   };
 }
 
-IdleInjector::IdleInjector(IdleInjectorParams params) : params_(std::move(params)) {
+IdleInjector::IdleInjector(IdleInjectorParams params, InjectorColumns& cols, std::size_t slot)
+    : params_(std::move(params)), cols_(cols), slot_(slot) {
+  THERMCTL_ASSERT(slot < cols.generation.size(), "column slot out of range");
   THERMCTL_ASSERT(!params_.cstates.empty(), "need at least one C-state");
   THERMCTL_ASSERT(params_.period.value() > 0.0, "injection period must be positive");
   THERMCTL_ASSERT(params_.max_fraction > 0.0 && params_.max_fraction <= 0.95,
@@ -31,7 +33,7 @@ void IdleInjector::set_injection(double fraction, std::size_t state) {
   THERMCTL_ASSERT(state < params_.cstates.size(), "C-state index out of range");
   fraction_ = std::clamp(fraction, 0.0, params_.max_fraction);
   state_ = state;
-  ++*generation_;
+  ++cols_.generation[slot_];
   refresh_mirrors();
 }
 

@@ -45,35 +45,36 @@ struct IdleInjectorParams {
   double max_fraction = 0.5;
 };
 
+/// The injector's mirrors, one row per CPU: the three factors the CPU's
+/// power and throughput math multiply in, and the generation counter its
+/// power memo checks. A fresh row is an idle injector's: every factor an
+/// exact 1.0 (so the multiplications are bitwise no-ops) and generation 0.
+struct InjectorColumns {
+  explicit InjectorColumns(std::size_t n)
+      : dynamic_factor(n, 1.0), leakage_factor(n, 1.0), throughput_factor(n, 1.0),
+        generation(n, 0) {}
+
+  std::vector<double> dynamic_factor;
+  std::vector<double> leakage_factor;
+  std::vector<double> throughput_factor;
+  std::vector<std::uint64_t> generation;
+};
+
 /// Duty-cycled forced idle on one CPU. The CpuDevice consults this to scale
 /// its delivered work and power; the sysfs PowerClamp device drives it.
+/// The commanded fraction and state live in the object; the mirrors derived
+/// from them live in row `slot` of an InjectorColumns.
 class IdleInjector {
  public:
-  explicit IdleInjector(IdleInjectorParams params = {});
+  IdleInjector(IdleInjectorParams params, InjectorColumns& cols, std::size_t slot);
 
-  // Mirrors may be rebound into fleet-owned SoA arrays (bind_state), so the
-  // injector must not be duplicated with pointers into the old storage.
+  // One injector per row: a copy would share the mirrors but not the
+  // fraction they mirror.
   IdleInjector(const IdleInjector&) = delete;
   IdleInjector& operator=(const IdleInjector&) = delete;
 
   [[nodiscard]] const std::vector<CState>& cstates() const { return params_.cstates; }
   [[nodiscard]] std::size_t cstate_count() const { return params_.cstates.size(); }
-
-  /// Rebinds the injection mirrors (the three factors + the generation
-  /// counter) onto external storage — the FleetState SoA arrays. The sweep
-  /// multiplies the factor arrays into its power/throughput math every step;
-  /// an inactive injector mirrors exact 1.0s, so the multiplications are
-  /// bitwise no-ops and the batched path stays identical to the per-node
-  /// one whether or not injection is in use.
-  void bind_state(double* dynamic_factor, double* leakage_factor, double* throughput_factor,
-                  std::uint64_t* generation) {
-    *generation = *generation_;
-    dyn_factor_ = dynamic_factor;
-    leak_factor_ = leakage_factor;
-    thr_factor_ = throughput_factor;
-    generation_ = generation;
-    refresh_mirrors();
-  }
 
   /// Commands injection of `fraction` of each period spent in C-state
   /// `state` (0-based into cstates()). Fraction is clamped to
@@ -81,7 +82,7 @@ class IdleInjector {
   void set_injection(double fraction, std::size_t state);
   void stop() {
     fraction_ = 0.0;
-    ++*generation_;
+    ++cols_.generation[slot_];
     refresh_mirrors();
   }
 
@@ -102,28 +103,20 @@ class IdleInjector {
 
   /// Bumped on every injection change; lets consumers (the CPU's power
   /// cache) detect staleness without comparing the full injection state.
-  [[nodiscard]] std::uint64_t generation() const { return *generation_; }
+  [[nodiscard]] std::uint64_t generation() const { return cols_.generation[slot_]; }
 
  private:
   void refresh_mirrors() {
-    *dyn_factor_ = dynamic_power_factor();
-    *leak_factor_ = leakage_power_factor();
-    *thr_factor_ = throughput_factor();
+    cols_.dynamic_factor[slot_] = dynamic_power_factor();
+    cols_.leakage_factor[slot_] = leakage_power_factor();
+    cols_.throughput_factor[slot_] = throughput_factor();
   }
 
   IdleInjectorParams params_;
+  InjectorColumns& cols_;
+  std::size_t slot_;
   double fraction_ = 0.0;
   std::size_t state_ = 0;
-  // Mirrors default to inline storage; bind_state() repoints them into
-  // FleetState SoA slots without changing behaviour.
-  double dyn_factor_storage_ = 1.0;
-  double leak_factor_storage_ = 1.0;
-  double thr_factor_storage_ = 1.0;
-  std::uint64_t generation_storage_ = 0;
-  double* dyn_factor_ = &dyn_factor_storage_;
-  double* leak_factor_ = &leak_factor_storage_;
-  double* thr_factor_ = &thr_factor_storage_;
-  std::uint64_t* generation_ = &generation_storage_;
 };
 
 }  // namespace thermctl::hw

@@ -1,20 +1,14 @@
 #include "hw/fan_device.hpp"
 
-#include <cmath>
-
 #include "common/assert.hpp"
 
 namespace thermctl::hw {
 
-FanDevice::FanDevice(FanParams params) : params_(params) {
+FanDevice::FanDevice(FanParams params, FanColumns& cols, std::size_t slot)
+    : params_(params), cols_(cols), slot_(slot) {
+  THERMCTL_ASSERT(slot < cols.rpm.size(), "column slot out of range");
   THERMCTL_ASSERT(params_.max_rpm.value() > 0.0, "fan max RPM must be positive");
   THERMCTL_ASSERT(params_.rotor_tau.value() > 0.0, "rotor time constant must be positive");
-}
-
-void FanDevice::recompute_alpha(Seconds dt) {
-  THERMCTL_ASSERT(dt.value() > 0.0, "step duration must be positive");
-  alpha_ = 1.0 - std::exp(-dt.value() / params_.rotor_tau.value());
-  alpha_dt_ = dt.value();
 }
 
 }  // namespace thermctl::hw

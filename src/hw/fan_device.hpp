@@ -6,16 +6,17 @@
 //
 //  * PWM→RPM: linear above a stall threshold (a real fan does not spin below
 //    a few percent duty).
-//  * Rotor inertia: RPM follows the command with a first-order lag, so fan
-//    response is fast (~1 s) but not instantaneous.
+//  * Rotor inertia: RPM follows the command with a first-order lag (stepped
+//    by FleetSweep), so fan response is fast (~1 s) but not instantaneous.
 //  * Airflow ∝ RPM (fan laws), feeding the convection model.
 //  * Electrical power ∝ RPM^3 (fan affinity laws) — the cost side of
 //    aggressive fan policies in Figs. 5–7.
 //  * Failure injection: a stuck rotor for the emergency scenarios.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <vector>
 
 #include "common/units.hpp"
 
@@ -35,52 +36,36 @@ struct FanParams {
   Seconds rotor_tau{0.8};
 };
 
+/// The fans' rotor state, one row per fan: commanded duty (%), rotor RPM
+/// and the stuck-rotor flag. FleetSweep steps the rotor lag over these
+/// columns. A fresh row is a stopped, healthy fan at 0 % duty.
+struct FanColumns {
+  explicit FanColumns(std::size_t n) : duty_pct(n, 0.0), rpm(n, 0.0), stuck(n, 0) {}
+
+  std::vector<double> duty_pct;
+  std::vector<double> rpm;
+  std::vector<std::uint8_t> stuck;
+};
+
+/// One fan: a view onto row `slot` of a FanColumns.
 class FanDevice {
  public:
-  explicit FanDevice(FanParams params = {});
+  FanDevice(FanParams params, FanColumns& cols, std::size_t slot);
 
-  // Duty and RPM may be rebound into fleet-owned SoA arrays (bind_state), so
-  // the device must not be duplicated with pointers into the old storage.
+  // One device per row: a copy would be a second writer of the same state.
   FanDevice(const FanDevice&) = delete;
   FanDevice& operator=(const FanDevice&) = delete;
 
-  /// Rebinds the rotor state (duty %, RPM, stuck flag) onto external
-  /// storage — the FleetState SoA arrays. Current values carry over; the
-  /// device keeps behaving identically, it just keeps its hot state in the
-  /// fleet arrays.
-  void bind_state(double* duty_pct, double* rpm, std::uint8_t* stuck) {
-    *duty_pct = *duty_pct_;
-    *rpm = *rpm_;
-    *stuck = *stuck_;
-    duty_pct_ = duty_pct;
-    rpm_ = rpm;
-    stuck_ = stuck;
-  }
-
   /// Commands a PWM duty cycle; takes effect through the rotor lag.
-  void set_duty(DutyCycle duty) { *duty_pct_ = duty.percent(); }
-  [[nodiscard]] DutyCycle duty() const { return DutyCycle{*duty_pct_}; }
+  void set_duty(DutyCycle duty) { cols_.duty_pct[slot_] = duty.percent(); }
+  [[nodiscard]] DutyCycle duty() const { return DutyCycle{cols_.duty_pct[slot_]}; }
 
-  /// Advances rotor dynamics. First-order lag via the exact discrete update;
-  /// the exponential smoothing factor only depends on dt, which the engine
-  /// holds constant, so it is cached rather than recomputed per step.
-  void step(Seconds dt) {
-    const double target = (*stuck_ != 0) ? 0.0 : target_rpm(duty()).value();
-    if (dt.value() != alpha_dt_) {
-      recompute_alpha(dt);
-    }
-    *rpm_ += (target - *rpm_) * alpha_;
-    if (*rpm_ < 1.0 && target == 0.0) {
-      *rpm_ = 0.0;
-    }
-  }
-
-  [[nodiscard]] Rpm rpm() const { return Rpm{*rpm_}; }
+  [[nodiscard]] Rpm rpm() const { return Rpm{cols_.rpm[slot_]}; }
   [[nodiscard]] Cfm airflow() const {
-    return Cfm{params_.max_airflow.value() * *rpm_ / params_.max_rpm.value()};
+    return Cfm{params_.max_airflow.value() * cols_.rpm[slot_] / params_.max_rpm.value()};
   }
   [[nodiscard]] Watts power() const {
-    const double frac = *rpm_ / params_.max_rpm.value();
+    const double frac = cols_.rpm[slot_] / params_.max_rpm.value();
     return Watts{params_.idle_power.value() + params_.max_power.value() * frac * frac * frac};
   }
 
@@ -100,32 +85,20 @@ class FanDevice {
 
   /// Snaps the rotor to its steady state for the current duty (experiment
   /// priming).
-  void settle() { *rpm_ = target_rpm(duty()).value(); }
+  void settle() { cols_.rpm[slot_] = target_rpm(duty()).value(); }
 
   /// Injects a stuck-rotor fault: the fan ignores commands and coasts to a
   /// halt. `clear_fault` restores normal operation.
-  void inject_stuck_fault() { *stuck_ = 1; }
-  void clear_fault() { *stuck_ = 0; }
-  [[nodiscard]] bool faulted() const { return *stuck_ != 0; }
+  void inject_stuck_fault() { cols_.stuck[slot_] = 1; }
+  void clear_fault() { cols_.stuck[slot_] = 0; }
+  [[nodiscard]] bool faulted() const { return cols_.stuck[slot_] != 0; }
 
   [[nodiscard]] const FanParams& params() const { return params_; }
 
  private:
-  void recompute_alpha(Seconds dt);
-
   FanParams params_;
-  // Rotor state defaults to inline storage; bind_state() repoints it into a
-  // FleetState SoA slot without changing behaviour.
-  double duty_pct_storage_ = 0.0;
-  double rpm_storage_ = 0.0;
-  std::uint8_t stuck_storage_ = 0;
-  double* duty_pct_ = &duty_pct_storage_;
-  double* rpm_ = &rpm_storage_;
-  std::uint8_t* stuck_ = &stuck_storage_;
-  // dt the cached smoothing factor was built for; NaN compares unequal to
-  // every dt, forcing (and validating) the first computation.
-  double alpha_dt_ = std::numeric_limits<double>::quiet_NaN();
-  double alpha_ = 0.0;
+  FanColumns& cols_;
+  std::size_t slot_;
 };
 
 }  // namespace thermctl::hw

@@ -6,14 +6,12 @@
 
 namespace thermctl::hw {
 
-PowerMeter::PowerMeter(std::function<Watts()> dc_load, PowerMeterParams params)
-    : dc_load_(std::move(dc_load)), params_(params) {
-  THERMCTL_ASSERT(static_cast<bool>(dc_load_), "power meter needs a load source");
+PowerMeter::PowerMeter(PowerMeterParams params, MeterColumns& cols, std::size_t slot)
+    : params_(params), cols_(cols), slot_(slot) {
+  THERMCTL_ASSERT(slot < cols.energy_j.size(), "column slot out of range");
   THERMCTL_ASSERT(params_.psu_efficiency > 0.0 && params_.psu_efficiency <= 1.0,
                   "PSU efficiency must be in (0, 1]");
 }
-
-Watts PowerMeter::read() const { return read_with(dc_load_()); }
 
 Watts PowerMeter::read_with(Watts dc_component) const {
   const double dc = params_.base_load.value() + dc_component.value();
@@ -23,15 +21,11 @@ Watts PowerMeter::read_with(Watts dc_component) const {
 }
 
 Watts PowerMeter::average_power() const {
-  if (*elapsed_seconds_ <= 0.0) {
+  const double elapsed = cols_.elapsed_s[slot_];
+  if (elapsed <= 0.0) {
     return Watts{0.0};
   }
-  return Watts{*energy_joules_ / *elapsed_seconds_};
-}
-
-void PowerMeter::reset() {
-  *energy_joules_ = 0.0;
-  *elapsed_seconds_ = 0.0;
+  return Watts{cols_.energy_j[slot_] / elapsed};
 }
 
 }  // namespace thermctl::hw

@@ -2,15 +2,14 @@
 //
 // Table 1's "Ave Power" and power-delay-product columns come from a wall
 // meter sampling whole-system draw at ~1 Hz. The model sums component powers
-// through a PSU-efficiency curve and integrates energy between samples, so
-// averages computed from its reading history have the same semantics as the
-// paper's instrument.
+// through a PSU-efficiency curve, and FleetSweep integrates that draw into
+// the meter's energy every physics step, so averages computed from it have
+// the same semantics as the paper's instrument.
 #pragma once
 
-#include <functional>
+#include <cstddef>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "common/units.hpp"
 
 namespace thermctl::hw {
@@ -25,65 +24,38 @@ struct PowerMeterParams {
   double resolution_watts = 0.1;
 };
 
+/// The meters' integrals, one row per meter: energy (J) and the elapsed
+/// time it covers (s). FleetSweep advances them every physics step. A fresh
+/// row is zero.
+struct MeterColumns {
+  explicit MeterColumns(std::size_t n) : energy_j(n, 0.0), elapsed_s(n, 0.0) {}
+
+  std::vector<double> energy_j;
+  std::vector<double> elapsed_s;
+};
+
+/// One wall meter: its display arithmetic, and a view onto row `slot` of a
+/// MeterColumns for the integrals.
 class PowerMeter {
  public:
-  /// `dc_load` returns the instantaneous DC-side component power sum
-  /// (CPU + fan + anything else the node registers).
-  PowerMeter(std::function<Watts()> dc_load, PowerMeterParams params = {});
+  PowerMeter(PowerMeterParams params, MeterColumns& cols, std::size_t slot);
 
-  // The integration accumulators may be rebound into fleet-owned SoA arrays
-  // (bind_state), so the meter must not be duplicated with pointers into the
-  // old storage.
-  PowerMeter(const PowerMeter&) = delete;
-  PowerMeter& operator=(const PowerMeter&) = delete;
-
-  /// Rebinds the energy/elapsed accumulators onto external storage
-  /// (FleetState SoA slots). Current values carry over.
-  void bind_state(double* energy_joules, double* elapsed_seconds) {
-    *energy_joules = *energy_joules_;
-    *elapsed_seconds = *elapsed_seconds_;
-    energy_joules_ = energy_joules;
-    elapsed_seconds_ = elapsed_seconds;
-  }
-
-  /// Instantaneous AC-side power as the meter would display it.
-  [[nodiscard]] Watts read() const;
-
-  /// read() for a caller-supplied DC component sum: identical arithmetic,
-  /// minus the indirect dc_load_ call. For callers that already hold the
-  /// component sum (the node does, every physics step).
+  /// AC-side power as the meter would display it for a DC component sum
+  /// (CPU + fan + anything else the node draws behind the PSU).
   [[nodiscard]] Watts read_with(Watts dc_component) const;
 
-  /// Advances the internal energy integral by `dt` at the current load.
-  void integrate(Seconds dt) { integrate_with(dt, dc_load_()); }
-
-  /// integrate() with the DC component sum supplied directly.
-  void integrate_with(Seconds dt, Watts dc_component) {
-    THERMCTL_ASSERT(dt.value() >= 0.0, "negative integration interval");
-    const double dc = params_.base_load.value() + dc_component.value();
-    *energy_joules_ += dc / params_.psu_efficiency * dt.value();
-    *elapsed_seconds_ += dt.value();
-  }
-
   /// Energy accumulated so far (the meter's kWh counter, in joules).
-  [[nodiscard]] Joules energy() const { return Joules{*energy_joules_}; }
+  [[nodiscard]] Joules energy() const { return Joules{cols_.energy_j[slot_]}; }
 
   /// Average power over the integration window so far.
   [[nodiscard]] Watts average_power() const;
 
-  void reset();
-
   [[nodiscard]] const PowerMeterParams& params() const { return params_; }
 
  private:
-  std::function<Watts()> dc_load_;
   PowerMeterParams params_;
-  // Accumulators default to inline storage; bind_state() repoints them into
-  // FleetState SoA slots without changing behaviour.
-  double energy_joules_storage_ = 0.0;
-  double elapsed_seconds_storage_ = 0.0;
-  double* energy_joules_ = &energy_joules_storage_;
-  double* elapsed_seconds_ = &elapsed_seconds_storage_;
+  MeterColumns& cols_;
+  std::size_t slot_;
 };
 
 }  // namespace thermctl::hw

@@ -6,8 +6,10 @@
 
 namespace thermctl::hw {
 
-ThermalSensor::ThermalSensor(std::function<Celsius()> source, SensorParams params, Rng rng)
-    : source_(std::move(source)), params_(params), rng_(rng) {
+ThermalSensor::ThermalSensor(std::function<Celsius()> source, SensorParams params, Rng rng,
+                             SensorColumns& cols, std::size_t slot)
+    : source_(std::move(source)), params_(params), rng_(rng), cols_(cols), slot_(slot) {
+  THERMCTL_ASSERT(slot < cols.last_degc.size(), "column slot out of range");
   THERMCTL_ASSERT(static_cast<bool>(source_), "sensor needs a source");
   THERMCTL_ASSERT(params_.quantization_degc > 0.0, "quantization step must be positive");
   THERMCTL_ASSERT(params_.noise_sigma_degc >= 0.0, "noise sigma must be non-negative");
@@ -15,7 +17,7 @@ ThermalSensor::ThermalSensor(std::function<Celsius()> source, SensorParams param
 
 Celsius ThermalSensor::sample() {
   if (stuck_ && has_reading_) {
-    return Celsius{*last_};
+    return Celsius{cols_.last_degc[slot_]};
   }
   double v = source_().value() + params_.offset_degc;
   if (params_.noise_sigma_degc > 0.0) {
@@ -23,7 +25,7 @@ Celsius ThermalSensor::sample() {
   }
   const double q = params_.quantization_degc;
   v = std::round(v / q) * q;
-  *last_ = v;
+  cols_.last_degc[slot_] = v;
   has_reading_ = true;
   return Celsius{v};
 }

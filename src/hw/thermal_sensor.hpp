@@ -7,7 +7,9 @@
 // window must ignore, so the sensor model is load-bearing for the evaluation.
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -24,30 +26,31 @@ struct SensorParams {
   double offset_degc = 0.0;
 };
 
+/// The sensors' sample-and-hold registers, one row per sensor (°C). A fresh
+/// row holds the 0.0 °C placeholder that `ready()` guards against.
+struct SensorColumns {
+  explicit SensorColumns(std::size_t n) : last_degc(n, 0.0) {}
+
+  std::vector<double> last_degc;
+};
+
+/// One sensor: the ADC model, with its sample-and-hold register in row
+/// `slot` of a SensorColumns.
 class ThermalSensor {
  public:
   /// `source` returns the true temperature being measured.
-  ThermalSensor(std::function<Celsius()> source, SensorParams params, Rng rng);
+  ThermalSensor(std::function<Celsius()> source, SensorParams params, Rng rng,
+                SensorColumns& cols, std::size_t slot);
 
-  // The held reading may be rebound into a fleet-owned SoA array
-  // (bind_state), so the sensor must not be duplicated with a pointer into
-  // the old storage.
+  // One sensor per row: a copy would be a second writer of the same register.
   ThermalSensor(const ThermalSensor&) = delete;
   ThermalSensor& operator=(const ThermalSensor&) = delete;
-
-  /// Rebinds the sample-and-hold register onto external storage — the
-  /// FleetState SoA array of last sensor readings. The current value carries
-  /// over.
-  void bind_state(double* last_degc) {
-    *last_degc = *last_;
-    last_ = last_degc;
-  }
 
   /// Takes a new reading (called on the sampling schedule) and returns it.
   Celsius sample();
 
   /// Most recent reading without resampling (sample-and-hold).
-  [[nodiscard]] Celsius last_reading() const { return Celsius{*last_}; }
+  [[nodiscard]] Celsius last_reading() const { return Celsius{cols_.last_degc[slot_]}; }
 
   /// True once at least one real reading exists. Before that,
   /// `last_reading()` is the constructed 0.0 °C placeholder — callers that
@@ -68,10 +71,8 @@ class ThermalSensor {
   std::function<Celsius()> source_;
   SensorParams params_;
   Rng rng_;
-  // Sample-and-hold register: inline storage by default; bind_state()
-  // repoints it into a FleetState SoA slot.
-  double last_storage_ = 0.0;
-  double* last_ = &last_storage_;
+  SensorColumns& cols_;
+  std::size_t slot_;
   bool stuck_ = false;
   bool has_reading_ = false;
 };

@@ -1,5 +1,7 @@
 #include "thermal/package_model.hpp"
 
+#include "common/assert.hpp"
+
 namespace thermctl::thermal {
 
 PackageWiring PackageModel::wire_network(const PackageParams& params, RcNetwork& net) {
@@ -16,14 +18,17 @@ PackageWiring PackageModel::wire_network(const PackageParams& params, RcNetwork&
 }
 
 PackageModel::PackageModel(const PackageParams& params, const PackageWiring& wiring,
-                           RcBatch& batch, std::size_t slot)
+                           RcBatch& batch, AirflowColumns& airflow, std::size_t slot)
     : params_(params),
       convection_(params.convection),
       batch_(batch),
+      airflow_(airflow),
       slot_(slot),
       wiring_(wiring),
       die_power_cell_(batch.power_cell(slot, wiring.die)),
-      die_temp_cell_(batch.temperature_cell(slot, wiring.die)) {}
+      die_temp_cell_(batch.temperature_cell(slot, wiring.die)) {
+  THERMCTL_ASSERT(slot < airflow.cfm.size(), "column slot out of range");
+}
 
 void PackageModel::set_ambient(Celsius t) {
   params_.ambient = t;

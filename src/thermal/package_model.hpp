@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/units.hpp"
 #include "thermal/convection.hpp"
@@ -42,23 +43,33 @@ struct PackageWiring {
   EdgeId hs_amb{};
 };
 
+/// The packages' convection early-out memo, one row per package: the
+/// airflow last applied (CFM) and whether one has been applied yet. A fresh
+/// row has applied none.
+struct AirflowColumns {
+  explicit AirflowColumns(std::size_t n) : cfm(n, 0.0), set(n, 0) {}
+
+  std::vector<double> cfm;
+  std::vector<std::uint8_t> set;
+};
+
 /// The die—heatsink—ambient RC model with fan-speed-dependent convection on
 /// the heatsink-ambient edge.
 ///
 /// A PackageModel is a *view* onto one instance column of an RcBatch built
-/// from wire_network's topology: a fleet's nodes share one batch, and a
-/// single package is a batch of one.
+/// from wire_network's topology, and onto the same row of an
+/// AirflowColumns: a fleet's nodes share one batch, and a single package is
+/// a batch of one.
 class PackageModel {
  public:
-  /// View onto instance `slot` of `batch`, which must have been built from
-  /// the network that `wire_network(params, ...)` returned `wiring` for.
+  /// View onto instance `slot` of `batch` and of `airflow`; `batch` must
+  /// have been built from the network that `wire_network(params, ...)`
+  /// returned `wiring` for.
   PackageModel(const PackageParams& params, const PackageWiring& wiring, RcBatch& batch,
-               std::size_t slot);
+               AirflowColumns& airflow, std::size_t slot);
 
-  // The airflow memo may be rebound into fleet-owned SoA arrays
-  // (bind_airflow_memo), so the model must not be duplicated with pointers
-  // into the old storage. Callers build packages in place (prvalue
-  // construction elides; no move needed).
+  // One view per column: a copy would be a second writer of the same memo.
+  // Callers build packages in place (prvalue construction elides).
   PackageModel(const PackageModel&) = delete;
   PackageModel& operator=(const PackageModel&) = delete;
 
@@ -75,11 +86,11 @@ class PackageModel {
   /// law is only re-evaluated when the airflow actually moved — the fan's
   /// rotor settles between duty changes, making steady steps free.
   void set_airflow(Cfm v) {
-    if (*airflow_set_ != 0 && v.value() == *airflow_cfm_) {
+    if (airflow_.set[slot_] != 0 && v.value() == airflow_.cfm[slot_]) {
       return;
     }
-    *airflow_cfm_ = v.value();
-    *airflow_set_ = 1;
+    airflow_.cfm[slot_] = v.value();
+    airflow_.set[slot_] = 1;
     batch_.set_resistance(slot_, wiring_.hs_amb, convection_.resistance(v));
   }
   /// Chassis inlet temperature (hot-spot / HVAC scenarios).
@@ -100,7 +111,7 @@ class PackageModel {
   }
   [[nodiscard]] Celsius heatsink_temperature() const { return temperature(wiring_.heatsink); }
   [[nodiscard]] Celsius ambient_temperature() const { return temperature(wiring_.ambient); }
-  [[nodiscard]] Cfm airflow() const { return Cfm{*airflow_cfm_}; }
+  [[nodiscard]] Cfm airflow() const { return Cfm{airflow_.cfm[slot_]}; }
   [[nodiscard]] Watts cpu_power() const { return Watts{*die_power_cell_}; }
 
   /// Steady-state die temperature for a hypothetical (power, airflow) point —
@@ -110,35 +121,19 @@ class PackageModel {
 
   [[nodiscard]] const PackageParams& params() const { return params_; }
 
-  /// Rebinds the airflow memo (last applied CFM + applied flag) onto
-  /// external storage — FleetState SoA slots — so the fleet sweep can run
-  /// the same skip-if-unchanged test over contiguous arrays. Current values
-  /// carry over.
-  void bind_airflow_memo(double* airflow_cfm, std::uint8_t* airflow_set) {
-    *airflow_cfm = *airflow_cfm_;
-    *airflow_set = *airflow_set_;
-    airflow_cfm_ = airflow_cfm;
-    airflow_set_ = airflow_set;
-  }
-
  private:
   [[nodiscard]] Celsius temperature(NodeId n) const { return batch_.temperature(slot_, n); }
 
   PackageParams params_;
   ConvectionModel convection_;
   RcBatch& batch_;
+  AirflowColumns& airflow_;
   std::size_t slot_;
   PackageWiring wiring_;
   // Cells for this view's fixed (slot, die) coordinates, validated once in
   // the constructor (see RcBatch::power_cell).
   double* die_power_cell_;
   const double* die_temp_cell_;
-  // Airflow memo defaults to inline storage; bind_airflow_memo() repoints it
-  // into FleetState SoA slots without changing behaviour.
-  double airflow_cfm_storage_ = 0.0;
-  std::uint8_t airflow_set_storage_ = 0;
-  double* airflow_cfm_ = &airflow_cfm_storage_;
-  std::uint8_t* airflow_set_ = &airflow_set_storage_;
 };
 
 }  // namespace thermctl::thermal

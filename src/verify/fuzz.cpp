@@ -118,8 +118,11 @@ namespace {
 struct FuzzRig {
   sysfs::VirtualFs fs;
   hw::I2cBus bus;
-  hw::Adt7467 chip;
-  hw::CpuDevice cpu;
+  hw::ChipColumns chip_row{1};
+  hw::CpuColumns cpu_row{1};
+  hw::SensorColumns sensor_row{1};
+  hw::Adt7467 chip{chip_row, 0};
+  hw::CpuDevice cpu{{}, cpu_row, 0};
   sysfs::Adt7467Driver driver{bus};
   double truth = 45.0;
   hw::ThermalSensor sensor{[this] { return Celsius{truth}; },
@@ -128,7 +131,7 @@ struct FuzzRig {
                              p.noise_sigma_degc = 0.0;  // stream IS the scenario
                              return p;
                            }(),
-                           Rng{1}};
+                           Rng{1}, sensor_row, 0};
   std::unique_ptr<sysfs::HwmonDevice> hwmon;
   std::unique_ptr<sysfs::CpufreqPolicy> cpufreq;
   std::unique_ptr<sysfs::RaplDomain> rapl;

@@ -60,7 +60,7 @@ TEST(Cluster, HotSpotRaisesOneNodesTemperature) {
 TEST(Cluster, TotalPowerSumsNodes) {
   Cluster cluster{4, quiet()};
   const double total = cluster.total_power().value();
-  const double one = cluster.node(0).meter().read().value();
+  const double one = cluster.node(0).wall_power().value();
   EXPECT_NEAR(total, 4.0 * one, 8.0);
 }
 

@@ -1,7 +1,8 @@
-// FleetState: every node's hot state lives in the fleet's SoA arrays, and
-// the Node objects are views over them.
+// FleetState: every node's hot state lives in the fleet's column groups, one
+// group per device, and the Node objects are views over them.
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,21 @@ std::uint64_t bits(double x) {
   return u;
 }
 
+/// Runs `write` and checks that it changed `column` at `slot` and nowhere
+/// else.
+template <typename T, typename Write>
+void expect_writes_only_slot(const std::vector<T>& column, std::size_t slot, Write write) {
+  const std::vector<T> before = column;
+  write();
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    if (i == slot) {
+      EXPECT_NE(column[i], before[i]) << "slot " << i << " unchanged";
+    } else {
+      EXPECT_EQ(column[i], before[i]) << "neighbour " << i << " touched";
+    }
+  }
+}
+
 TEST(FleetState, DeviceStateLivesInFleetArrays) {
   constexpr std::size_t kNodes = 3;
   NodeParams params;
@@ -25,15 +41,44 @@ TEST(FleetState, DeviceStateLivesInFleetArrays) {
   ASSERT_NE(fleet, nullptr);
   ASSERT_EQ(fleet->size(), kNodes);
 
-  // Writing through the Node API must be visible in the SoA slot and vice
+  // Writing through the Node API must be visible in the column and vice
   // versa — the device is a view, not a copy.
-  rack.node(1).fan().set_duty(DutyCycle{63.0});
-  EXPECT_EQ(*fleet->fan_duty_slot(1), 63.0);
-  *fleet->fan_duty_slot(1) = 28.0;
+  expect_writes_only_slot(fleet->fan().duty_pct, 1,
+                          [&] { rack.node(1).fan().set_duty(DutyCycle{63.0}); });
+  EXPECT_EQ(fleet->fan().duty_pct[1], 63.0);
+  fleet->fan().duty_pct[1] = 28.0;
   EXPECT_EQ(rack.node(1).fan().duty().percent(), 28.0);
 
   rack.node(2).sample_sensor();
-  EXPECT_EQ(*fleet->sensor_last_slot(2), rack.node(2).sensor_reading().value());
+  EXPECT_EQ(fleet->sensor().last_degc[2], rack.node(2).sensor_reading().value());
+
+  // A cpufreq P-state write lands in the CPU group.
+  expect_writes_only_slot(fleet->cpu().pstate, 1,
+                          [&] { ASSERT_TRUE(rack.node(1).cpufreq().set_khz(1800000)); });
+  EXPECT_EQ(fleet->cpu().pstate[1], rack.node(1).cpu().pstate_index());
+  EXPECT_EQ(rack.node(1).cpu().frequency().value(), 1.8);
+
+  // The chip's tach latch: 5.4 MHz / 2700 RPM.
+  expect_writes_only_slot(fleet->chip().tach1, 2,
+                          [&] { rack.node(2).fan_chip().set_measured_rpm(Rpm{2700.0}); });
+  EXPECT_EQ(fleet->chip().tach1[2], 2000);
+
+  // The meter's energy after a step of node 1 alone.
+  expect_writes_only_slot(fleet->meter().energy_j, 1,
+                          [&] { rack.step_range(1, 2, Seconds{0.05}); });
+  EXPECT_EQ(fleet->meter().energy_j[1], rack.node(1).meter().energy().value());
+
+  // An injector factor after set_injection.
+  hw::IdleInjector& injector = rack.node(0).cpu().idle_injector();
+  expect_writes_only_slot(fleet->cpu().injector.dynamic_factor, 0,
+                          [&] { injector.set_injection(0.5, 2); });
+  EXPECT_EQ(fleet->cpu().injector.dynamic_factor[0], injector.dynamic_power_factor());
+  EXPECT_EQ(fleet->cpu().injector.generation[0], injector.generation());
+
+  // The package's airflow memo.
+  expect_writes_only_slot(fleet->airflow().cfm, 2,
+                          [&] { rack.node(2).package().set_airflow(Cfm{12.5}); });
+  EXPECT_EQ(rack.node(2).package().airflow().value(), 12.5);
 
   // The batch column is the package's temperature storage.
   const auto& wiring = fleet->wiring();
@@ -41,6 +86,44 @@ TEST(FleetState, DeviceStateLivesInFleetArrays) {
             bits(rack.node(0).die_temperature().value()));
   rack.node(0).package().set_cpu_power(Watts{47.0});
   EXPECT_EQ(fleet->batch().power(0, wiring.die).value(), 47.0);
+}
+
+TEST(FleetState, FreshFleetHoldsDevicePowerOnValues) {
+  // Before any device is built on it, every row already holds its device's
+  // power-on state: the groups define it, the devices only view it.
+  NodeParams params;
+  FleetState fleet{params.package, 4};
+  const double pin_pct = hw::Adt7467::reg_to_duty(hw::Adt7467::kPowerOnPwm1Min).percent();
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    SCOPED_TRACE(i);
+    const hw::CpuColumns& cpu = fleet.cpu();
+    EXPECT_EQ(cpu.pstate[i], 0u);
+    EXPECT_EQ(cpu.utilization[i], 0.0);
+    EXPECT_EQ(cpu.die_temperature[i], 40.0);
+    EXPECT_EQ(cpu.power_valid[i], 0);
+    EXPECT_EQ(cpu.throttled[i], 0);
+    EXPECT_EQ(cpu.transitions[i], 0u);
+    EXPECT_EQ(cpu.energy_uj[i], 0u);
+    EXPECT_EQ(cpu.injector.dynamic_factor[i], 1.0);
+    EXPECT_EQ(cpu.injector.leakage_factor[i], 1.0);
+    EXPECT_EQ(cpu.injector.throughput_factor[i], 1.0);
+    EXPECT_EQ(cpu.injector.generation[i], 0u);
+    EXPECT_EQ(fleet.chip().temp_remote1[i], 25);
+    EXPECT_EQ(fleet.chip().tach1[i], 0xFFFF);
+    EXPECT_EQ(fleet.chip().last_measured_rpm[i], -1.0);
+    EXPECT_EQ(fleet.chip().output_duty_pct[i], pin_pct);
+    EXPECT_EQ(fleet.fan().duty_pct[i], 0.0);
+    EXPECT_EQ(fleet.fan().rpm[i], 0.0);
+    EXPECT_EQ(fleet.fan().stuck[i], 0);
+    EXPECT_EQ(fleet.sensor().last_degc[i], 0.0);
+    EXPECT_EQ(fleet.meter().energy_j[i], 0.0);
+    EXPECT_EQ(fleet.meter().elapsed_s[i], 0.0);
+    EXPECT_EQ(fleet.airflow().set[i], 0);
+  }
+  // A chip built on a fresh row re-derives the same pin value at power-on.
+  hw::Adt7467 chip{fleet.chip(), 1};
+  EXPECT_EQ(chip.output_duty().percent(), pin_pct);
+  EXPECT_EQ(fleet.chip().output_duty_pct[1], pin_pct);
 }
 
 TEST(FleetState, MemoryFootprintIsFlatPerNode) {

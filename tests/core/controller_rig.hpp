@@ -1,8 +1,11 @@
 // Shared fixture for controller unit tests: a full sysfs plane (hwmon +
 // cpufreq) over simulated devices, with a hand-controlled "true" temperature
 // so tests can script exact thermal scenarios without running the RC model.
+// The sensor's sample-and-hold register is the rig's own one-row group, or a
+// row of a caller's group (a ControlBank test's fleet-like sensor array).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "common/sim_time.hpp"
@@ -10,6 +13,7 @@
 #include "hw/cpu_device.hpp"
 #include "hw/i2c.hpp"
 #include "hw/thermal_sensor.hpp"
+#include "solo_devices.hpp"
 #include "sysfs/adt7467_driver.hpp"
 #include "sysfs/cpufreq.hpp"
 #include "sysfs/hwmon.hpp"
@@ -20,21 +24,26 @@ namespace thermctl::core::testing {
 struct ControllerRig {
   sysfs::VirtualFs fs;
   hw::I2cBus bus;
-  hw::Adt7467 chip;
-  hw::CpuDevice cpu;
+  hw::SoloChip chip;
+  hw::SoloCpu cpu;
   sysfs::Adt7467Driver driver{bus};
   double truth = 40.0;  // scripted die temperature
-  hw::ThermalSensor sensor{[this] { return Celsius{truth}; },
-                           [] {
-                             hw::SensorParams p;
-                             p.noise_sigma_degc = 0.0;  // deterministic tests
-                             return p;
-                           }(),
-                           Rng{1}};
+  hw::SensorColumns own_sensor_row{1};
+  hw::ThermalSensor sensor;
   std::unique_ptr<sysfs::HwmonDevice> hwmon;
   std::unique_ptr<sysfs::CpufreqPolicy> cpufreq;
 
-  ControllerRig() {
+  ControllerRig() : ControllerRig(own_sensor_row, 0) {}
+
+  /// A rig whose sensor holds its readings in row `slot` of `sensor_rows`.
+  ControllerRig(hw::SensorColumns& sensor_rows, std::size_t slot)
+      : sensor{[this] { return Celsius{truth}; },
+               [] {
+                 hw::SensorParams p;
+                 p.noise_sigma_degc = 0.0;  // deterministic tests
+                 return p;
+               }(),
+               Rng{1}, sensor_rows, slot} {
     bus.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip);
     if (driver.probe() != sysfs::DriverStatus::kOk) {
       abort();

@@ -1,10 +1,9 @@
 // ControlBank — batched family ticks must be indistinguishable from N
-// independent controllers, and window pooling must degrade gracefully on
-// heterogeneous configs.
+// independent controllers, and a family takes one window geometry only.
 //
-// Each bank rig's ThermalSensor is bound onto a test-owned sample-and-hold
-// array, the way a fleet binds its sensors, and the bank latches from that
-// array. The standalone controllers read the same temperatures through the
+// Each bank rig's ThermalSensor holds its reading in a row of a test-owned
+// SensorColumns, as a fleet's sensors do, and the bank latches from that
+// column. The standalone controllers read the same temperatures through the
 // hwmon temp1_input attribute, so every comparison pits the batched latch
 // against the per-node VFS read path.
 #include "core/control_bank.hpp"
@@ -20,19 +19,18 @@
 #include "core/tdvfs.hpp"
 #include "core/unified_controller.hpp"
 #include "controller_rig.hpp"
+#include "hw/thermal_sensor.hpp"
 
 namespace thermctl::core {
 namespace {
 
 using testing::ControllerRig;
 
-/// `n` controller rigs whose sensors are bound onto `last` (resized to `n`).
-std::vector<std::unique_ptr<ControllerRig>> bound_rigs(std::size_t n, std::vector<double>& last) {
-  last.assign(n, 0.0);
+/// One controller rig per row of `sensors`, its sensor on that row.
+std::vector<std::unique_ptr<ControllerRig>> rigs_on(hw::SensorColumns& sensors) {
   std::vector<std::unique_ptr<ControllerRig>> rigs;
-  for (std::size_t i = 0; i < n; ++i) {
-    rigs.push_back(std::make_unique<ControllerRig>());
-    rigs[i]->sensor.bind_state(&last[i]);
+  for (std::size_t i = 0; i < sensors.last_degc.size(); ++i) {
+    rigs.push_back(std::make_unique<ControllerRig>(sensors, i));
   }
   return rigs;
 }
@@ -64,15 +62,15 @@ TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
   // bank (one tick_fans per step) and once as three standalone controllers
   // (three on_sample calls) — duty trajectories must agree exactly.
   constexpr std::size_t kNodes = 3;
-  std::vector<double> last;
-  auto bank_rigs = bound_rigs(kNodes, last);
+  hw::SensorColumns sensors{kNodes};
+  auto bank_rigs = rigs_on(sensors);
   std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
   for (std::size_t i = 0; i < kNodes; ++i) {
     solo_rigs.push_back(std::make_unique<ControllerRig>());
   }
 
   FanControlConfig cfg;
-  ControlBank bank{kNodes, last.data()};
+  ControlBank bank{kNodes, sensors.last_degc.data()};
   std::vector<std::unique_ptr<DynamicFanController>> solo;
   for (std::size_t i = 0; i < kNodes; ++i) {
     bank.emplace_fan(i, *bank_rigs[i]->hwmon, cfg);
@@ -103,15 +101,15 @@ TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
 
 TEST(ControlBank, BatchedTdvfsTicksMatchStandaloneDaemons) {
   constexpr std::size_t kNodes = 2;
-  std::vector<double> last;
-  auto bank_rigs = bound_rigs(kNodes, last);
+  hw::SensorColumns sensors{kNodes};
+  auto bank_rigs = rigs_on(sensors);
   std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
   for (std::size_t i = 0; i < kNodes; ++i) {
     solo_rigs.push_back(std::make_unique<ControllerRig>());
   }
   TdvfsConfig cfg;
   cfg.threshold = Celsius{50.0};
-  ControlBank bank{kNodes, last.data()};
+  ControlBank bank{kNodes, sensors.last_degc.data()};
   std::vector<std::unique_ptr<TdvfsDaemon>> solo;
   for (std::size_t i = 0; i < kNodes; ++i) {
     bank.emplace_tdvfs(i, *bank_rigs[i]->hwmon, *bank_rigs[i]->cpufreq, cfg);
@@ -137,59 +135,25 @@ TEST(ControlBank, BatchedTdvfsTicksMatchStandaloneDaemons) {
   }
 }
 
-TEST(ControlBank, HeterogeneousWindowConfigKeepsInlineStorage) {
-  // The SoA window pool is sized from the family's first window; a node with
-  // a different geometry must keep its inline storage (pooled = false) and
-  // still control correctly.
-  std::vector<double> last;
-  auto rigs = bound_rigs(3, last);
-  FanControlConfig standard;
-  FanControlConfig wide = standard;
-  wide.window.level1_size = 8;
-
-  ControlBank bank{3, last.data()};
-  bank.emplace_fan(0, *rigs[0]->hwmon, standard);
-  bank.emplace_fan(1, *rigs[1]->hwmon, wide);  // odd one out
-  bank.emplace_fan(2, *rigs[2]->hwmon, standard);
-  EXPECT_TRUE(bank.fan_window_pooled(0));
-  EXPECT_FALSE(bank.fan_window_pooled(1));
-  EXPECT_TRUE(bank.fan_window_pooled(2));
-
-  // The odd window still rounds at its own cadence: 8 samples per round.
-  SimTime now;
-  for (int step = 0; step < 8; ++step) {
-    now.advance_us(250000);
-    for (auto& rig : rigs) {
-      rig->truth = 55.0;
-      rig->sensor.sample();
-    }
-    bank.tick_fans(now);
-  }
-  EXPECT_EQ(bank.fan(1).window().level1_fill(), 0u);  // exactly one round closed
-  EXPECT_EQ(bank.fan(0).window().level1_fill(), 0u);  // two rounds of 4
-}
-
 TEST(ControlBank, PooledUnifiedWindowsReadTheSameRoundsAsInlineOnes) {
   // bind_state frees a pooled window's inline cells; from then on every
   // round reads the bank's slots. Both windows of each unified node must
   // track a standalone (inline) controller's windows exactly.
   constexpr std::size_t kNodes = 2;
-  std::vector<double> last;
-  auto bank_rigs = bound_rigs(kNodes, last);
+  hw::SensorColumns sensors{kNodes};
+  auto bank_rigs = rigs_on(sensors);
   std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
   for (std::size_t i = 0; i < kNodes; ++i) {
     solo_rigs.push_back(std::make_unique<ControllerRig>());
   }
   UnifiedConfig cfg;
   cfg.tdvfs.threshold = Celsius{50.0};
-  ControlBank bank{kNodes, last.data()};
+  ControlBank bank{kNodes, sensors.last_degc.data()};
   std::vector<std::unique_ptr<UnifiedController>> solo;
   for (std::size_t i = 0; i < kNodes; ++i) {
     bank.emplace_unified(i, *bank_rigs[i]->hwmon, *bank_rigs[i]->cpufreq, cfg);
     solo.push_back(std::make_unique<UnifiedController>(*solo_rigs[i]->hwmon,
                                                        *solo_rigs[i]->cpufreq, cfg));
-    ASSERT_TRUE(bank.fan_window_pooled(i));
-    ASSERT_TRUE(bank.tdvfs_window_pooled(i));
   }
 
   auto same_window = [](TwoLevelWindow& a, TwoLevelWindow& b) {
@@ -228,11 +192,24 @@ TEST(ControlBank, PooledUnifiedWindowsReadTheSameRoundsAsInlineOnes) {
 }
 
 TEST(ControlBankDeath, SparseEmplacementAborts) {
-  std::vector<double> last;
-  auto rigs = bound_rigs(4, last);
-  ControlBank bank{4, last.data()};
+  hw::SensorColumns sensors{4};
+  auto rigs = rigs_on(sensors);
+  ControlBank bank{4, sensors.last_degc.data()};
   FanControlConfig cfg;
   EXPECT_DEATH(bank.emplace_fan(2, *rigs[0]->hwmon, cfg), "dense");
+}
+
+TEST(ControlBankDeath, MixedWindowGeometryAborts) {
+  // The SoA window pool is sized from the family's first window; a window of
+  // another geometry has no slot in it.
+  hw::SensorColumns sensors{2};
+  auto rigs = rigs_on(sensors);
+  FanControlConfig standard;
+  FanControlConfig wide = standard;
+  wide.window.level1_size = 8;
+  ControlBank bank{2, sensors.last_degc.data()};
+  bank.emplace_fan(0, *rigs[0]->hwmon, standard);
+  EXPECT_DEATH(bank.emplace_fan(1, *rigs[1]->hwmon, wide), "geometry");
 }
 
 TEST(ControlBankDeath, MissingSensorArrayAborts) {

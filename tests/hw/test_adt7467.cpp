@@ -2,17 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include "solo_devices.hpp"
+
 namespace thermctl::hw {
 namespace {
 
 TEST(Adt7467, IdentificationRegisters) {
-  Adt7467 chip;
+  SoloChip chip;
   EXPECT_EQ(chip.read_register(Adt7467::kRegDeviceId).value(), Adt7467::kDeviceId);
   EXPECT_EQ(chip.read_register(Adt7467::kRegCompanyId).value(), Adt7467::kCompanyId);
 }
 
 TEST(Adt7467, UnknownRegisterNaks) {
-  Adt7467 chip;
+  SoloChip chip;
   EXPECT_FALSE(chip.read_register(0x00).has_value());
   EXPECT_FALSE(chip.write_register(0x00, 1));
 }
@@ -26,7 +28,7 @@ TEST(Adt7467, DutyRegisterEncoding) {
 }
 
 TEST(Adt7467, TemperatureRegisterIsSignedCelsius) {
-  Adt7467 chip;
+  SoloChip chip;
   chip.set_measured_temperature(Celsius{51.4});
   EXPECT_EQ(chip.read_register(Adt7467::kRegTempRemote1).value(), 51);
   chip.set_measured_temperature(Celsius{-5.0});
@@ -34,7 +36,7 @@ TEST(Adt7467, TemperatureRegisterIsSignedCelsius) {
 }
 
 TEST(Adt7467, TachEncodesRpm) {
-  Adt7467 chip;
+  SoloChip chip;
   chip.set_measured_rpm(Rpm{4300.0});
   const std::uint16_t count =
       static_cast<std::uint16_t>((chip.read_register(Adt7467::kRegTach1High).value() << 8) |
@@ -43,20 +45,20 @@ TEST(Adt7467, TachEncodesRpm) {
 }
 
 TEST(Adt7467, TachStalledReportsFFFF) {
-  Adt7467 chip;
+  SoloChip chip;
   chip.set_measured_rpm(Rpm{0.0});
   EXPECT_EQ(chip.read_register(Adt7467::kRegTach1Low).value(), 0xFF);
   EXPECT_EQ(chip.read_register(Adt7467::kRegTach1High).value(), 0xFF);
 }
 
 TEST(Adt7467, BootsInAutomaticMode) {
-  Adt7467 chip;
+  SoloChip chip;
   EXPECT_FALSE(chip.manual_mode());
 }
 
 TEST(Adt7467, AutoCurveMatchesFig1) {
   // PWMmin = 10% below Tmin = 38 °C, linear to 100% at Tmax = 82 °C.
-  Adt7467 chip;
+  SoloChip chip;
   EXPECT_NEAR(chip.auto_curve(Celsius{30.0}).percent(), 10.2, 0.5);
   EXPECT_NEAR(chip.auto_curve(Celsius{38.0}).percent(), 10.2, 0.5);
   EXPECT_NEAR(chip.auto_curve(Celsius{60.0}).percent(), 55.1, 1.0);  // halfway
@@ -65,7 +67,7 @@ TEST(Adt7467, AutoCurveMatchesFig1) {
 }
 
 TEST(Adt7467, AutoModeTracksMeasurement) {
-  Adt7467 chip;
+  SoloChip chip;
   chip.set_measured_temperature(Celsius{38.0});
   const double cool_duty = chip.output_duty().percent();
   chip.set_measured_temperature(Celsius{70.0});
@@ -73,12 +75,12 @@ TEST(Adt7467, AutoModeTracksMeasurement) {
 }
 
 TEST(Adt7467, ManualWriteRejectedInAutoMode) {
-  Adt7467 chip;
+  SoloChip chip;
   EXPECT_FALSE(chip.write_register(Adt7467::kRegPwm1Duty, 200));
 }
 
 TEST(Adt7467, ManualModeAcceptsDutyWrites) {
-  Adt7467 chip;
+  SoloChip chip;
   ASSERT_TRUE(chip.write_register(Adt7467::kRegPwm1Config,
                                   static_cast<std::uint8_t>(Adt7467::kBehaviourManual << 5)));
   EXPECT_TRUE(chip.manual_mode());
@@ -90,7 +92,7 @@ TEST(Adt7467, ManualModeAcceptsDutyWrites) {
 }
 
 TEST(Adt7467, ReturnToAutoRecomputesOutput) {
-  Adt7467 chip;
+  SoloChip chip;
   chip.write_register(Adt7467::kRegPwm1Config,
                       static_cast<std::uint8_t>(Adt7467::kBehaviourManual << 5));
   chip.write_register(Adt7467::kRegPwm1Duty, 255);
@@ -101,14 +103,14 @@ TEST(Adt7467, ReturnToAutoRecomputesOutput) {
 }
 
 TEST(Adt7467, PwmMaxClampsAutoCurve) {
-  Adt7467 chip;
+  SoloChip chip;
   chip.write_register(Adt7467::kRegPwm1Max, Adt7467::duty_to_reg(DutyCycle{75.0}));
   chip.set_measured_temperature(Celsius{90.0});
   EXPECT_NEAR(chip.output_duty().percent(), 75.0, 0.5);
 }
 
 TEST(Adt7467, CurveParametersProgrammable) {
-  Adt7467 chip;
+  SoloChip chip;
   chip.write_register(Adt7467::kRegTminRemote1, 45);
   chip.write_register(Adt7467::kRegTrangeRemote1, 20);
   chip.write_register(Adt7467::kRegPwm1Min, Adt7467::duty_to_reg(DutyCycle{20.0}));
@@ -118,7 +120,7 @@ TEST(Adt7467, CurveParametersProgrammable) {
 }
 
 TEST(Adt7467, ReadbackOfConfigRegisters) {
-  Adt7467 chip;
+  SoloChip chip;
   chip.write_register(Adt7467::kRegTminRemote1, 40);
   EXPECT_EQ(chip.read_register(Adt7467::kRegTminRemote1).value(), 40);
   chip.write_register(Adt7467::kRegPwm1Min, 51);

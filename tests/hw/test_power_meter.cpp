@@ -2,16 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "solo_devices.hpp"
+
 namespace thermctl::hw {
 namespace {
+
+// The energy integral is advanced by FleetSweep; its integration tests run
+// on a fleet of one (NodeMeter.* in tests/cluster/test_node.cpp).
 
 TEST(PowerMeter, ReadIncludesBaseLoadAndPsuLoss) {
   PowerMeterParams params;
   params.base_load = Watts{42.0};
   params.psu_efficiency = 0.84;
-  PowerMeter meter{[] { return Watts{42.0}; }, params};
+  SoloMeter meter{params};
   // AC = (42 + 42) / 0.84 = 100 W exactly.
-  EXPECT_NEAR(meter.read().value(), 100.0, 0.11);
+  EXPECT_NEAR(meter.read_with(Watts{42.0}).value(), 100.0, 0.11);
 }
 
 TEST(PowerMeter, ResolutionRounding) {
@@ -19,51 +24,23 @@ TEST(PowerMeter, ResolutionRounding) {
   params.base_load = Watts{0.0};
   params.psu_efficiency = 1.0;
   params.resolution_watts = 0.5;
-  PowerMeter meter{[] { return Watts{10.26}; }, params};
-  EXPECT_DOUBLE_EQ(meter.read().value(), 10.5);
+  SoloMeter meter{params};
+  EXPECT_DOUBLE_EQ(meter.read_with(Watts{10.26}).value(), 10.5);
 }
 
-TEST(PowerMeter, EnergyIntegration) {
-  PowerMeterParams params;
-  params.base_load = Watts{50.0};
-  params.psu_efficiency = 1.0;
-  PowerMeter meter{[] { return Watts{50.0}; }, params};
-  for (int i = 0; i < 100; ++i) {
-    meter.integrate(Seconds{0.1});
-  }
-  EXPECT_NEAR(meter.energy().value(), 1000.0, 1e-6);  // 100 W * 10 s
-  EXPECT_NEAR(meter.average_power().value(), 100.0, 1e-9);
-}
-
-TEST(PowerMeter, AverageTracksVaryingLoad) {
-  double load = 0.0;
-  PowerMeterParams params;
-  params.base_load = Watts{0.0};
-  params.psu_efficiency = 1.0;
-  PowerMeter meter{[&load] { return Watts{load}; }, params};
-  load = 30.0;
-  meter.integrate(Seconds{10.0});
-  load = 90.0;
-  meter.integrate(Seconds{10.0});
-  EXPECT_NEAR(meter.average_power().value(), 60.0, 1e-9);
-}
-
-TEST(PowerMeter, ResetClearsIntegrals) {
-  PowerMeter meter{[] { return Watts{10.0}; }};
-  meter.integrate(Seconds{5.0});
-  meter.reset();
-  EXPECT_DOUBLE_EQ(meter.energy().value(), 0.0);
-  EXPECT_DOUBLE_EQ(meter.average_power().value(), 0.0);
-}
-
-TEST(PowerMeterDeath, RejectsNullLoad) {
-  EXPECT_DEATH(PowerMeter(nullptr), "load");
+TEST(PowerMeter, AverageIsEnergyOverElapsedTimeOfItsRow) {
+  SoloMeter meter;
+  EXPECT_DOUBLE_EQ(meter.average_power().value(), 0.0);  // nothing integrated yet
+  meter.rows.energy_j[0] = 1000.0;
+  meter.rows.elapsed_s[0] = 10.0;
+  EXPECT_DOUBLE_EQ(meter.energy().value(), 1000.0);
+  EXPECT_DOUBLE_EQ(meter.average_power().value(), 100.0);
 }
 
 TEST(PowerMeterDeath, RejectsBadEfficiency) {
   PowerMeterParams params;
   params.psu_efficiency = 0.0;
-  EXPECT_DEATH(PowerMeter([] { return Watts{0.0}; }, params), "efficiency");
+  EXPECT_DEATH(SoloMeter{params}, "efficiency");
 }
 
 }  // namespace

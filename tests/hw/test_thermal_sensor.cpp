@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "solo_devices.hpp"
+
 namespace thermctl::hw {
 namespace {
 
@@ -16,7 +18,7 @@ SensorParams noiseless() {
 
 TEST(ThermalSensor, QuantizesToStep) {
   double truth = 42.37;
-  ThermalSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
+  SoloSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
   EXPECT_DOUBLE_EQ(s.sample().value(), 42.25);
   truth = 42.40;
   EXPECT_DOUBLE_EQ(s.sample().value(), 42.50);
@@ -25,20 +27,20 @@ TEST(ThermalSensor, QuantizesToStep) {
 TEST(ThermalSensor, CoarseQuantization) {
   SensorParams p = noiseless();
   p.quantization_degc = 1.0;  // k8temp-style integer reporting
-  ThermalSensor s{[] { return Celsius{51.6}; }, p, Rng{1}};
+  SoloSensor s{[] { return Celsius{51.6}; }, p, Rng{1}};
   EXPECT_DOUBLE_EQ(s.sample().value(), 52.0);
 }
 
 TEST(ThermalSensor, OffsetApplied) {
   SensorParams p = noiseless();
   p.offset_degc = 2.0;
-  ThermalSensor s{[] { return Celsius{40.0}; }, p, Rng{1}};
+  SoloSensor s{[] { return Celsius{40.0}; }, p, Rng{1}};
   EXPECT_DOUBLE_EQ(s.sample().value(), 42.0);
 }
 
 TEST(ThermalSensor, SampleAndHold) {
   double truth = 40.0;
-  ThermalSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
+  SoloSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
   s.sample();
   truth = 60.0;
   // last_reading() must not resample.
@@ -50,7 +52,7 @@ TEST(ThermalSensor, NoiseIsZeroMeanAndBounded) {
   SensorParams p;
   p.noise_sigma_degc = 0.18;
   p.quantization_degc = 0.25;
-  ThermalSensor s{[] { return Celsius{50.0}; }, p, Rng{42}};
+  SoloSensor s{[] { return Celsius{50.0}; }, p, Rng{42}};
   double sum = 0.0;
   double max_dev = 0.0;
   const int n = 4000;
@@ -69,7 +71,7 @@ TEST(ThermalSensor, NoiseProducesTypeIIIJitter) {
   // adjacent codes — the Type III signature the controller must ignore.
   SensorParams p;
   p.noise_sigma_degc = 0.18;
-  ThermalSensor s{[] { return Celsius{50.1}; }, p, Rng{7}};
+  SoloSensor s{[] { return Celsius{50.1}; }, p, Rng{7}};
   int distinct_transitions = 0;
   double prev = s.sample().value();
   for (int i = 0; i < 200; ++i) {
@@ -84,7 +86,7 @@ TEST(ThermalSensor, NoiseProducesTypeIIIJitter) {
 
 TEST(ThermalSensor, StuckFaultFreezesReading) {
   double truth = 40.0;
-  ThermalSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
+  SoloSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
   s.sample();
   s.inject_stuck_fault();
   truth = 80.0;
@@ -98,7 +100,7 @@ TEST(ThermalSensor, StuckBeforeFirstSampleHoldsFirstRealReading) {
   // constructed 0.0 °C placeholder — a frozen register holds its last
   // *conversion*, and the first conversion happens at the first sample.
   double truth = 55.0;
-  ThermalSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
+  SoloSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
   s.inject_stuck_fault();
   EXPECT_FALSE(s.ready());
   EXPECT_DOUBLE_EQ(s.sample().value(), 55.0);  // real reading, not 0.0
@@ -108,7 +110,7 @@ TEST(ThermalSensor, StuckBeforeFirstSampleHoldsFirstRealReading) {
 }
 
 TEST(ThermalSensor, ReadyFlipsOnFirstSample) {
-  ThermalSensor s{[] { return Celsius{40.0}; }, noiseless(), Rng{1}};
+  SoloSensor s{[] { return Celsius{40.0}; }, noiseless(), Rng{1}};
   EXPECT_FALSE(s.ready());
   s.sample();
   EXPECT_TRUE(s.ready());
@@ -117,21 +119,21 @@ TEST(ThermalSensor, ReadyFlipsOnFirstSample) {
 TEST(ThermalSensor, DeterministicGivenSeed) {
   SensorParams p;
   p.noise_sigma_degc = 0.2;
-  ThermalSensor a{[] { return Celsius{45.0}; }, p, Rng{99}};
-  ThermalSensor b{[] { return Celsius{45.0}; }, p, Rng{99}};
+  SoloSensor a{[] { return Celsius{45.0}; }, p, Rng{99}};
+  SoloSensor b{[] { return Celsius{45.0}; }, p, Rng{99}};
   for (int i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(a.sample().value(), b.sample().value());
   }
 }
 
 TEST(ThermalSensorDeath, RejectsNullSource) {
-  EXPECT_DEATH(ThermalSensor(nullptr, SensorParams{}, Rng{1}), "source");
+  EXPECT_DEATH(SoloSensor(nullptr, SensorParams{}, Rng{1}), "source");
 }
 
 TEST(ThermalSensorDeath, RejectsNonPositiveQuantization) {
   SensorParams p;
   p.quantization_degc = 0.0;
-  EXPECT_DEATH(ThermalSensor([] { return Celsius{0.0}; }, p, Rng{1}), "quantization");
+  EXPECT_DEATH(SoloSensor([] { return Celsius{0.0}; }, p, Rng{1}), "quantization");
 }
 
 }  // namespace

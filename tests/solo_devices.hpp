@@ -1,0 +1,53 @@
+// Standalone hw devices for unit tests. Each owns a one-row column group and
+// the device viewing row 0 of it, the way a one-node fleet would, so a test
+// declares `SoloCpu cpu;` where it would otherwise need the group and the
+// device side by side. The group comes first as a base, so it is built
+// before the device that views it.
+#pragma once
+
+#include <functional>
+#include <utility>
+
+#include "common/rng.hpp"
+#include "common/units.hpp"
+#include "hw/adt7467.hpp"
+#include "hw/cpu_device.hpp"
+#include "hw/cstates.hpp"
+#include "hw/fan_device.hpp"
+#include "hw/power_meter.hpp"
+#include "hw/thermal_sensor.hpp"
+
+namespace thermctl::hw {
+
+template <typename Columns>
+struct OneRow {
+  Columns rows{1};
+};
+
+struct SoloCpu : OneRow<CpuColumns>, CpuDevice {
+  explicit SoloCpu(CpuParams params = {}) : CpuDevice(std::move(params), rows, 0) {}
+};
+
+struct SoloInjector : OneRow<InjectorColumns>, IdleInjector {
+  explicit SoloInjector(IdleInjectorParams params = {})
+      : IdleInjector(std::move(params), rows, 0) {}
+};
+
+struct SoloFan : OneRow<FanColumns>, FanDevice {
+  explicit SoloFan(FanParams params = {}) : FanDevice(params, rows, 0) {}
+};
+
+struct SoloChip : OneRow<ChipColumns>, Adt7467 {
+  SoloChip() : Adt7467(rows, 0) {}
+};
+
+struct SoloMeter : OneRow<MeterColumns>, PowerMeter {
+  explicit SoloMeter(PowerMeterParams params = {}) : PowerMeter(params, rows, 0) {}
+};
+
+struct SoloSensor : OneRow<SensorColumns>, ThermalSensor {
+  SoloSensor(std::function<Celsius()> source, SensorParams params, Rng rng)
+      : ThermalSensor(std::move(source), params, rng, rows, 0) {}
+};
+
+}  // namespace thermctl::hw

@@ -4,13 +4,14 @@
 
 #include "hw/adt7467.hpp"
 #include "hw/i2c.hpp"
+#include "solo_devices.hpp"
 
 namespace thermctl::sysfs {
 namespace {
 
 struct DriverRig {
   hw::I2cBus bus;
-  hw::Adt7467 chip;
+  hw::SoloChip chip;
   Adt7467Driver driver{bus};
 
   DriverRig() { bus.attach(Adt7467Driver::kDefaultAddress, &chip); }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/cpu_device.hpp"
+#include "solo_devices.hpp"
 #include "sysfs/vfs.hpp"
 
 namespace thermctl::sysfs {
@@ -10,7 +11,7 @@ namespace {
 
 struct CpufreqRig {
   VirtualFs fs;
-  hw::CpuDevice cpu;
+  hw::SoloCpu cpu;
   CpufreqPolicy policy{fs, "/sys/devices/system/cpu", 0, cpu};
 };
 
@@ -77,7 +78,7 @@ TEST(Cpufreq, GovernorIsUserspace) {
 
 TEST(Cpufreq, DestructorRemovesAttributes) {
   VirtualFs fs;
-  hw::CpuDevice cpu;
+  hw::SoloCpu cpu;
   {
     CpufreqPolicy policy{fs, "/sys/devices/system/cpu", 0, cpu};
     EXPECT_TRUE(fs.exists("/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq"));

@@ -5,6 +5,7 @@
 #include "hw/adt7467.hpp"
 #include "hw/i2c.hpp"
 #include "hw/thermal_sensor.hpp"
+#include "solo_devices.hpp"
 #include "sysfs/adt7467_driver.hpp"
 #include "sysfs/vfs.hpp"
 
@@ -14,10 +15,10 @@ namespace {
 struct HwmonRig {
   VirtualFs fs;
   hw::I2cBus bus;
-  hw::Adt7467 chip;
+  hw::SoloChip chip;
   Adt7467Driver driver{bus};
   double truth = 42.5;
-  hw::ThermalSensor sensor{[this] { return Celsius{truth}; },
+  hw::SoloSensor sensor{[this] { return Celsius{truth}; },
                            [] {
                              hw::SensorParams p;
                              p.noise_sigma_degc = 0.0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/cpu_device.hpp"
+#include "solo_devices.hpp"
 #include "sysfs/vfs.hpp"
 
 namespace thermctl::sysfs {
@@ -10,7 +11,7 @@ namespace {
 
 struct RaplRig {
   VirtualFs fs;
-  hw::CpuDevice cpu;
+  hw::SoloCpu cpu;
   RaplDomain rapl{fs, "/sys/class/powercap", 0, cpu};
 };
 
@@ -59,7 +60,7 @@ TEST(Rapl, MonotoneNonDecreasing) {
 
 TEST(Rapl, DestructorRemovesAttributes) {
   VirtualFs fs;
-  hw::CpuDevice cpu;
+  hw::SoloCpu cpu;
   {
     RaplDomain rapl{fs, "/sys/class/powercap", 1, cpu};
     EXPECT_TRUE(fs.exists("/sys/class/powercap/intel-rapl:1/energy_uj"));

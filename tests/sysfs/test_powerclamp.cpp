@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/cpu_device.hpp"
+#include "solo_devices.hpp"
 #include "sysfs/vfs.hpp"
 
 namespace thermctl::sysfs {
@@ -10,7 +11,7 @@ namespace {
 
 struct ClampRig {
   VirtualFs fs;
-  hw::CpuDevice cpu;
+  hw::SoloCpu cpu;
   PowerClampDevice clamp{fs, "/sys/class/thermal", 0, cpu};
 };
 
@@ -63,7 +64,7 @@ TEST(PowerClamp, CstateSelectable) {
 
 TEST(PowerClamp, DestructorRemovesAttributes) {
   VirtualFs fs;
-  hw::CpuDevice cpu;
+  hw::SoloCpu cpu;
   {
     PowerClampDevice clamp{fs, "/sys/class/thermal", 1, cpu};
     EXPECT_TRUE(fs.exists("/sys/class/thermal/cooling_device1/cur_state"));

@@ -10,11 +10,12 @@ namespace {
 
 using namespace thermctl::literals;
 
-/// One package: a PackageModel viewing a one-column RcBatch.
+/// One package: a PackageModel viewing a one-column RcBatch and a one-row
+/// airflow memo.
 class SoloPackage {
  public:
   explicit SoloPackage(const PackageParams& params = PackageParams{})
-      : batch_(wire(params, &wiring_)), model_(params, wiring_, batch_, 0) {}
+      : batch_(wire(params, &wiring_)), model_(params, wiring_, batch_, airflow_, 0) {}
 
   PackageModel* operator->() { return &model_; }
   [[nodiscard]] const RcBatch& batch() const { return batch_; }
@@ -29,6 +30,7 @@ class SoloPackage {
 
   PackageWiring wiring_{};
   RcBatch batch_;
+  AirflowColumns airflow_{1};
   PackageModel model_;
 };
 
