@@ -2,19 +2,19 @@
 
 #include <algorithm>
 
-#include "core/control_bank.hpp"
-
 #include "common/assert.hpp"
 #include "workload/app.hpp"
 
 namespace thermctl::core {
 
 void retune_policy(const RigView& rig, PolicyParam pp) {
-  for (DynamicFanController* fan : rig.fans) {
-    fan->set_policy(pp);
-  }
-  for (TdvfsDaemon* daemon : rig.tdvfs) {
-    daemon->set_policy(pp);
+  if (rig.bank != nullptr) {
+    for (std::size_t i = 0; i < rig.bank->fan_count(); ++i) {
+      rig.bank->fan(i).set_policy(pp);
+    }
+    for (std::size_t i = 0; i < rig.bank->tdvfs_count(); ++i) {
+      rig.bank->tdvfs(i).set_policy(pp);
+    }
   }
   if (rig.plane != nullptr) {
     rig.plane->broadcast_policy(pp.value);
@@ -126,11 +126,8 @@ struct Rig {
   std::unique_ptr<workload::ParallelApp> app;
   std::vector<workload::SegmentLoad> loads;
   /// All dynamic fan / tDVFS controllers live in one bank, ticked by one
-  /// periodic per family.
+  /// periodic per family; node i's are bank->fan(i) / bank->tdvfs(i).
   std::unique_ptr<ControlBank> bank;
-  /// Node i's controllers (into `bank`).
-  std::vector<DynamicFanController*> fans;
-  std::vector<TdvfsDaemon*> tdvfs;
   std::vector<std::unique_ptr<CpuspeedGovernor>> cpuspeed;
   std::vector<std::unique_ptr<FaultApplier>> fault_appliers;
   std::unique_ptr<cluster::RoomModel> room;
@@ -263,7 +260,6 @@ void build_fan_policy(Rig& rig, const ExperimentConfig& config) {
         fc.health = config.health;
         DynamicFanController& fan = rig.bank->emplace_fan(i, node.hwmon(), fc);
         fan.set_trace(rig.ring(i));
-        rig.fans.push_back(&fan);
         break;
       }
     }
@@ -290,7 +286,6 @@ void build_dvfs_policy(Rig& rig, const ExperimentConfig& config) {
         tc.health = config.health;
         TdvfsDaemon& daemon = rig.bank->emplace_tdvfs(i, node.hwmon(), node.cpufreq(), tc);
         daemon.set_trace(rig.ring(i));
-        rig.tdvfs.push_back(&daemon);
         break;
       }
       case DvfsPolicyKind::kCpuspeed: {
@@ -314,8 +309,8 @@ void build_dvfs_policy(Rig& rig, const ExperimentConfig& config) {
 
 /// Builds the room model and hierarchical control plane when enabled. Runs
 /// after the fan/DVFS controllers so the Pp re-tune sinks can point at them;
-/// node `i`'s controllers sit at index `i` of rig.fans / rig.tdvfs because
-/// the builders above fill one entry per node for the dynamic kinds.
+/// node `i`'s controllers sit at index `i` of their bank family because the
+/// builders above emplace one per node for the dynamic kinds.
 void build_control_plane(Rig& rig, const ExperimentConfig& config) {
   if (!config.control_plane.enabled) {
     return;
@@ -333,8 +328,8 @@ void build_control_plane(Rig& rig, const ExperimentConfig& config) {
       *rig.cluster, config.control_plane.plane, rig.room.get());
   for (std::size_t i = 0; i < config.nodes; ++i) {
     DynamicFanController* fan =
-        config.fan == FanPolicyKind::kDynamic ? rig.fans[i] : nullptr;
-    TdvfsDaemon* daemon = config.dvfs == DvfsPolicyKind::kTdvfs ? rig.tdvfs[i] : nullptr;
+        config.fan == FanPolicyKind::kDynamic ? &rig.bank->fan(i) : nullptr;
+    TdvfsDaemon* daemon = config.dvfs == DvfsPolicyKind::kTdvfs ? &rig.bank->tdvfs(i) : nullptr;
     if (fan == nullptr && daemon == nullptr) {
       continue;
     }
@@ -401,13 +396,13 @@ void build_live_telemetry(Rig& rig, const ExperimentConfig& config) {
   // Cumulative sensor-rejection counters live in the controllers' health
   // monitors; resolve them once instead of per sample.
   std::vector<const SensorHealthMonitor*> monitors;
-  for (const auto& fan : rig.fans) {
-    if (const SensorHealthMonitor* m = fan->health(); m != nullptr) {
+  for (std::size_t i = 0; rig.bank != nullptr && i < rig.bank->fan_count(); ++i) {
+    if (const SensorHealthMonitor* m = rig.bank->fan(i).health(); m != nullptr) {
       monitors.push_back(m);
     }
   }
-  for (const auto& daemon : rig.tdvfs) {
-    if (const SensorHealthMonitor* m = daemon->health(); m != nullptr) {
+  for (std::size_t i = 0; rig.bank != nullptr && i < rig.bank->tdvfs_count(); ++i) {
+    if (const SensorHealthMonitor* m = rig.bank->tdvfs(i).health(); m != nullptr) {
       monitors.push_back(m);
     }
   }
@@ -517,8 +512,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     view.watchdog = rig.watchdog.get();
     view.spiller = rig.spiller.get();
     view.config = &config;
-    view.fans = rig.fans;
-    view.tdvfs = rig.tdvfs;
+    view.bank = rig.bank.get();
     config.on_rig_built(view);
   }
 
@@ -540,53 +534,52 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   result.tdvfs_events.resize(config.nodes);
   result.fan_events.resize(config.nodes);
-  for (std::size_t i = 0; i < rig.tdvfs.size(); ++i) {
-    result.tdvfs_events[i] = rig.tdvfs[i]->events();
+  const std::size_t fan_count = rig.bank != nullptr ? rig.bank->fan_count() : 0;
+  const std::size_t tdvfs_count = rig.bank != nullptr ? rig.bank->tdvfs_count() : 0;
+  ControllerFaultStats& fs = result.fault_stats;
+  const auto fold_health = [&fs](const SensorHealthMonitor* m) {
+    if (m != nullptr) {
+      fs.sensor_rejected += m->stats().rejected;
+      fs.sensor_stuck_detections += m->stats().stuck_detections;
+      fs.sensor_failures += m->stats().failures;
+      fs.sensor_recoveries += m->stats().recoveries;
+    }
+  };
+  for (std::size_t i = 0; i < tdvfs_count; ++i) {
+    const TdvfsDaemon& daemon = rig.bank->tdvfs(i);
+    result.tdvfs_events[i] = daemon.events();
     for (const TdvfsEvent& e : result.tdvfs_events[i]) {
       if (result.first_dvfs_trigger_s < 0.0 || e.time_s < result.first_dvfs_trigger_s) {
         result.first_dvfs_trigger_s = e.time_s;
       }
     }
+    fs.dvfs_hold_entries += daemon.hold_entries();
+    fs.dvfs_held_ticks += daemon.held_ticks();
+    fold_health(daemon.health());
   }
-  for (std::size_t i = 0; i < rig.fans.size(); ++i) {
-    result.fan_events[i] = rig.fans[i]->events();
-  }
-
-  ControllerFaultStats& fs = result.fault_stats;
-  for (const auto& fan : rig.fans) {
-    fs.failsafe_entries += fan->failsafe_entries();
-    fs.failsafe_exits += fan->failsafe_exits();
-    if (const SensorHealthMonitor* m = fan->health(); m != nullptr) {
-      fs.sensor_rejected += m->stats().rejected;
-      fs.sensor_stuck_detections += m->stats().stuck_detections;
-      fs.sensor_failures += m->stats().failures;
-      fs.sensor_recoveries += m->stats().recoveries;
-    }
-  }
-  for (const auto& daemon : rig.tdvfs) {
-    fs.dvfs_hold_entries += daemon->hold_entries();
-    fs.dvfs_held_ticks += daemon->held_ticks();
-    if (const SensorHealthMonitor* m = daemon->health(); m != nullptr) {
-      fs.sensor_rejected += m->stats().rejected;
-      fs.sensor_stuck_detections += m->stats().stuck_detections;
-      fs.sensor_failures += m->stats().failures;
-      fs.sensor_recoveries += m->stats().recoveries;
-    }
+  for (std::size_t i = 0; i < fan_count; ++i) {
+    const DynamicFanController& fan = rig.bank->fan(i);
+    result.fan_events[i] = fan.events();
+    fs.failsafe_entries += fan.failsafe_entries();
+    fs.failsafe_exits += fan.failsafe_exits();
+    fold_health(fan.health());
   }
 
   if (rig.registry != nullptr) {
     // Controller/bus totals and series-shape histograms, folded in post-run
     // so the control loops never pay for the bookkeeping.
     obs::MetricsShard& shard = rig.registry->shard(0);
-    for (const auto& fan : rig.fans) {
-      shard.counter("fan.retargets").add(fan->retarget_count());
-      shard.counter("fan.failsafe_entries").add(fan->failsafe_entries());
-      shard.counter("fan.failsafe_exits").add(fan->failsafe_exits());
+    for (std::size_t i = 0; i < fan_count; ++i) {
+      const DynamicFanController& fan = rig.bank->fan(i);
+      shard.counter("fan.retargets").add(fan.retarget_count());
+      shard.counter("fan.failsafe_entries").add(fan.failsafe_entries());
+      shard.counter("fan.failsafe_exits").add(fan.failsafe_exits());
     }
-    for (const auto& daemon : rig.tdvfs) {
-      shard.counter("tdvfs.transitions").add(daemon->events().size());
-      shard.counter("tdvfs.hold_entries").add(daemon->hold_entries());
-      shard.counter("tdvfs.held_ticks").add(daemon->held_ticks());
+    for (std::size_t i = 0; i < tdvfs_count; ++i) {
+      const TdvfsDaemon& daemon = rig.bank->tdvfs(i);
+      shard.counter("tdvfs.transitions").add(daemon.events().size());
+      shard.counter("tdvfs.hold_entries").add(daemon.hold_entries());
+      shard.counter("tdvfs.held_ticks").add(daemon.held_ticks());
     }
     for (std::size_t i = 0; i < config.nodes; ++i) {
       const hw::I2cErrorStats& io = rig.cluster->node(i).fan_driver().io_stats();

@@ -20,6 +20,7 @@
 #include "cluster/engine.hpp"
 #include "cluster/metrics.hpp"
 #include "cluster/room.hpp"
+#include "core/control_bank.hpp"
 #include "core/cpuspeed.hpp"
 #include "core/fan_policy.hpp"
 #include "core/policy.hpp"
@@ -171,8 +172,9 @@ struct TelemetryConfig {
 struct RigView {
   cluster::Cluster* cluster = nullptr;
   cluster::Engine* engine = nullptr;
-  std::vector<DynamicFanController*> fans;    // empty unless fan == kDynamic
-  std::vector<TdvfsDaemon*> tdvfs;            // empty unless dvfs == kTdvfs
+  // Node i's dynamic fan controller is bank->fan(i) (fan == kDynamic) and
+  // its tDVFS daemon bank->tdvfs(i) (dvfs == kTdvfs); null when neither runs.
+  ControlBank* bank = nullptr;
   cluster::ctrl::ControlPlane* plane = nullptr;  // null unless plane enabled
   // Live-telemetry handles (null unless the corresponding TelemetryConfig
   // switch is on). thermctld serves these over its socket; observers may

@@ -97,9 +97,8 @@ class DynamicFanController {
   /// transition is then recorded; control behaviour is unchanged.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
 
-  /// The sampling window, mutable so a ControlBank can rebind its storage
-  /// into bank-owned SoA arrays.
-  [[nodiscard]] TwoLevelWindow& window() { return window_; }
+  /// The sampling window (read-only observability).
+  [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
 
  private:
   static std::vector<double> duty_modes(const FanControlConfig& config);

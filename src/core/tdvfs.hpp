@@ -112,9 +112,8 @@ class TdvfsDaemon {
   /// counts that armed them), and hold transitions are then recorded.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
 
-  /// The sampling window, mutable so a ControlBank can rebind its storage
-  /// into bank-owned SoA arrays.
-  [[nodiscard]] TwoLevelWindow& window() { return window_; }
+  /// The sampling window (read-only observability).
+  [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
 
  private:
   /// `consistency` and `is_restore` feed the decision trace: how many

@@ -19,17 +19,18 @@
 // With the paper's 4 Hz sampling and a 4-entry level-one array, rounds
 // complete once per second and the level-two FIFO spans five seconds.
 //
-// Storage follows the fleet bind_state pattern: samples, the FIFO cells and
-// the three counters default to inline storage but can be rebound onto
-// external SoA slots (bind_state) so a ControlBank can keep thousands of
-// windows' hot state in contiguous node-major arrays. Behaviour is
-// bit-identical either way — the same add_sample code runs on the same
-// values, just at a different address.
+// Storage: a window is a plain value. Both levels live inline in fixed
+// arrays sized for the largest geometry any caller uses (level one up to
+// kMaxLevel1 samples, level two up to kMaxLevel2 rounds), with the sizes
+// and counters as bytes, so a controller — standalone or in a ControlBank —
+// carries its whole history in one 200 B object with no heap and no
+// pointers to chase.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/units.hpp"
 
@@ -48,38 +49,22 @@ struct WindowRound {
   bool level2_valid = false;     // FIFO had ≥ 2 entries when Δt_L2 was read
 };
 
-/// External storage one window's hot state can be rebound onto — node-major
-/// rows/cells of a ControlBank's SoA arrays. `level1` must hold
-/// config.level1_size cells and `level2` config.level2_size cells.
-struct WindowSlots {
-  double* level1 = nullptr;
-  double* level2 = nullptr;
-  std::size_t* level1_fill = nullptr;
-  std::size_t* level2_head = nullptr;
-  std::size_t* level2_count = nullptr;
-};
-
 class TwoLevelWindow {
  public:
+  /// Inline capacity of each level; the constructor rejects larger
+  /// geometries.
+  static constexpr std::size_t kMaxLevel1 = 16;
+  static constexpr std::size_t kMaxLevel2 = 8;
+
   explicit TwoLevelWindow(WindowConfig config = {});
-
-  // Sample/FIFO storage may be rebound into bank-owned SoA arrays
-  // (bind_state), so the window must not be duplicated with pointers into
-  // the old storage.
-  TwoLevelWindow(const TwoLevelWindow&) = delete;
-  TwoLevelWindow& operator=(const TwoLevelWindow&) = delete;
-
-  /// Rebinds all hot state onto external storage (ControlBank SoA slots).
-  /// Current contents carry over; the inline cells are released.
-  void bind_state(const WindowSlots& slots);
 
   /// Adds a sample; returns a WindowRound when this sample completes a
   /// level-one round, otherwise nullopt. Inline so the no-round common case
   /// (all but one sample in level1_size) is a store and a compare at the
   /// caller.
   std::optional<WindowRound> add_sample(Celsius t) {
-    level1_[(*level1_fill_)++] = t.value();
-    if (*level1_fill_ < config_.level1_size) {
+    level1_[level1_fill_++] = t.value();
+    if (level1_fill_ < level1_size_) {
       return std::nullopt;
     }
     return close_round();
@@ -89,9 +74,9 @@ class TwoLevelWindow {
   /// old samples unrepresentative).
   void reset();
 
-  [[nodiscard]] const WindowConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t level1_fill() const { return *level1_fill_; }
-  [[nodiscard]] std::size_t level2_fill() const { return *level2_count_; }
+  [[nodiscard]] WindowConfig config() const { return {level1_size_, level2_size_}; }
+  [[nodiscard]] std::size_t level1_fill() const { return level1_fill_; }
+  [[nodiscard]] std::size_t level2_fill() const { return level2_count_; }
 
   /// Front (oldest) and rear (newest) of the level-two FIFO.
   [[nodiscard]] Celsius level2_front() const;
@@ -100,18 +85,13 @@ class TwoLevelWindow {
  private:
   [[nodiscard]] std::optional<WindowRound> close_round();
 
-  WindowConfig config_;
-  // Hot state defaults to inline storage; bind_state() repoints it into
-  // ControlBank SoA slots without changing behaviour.
-  std::vector<double> inline_cells_;  // level1_size + level2_size doubles; empty once bound
-  std::size_t level1_fill_storage_ = 0;
-  std::size_t level2_head_storage_ = 0;
-  std::size_t level2_count_storage_ = 0;
-  double* level1_ = nullptr;
-  double* level2_ = nullptr;
-  std::size_t* level1_fill_ = &level1_fill_storage_;
-  std::size_t* level2_head_ = &level2_head_storage_;
-  std::size_t* level2_count_ = &level2_count_storage_;
+  std::array<double, kMaxLevel1> level1_{};  // first level1_size_ cells used
+  std::array<double, kMaxLevel2> level2_{};  // FIFO ring over level2_size_ cells
+  std::uint8_t level1_size_;
+  std::uint8_t level2_size_;
+  std::uint8_t level1_fill_ = 0;
+  std::uint8_t level2_head_ = 0;
+  std::uint8_t level2_count_ = 0;
 };
 
 }  // namespace thermctl::core

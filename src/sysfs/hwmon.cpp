@@ -13,7 +13,7 @@ HwmonDevice::HwmonDevice(VirtualFs& fs, std::string root, int index, hw::Thermal
   fs_.add_attribute(dir_ + "/name", [] { return std::string{"adt7467"}; });
   fs_.add_attribute_long(dir_ + "/temp1_input", [this] {
     // Kernel convention: millidegrees Celsius.
-    return static_cast<long>(std::lround(sensor_.last_reading().value() * 1000.0));
+    return to_millidegrees(sensor_.last_reading());
   });
   fs_.add_attribute(dir_ + "/fan1_input", [this] {
     std::optional<Rpm> rpm;
@@ -64,8 +64,7 @@ HwmonDevice::~HwmonDevice() {
 }
 
 Celsius HwmonDevice::read_temperature() const {
-  const long milli = fs_.read_long(temp_attr_).value_or(0);
-  return Celsius{static_cast<double>(milli) / 1000.0};
+  return from_millidegrees(fs_.read_long(temp_attr_).value_or(0));
 }
 
 bool HwmonDevice::write_pwm(DutyCycle duty) {

@@ -8,6 +8,7 @@
 // mode.
 #pragma once
 
+#include <cmath>
 #include <string>
 
 #include "common/units.hpp"
@@ -39,6 +40,14 @@ class HwmonDevice {
   /// pwm1_enable = 1 (manual) / 2 (automatic), the lm-sensors convention.
   bool set_manual_mode();
   bool set_automatic_mode();
+
+  // The temp1_input encoding: lround to long millidegrees, not truncation.
+  // ControlBank quantizes its batched reads through the same pair, so they
+  // cannot drift from this attribute.
+  static long to_millidegrees(Celsius t) { return std::lround(t.value() * 1000.0); }
+  static Celsius from_millidegrees(long milli) {
+    return Celsius{static_cast<double>(milli) / 1000.0};
+  }
 
  private:
   VirtualFs& fs_;

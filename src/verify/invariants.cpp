@@ -191,12 +191,11 @@ void check_selector_decision(const core::ModeSelector& selector,
 
 RunInvariantChecker::RunInvariantChecker(const core::RigView& rig, InvariantConfig config,
                                          std::shared_ptr<InvariantLog> log)
-    : config_(config), log_(std::move(log)), cluster_(rig.cluster), fans_(rig.fans),
-      tdvfs_(rig.tdvfs) {
+    : config_(config), log_(std::move(log)), cluster_(rig.cluster), bank_(rig.bank) {
   last_die_.resize(cluster_ != nullptr ? cluster_->size() : 0);
-  last_fan_pp_.assign(fans_.size(), -1);
-  last_tdvfs_pp_.assign(tdvfs_.size(), -1);
-  seen_tdvfs_events_.assign(tdvfs_.size(), 0);
+  last_fan_pp_.assign(bank_ != nullptr ? bank_->fan_count() : 0, -1);
+  last_tdvfs_pp_.assign(bank_ != nullptr ? bank_->tdvfs_count() : 0, -1);
+  seen_tdvfs_events_.assign(last_tdvfs_pp_.size(), 0);
 }
 
 RunInvariantChecker::~RunInvariantChecker() {
@@ -236,8 +235,8 @@ void RunInvariantChecker::tick(SimTime now) {
 
   // Dynamic fan controllers: index in range; full array re-check whenever
   // the policy changed (construction counts as a change).
-  for (std::size_t j = 0; j < fans_.size(); ++j) {
-    const core::DynamicFanController* fan = fans_[j];
+  for (std::size_t j = 0; j < last_fan_pp_.size(); ++j) {
+    const core::DynamicFanController* fan = &bank_->fan(j);
     ++report_.checks;
     if (fan->current_index() >= fan->array().size()) {
       std::ostringstream msg;
@@ -253,8 +252,8 @@ void RunInvariantChecker::tick(SimTime now) {
 
   // tDVFS daemons: index in range, array fill on policy change, and the
   // coordination invariant on every new down-trigger.
-  for (std::size_t j = 0; j < tdvfs_.size(); ++j) {
-    const core::TdvfsDaemon* daemon = tdvfs_[j];
+  for (std::size_t j = 0; j < last_tdvfs_pp_.size(); ++j) {
+    const core::TdvfsDaemon* daemon = &bank_->tdvfs(j);
     ++report_.checks;
     if (daemon->current_index() >= daemon->array().size()) {
       std::ostringstream msg;

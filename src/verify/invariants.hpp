@@ -143,9 +143,9 @@ class RunInvariantChecker {
   InvariantConfig config_;
   std::shared_ptr<InvariantLog> log_;
   cluster::Cluster* cluster_ = nullptr;
-  std::vector<core::DynamicFanController*> fans_;
-  std::vector<core::TdvfsDaemon*> tdvfs_;
+  core::ControlBank* bank_ = nullptr;  // null when no dynamic fan or tDVFS runs
   std::vector<std::optional<double>> last_die_;
+  // One entry per bank fan / tDVFS controller, in node order.
   std::vector<int> last_fan_pp_;
   std::vector<int> last_tdvfs_pp_;
   std::vector<std::size_t> seen_tdvfs_events_;

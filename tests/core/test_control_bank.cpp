@@ -1,11 +1,12 @@
 // ControlBank — batched family ticks must be indistinguishable from N
-// independent controllers, and a family takes one window geometry only.
+// independent controllers, whatever their window geometries and whichever
+// families share the bank.
 //
 // Each bank rig's ThermalSensor holds its reading in a row of a test-owned
-// SensorColumns, as a fleet's sensors do, and the bank latches from that
-// column. The standalone controllers read the same temperatures through the
-// hwmon temp1_input attribute, so every comparison pits the batched latch
-// against the per-node VFS read path.
+// SensorColumns, as a fleet's sensors do, and the bank reads that column.
+// The standalone controllers read the same temperatures through the hwmon
+// temp1_input attribute, so every comparison pits the batched read against
+// the per-node VFS read path.
 #include "core/control_bank.hpp"
 
 #include <cstddef>
@@ -20,6 +21,7 @@
 #include "core/unified_controller.hpp"
 #include "controller_rig.hpp"
 #include "hw/thermal_sensor.hpp"
+#include "sysfs/hwmon.hpp"
 
 namespace thermctl::core {
 namespace {
@@ -35,26 +37,19 @@ std::vector<std::unique_ptr<ControllerRig>> rigs_on(hw::SensorColumns& sensors) 
   return rigs;
 }
 
-TEST(FixedSlab, ConstructsInPlaceAndDestroysInReverse) {
-  static std::vector<int> destroyed;
-  struct Probe {
-    int id;
-    explicit Probe(int i) : id(i) {}
-    Probe(const Probe&) = delete;
-    ~Probe() { destroyed.push_back(id); }
-  };
-  destroyed.clear();
-  {
-    FixedSlab<Probe> slab{3};
-    EXPECT_TRUE(slab.empty());
-    Probe& a = slab.emplace_back(10);
-    slab.emplace_back(11);
-    slab.emplace_back(12);
-    EXPECT_EQ(slab.size(), 3u);
-    EXPECT_EQ(slab[0].id, 10);
-    EXPECT_EQ(&slab[0], &a);  // stable addresses
+/// Same fill on both levels and, once level two holds a round, the same
+/// front and rear bits.
+bool same_window(const TwoLevelWindow& a, const TwoLevelWindow& b) {
+  if (a.level1_fill() != b.level1_fill() || a.level2_fill() != b.level2_fill()) {
+    return false;
   }
-  EXPECT_EQ(destroyed, (std::vector<int>{12, 11, 10}));
+  return a.level2_fill() == 0 || (a.level2_front().value() == b.level2_front().value() &&
+                                   a.level2_rear().value() == b.level2_rear().value());
+}
+
+/// A ramp up to step 120, then back down: enough to move fans and tDVFS.
+double ramp(int step, std::size_t node) {
+  return 40.0 + 0.08 * static_cast<double>(node + 1) * (step < 120 ? step : 240 - step);
 }
 
 TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
@@ -83,8 +78,7 @@ TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
     now.advance_us(250000);
     for (std::size_t i = 0; i < kNodes; ++i) {
       // Node i ramps at its own rate, with a mid-run cooldown.
-      const double temp =
-          40.0 + 0.08 * static_cast<double>(i + 1) * (step < 120 ? step : 240 - step);
+      const double temp = ramp(step, i);
       bank_rigs[i]->truth = temp;
       bank_rigs[i]->sensor.sample();
       solo_rigs[i]->truth = temp;
@@ -135,10 +129,9 @@ TEST(ControlBank, BatchedTdvfsTicksMatchStandaloneDaemons) {
   }
 }
 
-TEST(ControlBank, PooledUnifiedWindowsReadTheSameRoundsAsInlineOnes) {
-  // bind_state frees a pooled window's inline cells; from then on every
-  // round reads the bank's slots. Both windows of each unified node must
-  // track a standalone (inline) controller's windows exactly.
+TEST(ControlBank, BankedUnifiedWindowsReadTheSameRoundsAsStandaloneOnes) {
+  // Both windows of each banked unified node must track a standalone
+  // controller's windows exactly.
   constexpr std::size_t kNodes = 2;
   hw::SensorColumns sensors{kNodes};
   auto bank_rigs = rigs_on(sensors);
@@ -156,13 +149,6 @@ TEST(ControlBank, PooledUnifiedWindowsReadTheSameRoundsAsInlineOnes) {
                                                        *solo_rigs[i]->cpufreq, cfg));
   }
 
-  auto same_window = [](TwoLevelWindow& a, TwoLevelWindow& b) {
-    if (a.level1_fill() != b.level1_fill() || a.level2_fill() != b.level2_fill()) {
-      return false;
-    }
-    return a.level2_fill() == 0 || (a.level2_front().value() == b.level2_front().value() &&
-                                     a.level2_rear().value() == b.level2_rear().value());
-  };
   SimTime now;
   for (int step = 0; step < 200; ++step) {
     now.advance_us(250000);
@@ -177,18 +163,132 @@ TEST(ControlBank, PooledUnifiedWindowsReadTheSameRoundsAsInlineOnes) {
     bank.tick_unified(now);
     for (std::size_t i = 0; i < kNodes; ++i) {
       solo[i]->on_sample(now);
-      UnifiedController& pooled = bank.unified(i);
-      ASSERT_TRUE(same_window(pooled.fan().window(), solo[i]->fan().window()))
+      const UnifiedController& banked = bank.unified(i);
+      ASSERT_TRUE(same_window(banked.fan().window(), solo[i]->fan().window()))
           << "node " << i << " step " << step;
-      ASSERT_TRUE(same_window(pooled.dvfs().window(), solo[i]->dvfs().window()))
+      ASSERT_TRUE(same_window(banked.dvfs().window(), solo[i]->dvfs().window()))
           << "node " << i << " step " << step;
-      ASSERT_EQ(pooled.fan().current_duty().percent(), solo[i]->fan().current_duty().percent());
+      ASSERT_EQ(banked.fan().current_duty().percent(), solo[i]->fan().current_duty().percent());
       ASSERT_EQ(bank_rigs[i]->cpu.frequency().value(), solo_rigs[i]->cpu.frequency().value());
     }
   }
   // The script drove both techniques.
   EXPECT_GT(bank.unified(1).fan().retarget_count(), 0u);
   EXPECT_FALSE(bank.unified(1).dvfs().events().empty());
+}
+
+TEST(ControlBank, MixedWindowGeometriesTickLikeStandaloneControllers) {
+  // Windows are values, so one family may mix geometries: each banked fan
+  // must match a standalone controller of its own geometry.
+  constexpr std::size_t kNodes = 3;
+  hw::SensorColumns sensors{kNodes};
+  hw::SensorColumns solo_sensors{kNodes};
+  auto bank_rigs = rigs_on(sensors);
+  auto solo_rigs = rigs_on(solo_sensors);
+  std::vector<FanControlConfig> cfgs(kNodes);
+  cfgs[1].window.level1_size = TwoLevelWindow::kMaxLevel1;
+  cfgs[2].window.level1_size = 2;
+  cfgs[2].window.level2_size = TwoLevelWindow::kMaxLevel2;
+
+  ControlBank bank{kNodes, sensors.last_degc.data()};
+  std::vector<std::unique_ptr<DynamicFanController>> solo;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    bank.emplace_fan(i, *bank_rigs[i]->hwmon, cfgs[i]);
+    solo.push_back(std::make_unique<DynamicFanController>(*solo_rigs[i]->hwmon, cfgs[i]));
+  }
+  SimTime now;
+  for (int step = 0; step < 200; ++step) {
+    now.advance_us(250000);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      bank_rigs[i]->truth = ramp(step, i);
+      bank_rigs[i]->sensor.sample();
+      solo_rigs[i]->truth = ramp(step, i);
+      solo_rigs[i]->sensor.sample();
+    }
+    bank.tick_fans(now);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      solo[i]->on_sample(now);
+      ASSERT_TRUE(same_window(bank.fan(i).window(), solo[i]->window()))
+          << "node " << i << " step " << step;
+      ASSERT_EQ(bank.fan(i).current_duty().percent(), solo[i]->current_duty().percent())
+          << "node " << i << " step " << step;
+    }
+  }
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    EXPECT_EQ(bank.fan(i).window().config().level1_size, cfgs[i].window.level1_size);
+    EXPECT_EQ(bank.fan(i).window().config().level2_size, cfgs[i].window.level2_size);
+    EXPECT_GT(bank.fan(i).retarget_count(), 0u) << "node " << i;
+  }
+}
+
+TEST(ControlBank, FanAndUnifiedFamiliesKeepSeparateWindows) {
+  // Node 0's standalone-family fan controller and node 0's unified
+  // controller share one bank; ticking both families must leave the fan
+  // controller exactly where a fan controller alone in its own bank is.
+  hw::SensorColumns sensors{1};
+  hw::SensorColumns lone_sensors{1};
+  auto rigs = rigs_on(sensors);
+  auto lone_rigs = rigs_on(lone_sensors);
+  FanControlConfig fan_cfg;
+  UnifiedConfig unified_cfg;
+  unified_cfg.tdvfs.threshold = Celsius{50.0};
+
+  ControlBank bank{1, sensors.last_degc.data()};
+  const DynamicFanController& fan = bank.emplace_fan(0, *rigs[0]->hwmon, fan_cfg);
+  bank.emplace_unified(0, *rigs[0]->hwmon, *rigs[0]->cpufreq, unified_cfg);
+  ControlBank lone_bank{1, lone_sensors.last_degc.data()};
+  const DynamicFanController& lone = lone_bank.emplace_fan(0, *lone_rigs[0]->hwmon, fan_cfg);
+
+  SimTime now;
+  for (int step = 0; step < 200; ++step) {
+    now.advance_us(250000);
+    rigs[0]->truth = ramp(step, 1);
+    rigs[0]->sensor.sample();
+    lone_rigs[0]->truth = ramp(step, 1);
+    lone_rigs[0]->sensor.sample();
+    bank.tick_fans(now);
+    bank.tick_unified(now);
+    lone_bank.tick_fans(now);
+    ASSERT_EQ(fan.window().level1_fill(), lone.window().level1_fill()) << "step " << step;
+    ASSERT_TRUE(same_window(fan.window(), lone.window())) << "step " << step;
+    ASSERT_EQ(fan.current_duty().percent(), lone.current_duty().percent()) << "step " << step;
+  }
+  EXPECT_GT(lone.retarget_count(), 0u);
+}
+
+TEST(ControlBank, BatchedReadingsQuantizeLikeHwmon) {
+  // The bank's batched read and the per-node temp1_input read share one
+  // millidegree quantizer. Feed both paths raw sensor values at
+  // half-millidegree ties, below zero, and the untouched 0.0 °C placeholder;
+  // a flat round's average is then the reading both controllers saw.
+  hw::SensorColumns sensors{1};
+  hw::SensorColumns solo_sensors{1};
+  auto bank_rigs = rigs_on(sensors);
+  auto solo_rigs = rigs_on(solo_sensors);
+  TdvfsConfig cfg;
+  ControlBank bank{1, sensors.last_degc.data()};
+  const TdvfsDaemon& banked = bank.emplace_tdvfs(0, *bank_rigs[0]->hwmon,
+                                                 *bank_rigs[0]->cpufreq, cfg);
+  TdvfsDaemon solo{*solo_rigs[0]->hwmon, *solo_rigs[0]->cpufreq, cfg};
+
+  SimTime now;
+  // 0.0 first: neither sensor has sampled, so both rows hold the placeholder.
+  for (const double raw : {0.0, 40.0005, 40.0015, 0.0005, -0.0005, -3.2115, -12.3456}) {
+    sensors.last_degc[0] = raw;
+    solo_sensors.last_degc[0] = raw;
+    for (std::size_t k = 0; k < cfg.window.level1_size; ++k) {
+      now.advance_us(250000);
+      bank.tick_tdvfs(now);
+      solo.on_sample(now);
+    }
+    ASSERT_TRUE(banked.last_round_average().has_value());
+    ASSERT_TRUE(solo.last_round_average().has_value());
+    EXPECT_EQ(banked.last_round_average()->value(), solo.last_round_average()->value())
+        << "raw " << raw;
+    const Celsius expected =
+        sysfs::HwmonDevice::from_millidegrees(sysfs::HwmonDevice::to_millidegrees(Celsius{raw}));
+    EXPECT_NEAR(banked.last_round_average()->value(), expected.value(), 1e-12) << "raw " << raw;
+  }
 }
 
 TEST(ControlBankDeath, SparseEmplacementAborts) {
@@ -199,17 +299,15 @@ TEST(ControlBankDeath, SparseEmplacementAborts) {
   EXPECT_DEATH(bank.emplace_fan(2, *rigs[0]->hwmon, cfg), "dense");
 }
 
-TEST(ControlBankDeath, MixedWindowGeometryAborts) {
-  // The SoA window pool is sized from the family's first window; a window of
-  // another geometry has no slot in it.
+TEST(ControlBankDeath, EmplacePastCapacityAborts) {
+  // Rig code and the plane's Pp sinks hold controller addresses, so a family
+  // must never outgrow the storage reserved for it.
   hw::SensorColumns sensors{2};
   auto rigs = rigs_on(sensors);
-  FanControlConfig standard;
-  FanControlConfig wide = standard;
-  wide.window.level1_size = 8;
-  ControlBank bank{2, sensors.last_degc.data()};
-  bank.emplace_fan(0, *rigs[0]->hwmon, standard);
-  EXPECT_DEATH(bank.emplace_fan(1, *rigs[1]->hwmon, wide), "geometry");
+  ControlBank bank{1, sensors.last_degc.data()};
+  FanControlConfig cfg;
+  bank.emplace_fan(0, *rigs[0]->hwmon, cfg);
+  EXPECT_DEATH(bank.emplace_fan(1, *rigs[1]->hwmon, cfg), "capacity");
 }
 
 TEST(ControlBankDeath, MissingSensorArrayAborts) {

@@ -162,6 +162,15 @@ TEST(TwoLevelWindowDeath, TinyLevel2Aborts) {
   EXPECT_DEATH(TwoLevelWindow{cfg}, "level-two");
 }
 
+TEST(TwoLevelWindowDeath, GeometryAboveInlineCapacityAborts) {
+  WindowConfig wide;
+  wide.level1_size = TwoLevelWindow::kMaxLevel1 + 2;
+  EXPECT_DEATH(TwoLevelWindow{wide}, "inline capacity");
+  WindowConfig deep;
+  deep.level2_size = TwoLevelWindow::kMaxLevel2 + 1;
+  EXPECT_DEATH(TwoLevelWindow{deep}, "inline capacity");
+}
+
 // Sweep window geometries: a linear ramp of rate r gives
 // Δt_L1 = r * (size/2)^2 exactly, for any even size.
 class WindowGeometrySweep : public ::testing::TestWithParam<std::size_t> {};
@@ -183,59 +192,6 @@ TEST_P(WindowGeometrySweep, RampDeltaMatchesClosedForm) {
 
 INSTANTIATE_TEST_SUITE_P(EvenSizes, WindowGeometrySweep,
                          ::testing::Values(2u, 4u, 6u, 8u, 12u, 16u));
-
-TEST(TwoLevelWindow, BindStateCarriesContentsAndStaysBitIdentical) {
-  // Fill a window mid-round with one complete round already in the FIFO,
-  // rebind its hot state onto external SoA-style slots (the ControlBank
-  // path), and keep sampling: every subsequent round must agree bitwise
-  // with a never-rebound reference window fed the same sequence.
-  TwoLevelWindow bound;
-  TwoLevelWindow reference;
-  auto feed_both = [&](double t) {
-    const auto a = bound.add_sample(Celsius{t});
-    const auto b = reference.add_sample(Celsius{t});
-    EXPECT_EQ(a.has_value(), b.has_value());
-    if (a.has_value() && b.has_value()) {
-      EXPECT_EQ(a->level1_delta.value(), b->level1_delta.value());
-      EXPECT_EQ(a->level2_delta.value(), b->level2_delta.value());
-      EXPECT_EQ(a->level1_average.value(), b->level1_average.value());
-      EXPECT_EQ(a->level2_valid, b->level2_valid);
-    }
-  };
-  for (int i = 0; i < 6; ++i) {  // one full round + 2 samples in flight
-    feed_both(40.0 + 0.3 * i);
-  }
-  ASSERT_EQ(bound.level1_fill(), 2u);
-  ASSERT_EQ(bound.level2_fill(), 1u);
-
-  std::vector<double> level1(bound.config().level1_size);
-  std::vector<double> level2(bound.config().level2_size);
-  std::size_t fill = 0;
-  std::size_t head = 0;
-  std::size_t count = 0;
-  WindowSlots slots;
-  slots.level1 = level1.data();
-  slots.level2 = level2.data();
-  slots.level1_fill = &fill;
-  slots.level2_head = &head;
-  slots.level2_count = &count;
-  bound.bind_state(slots);
-
-  // Contents carried over into the external slots...
-  EXPECT_EQ(fill, 2u);
-  EXPECT_EQ(count, 1u);
-  EXPECT_EQ(bound.level2_front().value(), reference.level2_front().value());
-  // ...and behaviour is unchanged through rounds, FIFO wraps and a reset.
-  for (int i = 0; i < 30; ++i) {
-    feed_both(45.0 - 0.2 * i);
-  }
-  bound.reset();
-  reference.reset();
-  EXPECT_EQ(fill, 0u);
-  for (int i = 0; i < 12; ++i) {
-    feed_both(50.0 + 0.5 * i);
-  }
-}
 
 }  // namespace
 }  // namespace thermctl::core
