@@ -25,10 +25,10 @@ struct Rig {
   sysfs::VirtualFs fs;
   hw::I2cBus bus;
   hw::ChipColumns chip_row{1};
-  hw::CpuColumns cpu_row{1};
+  hw::CpuColumns cpu_row{1, {}};
   hw::SensorColumns sensor_row{1};
   hw::Adt7467 chip{chip_row, 0};
-  hw::CpuDevice cpu{{}, cpu_row, 0};
+  hw::CpuDevice cpu{cpu_row, 0};
   sysfs::Adt7467Driver driver{bus};
   double truth = 45.0;
   hw::ThermalSensor sensor{[this] { return Celsius{truth}; },

@@ -4,10 +4,13 @@
 // own overhead must be negligible next to the workload. These benchmarks
 // quantify that claim for every layer: window update, array fill, selector
 // arithmetic, the full controller tick including the sysfs + i2c round
-// trips, one RC physics step, a whole-node engine step, and the set-up
-// settle of a whole cluster and of its unified controller bank.
+// trips, one RC physics step, each device/OS sweep phase of a fleet step, a
+// whole-node engine step, and the set-up settle of a whole cluster and of
+// its unified controller bank.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -77,7 +80,7 @@ void BM_PackagePhysicsStep(benchmark::State& state) {
   thermal::RcNetwork tmpl;
   const thermal::PackageWiring wiring = thermal::PackageModel::wire_network(params, tmpl);
   thermal::RcBatch batch{tmpl, 1};
-  thermal::AirflowColumns airflow{1};
+  thermal::AirflowColumns airflow{1, params.convection};
   thermal::PackageModel pkg{params, wiring, batch, airflow, 0};
   pkg.set_cpu_power(Watts{60.0});
   pkg.set_airflow(Cfm{16.0});
@@ -159,6 +162,58 @@ void BM_RcBatchStepFleet(benchmark::State& state) {
                           static_cast<std::int64_t>(instances));
 }
 BENCHMARK(BM_RcBatchStepFleet)->Arg(1)->Arg(64)->Arg(4096);
+
+// Per-phase cost of one fleet step. Every iteration runs the whole step on a
+// settled fleet under mixed load, in the order Cluster::step and the engine
+// run it (pre-thermal sweep, RC solve, post-thermal sweep, sensor
+// sampling), and the manual timer reports only `phase`. items/sec is
+// node-steps of that phase per second.
+enum class SweepPhase { kPre, kPost, kSample };
+
+void fleet_sweep_phase(benchmark::State& state, SweepPhase phase) {
+  using Clock = std::chrono::steady_clock;
+  const std::size_t nodes = static_cast<std::size_t>(state.range(0));
+  cluster::Cluster rack{nodes, cluster::NodeParams{}};
+  for (std::size_t i = 0; i < nodes; ++i) {
+    rack.node(i).set_utilization(Utilization{0.02});
+  }
+  rack.settle_all();
+  for (std::size_t i = 0; i < nodes; ++i) {
+    rack.node(i).set_utilization(Utilization{0.3 + 0.1 * static_cast<double>(i % 8)});
+  }
+  cluster::FleetSweep& sweep = *rack.sweep();
+  const Seconds dt{0.05};
+  SimTime now;
+  for (auto _ : state) {
+    const auto t0 = Clock::now();
+    sweep.pre_range(0, nodes, dt);
+    const auto t1 = Clock::now();
+    rack.fleet()->batch().step_range(dt, 0, nodes);
+    const auto t2 = Clock::now();
+    sweep.post_range(0, nodes, dt);
+    const auto t3 = Clock::now();
+    now.advance_us(50000);
+    benchmark::DoNotOptimize(sweep.sample_range(0, nodes, now));
+    benchmark::ClobberMemory();
+    const auto t4 = Clock::now();
+    const Clock::duration timed =
+        phase == SweepPhase::kPre ? t1 - t0 : phase == SweepPhase::kPost ? t3 - t2 : t4 - t3;
+    state.SetIterationTime(std::chrono::duration<double>(timed).count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(nodes));
+}
+
+void BM_FleetSweepPre(benchmark::State& state) { fleet_sweep_phase(state, SweepPhase::kPre); }
+BENCHMARK(BM_FleetSweepPre)->Arg(2048)->Arg(16384)->UseManualTime();
+
+void BM_FleetSweepPost(benchmark::State& state) { fleet_sweep_phase(state, SweepPhase::kPost); }
+BENCHMARK(BM_FleetSweepPost)->Arg(2048)->Arg(16384)->UseManualTime();
+
+void BM_FleetSweepSample(benchmark::State& state) {
+  fleet_sweep_phase(state, SweepPhase::kSample);
+}
+BENCHMARK(BM_FleetSweepSample)->Arg(2048)->Arg(16384)->UseManualTime();
 
 void BM_ClusterSettleAll(benchmark::State& state) {
   // Set-up priming, as run_experiment does it: a fresh (ambient) cluster

@@ -19,8 +19,9 @@ thermal::RcBatch make_batch(const thermal::PackageParams& package, std::size_t c
 
 }  // namespace
 
-NodeColumns::NodeColumns(std::size_t n)
-    : util(n, 0.0),
+NodeColumns::NodeColumns(std::size_t n, const ProtectionParams& protection_params)
+    : protection(protection_params),
+      util(n, 0.0),
       busy_jiffies(n, 0),
       total_jiffies(n, 0),
       jiffy_rem_busy(n, 0.0),
@@ -32,15 +33,15 @@ NodeColumns::NodeColumns(std::size_t n)
       bmc_override_set(n, 0),
       sample_schedule(n) {}
 
-FleetState::FleetState(const thermal::PackageParams& package, std::size_t count)
-    : batch_(make_batch(package, count, &wiring_)),
-      cpu_(count),
-      fan_(count),
+FleetState::FleetState(const NodeParams& base, std::size_t count)
+    : batch_(make_batch(base.package, count, &wiring_)),
+      cpu_(count, base.cpu),
+      fan_(count, base.fan),
       chip_(count),
-      meter_(count),
+      meter_(count, base.meter),
       sensor_(count),
-      airflow_(count),
-      node_(count) {}
+      airflow_(count, base.package.convection),
+      node_(count, base.protection) {}
 
 std::size_t FleetState::memory_bytes() const {
   auto bytes = [](const auto& v) {

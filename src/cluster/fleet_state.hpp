@@ -1,28 +1,30 @@
 // Fleet-wide structure-of-arrays node state.
 //
 // A rack of N simulated machines is N node object graphs for the per-node
-// API (sysfs, controllers), but none of them owns its hot state: FleetState
-// keeps it in contiguous arrays owned in one place:
+// API (sysfs, controllers), but none of them owns its hot state or its
+// constants: FleetState keeps both, in one place:
 //
 //   * temperatures, power inputs, edge conductances, capacitances — inside an
 //     RcBatch built from the shared package wiring (capacitances and
 //     adjacency stored once, per-node state in node-major rows);
 //   * one column group per device, declared next to the device it belongs
 //     to: hw::CpuColumns (operating point, power memo, counter block and the
-//     idle injector's mirrors), hw::FanColumns, hw::ChipColumns,
+//     idle injector's group), hw::FanColumns, hw::ChipColumns,
 //     hw::MeterColumns, hw::SensorColumns and the package's
 //     thermal::AirflowColumns;
 //   * NodeColumns: the node's own jiffy, protection, BMC-override and
 //     sampling-schedule state.
 //
-// Each group is the only storage of its fields, and a fresh group holds
-// every device's power-on values. Every Node is a view over one slot: its
-// PackageModel is one batch column, and each of its devices is constructed
-// on row `slot` of its group, so controllers and sysfs keep their per-node
-// object API. The payoff is the engine's hot loop: one vectorized
-// RcBatch::step_range call advances the whole fleet's thermals, and
-// FleetSweep runs the per-node device/OS phases as contiguous array passes
-// instead of N object-graph walks.
+// Each group is the only storage of its fields. A group whose device has
+// constants holds one const copy of them, built from the base NodeParams,
+// and a fresh group holds every device's power-on values. Every Node is a
+// view over one slot: its PackageModel is one batch column, and each of its
+// devices is a (group, slot) view, so controllers and sysfs keep their
+// per-node object API while the fleet carries one copy of each constant.
+// The payoff is the engine's hot loop: one vectorized RcBatch::step_range
+// call advances the whole fleet's thermals, and FleetSweep runs the
+// per-node device/OS phases as contiguous array passes instead of N
+// object-graph walks.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "common/sim_time.hpp"
+#include "common/units.hpp"
 #include "hw/adt7467.hpp"
 #include "hw/cpu_device.hpp"
 #include "hw/fan_device.hpp"
@@ -40,12 +43,38 @@
 
 namespace thermctl::cluster {
 
-/// A node's own OS and protection state, one row per node. A fresh row is a
-/// running node at zero utilization and zero counters, with no BMC override
-/// and an unarmed sampling schedule (Node arms it).
-struct NodeColumns {
-  explicit NodeColumns(std::size_t n);
+struct ProtectionParams {
+  /// PROCHOT assertion temperature (clock throttle, self-clearing).
+  Celsius prochot{78.0};
+  CelsiusDelta prochot_hysteresis{3.0};
+  bool prochot_enabled = true;
+  /// THERMTRIP halt temperature (node goes down until cleared).
+  Celsius critical{90.0};
+  bool critical_enabled = true;
+};
 
+/// One machine's constants. Every node of a fleet shares them; only the
+/// noise seed differs per node (Cluster derives it from `seed`).
+struct NodeParams {
+  hw::CpuParams cpu{};
+  hw::FanParams fan{};
+  hw::SensorParams sensor{};
+  thermal::PackageParams package{};
+  hw::PowerMeterParams meter{};
+  ProtectionParams protection{};
+  /// Sensor sampling period (paper: 4 samples per second).
+  Seconds sample_period{0.25};
+  std::uint64_t seed = 1;
+};
+
+/// The protection ladder's thresholds, once for every row, and a node's own
+/// OS and protection state, one row per node. A fresh row is a running node
+/// at zero utilization and zero counters, with no BMC override and an
+/// unarmed sampling schedule (Node arms it).
+struct NodeColumns {
+  NodeColumns(std::size_t n, const ProtectionParams& protection_params);
+
+  const ProtectionParams protection;
   std::vector<double> util;  // utilization fraction the workload imposes
   std::vector<std::uint64_t> busy_jiffies;
   std::vector<std::uint64_t> total_jiffies;
@@ -61,8 +90,8 @@ struct NodeColumns {
 
 class FleetState {
  public:
-  /// Allocates SoA state for `count` nodes sharing one package design.
-  FleetState(const thermal::PackageParams& package, std::size_t count);
+  /// Allocates SoA state for `count` nodes built from `base`.
+  FleetState(const NodeParams& base, std::size_t count);
 
   [[nodiscard]] std::size_t size() const { return batch_.instance_count(); }
 

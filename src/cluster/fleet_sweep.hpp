@@ -10,18 +10,22 @@
 // column of its device's group in FleetState (hw::CpuColumns, FanColumns,
 // ChipColumns, MeterColumns, SensorColumns, thermal::AirflowColumns and
 // NodeColumns), which the device objects read and write by slot and which
-// FleetSweep runs as contiguous array passes. Where a pass shares a device
-// method's job (the CPU power memo, the tach latch, the airflow early-out)
-// it performs the same arithmetic on the same storage, so the object API
-// and the sweep are interchangeable mid-run; the rotor lag and the meter
-// integral are stepped here only. The passes only touch their own node's
-// state, so any split of the node range is bit-identical; tests/golden/
-// pins the trajectories.
+// FleetSweep runs as contiguous array passes. The sweep owns no device
+// arithmetic and no device constant: each formula it shares with a device
+// method (the CPU power memo and counter advance, the rotor target, fan
+// power and airflow, the meter's AC draw, the tach latch, the chip-register
+// early-out and the airflow memo) is one kernel in the device's header,
+// which both call, and the constants come from the groups, loaded into
+// locals once per range call. The object API and the sweep are therefore
+// interchangeable mid-run; the rotor lag and the meter integral are stepped
+// here only. The passes only touch their own node's state, so any split of
+// the node range is bit-identical; tests/golden/ pins the trajectories.
 //
 // The constructor hoists each column's data pointer into a member once: the
 // passes must not index through the groups, because a store to a uint8_t
 // column may alias any object, and the compiler would then reload every
-// vector's data pointer inside the loops.
+// vector's data pointer inside the loops. For the same reason the kernels
+// take scalars and cells, never a group.
 //
 // Rare events fall back to the objects they model: an integer-degree change
 // of the chip's temperature register re-runs the Adt7467 auto-curve through
@@ -37,16 +41,14 @@
 #include "cluster/node.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
-#include "thermal/convection.hpp"
 
 namespace thermctl::cluster {
 
 class FleetSweep {
  public:
   /// Builds a sweep over `fleet`'s arrays for `nodes` (the fleet-backed Node
-  /// views, in slot order). `base` must be the NodeParams every node was
-  /// built from — the sweep caches the shared constants once.
-  FleetSweep(FleetState& fleet, const NodeParams& base, const std::vector<Node*>& nodes);
+  /// views, in slot order).
+  FleetSweep(FleetState& fleet, const std::vector<Node*>& nodes);
 
   /// Pre-solve pass for slots [begin, end): utilization/die latch, fan
   /// rotor step, CPU power into the batch, airflow → convection.
@@ -72,13 +74,12 @@ class FleetSweep {
 
   /// cpufreq-visible (OS-selected) frequency for slot i, GHz.
   [[nodiscard]] double nominal_freq_ghz(std::size_t i) const {
-    return pstate_freq_[pstate_[i]];
+    return fleet_.cpu().params.pstates[pstate_[i]].frequency.value();
   }
 
  private:
-  /// CpuDevice::power() on slot i: returns the memoized value, recomputing
-  /// and storing it with identical arithmetic when stale.
-  double cpu_power_w(std::size_t i);
+  /// CpuDevice::power() on slot i: the memoized power kernel on its row.
+  double cpu_power_w(const hw::CpuKernel& cpu, std::size_t i);
 
   FleetState& fleet_;
   std::vector<Node*> nodes_;
@@ -129,32 +130,6 @@ class FleetSweep {
   const double* bmc_duty_ = nullptr;
   const std::uint8_t* bmc_set_ = nullptr;
   PeriodicSchedule* sample_schedule_ = nullptr;
-
-  // Shared constants, cached from the (homogeneous) base NodeParams.
-  std::vector<double> pstate_freq_;  // GHz per P-state
-  std::vector<double> pstate_v2_;    // voltage^2 per P-state
-  double min_freq_ = 0.0;            // slowest P-state (PROCHOT rate)
-  double max_freq_ = 0.0;            // fastest P-state (MPERF base)
-  double k_dyn_ = 0.0;
-  double k_leak_ = 0.0;
-  double leak_alpha_ = 0.0;
-  double t_ref_ = 0.0;
-  double idle_activity_ = 0.0;
-  double fan_max_rpm_ = 0.0;
-  double fan_stall_pct_ = 0.0;
-  double fan_max_airflow_ = 0.0;
-  double fan_idle_w_ = 0.0;
-  double fan_max_w_ = 0.0;
-  double rotor_tau_ = 0.0;
-  thermal::ConvectionModel convection_;
-  double meter_base_w_ = 0.0;
-  double meter_eff_ = 0.0;
-  double meter_res_w_ = 0.0;
-  bool critical_enabled_ = false;
-  bool prochot_enabled_ = false;
-  double critical_c_ = 0.0;
-  double prochot_c_ = 0.0;
-  double prochot_release_c_ = 0.0;
 };
 
 }  // namespace thermctl::cluster

@@ -4,21 +4,22 @@
 
 namespace thermctl::cluster {
 
-Node::Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot)
+Node::Node(int id, const NodeParams& base, FleetState& fleet, std::size_t slot,
+           std::uint64_t seed)
     : id_(id),
       fleet_(fleet),
       slot_(slot),
-      cpu_(params.cpu, fleet.cpu(), slot),
-      fan_(params.fan, fleet.fan(), slot),
+      cpu_(fleet.cpu(), slot),
+      fan_(fleet.fan(), slot),
       chip_(fleet.chip(), slot),
-      package_(params.package, fleet.wiring(), fleet.batch(), fleet.airflow(), slot),
-      sensor_([this] { return package_.die_temperature(); }, params.sensor,
-              Rng{params.seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1},
-              fleet.sensor(), slot),
-      meter_(params.meter, fleet.meter(), slot),
+      package_(base.package, fleet.wiring(), fleet.batch(), fleet.airflow(), slot),
+      sensor_([this] { return package_.die_temperature(); }, base.sensor,
+              Rng{seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}, fleet.sensor(),
+              slot),
+      meter_(fleet.meter(), slot),
       driver_(i2c_) {
   sample_schedule() =
-      PeriodicSchedule{static_cast<std::int64_t>(params.sample_period.value() * 1e6)};
+      PeriodicSchedule{static_cast<std::int64_t>(base.sample_period.value() * 1e6)};
   i2c_.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip_);
 
   // In-band plane: cpufreq + hwmon sysfs trees.

@@ -44,36 +44,16 @@
 
 namespace thermctl::cluster {
 
-struct ProtectionParams {
-  /// PROCHOT assertion temperature (clock throttle, self-clearing).
-  Celsius prochot{78.0};
-  CelsiusDelta prochot_hysteresis{3.0};
-  bool prochot_enabled = true;
-  /// THERMTRIP halt temperature (node goes down until cleared).
-  Celsius critical{90.0};
-  bool critical_enabled = true;
-};
-
-struct NodeParams {
-  hw::CpuParams cpu{};
-  hw::FanParams fan{};
-  hw::SensorParams sensor{};
-  thermal::PackageParams package{};
-  hw::PowerMeterParams meter{};
-  ProtectionParams protection{};
-  /// Sensor sampling period (paper: 4 samples per second).
-  Seconds sample_period{0.25};
-  std::uint64_t seed = 1;
-};
-
 /// One machine of a Cluster: the device/OS object graph controllers and
-/// sysfs consumers talk to, with its hot state resident in a FleetState slot.
+/// sysfs consumers talk to, with its hot state resident in a FleetState slot
+/// and its device constants shared through the fleet's column groups.
 /// Cluster builds the nodes and steps them (FleetSweep); a node never steps
 /// itself.
 class Node {
  public:
-  /// A view over `fleet`'s SoA arrays at `slot`.
-  Node(int id, const NodeParams& params, FleetState& fleet, std::size_t slot);
+  /// A view over `fleet`'s SoA arrays at `slot`. `base` is the NodeParams
+  /// the fleet was built from; `seed` seeds this node's sensor noise.
+  Node(int id, const NodeParams& base, FleetState& fleet, std::size_t slot, std::uint64_t seed);
 
   [[nodiscard]] int id() const { return id_; }
 

@@ -27,26 +27,12 @@ DutyCycle Adt7467::reg_to_duty(std::uint8_t v) {
 }
 
 void Adt7467::set_measured_temperature(Celsius t) {
-  const double clamped = std::clamp(t.value(), -128.0, 127.0);
-  const auto reg = static_cast<std::int8_t>(std::lround(clamped));
+  const std::int8_t reg = temp_to_reg(t.value());
   if (reg == cols_.temp_remote1[slot_]) {
     return;  // sub-degree drift doesn't move the register or the auto curve
   }
   cols_.temp_remote1[slot_] = reg;
   refresh_output();
-}
-
-void Adt7467::set_measured_rpm(Rpm rpm) {
-  if (rpm.value() == cols_.last_measured_rpm[slot_]) {
-    return;  // rotor at steady state: the latched tach period is current
-  }
-  cols_.last_measured_rpm[slot_] = rpm.value();
-  if (rpm.value() < 100.0) {
-    cols_.tach1[slot_] = 0xFFFF;  // stalled / too slow to measure
-  } else {
-    const double count = kTachClock / rpm.value();
-    cols_.tach1[slot_] = static_cast<std::uint16_t>(std::min(count, 65534.0));
-  }
 }
 
 bool Adt7467::manual_mode() const { return (pwm1_config_ >> 5) == kBehaviourManual; }

@@ -25,6 +25,8 @@
 //   0x3E  COMPANY_ID     0x41 (Analog Devices)
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -92,7 +94,32 @@ class Adt7467 : public I2cSlave {
   void set_measured_temperature(Celsius t);
 
   /// Latches the fan tach feedback.
-  void set_measured_rpm(Rpm rpm);
+  void set_measured_rpm(Rpm rpm) {
+    latch_tach(rpm.value(), cols_.last_measured_rpm[slot_], cols_.tach1[slot_]);
+  }
+
+  // The measurement side's arithmetic on one chip's cells: the only copy.
+  // The methods above and FleetSweep's passes run it.
+
+  /// TEMP_REMOTE1's encoding of `t`: clamped, rounded whole degrees.
+  [[nodiscard]] static std::int8_t temp_to_reg(double t) {
+    return static_cast<std::int8_t>(std::lround(std::clamp(t, -128.0, 127.0)));
+  }
+
+  /// Latches the tach period counter for `rpm` into `tach1`, unless `rpm`
+  /// is the RPM last latched (kept in `last_rpm`).
+  static void latch_tach(double rpm, double& last_rpm, std::uint16_t& tach1) {
+    if (rpm == last_rpm) {
+      return;  // rotor at steady state: the latched tach period is current
+    }
+    last_rpm = rpm;
+    if (rpm < 100.0) {
+      tach1 = 0xFFFF;  // stalled / too slow to measure
+    } else {
+      const double count = kTachClock / rpm;
+      tach1 = static_cast<std::uint16_t>(std::min(count, 65534.0));
+    }
+  }
 
   /// Duty the chip is currently driving on its PWM output pin.
   [[nodiscard]] DutyCycle output_duty() const;

@@ -17,6 +17,7 @@
 // number of transitions they inflict (a reliability proxy).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -58,14 +59,96 @@ struct CpuParams {
   IdleInjectorParams idle{};
 };
 
-/// The CPU's hot state, one row per CPU: the operating point, the power
-/// memo, the counter block and the idle injector's mirrors. FleetSweep walks
-/// these columns; a CpuDevice reads and writes its own row. A fresh row is a
-/// powered-on CPU: fastest P-state, idle, die at 40 °C, no valid power memo,
-/// counters at zero, no injection.
-struct CpuColumns {
-  explicit CpuColumns(std::size_t n);
+/// Adds `inc` to a counter kept as whole units plus a fractional carry.
+inline void carry_add(double inc, std::uint64_t& whole, double& frac) {
+  frac += inc;
+  const auto w = static_cast<std::uint64_t>(frac);
+  whole += w;
+  frac -= static_cast<double>(w);
+}
 
+/// The CPU's per-step formulas over one row's cells, with CpuParams'
+/// scalars loaded once: the only copy of this arithmetic. CpuDevice runs it
+/// on its row and FleetSweep on every row of a pass; a pass builds its
+/// kernel in a local, where no column store can alias the constants.
+class CpuKernel {
+ public:
+  explicit CpuKernel(const CpuParams& p)
+      : pstates_(p.pstates.data()),
+        min_ghz_(p.pstates.back().frequency.value()),
+        max_ghz_(p.pstates.front().frequency.value()),
+        k_dyn_(p.k_dyn),
+        k_leak_(p.k_leak),
+        leakage_alpha_(p.leakage_alpha),
+        t_ref_(p.t_ref.value()),
+        idle_activity_(p.idle_activity) {}
+
+  /// Frequency delivered to execution: the slowest P-state's while PROCHOT
+  /// gates the clock.
+  [[nodiscard]] double effective_ghz(std::uint32_t pstate, std::uint8_t throttled) const {
+    return throttled != 0 ? min_ghz_ : pstates_[pstate].frequency.value();
+  }
+
+  /// The power law at one row's operating point, memoized in `cache`: the
+  /// memo holds while `valid` is set and `gen` matches the injector's
+  /// generation, else the law runs and stores it. The inputs are the row's
+  /// cells, read only on a miss.
+  double power_w(const std::uint32_t& pstate, const std::uint8_t& throttled, const double& util,
+                 const double& die_c, const double& dyn_factor, const double& leak_factor,
+                 const std::uint64_t& injector_gen, double& cache, std::uint8_t& valid,
+                 std::uint64_t& gen) const {
+    if (valid == 0 || gen != injector_gen) {
+      const double v = pstates_[pstate].voltage.value();
+      const double v2 = v * v;
+      const double activity = idle_activity_ + (1.0 - idle_activity_) * util;
+      // PROCHOT clock-gates: dynamic power tracks the delivered (effective)
+      // frequency while voltage stays at the OS-selected P-state. Forced-idle
+      // injection scales both components by its per-C-state retention.
+      const double p_dyn =
+          k_dyn_ * v2 * effective_ghz(pstate, throttled) * activity * dyn_factor;
+      const double p_leak =
+          k_leak_ * v2 * (1.0 + leakage_alpha_ * (die_c - t_ref_)) * leak_factor;
+      cache = p_dyn + std::max(0.0, p_leak);
+      valid = 1;
+      gen = injector_gen;
+    }
+    return cache;
+  }
+
+  /// Advances one row's counter block by `dt_s` at delivered frequency
+  /// `eff_ghz`, utilization `util`, injector throughput `throughput` and CPU
+  /// power `power`. Counters count 1e6 cycles / microjoules, so 64 bits
+  /// last for any plausible simulation; each keeps its fractional carry.
+  void advance_counters(double dt_s, double eff_ghz, double util, double throughput,
+                        double power, std::uint64_t& aperf, double& aperf_frac,
+                        std::uint64_t& mperf, double& mperf_frac, std::uint64_t& energy_uj,
+                        double& energy_frac) const {
+    carry_add(eff_ghz * util * dt_s * throughput * 1e3, aperf, aperf_frac);  // GHz-s -> Mcycles
+    carry_add(max_ghz_ * dt_s * 1e3, mperf, mperf_frac);
+    carry_add(power * dt_s * 1e6, energy_uj, energy_frac);  // J -> uJ
+  }
+
+ private:
+  const PState* pstates_;
+  double min_ghz_;
+  double max_ghz_;
+  double k_dyn_;
+  double k_leak_;
+  double leakage_alpha_;
+  double t_ref_;
+  double idle_activity_;
+};
+
+/// The CPUs' constants, once for every row, and their hot state, one row
+/// per CPU: the operating point, the power memo, the counter block and the
+/// idle injector's constants and mirrors. FleetSweep walks these columns; a
+/// CpuDevice reads and writes its own row. A fresh row is a powered-on CPU:
+/// fastest P-state, idle, die at 40 °C, no valid power memo, counters at
+/// zero, no injection.
+struct CpuColumns {
+  CpuColumns(std::size_t n, CpuParams cpu_params);
+
+  const CpuParams params;
   std::vector<std::uint32_t> pstate;
   std::vector<double> utilization;      // fraction
   std::vector<double> die_temperature;  // °C
@@ -80,27 +163,27 @@ struct CpuColumns {
   std::vector<double> aperf_frac;
   std::vector<double> mperf_frac;
   std::vector<double> energy_frac;
-  InjectorColumns injector;
+  InjectorColumns injector;  // built from params.idle
 };
 
 /// One CPU: a view onto row `slot` of a CpuColumns.
 class CpuDevice {
  public:
-  CpuDevice(CpuParams params, CpuColumns& cols, std::size_t slot);
+  CpuDevice(CpuColumns& cols, std::size_t slot);
 
   // One device per row: a copy would be a second writer of the same state.
   CpuDevice(const CpuDevice&) = delete;
   CpuDevice& operator=(const CpuDevice&) = delete;
 
-  [[nodiscard]] std::span<const PState> pstates() const { return params_.pstates; }
-  [[nodiscard]] std::size_t pstate_count() const { return params_.pstates.size(); }
+  [[nodiscard]] std::span<const PState> pstates() const { return params().pstates; }
+  [[nodiscard]] std::size_t pstate_count() const { return params().pstates.size(); }
 
   /// Currently active P-state index (0 = fastest).
   [[nodiscard]] std::size_t pstate_index() const { return cols_.pstate[slot_]; }
-  [[nodiscard]] GigaHertz frequency() const { return params_.pstates[pstate_index()].frequency; }
-  [[nodiscard]] Volts voltage() const { return params_.pstates[pstate_index()].voltage; }
-  [[nodiscard]] GigaHertz max_frequency() const { return params_.pstates.front().frequency; }
-  [[nodiscard]] GigaHertz min_frequency() const { return params_.pstates.back().frequency; }
+  [[nodiscard]] GigaHertz frequency() const { return params().pstates[pstate_index()].frequency; }
+  [[nodiscard]] Volts voltage() const { return params().pstates[pstate_index()].voltage; }
+  [[nodiscard]] GigaHertz max_frequency() const { return params().pstates.front().frequency; }
+  [[nodiscard]] GigaHertz min_frequency() const { return params().pstates.back().frequency; }
 
   /// Requests a P-state switch; counts a transition when the index changes.
   void set_pstate(std::size_t index);
@@ -141,20 +224,14 @@ class CpuDevice {
   /// reads it several times per physics step (package heat input, meter,
   /// counters), so the value is memoized until an input changes; injection
   /// changes are tracked through the injector's generation counter.
-  [[nodiscard]] Watts power() const {
-    if (cols_.power_valid[slot_] == 0 ||
-        cols_.power_gen[slot_] != idle_injector_.generation()) {
-      recompute_power();
-    }
-    return Watts{cols_.power_cache[slot_]};
-  }
+  [[nodiscard]] Watts power() const;
 
   /// Number of completed frequency transitions since construction.
   [[nodiscard]] std::uint64_t transition_count() const { return cols_.transitions[slot_]; }
 
   /// Total execution stall accumulated from transitions.
   [[nodiscard]] Seconds transition_stall_total() const {
-    return Seconds{static_cast<double>(transition_count()) * params_.transition_stall.value()};
+    return Seconds{static_cast<double>(transition_count()) * params().transition_stall.value()};
   }
 
   /// Work executed during `dt` at the current frequency and utilization, in
@@ -179,7 +256,7 @@ class CpuDevice {
   // ---- hardware counters (the paper's future-work prediction inputs) ----
 
   /// Advances the counter block by `dt` at the current operating point.
-  /// Called once per physics step by the owning node.
+  /// FleetSweep runs the same kernel every physics step.
   void advance_counters(Seconds dt);
 
   /// APERF-style counter: cycles actually delivered (frequency, throttling,
@@ -205,12 +282,9 @@ class CpuDevice {
     cols_.energy_frac[slot_] = 0.0;
   }
 
-  [[nodiscard]] const CpuParams& params() const { return params_; }
+  [[nodiscard]] const CpuParams& params() const { return cols_.params; }
 
  private:
-  void recompute_power() const;
-
-  CpuParams params_;
   CpuColumns& cols_;
   std::size_t slot_;
   IdleInjector idle_injector_;

@@ -1,6 +1,7 @@
 #include "hw/cstates.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -14,14 +15,17 @@ std::vector<CState> default_cstates() {
   };
 }
 
-IdleInjector::IdleInjector(IdleInjectorParams params, InjectorColumns& cols, std::size_t slot)
-    : params_(std::move(params)), cols_(cols), slot_(slot) {
-  THERMCTL_ASSERT(slot < cols.generation.size(), "column slot out of range");
-  THERMCTL_ASSERT(!params_.cstates.empty(), "need at least one C-state");
-  THERMCTL_ASSERT(params_.period.value() > 0.0, "injection period must be positive");
-  THERMCTL_ASSERT(params_.max_fraction > 0.0 && params_.max_fraction <= 0.95,
+InjectorColumns::InjectorColumns(std::size_t n, IdleInjectorParams injector_params)
+    : params(std::move(injector_params)),
+      dynamic_factor(n, 1.0),
+      leakage_factor(n, 1.0),
+      throughput_factor(n, 1.0),
+      generation(n, 0) {
+  THERMCTL_ASSERT(!params.cstates.empty(), "need at least one C-state");
+  THERMCTL_ASSERT(params.period.value() > 0.0, "injection period must be positive");
+  THERMCTL_ASSERT(params.max_fraction > 0.0 && params.max_fraction <= 0.95,
                   "implausible max injection fraction");
-  for (const CState& c : params_.cstates) {
+  for (const CState& c : params.cstates) {
     THERMCTL_ASSERT(c.dynamic_retention >= 0.0 && c.dynamic_retention <= 1.0,
                     "dynamic retention out of range");
     THERMCTL_ASSERT(c.leakage_retention >= 0.0 && c.leakage_retention <= 1.0,
@@ -29,37 +33,32 @@ IdleInjector::IdleInjector(IdleInjectorParams params, InjectorColumns& cols, std
   }
 }
 
+IdleInjector::IdleInjector(InjectorColumns& cols, std::size_t slot) : cols_(cols), slot_(slot) {
+  THERMCTL_ASSERT(slot < cols.generation.size(), "column slot out of range");
+}
+
 void IdleInjector::set_injection(double fraction, std::size_t state) {
-  THERMCTL_ASSERT(state < params_.cstates.size(), "C-state index out of range");
-  fraction_ = std::clamp(fraction, 0.0, params_.max_fraction);
+  THERMCTL_ASSERT(state < params().cstates.size(), "C-state index out of range");
+  fraction_ = std::clamp(fraction, 0.0, params().max_fraction);
   state_ = state;
   ++cols_.generation[slot_];
   refresh_mirrors();
 }
 
-double IdleInjector::throughput_factor() const {
-  if (fraction_ <= 0.0) {
-    return 1.0;
+void IdleInjector::refresh_mirrors() {
+  double dynamic = 1.0;
+  double leakage = 1.0;
+  double throughput = 1.0;
+  if (active()) {
+    const CState& c = params().cstates[state_];
+    dynamic = (1.0 - fraction_) + fraction_ * c.dynamic_retention;
+    leakage = (1.0 - fraction_) + fraction_ * c.leakage_retention;
+    const double wake_loss = c.wakeup_latency.value() / params().period.value();
+    throughput = std::max(0.0, 1.0 - fraction_ - wake_loss);
   }
-  const double wake_loss =
-      params_.cstates[state_].wakeup_latency.value() / params_.period.value();
-  return std::max(0.0, 1.0 - fraction_ - wake_loss);
-}
-
-double IdleInjector::dynamic_power_factor() const {
-  if (fraction_ <= 0.0) {
-    return 1.0;
-  }
-  const double retained = params_.cstates[state_].dynamic_retention;
-  return (1.0 - fraction_) + fraction_ * retained;
-}
-
-double IdleInjector::leakage_power_factor() const {
-  if (fraction_ <= 0.0) {
-    return 1.0;
-  }
-  const double retained = params_.cstates[state_].leakage_retention;
-  return (1.0 - fraction_) + fraction_ * retained;
+  cols_.dynamic_factor[slot_] = dynamic;
+  cols_.leakage_factor[slot_] = leakage;
+  cols_.throughput_factor[slot_] = throughput;
 }
 
 }  // namespace thermctl::hw

@@ -45,15 +45,15 @@ struct IdleInjectorParams {
   double max_fraction = 0.5;
 };
 
-/// The injector's mirrors, one row per CPU: the three factors the CPU's
-/// power and throughput math multiply in, and the generation counter its
-/// power memo checks. A fresh row is an idle injector's: every factor an
-/// exact 1.0 (so the multiplications are bitwise no-ops) and generation 0.
+/// The injectors' constants, once for every row, and their mirrors, one row
+/// per CPU: the three factors the CPU's power and throughput math multiply
+/// in, and the generation counter its power memo checks. A fresh row is an
+/// idle injector's: every factor an exact 1.0 (so the multiplications are
+/// bitwise no-ops) and generation 0.
 struct InjectorColumns {
-  explicit InjectorColumns(std::size_t n)
-      : dynamic_factor(n, 1.0), leakage_factor(n, 1.0), throughput_factor(n, 1.0),
-        generation(n, 0) {}
+  InjectorColumns(std::size_t n, IdleInjectorParams injector_params);
 
+  const IdleInjectorParams params;
   std::vector<double> dynamic_factor;
   std::vector<double> leakage_factor;
   std::vector<double> throughput_factor;
@@ -62,29 +62,25 @@ struct InjectorColumns {
 
 /// Duty-cycled forced idle on one CPU. The CpuDevice consults this to scale
 /// its delivered work and power; the sysfs PowerClamp device drives it.
-/// The commanded fraction and state live in the object; the mirrors derived
-/// from them live in row `slot` of an InjectorColumns.
+/// The commanded fraction and state live in the object; the constants and
+/// the factors derived from them live in an InjectorColumns, at row `slot`.
 class IdleInjector {
  public:
-  IdleInjector(IdleInjectorParams params, InjectorColumns& cols, std::size_t slot);
+  IdleInjector(InjectorColumns& cols, std::size_t slot);
 
   // One injector per row: a copy would share the mirrors but not the
   // fraction they mirror.
   IdleInjector(const IdleInjector&) = delete;
   IdleInjector& operator=(const IdleInjector&) = delete;
 
-  [[nodiscard]] const std::vector<CState>& cstates() const { return params_.cstates; }
-  [[nodiscard]] std::size_t cstate_count() const { return params_.cstates.size(); }
+  [[nodiscard]] const std::vector<CState>& cstates() const { return params().cstates; }
+  [[nodiscard]] std::size_t cstate_count() const { return params().cstates.size(); }
 
   /// Commands injection of `fraction` of each period spent in C-state
   /// `state` (0-based into cstates()). Fraction is clamped to
   /// [0, max_fraction]; state must be valid.
   void set_injection(double fraction, std::size_t state);
-  void stop() {
-    fraction_ = 0.0;
-    ++cols_.generation[slot_];
-    refresh_mirrors();
-  }
+  void stop() { set_injection(0.0, state_); }
 
   [[nodiscard]] double fraction() const { return fraction_; }
   [[nodiscard]] std::size_t state() const { return state_; }
@@ -92,27 +88,23 @@ class IdleInjector {
 
   /// Fraction of nominal throughput delivered under the current injection:
   /// the idle slice itself plus the wake-up latency per period.
-  [[nodiscard]] double throughput_factor() const;
+  [[nodiscard]] double throughput_factor() const { return cols_.throughput_factor[slot_]; }
 
   /// Multipliers applied to the CPU's dynamic / leakage power under the
   /// current injection (time-weighted between C0 and the chosen state).
-  [[nodiscard]] double dynamic_power_factor() const;
-  [[nodiscard]] double leakage_power_factor() const;
+  [[nodiscard]] double dynamic_power_factor() const { return cols_.dynamic_factor[slot_]; }
+  [[nodiscard]] double leakage_power_factor() const { return cols_.leakage_factor[slot_]; }
 
-  [[nodiscard]] const IdleInjectorParams& params() const { return params_; }
+  [[nodiscard]] const IdleInjectorParams& params() const { return cols_.params; }
 
   /// Bumped on every injection change; lets consumers (the CPU's power
   /// cache) detect staleness without comparing the full injection state.
   [[nodiscard]] std::uint64_t generation() const { return cols_.generation[slot_]; }
 
  private:
-  void refresh_mirrors() {
-    cols_.dynamic_factor[slot_] = dynamic_power_factor();
-    cols_.leakage_factor[slot_] = leakage_power_factor();
-    cols_.throughput_factor[slot_] = throughput_factor();
-  }
+  /// Re-derives the row's three factors from the commanded injection.
+  void refresh_mirrors();
 
-  IdleInjectorParams params_;
   InjectorColumns& cols_;
   std::size_t slot_;
   double fraction_ = 0.0;

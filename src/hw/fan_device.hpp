@@ -34,14 +34,43 @@ struct FanParams {
   Watts idle_power{0.2};
   /// Rotor spin-up/down time constant.
   Seconds rotor_tau{0.8};
+
+  // The fan's per-step formulas on raw values: the only copy of this
+  // arithmetic. FanDevice runs them on its row and FleetSweep on every row
+  // of a pass, through a local copy of these (all-scalar) params.
+
+  /// Steady-state RPM for a duty command (the rotor lag's fixed point):
+  /// linear from the stall point up to max RPM at 100% duty. Real fans keep
+  /// spinning slowly right at the stall threshold; the curve has a floor of
+  /// 15% RPM there for continuity with datasheet minimum-speed specs.
+  [[nodiscard]] double target_rpm(double duty_pct) const {
+    if (duty_pct < stall_duty.percent()) {
+      return 0.0;
+    }
+    const double span = 100.0 - stall_duty.percent();
+    const double frac = (duty_pct - stall_duty.percent()) / span;
+    constexpr double kMinFrac = 0.15;
+    return max_rpm.value() * (kMinFrac + (1.0 - kMinFrac) * frac);
+  }
+  /// Airflow ∝ RPM (fan laws).
+  [[nodiscard]] double airflow_cfm(double rpm) const {
+    return max_airflow.value() * rpm / max_rpm.value();
+  }
+  /// Electrical power: standby draw plus the affinity-law cubic in RPM.
+  [[nodiscard]] double power_w(double rpm) const {
+    const double frac = rpm / max_rpm.value();
+    return idle_power.value() + max_power.value() * frac * frac * frac;
+  }
 };
 
-/// The fans' rotor state, one row per fan: commanded duty (%), rotor RPM
-/// and the stuck-rotor flag. FleetSweep steps the rotor lag over these
-/// columns. A fresh row is a stopped, healthy fan at 0 % duty.
+/// The fans' constants, once for every row, and their rotor state, one row
+/// per fan: commanded duty (%), rotor RPM and the stuck-rotor flag.
+/// FleetSweep steps the rotor lag over these columns. A fresh row is a
+/// stopped, healthy fan at 0 % duty.
 struct FanColumns {
-  explicit FanColumns(std::size_t n) : duty_pct(n, 0.0), rpm(n, 0.0), stuck(n, 0) {}
+  FanColumns(std::size_t n, const FanParams& fan_params);
 
+  const FanParams params;
   std::vector<double> duty_pct;
   std::vector<double> rpm;
   std::vector<std::uint8_t> stuck;
@@ -50,7 +79,7 @@ struct FanColumns {
 /// One fan: a view onto row `slot` of a FanColumns.
 class FanDevice {
  public:
-  FanDevice(FanParams params, FanColumns& cols, std::size_t slot);
+  FanDevice(FanColumns& cols, std::size_t slot);
 
   // One device per row: a copy would be a second writer of the same state.
   FanDevice(const FanDevice&) = delete;
@@ -61,26 +90,12 @@ class FanDevice {
   [[nodiscard]] DutyCycle duty() const { return DutyCycle{cols_.duty_pct[slot_]}; }
 
   [[nodiscard]] Rpm rpm() const { return Rpm{cols_.rpm[slot_]}; }
-  [[nodiscard]] Cfm airflow() const {
-    return Cfm{params_.max_airflow.value() * cols_.rpm[slot_] / params_.max_rpm.value()};
-  }
-  [[nodiscard]] Watts power() const {
-    const double frac = cols_.rpm[slot_] / params_.max_rpm.value();
-    return Watts{params_.idle_power.value() + params_.max_power.value() * frac * frac * frac};
-  }
+  [[nodiscard]] Cfm airflow() const { return Cfm{params().airflow_cfm(cols_.rpm[slot_])}; }
+  [[nodiscard]] Watts power() const { return Watts{params().power_w(cols_.rpm[slot_])}; }
 
-  /// Steady-state RPM for a duty command (the rotor lag's fixed point):
-  /// linear from the stall point up to max RPM at 100% duty. Real fans keep
-  /// spinning slowly right at the stall threshold; the curve has a floor of
-  /// 15% RPM there for continuity with datasheet minimum-speed specs.
+  /// FanParams::target_rpm for `duty`.
   [[nodiscard]] Rpm target_rpm(DutyCycle duty) const {
-    if (duty.percent() < params_.stall_duty.percent()) {
-      return Rpm{0.0};
-    }
-    const double span = 100.0 - params_.stall_duty.percent();
-    const double frac = (duty.percent() - params_.stall_duty.percent()) / span;
-    constexpr double kMinFrac = 0.15;
-    return Rpm{params_.max_rpm.value() * (kMinFrac + (1.0 - kMinFrac) * frac)};
+    return Rpm{params().target_rpm(duty.percent())};
   }
 
   /// Snaps the rotor to its steady state for the current duty (experiment
@@ -93,10 +108,9 @@ class FanDevice {
   void clear_fault() { cols_.stuck[slot_] = 0; }
   [[nodiscard]] bool faulted() const { return cols_.stuck[slot_] != 0; }
 
-  [[nodiscard]] const FanParams& params() const { return params_; }
+  [[nodiscard]] const FanParams& params() const { return cols_.params; }
 
  private:
-  FanParams params_;
   FanColumns& cols_;
   std::size_t slot_;
 };

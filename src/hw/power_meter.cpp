@@ -1,23 +1,17 @@
 #include "hw/power_meter.hpp"
 
-#include <cmath>
-
 #include "common/assert.hpp"
 
 namespace thermctl::hw {
 
-PowerMeter::PowerMeter(PowerMeterParams params, MeterColumns& cols, std::size_t slot)
-    : params_(params), cols_(cols), slot_(slot) {
-  THERMCTL_ASSERT(slot < cols.energy_j.size(), "column slot out of range");
-  THERMCTL_ASSERT(params_.psu_efficiency > 0.0 && params_.psu_efficiency <= 1.0,
+MeterColumns::MeterColumns(std::size_t n, const PowerMeterParams& meter_params)
+    : params(meter_params), energy_j(n, 0.0), elapsed_s(n, 0.0) {
+  THERMCTL_ASSERT(params.psu_efficiency > 0.0 && params.psu_efficiency <= 1.0,
                   "PSU efficiency must be in (0, 1]");
 }
 
-Watts PowerMeter::read_with(Watts dc_component) const {
-  const double dc = params_.base_load.value() + dc_component.value();
-  const double ac = dc / params_.psu_efficiency;
-  const double r = params_.resolution_watts;
-  return Watts{std::round(ac / r) * r};
+PowerMeter::PowerMeter(MeterColumns& cols, std::size_t slot) : cols_(cols), slot_(slot) {
+  THERMCTL_ASSERT(slot < cols.energy_j.size(), "column slot out of range");
 }
 
 Watts PowerMeter::average_power() const {

@@ -7,6 +7,7 @@
 // the same semantics as the paper's instrument.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -22,27 +23,41 @@ struct PowerMeterParams {
   double psu_efficiency = 0.85;
   /// Meter display resolution.
   double resolution_watts = 0.1;
+
+  // The meter's arithmetic on raw watts: the only copy. PowerMeter's display
+  // and FleetSweep's integral and wall_power_w all run it.
+
+  /// AC-side draw for a DC component sum behind the PSU.
+  [[nodiscard]] double ac_w(double dc_component_w) const {
+    return (base_load.value() + dc_component_w) / psu_efficiency;
+  }
+  /// An AC draw as the display shows it, rounded to the resolution.
+  [[nodiscard]] double display_w(double ac_draw_w) const {
+    return std::round(ac_draw_w / resolution_watts) * resolution_watts;
+  }
 };
 
-/// The meters' integrals, one row per meter: energy (J) and the elapsed
-/// time it covers (s). FleetSweep advances them every physics step. A fresh
-/// row is zero.
+/// The meters' constants, once for every row, and their integrals, one row
+/// per meter: energy (J) and the elapsed time it covers (s). FleetSweep
+/// advances them every physics step. A fresh row is zero.
 struct MeterColumns {
-  explicit MeterColumns(std::size_t n) : energy_j(n, 0.0), elapsed_s(n, 0.0) {}
+  MeterColumns(std::size_t n, const PowerMeterParams& meter_params);
 
+  const PowerMeterParams params;
   std::vector<double> energy_j;
   std::vector<double> elapsed_s;
 };
 
-/// One wall meter: its display arithmetic, and a view onto row `slot` of a
-/// MeterColumns for the integrals.
+/// One wall meter: a view onto row `slot` of a MeterColumns.
 class PowerMeter {
  public:
-  PowerMeter(PowerMeterParams params, MeterColumns& cols, std::size_t slot);
+  PowerMeter(MeterColumns& cols, std::size_t slot);
 
   /// AC-side power as the meter would display it for a DC component sum
   /// (CPU + fan + anything else the node draws behind the PSU).
-  [[nodiscard]] Watts read_with(Watts dc_component) const;
+  [[nodiscard]] Watts read_with(Watts dc_component) const {
+    return Watts{params().display_w(params().ac_w(dc_component.value()))};
+  }
 
   /// Energy accumulated so far (the meter's kWh counter, in joules).
   [[nodiscard]] Joules energy() const { return Joules{cols_.energy_j[slot_]}; }
@@ -50,10 +65,9 @@ class PowerMeter {
   /// Average power over the integration window so far.
   [[nodiscard]] Watts average_power() const;
 
-  [[nodiscard]] const PowerMeterParams& params() const { return params_; }
+  [[nodiscard]] const PowerMeterParams& params() const { return cols_.params; }
 
  private:
-  PowerMeterParams params_;
   MeterColumns& cols_;
   std::size_t slot_;
 };

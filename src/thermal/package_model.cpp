@@ -20,7 +20,6 @@ PackageWiring PackageModel::wire_network(const PackageParams& params, RcNetwork&
 PackageModel::PackageModel(const PackageParams& params, const PackageWiring& wiring,
                            RcBatch& batch, AirflowColumns& airflow, std::size_t slot)
     : params_(params),
-      convection_(params.convection),
       batch_(batch),
       airflow_(airflow),
       slot_(slot),
@@ -38,7 +37,7 @@ void PackageModel::set_ambient(Celsius t) {
 Celsius PackageModel::steady_state_die(Watts p, Cfm v) const {
   // In steady state all die power flows through both resistances in series.
   const double r_total =
-      params_.r_die_heatsink.value() + convection_.resistance(v).value();
+      params_.r_die_heatsink.value() + airflow_.convection.resistance(v).value();
   return Celsius{params_.ambient.value() + p.value() * r_total};
 }
 

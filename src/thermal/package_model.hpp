@@ -43,14 +43,28 @@ struct PackageWiring {
   EdgeId hs_amb{};
 };
 
-/// The packages' convection early-out memo, one row per package: the
-/// airflow last applied (CFM) and whether one has been applied yet. A fresh
-/// row has applied none.
+/// The packages' convection law, once for every row, and their early-out
+/// memo, one row per package: the airflow last applied (CFM) and whether
+/// one has been applied yet. A fresh row has applied none.
 struct AirflowColumns {
-  explicit AirflowColumns(std::size_t n) : cfm(n, 0.0), set(n, 0) {}
+  AirflowColumns(std::size_t n, const ConvectionParams& convection_params)
+      : convection(convection_params), cfm(n, 0.0), set(n, 0) {}
 
+  const ConvectionModel convection;
   std::vector<double> cfm;
   std::vector<std::uint8_t> set;
+
+  /// The early-out on one row's cells: records `v` and returns true unless
+  /// it is the airflow last applied, in which case the convection law need
+  /// not be re-evaluated. PackageModel::set_airflow and FleetSweep run it.
+  [[nodiscard]] static bool moved(double v, double& applied, std::uint8_t& applied_set) {
+    if (applied_set != 0 && v == applied) {
+      return false;
+    }
+    applied = v;
+    applied_set = 1;
+    return true;
+  }
 };
 
 /// The die—heatsink—ambient RC model with fan-speed-dependent convection on
@@ -64,7 +78,7 @@ class PackageModel {
  public:
   /// View onto instance `slot` of `batch` and of `airflow`; `batch` must
   /// have been built from the network that `wire_network(params, ...)`
-  /// returned `wiring` for.
+  /// returned `wiring` for, and `airflow` from `params.convection`.
   PackageModel(const PackageParams& params, const PackageWiring& wiring, RcBatch& batch,
                AirflowColumns& airflow, std::size_t slot);
 
@@ -86,12 +100,9 @@ class PackageModel {
   /// law is only re-evaluated when the airflow actually moved — the fan's
   /// rotor settles between duty changes, making steady steps free.
   void set_airflow(Cfm v) {
-    if (airflow_.set[slot_] != 0 && v.value() == airflow_.cfm[slot_]) {
-      return;
+    if (AirflowColumns::moved(v.value(), airflow_.cfm[slot_], airflow_.set[slot_])) {
+      batch_.set_resistance(slot_, wiring_.hs_amb, airflow_.convection.resistance(v));
     }
-    airflow_.cfm[slot_] = v.value();
-    airflow_.set[slot_] = 1;
-    batch_.set_resistance(slot_, wiring_.hs_amb, convection_.resistance(v));
   }
   /// Chassis inlet temperature (hot-spot / HVAC scenarios).
   void set_ambient(Celsius t);
@@ -125,7 +136,6 @@ class PackageModel {
   [[nodiscard]] Celsius temperature(NodeId n) const { return batch_.temperature(slot_, n); }
 
   PackageParams params_;
-  ConvectionModel convection_;
   RcBatch& batch_;
   AirflowColumns& airflow_;
   std::size_t slot_;

@@ -92,7 +92,7 @@ TEST(FleetState, FreshFleetHoldsDevicePowerOnValues) {
   // Before any device is built on it, every row already holds its device's
   // power-on state: the groups define it, the devices only view it.
   NodeParams params;
-  FleetState fleet{params.package, 4};
+  FleetState fleet{params, 4};
   const double pin_pct = hw::Adt7467::reg_to_duty(hw::Adt7467::kPowerOnPwm1Min).percent();
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     SCOPED_TRACE(i);
@@ -126,10 +126,25 @@ TEST(FleetState, FreshFleetHoldsDevicePowerOnValues) {
   EXPECT_EQ(fleet.chip().output_duty_pct[1], pin_pct);
 }
 
+TEST(FleetState, DeviceConstantsLiveOncePerFleet) {
+  // Every node's devices read their constants from the one copy their
+  // column group holds; no node carries its own.
+  Cluster rack{4, NodeParams{}};
+  Node& first = rack.node(0);
+  for (std::size_t i = 1; i < rack.size(); ++i) {
+    SCOPED_TRACE(i);
+    Node& node = rack.node(i);
+    EXPECT_EQ(&node.cpu().params(), &first.cpu().params());
+    EXPECT_EQ(&node.fan().params(), &first.fan().params());
+    EXPECT_EQ(&node.meter().params(), &first.meter().params());
+    EXPECT_EQ(&node.cpu().idle_injector().cstates(), &first.cpu().idle_injector().cstates());
+  }
+}
+
 TEST(FleetState, MemoryFootprintIsFlatPerNode) {
   NodeParams params;
-  FleetState small{params.package, 64};
-  FleetState large{params.package, 4096};
+  FleetState small{params, 64};
+  FleetState large{params, 4096};
   const double small_per_node = static_cast<double>(small.memory_bytes()) / 64.0;
   const double large_per_node = static_cast<double>(large.memory_bytes()) / 4096.0;
   // Shared structure amortizes: per-node bytes must not grow with the fleet,

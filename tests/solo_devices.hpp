@@ -2,7 +2,8 @@
 // the device viewing row 0 of it, the way a one-node fleet would, so a test
 // declares `SoloCpu cpu;` where it would otherwise need the group and the
 // device side by side. The group comes first as a base, so it is built
-// before the device that views it.
+// (with the device's params, when it has any) before the device that views
+// it.
 #pragma once
 
 #include <functional>
@@ -21,20 +22,23 @@ namespace thermctl::hw {
 
 template <typename Columns>
 struct OneRow {
-  Columns rows{1};
+  template <typename... Params>
+  explicit OneRow(Params&&... params) : rows(1, std::forward<Params>(params)...) {}
+
+  Columns rows;
 };
 
 struct SoloCpu : OneRow<CpuColumns>, CpuDevice {
-  explicit SoloCpu(CpuParams params = {}) : CpuDevice(std::move(params), rows, 0) {}
+  explicit SoloCpu(CpuParams params = {}) : OneRow(std::move(params)), CpuDevice(rows, 0) {}
 };
 
 struct SoloInjector : OneRow<InjectorColumns>, IdleInjector {
   explicit SoloInjector(IdleInjectorParams params = {})
-      : IdleInjector(std::move(params), rows, 0) {}
+      : OneRow(std::move(params)), IdleInjector(rows, 0) {}
 };
 
 struct SoloFan : OneRow<FanColumns>, FanDevice {
-  explicit SoloFan(FanParams params = {}) : FanDevice(params, rows, 0) {}
+  explicit SoloFan(const FanParams& params = {}) : OneRow(params), FanDevice(rows, 0) {}
 };
 
 struct SoloChip : OneRow<ChipColumns>, Adt7467 {
@@ -42,7 +46,7 @@ struct SoloChip : OneRow<ChipColumns>, Adt7467 {
 };
 
 struct SoloMeter : OneRow<MeterColumns>, PowerMeter {
-  explicit SoloMeter(PowerMeterParams params = {}) : PowerMeter(params, rows, 0) {}
+  explicit SoloMeter(const PowerMeterParams& params = {}) : OneRow(params), PowerMeter(rows, 0) {}
 };
 
 struct SoloSensor : OneRow<SensorColumns>, ThermalSensor {

@@ -15,7 +15,9 @@ using namespace thermctl::literals;
 class SoloPackage {
  public:
   explicit SoloPackage(const PackageParams& params = PackageParams{})
-      : batch_(wire(params, &wiring_)), model_(params, wiring_, batch_, airflow_, 0) {}
+      : batch_(wire(params, &wiring_)),
+        airflow_(1, params.convection),
+        model_(params, wiring_, batch_, airflow_, 0) {}
 
   PackageModel* operator->() { return &model_; }
   [[nodiscard]] const RcBatch& batch() const { return batch_; }
@@ -30,7 +32,7 @@ class SoloPackage {
 
   PackageWiring wiring_{};
   RcBatch batch_;
-  AirflowColumns airflow_{1};
+  AirflowColumns airflow_;
   PackageModel model_;
 };
 
