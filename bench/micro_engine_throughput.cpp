@@ -11,7 +11,8 @@
 //      cluster, per-node unified controllers, synthetic loads) at 16 to
 //      100k nodes under a fixed node-step budget; reports steps/sec,
 //      node-steps/sec and bytes/node (exact SoA footprint from FleetState
-//      plus the process-RSS delta across rig construction) per point.
+//      plus the process-RSS delta across rig construction) per point, and
+//      the heap the run's record keeps per node and recorded row.
 //   3. parallel sweep runtime: an 8-point Pp sweep executed serially
 //      (1 worker) and in parallel (hardware workers) through
 //      runtime::run_sweep; reports the wall-clock speedup and verifies the
@@ -93,6 +94,18 @@ std::size_t current_rss_bytes() {
 #else
   return 0;
 #endif
+}
+
+/// Heap bytes in use: arena chunks handed out plus mmapped blocks (0 where
+/// glibc's mallinfo2 is unavailable).
+std::size_t heap_in_use_bytes() {
+#if defined(__GLIBC__)
+#if __GLIBC_PREREQ(2, 33)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#endif
+#endif
+  return 0;
 }
 
 /// Peak resident set size in kilobytes over the process lifetime (0 where
@@ -206,6 +219,7 @@ struct ScalePoint {
   double node_steps_per_sec = 0.0;
   double fleet_bytes_per_node = 0.0;
   double rss_bytes_per_node = 0.0;
+  double record_heap_bytes_per_node_row = 0.0;
 };
 
 /// One ladder point: fleet-backed cluster + per-node unified controllers +
@@ -266,9 +280,12 @@ ScalePoint measure_scale(std::size_t nodes, int workers) {
   const double build_wall = wall_seconds_since(build_start);
   const std::size_t rss_after = current_rss_bytes();
 
+  const std::size_t heap_before = heap_in_use_bytes();
   const auto start = std::chrono::steady_clock::now();
   const cluster::RunResult run = engine.run();
   const double wall = wall_seconds_since(start);
+  // With the result alive: what the run's record costs, staging included.
+  const std::size_t heap_after = heap_in_use_bytes();
 
   ScalePoint p;
   p.nodes = nodes;
@@ -283,6 +300,11 @@ ScalePoint measure_scale(std::size_t nodes, int workers) {
   if (rss_after > rss_before) {
     p.rss_bytes_per_node =
         static_cast<double>(rss_after - rss_before) / static_cast<double>(nodes);
+  }
+  if (heap_after > heap_before) {
+    p.record_heap_bytes_per_node_row =
+        static_cast<double>(heap_after - heap_before) /
+        (static_cast<double>(nodes) * static_cast<double>(run.times.size()));
   }
   return p;
 }
@@ -388,10 +410,11 @@ int main(int argc, char** argv) {
     }
     const ScalePoint p = measure_scale(n, engine_workers);
     std::printf("    %7zu nodes: %8.0f steps/s, %11.0f node-steps/s, "
-                "%4.0f B/node SoA, %6.0f B/node RSS, build %.2fs, run %.2fs"
-                " (%zu workers)\n",
+                "%4.0f B/node SoA, %6.0f B/node RSS, %4.0f B/node-row record, "
+                "build %.2fs, run %.2fs (%zu workers)\n",
                 p.nodes, p.steps_per_sec, p.node_steps_per_sec, p.fleet_bytes_per_node,
-                p.rss_bytes_per_node, p.build_wall_s, p.wall_s, p.engine_workers);
+                p.rss_bytes_per_node, p.record_heap_bytes_per_node_row, p.build_wall_s,
+                p.wall_s, p.engine_workers);
     ladder.push_back(p);
   }
 
@@ -458,7 +481,9 @@ int main(int argc, char** argv) {
     std::fprintf(f, "      \"steps_per_sec\": %.1f,\n", p.steps_per_sec);
     std::fprintf(f, "      \"node_steps_per_sec\": %.1f,\n", p.node_steps_per_sec);
     std::fprintf(f, "      \"fleet_bytes_per_node\": %.1f,\n", p.fleet_bytes_per_node);
-    std::fprintf(f, "      \"rss_bytes_per_node\": %.1f\n", p.rss_bytes_per_node);
+    std::fprintf(f, "      \"rss_bytes_per_node\": %.1f,\n", p.rss_bytes_per_node);
+    std::fprintf(f, "      \"record_heap_bytes_per_node_row\": %.1f\n",
+                 p.record_heap_bytes_per_node_row);
     std::fprintf(f, "    }%s\n", i + 1 < ladder.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

@@ -232,8 +232,9 @@ RunResult Engine::run() {
 
   // Record the initial state so series start at t=0.
   record_schedule_.due(now_);  // consume the t=0 firing
-  // Pre-size the series for the horizon (capped so absurd horizons don't
-  // balloon memory up front; past the cap push_back just grows as before).
+  // Pre-size the series for the horizon (the recorder caps what it reserves
+  // so absurd horizons don't balloon memory up front; past the cap push_back
+  // just grows as before).
   recorder_.reserve(std::min<std::size_t>(
       static_cast<std::size_t>(config_.horizon.value() / config_.record_period.value()) + 2,
       1u << 20));

@@ -123,9 +123,11 @@ MetricsRecorder::MetricsRecorder(std::size_t node_count) : node_count_(node_coun
 void MetricsRecorder::stamp(double t_seconds) { times_.push_back(t_seconds); }
 
 void MetricsRecorder::reserve(std::size_t samples) {
-  times_.reserve(samples);
+  const std::size_t row_bytes = std::max<std::size_t>(1, node_count_) * sizeof(double);
+  const std::size_t rows = std::min(samples, kReserveBytesPerColumn / row_bytes);
+  times_.reserve(rows);
   for (std::vector<double>& col : cols_) {
-    col.reserve(samples * node_count_);
+    col.reserve(rows * node_count_);
   }
 }
 
@@ -147,16 +149,27 @@ void MetricsRecorder::sample(double t_seconds, std::size_t node, double die, dou
   cols_[7].push_back(static_cast<double>(static_cast<int>(activity)));
 }
 
-RunResult MetricsRecorder::result() const {
+RunResult MetricsRecorder::result() {
   RunResult result;
   result.times = times_;
-  result.nodes.resize(node_count_);
   result.summaries.resize(node_count_);
   if (node_count_ == 0) {
     return result;
   }
   THERMCTL_ASSERT(next_node_ == 0, "result read mid-row");
-  const std::size_t rows = cols_[0].size() / node_count_;
+  flush();
+  result.nodes = NodeSeriesTable{record_};
+  return result;
+}
+
+void MetricsRecorder::flush() {
+  const std::size_t staged = cols_[0].size() / node_count_;
+  if (record_ != nullptr && staged == 0) {
+    return;
+  }
+  const std::size_t kept = record_ == nullptr ? 0 : (*record_)[0].die_temp.size();
+  // Never written in place: a result handed out earlier may share record_.
+  auto next = std::make_shared<std::vector<NodeSeries>>(node_count_);
 
   static constexpr std::vector<double> NodeSeries::*kFields[] = {
       &NodeSeries::die_temp, &NodeSeries::sensor_temp, &NodeSeries::duty,
@@ -164,28 +177,34 @@ RunResult MetricsRecorder::result() const {
       &NodeSeries::util,     &NodeSeries::activity,
   };
 
-  // Blocked transpose: a block of destination series stays cache-resident
-  // across all rows while the column side is read in contiguous row spans,
-  // so the scatter cost is paid once per element.
+  // One field at a time, so at most one column is ever held twice. Blocked
+  // transpose: a block of destination series stays cache-resident across
+  // all rows while the column is read in contiguous row spans, so the
+  // scatter cost is paid once per element.
   constexpr std::size_t kBlock = 128;
-  for (std::size_t b0 = 0; b0 < node_count_; b0 += kBlock) {
-    const std::size_t b1 = std::min(node_count_, b0 + kBlock);
-    for (std::size_t i = b0; i < b1; ++i) {
-      for (auto field : kFields) {
-        (result.nodes[i].*field).reserve(rows);
+  for (std::size_t f = 0; f < kFieldCount; ++f) {
+    const auto field = kFields[f];
+    const double* col = cols_[f].data();
+    for (std::size_t b0 = 0; b0 < node_count_; b0 += kBlock) {
+      const std::size_t b1 = std::min(node_count_, b0 + kBlock);
+      for (std::size_t i = b0; i < b1; ++i) {
+        std::vector<double>& series = (*next)[i].*field;
+        series.reserve(kept + staged);
+        if (kept != 0) {
+          const std::vector<double>& old = (*record_)[i].*field;
+          series.assign(old.begin(), old.end());
+        }
       }
-    }
-    for (std::size_t f = 0; f < kFieldCount; ++f) {
-      const double* col = cols_[f].data();
-      for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t r = 0; r < staged; ++r) {
         const double* row = col + r * node_count_;
         for (std::size_t i = b0; i < b1; ++i) {
-          (result.nodes[i].*kFields[f]).push_back(row[i]);
+          ((*next)[i].*field).push_back(row[i]);
         }
       }
     }
+    std::vector<double>().swap(cols_[f]);
   }
-  return result;
+  record_ = std::move(next);
 }
 
 }  // namespace thermctl::cluster

@@ -3,12 +3,14 @@
 // The engine samples every node at a fixed period (default 250 ms, matching
 // the paper's plots, whose x axes are "sample points" at 4 Hz). A RunResult
 // carries everything a bench needs to print its table/figure series and is
-// cheap to copy around.
+// cheap to copy around: its per-node series are shared, not copied.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -59,9 +61,33 @@ struct NodeSummary {
   std::uint64_t i2c_exhausted = 0;   // transfers that failed after all retries
 };
 
+/// Every node's recorded series: a read-only table over one shared block.
+/// Copies share the block, so a result costs its series once however many
+/// copies of it are passed around. To change a series, build a new
+/// std::vector<NodeSeries> and wrap it.
+class NodeSeriesTable {
+ public:
+  NodeSeriesTable() = default;
+  explicit NodeSeriesTable(std::vector<NodeSeries> nodes)
+      : NodeSeriesTable(std::make_shared<const std::vector<NodeSeries>>(std::move(nodes))) {}
+  explicit NodeSeriesTable(std::shared_ptr<const std::vector<NodeSeries>> nodes)
+      : nodes_(std::move(nodes)) {}
+
+  [[nodiscard]] std::size_t size() const { return nodes_ == nullptr ? 0 : nodes_->size(); }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  const NodeSeries& operator[](std::size_t i) const { return (*nodes_)[i]; }
+  [[nodiscard]] const NodeSeries* begin() const {
+    return nodes_ == nullptr ? nullptr : nodes_->data();
+  }
+  [[nodiscard]] const NodeSeries* end() const { return begin() + size(); }
+
+ private:
+  std::shared_ptr<const std::vector<NodeSeries>> nodes_;
+};
+
 struct RunResult {
   std::vector<double> times;  // seconds, shared by all node series
-  std::vector<NodeSeries> nodes;
+  NodeSeriesTable nodes;
   std::vector<NodeSummary> summaries;
 
   bool app_completed = false;
@@ -94,11 +120,15 @@ struct RunResult {
 /// loop visits every node each round. Appending into per-node series here
 /// would touch 8 x node_count scattered heap buffers per round (at 100k
 /// nodes that is ~800k cache misses every record tick, and it shows up as
-/// ~30% of a fleet-ladder run). The columns plus `times` are the only record:
-/// result() builds the per-node `RunResult::nodes` shape that everything
-/// downstream consumes by a blocked transpose into a fresh RunResult — same
-/// values, same order, bit-identical output — so a run holds at most two
-/// copies of its samples, the columns and the one result handed out.
+/// ~30% of a fleet-ladder run).
+///
+/// A read moves the staged rows into the per-node record that everything
+/// downstream consumes, one field at a time by a blocked transpose — same
+/// values, same order, bit-identical output — releasing each column as soon
+/// as its field is moved. Every RunResult handed out shares that record, so
+/// a run holds one copy of its samples once it is read. The record is
+/// copy-on-write: rows staged after a read go into a fresh record that
+/// clones the old rows first, so a result already handed out never changes.
 class MetricsRecorder {
  public:
   explicit MetricsRecorder(std::size_t node_count);
@@ -110,21 +140,30 @@ class MetricsRecorder {
   void stamp(double t_seconds);
 
   /// Pre-sizes the staging columns for `samples` sampling rounds so recording
-  /// never reallocates mid-run. A hint: recording past it still works.
+  /// never reallocates mid-run, up to kReserveBytesPerColumn per column so a
+  /// long horizon on a large fleet cannot ask for more memory up front than
+  /// a host has. A hint: recording past it still works.
   void reserve(std::size_t samples);
 
-  /// Every row recorded so far, transposed into per-node series, with one
-  /// default summary per node. Reading does not consume: recording may
-  /// continue, and the next read holds every row again.
-  [[nodiscard]] RunResult result() const;
+  /// Every row recorded so far as per-node series, with one default summary
+  /// per node. Reading does not consume: recording may continue, and the
+  /// next read holds every row again. Reads with no row between them share
+  /// one record.
+  [[nodiscard]] RunResult result();
 
  private:
   static constexpr std::size_t kFieldCount = 8;
+  static constexpr std::size_t kReserveBytesPerColumn = std::size_t{64} << 20;
+
+  /// Moves the staged rows into record_ (allocating it at the first read,
+  /// cloning it if a result already holds it).
+  void flush();
 
   std::size_t node_count_ = 0;
   std::size_t next_node_ = 0;  // enforced node-major arrival order
   std::vector<double> times_;
-  std::array<std::vector<double>, kFieldCount> cols_;
+  std::array<std::vector<double>, kFieldCount> cols_;  // rows staged since the last read
+  std::shared_ptr<const std::vector<NodeSeries>> record_;  // rows read so far
 };
 
 }  // namespace thermctl::cluster

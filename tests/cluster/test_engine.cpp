@@ -159,17 +159,22 @@ TEST(Engine, PerNodeLoadFnOverridesFleetLoad) {
 }
 
 TEST(Engine, RepeatedRunsAppendToRecordedSeries) {
-  // Two runs on one engine keep appending to the same recorder — each
-  // result() read transposes every row staged so far into a fresh RunResult,
-  // and the recorder keeps accepting rows afterwards.
+  // Two runs on one engine keep appending to the same recorder: the second
+  // result holds every row staged so far, and the first result, which
+  // shared the recorder's record, keeps exactly the rows it was handed.
   Cluster cluster{2, quiet()};
   Engine engine{cluster, short_run(2.0)};
-  const std::size_t first = engine.run().times.size();
+  const RunResult first = engine.run();
+  const std::size_t first_rows = first.times.size();
   const RunResult again = engine.run();
-  EXPECT_GT(again.times.size(), first);
+  EXPECT_GT(again.times.size(), first_rows);
   for (const NodeSeries& n : again.nodes) {
     EXPECT_EQ(n.die_temp.size(), again.times.size());
     EXPECT_EQ(n.util.size(), again.times.size());
+  }
+  for (const NodeSeries& n : first.nodes) {
+    EXPECT_EQ(n.die_temp.size(), first_rows);
+    EXPECT_EQ(n.util.size(), first_rows);
   }
 }
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -109,6 +111,58 @@ TEST(MetricsRecorder, EmptyRecorderYieldsAlignedEmptySeries) {
       EXPECT_TRUE(n.activity.empty());
     }
   }
+}
+
+TEST(MetricsRecorder, ReadsWithNoRowBetweenShareOneRecord) {
+  MetricsRecorder rec{3};
+  record_rows(rec, 0, 5);
+  const RunResult a = rec.result();
+  const RunResult b = rec.result();
+  EXPECT_EQ(&a.nodes[0], &b.nodes[0]);
+  const RunResult copy = a;
+  EXPECT_EQ(&copy.nodes[0], &a.nodes[0]);
+  EXPECT_EQ(series_bits(copy), series_bits(a));
+}
+
+TEST(MetricsRecorder, RowsAfterAReadLeaveHandedOutResultsUnchanged) {
+  // Copies of a result may be read on other threads while the recorder
+  // stages and reads more rows: the record they share is never written
+  // once it is handed out.
+  MetricsRecorder rec{3};
+  record_rows(rec, 0, 4);
+  const RunResult early = rec.result();
+  const std::vector<std::uint64_t> early_bits = series_bits(early);
+  std::vector<std::vector<std::uint64_t>> seen(4);
+  std::vector<std::thread> readers;
+  for (std::vector<std::uint64_t>& slot : seen) {
+    readers.emplace_back([copy = early, &slot] { slot = series_bits(copy); });
+  }
+  record_rows(rec, 4, 3);
+  const RunResult later = rec.result();
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  for (const std::vector<std::uint64_t>& bits : seen) {
+    EXPECT_EQ(bits, early_bits);
+  }
+  EXPECT_NE(&later.nodes[0], &early.nodes[0]);
+  EXPECT_EQ(later.nodes[0].die_temp.size(), 7u);
+  EXPECT_EQ(early.nodes[0].die_temp.size(), 4u);
+  EXPECT_EQ(series_bits(early), early_bits);
+}
+
+TEST(MetricsRecorder, ReserveIsCappedInBytesNotRows) {
+  // A 100k-node fleet over a 100000 s horizon at 4 Hz: uncapped, this asks
+  // for 320 GB per column and throws std::bad_alloc.
+  MetricsRecorder rec{100000};
+  EXPECT_NO_THROW(rec.reserve(400002));
+}
+
+TEST(Metrics, DefaultResultHasNoNodeSeries) {
+  const RunResult r;
+  EXPECT_TRUE(r.nodes.empty());
+  EXPECT_EQ(r.nodes.size(), 0u);
+  EXPECT_EQ(r.nodes.begin(), r.nodes.end());
 }
 
 TEST(Metrics, SeriesAlignedWithTimes) {

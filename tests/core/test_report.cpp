@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/alerts.hpp"
 #include "obs/rollup.hpp"
@@ -21,7 +22,7 @@ ExperimentResult sample_result() {
   r.run.exec_time_s = 219.0;
   r.run.app_completed = true;
   r.run.summaries.resize(2);
-  r.run.nodes.resize(2);
+  r.run.nodes = cluster::NodeSeriesTable{std::vector<cluster::NodeSeries>(2)};
   r.run.summaries[0].avg_die_temp = 49.5;
   r.run.summaries[0].max_die_temp = 52.0;
   r.run.summaries[0].avg_duty = 55.0;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,8 +36,10 @@ TEST(DiffResults, OneUlpIsDetected) {
   core::ExperimentResult b = core::run_experiment(cfg);
   ASSERT_FALSE(b.run.nodes.empty());
   ASSERT_GT(b.run.nodes[0].die_temp.size(), 3u);
-  b.run.nodes[0].die_temp[3] =
-      std::nextafter(b.run.nodes[0].die_temp[3], std::numeric_limits<double>::infinity());
+  std::vector<cluster::NodeSeries> poked(b.run.nodes.begin(), b.run.nodes.end());
+  poked[0].die_temp[3] =
+      std::nextafter(poked[0].die_temp[3], std::numeric_limits<double>::infinity());
+  b.run.nodes = cluster::NodeSeriesTable{std::move(poked)};
   const ResultDiff diff = diff_results(a, b);
   EXPECT_FALSE(diff.identical());
   EXPECT_EQ(diff.difference_count, 1u);

@@ -5,7 +5,8 @@ Runs `micro_engine_throughput` (best of N short runs), reads its JSON
 report, and fails when `hot_path.steps_per_sec` lands below the checked-in
 floor in tools/bench_floor.json, when a scaling-ladder point's
 node_steps_per_sec falls below its floor, or when a ladder point's
-rss_bytes_per_node rises above its ceiling.
+rss_bytes_per_node or record_heap_bytes_per_node_row rises above its
+ceiling.
 
 The floor is deliberately far below the recorded baseline in
 BENCH_engine.json: CI runners, sanitizer overhead, and shared developer
@@ -24,8 +25,12 @@ Memory: rss_bytes_per_node is the resident growth of building one ladder
 point's rig (cluster plus controllers) divided by its node count. The
 ceilings sit ~25 % above the measured values, so allocator jitter passes
 and a structural regression (a per-node object graph that grows by
-kilobytes) fails. RSS does not depend on runner speed, so no single-core
-scale applies; the best (lowest) reading across runs is judged.
+kilobytes) fails. record_heap_bytes_per_node_row is the heap a ladder
+point's run keeps, with its result alive, per node and recorded row; its
+ceilings sit ~25 % above one copy of the series (8 fields x 8 B plus the
+per-series overhead), so a second copy of the run record fails. Memory does
+not depend on runner speed, so no single-core scale applies; the best
+(lowest) reading across runs is judged.
 
 Usage:
     tools/bench_guard.py <path-to-micro_engine_throughput> [options]
@@ -58,28 +63,26 @@ def run_once(bench, horizon, max_scale, timeout_s):
         return json.loads(out.read_text())
 
 
-def check_rss_ceilings(floor_doc, ladder_rss):
-    """Per-ladder-point memory ceilings on the rig's resident bytes per node.
+def check_ceilings(floor_doc, key, readings, unit, hint):
+    """Per-ladder-point memory ceilings, read from floor_doc[key].
 
     Prints one verdict line per gated point; returns False if any point
     exceeds its ceiling.
     """
-    ceilings = {int(k): float(v) for k, v in
-                floor_doc.get("scaling_rss_bytes_per_node_ceilings", {}).items()}
+    ceilings = {int(k): float(v) for k, v in floor_doc.get(key, {}).items()}
     heavy_points = []
     for nodes in sorted(ceilings):
-        if nodes not in ladder_rss:
+        if nodes not in readings:
             continue  # above --ladder-scale in this guard run
-        got = ladder_rss[nodes]
+        got = readings[nodes]
         verdict = "PASS" if got <= ceilings[nodes] else "FAIL"
-        print(f"bench_guard: ladder {nodes:>6} nodes: {got:,.0f} rss bytes/node "
+        print(f"bench_guard: ladder {nodes:>6} nodes: {got:,.0f} {unit} "
               f"vs ceiling {ceilings[nodes]:,.0f} -> {verdict}")
         if verdict == "FAIL":
             heavy_points.append(nodes)
     if heavy_points:
-        print(f"bench_guard: per-node memory grew past its ceiling at "
-              f"{heavy_points} nodes; look for a per-node object (sysfs tree, "
-              f"controller, recorder) that gained heap state.", file=sys.stderr)
+        print(f"bench_guard: {unit} grew past its ceiling at {heavy_points} "
+              f"nodes; {hint}", file=sys.stderr)
     return not heavy_points
 
 
@@ -117,6 +120,7 @@ def main():
     best_node_steps = 0.0
     ladder_best = {}  # node count -> best node_steps_per_sec across runs
     ladder_rss = {}  # node count -> lowest rss_bytes_per_node across runs
+    ladder_record = {}  # node count -> lowest record_heap_bytes_per_node_row
     parallelism_available = True
     for i in range(max(1, args.runs)):
         report = run_once(bench, args.horizon, max_scale=args.ladder_scale,
@@ -132,11 +136,21 @@ def main():
             ladder_best[nodes] = max(ladder_best.get(nodes, 0.0), point_nsps)
             point_rss = float(point.get("rss_bytes_per_node", 0.0))
             ladder_rss[nodes] = min(ladder_rss.get(nodes, point_rss), point_rss)
+            point_record = float(point.get("record_heap_bytes_per_node_row", 0.0))
+            ladder_record[nodes] = min(ladder_record.get(nodes, point_record), point_record)
         if sps > best:
             best, best_node_steps = sps, nsps
 
     # Judged first and on every runner: memory does not depend on its speed.
-    memory_ok = check_rss_ceilings(floor_doc, ladder_rss)
+    rss_ok = check_ceilings(
+        floor_doc, "scaling_rss_bytes_per_node_ceilings", ladder_rss,
+        "rss bytes/node",
+        "look for a per-node object (sysfs tree, controller) that gained heap state.")
+    record_ok = check_ceilings(
+        floor_doc, "scaling_record_heap_bytes_per_node_row_ceilings", ladder_record,
+        "record heap bytes/node-row",
+        "look for a second copy of the recorded series (MetricsRecorder, RunResult).")
+    memory_ok = rss_ok and record_ok
 
     if not parallelism_available:
         # The floor was recorded on a multi-core host where the sharded
