@@ -217,16 +217,23 @@ BENCHMARK(BM_FleetSweepSample)->Arg(2048)->Arg(16384)->UseManualTime();
 
 void BM_ClusterSettleAll(benchmark::State& state) {
   // Set-up priming, as run_experiment does it: a fresh (ambient) cluster
-  // settled at idle load, one batched RC march of every node per settle
-  // pass. Building and tearing down the cluster is not timed; items/sec is
-  // nodes settled per second.
+  // settled at idle load, one batched RC march per settle pass. Identical
+  // packages march once per run of them, so the homogeneous fleet
+  // (distinct_inlets:0) is the common case; distinct_inlets:1 gives every
+  // node its own inlet temperature, so no two columns match and every one
+  // marches (the worst case). Building and tearing down the cluster is not
+  // timed; items/sec is nodes settled per second.
   const std::size_t nodes = static_cast<std::size_t>(state.range(0));
+  const bool distinct_inlets = state.range(1) != 0;
   const cluster::NodeParams params;
   for (auto _ : state) {
     state.PauseTiming();
     auto rack = std::make_unique<cluster::Cluster>(nodes, params);
     for (std::size_t i = 0; i < nodes; ++i) {
       rack->node(i).set_utilization(Utilization{0.02});
+      if (distinct_inlets) {
+        rack->set_inlet_temperature(i, Celsius{22.0 + 0.001 * static_cast<double>(i)});
+      }
     }
     state.ResumeTiming();
     rack->settle_all();
@@ -238,7 +245,12 @@ void BM_ClusterSettleAll(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(nodes));
 }
-BENCHMARK(BM_ClusterSettleAll)->Arg(4)->Arg(2048)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClusterSettleAll)
+    ->ArgNames({"nodes", "distinct_inlets"})
+    ->Args({4, 0})
+    ->Args({2048, 0})
+    ->Args({2048, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SimulatedSecondFourNodes(benchmark::State& state) {
   // Cost of simulating one wall-clock second of a 4-node cluster at the

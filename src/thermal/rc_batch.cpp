@@ -1,6 +1,7 @@
 #include "thermal/rc_batch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -283,9 +284,43 @@ void RcBatch::settle_range(std::size_t begin, std::size_t end, int max_iteration
   // Columns per block: the block's temperature, flux, power, conductance and
   // before-copy rows stay cache-resident across its whole march.
   const std::size_t block = std::min<std::size_t>(256, end - begin);
+  // Every column's step is read, duplicates included: the read clears the
+  // column's stale-plan bit (the quirk in the header comment).
   std::vector<double> step(end - begin);
   for (std::size_t b = begin; b < end; ++b) {
     step[b - begin] = min_time_constant(b).value() / 2.0;
+  }
+  // A column that matches the first column of its run bit for bit, in every
+  // temperature, power and conductance cell and in the step, would march the
+  // same bits: it is a duplicate, marked by a step no column marches with,
+  // and takes the first column's end state after the march.
+  constexpr double kDuplicate = -1.0;
+  auto same_bits = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  auto same_inputs = [&](std::size_t a, std::size_t b) {
+    if (!same_bits(step[a - begin], step[b - begin])) {
+      return false;
+    }
+    for (std::size_t k = 0; k < node_count_; ++k) {
+      if (!same_bits(row(temp_, k)[a], row(temp_, k)[b]) ||
+          !same_bits(row(power_, k)[a], row(power_, k)[b])) {
+        return false;
+      }
+    }
+    for (std::size_t s = 0; s < 2 * edge_slots_.size(); ++s) {
+      if (!same_bits(row(cond_, s)[a], row(cond_, s)[b])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (std::size_t rep = begin, b = begin + 1; b < end; ++b) {
+    if (same_inputs(rep, b)) {
+      step[b - begin] = kDuplicate;
+    } else {
+      rep = b;
+    }
   }
   std::vector<double> before(node_count_ * block);
   std::vector<double> delta(block);
@@ -295,7 +330,9 @@ void RcBatch::settle_range(std::size_t begin, std::size_t end, int max_iteration
     const std::size_t hi = std::min(lo + block, end);
     active.clear();
     for (std::size_t b = lo; b < hi; ++b) {
-      active.push_back(b);
+      if (step[b - begin] != kDuplicate) {
+        active.push_back(b);
+      }
     }
     for (int it = 0; it < max_iterations && !active.empty(); ++it) {
       for (std::size_t r = 0; r < active.size();) {
@@ -327,6 +364,21 @@ void RcBatch::settle_range(std::size_t begin, std::size_t end, int max_iteration
       }
       std::erase_if(active, [&](std::size_t b) { return delta[b - lo] < tolerance_kelvin; });
     }
+  }
+  // Each run's duplicates take its first column's end state; the march
+  // writes only the non-fixed temperature and flux rows.
+  for (std::size_t rep = begin; rep < end;) {
+    std::size_t run_end = rep + 1;
+    while (run_end < end && step[run_end - begin] == kDuplicate) {
+      ++run_end;
+    }
+    for (std::size_t k = 0; k < node_count_; ++k) {
+      if (!fixed_[k]) {
+        std::fill(row(temp_, k) + rep + 1, row(temp_, k) + run_end, row(temp_, k)[rep]);
+        std::fill(row(flux_, k) + rep + 1, row(flux_, k) + run_end, row(flux_, k)[rep]);
+      }
+    }
+    rep = run_end;
   }
 }
 

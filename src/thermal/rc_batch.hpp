@@ -87,8 +87,12 @@ class RcBatch {
   /// iteration drops below `tolerance_kelvin`, or `max_iterations` pass. The
   /// columns march together in cache-sized blocks: each iteration advances
   /// maximal runs of still-active columns that share a step in one
-  /// vectorized pass, and a converged column leaves the active set. Every
-  /// column ends bitwise where marching it alone ends.
+  /// vectorized pass, and a converged column leaves the active set. A run of
+  /// adjacent columns that match bit for bit (every temperature, power and
+  /// conductance cell, and the step) marches once: only its first column
+  /// marches, and the others take that column's final temperature and flux
+  /// rows, so a homogeneous fleet marches one column per distinct package.
+  /// Every column ends bitwise where marching it alone ends.
   void settle_range(std::size_t begin, std::size_t end, int max_iterations = 200000,
                     double tolerance_kelvin = 1e-7);
   void settle(std::size_t b) { settle_range(b, b + 1); }

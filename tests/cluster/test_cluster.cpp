@@ -88,20 +88,22 @@ void make_uneven(Cluster& cluster) {
 #define EXPECT_SAME_BITS(a, b, i) \
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b)) << "node " << (i)
 
-TEST(Cluster, SettleAllMatchesPerNodeSettleOnEveryObservable) {
-  // 300 nodes span two 256-column blocks of the batched march. Default
-  // params keep sensor noise on, so the sensor's RNG stream is observable.
-  constexpr std::size_t kNodes = 300;
+/// Builds two `nodes`-node clusters shaped by `shape`, settles one with
+/// settle_all and the other node by node, and requires bitwise agreement on
+/// every observable, then again after 20 physics steps (stale substep plans
+/// included). Default params keep sensor noise on, so the sensor's RNG
+/// stream is observable.
+void expect_settle_all_matches_per_node(std::size_t nodes, void (*shape)(Cluster&)) {
   const NodeParams params;
-  Cluster together{kNodes, params};
-  Cluster alone{kNodes, params};
-  make_uneven(together);
-  make_uneven(alone);
+  Cluster together{nodes, params};
+  Cluster alone{nodes, params};
+  shape(together);
+  shape(alone);
   together.settle_all();
-  for (std::size_t i = 0; i < kNodes; ++i) {
+  for (std::size_t i = 0; i < nodes; ++i) {
     alone.node(i).settle();
   }
-  for (std::size_t i = 0; i < kNodes; ++i) {
+  for (std::size_t i = 0; i < nodes; ++i) {
     Node& a = together.node(i);
     Node& b = alone.node(i);
     EXPECT_SAME_BITS(a.die_temperature().value(), b.die_temperature().value(), i);
@@ -115,15 +117,37 @@ TEST(Cluster, SettleAllMatchesPerNodeSettleOnEveryObservable) {
     // The noise stream continues from the same point.
     EXPECT_SAME_BITS(a.sample_sensor().value(), b.sample_sensor().value(), i);
   }
-  // The next physics steps agree too, stale substep plans included.
   for (int step = 0; step < 20; ++step) {
     together.step(Seconds{0.05});
     alone.step(Seconds{0.05});
   }
-  for (std::size_t i = 0; i < kNodes; ++i) {
+  for (std::size_t i = 0; i < nodes; ++i) {
     EXPECT_SAME_BITS(together.node(i).die_temperature().value(),
                      alone.node(i).die_temperature().value(), i);
   }
+}
+
+TEST(Cluster, SettleAllMatchesPerNodeSettleOnEveryObservable) {
+  // 300 nodes span two 256-column blocks of the batched march.
+  expect_settle_all_matches_per_node(300, make_uneven);
+}
+
+/// A fleet as the rigs build it: runs of identical idle nodes, broken by two
+/// adjacent hot-spot inlets and one lone one, a BMC fan override and one
+/// busy node. The identical runs settle through one marched column each.
+void make_mixed(Cluster& cluster) {
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    cluster.node(i).set_utilization(Utilization{0.02});
+  }
+  cluster.set_inlet_temperature(40, Celsius{38.0});
+  cluster.set_inlet_temperature(41, Celsius{38.0});
+  cluster.set_inlet_temperature(200, Celsius{35.0});
+  ASSERT_EQ(cluster.ipmi().set_fan_override(120, DutyCycle{85.0}), sysfs::IpmiCompletion::kOk);
+  cluster.node(250).set_utilization(Utilization{0.9});
+}
+
+TEST(Cluster, SettleAllMatchesPerNodeSettleOnAMixedFleet) {
+  expect_settle_all_matches_per_node(300, make_mixed);
 }
 
 TEST(ClusterDeath, ZeroNodesAborts) {

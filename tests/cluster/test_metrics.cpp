@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.hpp"
+
 namespace thermctl::cluster {
 namespace {
 
@@ -202,7 +204,7 @@ TEST(Metrics, PowerDelayProduct) {
 
 TEST(Metrics, CsvExportShapesCorrectly) {
   const RunResult r = sample_result();
-  const std::string path = ::testing::TempDir() + "/thermctl_metrics_test.csv";
+  const std::string path = test_temp_path("die_temp.csv");
   r.write_csv(path, "die_temp");
   std::ifstream in{path};
   std::string header;
@@ -223,8 +225,7 @@ TEST(Metrics, CsvExportsEveryField) {
   const RunResult r = sample_result();
   for (const char* field :
        {"die_temp", "sensor_temp", "duty", "rpm", "freq_ghz", "power_w", "util", "activity"}) {
-    const std::string path =
-        ::testing::TempDir() + "/thermctl_metrics_" + field + ".csv";
+    const std::string path = test_temp_path(std::string{field} + ".csv");
     r.write_csv(path, field);
     std::ifstream in{path};
     std::string header;
@@ -242,7 +243,7 @@ TEST(Metrics, CsvExportsEveryField) {
 
 TEST(Metrics, CsvRejectsUnknownField) {
   const RunResult r = sample_result();
-  const std::string path = ::testing::TempDir() + "/thermctl_metrics_bad.csv";
+  const std::string path = test_temp_path("bad.csv");
   EXPECT_DEATH(r.write_csv(path, "nonexistent"), "unknown");
   std::remove(path.c_str());
 }

@@ -7,6 +7,7 @@
 
 #include "common/csv.hpp"
 #include "common/table.hpp"
+#include "temp_path.hpp"
 
 namespace thermctl {
 namespace {
@@ -20,7 +21,7 @@ std::string read_file(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/thermctl_csv_test.csv";
+  std::string path_ = test_temp_path("series.csv");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -13,6 +13,7 @@
 #include "obs/rollup.hpp"
 #include "obs/spill.hpp"
 #include "obs/trace.hpp"
+#include "temp_path.hpp"
 
 namespace thermctl::core {
 namespace {
@@ -142,7 +143,7 @@ TEST(RunSummaryJson, RoundTripsLivePipelineSections) {
   ev.peak = 60.0;
   r.alerts = {ev};
 
-  const std::string path = ::testing::TempDir() + "thermctl_summary_roundtrip.json";
+  const std::string path = test_temp_path("summary.json");
   write_run_summary_json(path, "roundtrip", r);
   std::ifstream in{path};
   ASSERT_TRUE(in.good());

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -242,14 +243,21 @@ TEST(DaemonLifecycle, RequestLineCapIsInclusive) {
 }
 
 TEST(DaemonLifecycle, ShutdownDuringRigBuildStopsTheRun) {
-  // The server accepts before run_experiment has built the rig (a wide fleet
-  // takes a while), so a shutdown can land before there is an engine to
-  // stop. It must still end the run promptly, not at the horizon.
+  // The server accepts before run_experiment has built the rig, so a
+  // shutdown can land before there is an engine to stop. It must still end
+  // the run promptly, not at the horizon. A homogeneous fleet builds in
+  // milliseconds, so the shutdown may also land just after the build; the
+  // observer holds the first step until the shutdown is acknowledged, so
+  // wherever it landed the run must stop at its first step.
   DaemonConfig dc;
   dc.socket_path = unique_socket_path();
   dc.experiment = service_config();
   dc.experiment.nodes = 1024;
   dc.experiment.engine.horizon = Seconds{600.0};
+  std::promise<void> acknowledged;
+  dc.experiment.on_rig_built = [ack = acknowledged.get_future().share()](const core::RigView&) {
+    ack.wait_for(10s);
+  };
   Daemon d{dc};
 
   core::ExperimentResult result;
@@ -257,6 +265,7 @@ TEST(DaemonLifecycle, ShutdownDuringRigBuildStopsTheRun) {
   const int fd = connect_client(dc.socket_path);
   ASSERT_GE(fd, 0);
   EXPECT_EQ(request(fd, "shutdown"), "OK shutting-down\n");
+  acknowledged.set_value();
   ::close(fd);
   runner.join();
   EXPECT_LT(result.run.exec_time_s, 1.0);

@@ -12,12 +12,13 @@
 
 #include "obs/chrome_export.hpp"
 #include "obs/trace.hpp"
+#include "temp_path.hpp"
 
 namespace thermctl::obs {
 namespace {
 
 std::string export_to_string(const std::vector<TraceEvent>& events) {
-  const std::string path = testing::TempDir() + "chrome_export_test.json";
+  const std::string path = test_temp_path("trace.json");
   write_chrome_trace(path, events);
   std::ifstream in{path};
   std::stringstream ss;

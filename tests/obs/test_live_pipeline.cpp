@@ -14,6 +14,7 @@
 #include "obs/rollup.hpp"
 #include "obs/spill.hpp"
 #include "obs/trace_io.hpp"
+#include "temp_path.hpp"
 
 namespace thermctl::obs {
 namespace {
@@ -129,7 +130,7 @@ TEST(Spill, FinishIsIdempotentAndFinalizesHeader) {
 }
 
 TEST(Spill, FileSinkWritesReadableThermtrace) {
-  const std::string path = testing::TempDir() + "spill_roundtrip.thermtrace";
+  const std::string path = test_temp_path("spill.thermtrace");
   RunTrace trace{2, 8};
   {
     FileSpillSink sink{path};
@@ -413,7 +414,7 @@ TEST(Spill, OrderRestoredAcrossBudgetedDrains) {
 }
 
 TEST(Spill, FileReaderRestoresOrderAcrossBudgetedDrains) {
-  const std::string path = testing::TempDir() + "spill_order.thermtrace";
+  const std::string path = test_temp_path("spill.thermtrace");
   RunTrace trace{2, 8};
   {
     FileSpillSink sink{path};

@@ -10,6 +10,7 @@
 #include "obs/chrome_export.hpp"
 #include "obs/trace_io.hpp"
 #include "obs/trace_summary.hpp"
+#include "temp_path.hpp"
 
 namespace thermctl::obs {
 namespace {
@@ -185,7 +186,7 @@ TEST(RunTrace, MergesByTimeThenNode) {
 }
 
 TEST(TraceIo, RoundTripsBitExactly) {
-  const std::string path = ::testing::TempDir() + "thermctl_roundtrip.thermtrace";
+  const std::string path = test_temp_path("roundtrip.thermtrace");
   RunTrace trace{2, 16};
   trace.ring(0).emit(fan_retarget(1.0, 10.0, 20.0));
   trace.ring(1).emit(dvfs_trigger(2.0, 2.4, 2.2, 3));
@@ -218,13 +219,13 @@ TEST(TraceIo, RoundTripsBitExactly) {
 }
 
 TEST(TraceIo, RejectsBadMagicAndMissingFile) {
-  const std::string path = ::testing::TempDir() + "thermctl_not_a_trace.bin";
+  const std::string path = test_temp_path("not_a_trace.bin");
   {
     std::ofstream out{path, std::ios::binary};
     out << "definitely not a trace file, padded well past the header size";
   }
   EXPECT_THROW(read_trace_file(path), std::runtime_error);
-  EXPECT_THROW(read_trace_file(::testing::TempDir() + "thermctl_nonexistent.thermtrace"),
+  EXPECT_THROW(read_trace_file(test_temp_path("nonexistent.thermtrace")),
                std::runtime_error);
   std::remove(path.c_str());
 }
@@ -319,7 +320,7 @@ TEST(TraceSummary, RenderersProduceReadableViews) {
 }
 
 TEST(ChromeExport, EmitsWellFormedTraceEventArray) {
-  const std::string path = ::testing::TempDir() + "thermctl_chrome.json";
+  const std::string path = test_temp_path("chrome.json");
   RunTrace trace{1, 16};
   trace.ring(0).emit(fan_retarget(1.0, 1.0, 10.0));
   trace.ring(0).emit(TraceEvent{.t_s = 2.0, .type = TraceEventType::kFailsafeEnter,

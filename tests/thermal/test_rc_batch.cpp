@@ -13,7 +13,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -468,6 +470,219 @@ TEST(RcBatchSettle, SettleThenStepKeepsThePlanCacheQuirk) {
   expect_columns_bitwise_equal(together, alone, *w);
   for (std::size_t b = 0; b < kInstances; ++b) {
     EXPECT_TRUE(column_matches(together, b, solo[b], *w));
+  }
+}
+
+// ---- settling duplicate columns ----
+// settle_range marches one column per run of bitwise-identical columns and
+// copies its end state to the rest of the run. Whatever the grouping, every
+// column must still end where settling it alone leaves it.
+
+/// Cold start, far from equilibrium: early iterations take large moves, so
+/// a one-ulp difference in an input survives rounding.
+constexpr double kColdDie = 23.9;
+constexpr double kColdHeatsink = 27.1;
+
+/// Loads column b with package `kind` from the cold start: 'A' and 'B' are
+/// loose convections (the die bounds the step), 'T' a tight one (the
+/// heatsink bounds it).
+void load_kind(RcBatch& batch, const PackageRig& w, std::size_t b, char kind) {
+  batch.set_temperature(b, w.die, Celsius{kColdDie});
+  batch.set_temperature(b, w.hs, Celsius{kColdHeatsink});
+  switch (kind) {
+    case 'A':
+      batch.set_power(b, w.die, Watts{90.7});
+      batch.set_resistance(b, w.conv, KelvinPerWatt{0.3});
+      break;
+    case 'B':
+      batch.set_power(b, w.die, Watts{65.0});
+      batch.set_resistance(b, w.conv, KelvinPerWatt{0.2});
+      break;
+    default:
+      batch.set_power(b, w.die, Watts{90.7});
+      batch.set_resistance(b, w.conv, KelvinPerWatt{0.008});
+      break;
+  }
+}
+
+RcBatch pattern_batch(const PackageRig& w, const std::string& pattern) {
+  RcBatch batch{w.net, pattern.size()};
+  for (std::size_t b = 0; b < pattern.size(); ++b) {
+    load_kind(batch, w, b, pattern[b]);
+  }
+  return batch;
+}
+
+/// Settles columns [lo, hi) of `pattern` together and one at a time, and
+/// requires bitwise agreement after the settle and after three steps.
+void expect_pattern_settles_like_per_column(const PackageRig& w, const std::string& pattern,
+                                            std::size_t lo, std::size_t hi) {
+  RcBatch together = pattern_batch(w, pattern);
+  RcBatch alone = pattern_batch(w, pattern);
+  together.settle_range(lo, hi);
+  for (std::size_t b = lo; b < hi; ++b) {
+    alone.settle(b);
+  }
+  expect_columns_bitwise_equal(together, alone, w);
+  for (int step = 0; step < 3; ++step) {
+    together.step_all(Seconds{0.05});
+    alone.step_all(Seconds{0.05});
+  }
+  expect_columns_bitwise_equal(together, alone, w);
+}
+
+TEST(RcBatchSettle, IdenticalColumnsMatchPerColumnSettle) {
+  // 600 identical columns: one representative marches for all of them,
+  // across what would be three 256-column blocks.
+  auto w = make_package_rig();
+  const std::string pattern(600, 'A');
+  expect_pattern_settles_like_per_column(*w, pattern, 0, pattern.size());
+  // A sub-range: the columns outside it keep their unsettled state.
+  expect_pattern_settles_like_per_column(*w, pattern, 3, 517);
+}
+
+TEST(RcBatchSettle, InterleavedRunsMatchPerColumnSettle) {
+  auto w = make_package_rig();
+  const std::string long_runs = std::string(300, 'A') + "B" + std::string(300, 'A');
+  for (const std::string& pattern : {std::string{"AABABB"}, std::string{"ABABAB"},
+                                     std::string{"BAAAAB"}, std::string{"TTATTB"}, long_runs}) {
+    SCOPED_TRACE(pattern.size() > 20 ? "300 A, B, 300 A" : pattern);
+    expect_pattern_settles_like_per_column(*w, pattern, 0, pattern.size());
+  }
+}
+
+/// The resistance nearest `r` whose conductance is one ulp above 1 / r.
+KelvinPerWatt one_ulp_more_conductance(KelvinPerWatt r) {
+  const double g = std::nextafter(1.0 / r.value(), 2.0 / r.value());
+  double r2 = 1.0 / g;
+  for (int i = 0; i < 8 && 1.0 / r2 != g; ++i) {
+    r2 = std::nextafter(r2, 1.0 / g > r2 ? 1.0 : 0.0);
+  }
+  EXPECT_EQ(bits(1.0 / r2), bits(g));
+  return KelvinPerWatt{r2};
+}
+
+/// Settles K K X K K, where X is a `kind` column that `nudge` moved one ulp
+/// away in a single input, together and one column at a time, under every
+/// iteration cap from 1 to 64 and in a full settle, and requires bitwise
+/// agreement. Under at least one cap X settled alone ends elsewhere than
+/// its neighbours, so taking their end state would fail: rounding can
+/// absorb a one-ulp nudge for a while, and a full settle can wash a nudged
+/// temperature out.
+void expect_nudged_column_marches_alone(const PackageRig& w, char kind,
+                                        const std::function<void(RcBatch&)>& nudge) {
+  const std::string pattern(5, kind);
+  int traces = 0;
+  std::vector<int> caps(64);
+  std::iota(caps.begin(), caps.end(), 1);
+  caps.push_back(200000);
+  for (const int cap : caps) {
+    SCOPED_TRACE("max_iterations=" + std::to_string(cap));
+    RcBatch together = pattern_batch(w, pattern);
+    RcBatch alone = pattern_batch(w, pattern);
+    nudge(together);
+    nudge(alone);
+    together.settle_range(0, pattern.size(), cap);
+    for (std::size_t b = 0; b < pattern.size(); ++b) {
+      alone.settle_range(b, b + 1, cap);
+    }
+    expect_columns_bitwise_equal(together, alone, w);
+    if (!column_matches(alone, 2, alone, w)) {
+      ++traces;
+    }
+  }
+  EXPECT_GT(traces, 0) << "the nudge leaves no trace";
+}
+
+TEST(RcBatchSettle, ColumnOneUlpApartMarchesOnItsOwn) {
+  auto w = make_package_rig();
+  const double amb0 = w->net.temperature(w->amb).value();
+  const std::pair<std::string, std::function<void(RcBatch&)>> cases[] = {
+      {"die temperature",
+       [&](RcBatch& b) {
+         b.set_temperature(2, w->die, Celsius{std::nextafter(kColdDie, 100.0)});
+       }},
+      {"heatsink temperature",
+       [&](RcBatch& b) {
+         b.set_temperature(2, w->hs, Celsius{std::nextafter(kColdHeatsink, 100.0)});
+       }},
+      {"ambient temperature",
+       [&](RcBatch& b) {
+         b.set_fixed_temperature(2, w->amb, Celsius{std::nextafter(amb0, 100.0)});
+       }},
+      {"die power",
+       [&](RcBatch& b) { b.set_power(2, w->die, Watts{std::nextafter(90.7, 100.0)}); }},
+      {"die-heatsink conductance",
+       [&](RcBatch& b) {
+         b.set_resistance(2, w->die_hs, one_ulp_more_conductance(b.resistance(2, w->die_hs)));
+       }},
+      {"convection conductance",
+       [&](RcBatch& b) {
+         // The die bounds an 'A' column's step, so only the cell moves.
+         const double step = b.min_time_constant(2).value();
+         b.set_resistance(2, w->conv, one_ulp_more_conductance(b.resistance(2, w->conv)));
+         EXPECT_EQ(bits(b.min_time_constant(2).value()), bits(step));
+       }},
+  };
+  for (const auto& [name, nudge] : cases) {
+    SCOPED_TRACE(name);
+    expect_nudged_column_marches_alone(*w, 'A', nudge);
+  }
+}
+
+TEST(RcBatchSettle, ColumnWhoseStepIsOneUlpApartMarchesOnItsOwn) {
+  // X's step is one ulp shorter: its convection resistance is the nearest
+  // below T's that moves the heatsink-bound time constant.
+  auto w = make_package_rig();
+  RcBatch probe = pattern_batch(*w, "T");
+  const double tau = probe.min_time_constant(0).value();
+  double r = probe.resistance(0, w->conv).value();
+  while (probe.min_time_constant(0).value() == tau) {
+    r = std::nextafter(r, 0.0);
+    probe.set_resistance(0, w->conv, KelvinPerWatt{r});
+  }
+  ASSERT_EQ(bits(tau) - bits(probe.min_time_constant(0).value()), 1u);
+  expect_nudged_column_marches_alone(
+      *w, 'T', [&](RcBatch& b) { b.set_resistance(2, w->conv, KelvinPerWatt{r}); });
+}
+
+TEST(RcBatchSettle, DuplicateColumnsKeepThePlanCacheQuirk) {
+  // SettleThenStepKeepsThePlanCacheQuirk with every column identical: each
+  // duplicate's stale bit is cleared by the settle's step read, as if it had
+  // marched, so the next steps reuse the primed plan in every column.
+  const std::string pattern = "AAAAAA";
+  auto w = make_package_rig();
+  RcBatch together = pattern_batch(*w, pattern);
+  RcBatch alone = pattern_batch(*w, pattern);
+  RcBatch solo = pattern_batch(*w, "A");
+  const Seconds dt{1.0};
+  const KelvinPerWatt tight{0.005};
+  {
+    RcBatch probe = pattern_batch(*w, "A");
+    const double primed_tau = probe.min_time_constant(0).value();
+    probe.set_resistance(0, w->conv, tight);
+    EXPECT_NE(std::ceil(dt.value() * 8.0 / primed_tau),
+              std::ceil(dt.value() * 8.0 / probe.min_time_constant(0).value()));
+  }
+  for (RcBatch* batch : {&together, &alone, &solo}) {
+    batch->step_all(dt);
+    for (std::size_t b = 0; b < batch->instance_count(); ++b) {
+      batch->set_resistance(b, w->conv, tight);
+    }
+  }
+  together.settle_range(0, pattern.size());
+  for (std::size_t b = 0; b < pattern.size(); ++b) {
+    alone.settle(b);
+  }
+  solo.settle(0);
+  for (int step = 0; step < 3; ++step) {
+    for (RcBatch* batch : {&together, &alone, &solo}) {
+      batch->step_all(dt);
+    }
+  }
+  expect_columns_bitwise_equal(together, alone, *w);
+  for (std::size_t b = 0; b < pattern.size(); ++b) {
+    EXPECT_TRUE(column_matches(together, b, solo, *w));
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.hpp"
+
 namespace thermctl::workload {
 namespace {
 
@@ -49,7 +51,7 @@ TEST(TraceLoad, DurationAndCount) {
 
 class TraceCsv : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/thermctl_trace.csv";
+  std::string path_ = test_temp_path("trace.csv");
   void write(const std::string& contents) {
     std::ofstream out{path_};
     out << contents;
