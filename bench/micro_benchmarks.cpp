@@ -147,6 +147,31 @@ void BM_ControlBankEmplaceUnified(benchmark::State& state) {
 }
 BENCHMARK(BM_ControlBankEmplaceUnified)->Arg(2048)->Unit(benchmark::kMillisecond);
 
+void BM_ClusterBuild(benchmark::State& state) {
+  // Rig set-up at fleet scale: a Cluster of N nodes built from scratch, each
+  // node's device graph, sysfs mounts, BMC and IPMI attach included. The
+  // teardown is not timed; ns_per_node is the build cost of one node.
+  const std::size_t nodes = static_cast<std::size_t>(state.range(0));
+  const cluster::NodeParams params;
+  double total_ns = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    auto rack = std::make_unique<cluster::Cluster>(nodes, params);
+    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(elapsed.count());
+    total_ns += elapsed.count() * 1e9;
+    benchmark::DoNotOptimize(rack->node(nodes - 1).die_temperature());
+  }
+  state.counters["ns_per_node"] =
+      total_ns / (static_cast<double>(state.iterations()) * static_cast<double>(nodes));
+}
+BENCHMARK(BM_ClusterBuild)
+    ->ArgName("nodes")
+    ->Arg(2048)
+    ->Arg(16384)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_RcBatchStepFleet(benchmark::State& state) {
   // The RC solver at fleet scale: N package instances advanced by
   // restrict-qualified, compiler-vectorized SoA sweeps over the instance

@@ -17,13 +17,18 @@ Node::Node(int id, const NodeParams& base, FleetState& fleet, std::size_t slot,
               Rng{seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}, fleet.sensor(),
               slot),
       meter_(fleet.meter(), slot),
-      driver_(i2c_) {
+      driver_(i2c_),
+      // In-band plane: cpufreq, hwmon, powerclamp, RAPL and /proc/stat, one
+      // mount per directory.
+      cpufreq_(vfs_, "/sys/devices/system/cpu", 0, cpu_),
+      hwmon_(vfs_, "/sys/class/hwmon", 0, sensor_, driver_),
+      clamp_(vfs_, "/sys/class/thermal", 0, cpu_),
+      rapl_(vfs_, "/sys/class/powercap", 0, cpu_),
+      proc_stat_(
+          vfs_, [this] { return busy_jiffies(); }, [this] { return total_jiffies(); }) {
   sample_schedule() =
       PeriodicSchedule{static_cast<std::int64_t>(base.sample_period.value() * 1e6)};
   i2c_.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip_);
-
-  // In-band plane: cpufreq + hwmon sysfs trees.
-  cpufreq_ = std::make_unique<sysfs::CpufreqPolicy>(vfs_, "/sys/devices/system/cpu", 0, cpu_);
 
   // The fan driver must probe before the hwmon binding can drive PWM. The
   // probe leaves the chip in manual behaviour; restore the BIOS default
@@ -33,11 +38,6 @@ Node::Node(int id, const NodeParams& base, FleetState& fleet, std::size_t slot,
   THERMCTL_ASSERT(probe == sysfs::DriverStatus::kOk, "ADT7467 probe failed");
   const auto restore = driver_.set_automatic_mode();
   THERMCTL_ASSERT(restore == sysfs::DriverStatus::kOk, "ADT7467 mode restore failed");
-  hwmon_ = std::make_unique<sysfs::HwmonDevice>(vfs_, "/sys/class/hwmon", 0, sensor_, driver_);
-  clamp_ = std::make_unique<sysfs::PowerClampDevice>(vfs_, "/sys/class/thermal", 0, cpu_);
-  rapl_ = std::make_unique<sysfs::RaplDomain>(vfs_, "/sys/class/powercap", 0, cpu_);
-  proc_stat_ = std::make_unique<sysfs::ProcStat>(
-      vfs_, [this] { return busy_jiffies(); }, [this] { return total_jiffies(); });
 
   // Out-of-band plane: BMC sensors + fan override.
   bmc_.add_sensor("CPU Temp", "degrees C", [this] { return sensor_.last_reading().value(); });

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "cluster/fleet_state.hpp"
@@ -104,11 +103,11 @@ class Node {
   [[nodiscard]] sysfs::VirtualFs& vfs() { return vfs_; }
   [[nodiscard]] sysfs::Adt7467Driver& fan_driver() { return driver_; }
   [[nodiscard]] const sysfs::Adt7467Driver& fan_driver() const { return driver_; }
-  [[nodiscard]] sysfs::CpufreqPolicy& cpufreq() { return *cpufreq_; }
-  [[nodiscard]] sysfs::HwmonDevice& hwmon() { return *hwmon_; }
-  [[nodiscard]] sysfs::PowerClampDevice& powerclamp() { return *clamp_; }
-  [[nodiscard]] sysfs::RaplDomain& rapl() { return *rapl_; }
-  [[nodiscard]] sysfs::ProcStat& proc_stat() { return *proc_stat_; }
+  [[nodiscard]] sysfs::CpufreqPolicy& cpufreq() { return cpufreq_; }
+  [[nodiscard]] sysfs::HwmonDevice& hwmon() { return hwmon_; }
+  [[nodiscard]] sysfs::PowerClampDevice& powerclamp() { return clamp_; }
+  [[nodiscard]] sysfs::RaplDomain& rapl() { return rapl_; }
+  [[nodiscard]] sysfs::ProcStat& proc_stat() { return proc_stat_; }
   [[nodiscard]] sysfs::BmcEndpoint& bmc() { return bmc_; }
 
   /// Brings the node to thermal equilibrium at the current load (experiment
@@ -137,13 +136,13 @@ class Node {
   thermal::PackageModel package_;
   hw::ThermalSensor sensor_;
   hw::PowerMeter meter_;
-  sysfs::VirtualFs vfs_;
+  sysfs::VirtualFs vfs_;  // before the devices mounted in it
   sysfs::Adt7467Driver driver_;
-  std::unique_ptr<sysfs::CpufreqPolicy> cpufreq_;
-  std::unique_ptr<sysfs::HwmonDevice> hwmon_;
-  std::unique_ptr<sysfs::PowerClampDevice> clamp_;
-  std::unique_ptr<sysfs::RaplDomain> rapl_;
-  std::unique_ptr<sysfs::ProcStat> proc_stat_;
+  sysfs::CpufreqPolicy cpufreq_;
+  sysfs::HwmonDevice hwmon_;
+  sysfs::PowerClampDevice clamp_;
+  sysfs::RaplDomain rapl_;
+  sysfs::ProcStat proc_stat_;
   sysfs::BmcEndpoint bmc_;
 };
 

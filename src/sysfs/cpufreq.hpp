@@ -8,7 +8,8 @@
 #pragma once
 
 #include <cmath>
-#include <string>
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "hw/cpu_device.hpp"
@@ -18,15 +19,14 @@ namespace thermctl::sysfs {
 
 class CpufreqPolicy {
  public:
-  /// Registers the cpufreq attribute set for `cpu` under
-  /// `<root>/cpu<index>/cpufreq/` in `fs`. The policy does not own the device.
-  CpufreqPolicy(VirtualFs& fs, std::string root, int index, hw::CpuDevice& cpu);
+  /// Mounts the cpufreq attribute set for `cpu` at `<root>/cpu<index>/cpufreq`
+  /// (and its `stats` subdirectory) in `fs`. The policy does not own the
+  /// device.
+  CpufreqPolicy(VirtualFs& fs, std::string_view root, int index, hw::CpuDevice& cpu);
   ~CpufreqPolicy();
 
   CpufreqPolicy(const CpufreqPolicy&) = delete;
   CpufreqPolicy& operator=(const CpufreqPolicy&) = delete;
-
-  [[nodiscard]] const std::string& directory() const { return dir_; }
 
   /// Convenience accessors mirroring the attribute contents.
   [[nodiscard]] long cur_khz() const;
@@ -46,14 +46,23 @@ class CpufreqPolicy {
   static GigaHertz from_khz(long khz) { return GigaHertz{static_cast<double>(khz) * 1e-6}; }
 
  private:
+  // The cpufreq directory's files in name order; the enum indexes kFiles.
+  enum File : std::uint8_t {
+    kCpuinfoMaxFreq,
+    kCpuinfoMinFreq,
+    kScalingAvailableFrequencies,
+    kScalingCurFreq,
+    kScalingGovernor,
+    kScalingSetspeed,
+    kFileCount
+  };
+  static const VirtualFs::Attr kFiles[kFileCount];
+  static const VirtualFs::Attr kStatsFiles[1];  // stats/total_trans
+
   VirtualFs& fs_;
-  std::string dir_;
   hw::CpuDevice& cpu_;
-  // Cached handles to our own attributes (hot sampling path).
-  VirtualFs::Handle cur_freq_attr_;
-  VirtualFs::Handle max_freq_attr_;
-  VirtualFs::Handle min_freq_attr_;
-  VirtualFs::Handle setspeed_attr_;
+  VirtualFs::Mount mount_;
+  VirtualFs::Mount stats_mount_;
 };
 
 }  // namespace thermctl::sysfs

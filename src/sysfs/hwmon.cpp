@@ -2,77 +2,84 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
 #include "hw/adt7467.hpp"
 
 namespace thermctl::sysfs {
 
-HwmonDevice::HwmonDevice(VirtualFs& fs, std::string root, int index, hw::ThermalSensor& sensor,
-                         Adt7467Driver& driver)
-    : fs_(fs), dir_(root + "/hwmon" + std::to_string(index)), sensor_(sensor), driver_(driver) {
-  fs_.add_attribute(dir_ + "/name", [] { return std::string{"adt7467"}; });
-  fs_.add_attribute_long(dir_ + "/temp1_input", [this] {
-    // Kernel convention: millidegrees Celsius.
-    return to_millidegrees(sensor_.last_reading());
-  });
-  fs_.add_attribute(dir_ + "/fan1_input", [this] {
-    std::optional<Rpm> rpm;
-    if (driver_.read_rpm(rpm) != DriverStatus::kOk || !rpm.has_value()) {
-      return std::string{"0"};
-    }
-    return std::to_string(static_cast<long>(std::lround(rpm->value())));
-  });
-  fs_.add_attribute_long(
-      dir_ + "/pwm1",
-      [this]() -> long {
-        DutyCycle d;
-        if (driver_.read_duty(d) != DriverStatus::kOk) {
-          return 0;
-        }
-        return static_cast<long>(hw::Adt7467::duty_to_reg(d));
-      },
-      [this](long raw) {
-        if (raw < 0 || raw > 255) {
-          return false;
-        }
-        return driver_.set_duty(hw::Adt7467::reg_to_duty(static_cast<std::uint8_t>(raw))) ==
-               DriverStatus::kOk;
-      });
-  fs_.add_attribute(
-      dir_ + "/pwm1_enable", [] { return std::string{"1"}; },
-      [this](const std::string& value) {
-        if (value == "1") {
-          return driver_.set_manual_mode() == DriverStatus::kOk;
-        }
-        if (value == "2") {
-          return driver_.set_automatic_mode() == DriverStatus::kOk;
-        }
-        return false;
-      });
-  // Controllers poll temp1_input and pwm1 every sampling tick on every node;
-  // cached handles keep that off the path-lookup slow path. The handles are
-  // to our own attributes, dropped with them in the destructor.
-  temp_attr_ = fs_.open(dir_ + "/temp1_input");
-  pwm_attr_ = fs_.open(dir_ + "/pwm1");
-  pwm_enable_attr_ = fs_.open(dir_ + "/pwm1_enable");
+constexpr VirtualFs::Attr HwmonDevice::kFiles[kFileCount] = {
+    {.name = "fan1_input",
+     .read = [](const void* d) {
+       std::optional<Rpm> rpm;
+       if (static_cast<const HwmonDevice*>(d)->driver_.read_rpm(rpm) != DriverStatus::kOk ||
+           !rpm.has_value()) {
+         return std::string{"0"};
+       }
+       return std::to_string(static_cast<long>(std::lround(rpm->value())));
+     }},
+    {.name = "name", .read = [](const void*) { return std::string{"adt7467"}; }},
+    {.name = "pwm1",
+     .read_long = [](const void* d) -> long {
+       DutyCycle duty;
+       if (static_cast<const HwmonDevice*>(d)->driver_.read_duty(duty) != DriverStatus::kOk) {
+         return 0;
+       }
+       return static_cast<long>(hw::Adt7467::duty_to_reg(duty));
+     },
+     .write_long = [](void* d, long raw) {
+       if (raw < 0 || raw > 255) {
+         return false;
+       }
+       return static_cast<HwmonDevice*>(d)->driver_.set_duty(
+                  hw::Adt7467::reg_to_duty(static_cast<std::uint8_t>(raw))) == DriverStatus::kOk;
+     }},
+    {.name = "pwm1_enable",
+     .read = [](const void*) { return std::string{"1"}; },
+     .write = [](void* d, const std::string& value) {
+       Adt7467Driver& driver = static_cast<HwmonDevice*>(d)->driver_;
+       if (value == "1") {
+         return driver.set_manual_mode() == DriverStatus::kOk;
+       }
+       if (value == "2") {
+         return driver.set_automatic_mode() == DriverStatus::kOk;
+       }
+       return false;
+     }},
+    {.name = "temp1_input",
+     .read_long = [](const void* d) {
+       // Kernel convention: millidegrees Celsius.
+       return to_millidegrees(static_cast<const HwmonDevice*>(d)->sensor_.last_reading());
+     }},
+};
+
+HwmonDevice::HwmonDevice(VirtualFs& fs, std::string_view root, int index,
+                         hw::ThermalSensor& sensor, Adt7467Driver& driver)
+    : fs_(fs), sensor_(sensor), driver_(driver) {
+  static_assert(VirtualFs::valid_table(kFiles));
+  static_assert(kFiles[kTemp1Input].name == "temp1_input" && kFiles[kPwm1].name == "pwm1" &&
+                kFiles[kPwm1Enable].name == "pwm1_enable");
+  mount_ = fs_.mount(VirtualFs::device_dir(root, "/hwmon", index), kFiles, this);
 }
 
-HwmonDevice::~HwmonDevice() {
-  for (const auto& name : {"/name", "/temp1_input", "/fan1_input", "/pwm1", "/pwm1_enable"}) {
-    fs_.remove_attribute(dir_ + name);
-  }
-}
+HwmonDevice::~HwmonDevice() { fs_.unmount(mount_); }
 
+// Controllers poll temp1_input and pwm1 every sampling tick on every node:
+// the handles name our own files directly, with no path lookup.
 Celsius HwmonDevice::read_temperature() const {
-  return from_millidegrees(fs_.read_long(temp_attr_).value_or(0));
+  return from_millidegrees(fs_.read_long(VirtualFs::handle(mount_, kTemp1Input)).value_or(0));
 }
 
 bool HwmonDevice::write_pwm(DutyCycle duty) {
-  return fs_.write_long(pwm_attr_, hw::Adt7467::duty_to_reg(duty));
+  return fs_.write_long(VirtualFs::handle(mount_, kPwm1), hw::Adt7467::duty_to_reg(duty));
 }
 
-bool HwmonDevice::set_manual_mode() { return fs_.write(pwm_enable_attr_, "1"); }
+bool HwmonDevice::set_manual_mode() {
+  return fs_.write(VirtualFs::handle(mount_, kPwm1Enable), "1");
+}
 
-bool HwmonDevice::set_automatic_mode() { return fs_.write(pwm_enable_attr_, "2"); }
+bool HwmonDevice::set_automatic_mode() {
+  return fs_.write(VirtualFs::handle(mount_, kPwm1Enable), "2");
+}
 
 }  // namespace thermctl::sysfs

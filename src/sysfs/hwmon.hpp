@@ -9,7 +9,8 @@
 #pragma once
 
 #include <cmath>
-#include <string>
+#include <cstdint>
+#include <string_view>
 
 #include "common/units.hpp"
 #include "hw/thermal_sensor.hpp"
@@ -20,16 +21,14 @@ namespace thermctl::sysfs {
 
 class HwmonDevice {
  public:
-  /// Publishes `<root>/hwmon<index>/...` backed by `sensor` (temperature) and
+  /// Mounts `<root>/hwmon<index>` backed by `sensor` (temperature) and
   /// `driver` (fan/PWM path). Neither is owned.
-  HwmonDevice(VirtualFs& fs, std::string root, int index, hw::ThermalSensor& sensor,
+  HwmonDevice(VirtualFs& fs, std::string_view root, int index, hw::ThermalSensor& sensor,
               Adt7467Driver& driver);
   ~HwmonDevice();
 
   HwmonDevice(const HwmonDevice&) = delete;
   HwmonDevice& operator=(const HwmonDevice&) = delete;
-
-  [[nodiscard]] const std::string& directory() const { return dir_; }
 
   /// Reads temp1_input and converts from millidegrees.
   [[nodiscard]] Celsius read_temperature() const;
@@ -50,14 +49,14 @@ class HwmonDevice {
   }
 
  private:
+  // The hwmon directory's files in name order; the enum indexes kFiles.
+  enum File : std::uint8_t { kFan1Input, kName, kPwm1, kPwm1Enable, kTemp1Input, kFileCount };
+  static const VirtualFs::Attr kFiles[kFileCount];
+
   VirtualFs& fs_;
-  std::string dir_;
   hw::ThermalSensor& sensor_;
   Adt7467Driver& driver_;
-  // Cached handles to our own attributes (hot sampling path).
-  VirtualFs::Handle temp_attr_;
-  VirtualFs::Handle pwm_attr_;
-  VirtualFs::Handle pwm_enable_attr_;
+  VirtualFs::Mount mount_;
 };
 
 }  // namespace thermctl::sysfs

@@ -1,35 +1,39 @@
 #include "sysfs/ipmi.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace thermctl::sysfs {
 
 std::uint8_t BmcEndpoint::add_sensor(std::string name, std::string unit, SensorFn read) {
   THERMCTL_ASSERT(static_cast<bool>(read), "sensor needs a read function");
-  THERMCTL_ASSERT(next_sensor_ != 0, "sensor repository full");
-  const std::uint8_t num = next_sensor_++;
-  sensors_[num] = Sensor{std::move(name), std::move(unit), std::move(read)};
-  return num;
+  THERMCTL_ASSERT(sensors_.size() < 255, "sensor repository full");
+  if (sensors_.empty()) {
+    sensors_.reserve(4);  // a node's BMC carries three sensors
+  }
+  sensors_.push_back(Sensor{std::move(name), std::move(unit), std::move(read)});
+  return static_cast<std::uint8_t>(sensors_.size());
 }
 
 IpmiCompletion BmcEndpoint::get_sensor_reading(std::uint8_t sensor, SensorReading& out) const {
   if (!reachable_) {
     return IpmiCompletion::kDestinationUnavailable;
   }
-  auto it = sensors_.find(sensor);
-  if (it == sensors_.end()) {
+  if (sensor == 0 || sensor > sensors_.size()) {
     return IpmiCompletion::kInvalidSensor;
   }
-  out.value = it->second.read();
-  out.unit = it->second.unit;
+  const Sensor& s = sensors_[sensor - 1];
+  out.value = s.read();
+  out.unit = s.unit;
   return IpmiCompletion::kOk;
 }
 
 std::vector<std::pair<std::uint8_t, std::string>> BmcEndpoint::list_sensors() const {
   std::vector<std::pair<std::uint8_t, std::string>> out;
   out.reserve(sensors_.size());
-  for (const auto& [num, s] : sensors_) {
-    out.emplace_back(num, s.name);
+  for (std::size_t i = 0; i < sensors_.size(); ++i) {
+    out.emplace_back(static_cast<std::uint8_t>(i + 1), sensors_[i].name);
   }
   return out;
 }
@@ -47,32 +51,39 @@ IpmiCompletion BmcEndpoint::set_fan_override(std::optional<DutyCycle> duty) {
 
 void IpmiNetwork::attach(int node_id, BmcEndpoint* bmc) {
   THERMCTL_ASSERT(bmc != nullptr, "cannot attach null BMC");
-  THERMCTL_ASSERT(!endpoints_.contains(node_id), "node id already attached");
-  endpoints_[node_id] = bmc;
+  if (endpoints_.empty() || endpoints_.back().id < node_id) {
+    endpoints_.push_back(Endpoint{node_id, bmc});
+    return;
+  }
+  const auto at = std::lower_bound(endpoints_.begin(), endpoints_.end(), node_id,
+                                   [](const Endpoint& e, int id) { return e.id < id; });
+  THERMCTL_ASSERT(at->id != node_id, "node id already attached");
+  endpoints_.insert(at, Endpoint{node_id, bmc});
+}
+
+BmcEndpoint* IpmiNetwork::find(int node_id) const {
+  const auto at = std::lower_bound(endpoints_.begin(), endpoints_.end(), node_id,
+                                   [](const Endpoint& e, int id) { return e.id < id; });
+  return at == endpoints_.end() || at->id != node_id ? nullptr : at->bmc;
 }
 
 IpmiCompletion IpmiNetwork::get_sensor_reading(int node_id, std::uint8_t sensor,
                                                SensorReading& out) const {
-  auto it = endpoints_.find(node_id);
-  if (it == endpoints_.end()) {
-    return IpmiCompletion::kDestinationUnavailable;
-  }
-  return it->second->get_sensor_reading(sensor, out);
+  BmcEndpoint* bmc = find(node_id);
+  return bmc == nullptr ? IpmiCompletion::kDestinationUnavailable
+                        : bmc->get_sensor_reading(sensor, out);
 }
 
 IpmiCompletion IpmiNetwork::set_fan_override(int node_id, std::optional<DutyCycle> duty) {
-  auto it = endpoints_.find(node_id);
-  if (it == endpoints_.end()) {
-    return IpmiCompletion::kDestinationUnavailable;
-  }
-  return it->second->set_fan_override(duty);
+  BmcEndpoint* bmc = find(node_id);
+  return bmc == nullptr ? IpmiCompletion::kDestinationUnavailable : bmc->set_fan_override(duty);
 }
 
 std::vector<int> IpmiNetwork::nodes() const {
   std::vector<int> out;
   out.reserve(endpoints_.size());
-  for (const auto& [id, _] : endpoints_) {
-    out.push_back(id);
+  for (const Endpoint& e : endpoints_) {
+    out.push_back(e.id);
   }
   return out;
 }

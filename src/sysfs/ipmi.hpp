@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,7 +38,8 @@ class BmcEndpoint {
   using SensorFn = std::function<double()>;
   using FanOverrideFn = std::function<void(std::optional<DutyCycle>)>;
 
-  /// Registers a sensor in the repository; returns its sensor number.
+  /// Registers a sensor in the repository; returns its sensor number
+  /// (numbers run 1, 2, ... in registration order).
   std::uint8_t add_sensor(std::string name, std::string unit, SensorFn read);
 
   /// Installs the fan-override hook (nullopt duty = release override).
@@ -61,12 +61,11 @@ class BmcEndpoint {
     std::string unit;
     SensorFn read;
   };
-  std::map<std::uint8_t, Sensor> sensors_;
-  std::uint8_t next_sensor_ = 1;
+  // Sensor number n lives at sensors_[n - 1]: registration order is number
+  // order, so a lookup is an index.
+  std::vector<Sensor> sensors_;
   FanOverrideFn fan_override_;
   bool reachable_ = true;
-
-  friend class IpmiNetwork;
 };
 
 /// The management network tying BMCs together, addressed by node id.
@@ -79,7 +78,14 @@ class IpmiNetwork {
   [[nodiscard]] std::vector<int> nodes() const;
 
  private:
-  std::map<int, BmcEndpoint*> endpoints_;
+  struct Endpoint {
+    int id;
+    BmcEndpoint* bmc;
+  };
+  [[nodiscard]] BmcEndpoint* find(int node_id) const;
+
+  // Sorted by id. A cluster attaches ids in ascending order, which appends.
+  std::vector<Endpoint> endpoints_;
 };
 
 }  // namespace thermctl::sysfs

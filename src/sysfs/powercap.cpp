@@ -1,39 +1,49 @@
 #include "sysfs/powercap.hpp"
 
+#include <string>
+
 namespace thermctl::sysfs {
 
-RaplDomain::RaplDomain(VirtualFs& fs, std::string root, int index, hw::CpuDevice& cpu)
-    : fs_(fs), dir_(root + "/intel-rapl:" + std::to_string(index)), cpu_(cpu) {
-  fs_.add_attribute(dir_ + "/name", [] { return std::string{"package-0"}; });
-  fs_.add_attribute(dir_ + "/energy_uj", [this] {
-    return std::to_string(cpu_.energy_uj() % (kMaxEnergyRangeUj + 1));
-  });
-  fs_.add_attribute(dir_ + "/max_energy_range_uj",
-                    [] { return std::to_string(kMaxEnergyRangeUj); });
-  fs_.add_attribute(dir_ + "/aperf", [this] { return std::to_string(cpu_.aperf()); });
-  fs_.add_attribute(dir_ + "/mperf", [this] { return std::to_string(cpu_.mperf()); });
+constexpr VirtualFs::Attr RaplDomain::kFiles[kFileCount] = {
+    {.name = "aperf",
+     .read = [](const void* d) {
+       return std::to_string(static_cast<const RaplDomain*>(d)->cpu_.aperf());
+     }},
+    {.name = "energy_uj",
+     .read = [](const void* d) {
+       return std::to_string(static_cast<const RaplDomain*>(d)->cpu_.energy_uj() %
+                             (kMaxEnergyRangeUj + 1));
+     }},
+    {.name = "max_energy_range_uj",
+     .read = [](const void*) { return std::to_string(kMaxEnergyRangeUj); }},
+    {.name = "mperf",
+     .read = [](const void* d) {
+       return std::to_string(static_cast<const RaplDomain*>(d)->cpu_.mperf());
+     }},
+    {.name = "name", .read = [](const void*) { return std::string{"package-0"}; }},
+};
+
+RaplDomain::RaplDomain(VirtualFs& fs, std::string_view root, int index, hw::CpuDevice& cpu)
+    : fs_(fs), cpu_(cpu) {
+  static_assert(VirtualFs::valid_table(kFiles));
+  static_assert(kFiles[kAperf].name == "aperf" && kFiles[kEnergyUj].name == "energy_uj" &&
+                kFiles[kMperf].name == "mperf");
+  mount_ = fs_.mount(VirtualFs::device_dir(root, "/intel-rapl:", index), kFiles, this);
 }
 
-RaplDomain::~RaplDomain() {
-  for (const auto& name :
-       {"/name", "/energy_uj", "/max_energy_range_uj", "/aperf", "/mperf"}) {
-    fs_.remove_attribute(dir_ + name);
-  }
-}
+RaplDomain::~RaplDomain() { fs_.unmount(mount_); }
 
-std::uint64_t RaplDomain::energy_uj() const {
-  const auto v = fs_.read(dir_ + "/energy_uj");
+// Counter-augmented controllers read these every sample: the handles name
+// our own files directly, with no path lookup.
+std::uint64_t RaplDomain::read_counter(File file) const {
+  const auto v = fs_.read(VirtualFs::handle(mount_, file));
   return v.has_value() ? std::stoull(*v) : 0;
 }
 
-std::uint64_t RaplDomain::aperf() const {
-  const auto v = fs_.read(dir_ + "/aperf");
-  return v.has_value() ? std::stoull(*v) : 0;
-}
+std::uint64_t RaplDomain::energy_uj() const { return read_counter(kEnergyUj); }
 
-std::uint64_t RaplDomain::mperf() const {
-  const auto v = fs_.read(dir_ + "/mperf");
-  return v.has_value() ? std::stoull(*v) : 0;
-}
+std::uint64_t RaplDomain::aperf() const { return read_counter(kAperf); }
+
+std::uint64_t RaplDomain::mperf() const { return read_counter(kMperf); }
 
 }  // namespace thermctl::sysfs

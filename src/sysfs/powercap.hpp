@@ -8,7 +8,8 @@
 // temperature.
 #pragma once
 
-#include <string>
+#include <cstdint>
+#include <string_view>
 
 #include "hw/cpu_device.hpp"
 #include "sysfs/vfs.hpp"
@@ -23,14 +24,12 @@ class RaplDomain {
   /// server power, so consumers MUST handle wrap; see energy_delta_uj).
   static constexpr std::uint64_t kMaxEnergyRangeUj = 65'532'610'987ULL;
 
-  /// Registers `<root>/intel-rapl:<index>/...` backed by `cpu`'s counters.
-  RaplDomain(VirtualFs& fs, std::string root, int index, hw::CpuDevice& cpu);
+  /// Mounts `<root>/intel-rapl:<index>` backed by `cpu`'s counters.
+  RaplDomain(VirtualFs& fs, std::string_view root, int index, hw::CpuDevice& cpu);
   ~RaplDomain();
 
   RaplDomain(const RaplDomain&) = delete;
   RaplDomain& operator=(const RaplDomain&) = delete;
-
-  [[nodiscard]] const std::string& directory() const { return dir_; }
 
   /// Current accumulated energy in microjoules (the energy_uj attribute).
   /// Wraps to zero past max_energy_range_uj(), as the real counter does.
@@ -54,9 +53,16 @@ class RaplDomain {
   [[nodiscard]] std::uint64_t mperf() const;
 
  private:
+  // The domain directory's files in name order; the enum indexes kFiles.
+  enum File : std::uint8_t { kAperf, kEnergyUj, kMaxRange, kMperf, kName, kFileCount };
+  static const VirtualFs::Attr kFiles[kFileCount];
+
+  /// Reads one of our counter files through its handle.
+  [[nodiscard]] std::uint64_t read_counter(File file) const;
+
   VirtualFs& fs_;
-  std::string dir_;
   hw::CpuDevice& cpu_;
+  VirtualFs::Mount mount_;
 };
 
 }  // namespace thermctl::sysfs

@@ -10,7 +10,8 @@
 // fan (hwmon) and DVFS (cpufreq) paths.
 #pragma once
 
-#include <string>
+#include <cstdint>
+#include <string_view>
 
 #include "hw/cpu_device.hpp"
 #include "sysfs/vfs.hpp"
@@ -19,14 +20,12 @@ namespace thermctl::sysfs {
 
 class PowerClampDevice {
  public:
-  /// Registers `<root>/cooling_device<index>/...` driving `cpu`'s injector.
-  PowerClampDevice(VirtualFs& fs, std::string root, int index, hw::CpuDevice& cpu);
+  /// Mounts `<root>/cooling_device<index>` driving `cpu`'s injector.
+  PowerClampDevice(VirtualFs& fs, std::string_view root, int index, hw::CpuDevice& cpu);
   ~PowerClampDevice();
 
   PowerClampDevice(const PowerClampDevice&) = delete;
   PowerClampDevice& operator=(const PowerClampDevice&) = delete;
-
-  [[nodiscard]] const std::string& directory() const { return dir_; }
 
   /// Maximum cur_state (idle percent ceiling from the injector's params).
   [[nodiscard]] long max_state() const;
@@ -37,10 +36,14 @@ class PowerClampDevice {
   void set_cstate_index(std::size_t index) { cstate_ = index; }
 
  private:
+  // The cooling device's files in name order; the enum indexes kFiles.
+  enum File : std::uint8_t { kCurState, kMaxState, kType, kFileCount };
+  static const VirtualFs::Attr kFiles[kFileCount];
+
   VirtualFs& fs_;
-  std::string dir_;
   hw::CpuDevice& cpu_;
   std::size_t cstate_;
+  VirtualFs::Mount mount_;
 };
 
 }  // namespace thermctl::sysfs

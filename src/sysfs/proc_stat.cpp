@@ -7,24 +7,31 @@
 
 namespace thermctl::sysfs {
 
+constexpr VirtualFs::Attr ProcStat::kFiles[1] = {
+    {.name = "stat",
+     .read = [](const void* p) {
+       const auto* self = static_cast<const ProcStat*>(p);
+       const std::uint64_t busy = self->busy_();
+       const std::uint64_t total = self->total_();
+       const std::uint64_t idle = total >= busy ? total - busy : 0;
+       // Kernel layout: user nice system idle iowait irq softirq. We fold all
+       // busy time into "user" and report zeros elsewhere — daemons sum the
+       // busy columns and diff against idle, which this preserves exactly.
+       char buf[128];
+       std::snprintf(buf, sizeof buf, "cpu  %" PRIu64 " 0 0 %" PRIu64 " 0 0 0\n", busy, idle);
+       return std::string{buf};
+     }},
+};
+
 ProcStat::ProcStat(VirtualFs& fs, CounterFn busy_jiffies, CounterFn total_jiffies)
     : fs_(fs), busy_(std::move(busy_jiffies)), total_(std::move(total_jiffies)) {
+  static_assert(VirtualFs::valid_table(kFiles));
   THERMCTL_ASSERT(static_cast<bool>(busy_) && static_cast<bool>(total_),
                   "proc stat needs counter sources");
-  fs_.add_attribute(kPath, [this] {
-    const std::uint64_t busy = busy_();
-    const std::uint64_t total = total_();
-    const std::uint64_t idle = total >= busy ? total - busy : 0;
-    // Kernel layout: user nice system idle iowait irq softirq. We fold all
-    // busy time into "user" and report zeros elsewhere — daemons sum the
-    // busy columns and diff against idle, which this preserves exactly.
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "cpu  %" PRIu64 " 0 0 %" PRIu64 " 0 0 0\n", busy, idle);
-    return std::string{buf};
-  });
+  mount_ = fs_.mount("/proc", kFiles, this);
 }
 
-ProcStat::~ProcStat() { fs_.remove_attribute(kPath); }
+ProcStat::~ProcStat() { fs_.unmount(mount_); }
 
 std::optional<JiffySnapshot> ProcStat::parse(const std::string& contents) {
   std::uint64_t user = 0;

@@ -44,9 +44,12 @@ class ProcStat {
   static constexpr const char* kPath = "/proc/stat";
 
  private:
+  static const VirtualFs::Attr kFiles[1];  // the "stat" file of /proc
+
   VirtualFs& fs_;
   CounterFn busy_;
   CounterFn total_;
+  VirtualFs::Mount mount_;
 };
 
 }  // namespace thermctl::sysfs

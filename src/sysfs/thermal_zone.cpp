@@ -7,38 +7,42 @@
 
 namespace thermctl::sysfs {
 
-ThermalZone::ThermalZone(VirtualFs& fs, std::string root, int index, std::string type,
+constexpr VirtualFs::Attr ThermalZone::kFiles[2] = {
+    {.name = "temp",
+     .read = [](const void* z) {
+       return std::to_string(static_cast<long>(
+           std::lround(static_cast<const ThermalZone*>(z)->read_temp_().value() * 1000.0)));
+     }},
+    {.name = "type",
+     .read = [](const void* z) { return static_cast<const ThermalZone*>(z)->type_; }},
+};
+
+ThermalZone::ThermalZone(VirtualFs& fs, std::string_view root, int index, std::string type,
                          std::function<Celsius()> read_temp)
-    : fs_(fs),
-      dir_(root + "/thermal_zone" + std::to_string(index)),
-      read_temp_(std::move(read_temp)) {
+    : fs_(fs), type_(std::move(type)), read_temp_(std::move(read_temp)) {
+  static_assert(VirtualFs::valid_table(kFiles));
   THERMCTL_ASSERT(static_cast<bool>(read_temp_), "zone needs a temperature source");
-  fs_.add_attribute(dir_ + "/type", [type] { return type; });
-  fs_.add_attribute(dir_ + "/temp", [this] {
-    return std::to_string(static_cast<long>(std::lround(read_temp_().value() * 1000.0)));
-  });
+  mount_ = fs_.mount(VirtualFs::device_dir(root, "/thermal_zone", index), kFiles, this);
 }
 
 ThermalZone::~ThermalZone() {
-  fs_.remove_attribute(dir_ + "/type");
-  fs_.remove_attribute(dir_ + "/temp");
-  for (std::size_t i = 0; i < trips_.size(); ++i) {
-    fs_.remove_attribute(dir_ + "/trip_point_" + std::to_string(i) + "_temp");
-    fs_.remove_attribute(dir_ + "/trip_point_" + std::to_string(i) + "_type");
+  for (const VirtualFs::Mount m : trip_mounts_) {
+    fs_.unmount(m);
   }
+  fs_.unmount(mount_);
 }
 
 std::size_t ThermalZone::add_trip(TripPoint trip) {
   const std::size_t index = trips_.size();
   trips_.push_back(trip);
-  const std::string base = dir_ + "/trip_point_" + std::to_string(index);
-  fs_.add_attribute(base + "_temp", [this, index] {
+  const std::string base = fs_.directory(mount_) + "/trip_point_" + std::to_string(index);
+  trip_mounts_.push_back(fs_.add_attribute(base + "_temp", [this, index] {
     return std::to_string(
         static_cast<long>(std::lround(trips_[index].temperature.value() * 1000.0)));
-  });
-  fs_.add_attribute(base + "_type", [this, index] {
+  }));
+  trip_mounts_.push_back(fs_.add_attribute(base + "_type", [this, index] {
     return std::string{trips_[index].type == TripType::kCritical ? "critical" : "passive"};
-  });
+  }));
   return index;
 }
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
@@ -48,16 +49,15 @@ class ThermalZone {
  public:
   /// `read_temp` supplies the zone temperature (normally the node's hwmon
   /// sensor reading).
-  ThermalZone(VirtualFs& fs, std::string root, int index, std::string type,
+  ThermalZone(VirtualFs& fs, std::string_view root, int index, std::string type,
               std::function<Celsius()> read_temp);
   ~ThermalZone();
 
   ThermalZone(const ThermalZone&) = delete;
   ThermalZone& operator=(const ThermalZone&) = delete;
 
-  [[nodiscard]] const std::string& directory() const { return dir_; }
-
-  /// Adds a trip point; returns its index. Registers the sysfs attributes.
+  /// Adds a trip point; returns its index. Publishes its two attributes,
+  /// each a one-file mount the fs owns.
   std::size_t add_trip(TripPoint trip);
   [[nodiscard]] const std::vector<TripPoint>& trips() const { return trips_; }
 
@@ -69,11 +69,15 @@ class ThermalZone {
   [[nodiscard]] Celsius temperature() const { return read_temp_(); }
 
  private:
+  static const VirtualFs::Attr kFiles[2];  // temp, type
+
   VirtualFs& fs_;
-  std::string dir_;
+  std::string type_;
   std::function<Celsius()> read_temp_;
   std::vector<TripPoint> trips_;
   std::vector<CoolingDevice*> devices_;
+  VirtualFs::Mount mount_;
+  std::vector<VirtualFs::Mount> trip_mounts_;
 };
 
 /// Fan as a cooling device: state s maps to duty (s / max) * duty ceiling.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <mutex>
-#include <unordered_set>
+#include <set>
 
 #include "common/assert.hpp"
 
@@ -11,14 +11,18 @@ namespace thermctl::sysfs {
 
 namespace {
 
-/// One process-wide copy of each distinct path. Every node registers the
-/// same ~21 paths, and rigs are built concurrently on runner threads, hence
-/// the lock. Set nodes never move, so the returned pointer is stable.
-const std::string* intern(const std::string& path) {
+/// One process-wide copy of each distinct directory. Every node mounts the
+/// same few directories, and rigs are built concurrently on runner threads,
+/// hence the lock. Set nodes never move, so the returned pointer is stable.
+const std::string* intern(std::string_view dir) {
   static std::mutex mu;
-  static std::unordered_set<std::string> paths;
+  static std::set<std::string, std::less<>> dirs;
   const std::lock_guard<std::mutex> lock{mu};
-  return &*paths.insert(path).first;
+  auto it = dirs.find(dir);
+  if (it == dirs.end()) {
+    it = dirs.emplace(dir).first;
+  }
+  return &*it;
 }
 
 std::optional<long> parse_long(const std::string& text) {
@@ -30,127 +34,238 @@ std::optional<long> parse_long(const std::string& text) {
   return v;
 }
 
+/// Splits an attribute path at its last '/' into (directory, file name).
+std::pair<std::string_view, std::string_view> split(std::string_view path) {
+  const std::size_t slash = path.rfind('/');
+  if (slash == std::string_view::npos) {
+    return {{}, path};
+  }
+  return {path.substr(0, slash), path.substr(slash + 1)};
+}
+
+/// What a null, stale or out-of-range handle resolves to: no handlers, so
+/// every access fails closed.
+constexpr VirtualFs::Attr kNoFile{};
+
 }  // namespace
 
-std::vector<VirtualFs::Entry>::const_iterator VirtualFs::lower_bound(std::string_view path) const {
-  return std::lower_bound(index_.begin(), index_.end(), path,
-                          [](const Entry& e, std::string_view p) { return *e.path < p; });
+std::pair<std::vector<std::uint32_t>::const_iterator, std::vector<std::uint32_t>::const_iterator>
+VirtualFs::mounts_at(std::string_view dir) const {
+  const auto by_dir = [this](std::uint32_t s) -> std::string_view { return *slots_[s].dir; };
+  return {std::lower_bound(index_.begin(), index_.end(), dir,
+                           [&](std::uint32_t s, std::string_view d) { return by_dir(s) < d; }),
+          std::upper_bound(index_.begin(), index_.end(), dir,
+                           [&](std::string_view d, std::uint32_t s) { return d < by_dir(s); })};
 }
 
-const VirtualFs::Entry* VirtualFs::find(std::string_view path) const {
-  auto it = lower_bound(path);
-  return it == index_.end() || *it->path != path ? nullptr : &*it;
+const VirtualFs::Attr* VirtualFs::find_file(std::uint32_t slot, std::string_view name) const {
+  const Slot& s = slots_[slot];
+  const Attr* end = s.table + s.size;
+  const Attr* it = std::lower_bound(s.table, end, name,
+                                    [](const Attr& a, std::string_view n) { return a.name < n; });
+  return it == end || it->name != name ? nullptr : it;
 }
 
-void VirtualFs::insert(const std::string& path, Attribute attr) {
-  THERMCTL_ASSERT(!path.empty() && path.front() == '/', "attribute path must be absolute");
-  const auto at = lower_bound(path);
-  THERMCTL_ASSERT(at == index_.end() || *at->path != path, "attribute already registered");
-  index_.insert(at, Entry{intern(path), &slots_.emplace_back(std::move(attr))});
+VirtualFs::Mount VirtualFs::mount(std::string_view dir, std::span<const Attr> table, void* owner) {
+  THERMCTL_ASSERT(dir.empty() || (dir.front() == '/' && dir.back() != '/'),
+                  "mount directory must be absolute");
+  THERMCTL_ASSERT(valid_table(table), "mount table must be name-sorted files with handlers");
+  if (slots_.empty()) {
+    // A node mounts six directories; start with room for them.
+    slots_.reserve(8);
+    index_.reserve(8);
+  }
+  // Names are files, so a path can only collide within its own directory.
+  const auto [first, last] = mounts_at(dir);
+  for (auto it = first; it != last; ++it) {
+    for (const Attr& a : table) {
+      THERMCTL_ASSERT(find_file(*it, a.name) == nullptr, "attribute already registered");
+    }
+  }
+  const auto slot = static_cast<std::uint32_t>(slots_.size());
+  THERMCTL_ASSERT(slot != kNone, "mount slots exhausted");
+  const auto at = last - index_.begin();  // after any mounts of the same directory
+  slots_.push_back(Slot{intern(dir), table.data(), static_cast<std::uint32_t>(table.size()),
+                        owner, nullptr});
+  index_.insert(index_.begin() + at, slot);
+  return Mount{slot};
 }
 
-void VirtualFs::add_attribute(const std::string& path, ReadFn read, WriteFn write) {
-  THERMCTL_ASSERT(read || write, "attribute needs at least one handler");
-  insert(path, TextHandlers{std::move(read), std::move(write)});
-}
-
-void VirtualFs::add_attribute_long(const std::string& path, LongReadFn read, LongWriteFn write) {
-  THERMCTL_ASSERT(read || write, "attribute needs at least one handler");
-  insert(path, LongHandlers{std::move(read), std::move(write)});
-}
-
-void VirtualFs::remove_attribute(const std::string& path) {
-  const Entry* e = find(path);
-  if (e == nullptr) {
+void VirtualFs::unmount(Mount m) {
+  if (m.slot_ >= slots_.size() || slots_[m.slot_].size == 0) {
     return;
   }
-  // Clear rather than free: live handles keep a raw pointer to the slot.
-  // Empty handlers make every stale access fail closed (nullopt / false),
-  // and a re-registration at the same path takes a fresh slot, so it can
-  // never alias the old address with new state — mixed string-path and
-  // typed-handle access stays coherent.
-  *e->attr = TextHandlers{};
-  index_.erase(index_.begin() + (e - index_.data()));
+  Slot& s = slots_[m.slot_];
+  const auto [first, last] = mounts_at(*s.dir);
+  index_.erase(std::find(first, last, m.slot_));
+  // Retire rather than free: handles name this slot. An empty table makes
+  // every stale access fail closed, and a re-mount takes a fresh slot, so
+  // it can never alias the old one.
+  s = Slot{s.dir, nullptr, 0, nullptr, nullptr};
 }
 
-bool VirtualFs::exists(const std::string& path) const { return find(path) != nullptr; }
+std::string VirtualFs::device_dir(std::string_view root, std::string_view leaf, int index) {
+  const std::string number = std::to_string(index);
+  std::string dir;
+  dir.reserve(root.size() + leaf.size() + number.size() + 16);
+  dir.append(root).append(leaf).append(number);
+  return dir;
+}
 
-std::optional<std::string> VirtualFs::read(const std::string& path) const {
+const std::string& VirtualFs::directory(Mount m) const {
+  THERMCTL_ASSERT(m.slot_ < slots_.size() && slots_[m.slot_].size != 0,
+                  "directory of a live mount");
+  return *slots_[m.slot_].dir;
+}
+
+VirtualFs::Mount VirtualFs::add_closures(std::string_view path, std::unique_ptr<Closures> c) {
+  THERMCTL_ASSERT(!path.empty() && path.front() == '/', "attribute path must be absolute");
+  const auto [dir, name] = split(path);
+  c->name = name;
+  Attr& a = c->attr;
+  a.name = c->name;
+  if (c->read) {
+    a.read = [](const void* o) { return static_cast<const Closures*>(o)->read(); };
+  }
+  if (c->write) {
+    a.write = [](void* o, const std::string& v) { return static_cast<Closures*>(o)->write(v); };
+  }
+  if (c->read_long) {
+    a.read_long = [](const void* o) { return static_cast<const Closures*>(o)->read_long(); };
+  }
+  if (c->write_long) {
+    a.write_long = [](void* o, long v) { return static_cast<Closures*>(o)->write_long(v); };
+  }
+  const Mount m = mount(dir, {&a, 1}, c.get());
+  slots_[m.slot_].closures = std::move(c);
+  return m;
+}
+
+VirtualFs::Mount VirtualFs::add_attribute(std::string_view path, ReadFn read, WriteFn write) {
+  THERMCTL_ASSERT(read || write, "attribute needs at least one handler");
+  auto c = std::make_unique<Closures>();
+  c->read = std::move(read);
+  c->write = std::move(write);
+  return add_closures(path, std::move(c));
+}
+
+VirtualFs::Mount VirtualFs::add_attribute_long(std::string_view path, LongReadFn read,
+                                               LongWriteFn write) {
+  THERMCTL_ASSERT(read || write, "attribute needs at least one handler");
+  auto c = std::make_unique<Closures>();
+  c->read_long = std::move(read);
+  c->write_long = std::move(write);
+  return add_closures(path, std::move(c));
+}
+
+void VirtualFs::remove_attribute(std::string_view path) {
+  const Handle h = open(path);
+  if (!h) {
+    return;
+  }
+  THERMCTL_ASSERT(slots_[h.slot_].closures != nullptr,
+                  "only add_attribute* attributes are removed one by one");
+  unmount(Mount{h.slot_});
+}
+
+VirtualFs::Handle VirtualFs::open(std::string_view path) const {
+  const auto [dir, name] = split(path);
+  const auto [first, last] = mounts_at(dir);
+  for (auto it = first; it != last; ++it) {
+    if (const Attr* a = find_file(*it, name)) {
+      return Handle{*it, static_cast<std::uint32_t>(a - slots_[*it].table)};
+    }
+  }
+  return Handle{};
+}
+
+bool VirtualFs::exists(std::string_view path) const { return static_cast<bool>(open(path)); }
+
+std::optional<std::string> VirtualFs::read(std::string_view path) const {
   return read(open(path));
 }
 
-std::optional<long> VirtualFs::read_long(const std::string& path) const {
+std::optional<long> VirtualFs::read_long(std::string_view path) const {
   return read_long(open(path));
 }
 
-bool VirtualFs::write(const std::string& path, const std::string& value) {
+bool VirtualFs::write(std::string_view path, const std::string& value) {
   return write(open(path), value);
 }
 
-bool VirtualFs::write_long(const std::string& path, long value) {
+bool VirtualFs::write_long(std::string_view path, long value) {
   return write_long(open(path), value);
 }
 
-VirtualFs::Handle VirtualFs::open(const std::string& path) const {
-  const Entry* e = find(path);
-  return e == nullptr ? Handle{} : Handle{e->attr};
+std::pair<const VirtualFs::Attr&, void*> VirtualFs::resolve(Handle h) const {
+  // A retired slot has size 0, so this also turns away stale handles.
+  if (h.slot_ >= slots_.size() || h.entry_ >= slots_[h.slot_].size) {
+    return {kNoFile, nullptr};
+  }
+  const Slot& s = slots_[h.slot_];
+  return {s.table[h.entry_], s.owner};
 }
 
 std::optional<std::string> VirtualFs::read(Handle h) const {
-  if (h.attr_ == nullptr) {
-    return std::nullopt;
+  const auto [a, owner] = resolve(h);
+  if (a.read != nullptr) {
+    return a.read(owner);
   }
-  if (const auto* text = std::get_if<TextHandlers>(h.attr_)) {
-    return text->read ? std::optional<std::string>{text->read()} : std::nullopt;
+  if (a.read_long != nullptr) {
+    return std::to_string(a.read_long(owner));
   }
-  const auto& typed = std::get<LongHandlers>(*h.attr_);
-  return typed.read ? std::optional<std::string>{std::to_string(typed.read())} : std::nullopt;
+  return std::nullopt;
 }
 
 std::optional<long> VirtualFs::read_long(Handle h) const {
-  if (h.attr_ != nullptr) {
-    if (const auto* typed = std::get_if<LongHandlers>(h.attr_); typed != nullptr && typed->read) {
-      return typed->read();
-    }
+  const auto [a, owner] = resolve(h);
+  if (a.read_long != nullptr) {
+    return a.read_long(owner);
   }
-  const std::optional<std::string> text = read(h);
-  return text.has_value() ? parse_long(*text) : std::nullopt;
+  if (a.read != nullptr) {
+    return parse_long(a.read(owner));
+  }
+  return std::nullopt;
 }
 
 bool VirtualFs::write(Handle h, const std::string& value) {
-  if (h.attr_ == nullptr) {
-    return false;
+  const auto [a, owner] = resolve(h);
+  if (a.write != nullptr) {
+    return a.write(owner, value);
   }
-  if (const auto* text = std::get_if<TextHandlers>(h.attr_)) {
-    return text->write && text->write(value);
+  if (a.write_long != nullptr) {
+    const std::optional<long> v = parse_long(value);
+    return v.has_value() && a.write_long(owner, *v);
   }
-  const auto& typed = std::get<LongHandlers>(*h.attr_);
-  if (!typed.write) {
-    return false;
-  }
-  const std::optional<long> v = parse_long(value);
-  return v.has_value() && typed.write(*v);
+  return false;
 }
 
 bool VirtualFs::write_long(Handle h, long value) {
-  if (h.attr_ != nullptr) {
-    if (const auto* typed = std::get_if<LongHandlers>(h.attr_); typed != nullptr && typed->write) {
-      return typed->write(value);
-    }
+  const auto [a, owner] = resolve(h);
+  if (a.write_long != nullptr) {
+    return a.write_long(owner, value);
   }
-  return write(h, std::to_string(value));
+  return a.write != nullptr && a.write(owner, std::to_string(value));
 }
 
-std::vector<std::string> VirtualFs::list(const std::string& dir_prefix) const {
-  std::string prefix = dir_prefix;
+std::vector<std::string> VirtualFs::list(std::string_view dir_prefix) const {
+  std::string prefix{dir_prefix};
   if (prefix.empty() || prefix.back() != '/') {
     prefix += '/';
   }
+  // File names hold no '/', so a path is under the prefix exactly when its
+  // directory plus '/' is.
   std::vector<std::string> out;
-  // index_ is sorted by path; prefix range scan.
-  for (auto it = lower_bound(prefix); it != index_.end() && it->path->starts_with(prefix); ++it) {
-    out.push_back(*it->path);
+  for (const std::uint32_t slot : index_) {
+    const Slot& s = slots_[slot];
+    const std::string dir = *s.dir + '/';
+    if (dir.starts_with(prefix)) {
+      for (const Attr& a : std::span{s.table, s.size}) {
+        out.push_back(dir + std::string{a.name});
+      }
+    }
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -7,14 +7,21 @@
 // would (read/write small text files), rather than poking C++ objects
 // directly. Tests exercise the exact attribute grammar (e.g. millidegrees in
 // temp*_input).
+//
+// The tree indexes directories, not attributes. A device mounts each of its
+// directories once, with a static name-sorted table of plain-function
+// handlers over the device, so publishing a device costs one sorted insert
+// per directory rather than one registration per attribute.
 #pragma once
 
-#include <deque>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <variant>
+#include <utility>
 #include <vector>
 
 namespace thermctl::sysfs {
@@ -30,78 +37,127 @@ using LongReadFn = std::function<long()>;
 using LongWriteFn = std::function<bool(long)>;
 
 class VirtualFs {
- private:
-  // An attribute holds either a text handler pair or a typed pair, never
-  // both: the text surface of a typed (add_attribute_long) attribute is
-  // rendered at call time rather than stored as wrapper closures.
-  struct TextHandlers {
-    ReadFn read;
-    WriteFn write;
-  };
-  struct LongHandlers {
-    LongReadFn read;
-    LongWriteFn write;
-  };
-  using Attribute = std::variant<TextHandlers, LongHandlers>;
-
  public:
-  /// Opaque cached handle to one attribute, resolved once with open().
-  /// Skips the per-access path lookup on the sampling hot path (controllers
-  /// read temperatures every tick on up to 100k nodes). Removing the
-  /// attribute *invalidates* the handle safely: the attribute's slot is
-  /// cleared in place and never reused, so a stale handle reads nullopt /
-  /// writes false rather than dangling — and if the path is later
-  /// re-registered with new handlers, they land in a fresh slot, so old
-  /// handles can never observe them; callers re-open() to see the new
-  /// attribute.
-  class Handle {
+  /// One file of a mounted directory: its name and its handlers over the
+  /// mount's owner. A file is text (read/write) or typed (read_long/
+  /// write_long), never both; either handler of a pair may be null for
+  /// read-only / write-only files. The text surface of a typed file is
+  /// synthesized (std::to_string on read, strtol on write, non-numeric text
+  /// rejected), so the sysfs grammar is the same either way; read_long/
+  /// write_long on a typed file call its handlers directly.
+  struct Attr {
+    std::string_view name;  // a file name: non-empty, no '/'
+    std::string (*read)(const void* owner) = nullptr;
+    bool (*write)(void* owner, const std::string& value) = nullptr;
+    long (*read_long)(const void* owner) = nullptr;
+    bool (*write_long)(void* owner, long value) = nullptr;
+  };
+
+  /// What mount() requires of a table: names that are files, strictly
+  /// sorted (so unique), each with a handler, and no file both text and
+  /// typed. Devices static_assert it on their constexpr tables.
+  static constexpr bool valid_table(std::span<const Attr> table) {
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      const Attr& a = table[i];
+      const bool text = a.read != nullptr || a.write != nullptr;
+      const bool typed = a.read_long != nullptr || a.write_long != nullptr;
+      if (a.name.empty() || a.name.find('/') != std::string_view::npos || text == typed ||
+          (i > 0 && !(table[i - 1].name < a.name))) {
+        return false;
+      }
+    }
+    return !table.empty();
+  }
+
+  /// Names one mount; unmount() with it. Null when default-constructed.
+  class Mount {
    public:
-    Handle() = default;
-    [[nodiscard]] explicit operator bool() const { return attr_ != nullptr; }
+    Mount() = default;
 
    private:
     friend class VirtualFs;
-    explicit Handle(const Attribute* attr) : attr_(attr) {}
-    const Attribute* attr_ = nullptr;
+    explicit Mount(std::uint32_t slot) : slot_(slot) {}
+    std::uint32_t slot_ = kNone;
+  };
+
+  /// Opaque cached handle to one attribute: (mount, table entry), resolved
+  /// once with open() or handle(). Skips the per-access path lookup on the
+  /// sampling hot path (controllers read temperatures every tick on up to
+  /// 100k nodes). Unmounting or removing the attribute invalidates the
+  /// handle safely: a mount's slot is retired in place and never reused, so
+  /// a stale handle reads nullopt / writes false rather than dangling — and
+  /// if the path is mounted again, it lands in a fresh slot, so old handles
+  /// can never observe it; callers re-open() to see the new attribute.
+  class Handle {
+   public:
+    Handle() = default;
+    [[nodiscard]] explicit operator bool() const { return slot_ != kNone; }
+
+   private:
+    friend class VirtualFs;
+    Handle(std::uint32_t slot, std::uint32_t entry) : slot_(slot), entry_(entry) {}
+    std::uint32_t slot_ = kNone;
+    std::uint32_t entry_ = 0;
   };
 
   VirtualFs() = default;
-  // Handles and the index point into slots_; a copy would alias them.
+  // Mounts hold their owners' addresses; a copy would alias them.
   VirtualFs(const VirtualFs&) = delete;
   VirtualFs& operator=(const VirtualFs&) = delete;
 
-  /// Registers an attribute at `path` (e.g. "/sys/class/hwmon/hwmon0/temp1_input").
-  /// Either handler may be null for write-only / read-only attributes.
-  void add_attribute(const std::string& path, ReadFn read, WriteFn write = nullptr);
+  /// Publishes `table` (see valid_table) as the files of directory `dir`
+  /// (absolute, no trailing '/'), each handler called with `owner`. Neither
+  /// the table nor the owner is copied: both must outlive the mount. A
+  /// directory may hold several mounts; a name may not repeat within it.
+  Mount mount(std::string_view dir, std::span<const Attr> table, void* owner);
 
-  /// Registers a numeric attribute from typed handlers. The string surface
-  /// (read()/write(), path or handle) is synthesized — reads render with
-  /// std::to_string, writes parse with strtol and reject non-numeric input
-  /// — so the sysfs text grammar is unchanged; but read_long()/write_long()
-  /// through a handle call the typed handlers directly, skipping the
-  /// format/parse round-trip. Use for integer files polled every tick
-  /// (temp1_input, scaling_cur_freq, pwm1).
-  void add_attribute_long(const std::string& path, LongReadFn read,
-                          LongWriteFn write = nullptr);
+  /// Withdraws a mount's files; its handles fail closed from now on. A null
+  /// or already-unmounted token is ignored.
+  void unmount(Mount m);
 
-  /// Unregisters `path`. Outstanding handles to it are invalidated (reads
-  /// return nullopt, writes return false) but never dangle.
-  void remove_attribute(const std::string& path);
+  /// The handle of entry `entry` of a mount's table, with no lookup. A
+  /// device names its own files this way; like any handle it fails closed
+  /// once the mount is gone (or if `entry` is past the table).
+  [[nodiscard]] static Handle handle(Mount m, std::size_t entry) {
+    return Handle{m.slot_, static_cast<std::uint32_t>(entry)};
+  }
 
-  [[nodiscard]] bool exists(const std::string& path) const;
+  /// "<root><leaf><index>", the directory of a numbered device (e.g.
+  /// "/sys/class/hwmon" "/hwmon" 0), in one allocation with room left for
+  /// a subdirectory or two.
+  static std::string device_dir(std::string_view root, std::string_view leaf, int index);
+
+  /// The directory a live mount was mounted at.
+  [[nodiscard]] const std::string& directory(Mount m) const;
+
+  /// Registers one attribute at `path` (e.g. "/sys/class/hwmon/hwmon0/name")
+  /// from closures: a mount of a one-file table the fs owns. Either handler
+  /// may be null for write-only / read-only attributes.
+  Mount add_attribute(std::string_view path, ReadFn read, WriteFn write = nullptr);
+
+  /// The typed form of add_attribute: the text surface is synthesized as for
+  /// any typed Attr. Use for integer files polled every tick.
+  Mount add_attribute_long(std::string_view path, LongReadFn read, LongWriteFn write = nullptr);
+
+  /// Unregisters an attribute added with add_attribute*; outstanding handles
+  /// to it are invalidated (reads return nullopt, writes return false) but
+  /// never dangle. A file of a device's table leaves only with its mount.
+  void remove_attribute(std::string_view path);
+
+  [[nodiscard]] bool exists(std::string_view path) const;
 
   /// Reads an attribute; nullopt if missing or write-only (-EACCES).
-  [[nodiscard]] std::optional<std::string> read(const std::string& path) const;
+  [[nodiscard]] std::optional<std::string> read(std::string_view path) const;
 
   /// Reads and parses as a long integer; nullopt on missing/parse failure.
-  [[nodiscard]] std::optional<long> read_long(const std::string& path) const;
+  [[nodiscard]] std::optional<long> read_long(std::string_view path) const;
 
   /// Writes an attribute; false if missing, read-only, or rejected.
-  bool write(const std::string& path, const std::string& value);
-  bool write_long(const std::string& path, long value);
+  bool write(std::string_view path, const std::string& value);
+  bool write_long(std::string_view path, long value);
 
   /// Resolves `path` once; a null handle if the attribute is missing.
-  [[nodiscard]] Handle open(const std::string& path) const;
+  [[nodiscard]] Handle open(std::string_view path) const;
 
   /// Handle-based accessors: identical semantics to the path forms (same
   /// handlers, same text grammar), minus the lookup.
@@ -111,25 +167,47 @@ class VirtualFs {
   bool write_long(Handle h, long value);
 
   /// All attribute paths under a directory prefix, sorted.
-  [[nodiscard]] std::vector<std::string> list(const std::string& dir_prefix) const;
+  [[nodiscard]] std::vector<std::string> list(std::string_view dir_prefix) const;
 
  private:
-  struct Entry {
-    const std::string* path;  // interned: one copy per distinct path per process
-    Attribute* attr;          // into slots_
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  /// The closures behind one add_attribute*, and the one-file table that
+  /// serves them through trampolines.
+  struct Closures {
+    std::string name;
+    ReadFn read;
+    WriteFn write;
+    LongReadFn read_long;
+    LongWriteFn write_long;
+    Attr attr;
   };
 
-  [[nodiscard]] std::vector<Entry>::const_iterator lower_bound(std::string_view path) const;
-  [[nodiscard]] const Entry* find(std::string_view path) const;
-  void insert(const std::string& path, Attribute attr);
+  struct Slot {
+    const std::string* dir = nullptr;  // interned: one copy per directory per process
+    const Attr* table = nullptr;
+    std::uint32_t size = 0;  // 0 once unmounted
+    void* owner = nullptr;
+    std::unique_ptr<Closures> closures;
+  };
 
-  // Stable storage: deque growth never moves an element, so handles stay
-  // valid. A removed attribute's slot is cleared in place and left behind as
-  // its own graveyard — bounded by the number of removals (device unpublish
-  // events), not by accesses.
-  std::deque<Attribute> slots_;
-  // Live attributes sorted by path: binary-search lookup and prefix scans.
-  std::vector<Entry> index_;
+  /// The file a handle names and its owner; a file with no handlers for a
+  /// null, stale or out-of-range handle.
+  [[nodiscard]] std::pair<const Attr&, void*> resolve(Handle h) const;
+  /// The index_ range of the mounts at `dir`.
+  [[nodiscard]] std::pair<std::vector<std::uint32_t>::const_iterator,
+                          std::vector<std::uint32_t>::const_iterator>
+  mounts_at(std::string_view dir) const;
+  /// `name` in slot `slot`'s table, or null.
+  [[nodiscard]] const Attr* find_file(std::uint32_t slot, std::string_view name) const;
+  Mount add_closures(std::string_view path, std::unique_ptr<Closures> c);
+
+  // Every mount ever made, by slot; a Handle or Mount names a slot. Slots
+  // are retired in place, never reused, so the graveyard is bounded by the
+  // number of unmounts (device unpublish events), not by accesses.
+  std::vector<Slot> slots_;
+  // Live slots sorted by directory: binary-search lookup.
+  std::vector<std::uint32_t> index_;
 };
 
 }  // namespace thermctl::sysfs

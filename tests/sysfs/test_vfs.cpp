@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -9,6 +14,38 @@
 
 namespace thermctl::sysfs {
 namespace {
+
+/// A device-style mount for the tests: a static table over an owner.
+struct Knob {
+  std::string label;
+  long value = 0;
+};
+
+constexpr VirtualFs::Attr kKnobFiles[] = {
+    {.name = "label", .read = [](const void* k) { return static_cast<const Knob*>(k)->label; }},
+    {.name = "value",
+     .read_long = [](const void* k) { return static_cast<const Knob*>(k)->value; },
+     .write_long = [](void* k, long v) {
+       static_cast<Knob*>(k)->value = v;
+       return v >= 0;
+     }},
+};
+static_assert(VirtualFs::valid_table(kKnobFiles));
+
+constexpr VirtualFs::Attr kUnsorted[] = {
+    {.name = "b", .read = [](const void*) { return std::string{}; }},
+    {.name = "a", .read = [](const void*) { return std::string{}; }},
+};
+constexpr VirtualFs::Attr kNested[] = {
+    {.name = "stats/total", .read = [](const void*) { return std::string{}; }},
+};
+constexpr VirtualFs::Attr kTextAndTyped[] = {
+    {.name = "x",
+     .read = [](const void*) { return std::string{}; },
+     .read_long = [](const void*) { return 0L; }},
+};
+static_assert(!VirtualFs::valid_table(kUnsorted) && !VirtualFs::valid_table(kNested) &&
+              !VirtualFs::valid_table(kTextAndTyped));
 
 TEST(VirtualFs, ReadRegisteredAttribute) {
   VirtualFs fs;
@@ -209,8 +246,12 @@ TEST(VirtualFs, TreesBuiltConcurrentlyShareNoState) {
         const long value = t * 1000 + k;
         fs.add_attribute_long("/sys/class/hwmon/hwmon0/temp1_input", [value] { return value; });
         fs.add_attribute("/sys/class/hwmon/hwmon0/name", [] { return std::string{"adt7467"}; });
+        Knob knob{"k", value};
+        fs.mount("/sys/class/thermal/cooling_device0", kKnobFiles, &knob);
         if (fs.read_long("/sys/class/hwmon/hwmon0/temp1_input") != value ||
-            fs.list("/sys/class/hwmon/hwmon0").size() != 2) {
+            fs.list("/sys/class/hwmon/hwmon0").size() != 2 ||
+            fs.read_long("/sys/class/thermal/cooling_device0/value") != value ||
+            fs.list("/sys/class").size() != 4) {
           ++mismatches[static_cast<std::size_t>(t)];
         }
       }
@@ -307,6 +348,157 @@ TEST(VirtualFs, ReadOnlyLongAttributeRejectsWrites) {
   EXPECT_EQ(fs.read_long("/sys/test/ro").value(), 5);
 }
 
+TEST(VirtualFs, MountServesTableThroughPathsAndHandles) {
+  VirtualFs fs;
+  Knob knob{"fan", 7};
+  const VirtualFs::Mount m = fs.mount("/sys/class/knob0", kKnobFiles, &knob);
+  EXPECT_EQ(fs.directory(m), "/sys/class/knob0");
+  EXPECT_EQ(fs.read("/sys/class/knob0/label").value(), "fan");
+  EXPECT_EQ(fs.read("/sys/class/knob0/value").value(), "7");
+  EXPECT_FALSE(fs.read_long("/sys/class/knob0/label").has_value());
+  EXPECT_FALSE(fs.exists("/sys/class/knob0"));
+  EXPECT_FALSE(fs.exists("/sys/class/knob0/"));
+  EXPECT_FALSE(fs.exists("/sys/class/knob0/valu"));
+
+  const VirtualFs::Handle value = VirtualFs::handle(m, 1);
+  EXPECT_EQ(fs.read_long(value).value(), 7);
+  EXPECT_TRUE(fs.write(value, "12"));
+  EXPECT_EQ(knob.value, 12);
+  EXPECT_FALSE(fs.write_long(value, -1));  // the handler's own rejection
+  EXPECT_FALSE(fs.write("/sys/class/knob0/value", "twelve"));
+  EXPECT_FALSE(fs.write("/sys/class/knob0/label", "x"));  // read-only
+  EXPECT_FALSE(fs.read(VirtualFs::handle(m, 2)).has_value());  // past the table
+  EXPECT_EQ(fs.list("/sys/class"),
+            (std::vector<std::string>{"/sys/class/knob0/label", "/sys/class/knob0/value"}));
+}
+
+TEST(VirtualFs, UnmountFailsHandlesClosedAndReMountNeverRevivesThem) {
+  VirtualFs fs;
+  Knob first{"first", 1};
+  const VirtualFs::Mount m = fs.mount("/sys/k", kKnobFiles, &first);
+  const VirtualFs::Handle by_mount = VirtualFs::handle(m, 1);
+  const VirtualFs::Handle by_path = fs.open("/sys/k/value");
+  ASSERT_EQ(fs.read_long(by_path).value(), 1);
+
+  fs.unmount(m);
+  fs.unmount(m);  // a second unmount is a no-op
+  EXPECT_FALSE(fs.exists("/sys/k/value"));
+  EXPECT_TRUE(fs.list("/sys").empty());
+  Knob second{"second", 2};
+  const VirtualFs::Mount again = fs.mount("/sys/k", kKnobFiles, &second);
+  for (const VirtualFs::Handle stale : {by_mount, by_path}) {
+    EXPECT_FALSE(fs.read(stale).has_value());
+    EXPECT_FALSE(fs.read_long(stale).has_value());
+    EXPECT_FALSE(fs.write(stale, "5"));
+    EXPECT_FALSE(fs.write_long(stale, 5));
+  }
+  EXPECT_EQ(first.value, 1);
+  EXPECT_EQ(second.value, 2);
+  EXPECT_EQ(fs.read_long(fs.open("/sys/k/value")).value(), 2);
+  EXPECT_EQ(fs.read_long(VirtualFs::handle(again, 1)).value(), 2);
+  EXPECT_FALSE(fs.read(VirtualFs::Handle{}).has_value());
+  fs.unmount(VirtualFs::Mount{});  // a null token is ignored
+}
+
+TEST(VirtualFs, MountsAndClosuresShareOneDirectory) {
+  // A directory may hold several mounts: a device table and closure
+  // attributes (how a thermal zone adds trip points) list and resolve as one.
+  VirtualFs fs;
+  Knob knob{"zone", 3};
+  fs.mount("/sys/z", kKnobFiles, &knob);
+  fs.add_attribute("/sys/z/trip", [] { return std::string{"passive"}; });
+  fs.add_attribute_long("/sys/z/alpha", [] { return 9L; });
+  EXPECT_EQ(fs.list("/sys/z"), (std::vector<std::string>{"/sys/z/alpha", "/sys/z/label",
+                                                         "/sys/z/trip", "/sys/z/value"}));
+  EXPECT_EQ(fs.read("/sys/z/trip").value(), "passive");
+  EXPECT_EQ(fs.read_long("/sys/z/value").value(), 3);
+  fs.remove_attribute("/sys/z/trip");
+  EXPECT_EQ(fs.list("/sys/z"),
+            (std::vector<std::string>{"/sys/z/alpha", "/sys/z/label", "/sys/z/value"}));
+}
+
+TEST(VirtualFs, ListMatchesSortedFullPathsOverRandomMounts) {
+  // Directories that are prefixes of one another ("/sys/a", "/sys/a/b"),
+  // share a text prefix ("/sys/ab", "/sys/a-b", "/sys/a.b") or sit at the
+  // root interleave in path order; list() must return exactly the sorted
+  // full paths under the prefix, across mounts, closures and unmounts, and
+  // every handle of a withdrawn attribute must stay dead.
+  const std::vector<std::string> dirs{"",        "/sys",      "/sys/a",  "/sys/a/b", "/sys/a/b/c",
+                                      "/sys/ab", "/sys/a-b",  "/sys/a.b", "/sys/b",  "/proc"};
+  const std::vector<std::string> names{"a", "b", "label", "value", "stat", "z", "a-b", "0"};
+  const std::vector<std::string> prefixes{"/",      "/sys",   "/sys/",  "/sys/a", "/sys/a/b",
+                                          "/sys/ab", "/sys/a-", "/proc", "/nope"};
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng{seed};
+    auto pick = [&rng](std::size_t n) {
+      return std::uniform_int_distribution<std::size_t>{0, n - 1}(rng);
+    };
+    VirtualFs fs;
+    std::vector<std::unique_ptr<Knob>> knobs;
+    struct Live {
+      VirtualFs::Mount mount;
+      std::vector<std::string> paths;
+    };
+    std::vector<Live> live;
+    std::map<std::string, std::string> expected;  // path -> text
+    std::vector<VirtualFs::Handle> dead;
+    for (int op = 0; op < 120; ++op) {
+      const std::string& dir = dirs[pick(dirs.size())];
+      const std::size_t kind = pick(4);
+      if (kind == 0) {
+        const std::string label = "knob" + std::to_string(op);
+        const std::vector<std::string> paths{dir + "/label", dir + "/value"};
+        if (expected.contains(paths[0]) || expected.contains(paths[1])) {
+          continue;
+        }
+        knobs.push_back(std::make_unique<Knob>(Knob{label, op}));
+        live.push_back({fs.mount(dir, kKnobFiles, knobs.back().get()), paths});
+        expected[paths[0]] = label;
+        expected[paths[1]] = std::to_string(op);
+      } else if (kind == 1) {
+        const std::string path = dir + "/" + names[pick(names.size())];
+        if (expected.contains(path)) {
+          continue;
+        }
+        const std::string text = "t" + std::to_string(op);
+        live.push_back({fs.add_attribute(path, [text] { return text; }), {path}});
+        expected[path] = text;
+      } else if (!live.empty()) {
+        const std::size_t victim = pick(live.size());
+        for (const std::string& path : live[victim].paths) {
+          dead.push_back(fs.open(path));
+          expected.erase(path);
+        }
+        if (kind == 2 || live[victim].paths.size() != 1) {
+          fs.unmount(live[victim].mount);
+        } else {
+          fs.remove_attribute(live[victim].paths[0]);
+        }
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+
+      for (const std::string& prefix : prefixes) {
+        std::string slash = prefix.back() == '/' ? prefix : prefix + "/";
+        std::vector<std::string> want;
+        for (const auto& [path, text] : expected) {
+          if (path.starts_with(slash)) {
+            want.push_back(path);
+          }
+        }
+        ASSERT_EQ(fs.list(prefix), want) << "seed " << seed << " op " << op << " " << prefix;
+      }
+      for (const auto& [path, text] : expected) {
+        ASSERT_EQ(fs.read(path), std::optional<std::string>{text}) << path;
+        ASSERT_EQ(fs.read(fs.open(path)), std::optional<std::string>{text}) << path;
+      }
+      for (const VirtualFs::Handle h : dead) {
+        ASSERT_FALSE(fs.read(h).has_value()) << "seed " << seed << " op " << op;
+        ASSERT_FALSE(fs.write(h, "1"));
+      }
+    }
+  }
+}
+
 TEST(VirtualFsDeath, RelativePathAborts) {
   VirtualFs fs;
   EXPECT_DEATH(fs.add_attribute("sys/x", [] { return std::string{}; }), "absolute");
@@ -316,6 +508,32 @@ TEST(VirtualFsDeath, DuplicateRegistrationAborts) {
   VirtualFs fs;
   fs.add_attribute("/sys/x", [] { return std::string{}; });
   EXPECT_DEATH(fs.add_attribute("/sys/x", [] { return std::string{}; }), "already");
+}
+
+TEST(VirtualFsDeath, MountCollidingWithAnotherMountAborts) {
+  VirtualFs fs;
+  Knob a;
+  Knob b;
+  fs.mount("/sys/k", kKnobFiles, &a);
+  EXPECT_DEATH(fs.mount("/sys/k", kKnobFiles, &b), "already");
+  EXPECT_DEATH(fs.add_attribute("/sys/k/value", [] { return std::string{}; }), "already");
+}
+
+TEST(VirtualFsDeath, BadMountsAbort) {
+  VirtualFs fs;
+  Knob k;
+  EXPECT_DEATH(fs.mount("/sys/k/", kKnobFiles, &k), "absolute");
+  EXPECT_DEATH(fs.mount("sys/k", kKnobFiles, &k), "absolute");
+  EXPECT_DEATH(fs.mount("/sys/k", kUnsorted, &k), "name-sorted");
+  EXPECT_DEATH(fs.add_attribute("/sys/k/", [] { return std::string{}; }), "name-sorted");
+}
+
+TEST(VirtualFsDeath, RemovingOneFileOfAMountAborts) {
+  // A device's files leave together, with its mount.
+  VirtualFs fs;
+  Knob k;
+  fs.mount("/sys/k", kKnobFiles, &k);
+  EXPECT_DEATH(fs.remove_attribute("/sys/k/value"), "one by one");
 }
 
 }  // namespace
