@@ -1,8 +1,18 @@
 #include "core/unified_controller.hpp"
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "controller_rig.hpp"
+#include "core/experiment.hpp"
+#include "obs/trace.hpp"
 
 namespace thermctl::core {
 namespace {
@@ -70,6 +80,169 @@ TEST(Unified, SharedSensorStreamKeepsWindowsInPhase) {
   ASSERT_GT(uc.first_dvfs_trigger_s(), 0.0);
   ASSERT_FALSE(uc.fan().events().empty());
   EXPECT_LE(uc.fan().events().front().time_s, uc.first_dvfs_trigger_s());
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_round(const WindowRound& a, const WindowRound& b) {
+  return a.level2_valid == b.level2_valid &&
+         same_bits(a.level1_delta.value(), b.level1_delta.value()) &&
+         same_bits(a.level2_delta.value(), b.level2_delta.value()) &&
+         same_bits(a.level1_average.value(), b.level1_average.value());
+}
+
+/// Two windows hold the same history when they share geometry and fills
+/// and, fed one probe, close the same rounds bit for bit. The probe runs
+/// long enough to read every level-two entry back out as a Δt_L2.
+bool same_history(TwoLevelWindow a, TwoLevelWindow b) {
+  const WindowConfig ga = a.config();
+  const WindowConfig gb = b.config();
+  if (ga.level1_size != gb.level1_size || ga.level2_size != gb.level2_size ||
+      a.level1_fill() != b.level1_fill() || a.level2_fill() != b.level2_fill()) {
+    return false;
+  }
+  for (std::size_t k = 0; k < ga.level1_size * (ga.level2_size + 1); ++k) {
+    const Celsius probe{37.0 + 0.375 * static_cast<double>(k * k % 11)};
+    const auto ra = a.add_sample(probe);
+    const auto rb = b.add_sample(probe);
+    if (ra.has_value() != rb.has_value() || (ra.has_value() && !same_round(*ra, *rb))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// FNV-1a over raw bytes.
+void fnv(std::uint64_t& h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ULL;
+  }
+}
+
+TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
+  // A fault-aware unified controller under a seeded campaign of stuck,
+  // non-finite, out-of-range, stale and bus faults, re-tuned every 40 s.
+  // Both techniques classify the same stream with the same monitor config,
+  // reset together on failure entry, skip pushes together while failed and
+  // bridge with the same last good reading, so they must read one window
+  // history: every fan window round is followed by a tDVFS round with the
+  // same Δt values, and the digest of all window rounds is pinned.
+  ControllerRig rig;
+  UnifiedConfig cfg = paper_unified(50);
+  cfg.tdvfs.threshold = Celsius{50.0};
+  cfg.fault_aware = true;
+  cfg.health.stuck_samples = 6;
+  cfg.health.reject_samples = 3;
+  cfg.health.recovery_samples = 4;
+  UnifiedController uc{*rig.hwmon, *rig.cpufreq, cfg};
+  obs::TraceRing ring{0};
+  uc.set_trace(&ring);
+
+  constexpr double kHorizonS = 300.0;
+  FaultCampaignConfig campaign;
+  campaign.enabled = true;
+  campaign.seed = 23;
+  campaign.episodes_per_node = 8;
+  campaign.start_after = Seconds{10.0};
+  campaign.min_duration = Seconds{2.0};
+  campaign.max_duration = Seconds{8.0};
+  const std::vector<FaultEpisode> schedule = make_fault_schedule(campaign, 0, Seconds{kHorizonS});
+  ASSERT_FALSE(schedule.empty());
+
+  // Short garbage bursts on top of the campaign: non-finite and
+  // out-of-range readings, and stale gaps with no tick at all.
+  enum class Burst { kNone, kNonFinite, kOutOfRange, kStale };
+  Rng rng{2306};
+  Burst burst = Burst::kNone;
+  int burst_left = 0;
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t cursor = 0;
+  std::vector<obs::TraceEvent> fresh;
+  std::size_t paired_rounds = 0;
+  std::optional<double> held;  // the frozen value while a stuck episode runs
+  SimTime now;
+  for (int tick = 0; now.seconds() < kHorizonS; ++tick) {
+    now.advance_us(250000);
+    const double t = now.seconds();
+    bool stuck = false;
+    bool bus = false;
+    for (const FaultEpisode& e : schedule) {
+      if (t >= e.start.value() && t < e.end.value()) {
+        (e.kind == FaultEpisode::Kind::kSensorStuck ? stuck : bus) = true;
+      }
+    }
+    if (bus != rig.bus.faulted()) {
+      bus ? rig.bus.inject_bus_fault() : rig.bus.clear_bus_fault();
+    }
+    if (tick > 0 && tick % 160 == 0) {
+      uc.set_policy(PolicyParam{10 + static_cast<int>(rng.below(81))});
+    }
+    if (burst_left == 0 && t > 5.0 && rng.uniform() < 0.02) {
+      burst = static_cast<Burst>(1 + rng.below(3));
+      burst_left = 1 + static_cast<int>(rng.below(6));
+    }
+
+    const double healthy = 47.0 + 6.0 * std::sin(t / 15.0) + 0.25 * (tick % 2);
+    double reading = healthy;
+    if (stuck) {
+      if (!held.has_value()) {
+        held = healthy;
+      }
+      reading = *held;
+    } else {
+      held.reset();
+    }
+    if (burst_left > 0) {
+      --burst_left;
+      if (burst == Burst::kStale) {
+        continue;  // the sample never arrives
+      }
+      reading = burst == Burst::kNonFinite ? std::numeric_limits<double>::quiet_NaN() : 150.0;
+    }
+    uc.on_sample_with(now, Celsius{reading});
+    ASSERT_TRUE(same_history(uc.fan().window(), uc.dvfs().window())) << "t=" << t;
+
+    fresh.clear();
+    std::uint64_t lost = 0;
+    cursor = ring.read_new(cursor, 0, fresh, lost);
+    ASSERT_EQ(lost, 0u);
+    std::vector<const obs::TraceEvent*> rounds;
+    for (const obs::TraceEvent& ev : fresh) {
+      if (ev.type == obs::TraceEventType::kWindowRound) {
+        rounds.push_back(&ev);
+        fnv(digest, &ev.t_s, sizeof ev.t_s);
+        fnv(digest, &ev.subsystem, sizeof ev.subsystem);
+        fnv(digest, &ev.flags, sizeof ev.flags);
+        fnv(digest, &ev.a, sizeof ev.a);
+        fnv(digest, &ev.b, sizeof ev.b);
+        fnv(digest, &ev.c, sizeof ev.c);
+      }
+    }
+    // A round is either skipped by both techniques or read by both, fan
+    // first, with the same Δt values.
+    ASSERT_TRUE(rounds.empty() || rounds.size() == 2) << "t=" << t;
+    if (rounds.size() == 2) {
+      EXPECT_EQ(rounds[0]->subsystem, obs::TraceSubsystem::kFan);
+      EXPECT_EQ(rounds[1]->subsystem, obs::TraceSubsystem::kTdvfs);
+      EXPECT_EQ(rounds[0]->flags, rounds[1]->flags);
+      EXPECT_TRUE(same_bits(rounds[0]->a, rounds[1]->a) && same_bits(rounds[0]->b, rounds[1]->b) &&
+                  same_bits(rounds[0]->c, rounds[1]->c))
+          << "t=" << t;
+      ++paired_rounds;
+    }
+  }
+
+  // The campaign reached every degradation path.
+  EXPECT_GT(uc.fan().failsafe_entries(), 1u);
+  EXPECT_GT(uc.fan().failsafe_exits(), 1u);
+  EXPECT_GT(uc.dvfs().hold_entries(), 1u);
+  EXPECT_GT(uc.fan().health()->stats().rejected, 0u);
+  EXPECT_GT(uc.fan().retarget_count(), 0u);
+  EXPECT_FALSE(uc.dvfs().events().empty());
+  EXPECT_GT(paired_rounds, 100u);
+  EXPECT_EQ(digest, 0xd6ba9b9618a8919fULL) << std::hex << digest;
 }
 
 }  // namespace
