@@ -4,12 +4,13 @@
 // own overhead must be negligible next to the workload. These benchmarks
 // quantify that claim for every layer: window update, array fill, selector
 // arithmetic, the full controller tick including the sysfs + i2c round
-// trips, one RC physics step, each device/OS sweep phase of a fleet step, a
-// whole-node engine step, and the set-up settle of a whole cluster and of
-// its unified controller bank.
+// trips, a ControlBank family tick per node, one RC physics step, each
+// device/OS sweep phase of a fleet step, a whole-node engine step, and the
+// set-up settle of a whole cluster and of its unified controller bank.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -125,9 +126,10 @@ BENCHMARK(BM_ControllerTickThroughSysfs);
 
 void BM_ControlBankEmplaceUnified(benchmark::State& state) {
   // Controller set-up at fleet scale: a unified ControlBank emplaced over an
-  // already-built cluster, as a fleet rig does it. Every node's fan and tDVFS
-  // arrays share two interned fills. The cluster is built once and the
-  // bank's teardown is not timed; items/sec is controllers emplaced per second.
+  // already-built cluster, as a fleet rig does it. The family's constants are
+  // built with the first controller and every later one points at them. The
+  // cluster is built once and the bank's teardown is not timed; items/sec is
+  // controllers emplaced per second.
   const std::size_t nodes = static_cast<std::size_t>(state.range(0));
   cluster::Cluster rack{nodes, cluster::NodeParams{}};
   core::UnifiedConfig cfg;
@@ -145,7 +147,94 @@ void BM_ControlBankEmplaceUnified(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(nodes));
 }
-BENCHMARK(BM_ControlBankEmplaceUnified)->Arg(2048)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ControlBankEmplaceUnified)->Arg(2048)->Arg(16384)->Unit(benchmark::kMillisecond);
+
+// One family tick of a fleet's ControlBank, as the engine's control periodic
+// runs it. Between ticks (untimed) every node's sensor moves along its own
+// slow wave, so windows close rounds, selectors move and some ticks
+// retarget through sysfs, as in a running fleet. ns_per_node_tick is the
+// timed tick divided by the nodes it ticked.
+enum class BankFamily { kUnified, kFans, kTdvfs };
+
+void control_bank_tick(benchmark::State& state, BankFamily family) {
+  using Clock = std::chrono::steady_clock;
+  const std::size_t nodes = static_cast<std::size_t>(state.range(0));
+  cluster::Cluster rack{nodes, cluster::NodeParams{}};
+  double* sensors = rack.fleet()->sensor_last_data();
+  core::ControlBank bank{nodes, sensors};
+  for (std::size_t i = 0; i < nodes; ++i) {
+    cluster::Node& node = rack.node(i);
+    switch (family) {
+      case BankFamily::kUnified:
+        bank.emplace_unified(i, node.hwmon(), node.cpufreq(), core::UnifiedConfig{});
+        break;
+      case BankFamily::kFans:
+        bank.emplace_fan(i, node.hwmon(), core::FanControlConfig{});
+        break;
+      case BankFamily::kTdvfs:
+        bank.emplace_tdvfs(i, node.hwmon(), node.cpufreq(), core::TdvfsConfig{});
+        break;
+    }
+  }
+  SimTime now;
+  double total_ns = 0.0;
+  std::uint64_t tick = 0;
+  for (auto _ : state) {
+    const double t = 0.25 * static_cast<double>(tick++);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const double phase = static_cast<double>(i % 97);
+      sensors[i] = 48.0 + 6.0 * std::sin(t / 20.0 + phase) + 0.25 * static_cast<double>(tick % 2);
+    }
+    now.advance_us(250000);
+    const auto start = Clock::now();
+    switch (family) {
+      case BankFamily::kUnified:
+        bank.tick_unified(now);
+        break;
+      case BankFamily::kFans:
+        bank.tick_fans(now);
+        break;
+      case BankFamily::kTdvfs:
+        bank.tick_tdvfs(now);
+        break;
+    }
+    const std::chrono::duration<double> elapsed = Clock::now() - start;
+    state.SetIterationTime(elapsed.count());
+    total_ns += elapsed.count() * 1e9;
+  }
+  const double node_ticks = static_cast<double>(state.iterations()) * static_cast<double>(nodes);
+  std::uint64_t moves = 0;  // fan retargets plus tDVFS transitions
+  for (std::size_t i = 0; i < nodes; ++i) {
+    switch (family) {
+      case BankFamily::kUnified:
+        moves += bank.unified(i).fan().retarget_count() + bank.unified(i).dvfs().events().size();
+        break;
+      case BankFamily::kFans:
+        moves += bank.fan(i).retarget_count();
+        break;
+      case BankFamily::kTdvfs:
+        moves += bank.tdvfs(i).events().size();
+        break;
+    }
+  }
+  state.counters["ns_per_node_tick"] = total_ns / node_ticks;
+  state.counters["moves_per_node_tick"] = static_cast<double>(moves) / node_ticks;
+}
+
+void BM_ControlBankTickUnified(benchmark::State& state) {
+  control_bank_tick(state, BankFamily::kUnified);
+}
+BENCHMARK(BM_ControlBankTickUnified)->ArgName("nodes")->Arg(2048)->Arg(16384)->UseManualTime();
+
+void BM_ControlBankTickFans(benchmark::State& state) {
+  control_bank_tick(state, BankFamily::kFans);
+}
+BENCHMARK(BM_ControlBankTickFans)->ArgName("nodes")->Arg(2048)->Arg(16384)->UseManualTime();
+
+void BM_ControlBankTickTdvfs(benchmark::State& state) {
+  control_bank_tick(state, BankFamily::kTdvfs);
+}
+BENCHMARK(BM_ControlBankTickTdvfs)->ArgName("nodes")->Arg(2048)->Arg(16384)->UseManualTime();
 
 void BM_ClusterBuild(benchmark::State& state) {
   // Rig set-up at fleet scale: a Cluster of N nodes built from scratch, each

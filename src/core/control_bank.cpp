@@ -19,6 +19,20 @@ void admit(Family& family, std::size_t node, std::size_t nodes) {
   }
 }
 
+/// The family's constants: built from its first controller's config, then
+/// only checked against each later one's.
+template <typename Constants, typename Config, typename... Source>
+const Constants& join(std::shared_ptr<const Constants>& constants, const Config& config,
+                      const Source&... source) {
+  if (constants == nullptr) {
+    constants = std::make_shared<const Constants>(config, source...);
+  } else {
+    THERMCTL_ASSERT(constants->admits(config, source...),
+                    "one config per controller family: only Pp may differ per node");
+  }
+  return *constants;
+}
+
 }  // namespace
 
 ControlBank::ControlBank(std::size_t nodes, const double* sensor_last)
@@ -30,21 +44,24 @@ ControlBank::ControlBank(std::size_t nodes, const double* sensor_last)
 DynamicFanController& ControlBank::emplace_fan(std::size_t node, sysfs::HwmonDevice& hwmon,
                                                const FanControlConfig& config) {
   admit(fans_, node, nodes_);
-  return fans_.emplace_back(hwmon, config);
+  join(fan_family_, config);
+  return fans_.emplace_back(hwmon, fan_family_, config.pp);
 }
 
 TdvfsDaemon& ControlBank::emplace_tdvfs(std::size_t node, sysfs::HwmonDevice& hwmon,
                                         sysfs::CpufreqPolicy& cpufreq,
                                         const TdvfsConfig& config) {
   admit(tdvfs_, node, nodes_);
-  return tdvfs_.emplace_back(hwmon, cpufreq, config);
+  join(tdvfs_family_, config, cpufreq);
+  return tdvfs_.emplace_back(hwmon, cpufreq, tdvfs_family_, config.pp);
 }
 
 UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDevice& hwmon,
                                                 sysfs::CpufreqPolicy& cpufreq,
                                                 const UnifiedConfig& config) {
   admit(unified_, node, nodes_);
-  return unified_.emplace_back(hwmon, cpufreq, config);
+  return unified_.emplace_back(hwmon, cpufreq, nullptr,
+                               join(unified_family_, config, cpufreq), config.pp);
 }
 
 UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDevice& hwmon,
@@ -52,7 +69,8 @@ UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDe
                                                 sysfs::PowerClampDevice& clamp,
                                                 const UnifiedConfig& config) {
   admit(unified_, node, nodes_);
-  return unified_.emplace_back(hwmon, cpufreq, clamp, config);
+  return unified_.emplace_back(hwmon, cpufreq, &clamp,
+                               join(unified_family_, config, cpufreq), config.pp);
 }
 
 Celsius ControlBank::reading(std::size_t i) const {

@@ -4,19 +4,27 @@
 // *math* but by dispatch overhead: one periodic closure per node, one
 // VirtualFs round trip per sensor read, and controller objects scattered
 // across the heap. A ControlBank owns a fleet's controllers of each family
-// (fan / tDVFS / unified) in one contiguous vector per family — each
-// controller carries its TwoLevelWindow inline — and ticks a whole family
-// from ONE periodic callback, running each controller's
+// (fan / tDVFS / unified) in one contiguous vector per family and ticks a
+// whole family from ONE periodic callback, running each controller's
 // on_sample_with(now, reading) in node order: the same tick logic, same
 // order, as N independent periodics. Node i's reading is its raw sensor
 // value quantized through HwmonDevice::to_millidegrees, exactly as the
 // hwmon temp1_input attribute does, so the batched read is bit-identical to
-// the per-node VFS round trip.
+// the per-node VFS read.
+//
+// State has one home. Each family's constants — its config, mode selector
+// and Eq. (1) array, and for tDVFS the frequency list parsed from
+// scaling_available_frequencies — are built once, from the family's first
+// controller, and every controller points at them. A controller holds only
+// what differs per node: its window (one per unified controller, shared by
+// both techniques), indices, counters, events and Pp. Pp may differ per
+// node; any other difference from the family's config is rejected.
 //
 // The golden digests (tests/golden/) pin the bits.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -39,6 +47,9 @@ class ControlBank {
   /// Controllers must be emplaced densely in ascending node order (node ==
   /// number already emplaced in that family). Each family holds at most
   /// `nodes` controllers, whose addresses stay stable for the bank's life.
+  /// The first controller of a family fixes its config; a later one whose
+  /// config differs in anything but Pp, or whose cpufreq lists other
+  /// frequencies, aborts.
   DynamicFanController& emplace_fan(std::size_t node, sysfs::HwmonDevice& hwmon,
                                     const FanControlConfig& config);
   TdvfsDaemon& emplace_tdvfs(std::size_t node, sysfs::HwmonDevice& hwmon,
@@ -74,6 +85,10 @@ class ControlBank {
   std::vector<DynamicFanController> fans_;
   std::vector<TdvfsDaemon> tdvfs_;
   std::vector<UnifiedController> unified_;
+  // Each family's constants, built with its first controller.
+  std::shared_ptr<const FanFamily> fan_family_;
+  std::shared_ptr<const TdvfsFamily> tdvfs_family_;
+  std::shared_ptr<const UnifiedFamily> unified_family_;
 };
 
 }  // namespace thermctl::core

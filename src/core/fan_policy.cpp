@@ -7,7 +7,9 @@
 
 namespace thermctl::core {
 
-std::vector<double> DynamicFanController::duty_modes(const FanControlConfig& config) {
+namespace {
+
+std::vector<double> duty_modes(const FanControlConfig& config) {
   THERMCTL_ASSERT(config.max_duty.percent() > config.min_duty.percent(),
                   "max duty must exceed min duty");
   // "we discretize the continuous fan speed into ... distinct speeds from
@@ -23,33 +25,44 @@ std::vector<double> DynamicFanController::duty_modes(const FanControlConfig& con
   return modes;
 }
 
-DynamicFanController::DynamicFanController(sysfs::HwmonDevice& hwmon, FanControlConfig config)
-    : hwmon_(hwmon),
-      config_(config),
-      array_(duty_modes(config), config.array_size, config.pp),
-      selector_(config.selector, config.array_size),
-      window_(config.window) {
-  if (config_.fault_aware) {
-    health_ = std::make_unique<SensorHealthMonitor>(config_.health);
+}  // namespace
+
+FanFamily::FanFamily(const FanControlConfig& cfg)
+    : config(cfg),
+      selector(cfg.selector, cfg.array_size),
+      array(duty_modes(cfg), cfg.array_size, cfg.pp) {}
+
+bool FanFamily::admits(FanControlConfig other) const {
+  other.pp = config.pp;
+  return other == config;
+}
+
+FanTechnique::FanTechnique(sysfs::HwmonDevice& hwmon, const FanControlConfig& config)
+    : FanTechnique(hwmon, std::make_shared<const FanFamily>(config), config.pp) {}
+
+FanTechnique::FanTechnique(sysfs::HwmonDevice& hwmon, std::shared_ptr<const FanFamily> family,
+                           PolicyParam pp)
+    : family_(std::move(family)), array_(family_->array), hwmon_(hwmon) {
+  if (pp != array_.policy()) {
+    array_.set_policy(pp);
+  }
+  if (family_->config.fault_aware) {
+    health_ = std::make_unique<SensorHealthMonitor>(family_->config.health);
   }
 }
 
-DutyCycle DynamicFanController::current_duty() const {
+DutyCycle FanTechnique::current_duty() const {
   return DutyCycle{array_.mode(index_)};
 }
 
-void DynamicFanController::set_policy(PolicyParam pp) {
-  config_.pp = pp;
+void FanTechnique::set_policy(PolicyParam pp, TwoLevelWindow& window) {
   array_.set_policy(pp);
   // Old history predicts behaviour under the old fill; drop it.
-  window_.reset();
+  window.reset();
 }
 
-void DynamicFanController::on_sample(SimTime now) {
-  on_sample_with(now, hwmon_.read_temperature());
-}
-
-void DynamicFanController::on_sample_with(SimTime now, Celsius reading) {
+std::optional<Celsius> FanTechnique::admit(SimTime now, Celsius reading,
+                                           TwoLevelWindow& window) {
   // Keep the ring's clock fresh before any bus traffic so i2c retry events
   // emitted below land at this tick's sim time.
   THERMCTL_TRACE_SET_TIME(trace_, now.seconds());
@@ -82,7 +95,7 @@ void DynamicFanController::on_sample_with(SimTime now, Celsius reading) {
         failsafe_ = true;
         failsafe_applied_ = false;
         ++failsafe_entries_;
-        window_.reset();  // history under a dead sensor predicts nothing
+        window.reset();  // history under a dead sensor predicts nothing
         THERMCTL_TRACE_EMIT(trace_,
                             (obs::TraceEvent{.type = obs::TraceEventType::kFailsafeEnter,
                                              .subsystem = obs::TraceSubsystem::kFan,
@@ -96,7 +109,7 @@ void DynamicFanController::on_sample_with(SimTime now, Celsius reading) {
       if (!failsafe_applied_ && hwmon_.write_pwm(DutyCycle{array_.most_effective()})) {
         failsafe_applied_ = true;
       }
-      return;
+      return std::nullopt;
     }
     if (failsafe_) {
       // Recovered: resume normal control from the fail-safe operating point;
@@ -104,7 +117,7 @@ void DynamicFanController::on_sample_with(SimTime now, Celsius reading) {
       failsafe_ = false;
       ++failsafe_exits_;
       index_ = array_.size() - 1;
-      window_.reset();
+      window.reset();
       THERMCTL_TRACE_EMIT(trace_, (obs::TraceEvent{.type = obs::TraceEventType::kFailsafeExit,
                                                    .subsystem = obs::TraceSubsystem::kFan,
                                                    .i0 = static_cast<std::int64_t>(index_)}));
@@ -113,28 +126,23 @@ void DynamicFanController::on_sample_with(SimTime now, Celsius reading) {
     if (state != SensorState::kOk) {
       // Isolated bad sample below the failure threshold: bridge with the
       // last good reading rather than steering on garbage.
-      const auto good = health_->last_good();
-      if (!good.has_value()) {
-        return;
-      }
-      reading = *good;
+      return health_->last_good();
     }
   }
+  return reading;
+}
 
-  const auto round = window_.add_sample(reading);
-  if (!round.has_value()) {
-    return;
-  }
+void FanTechnique::act(SimTime now, const WindowRound& round) {
   THERMCTL_TRACE_EMIT(
       trace_,
       (obs::TraceEvent{.type = obs::TraceEventType::kWindowRound,
                        .subsystem = obs::TraceSubsystem::kFan,
-                       .flags = round->level2_valid ? obs::kTraceFlagLevel2Valid : obs::kTraceFlagNone,
-                       .a = round->level1_average.value(),
-                       .b = round->level1_delta.value(),
-                       .c = round->level2_delta.value()}));
+                       .flags = round.level2_valid ? obs::kTraceFlagLevel2Valid : obs::kTraceFlagNone,
+                       .a = round.level1_average.value(),
+                       .b = round.level1_delta.value(),
+                       .c = round.level2_delta.value()}));
 
-  const ModeDecision decision = selector_.decide(index_, *round);
+  const ModeDecision decision = family_->selector.decide(index_, round);
   THERMCTL_TRACE_EMIT(trace_,
                       (obs::TraceEvent{.type = obs::TraceEventType::kModeDecision,
                                        .subsystem = obs::TraceSubsystem::kFan,

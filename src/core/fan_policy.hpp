@@ -6,6 +6,8 @@
 //    PWM control through the two-level window + thermal control array. Duty
 //    modes are the integers 1..max% (the paper discretizes the continuous
 //    fan speed into 100 distinct speeds); effectiveness ascends with duty.
+//    Its constants live once per family (FanFamily); each node keeps only
+//    its own state and Pp.
 //
 //  * StaticFanPolicy — the "traditional" baseline: the ADT7467's automatic
 //    curve (Fig. 1), PWMmin=10% below Tmin=38 °C rising linearly to 100% at
@@ -20,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -50,6 +53,8 @@ struct FanControlConfig {
   /// must behave identically either way.
   bool fault_aware = false;
   SensorHealthConfig health{};
+
+  bool operator==(const FanControlConfig&) const = default;
 };
 
 /// One controller retarget, for figure annotations and tests.
@@ -60,19 +65,49 @@ struct FanEvent {
   bool used_level2 = false;
 };
 
-class DynamicFanController {
+/// What every dynamic fan controller of one family shares, built once: the
+/// config, its mode selector and the Eq. (1) array at the config's Pp. A
+/// ControlBank holds one per family; a standalone controller owns its own.
+struct FanFamily {
+  explicit FanFamily(const FanControlConfig& cfg);
+
+  /// True when `other` differs from this family's config in Pp at most.
+  [[nodiscard]] bool admits(FanControlConfig other) const;
+
+  FanControlConfig config;
+  ModeSelector selector;
+  ThermalControlArray array;
+};
+
+/// The dynamic fan technique without a window of its own: it gates each
+/// reading into its owner's window and acts on the rounds that window
+/// closes. DynamicFanController is the standalone form; a UnifiedController
+/// feeds one from its shared window.
+class FanTechnique {
  public:
-  DynamicFanController(sysfs::HwmonDevice& hwmon, FanControlConfig config);
+  /// A technique with its own family, built from `config`.
+  FanTechnique(sysfs::HwmonDevice& hwmon, const FanControlConfig& config);
+  /// A member of `family` running at this node's `pp`.
+  FanTechnique(sysfs::HwmonDevice& hwmon, std::shared_ptr<const FanFamily> family,
+               PolicyParam pp);
 
-  /// Controller tick: consume the latest sensor sample; on a completed
-  /// window round, maybe retarget the fan.
-  void on_sample(SimTime now);
+  /// Takes over the fan on the first call, then gates `reading` through the
+  /// health monitor when fault-aware. Returns the sample to push into
+  /// `window` (the reading, or the last good one bridging a bad sample), or
+  /// nullopt when this tick pushes nothing. Resets `window` on fail-safe
+  /// entry and exit.
+  std::optional<Celsius> admit(SimTime now, Celsius reading, TwoLevelWindow& window);
 
-  /// on_sample with the reading supplied by the caller — the ControlBank
-  /// batches the hwmon reads across a fleet and feeds each controller its
-  /// own node's value. `reading` must equal what hwmon.read_temperature()
-  /// would return at this tick; the tick logic is byte-for-byte the same.
-  void on_sample_with(SimTime now, Celsius reading);
+  /// Acts on a completed window round: selector decision, maybe a retarget.
+  void act(SimTime now, const WindowRound& round);
+
+  /// Re-tunes the policy parameter; old history predicts behaviour under
+  /// the old fill, so `window` is reset.
+  void set_policy(PolicyParam pp, TwoLevelWindow& window);
+
+  [[nodiscard]] Celsius read_temperature() const { return hwmon_.read_temperature(); }
+  [[nodiscard]] const WindowConfig& window_config() const { return family_->config.window; }
+  [[nodiscard]] const FanFamily& family() const { return *family_; }
 
   [[nodiscard]] std::size_t current_index() const { return index_; }
   [[nodiscard]] DutyCycle current_duty() const;
@@ -89,37 +124,33 @@ class DynamicFanController {
     return health_.get();
   }
 
-  /// Re-tunes the policy parameter at runtime.
-  void set_policy(PolicyParam pp);
-
   /// Attaches a decision-trace ring (nullptr detaches). Every window round,
   /// selector decision, PWM retarget, sensor classification, and fail-safe
   /// transition is then recorded; control behaviour is unchanged.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
 
-  /// The sampling window (read-only observability).
-  [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
-
  private:
-  static std::vector<double> duty_modes(const FanControlConfig& config);
-
-  sysfs::HwmonDevice& hwmon_;
-  FanControlConfig config_;
-  ThermalControlArray array_;
-  ModeSelector selector_;
-  TwoLevelWindow window_;
+  // What every tick and every round without a retarget reads comes first:
+  // 64 bytes, one cache line when the technique is line-aligned.
+  obs::TraceRing* trace_ = nullptr;
+  std::unique_ptr<SensorHealthMonitor> health_;  // allocated only when fault-aware
+  std::shared_ptr<const FanFamily> family_;
+  ThermalControlArray array_;  // the family's fill, re-pointed to this node's Pp
   std::size_t index_ = 0;
   bool initialized_ = false;
-  std::vector<FanEvent> events_;
-  std::uint64_t retargets_ = 0;
-  std::unique_ptr<SensorHealthMonitor> health_;  // allocated only when fault-aware
   bool failsafe_ = false;
   bool failsafe_applied_ = false;  // fail-safe duty reached the chip
+  bool last_sample_ok_ = true;     // edge detector for sensor-classification events
+  sysfs::HwmonDevice& hwmon_;
+  std::vector<FanEvent> events_;
+  std::uint64_t retargets_ = 0;
   std::uint64_t failsafe_entries_ = 0;
   std::uint64_t failsafe_exits_ = 0;
-  obs::TraceRing* trace_ = nullptr;
-  bool last_sample_ok_ = true;  // edge detector for sensor-classification events
 };
+
+/// The paper's dynamic fan controller: history-based PWM control through
+/// its own two-level window and thermal control array.
+using DynamicFanController = Windowed<FanTechnique>;
 
 /// Applies the traditional static policy: programs the Fig. 1 curve into the
 /// chip and hands PWM control to its automatic mode.

@@ -39,6 +39,8 @@ struct IdleInjectionConfig {
   std::size_t array_size = 16;
   ModeSelectorConfig selector{};
   WindowConfig window{};
+
+  bool operator==(const IdleInjectionConfig&) const = default;
 };
 
 struct ClampEvent {

@@ -29,6 +29,8 @@ struct ModeSelectorConfig {
   Celsius tmax{82.0};
   /// Variations with |Δt| below this are ignored entirely.
   CelsiusDelta deadband{0.0};
+
+  bool operator==(const ModeSelectorConfig&) const = default;
 };
 
 struct ModeDecision {

@@ -19,6 +19,7 @@ struct PolicyParam {
   int value = 50;
 
   constexpr PolicyParam() = default;
+  bool operator==(const PolicyParam&) const = default;
   explicit PolicyParam(int v) : value(v) {
     THERMCTL_ASSERT(v >= kMin && v <= kMax, "Pp must be in [1, 100]");
   }

@@ -53,6 +53,8 @@ struct SensorHealthConfig {
   int recovery_samples = 8;
   /// No observation for this long ⇒ the held value is stale.
   Seconds stale_deadline{2.0};
+
+  bool operator==(const SensorHealthConfig&) const = default;
 };
 
 struct SensorHealthStats {

@@ -7,43 +7,68 @@
 
 namespace thermctl::core {
 
-TdvfsDaemon::TdvfsDaemon(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
-                         TdvfsConfig config)
-    : hwmon_(hwmon),
-      cpufreq_(cpufreq),
-      config_(config),
-      array_(
-          [&cpufreq] {
-            // Frequencies ordered fastest (least effective at cooling) to
-            // slowest (most effective).
-            std::vector<double> modes;
-            const double max_ghz = sysfs::CpufreqPolicy::from_khz(cpufreq.max_khz()).value();
-            const double min_ghz = sysfs::CpufreqPolicy::from_khz(cpufreq.min_khz()).value();
-            THERMCTL_ASSERT(max_ghz > 0.0 && min_ghz > 0.0, "cpufreq bounds unavailable");
-            modes = cpufreq.available_ghz();
-            std::sort(modes.begin(), modes.end(), std::greater<>());
-            return modes;
-          }(),
-          config.array_size, config.pp),
-      selector_(config.selector, config.array_size),
-      window_(config.window) {
-  THERMCTL_ASSERT(config_.consistency_rounds >= 1, "consistency must be >= 1 round");
-  THERMCTL_ASSERT(config_.restore_rounds >= 1, "restore consistency must be >= 1 round");
-  if (config_.fault_aware) {
-    health_ = std::make_unique<SensorHealthMonitor>(config_.health);
+namespace {
+
+/// The frequencies `cpufreq` lists, ordered fastest (least effective at
+/// cooling) to slowest (most effective).
+std::vector<double> frequency_modes(const sysfs::CpufreqPolicy& cpufreq) {
+  const double max_ghz = sysfs::CpufreqPolicy::from_khz(cpufreq.max_khz()).value();
+  const double min_ghz = sysfs::CpufreqPolicy::from_khz(cpufreq.min_khz()).value();
+  THERMCTL_ASSERT(max_ghz > 0.0 && min_ghz > 0.0, "cpufreq bounds unavailable");
+  std::vector<double> modes = cpufreq.available_ghz();
+  std::sort(modes.begin(), modes.end(), std::greater<>());
+  return modes;
+}
+
+}  // namespace
+
+TdvfsFamily::TdvfsFamily(const TdvfsConfig& cfg, const sysfs::CpufreqPolicy& cpufreq)
+    : config(cfg),
+      selector(cfg.selector, cfg.array_size),
+      array(frequency_modes(cpufreq), cfg.array_size, cfg.pp),
+      pstate_table(cpufreq.pstate_table()) {
+  THERMCTL_ASSERT(cfg.consistency_rounds >= 1, "consistency must be >= 1 round");
+  THERMCTL_ASSERT(cfg.restore_rounds >= 1, "restore consistency must be >= 1 round");
+}
+
+bool TdvfsFamily::admits(TdvfsConfig other, const sysfs::CpufreqPolicy& cpufreq) const {
+  other.pp = config.pp;
+  if (other != config) {
+    return false;
+  }
+  if (cpufreq.pstate_table() == pstate_table) {
+    return true;
+  }
+  const std::vector<double> modes = frequency_modes(cpufreq);
+  return std::equal(modes.begin(), modes.end(), array.available_modes().begin(),
+                    array.available_modes().end());
+}
+
+TdvfsTechnique::TdvfsTechnique(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
+                               const TdvfsConfig& config)
+    : TdvfsTechnique(hwmon, cpufreq, std::make_shared<const TdvfsFamily>(config, cpufreq),
+                     config.pp) {}
+
+TdvfsTechnique::TdvfsTechnique(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
+                               std::shared_ptr<const TdvfsFamily> family, PolicyParam pp)
+    : family_(std::move(family)), array_(family_->array), hwmon_(hwmon), cpufreq_(cpufreq) {
+  if (pp != array_.policy()) {
+    array_.set_policy(pp);
+  }
+  if (family_->config.fault_aware) {
+    health_ = std::make_unique<SensorHealthMonitor>(family_->config.health);
   }
 }
 
-GigaHertz TdvfsDaemon::current_target() const { return GigaHertz{array_.mode(index_)}; }
+GigaHertz TdvfsTechnique::current_target() const { return GigaHertz{array_.mode(index_)}; }
 
-void TdvfsDaemon::set_policy(PolicyParam pp) {
-  config_.pp = pp;
+void TdvfsTechnique::set_policy(PolicyParam pp, TwoLevelWindow& window) {
   array_.set_policy(pp);
-  window_.reset();
+  window.reset();
 }
 
-void TdvfsDaemon::retarget(SimTime now, std::size_t target, int consistency, bool used_level2,
-                           bool is_restore) {
+void TdvfsTechnique::retarget(SimTime now, std::size_t target, int consistency, bool used_level2,
+                              bool is_restore) {
   const double from = array_.mode(index_);
   const double to = array_.mode(target);
   index_ = target;
@@ -65,11 +90,8 @@ void TdvfsDaemon::retarget(SimTime now, std::size_t target, int consistency, boo
   THERMCTL_LOG_INFO("tdvfs", "t=%.2fs frequency %.1f GHz -> %.1f GHz", now.seconds(), from, to);
 }
 
-void TdvfsDaemon::on_sample(SimTime now) {
-  on_sample_with(now, hwmon_.read_temperature());
-}
-
-void TdvfsDaemon::on_sample_with(SimTime now, Celsius reading) {
+std::optional<Celsius> TdvfsTechnique::admit(SimTime now, Celsius reading,
+                                             TwoLevelWindow& window) {
   THERMCTL_TRACE_SET_TIME(trace_, now.seconds());
 
   if (health_ != nullptr) {
@@ -92,7 +114,7 @@ void TdvfsDaemon::on_sample_with(SimTime now, Celsius reading) {
         // was built on readings we now distrust.
         rounds_above_ = 0;
         rounds_below_ = 0;
-        window_.reset();
+        window.reset();
         THERMCTL_TRACE_EMIT(trace_,
                             (obs::TraceEvent{.type = obs::TraceEventType::kDvfsHoldEnter,
                                              .subsystem = obs::TraceSubsystem::kTdvfs,
@@ -101,7 +123,7 @@ void TdvfsDaemon::on_sample_with(SimTime now, Celsius reading) {
                           array_.mode(index_));
       }
       ++held_ticks_;
-      return;
+      return std::nullopt;
     }
     if (holding_) {
       holding_ = false;
@@ -110,34 +132,29 @@ void TdvfsDaemon::on_sample_with(SimTime now, Celsius reading) {
       THERMCTL_LOG_INFO("tdvfs", "t=%.2fs sensor recovered; resuming control", now.seconds());
     }
     if (state != SensorState::kOk) {
-      const auto good = health_->last_good();
-      if (!good.has_value()) {
-        return;
-      }
-      reading = *good;
+      return health_->last_good();
     }
   }
+  return reading;
+}
 
-  const auto round = window_.add_sample(reading);
-  if (!round.has_value()) {
-    return;
-  }
+void TdvfsTechnique::act(SimTime now, const WindowRound& round) {
   THERMCTL_TRACE_EMIT(
       trace_,
       (obs::TraceEvent{.type = obs::TraceEventType::kWindowRound,
                        .subsystem = obs::TraceSubsystem::kTdvfs,
-                       .flags = round->level2_valid ? obs::kTraceFlagLevel2Valid
-                                                   : obs::kTraceFlagNone,
-                       .a = round->level1_average.value(),
-                       .b = round->level1_delta.value(),
-                       .c = round->level2_delta.value()}));
+                       .flags = round.level2_valid ? obs::kTraceFlagLevel2Valid
+                                                  : obs::kTraceFlagNone,
+                       .a = round.level1_average.value(),
+                       .b = round.level1_delta.value(),
+                       .c = round.level2_delta.value()}));
 
-  const double avg = round->level1_average.value();
-  last_round_average_ = round->level1_average;
-  if (avg > config_.threshold.value()) {
+  const double avg = round.level1_average.value();
+  last_round_average_ = round.level1_average;
+  if (avg > family_->config.threshold.value()) {
     ++rounds_above_;
     rounds_below_ = 0;
-  } else if (avg < config_.threshold.value() - config_.hysteresis.value()) {
+  } else if (avg < family_->config.threshold.value() - family_->config.hysteresis.value()) {
     ++rounds_below_;
     rounds_above_ = 0;
   } else {
@@ -146,7 +163,7 @@ void TdvfsDaemon::on_sample_with(SimTime now, Celsius reading) {
     rounds_below_ = 0;
   }
 
-  if (rounds_above_ >= config_.consistency_rounds) {
+  if (rounds_above_ >= family_->config.consistency_rounds) {
     // Consistently hot: each trigger must actually change the operating
     // frequency, so the floor of the move is the next cell holding a
     // *distinct* mode (the Pp fill may duplicate modes across cells); the
@@ -156,7 +173,7 @@ void TdvfsDaemon::on_sample_with(SimTime now, Celsius reading) {
            array_.mode(next_distinct) == array_.mode(index_)) {
       ++next_distinct;
     }
-    const ModeDecision d = selector_.decide(index_, *round);
+    const ModeDecision d = family_->selector.decide(index_, round);
     THERMCTL_TRACE_EMIT(trace_,
                         (obs::TraceEvent{.type = obs::TraceEventType::kModeDecision,
                                          .subsystem = obs::TraceSubsystem::kTdvfs,
@@ -172,7 +189,7 @@ void TdvfsDaemon::on_sample_with(SimTime now, Celsius reading) {
     target = std::min(target, array_.size() - 1);
     retarget(now, target, rounds_above_, d.changed && d.used_level2, /*is_restore=*/false);
     rounds_above_ = 0;
-  } else if (rounds_below_ >= config_.restore_rounds && index_ != 0) {
+  } else if (rounds_below_ >= family_->config.restore_rounds && index_ != 0) {
     // Consistently cool again: restore the original frequency outright.
     retarget(now, 0, rounds_below_, /*used_level2=*/false, /*is_restore=*/true);
     rounds_below_ = 0;

@@ -62,6 +62,8 @@ struct TdvfsConfig {
   /// default for bit-identical zero-fault behaviour.
   bool fault_aware = false;
   SensorHealthConfig health{};
+
+  bool operator==(const TdvfsConfig&) const = default;
 };
 
 struct TdvfsEvent {
@@ -70,23 +72,60 @@ struct TdvfsEvent {
   double to_ghz = 0.0;
 };
 
-class TdvfsDaemon {
+/// What every tDVFS daemon of one family shares, built once: the config,
+/// its mode selector and the Eq. (1) array, at the config's Pp, over the
+/// frequencies `scaling_available_frequencies` lists. A ControlBank holds
+/// one per family and parses the frequency list once for every node whose
+/// cpufreq shares the same p-state table; a standalone daemon owns its own.
+struct TdvfsFamily {
+  TdvfsFamily(const TdvfsConfig& cfg, const sysfs::CpufreqPolicy& cpufreq);
+
+  /// True when `other` differs from this family's config in Pp at most and
+  /// `cpufreq` lists this family's frequencies.
+  [[nodiscard]] bool admits(TdvfsConfig other, const sysfs::CpufreqPolicy& cpufreq) const;
+
+  TdvfsConfig config;
+  ModeSelector selector;
+  ThermalControlArray array;
+  const void* pstate_table;  // the table the frequency list was parsed from
+};
+
+/// The tDVFS technique without a window of its own: it gates each reading
+/// into its owner's window and acts on the rounds that window closes.
+/// TdvfsDaemon is the standalone form; a UnifiedController feeds one from
+/// its shared window.
+class TdvfsTechnique {
  public:
-  TdvfsDaemon(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq, TdvfsConfig config);
+  /// A technique with its own family, built from `config`.
+  TdvfsTechnique(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
+                 const TdvfsConfig& config);
+  /// A member of `family` running at this node's `pp`.
+  TdvfsTechnique(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
+                 std::shared_ptr<const TdvfsFamily> family, PolicyParam pp);
 
-  /// Daemon tick (call at the sensor sampling rate).
-  void on_sample(SimTime now);
+  /// Gates `reading` through the health monitor when fault-aware. Returns
+  /// the sample to push into `window` (the reading, or the last good one
+  /// bridging a bad sample), or nullopt when this tick pushes nothing.
+  /// Resets `window` on hold entry.
+  std::optional<Celsius> admit(SimTime now, Celsius reading, TwoLevelWindow& window);
 
-  /// on_sample with the reading supplied by the caller (ControlBank batched
-  /// path). `reading` must equal what hwmon.read_temperature() would return
-  /// at this tick; the tick logic is byte-for-byte the same.
-  void on_sample_with(SimTime now, Celsius reading);
+  /// Acts on a completed window round: consistency counting, then maybe a
+  /// trigger or a restore.
+  void act(SimTime now, const WindowRound& round);
+
+  /// Re-tunes the policy parameter and resets `window`.
+  void set_policy(PolicyParam pp, TwoLevelWindow& window);
+
+  [[nodiscard]] Celsius read_temperature() const { return hwmon_.read_temperature(); }
+  [[nodiscard]] const WindowConfig& window_config() const { return family_->config.window; }
 
   [[nodiscard]] std::size_t current_index() const { return index_; }
   [[nodiscard]] GigaHertz current_target() const;
   [[nodiscard]] const std::vector<TdvfsEvent>& events() const { return events_; }
   [[nodiscard]] const ThermalControlArray& array() const { return array_; }
-  [[nodiscard]] const TdvfsConfig& config() const { return config_; }
+  /// The family's config. Its `pp` is the family's; this node's current Pp
+  /// is array().policy().
+  [[nodiscard]] const TdvfsConfig& config() const { return family_->config; }
 
   /// Round-average temperature of the most recently completed window round
   /// (nullopt until one completes). Read-only observability for the
@@ -105,15 +144,10 @@ class TdvfsDaemon {
     return health_.get();
   }
 
-  void set_policy(PolicyParam pp);
-
   /// Attaches a decision-trace ring (nullptr detaches). Window rounds,
   /// selector decisions, trigger/restore transitions (with the consistency
   /// counts that armed them), and hold transitions are then recorded.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
-
-  /// The sampling window (read-only observability).
-  [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
 
  private:
   /// `consistency` and `is_restore` feed the decision trace: how many
@@ -121,23 +155,27 @@ class TdvfsDaemon {
   void retarget(SimTime now, std::size_t target, int consistency, bool used_level2,
                 bool is_restore);
 
-  sysfs::HwmonDevice& hwmon_;
-  sysfs::CpufreqPolicy& cpufreq_;
-  TdvfsConfig config_;
-  ThermalControlArray array_;
-  ModeSelector selector_;
-  TwoLevelWindow window_;
-  std::size_t index_ = 0;  // 0 = least effective = original (fastest) mode
+  // What every tick and every round reads comes first: 64 bytes, one cache
+  // line when the technique is line-aligned.
+  obs::TraceRing* trace_ = nullptr;
+  std::unique_ptr<SensorHealthMonitor> health_;  // allocated only when fault-aware
+  std::shared_ptr<const TdvfsFamily> family_;
+  ThermalControlArray array_;  // the family's fill, re-pointed to this node's Pp
+  std::size_t index_ = 0;      // 0 = least effective = original (fastest) mode
   int rounds_above_ = 0;
   int rounds_below_ = 0;
   std::optional<Celsius> last_round_average_;
-  std::vector<TdvfsEvent> events_;
-  std::unique_ptr<SensorHealthMonitor> health_;  // allocated only when fault-aware
   bool holding_ = false;
+  bool last_sample_ok_ = true;  // edge detector for sensor-classification events
+  sysfs::HwmonDevice& hwmon_;
+  sysfs::CpufreqPolicy& cpufreq_;
+  std::vector<TdvfsEvent> events_;
   std::uint64_t hold_entries_ = 0;
   std::uint64_t held_ticks_ = 0;
-  obs::TraceRing* trace_ = nullptr;
-  bool last_sample_ok_ = true;  // edge detector for sensor-classification events
 };
+
+/// The paper's tDVFS daemon: threshold-triggered frequency scaling through
+/// its own two-level window and thermal control array.
+using TdvfsDaemon = Windowed<TdvfsTechnique>;
 
 }  // namespace thermctl::core

@@ -25,6 +25,13 @@
 // and counters as bytes, so a controller — standalone or in a ControlBank —
 // carries its whole history in one 200 B object with no heap and no
 // pointers to chase.
+//
+// Ownership: a window belongs to whoever feeds it. The window-driven
+// techniques (dynamic fan, tDVFS) hold none of their own: they gate a
+// reading into a caller's window (`admit`) and act on the rounds it closes
+// (`act`). `Windowed<T>` is a standalone technique with its own window; a
+// UnifiedController owns one window and hands each round to both of its
+// techniques.
 #pragma once
 
 #include <array>
@@ -32,13 +39,17 @@
 #include <cstdint>
 #include <optional>
 
+#include "common/sim_time.hpp"
 #include "common/units.hpp"
+#include "core/policy.hpp"
 
 namespace thermctl::core {
 
 struct WindowConfig {
   std::size_t level1_size = 4;  // must be even (split into halves)
   std::size_t level2_size = 5;
+
+  bool operator==(const WindowConfig&) const = default;
 };
 
 /// Result of a completed level-one round.
@@ -85,13 +96,51 @@ class TwoLevelWindow {
  private:
   [[nodiscard]] std::optional<WindowRound> close_round();
 
-  std::array<double, kMaxLevel1> level1_{};  // first level1_size_ cells used
-  std::array<double, kMaxLevel2> level2_{};  // FIFO ring over level2_size_ cells
+  // The sizes and counters lead, so a push at the paper's geometry touches
+  // one cache line: the bytes and the first level-one cells.
   std::uint8_t level1_size_;
   std::uint8_t level2_size_;
   std::uint8_t level1_fill_ = 0;
   std::uint8_t level2_head_ = 0;
   std::uint8_t level2_count_ = 0;
+  std::array<double, kMaxLevel1> level1_{};  // first level1_size_ cells used
+  std::array<double, kMaxLevel2> level2_{};  // FIFO ring over level2_size_ cells
+};
+
+/// A window-driven technique that owns its window: the standalone form of a
+/// technique a UnifiedController otherwise feeds from its one shared window.
+/// `Technique` provides admit(now, reading, window) -> optional sample,
+/// act(now, round), set_policy(pp, window), read_temperature() and
+/// window_config().
+template <typename Technique>
+class Windowed : public Technique {
+ public:
+  using Technique::Technique;
+
+  /// Controller tick: read this node's sensor and run one sample.
+  void on_sample(SimTime now) { on_sample_with(now, Technique::read_temperature()); }
+
+  /// on_sample with the reading supplied by the caller — the ControlBank
+  /// batches the hwmon reads across a fleet and feeds each controller its
+  /// own node's value. `reading` must equal what hwmon.read_temperature()
+  /// would return at this tick; the tick logic is byte-for-byte the same.
+  void on_sample_with(SimTime now, Celsius reading) {
+    if (const auto sample = Technique::admit(now, reading, window_)) {
+      if (const auto round = window_.add_sample(*sample)) {
+        Technique::act(now, *round);
+      }
+    }
+  }
+
+  /// Re-tunes the policy parameter at runtime; the window's history, taken
+  /// under the old fill, is dropped.
+  void set_policy(PolicyParam pp) { Technique::set_policy(pp, window_); }
+
+  /// The sampling window (read-only observability).
+  [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
+
+ private:
+  TwoLevelWindow window_{Technique::window_config()};
 };
 
 }  // namespace thermctl::core

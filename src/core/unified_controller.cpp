@@ -1,12 +1,18 @@
 #include "core/unified_controller.hpp"
 
-namespace thermctl::core {
+#include "common/assert.hpp"
 
-UnifiedConfig UnifiedController::harmonize(UnifiedConfig config) {
+namespace thermctl::core {
+namespace {
+
+UnifiedConfig harmonize(UnifiedConfig config) {
   // One Pp steers every technique — overwrite whatever the sub-configs held.
   config.fan.pp = config.pp;
   config.tdvfs.pp = config.pp;
   config.idle.pp = config.pp;
+  // One window feeds both gated techniques.
+  config.fan.window = config.window;
+  config.tdvfs.window = config.window;
   // Fault-awareness is likewise a single knob: both gated techniques see the
   // same classification thresholds.
   config.fan.fault_aware = config.fault_aware;
@@ -16,41 +22,68 @@ UnifiedConfig UnifiedController::harmonize(UnifiedConfig config) {
   return config;
 }
 
-UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
-                                     UnifiedConfig config)
-    : fan_(hwmon, harmonize(config).fan), dvfs_(hwmon, cpufreq, harmonize(config).tdvfs) {}
+}  // namespace
+
+UnifiedFamily::UnifiedFamily(const UnifiedConfig& cfg, const sysfs::CpufreqPolicy& cpufreq)
+    : config(harmonize(cfg)),
+      fan(std::make_shared<const FanFamily>(config.fan)),
+      tdvfs(std::make_shared<const TdvfsFamily>(config.tdvfs, cpufreq)) {}
+
+bool UnifiedFamily::admits(UnifiedConfig other, const sysfs::CpufreqPolicy& cpufreq) const {
+  other.pp = config.pp;
+  return harmonize(other) == config && tdvfs->admits(config.tdvfs, cpufreq);
+}
 
 UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
-                                     sysfs::PowerClampDevice& clamp, UnifiedConfig config)
-    : fan_(hwmon, harmonize(config).fan), dvfs_(hwmon, cpufreq, harmonize(config).tdvfs) {
-  if (config.enable_idle_injection) {
-    idle_ = std::make_unique<IdleInjectionController>(hwmon, clamp, harmonize(config).idle);
+                                     const UnifiedConfig& config)
+    : UnifiedController(hwmon, cpufreq, nullptr, UnifiedFamily{config, cpufreq}, config.pp) {}
+
+UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
+                                     sysfs::PowerClampDevice& clamp, const UnifiedConfig& config)
+    : UnifiedController(hwmon, cpufreq, &clamp, UnifiedFamily{config, cpufreq}, config.pp) {}
+
+UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
+                                     sysfs::PowerClampDevice* clamp, const UnifiedFamily& family,
+                                     PolicyParam pp)
+    : window_(family.config.window),
+      fan_(hwmon, family.fan, pp),
+      dvfs_(hwmon, cpufreq, family.tdvfs, pp) {
+  if (clamp != nullptr && family.config.enable_idle_injection) {
+    IdleInjectionConfig idle = family.config.idle;
+    idle.pp = pp;
+    idle_ = std::make_unique<IdleInjectionController>(hwmon, *clamp, idle);
   }
 }
 
-void UnifiedController::on_sample(SimTime now) {
+void UnifiedController::on_sample(SimTime now) { on_sample_with(now, fan_.read_temperature()); }
+
+void UnifiedController::on_sample_with(SimTime now, Celsius reading) {
   // Staged by intrusiveness: the fan costs no application performance, so
   // it gets first shot at the new sample; tDVFS acts only above its
   // threshold; idle injection, the bluntest instrument, backstops above a
   // still-higher threshold.
-  fan_.on_sample(now);
-  dvfs_.on_sample(now);
-  if (idle_ != nullptr) {
-    idle_->on_sample(now);
+  const std::optional<Celsius> sample = fan_.admit(now, reading, window_);
+  std::optional<WindowRound> round;
+  if (sample.has_value()) {
+    round = window_.add_sample(*sample);
+    if (round.has_value()) {
+      fan_.act(now, *round);
+    }
   }
-}
-
-void UnifiedController::on_sample_with(SimTime now, Celsius reading) {
-  fan_.on_sample_with(now, reading);
-  dvfs_.on_sample_with(now, reading);
+  const bool dvfs_admitted = dvfs_.admit(now, reading, window_).has_value();
+  THERMCTL_ASSERT(dvfs_admitted == sample.has_value(),
+                  "both techniques must admit the same samples into their one window");
+  if (round.has_value()) {
+    dvfs_.act(now, *round);
+  }
   if (idle_ != nullptr) {
     idle_->on_sample(now);
   }
 }
 
 void UnifiedController::set_policy(PolicyParam pp) {
-  fan_.set_policy(pp);
-  dvfs_.set_policy(pp);
+  fan_.set_policy(pp, window_);
+  dvfs_.set_policy(pp, window_);
   if (idle_ != nullptr) {
     idle_->set_policy(pp);
   }

@@ -24,30 +24,61 @@ struct UnifiedConfig {
   PolicyParam pp{};
   FanControlConfig fan{};
   TdvfsConfig tdvfs{};
+  /// The one two-level window both techniques read: it overrides the
+  /// sub-configs' windows.
+  WindowConfig window{};
   /// Optional third technique (sleep-state / idle-injection backstop).
   /// Requires the clamp-aware constructor; its threshold should sit above
   /// tdvfs.threshold so it only engages when DVFS alone is losing.
   bool enable_idle_injection = false;
   IdleInjectionConfig idle{};
-  /// Shared fault-awareness knob, harmonized into both sub-controllers the
-  /// same way Pp is: each keeps its own SensorHealthMonitor (they classify
-  /// the same stream but degrade differently — fan fails safe to maximum
+  /// Shared fault-awareness knob, harmonized into both techniques the same
+  /// way Pp is: each keeps its own SensorHealthMonitor (they classify the
+  /// same stream alike but degrade differently — fan fails safe to maximum
   /// cooling, tDVFS holds). The idle-injection backstop is not gated; it is
   /// already the defence of last resort.
   bool fault_aware = false;
   SensorHealthConfig health{};
+
+  bool operator==(const UnifiedConfig&) const = default;
 };
 
+/// What every unified controller of one family shares, built once: the
+/// harmonized config and each technique's family. A ControlBank holds one;
+/// a standalone controller builds its own.
+struct UnifiedFamily {
+  UnifiedFamily(const UnifiedConfig& cfg, const sysfs::CpufreqPolicy& cpufreq);
+
+  /// True when `other` differs from this family's config in Pp at most and
+  /// `cpufreq` lists this family's frequencies.
+  [[nodiscard]] bool admits(UnifiedConfig other, const sysfs::CpufreqPolicy& cpufreq) const;
+
+  UnifiedConfig config;  // harmonized: one Pp, window and health knob throughout
+  std::shared_ptr<const FanFamily> fan;
+  std::shared_ptr<const TdvfsFamily> tdvfs;
+};
+
+/// One window, two techniques: each sample is gated by the fan technique,
+/// pushed into the window once, and each completed round goes to the fan
+/// technique, then to tDVFS. Both techniques' health monitors classify the
+/// same stream with the same config, so tDVFS admits exactly the samples
+/// the fan admits (asserted every tick).
 class UnifiedController {
  public:
-  /// Both sub-controllers act on the same node through its sysfs planes.
+  /// Both techniques act on the same node through its sysfs planes.
   UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
-                    UnifiedConfig config);
+                    const UnifiedConfig& config);
 
   /// Three-technique variant: fan + DVFS + idle-injection backstop (enabled
   /// via config.enable_idle_injection).
   UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
-                    sysfs::PowerClampDevice& clamp, UnifiedConfig config);
+                    sysfs::PowerClampDevice& clamp, const UnifiedConfig& config);
+
+  /// A member of `family` running at this node's `pp`; `clamp` (nullable)
+  /// hosts the idle-injection backstop when the family enables it.
+  UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
+                    sysfs::PowerClampDevice* clamp, const UnifiedFamily& family,
+                    PolicyParam pp);
 
   /// One controller tick at the sensor sampling rate. The out-of-band
   /// technique runs first (it is free), then the in-band one.
@@ -55,18 +86,20 @@ class UnifiedController {
 
   /// on_sample with the shared hwmon reading supplied by the caller (the
   /// ControlBank batches the sensor reads across a fleet). `reading` must
-  /// equal what hwmon.read_temperature() would return at this tick; both
-  /// sub-controllers then behave byte-for-byte the same. The idle-injection
-  /// backstop keeps its own read path (it samples independently).
+  /// equal what hwmon.read_temperature() would return at this tick; the
+  /// tick then behaves byte-for-byte the same. The idle-injection backstop
+  /// keeps its own read path (it samples independently).
   void on_sample_with(SimTime now, Celsius reading);
 
   /// Applies one Pp to both techniques (the paper's single-knob contract).
   void set_policy(PolicyParam pp);
 
-  [[nodiscard]] DynamicFanController& fan() { return fan_; }
-  [[nodiscard]] const DynamicFanController& fan() const { return fan_; }
-  [[nodiscard]] TdvfsDaemon& dvfs() { return dvfs_; }
-  [[nodiscard]] const TdvfsDaemon& dvfs() const { return dvfs_; }
+  [[nodiscard]] FanTechnique& fan() { return fan_; }
+  [[nodiscard]] const FanTechnique& fan() const { return fan_; }
+  [[nodiscard]] TdvfsTechnique& dvfs() { return dvfs_; }
+  [[nodiscard]] const TdvfsTechnique& dvfs() const { return dvfs_; }
+  /// The one sampling window both techniques read (read-only).
+  [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
   [[nodiscard]] bool has_idle_injection() const { return idle_ != nullptr; }
   [[nodiscard]] IdleInjectionController& idle_injection() { return *idle_; }
   [[nodiscard]] const IdleInjectionController& idle_injection() const { return *idle_; }
@@ -75,7 +108,7 @@ class UnifiedController {
   /// time" Fig. 10 compares across Pp.
   [[nodiscard]] double first_dvfs_trigger_s() const;
 
-  /// Attaches one decision-trace ring to both sub-controllers (nullptr
+  /// Attaches one decision-trace ring to both techniques (nullptr
   /// detaches): their events interleave on the node's single timeline,
   /// distinguished by subsystem.
   void set_trace(obs::TraceRing* trace) {
@@ -84,10 +117,9 @@ class UnifiedController {
   }
 
  private:
-  static UnifiedConfig harmonize(UnifiedConfig config);
-
-  DynamicFanController fan_;
-  TdvfsDaemon dvfs_;
+  TwoLevelWindow window_;
+  FanTechnique fan_;
+  TdvfsTechnique dvfs_;
   std::unique_ptr<IdleInjectionController> idle_;  // only with enable_idle_injection
 };
 

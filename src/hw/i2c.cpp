@@ -1,7 +1,5 @@
 #include "hw/i2c.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 
 namespace thermctl::hw {
@@ -9,19 +7,27 @@ namespace thermctl::hw {
 void I2cBus::attach(std::uint8_t address, I2cSlave* dev) {
   THERMCTL_ASSERT(dev != nullptr, "cannot attach null device");
   THERMCTL_ASSERT(address <= 0x7f, "7-bit address out of range");
-  THERMCTL_ASSERT(!devices_.contains(address), "address already in use");
-  devices_[address] = dev;
+  THERMCTL_ASSERT(find(address) == nullptr, "address already in use");
+  THERMCTL_ASSERT(device_count_ < kMaxDevices, "too many devices on one bus");
+  devices_[device_count_++] = Attached{address, dev};
 }
 
-void I2cBus::detach(std::uint8_t address) { devices_.erase(address); }
-
-void I2cBus::record(I2cTransaction t) {
-  if (log_limit_ != 0 && log_.size() >= log_limit_) {
-    // Evict at least one entry so a limit of 1 still caps the log.
-    const std::size_t evict = std::max<std::size_t>(log_limit_ / 2, 1);
-    log_.erase(log_.begin(), log_.begin() + static_cast<std::ptrdiff_t>(evict));
+void I2cBus::detach(std::uint8_t address) {
+  for (std::size_t i = 0; i < device_count_; ++i) {
+    if (devices_[i].address == address) {
+      devices_[i] = devices_[--device_count_];
+      return;
+    }
   }
-  log_.push_back(t);
+}
+
+I2cSlave* I2cBus::find(std::uint8_t address) const {
+  for (std::size_t i = 0; i < device_count_; ++i) {
+    if (devices_[i].address == address) {
+      return devices_[i].dev;
+    }
+  }
+  return nullptr;
 }
 
 bool I2cBus::transfer_faulted() {
@@ -33,32 +39,30 @@ bool I2cBus::transfer_faulted() {
 }
 
 I2cStatus I2cBus::read_byte_data(std::uint8_t address, std::uint8_t reg, std::uint8_t& out) {
-  I2cTransaction t{address, reg, 0, /*is_write=*/false, I2cStatus::kOk};
   if (transfer_faulted()) {
-    t.status = I2cStatus::kBusFault;
-  } else if (auto it = devices_.find(address); it == devices_.end()) {
-    t.status = I2cStatus::kAddressNak;
-  } else if (auto v = it->second->read_register(reg); !v.has_value()) {
-    t.status = I2cStatus::kRegisterNak;
-  } else {
-    out = *v;
-    t.value = *v;
+    return I2cStatus::kBusFault;
   }
-  record(t);
-  return t.status;
+  I2cSlave* const dev = find(address);
+  if (dev == nullptr) {
+    return I2cStatus::kAddressNak;
+  }
+  const auto v = dev->read_register(reg);
+  if (!v.has_value()) {
+    return I2cStatus::kRegisterNak;
+  }
+  out = *v;
+  return I2cStatus::kOk;
 }
 
 I2cStatus I2cBus::write_byte_data(std::uint8_t address, std::uint8_t reg, std::uint8_t value) {
-  I2cTransaction t{address, reg, value, /*is_write=*/true, I2cStatus::kOk};
   if (transfer_faulted()) {
-    t.status = I2cStatus::kBusFault;
-  } else if (auto it = devices_.find(address); it == devices_.end()) {
-    t.status = I2cStatus::kAddressNak;
-  } else if (!it->second->write_register(reg, value)) {
-    t.status = I2cStatus::kRegisterNak;
+    return I2cStatus::kBusFault;
   }
-  record(t);
-  return t.status;
+  I2cSlave* const dev = find(address);
+  if (dev == nullptr) {
+    return I2cStatus::kAddressNak;
+  }
+  return dev->write_register(reg, value) ? I2cStatus::kOk : I2cStatus::kRegisterNak;
 }
 
 }  // namespace thermctl::hw

@@ -4,14 +4,16 @@
 // drives it from a custom Linux driver. To keep that software layering real,
 // the simulated driver talks to the simulated chip only through this bus —
 // register reads/writes addressed by 7-bit device address, with NAK errors
-// for absent devices or rejected registers. A transaction log supports both
-// debugging and the protocol-level tests.
+// for absent devices or rejected registers. The bus keeps no record of its
+// transfers: each call's status is the whole outcome, the retrying master
+// counts attempts and retries (I2cErrorStats), and the attached device sees
+// every register access that reached it.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <vector>
 
 namespace thermctl::hw {
 
@@ -35,17 +37,14 @@ class I2cSlave {
   virtual bool write_register(std::uint8_t reg, std::uint8_t value) = 0;
 };
 
-struct I2cTransaction {
-  std::uint8_t address = 0;
-  std::uint8_t reg = 0;
-  std::uint8_t value = 0;
-  bool is_write = false;
-  I2cStatus status = I2cStatus::kOk;
-};
-
 class I2cBus {
  public:
-  /// Attaches `dev` at `address` (7-bit). The bus does not own the device.
+  /// Devices one bus holds at once. They sit inline: a node's bus carries
+  /// one chip, and a transfer finds it in the bus object itself.
+  static constexpr std::size_t kMaxDevices = 4;
+
+  /// Attaches `dev` at `address` (7-bit), at most kMaxDevices at once. The
+  /// bus does not own the device.
   void attach(std::uint8_t address, I2cSlave* dev);
   void detach(std::uint8_t address);
 
@@ -65,20 +64,19 @@ class I2cBus {
   void inject_transient_bus_fault(int transfers) { transient_faults_ = transfers; }
   [[nodiscard]] bool faulted() const { return faulted_ || transient_faults_ > 0; }
 
-  [[nodiscard]] const std::vector<I2cTransaction>& log() const { return log_; }
-  void clear_log() { log_.clear(); }
-  /// Caps the log so long simulations don't grow unbounded (0 = unlimited).
-  void set_log_limit(std::size_t limit) { log_limit_ = limit; }
-
  private:
-  void record(I2cTransaction t);
-
   /// Consumes one transfer's worth of fault state; true if it failed.
   bool transfer_faulted();
 
-  std::map<std::uint8_t, I2cSlave*> devices_;
-  std::vector<I2cTransaction> log_;
-  std::size_t log_limit_ = 4096;
+  struct Attached {
+    std::uint8_t address = 0;
+    I2cSlave* dev = nullptr;
+  };
+
+  [[nodiscard]] I2cSlave* find(std::uint8_t address) const;
+
+  std::array<Attached, kMaxDevices> devices_{};
+  std::uint8_t device_count_ = 0;
   bool faulted_ = false;
   int transient_faults_ = 0;
 };

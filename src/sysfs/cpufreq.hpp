@@ -39,6 +39,10 @@ class CpufreqPolicy {
   /// Parses scaling_available_frequencies into GHz values (file order).
   [[nodiscard]] std::vector<double> available_ghz() const;
 
+  /// Identity of the p-state table behind scaling_available_frequencies:
+  /// policies returning the same pointer list the same frequencies.
+  [[nodiscard]] const void* pstate_table() const { return cpu_.pstates().data(); }
+
   // lround, not truncation: 2.2 GHz * 1e6 lands just below 2200000 in
   // binary floating point, and a truncated 2199999 would never match the
   // ladder entries parsed back from the attribute text.

@@ -194,8 +194,8 @@ FuzzReport fuzz_unified(std::uint64_t seed, int ticks) {
     ++report.ticks;
     const double t = now.seconds();
 
-    const core::DynamicFanController& fan = controller.fan();
-    const core::TdvfsDaemon& dvfs = controller.dvfs();
+    const core::FanTechnique& fan = controller.fan();
+    const core::TdvfsTechnique& dvfs = controller.dvfs();
     ++report.invariants.checks;
     if (fan.current_index() >= fan.array().size()) {
       report.invariants.add(InvariantKind::kSelectorRange, t, 0, "fan index out of range", 64);

@@ -130,8 +130,8 @@ TEST(ControlBank, BatchedTdvfsTicksMatchStandaloneDaemons) {
 }
 
 TEST(ControlBank, BankedUnifiedWindowsReadTheSameRoundsAsStandaloneOnes) {
-  // Both windows of each banked unified node must track a standalone
-  // controller's windows exactly.
+  // The one window of each banked unified node must track a standalone
+  // controller's window exactly.
   constexpr std::size_t kNodes = 2;
   hw::SensorColumns sensors{kNodes};
   auto bank_rigs = rigs_on(sensors);
@@ -164,9 +164,7 @@ TEST(ControlBank, BankedUnifiedWindowsReadTheSameRoundsAsStandaloneOnes) {
     for (std::size_t i = 0; i < kNodes; ++i) {
       solo[i]->on_sample(now);
       const UnifiedController& banked = bank.unified(i);
-      ASSERT_TRUE(same_window(banked.fan().window(), solo[i]->fan().window()))
-          << "node " << i << " step " << step;
-      ASSERT_TRUE(same_window(banked.dvfs().window(), solo[i]->dvfs().window()))
+      ASSERT_TRUE(same_window(banked.window(), solo[i]->window()))
           << "node " << i << " step " << step;
       ASSERT_EQ(banked.fan().current_duty().percent(), solo[i]->fan().current_duty().percent());
       ASSERT_EQ(bank_rigs[i]->cpu.frequency().value(), solo_rigs[i]->cpu.frequency().value());
@@ -177,48 +175,84 @@ TEST(ControlBank, BankedUnifiedWindowsReadTheSameRoundsAsStandaloneOnes) {
   EXPECT_FALSE(bank.unified(1).dvfs().events().empty());
 }
 
-TEST(ControlBank, MixedWindowGeometriesTickLikeStandaloneControllers) {
-  // Windows are values, so one family may mix geometries: each banked fan
-  // must match a standalone controller of its own geometry.
-  constexpr std::size_t kNodes = 3;
-  hw::SensorColumns sensors{kNodes};
-  hw::SensorColumns solo_sensors{kNodes};
-  auto bank_rigs = rigs_on(sensors);
-  auto solo_rigs = rigs_on(solo_sensors);
-  std::vector<FanControlConfig> cfgs(kNodes);
+TEST(ControlBank, EveryWindowGeometryTicksLikeStandaloneControllers) {
+  // A family has one geometry, whatever it is: a bank of each geometry must
+  // match standalone controllers of that geometry.
+  constexpr std::size_t kNodes = 2;
+  std::vector<FanControlConfig> cfgs(3);
   cfgs[1].window.level1_size = TwoLevelWindow::kMaxLevel1;
   cfgs[2].window.level1_size = 2;
   cfgs[2].window.level2_size = TwoLevelWindow::kMaxLevel2;
 
+  for (const FanControlConfig& cfg : cfgs) {
+    hw::SensorColumns sensors{kNodes};
+    hw::SensorColumns solo_sensors{kNodes};
+    auto bank_rigs = rigs_on(sensors);
+    auto solo_rigs = rigs_on(solo_sensors);
+    ControlBank bank{kNodes, sensors.last_degc.data()};
+    std::vector<std::unique_ptr<DynamicFanController>> solo;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      bank.emplace_fan(i, *bank_rigs[i]->hwmon, cfg);
+      solo.push_back(std::make_unique<DynamicFanController>(*solo_rigs[i]->hwmon, cfg));
+    }
+    SimTime now;
+    for (int step = 0; step < 200; ++step) {
+      now.advance_us(250000);
+      for (std::size_t i = 0; i < kNodes; ++i) {
+        bank_rigs[i]->truth = ramp(step, i);
+        bank_rigs[i]->sensor.sample();
+        solo_rigs[i]->truth = ramp(step, i);
+        solo_rigs[i]->sensor.sample();
+      }
+      bank.tick_fans(now);
+      for (std::size_t i = 0; i < kNodes; ++i) {
+        solo[i]->on_sample(now);
+        ASSERT_TRUE(same_window(bank.fan(i).window(), solo[i]->window()))
+            << "level one " << cfg.window.level1_size << " node " << i << " step " << step;
+        ASSERT_EQ(bank.fan(i).current_duty().percent(), solo[i]->current_duty().percent())
+            << "level one " << cfg.window.level1_size << " node " << i << " step " << step;
+      }
+    }
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      EXPECT_EQ(bank.fan(i).window().config().level1_size, cfg.window.level1_size);
+      EXPECT_EQ(bank.fan(i).window().config().level2_size, cfg.window.level2_size);
+      EXPECT_GT(bank.fan(i).retarget_count(), 0u) << "node " << i;
+    }
+  }
+}
+
+TEST(ControlBank, NodesOfOneFamilyShareItsConstantsButKeepTheirOwnPp) {
+  // One config, one selector, one Eq. (1) array and one parsed frequency
+  // list per family; a node's own Pp re-points only its own array.
+  constexpr std::size_t kNodes = 3;
+  hw::SensorColumns sensors{kNodes};
+  auto rigs = rigs_on(sensors);
   ControlBank bank{kNodes, sensors.last_degc.data()};
-  std::vector<std::unique_ptr<DynamicFanController>> solo;
+  UnifiedConfig cfg;
   for (std::size_t i = 0; i < kNodes; ++i) {
-    bank.emplace_fan(i, *bank_rigs[i]->hwmon, cfgs[i]);
-    solo.push_back(std::make_unique<DynamicFanController>(*solo_rigs[i]->hwmon, cfgs[i]));
+    cfg.pp = PolicyParam{i == 2 ? 80 : 50};
+    bank.emplace_unified(i, *rigs[i]->hwmon, *rigs[i]->cpufreq, cfg);
   }
-  SimTime now;
-  for (int step = 0; step < 200; ++step) {
-    now.advance_us(250000);
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      bank_rigs[i]->truth = ramp(step, i);
-      bank_rigs[i]->sensor.sample();
-      solo_rigs[i]->truth = ramp(step, i);
-      solo_rigs[i]->sensor.sample();
-    }
-    bank.tick_fans(now);
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      solo[i]->on_sample(now);
-      ASSERT_TRUE(same_window(bank.fan(i).window(), solo[i]->window()))
-          << "node " << i << " step " << step;
-      ASSERT_EQ(bank.fan(i).current_duty().percent(), solo[i]->current_duty().percent())
-          << "node " << i << " step " << step;
-    }
-  }
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    EXPECT_EQ(bank.fan(i).window().config().level1_size, cfgs[i].window.level1_size);
-    EXPECT_EQ(bank.fan(i).window().config().level2_size, cfgs[i].window.level2_size);
-    EXPECT_GT(bank.fan(i).retarget_count(), 0u) << "node " << i;
-  }
+  EXPECT_EQ(&bank.unified(0).fan().family(), &bank.unified(1).fan().family());
+  EXPECT_EQ(&bank.unified(0).fan().family(), &bank.unified(2).fan().family());
+  EXPECT_EQ(&bank.unified(0).dvfs().config(), &bank.unified(2).dvfs().config());
+  EXPECT_EQ(bank.unified(0).fan().array().cells().data(),
+            bank.unified(1).fan().array().cells().data());
+  EXPECT_EQ(bank.unified(2).fan().array().policy().value, 80);
+  EXPECT_EQ(bank.unified(2).dvfs().array().policy().value, 80);
+  EXPECT_EQ(bank.unified(0).dvfs().array().policy().value, 50);
+  // Each rig's CPU has its own p-state table, listing the same frequencies:
+  // the family admits each node and its array still shares one fill.
+  EXPECT_EQ(bank.unified(0).dvfs().array().cells().data(),
+            bank.unified(1).dvfs().array().cells().data());
+}
+
+TEST(ControlBank, UnifiedControllerStaysSmall) {
+  // One window and pointers to the family's constants: a 100k-node bank
+  // must not creep back towards two windows and two config copies a node.
+  EXPECT_LE(sizeof(UnifiedController), 600u);
+  EXPECT_LE(sizeof(DynamicFanController) + sizeof(FanControlConfig), 480u);
+  EXPECT_LE(sizeof(TdvfsDaemon) + sizeof(TdvfsConfig), 504u);
 }
 
 TEST(ControlBank, FanAndUnifiedFamiliesKeepSeparateWindows) {
@@ -308,6 +342,26 @@ TEST(ControlBankDeath, EmplacePastCapacityAborts) {
   FanControlConfig cfg;
   bank.emplace_fan(0, *rigs[0]->hwmon, cfg);
   EXPECT_DEATH(bank.emplace_fan(1, *rigs[1]->hwmon, cfg), "capacity");
+}
+
+TEST(ControlBankDeath, SecondConfigInOneFamilyAborts) {
+  // Pp may differ per node; nothing else may.
+  hw::SensorColumns sensors{3};
+  auto rigs = rigs_on(sensors);
+  ControlBank bank{3, sensors.last_degc.data()};
+  FanControlConfig cfg;
+  bank.emplace_fan(0, *rigs[0]->hwmon, cfg);
+  cfg.pp = PolicyParam{90};
+  bank.emplace_fan(1, *rigs[1]->hwmon, cfg);
+  cfg.window.level2_size = 6;
+  EXPECT_DEATH(bank.emplace_fan(2, *rigs[2]->hwmon, cfg), "one config per controller family");
+
+  ControlBank unified_bank{3, sensors.last_degc.data()};
+  UnifiedConfig ucfg;
+  unified_bank.emplace_unified(0, *rigs[0]->hwmon, *rigs[0]->cpufreq, ucfg);
+  ucfg.tdvfs.threshold = Celsius{55.0};
+  EXPECT_DEATH(unified_bank.emplace_unified(1, *rigs[1]->hwmon, *rigs[1]->cpufreq, ucfg),
+               "one config per controller family");
 }
 
 TEST(ControlBankDeath, MissingSensorArrayAborts) {

@@ -125,10 +125,13 @@ TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
   // non-finite, out-of-range, stale and bus faults, re-tuned every 40 s.
   // Both techniques classify the same stream with the same monitor config,
   // reset together on failure entry, skip pushes together while failed and
-  // bridge with the same last good reading, so they must read one window
-  // history: every fan window round is followed by a tDVFS round with the
-  // same Δt values, and the digest of all window rounds is pinned.
+  // bridge with the same last good reading, so one window serves both:
+  // every fan window round is followed by a tDVFS round with the same Δt
+  // values, the window holds what a standalone fan controller's would, and
+  // the digest of all window rounds is pinned to the values two separate
+  // windows produced.
   ControllerRig rig;
+  ControllerRig solo_rig;
   UnifiedConfig cfg = paper_unified(50);
   cfg.tdvfs.threshold = Celsius{50.0};
   cfg.fault_aware = true;
@@ -136,6 +139,10 @@ TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
   cfg.health.reject_samples = 3;
   cfg.health.recovery_samples = 4;
   UnifiedController uc{*rig.hwmon, *rig.cpufreq, cfg};
+  FanControlConfig solo_cfg = cfg.fan;
+  solo_cfg.fault_aware = true;
+  solo_cfg.health = cfg.health;
+  DynamicFanController solo{*solo_rig.hwmon, solo_cfg};
   obs::TraceRing ring{0};
   uc.set_trace(&ring);
 
@@ -173,11 +180,15 @@ TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
         (e.kind == FaultEpisode::Kind::kSensorStuck ? stuck : bus) = true;
       }
     }
-    if (bus != rig.bus.faulted()) {
-      bus ? rig.bus.inject_bus_fault() : rig.bus.clear_bus_fault();
+    for (hw::I2cBus* b : {&rig.bus, &solo_rig.bus}) {
+      if (bus != b->faulted()) {
+        bus ? b->inject_bus_fault() : b->clear_bus_fault();
+      }
     }
     if (tick > 0 && tick % 160 == 0) {
-      uc.set_policy(PolicyParam{10 + static_cast<int>(rng.below(81))});
+      const PolicyParam pp{10 + static_cast<int>(rng.below(81))};
+      uc.set_policy(pp);
+      solo.set_policy(pp);
     }
     if (burst_left == 0 && t > 5.0 && rng.uniform() < 0.02) {
       burst = static_cast<Burst>(1 + rng.below(3));
@@ -202,7 +213,8 @@ TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
       reading = burst == Burst::kNonFinite ? std::numeric_limits<double>::quiet_NaN() : 150.0;
     }
     uc.on_sample_with(now, Celsius{reading});
-    ASSERT_TRUE(same_history(uc.fan().window(), uc.dvfs().window())) << "t=" << t;
+    solo.on_sample_with(now, Celsius{reading});
+    ASSERT_TRUE(same_history(uc.window(), solo.window())) << "t=" << t;
 
     fresh.clear();
     std::uint64_t lost = 0;

@@ -1,5 +1,7 @@
 #include "hw/i2c.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace thermctl::hw {
@@ -24,6 +26,33 @@ class ScratchDevice final : public I2cSlave {
 
  private:
   std::uint8_t regs_[4] = {0xAA, 0xBB, 0xCC, 0xDD};
+};
+
+/// A device that records every register access reaching it, in order.
+class RecordingDevice final : public I2cSlave {
+ public:
+  struct Access {
+    std::uint8_t reg = 0;
+    std::uint8_t value = 0;  // the byte written, or the byte read back
+    bool is_write = false;
+
+    bool operator==(const Access&) const = default;
+  };
+
+  std::optional<std::uint8_t> read_register(std::uint8_t reg) override {
+    const auto v = inner_.read_register(reg);
+    accesses.push_back({reg, v.value_or(0), /*is_write=*/false});
+    return v;
+  }
+  bool write_register(std::uint8_t reg, std::uint8_t value) override {
+    accesses.push_back({reg, value, /*is_write=*/true});
+    return inner_.write_register(reg, value);
+  }
+
+  std::vector<Access> accesses;
+
+ private:
+  ScratchDevice inner_;
 };
 
 TEST(I2cBus, ReadWriteRoundTrip) {
@@ -73,47 +102,28 @@ TEST(I2cBus, DetachRemovesDevice) {
   EXPECT_EQ(bus.read_byte_data(0x2E, 0, out), I2cStatus::kAddressNak);
 }
 
-TEST(I2cBus, TransactionLogRecordsEverything) {
+TEST(I2cBus, DeviceSeesExactlyTheTransfersThatReachIt) {
+  // Each call's status is its whole outcome; the device sees the register
+  // sequence and values of every transfer addressed to it, and nothing of
+  // transfers that NAK at the address or die on a faulted bus.
   I2cBus bus;
-  ScratchDevice dev;
+  RecordingDevice dev;
   bus.attach(0x2E, &dev);
-  bus.clear_log();
   std::uint8_t out = 0;
-  bus.read_byte_data(0x2E, 0, out);
-  bus.write_byte_data(0x2E, 1, 0x55);
-  bus.read_byte_data(0x30, 0, out);  // NAK
-  ASSERT_EQ(bus.log().size(), 3u);
-  EXPECT_FALSE(bus.log()[0].is_write);
-  EXPECT_EQ(bus.log()[0].value, 0xAA);
-  EXPECT_TRUE(bus.log()[1].is_write);
-  EXPECT_EQ(bus.log()[1].value, 0x55);
-  EXPECT_EQ(bus.log()[2].status, I2cStatus::kAddressNak);
-}
+  EXPECT_EQ(bus.read_byte_data(0x2E, 0, out), I2cStatus::kOk);
+  EXPECT_EQ(out, 0xAA);
+  EXPECT_EQ(bus.write_byte_data(0x2E, 1, 0x55), I2cStatus::kOk);
+  EXPECT_EQ(bus.read_byte_data(0x30, 0, out), I2cStatus::kAddressNak);
+  EXPECT_EQ(bus.write_byte_data(0x2E, 3, 0x01), I2cStatus::kRegisterNak);
+  bus.inject_transient_bus_fault(1);
+  EXPECT_EQ(bus.write_byte_data(0x2E, 1, 0x66), I2cStatus::kBusFault);
+  EXPECT_EQ(bus.read_byte_data(0x2E, 1, out), I2cStatus::kOk);
+  EXPECT_EQ(out, 0x55);
 
-TEST(I2cBus, LogCapEvictsOldEntries) {
-  I2cBus bus;
-  ScratchDevice dev;
-  bus.attach(0x2E, &dev);
-  bus.set_log_limit(16);
-  std::uint8_t out = 0;
-  for (int i = 0; i < 100; ++i) {
-    bus.read_byte_data(0x2E, 0, out);
-  }
-  EXPECT_LE(bus.log().size(), 16u);
-}
-
-TEST(I2cBus, LogCapOfOneStillCaps) {
-  // Regression: the evictor erased limit/2 entries, which is zero at limit
-  // 1, so the log grew without bound.
-  I2cBus bus;
-  ScratchDevice dev;
-  bus.attach(0x2E, &dev);
-  bus.set_log_limit(1);
-  std::uint8_t out = 0;
-  for (int i = 0; i < 100; ++i) {
-    bus.read_byte_data(0x2E, 0, out);
-  }
-  EXPECT_LE(bus.log().size(), 1u);
+  using Access = RecordingDevice::Access;
+  const std::vector<Access> expected = {{0, 0xAA, false}, {1, 0x55, true}, {3, 0x01, true},
+                                        {1, 0x55, false}};
+  EXPECT_EQ(dev.accesses, expected);
 }
 
 TEST(I2cBus, FailedReadLeavesOutUntouched) {
@@ -150,6 +160,34 @@ TEST(I2cBusDeath, DoubleAttachAborts) {
   ScratchDevice b;
   bus.attach(0x2E, &a);
   EXPECT_DEATH(bus.attach(0x2E, &b), "in use");
+}
+
+TEST(I2cBus, DevicesLeaveAndJoinByAddress) {
+  I2cBus bus;
+  ScratchDevice a;
+  ScratchDevice b;
+  RecordingDevice c;
+  bus.attach(0x2E, &a);
+  bus.attach(0x2F, &b);
+  bus.attach(0x30, &c);
+  bus.detach(0x2E);
+  std::uint8_t out = 0;
+  EXPECT_EQ(bus.read_byte_data(0x2E, 0, out), I2cStatus::kAddressNak);
+  EXPECT_EQ(bus.write_byte_data(0x2F, 0, 0x12), I2cStatus::kOk);
+  EXPECT_EQ(bus.read_byte_data(0x30, 0, out), I2cStatus::kOk);
+  EXPECT_EQ(c.accesses.size(), 1u);
+  bus.attach(0x2E, &a);
+  EXPECT_EQ(bus.read_byte_data(0x2E, 0, out), I2cStatus::kOk);
+  EXPECT_EQ(out, 0xAA);
+}
+
+TEST(I2cBusDeath, DeviceBeyondCapacityAborts) {
+  I2cBus bus;
+  ScratchDevice devs[I2cBus::kMaxDevices + 1];
+  for (std::size_t i = 0; i < I2cBus::kMaxDevices; ++i) {
+    bus.attach(static_cast<std::uint8_t>(0x20 + i), &devs[i]);
+  }
+  EXPECT_DEATH(bus.attach(0x7F, &devs[I2cBus::kMaxDevices]), "too many devices");
 }
 
 TEST(I2cBusDeath, EightBitAddressAborts) {
