@@ -150,15 +150,18 @@ void BM_ControlBankEmplaceUnified(benchmark::State& state) {
 BENCHMARK(BM_ControlBankEmplaceUnified)->Arg(2048)->Arg(16384)->Unit(benchmark::kMillisecond);
 
 // One family tick of a fleet's ControlBank, as the engine's control periodic
-// runs it. Between ticks (untimed) every node's sensor moves along its own
-// slow wave, so windows close rounds, selectors move and some ticks
-// retarget through sysfs, as in a running fleet. ns_per_node_tick is the
-// timed tick divided by the nodes it ticked.
+// runs it. Between ticks (untimed) every node's sensor toggles between two
+// adjacent codes and, with `moving:1`, also follows its own slow wave, so
+// selectors move and some ticks retarget through sysfs, as in a running
+// fleet. `moving:0` prices the controllers' own state and arithmetic: rounds
+// close and decide, but nothing is written. ns_per_node_tick is the timed
+// tick divided by the nodes it ticked.
 enum class BankFamily { kUnified, kFans, kTdvfs };
 
 void control_bank_tick(benchmark::State& state, BankFamily family) {
   using Clock = std::chrono::steady_clock;
   const std::size_t nodes = static_cast<std::size_t>(state.range(0));
+  const double wave = state.range(1) != 0 ? 6.0 : 0.0;
   cluster::Cluster rack{nodes, cluster::NodeParams{}};
   double* sensors = rack.fleet()->sensor_last_data();
   core::ControlBank bank{nodes, sensors};
@@ -183,7 +186,7 @@ void control_bank_tick(benchmark::State& state, BankFamily family) {
     const double t = 0.25 * static_cast<double>(tick++);
     for (std::size_t i = 0; i < nodes; ++i) {
       const double phase = static_cast<double>(i % 97);
-      sensors[i] = 48.0 + 6.0 * std::sin(t / 20.0 + phase) + 0.25 * static_cast<double>(tick % 2);
+      sensors[i] = 48.0 + wave * std::sin(t / 20.0 + phase) + 0.25 * static_cast<double>(tick % 2);
     }
     now.advance_us(250000);
     const auto start = Clock::now();
@@ -224,17 +227,26 @@ void control_bank_tick(benchmark::State& state, BankFamily family) {
 void BM_ControlBankTickUnified(benchmark::State& state) {
   control_bank_tick(state, BankFamily::kUnified);
 }
-BENCHMARK(BM_ControlBankTickUnified)->ArgName("nodes")->Arg(2048)->Arg(16384)->UseManualTime();
+BENCHMARK(BM_ControlBankTickUnified)
+    ->ArgNames({"nodes", "moving"})
+    ->ArgsProduct({{2048, 16384}, {0, 1}})
+    ->UseManualTime();
 
 void BM_ControlBankTickFans(benchmark::State& state) {
   control_bank_tick(state, BankFamily::kFans);
 }
-BENCHMARK(BM_ControlBankTickFans)->ArgName("nodes")->Arg(2048)->Arg(16384)->UseManualTime();
+BENCHMARK(BM_ControlBankTickFans)
+    ->ArgNames({"nodes", "moving"})
+    ->ArgsProduct({{2048, 16384}, {0, 1}})
+    ->UseManualTime();
 
 void BM_ControlBankTickTdvfs(benchmark::State& state) {
   control_bank_tick(state, BankFamily::kTdvfs);
 }
-BENCHMARK(BM_ControlBankTickTdvfs)->ArgName("nodes")->Arg(2048)->Arg(16384)->UseManualTime();
+BENCHMARK(BM_ControlBankTickTdvfs)
+    ->ArgNames({"nodes", "moving"})
+    ->ArgsProduct({{2048, 16384}, {0, 1}})
+    ->UseManualTime();
 
 void BM_ClusterBuild(benchmark::State& state) {
   // Rig set-up at fleet scale: a Cluster of N nodes built from scratch, each

@@ -1,6 +1,7 @@
 #include "core/fan_policy.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -61,75 +62,72 @@ void FanTechnique::set_policy(PolicyParam pp, TwoLevelWindow& window) {
   window.reset();
 }
 
-std::optional<Celsius> FanTechnique::admit(SimTime now, Celsius reading,
-                                           TwoLevelWindow& window) {
-  // Keep the ring's clock fresh before any bus traffic so i2c retry events
-  // emitted below land at this tick's sim time.
-  THERMCTL_TRACE_SET_TIME(trace_, now.seconds());
-
-  if (!initialized_) {
-    // Take over from the BIOS/auto mode: claim manual PWM control, then
-    // start at the bottom of the array; the window walks the index up as
-    // the workload heats the die.
-    index_ = 0;
-    if (hwmon_.set_manual_mode()) {
-      hwmon_.write_pwm(DutyCycle{array_.least_effective()});
-    }
-    initialized_ = true;
+void FanTechnique::take_over() {
+  // Take over from the BIOS/auto mode: claim manual PWM control, then start
+  // at the bottom of the array; the window walks the index up as the
+  // workload heats the die.
+  index_ = 0;
+  if (hwmon_.set_manual_mode()) {
+    hwmon_.write_pwm(DutyCycle{array_.least_effective()});
   }
+  initialized_ = true;
+}
 
-  if (health_ != nullptr) {
-    const SensorState state = health_->observe(now, reading);
-    const bool sample_ok = state == SensorState::kOk;
-    if (!sample_ok || !last_sample_ok_) {
-      // Non-OK classifications, plus the first OK closing a bad streak.
+bool FanTechnique::gate(SimTime now, Celsius& reading, TwoLevelWindow& window) {
+  const SensorState state = health_->observe(now, reading);
+  const bool sample_ok = state == SensorState::kOk;
+  if (!sample_ok || !last_sample_ok_) {
+    // Non-OK classifications, plus the first OK closing a bad streak.
+    THERMCTL_TRACE_EMIT(trace_,
+                        (obs::TraceEvent{.type = obs::TraceEventType::kSensorClassified,
+                                         .subsystem = obs::TraceSubsystem::kFan,
+                                         .i0 = static_cast<std::int64_t>(state),
+                                         .a = reading.value()}));
+  }
+  last_sample_ok_ = sample_ok;
+  if (health_->failed()) {
+    if (!failsafe_) {
+      failsafe_ = true;
+      failsafe_applied_ = false;
+      ++failsafe_entries_;
+      window.reset();  // history under a dead sensor predicts nothing
       THERMCTL_TRACE_EMIT(trace_,
-                          (obs::TraceEvent{.type = obs::TraceEventType::kSensorClassified,
+                          (obs::TraceEvent{.type = obs::TraceEventType::kFailsafeEnter,
                                            .subsystem = obs::TraceSubsystem::kFan,
-                                           .i0 = static_cast<std::int64_t>(state),
-                                           .a = reading.value()}));
+                                           .a = array_.most_effective()}));
+      THERMCTL_LOG_DEBUG("fanctl", "t=%.2fs sensor failed; fail-safe cooling", now.seconds());
     }
-    last_sample_ok_ = sample_ok;
-    if (health_->failed()) {
-      if (!failsafe_) {
-        failsafe_ = true;
-        failsafe_applied_ = false;
-        ++failsafe_entries_;
-        window.reset();  // history under a dead sensor predicts nothing
-        THERMCTL_TRACE_EMIT(trace_,
-                            (obs::TraceEvent{.type = obs::TraceEventType::kFailsafeEnter,
-                                             .subsystem = obs::TraceSubsystem::kFan,
-                                             .a = array_.most_effective()}));
-        THERMCTL_LOG_DEBUG("fanctl", "t=%.2fs sensor failed; fail-safe cooling", now.seconds());
-      }
-      // Blind on temperature ⇒ cool as hard as the array allows. Keep
-      // retrying the write: the sensor fault may coincide with a bus fault,
-      // and the whole point is to reach max cooling as soon as the bus lets
-      // us.
-      if (!failsafe_applied_ && hwmon_.write_pwm(DutyCycle{array_.most_effective()})) {
-        failsafe_applied_ = true;
-      }
-      return std::nullopt;
+    // Blind on temperature ⇒ cool as hard as the array allows. Keep
+    // retrying the write: the sensor fault may coincide with a bus fault,
+    // and the whole point is to reach max cooling as soon as the bus lets
+    // us.
+    if (!failsafe_applied_ && hwmon_.write_pwm(DutyCycle{array_.most_effective()})) {
+      failsafe_applied_ = true;
     }
-    if (failsafe_) {
-      // Recovered: resume normal control from the fail-safe operating point;
-      // the window machinery walks the duty back down as readings warrant.
-      failsafe_ = false;
-      ++failsafe_exits_;
-      index_ = array_.size() - 1;
-      window.reset();
-      THERMCTL_TRACE_EMIT(trace_, (obs::TraceEvent{.type = obs::TraceEventType::kFailsafeExit,
-                                                   .subsystem = obs::TraceSubsystem::kFan,
-                                                   .i0 = static_cast<std::int64_t>(index_)}));
-      THERMCTL_LOG_DEBUG("fanctl", "t=%.2fs sensor recovered; resuming control", now.seconds());
-    }
-    if (state != SensorState::kOk) {
-      // Isolated bad sample below the failure threshold: bridge with the
-      // last good reading rather than steering on garbage.
-      return health_->last_good();
-    }
+    return false;
   }
-  return reading;
+  if (failsafe_) {
+    // Recovered: resume normal control from the fail-safe operating point;
+    // the window machinery walks the duty back down as readings warrant.
+    failsafe_ = false;
+    ++failsafe_exits_;
+    index_ = array_.size() - 1;
+    window.reset();
+    THERMCTL_TRACE_EMIT(trace_, (obs::TraceEvent{.type = obs::TraceEventType::kFailsafeExit,
+                                                 .subsystem = obs::TraceSubsystem::kFan,
+                                                 .i0 = static_cast<std::int64_t>(index_)}));
+    THERMCTL_LOG_DEBUG("fanctl", "t=%.2fs sensor recovered; resuming control", now.seconds());
+  }
+  if (state != SensorState::kOk) {
+    // Isolated bad sample below the failure threshold: bridge with the
+    // last good reading rather than steering on garbage.
+    const std::optional<Celsius> good = health_->last_good();
+    if (!good.has_value()) {
+      return false;
+    }
+    reading = *good;
+  }
+  return true;
 }
 
 void FanTechnique::act(SimTime now, const WindowRound& round) {

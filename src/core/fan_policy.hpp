@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -92,11 +91,18 @@ class FanTechnique {
                PolicyParam pp);
 
   /// Takes over the fan on the first call, then gates `reading` through the
-  /// health monitor when fault-aware. Returns the sample to push into
-  /// `window` (the reading, or the last good one bridging a bad sample), or
-  /// nullopt when this tick pushes nothing. Resets `window` on fail-safe
-  /// entry and exit.
-  std::optional<Celsius> admit(SimTime now, Celsius reading, TwoLevelWindow& window);
+  /// health monitor when fault-aware. Returns whether to push `reading`
+  /// into `window`; a bad sample below the failure threshold is replaced
+  /// by the last good one. Resets `window` on fail-safe entry and exit.
+  bool admit(SimTime now, Celsius& reading, TwoLevelWindow& window) {
+    // Keep the ring's clock fresh before any bus traffic so i2c retry
+    // events emitted below land at this tick's sim time.
+    THERMCTL_TRACE_SET_TIME(trace_, now.seconds());
+    if (!initialized_) {
+      take_over();
+    }
+    return health_ == nullptr || gate(now, reading, window);
+  }
 
   /// Acts on a completed window round: selector decision, maybe a retarget.
   void act(SimTime now, const WindowRound& round);
@@ -107,7 +113,6 @@ class FanTechnique {
 
   [[nodiscard]] Celsius read_temperature() const { return hwmon_.read_temperature(); }
   [[nodiscard]] const WindowConfig& window_config() const { return family_->config.window; }
-  [[nodiscard]] const FanFamily& family() const { return *family_; }
 
   [[nodiscard]] std::size_t current_index() const { return index_; }
   [[nodiscard]] DutyCycle current_duty() const;
@@ -130,6 +135,11 @@ class FanTechnique {
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
 
  private:
+  /// Claims manual PWM control and starts at the bottom of the array.
+  void take_over();
+  /// admit()'s health gating, fail-safe entry and exit, and bridging.
+  bool gate(SimTime now, Celsius& reading, TwoLevelWindow& window);
+
   // What every tick and every round without a retarget reads comes first:
   // 64 bytes, one cache line when the technique is line-aligned.
   obs::TraceRing* trace_ = nullptr;

@@ -90,52 +90,51 @@ void TdvfsTechnique::retarget(SimTime now, std::size_t target, int consistency, 
   THERMCTL_LOG_INFO("tdvfs", "t=%.2fs frequency %.1f GHz -> %.1f GHz", now.seconds(), from, to);
 }
 
-std::optional<Celsius> TdvfsTechnique::admit(SimTime now, Celsius reading,
-                                             TwoLevelWindow& window) {
-  THERMCTL_TRACE_SET_TIME(trace_, now.seconds());
-
-  if (health_ != nullptr) {
-    const SensorState state = health_->observe(now, reading);
-    const bool sample_ok = state == SensorState::kOk;
-    if (!sample_ok || !last_sample_ok_) {
-      // Non-OK classifications, plus the first OK closing a bad streak.
-      THERMCTL_TRACE_EMIT(trace_,
-                          (obs::TraceEvent{.type = obs::TraceEventType::kSensorClassified,
-                                           .subsystem = obs::TraceSubsystem::kTdvfs,
-                                           .i0 = static_cast<std::int64_t>(state),
-                                           .a = reading.value()}));
-    }
-    last_sample_ok_ = sample_ok;
-    if (health_->failed()) {
-      if (!holding_) {
-        holding_ = true;
-        ++hold_entries_;
-        // Forget the pre-failure trend; whatever consistency was building
-        // was built on readings we now distrust.
-        rounds_above_ = 0;
-        rounds_below_ = 0;
-        window.reset();
-        THERMCTL_TRACE_EMIT(trace_,
-                            (obs::TraceEvent{.type = obs::TraceEventType::kDvfsHoldEnter,
-                                             .subsystem = obs::TraceSubsystem::kTdvfs,
-                                             .a = array_.mode(index_)}));
-        THERMCTL_LOG_INFO("tdvfs", "t=%.2fs sensor failed; holding %.1f GHz", now.seconds(),
-                          array_.mode(index_));
-      }
-      ++held_ticks_;
-      return std::nullopt;
-    }
-    if (holding_) {
-      holding_ = false;
-      THERMCTL_TRACE_EMIT(trace_, (obs::TraceEvent{.type = obs::TraceEventType::kDvfsHoldExit,
-                                                   .subsystem = obs::TraceSubsystem::kTdvfs}));
-      THERMCTL_LOG_INFO("tdvfs", "t=%.2fs sensor recovered; resuming control", now.seconds());
-    }
-    if (state != SensorState::kOk) {
-      return health_->last_good();
-    }
+bool TdvfsTechnique::gate(SimTime now, Celsius& reading, TwoLevelWindow& window) {
+  const SensorState state = health_->observe(now, reading);
+  const bool sample_ok = state == SensorState::kOk;
+  if (!sample_ok || !last_sample_ok_) {
+    // Non-OK classifications, plus the first OK closing a bad streak.
+    THERMCTL_TRACE_EMIT(trace_,
+                        (obs::TraceEvent{.type = obs::TraceEventType::kSensorClassified,
+                                         .subsystem = obs::TraceSubsystem::kTdvfs,
+                                         .i0 = static_cast<std::int64_t>(state),
+                                         .a = reading.value()}));
   }
-  return reading;
+  last_sample_ok_ = sample_ok;
+  if (health_->failed()) {
+    if (!holding_) {
+      holding_ = true;
+      ++hold_entries_;
+      // Forget the pre-failure trend; whatever consistency was building
+      // was built on readings we now distrust.
+      rounds_above_ = 0;
+      rounds_below_ = 0;
+      window.reset();
+      THERMCTL_TRACE_EMIT(trace_,
+                          (obs::TraceEvent{.type = obs::TraceEventType::kDvfsHoldEnter,
+                                           .subsystem = obs::TraceSubsystem::kTdvfs,
+                                           .a = array_.mode(index_)}));
+      THERMCTL_LOG_INFO("tdvfs", "t=%.2fs sensor failed; holding %.1f GHz", now.seconds(),
+                        array_.mode(index_));
+    }
+    ++held_ticks_;
+    return false;
+  }
+  if (holding_) {
+    holding_ = false;
+    THERMCTL_TRACE_EMIT(trace_, (obs::TraceEvent{.type = obs::TraceEventType::kDvfsHoldExit,
+                                                 .subsystem = obs::TraceSubsystem::kTdvfs}));
+    THERMCTL_LOG_INFO("tdvfs", "t=%.2fs sensor recovered; resuming control", now.seconds());
+  }
+  if (state != SensorState::kOk) {
+    const std::optional<Celsius> good = health_->last_good();
+    if (!good.has_value()) {
+      return false;
+    }
+    reading = *good;
+  }
+  return true;
 }
 
 void TdvfsTechnique::act(SimTime now, const WindowRound& round) {

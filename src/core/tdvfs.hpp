@@ -104,10 +104,13 @@ class TdvfsTechnique {
                  std::shared_ptr<const TdvfsFamily> family, PolicyParam pp);
 
   /// Gates `reading` through the health monitor when fault-aware. Returns
-  /// the sample to push into `window` (the reading, or the last good one
-  /// bridging a bad sample), or nullopt when this tick pushes nothing.
-  /// Resets `window` on hold entry.
-  std::optional<Celsius> admit(SimTime now, Celsius reading, TwoLevelWindow& window);
+  /// whether to push `reading` into `window`; a bad sample below the
+  /// failure threshold is replaced by the last good one. Resets `window`
+  /// on hold entry.
+  bool admit(SimTime now, Celsius& reading, TwoLevelWindow& window) {
+    THERMCTL_TRACE_SET_TIME(trace_, now.seconds());
+    return health_ == nullptr || gate(now, reading, window);
+  }
 
   /// Acts on a completed window round: consistency counting, then maybe a
   /// trigger or a restore.
@@ -150,6 +153,9 @@ class TdvfsTechnique {
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
 
  private:
+  /// admit()'s health gating, hold entry and exit, and bridging.
+  bool gate(SimTime now, Celsius& reading, TwoLevelWindow& window);
+
   /// `consistency` and `is_restore` feed the decision trace: how many
   /// consistent rounds armed this move and which direction it is.
   void retarget(SimTime now, std::size_t target, int consistency, bool used_level2,

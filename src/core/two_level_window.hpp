@@ -109,9 +109,8 @@ class TwoLevelWindow {
 
 /// A window-driven technique that owns its window: the standalone form of a
 /// technique a UnifiedController otherwise feeds from its one shared window.
-/// `Technique` provides admit(now, reading, window) -> optional sample,
-/// act(now, round), set_policy(pp, window), read_temperature() and
-/// window_config().
+/// `Technique` provides admit(now, reading&, window) -> push?, act(now,
+/// round), set_policy(pp, window), read_temperature() and window_config().
 template <typename Technique>
 class Windowed : public Technique {
  public:
@@ -125,8 +124,8 @@ class Windowed : public Technique {
   /// own node's value. `reading` must equal what hwmon.read_temperature()
   /// would return at this tick; the tick logic is byte-for-byte the same.
   void on_sample_with(SimTime now, Celsius reading) {
-    if (const auto sample = Technique::admit(now, reading, window_)) {
-      if (const auto round = window_.add_sample(*sample)) {
+    if (Technique::admit(now, reading, window_)) {
+      if (const auto round = window_.add_sample(reading)) {
         Technique::act(now, *round);
       }
     }

@@ -62,16 +62,17 @@ void UnifiedController::on_sample_with(SimTime now, Celsius reading) {
   // it gets first shot at the new sample; tDVFS acts only above its
   // threshold; idle injection, the bluntest instrument, backstops above a
   // still-higher threshold.
-  const std::optional<Celsius> sample = fan_.admit(now, reading, window_);
+  Celsius sample = reading;
+  const bool pushed = fan_.admit(now, sample, window_);
   std::optional<WindowRound> round;
-  if (sample.has_value()) {
-    round = window_.add_sample(*sample);
+  if (pushed) {
+    round = window_.add_sample(sample);
     if (round.has_value()) {
       fan_.act(now, *round);
     }
   }
-  const bool dvfs_admitted = dvfs_.admit(now, reading, window_).has_value();
-  THERMCTL_ASSERT(dvfs_admitted == sample.has_value(),
+  const bool dvfs_pushed = dvfs_.admit(now, reading, window_);
+  THERMCTL_ASSERT(dvfs_pushed == pushed,
                   "both techniques must admit the same samples into their one window");
   if (round.has_value()) {
     dvfs_.act(now, *round);

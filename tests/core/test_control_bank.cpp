@@ -233,8 +233,7 @@ TEST(ControlBank, NodesOfOneFamilyShareItsConstantsButKeepTheirOwnPp) {
     cfg.pp = PolicyParam{i == 2 ? 80 : 50};
     bank.emplace_unified(i, *rigs[i]->hwmon, *rigs[i]->cpufreq, cfg);
   }
-  EXPECT_EQ(&bank.unified(0).fan().family(), &bank.unified(1).fan().family());
-  EXPECT_EQ(&bank.unified(0).fan().family(), &bank.unified(2).fan().family());
+  EXPECT_EQ(&bank.unified(0).dvfs().config(), &bank.unified(1).dvfs().config());
   EXPECT_EQ(&bank.unified(0).dvfs().config(), &bank.unified(2).dvfs().config());
   EXPECT_EQ(bank.unified(0).fan().array().cells().data(),
             bank.unified(1).fan().array().cells().data());
