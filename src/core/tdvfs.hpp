@@ -161,8 +161,8 @@ class TdvfsTechnique {
   void retarget(SimTime now, std::size_t target, int consistency, bool used_level2,
                 bool is_restore);
 
-  // What every tick and every round reads comes first: 64 bytes, one cache
-  // line when the technique is line-aligned.
+  // What every tick reads, and all but the round average a round reads,
+  // comes first: 64 bytes, one cache line when the technique is aligned.
   obs::TraceRing* trace_ = nullptr;
   std::unique_ptr<SensorHealthMonitor> health_;  // allocated only when fault-aware
   std::shared_ptr<const TdvfsFamily> family_;
