@@ -69,7 +69,7 @@ NodeAgent::NodeAgent(Node& node, std::size_t index, Endpoint self, Endpoint rack
   THERMCTL_ASSERT(!ladder_khz_.empty(), "node has no p-state ladder");
 }
 
-void NodeAgent::tick(SimTime now, Transport& transport) {
+void NodeAgent::tick(SimTime now, QueueTransport& transport) {
   drain(now, transport);
 
   // Coordinator-stall fail-safe: the budget heartbeat went quiet.
@@ -109,7 +109,7 @@ void NodeAgent::tick(SimTime now, Transport& transport) {
   ++stats_.telemetry_sent;
 }
 
-void NodeAgent::drain(SimTime now, Transport& transport) {
+void NodeAgent::drain(SimTime now, QueueTransport& transport) {
   Message m;
   while (transport.poll(self_, m)) {
     switch (m.type) {
@@ -261,7 +261,7 @@ double RackCoordinator::reported_power_w() const {
   return total;
 }
 
-void RackCoordinator::drain(SimTime /*now*/, Transport& transport) {
+void RackCoordinator::drain(SimTime /*now*/, QueueTransport& transport) {
   Message m;
   while (transport.poll(self_, m)) {
     switch (m.type) {
@@ -302,7 +302,7 @@ void RackCoordinator::drain(SimTime /*now*/, Transport& transport) {
   }
 }
 
-void RackCoordinator::tick(SimTime now, Transport& transport) {
+void RackCoordinator::tick(SimTime now, QueueTransport& transport) {
   drain(now, transport);
 
   const double total = reported_power_w();
@@ -366,7 +366,7 @@ double RoomCoordinator::reported_power_w() const {
   return total;
 }
 
-void RoomCoordinator::tick(SimTime /*now*/, Transport& transport) {
+void RoomCoordinator::tick(SimTime /*now*/, QueueTransport& transport) {
   Message m;
   while (transport.poll(self_, m)) {
     if (m.type == MsgType::kRackReport) {

@@ -105,7 +105,7 @@ class NodeAgent {
   void set_policy_sink(std::function<void(int)> sink) { policy_sink_ = std::move(sink); }
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
 
-  void tick(SimTime now, Transport& transport);
+  void tick(SimTime now, QueueTransport& transport);
 
   /// Drops any active p-state cap immediately (ControlPlane's
   /// failsafe_release_all fans out here). Unlike the budget path this does
@@ -120,7 +120,7 @@ class NodeAgent {
   [[nodiscard]] std::size_t cap_index() const { return cap_index_; }
 
  private:
-  void drain(SimTime now, Transport& transport);
+  void drain(SimTime now, QueueTransport& transport);
   void apply_budget(double watts, SimTime now);
   void apply_policy(int pp);
   void enter_failsafe(SimTime now);
@@ -153,7 +153,7 @@ class RackCoordinator {
   RackCoordinator(std::uint32_t rack_id, Endpoint self, Endpoint room,
                   const PlaneConfig& config, PlaneStats& stats);
 
-  void tick(SimTime now, Transport& transport);
+  void tick(SimTime now, QueueTransport& transport);
 
   [[nodiscard]] std::uint32_t rack_id() const { return rack_id_; }
   [[nodiscard]] std::size_t member_count() const { return members_.size(); }
@@ -168,7 +168,7 @@ class RackCoordinator {
     bool have_report = false;
   };
 
-  void drain(SimTime now, Transport& transport);
+  void drain(SimTime now, QueueTransport& transport);
 
   std::uint32_t rack_id_;
   Endpoint self_;
@@ -190,7 +190,7 @@ class RoomCoordinator {
                   const PlaneConfig& config, PlaneStats& stats,
                   const RoomModel* room);
 
-  void tick(SimTime now, Transport& transport);
+  void tick(SimTime now, QueueTransport& transport);
 
   /// Queues a Pp re-tune for broadcast down the hierarchy next round.
   void broadcast_policy(int pp);

@@ -1,12 +1,10 @@
 // Message transport for the hierarchical control plane.
 //
-// `Transport` is the seam the coordinators are written against: endpoints
-// send tagged-union Messages and poll their own inbox. The only
-// implementation today is in-process and queue-backed (the plane runs on the
-// engine thread, serially at the BSP barrier), but the interface is shaped
-// so a socket transport — one endpoint per BMC — can slot behind it later:
-// no shared state leaks through, delivery is per-destination FIFO, and every
-// message is a self-contained POD copy.
+// QueueTransport is what the coordinators send through: endpoints send
+// tagged-union Messages and poll their own inbox. It is in-process and
+// queue-backed (the plane runs on the engine thread, serially at the BSP
+// barrier). Delivery is per-destination FIFO and every message is a
+// self-contained POD copy, so no shared state leaks between endpoints.
 //
 // Fault injection: QueueTransport can drop or reorder messages with seeded
 // probabilities, which is how the verify fuzzer shakes the coordinators'
@@ -24,20 +22,6 @@
 
 namespace thermctl::cluster::ctrl {
 
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  /// Queues `m` toward `m.to`, stamping `m.seq`. Returns false if the
-  /// transport refused it (e.g. injected drop) — senders treat that the
-  /// same as network loss and must not retry synchronously.
-  virtual bool send(Message m) = 0;
-
-  /// Pops the next message addressed to `inbox`, in delivery order.
-  /// Returns false when the inbox is empty.
-  virtual bool poll(Endpoint inbox, Message& out) = 0;
-};
-
 struct QueueTransportConfig {
   /// Probability a sent message silently vanishes.
   double drop_rate = 0.0;
@@ -49,12 +33,18 @@ struct QueueTransportConfig {
 };
 
 /// In-process transport: one FIFO deque per endpoint.
-class QueueTransport final : public Transport {
+class QueueTransport {
  public:
   explicit QueueTransport(std::size_t endpoints, QueueTransportConfig config = {});
 
-  bool send(Message m) override;
-  bool poll(Endpoint inbox, Message& out) override;
+  /// Queues `m` toward `m.to`, stamping `m.seq`. Returns false if the
+  /// transport refused it (an injected drop): senders treat that the same
+  /// as network loss and must not retry synchronously.
+  bool send(Message m);
+
+  /// Pops the next message addressed to `inbox`, in delivery order.
+  /// Returns false when the inbox is empty.
+  bool poll(Endpoint inbox, Message& out);
 
   [[nodiscard]] std::size_t pending(Endpoint inbox) const;
   [[nodiscard]] std::uint64_t sent() const { return next_seq_; }

@@ -39,7 +39,7 @@ FleetState::FleetState(const NodeParams& base, std::size_t count)
       fan_(count, base.fan),
       chip_(count),
       meter_(count, base.meter),
-      sensor_(count),
+      sensor_(count, base.sensor, batch_.temperature_cell(0, wiring_.die)),
       airflow_(count, base.package.convection),
       node_(count, base.protection) {}
 
@@ -51,7 +51,8 @@ std::size_t FleetState::memory_bytes() const {
   const hw::InjectorColumns& inj = cpu_.injector;
   const NodeColumns& n = node_;
   return batch_.memory_bytes() + bytes(fan_.duty_pct) + bytes(fan_.rpm) + bytes(fan_.stuck) +
-         bytes(sensor_.last_degc) + bytes(c.pstate) + bytes(c.utilization) +
+         bytes(sensor_.last_degc) + bytes(sensor_.rng) + bytes(sensor_.stuck) +
+         bytes(sensor_.has_reading) + bytes(c.pstate) + bytes(c.utilization) +
          bytes(c.die_temperature) + bytes(c.power_cache) + bytes(c.power_valid) +
          bytes(c.power_gen) + bytes(c.throttled) + bytes(c.transitions) + bytes(c.aperf) +
          bytes(c.mperf) + bytes(c.energy_uj) + bytes(c.aperf_frac) + bytes(c.mperf_frac) +

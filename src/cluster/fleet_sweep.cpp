@@ -19,7 +19,12 @@ FleetSweep::FleetSweep(FleetState& fleet, const std::vector<Node*>& nodes)
   fan_duty_ = fan.duty_pct.data();
   fan_rpm_ = fan.rpm.data();
   fan_stuck_ = fan.stuck.data();
-  sensor_last_ = fleet_.sensor().last_degc.data();
+  hw::SensorColumns& sensor = fleet_.sensor();
+  sensor_truth_ = sensor.truth;
+  sensor_last_ = sensor.last_degc.data();
+  sensor_rng_ = sensor.rng.data();
+  sensor_stuck_ = sensor.stuck.data();
+  sensor_has_reading_ = sensor.has_reading.data();
   hw::CpuColumns& cpu_cols = fleet_.cpu();
   pstate_ = cpu_cols.pstate.data();
   cpu_util_ = cpu_cols.utilization.data();
@@ -197,10 +202,12 @@ void FleetSweep::post_range(std::size_t begin, std::size_t end, Seconds dt) {
 }
 
 std::uint64_t FleetSweep::sample_range(std::size_t begin, std::size_t end, SimTime after) {
+  const hw::SensorParams sensor = fleet_.sensor().params;
   std::uint64_t samples = 0;
   for (std::size_t i = begin; i < end; ++i) {
     while (sample_schedule_[i].due(after)) {
-      nodes_[i]->sample_sensor();
+      sensor.convert(sensor_truth_[i], sensor_rng_[i], sensor_last_[i], sensor_stuck_[i],
+                     sensor_has_reading_[i]);
       ++samples;
     }
   }

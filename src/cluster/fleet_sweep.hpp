@@ -14,12 +14,13 @@
 // arithmetic and no device constant: each formula it shares with a device
 // method (the CPU power memo and counter advance, the rotor target, fan
 // power and airflow, the meter's AC draw, the tach latch, the chip-register
-// early-out and the airflow memo) is one kernel in the device's header,
-// which both call, and the constants come from the groups, loaded into
-// locals once per range call. The object API and the sweep are therefore
-// interchangeable mid-run; the rotor lag and the meter integral are stepped
-// here only. The passes only touch their own node's state, so any split of
-// the node range is bit-identical; tests/golden/ pins the trajectories.
+// early-out, the airflow memo and the sensor conversion) is one kernel in
+// the device's header, which both call, and the constants come from the
+// groups, loaded into locals once per range call. The object API and the
+// sweep are therefore interchangeable mid-run; the rotor lag and the meter
+// integral are stepped here only. The passes only touch their own node's
+// state, so any split of the node range is bit-identical; tests/golden/
+// pins the trajectories.
 //
 // The constructor hoists each column's data pointer into a member once: the
 // passes must not index through the groups, because a store to a uint8_t
@@ -29,8 +30,8 @@
 //
 // Rare events fall back to the objects they model: an integer-degree change
 // of the chip's temperature register re-runs the Adt7467 auto-curve through
-// the register object, and a due sensor schedule samples through the node's
-// ThermalSensor (per-node RNG).
+// the register object. A due sensor schedule converts in the pass, with the
+// row's own noise generator, so each node draws from its own stream.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +40,7 @@
 
 #include "cluster/fleet_state.hpp"
 #include "cluster/node.hpp"
+#include "common/rng.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 
@@ -93,7 +95,11 @@ class FleetSweep {
   double* fan_duty_ = nullptr;
   double* fan_rpm_ = nullptr;
   const std::uint8_t* fan_stuck_ = nullptr;
-  const double* sensor_last_ = nullptr;
+  const double* sensor_truth_ = nullptr;
+  double* sensor_last_ = nullptr;
+  Rng* sensor_rng_ = nullptr;
+  const std::uint8_t* sensor_stuck_ = nullptr;
+  std::uint8_t* sensor_has_reading_ = nullptr;
   const std::uint32_t* pstate_ = nullptr;
   double* cpu_util_ = nullptr;
   double* cpu_die_temp_ = nullptr;

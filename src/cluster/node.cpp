@@ -13,9 +13,7 @@ Node::Node(int id, const NodeParams& base, FleetState& fleet, std::size_t slot,
       fan_(fleet.fan(), slot),
       chip_(fleet.chip(), slot),
       package_(base.package, fleet.wiring(), fleet.batch(), fleet.airflow(), slot),
-      sensor_([this] { return package_.die_temperature(); }, base.sensor,
-              Rng{seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}, fleet.sensor(),
-              slot),
+      sensor_(fleet.sensor(), slot, Rng{seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}),
       meter_(fleet.meter(), slot),
       driver_(i2c_),
       // In-band plane: cpufreq, hwmon, powerclamp, RAPL and /proc/stat, one
@@ -24,8 +22,7 @@ Node::Node(int id, const NodeParams& base, FleetState& fleet, std::size_t slot,
       hwmon_(vfs_, "/sys/class/hwmon", 0, sensor_, driver_),
       clamp_(vfs_, "/sys/class/thermal", 0, cpu_),
       rapl_(vfs_, "/sys/class/powercap", 0, cpu_),
-      proc_stat_(
-          vfs_, [this] { return busy_jiffies(); }, [this] { return total_jiffies(); }) {
+      proc_stat_(vfs_, &row().busy_jiffies[slot], &row().total_jiffies[slot]) {
   sample_schedule() =
       PeriodicSchedule{static_cast<std::int64_t>(base.sample_period.value() * 1e6)};
   i2c_.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip_);

@@ -7,27 +7,17 @@
 
 namespace thermctl::core {
 
-CpuspeedGovernor::CpuspeedGovernor(JiffyFn busy, JiffyFn total, sysfs::CpufreqPolicy& cpufreq,
-                                   CpuspeedConfig config)
-    : busy_(std::move(busy)), total_(std::move(total)), cpufreq_(cpufreq), config_(config) {
-  THERMCTL_ASSERT(static_cast<bool>(busy_) && static_cast<bool>(total_),
-                  "governor needs jiffy sources");
+CpuspeedGovernor::CpuspeedGovernor(const sysfs::VirtualFs& fs,
+                                   const sysfs::ProcStat& proc_stat,
+                                   sysfs::CpufreqPolicy& cpufreq, CpuspeedConfig config)
+    : fs_(fs), proc_stat_(proc_stat), cpufreq_(cpufreq), config_(config) {
   THERMCTL_ASSERT(config_.up_threshold > config_.down_threshold,
                   "up threshold must exceed down threshold");
 }
 
-CpuspeedGovernor::CpuspeedGovernor(const sysfs::VirtualFs& fs,
-                                   const sysfs::ProcStat& proc_stat,
-                                   sysfs::CpufreqPolicy& cpufreq, CpuspeedConfig config)
-    : CpuspeedGovernor(
-          [&fs, &proc_stat] { return proc_stat.read(fs).value_or(sysfs::JiffySnapshot{}).busy; },
-          [&fs, &proc_stat] { return proc_stat.read(fs).value_or(sysfs::JiffySnapshot{}).total; },
-          cpufreq, config) {}
-
 void CpuspeedGovernor::on_interval(SimTime now) {
   (void)now;
-  const std::uint64_t busy = busy_();
-  const std::uint64_t total = total_();
+  const auto [busy, total] = proc_stat_.read(fs_).value_or(sysfs::JiffySnapshot{});
   if (!primed_) {
     prev_busy_ = busy;
     prev_total_ = total;

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/sim_time.hpp"
 #include "sysfs/cpufreq.hpp"
@@ -33,15 +32,9 @@ struct CpuspeedConfig {
 
 class CpuspeedGovernor {
  public:
-  using JiffyFn = std::function<std::uint64_t()>;
-
-  /// `busy`/`total` read the node's cumulative jiffy counters (the /proc/stat
-  /// contract); frequency actuation goes through cpufreq.
-  CpuspeedGovernor(JiffyFn busy, JiffyFn total, sysfs::CpufreqPolicy& cpufreq,
-                   CpuspeedConfig config = {});
-
-  /// Daemon-faithful variant: reads and parses /proc/stat from the node's
-  /// filesystem every interval, exactly like the real cpuspeed.
+  /// Reads and parses /proc/stat from the node's filesystem once every
+  /// interval, exactly like the real cpuspeed; frequency actuation goes
+  /// through cpufreq.
   CpuspeedGovernor(const sysfs::VirtualFs& fs, const sysfs::ProcStat& proc_stat,
                    sysfs::CpufreqPolicy& cpufreq, CpuspeedConfig config = {});
 
@@ -52,8 +45,8 @@ class CpuspeedGovernor {
   [[nodiscard]] double last_utilization() const { return last_util_; }
 
  private:
-  JiffyFn busy_;
-  JiffyFn total_;
+  const sysfs::VirtualFs& fs_;
+  const sysfs::ProcStat& proc_stat_;
   sysfs::CpufreqPolicy& cpufreq_;
   CpuspeedConfig config_;
   std::uint64_t prev_busy_ = 0;

@@ -6,12 +6,12 @@
 // bounded number of times with a short backoff before reporting failure
 // upward. This wrapper gives the simulated ADT7467 driver the same posture:
 // transient faults are absorbed inside one transfer call, persistent faults
-// exhaust the budget and fail fast, and every outcome is counted per device
-// so fault-event totals can flow into the cluster metrics.
+// exhaust the budget and fail fast, and every outcome is counted, so
+// fault-event totals can flow into the cluster metrics. A master talks to
+// one device address, as the driver that owns it does.
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "hw/i2c.hpp"
 #include "obs/trace.hpp"
@@ -27,7 +27,7 @@ struct I2cRetryConfig {
   std::uint64_t max_backoff_us = 2000;
 };
 
-/// Per-device (and aggregate) transfer outcome counters.
+/// One device's transfer outcome counters.
 struct I2cErrorStats {
   std::uint64_t transfers = 0;      // transfer calls (not attempts)
   std::uint64_t retries = 0;        // extra attempts beyond the first
@@ -36,31 +36,19 @@ struct I2cErrorStats {
   std::uint64_t bus_faults = 0;     // bus-fault attempt outcomes
   std::uint64_t exhausted = 0;      // transfers that failed after all attempts
   std::uint64_t backoff_us = 0;     // total backoff delay accounted
-
-  I2cErrorStats& operator+=(const I2cErrorStats& o) {
-    transfers += o.transfers;
-    retries += o.retries;
-    naks += o.naks;
-    register_naks += o.register_naks;
-    bus_faults += o.bus_faults;
-    exhausted += o.exhausted;
-    backoff_us += o.backoff_us;
-    return *this;
-  }
 };
 
 class RetryingI2cMaster {
  public:
-  explicit RetryingI2cMaster(I2cBus& bus, I2cRetryConfig config = {});
+  /// A master for the device at `address` on `bus`.
+  RetryingI2cMaster(I2cBus& bus, std::uint8_t address, I2cRetryConfig config = {});
 
-  /// SMBus transfers with the retry budget applied. On failure `out` is left
-  /// untouched (same contract as the raw bus).
-  I2cStatus read_byte_data(std::uint8_t address, std::uint8_t reg, std::uint8_t& out);
-  I2cStatus write_byte_data(std::uint8_t address, std::uint8_t reg, std::uint8_t value);
+  /// SMBus transfers to the device with the retry budget applied. On
+  /// failure `out` is left untouched (same contract as the raw bus).
+  I2cStatus read_byte_data(std::uint8_t reg, std::uint8_t& out);
+  I2cStatus write_byte_data(std::uint8_t reg, std::uint8_t value);
 
-  [[nodiscard]] const I2cErrorStats& stats(std::uint8_t address) const;
-  /// Aggregate over every device this master has talked to.
-  [[nodiscard]] I2cErrorStats total() const;
+  [[nodiscard]] const I2cErrorStats& stats() const { return stats_; }
 
   [[nodiscard]] const I2cRetryConfig& config() const { return config_; }
   [[nodiscard]] I2cBus& bus() { return bus_; }
@@ -80,11 +68,12 @@ class RetryingI2cMaster {
   /// Tracks the outcome of one attempt and, for retryable failures with
   /// budget left, accounts the capped-exponential backoff. Returns true when
   /// another attempt should be made.
-  bool note_attempt(I2cErrorStats& s, I2cStatus status, int attempt);
+  bool note_attempt(I2cStatus status, int attempt);
 
   I2cBus& bus_;
+  std::uint8_t address_;
   I2cRetryConfig config_;
-  std::map<std::uint8_t, I2cErrorStats> stats_;
+  I2cErrorStats stats_;
   obs::TraceRing* trace_ = nullptr;
 };
 

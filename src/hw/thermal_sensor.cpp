@@ -1,33 +1,26 @@
 #include "hw/thermal_sensor.hpp"
 
-#include <cmath>
-
 #include "common/assert.hpp"
 
 namespace thermctl::hw {
 
-ThermalSensor::ThermalSensor(std::function<Celsius()> source, SensorParams params, Rng rng,
-                             SensorColumns& cols, std::size_t slot)
-    : source_(std::move(source)), params_(params), rng_(rng), cols_(cols), slot_(slot) {
-  THERMCTL_ASSERT(slot < cols.last_degc.size(), "column slot out of range");
-  THERMCTL_ASSERT(static_cast<bool>(source_), "sensor needs a source");
-  THERMCTL_ASSERT(params_.quantization_degc > 0.0, "quantization step must be positive");
-  THERMCTL_ASSERT(params_.noise_sigma_degc >= 0.0, "noise sigma must be non-negative");
+SensorColumns::SensorColumns(std::size_t n, const SensorParams& sensor_params,
+                             const double* truth_row)
+    : params(sensor_params),
+      truth(truth_row),
+      last_degc(n, 0.0),
+      rng(n, Rng{0}),
+      stuck(n, 0),
+      has_reading(n, 0) {
+  THERMCTL_ASSERT(truth != nullptr, "sensors need a truth row");
+  THERMCTL_ASSERT(params.quantization_degc > 0.0, "quantization step must be positive");
+  THERMCTL_ASSERT(params.noise_sigma_degc >= 0.0, "noise sigma must be non-negative");
 }
 
-Celsius ThermalSensor::sample() {
-  if (stuck_ && has_reading_) {
-    return Celsius{cols_.last_degc[slot_]};
-  }
-  double v = source_().value() + params_.offset_degc;
-  if (params_.noise_sigma_degc > 0.0) {
-    v += rng_.normal(0.0, params_.noise_sigma_degc);
-  }
-  const double q = params_.quantization_degc;
-  v = std::round(v / q) * q;
-  cols_.last_degc[slot_] = v;
-  has_reading_ = true;
-  return Celsius{v};
+ThermalSensor::ThermalSensor(SensorColumns& cols, std::size_t slot, Rng rng)
+    : cols_(cols), slot_(slot) {
+  THERMCTL_ASSERT(slot < cols.last_degc.size(), "column slot out of range");
+  cols_.rng[slot_] = rng;
 }
 
 }  // namespace thermctl::hw

@@ -8,16 +8,16 @@ using hw::Adt7467;
 using hw::I2cStatus;
 
 Adt7467Driver::Adt7467Driver(hw::I2cBus& bus, std::uint8_t address, hw::I2cRetryConfig retry)
-    : master_(bus, retry), address_(address) {}
+    : master_(bus, address, retry) {}
 
 DriverStatus Adt7467Driver::read_reg(std::uint8_t reg, std::uint8_t& out) {
-  return master_.read_byte_data(address_, reg, out) == I2cStatus::kOk ? DriverStatus::kOk
-                                                                      : DriverStatus::kIoError;
+  return master_.read_byte_data(reg, out) == I2cStatus::kOk ? DriverStatus::kOk
+                                                            : DriverStatus::kIoError;
 }
 
 DriverStatus Adt7467Driver::write_reg(std::uint8_t reg, std::uint8_t value) {
-  return master_.write_byte_data(address_, reg, value) == I2cStatus::kOk ? DriverStatus::kOk
-                                                                         : DriverStatus::kIoError;
+  return master_.write_byte_data(reg, value) == I2cStatus::kOk ? DriverStatus::kOk
+                                                               : DriverStatus::kIoError;
 }
 
 DriverStatus Adt7467Driver::probe() {

@@ -65,7 +65,7 @@ class Adt7467Driver {
   DriverStatus set_max_duty(DutyCycle max_duty);
 
   /// Transfer/retry/fault counters for this driver's device address.
-  [[nodiscard]] const hw::I2cErrorStats& io_stats() const { return master_.stats(address_); }
+  [[nodiscard]] const hw::I2cErrorStats& io_stats() const { return master_.stats(); }
 
   /// Attaches a decision-trace ring to the underlying retrying master so bus
   /// retries/exhaustions show up on the node's timeline (nullptr detaches).
@@ -76,7 +76,6 @@ class Adt7467Driver {
   DriverStatus write_reg(std::uint8_t reg, std::uint8_t value);
 
   hw::RetryingI2cMaster master_;
-  std::uint8_t address_;
   bool probed_ = false;
 };
 

@@ -11,8 +11,8 @@ constexpr VirtualFs::Attr ProcStat::kFiles[1] = {
     {.name = "stat",
      .read = [](const void* p) {
        const auto* self = static_cast<const ProcStat*>(p);
-       const std::uint64_t busy = self->busy_();
-       const std::uint64_t total = self->total_();
+       const std::uint64_t busy = *self->busy_;
+       const std::uint64_t total = *self->total_;
        const std::uint64_t idle = total >= busy ? total - busy : 0;
        // Kernel layout: user nice system idle iowait irq softirq. We fold all
        // busy time into "user" and report zeros elsewhere — daemons sum the
@@ -23,11 +23,11 @@ constexpr VirtualFs::Attr ProcStat::kFiles[1] = {
      }},
 };
 
-ProcStat::ProcStat(VirtualFs& fs, CounterFn busy_jiffies, CounterFn total_jiffies)
-    : fs_(fs), busy_(std::move(busy_jiffies)), total_(std::move(total_jiffies)) {
+ProcStat::ProcStat(VirtualFs& fs, const std::uint64_t* busy_jiffies,
+                   const std::uint64_t* total_jiffies)
+    : fs_(fs), busy_(busy_jiffies), total_(total_jiffies) {
   static_assert(VirtualFs::valid_table(kFiles));
-  THERMCTL_ASSERT(static_cast<bool>(busy_) && static_cast<bool>(total_),
-                  "proc stat needs counter sources");
+  THERMCTL_ASSERT(busy_ != nullptr && total_ != nullptr, "proc stat needs counter sources");
   mount_ = fs_.mount("/proc", kFiles, this);
 }
 

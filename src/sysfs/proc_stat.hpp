@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -26,10 +25,9 @@ struct JiffySnapshot {
 
 class ProcStat {
  public:
-  using CounterFn = std::function<std::uint64_t()>;
-
-  /// Publishes `/proc/stat` in `fs` backed by the node's counters.
-  ProcStat(VirtualFs& fs, CounterFn busy_jiffies, CounterFn total_jiffies);
+  /// Publishes `/proc/stat` in `fs` backed by the node's cumulative counter
+  /// cells, read at every read of the file.
+  ProcStat(VirtualFs& fs, const std::uint64_t* busy_jiffies, const std::uint64_t* total_jiffies);
   ~ProcStat();
 
   ProcStat(const ProcStat&) = delete;
@@ -47,8 +45,8 @@ class ProcStat {
   static const VirtualFs::Attr kFiles[1];  // the "stat" file of /proc
 
   VirtualFs& fs_;
-  CounterFn busy_;
-  CounterFn total_;
+  const std::uint64_t* busy_;
+  const std::uint64_t* total_;
   VirtualFs::Mount mount_;
 };
 

@@ -120,18 +120,13 @@ struct FuzzRig {
   hw::I2cBus bus;
   hw::ChipColumns chip_row{1};
   hw::CpuColumns cpu_row{1, {}};
-  hw::SensorColumns sensor_row{1};
+  double truth = 45.0;
+  // Noise-free: the scripted stream IS the scenario.
+  hw::SensorColumns sensor_row{1, hw::SensorParams{.noise_sigma_degc = 0.0}, &truth};
   hw::Adt7467 chip{chip_row, 0};
   hw::CpuDevice cpu{cpu_row, 0};
   sysfs::Adt7467Driver driver{bus};
-  double truth = 45.0;
-  hw::ThermalSensor sensor{[this] { return Celsius{truth}; },
-                           [] {
-                             hw::SensorParams p;
-                             p.noise_sigma_degc = 0.0;  // stream IS the scenario
-                             return p;
-                           }(),
-                           Rng{1}, sensor_row, 0};
+  hw::ThermalSensor sensor{sensor_row, 0, Rng{1}};
   std::unique_ptr<sysfs::HwmonDevice> hwmon;
   std::unique_ptr<sysfs::CpufreqPolicy> cpufreq;
   std::unique_ptr<sysfs::RaplDomain> rapl;

@@ -141,6 +141,17 @@ TEST(FleetState, DeviceConstantsLiveOncePerFleet) {
   }
 }
 
+TEST(FleetState, SensorsShareOneParamsCopy) {
+  // A sensor is a (group, slot) view: its constants are the group's one
+  // copy, and it measures the batch's die-temperature row.
+  static_assert(sizeof(hw::ThermalSensor) <= 2 * sizeof(void*));
+  Cluster rack{2, NodeParams{}};
+  FleetState* fleet = rack.fleet();
+  EXPECT_EQ(&rack.node(0).sensor().params(), &rack.node(1).sensor().params());
+  EXPECT_EQ(&rack.node(0).sensor().params(), &fleet->sensor().params);
+  EXPECT_EQ(fleet->sensor().truth, fleet->batch().temperature_cell(0, fleet->wiring().die));
+}
+
 TEST(FleetState, MemoryFootprintIsFlatPerNode) {
   NodeParams params;
   FleetState small{params, 64};
@@ -151,6 +162,17 @@ TEST(FleetState, MemoryFootprintIsFlatPerNode) {
   // and the hot state is on the order of a hundred bytes, not kilobytes.
   EXPECT_LE(large_per_node, small_per_node * 1.1);
   EXPECT_LT(large_per_node, 512.0);
+
+  // Every sensor column is counted: doubling their capacity grows the total
+  // by exactly the added rows.
+  hw::SensorColumns& sensor = small.sensor();
+  const std::size_t before = small.memory_bytes();
+  sensor.last_degc.reserve(128);
+  sensor.rng.reserve(128);
+  sensor.stuck.reserve(128);
+  sensor.has_reading.reserve(128);
+  EXPECT_EQ(small.memory_bytes() - before,
+            64 * (sizeof(double) + sizeof(Rng) + 2 * sizeof(std::uint8_t)));
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Shared fixture for controller unit tests: a full sysfs plane (hwmon +
 // cpufreq) over simulated devices, with a hand-controlled "true" temperature
 // so tests can script exact thermal scenarios without running the RC model.
-// The sensor's sample-and-hold register is the rig's own one-row group, or a
-// row of a caller's group (a ControlBank test's fleet-like sensor array).
+// The sensor is a row of the rig's own one-row group, or of a caller's group
+// (a ControlBank test's fleet-like sensor array).
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "common/sim_time.hpp"
 #include "hw/adt7467.hpp"
@@ -21,29 +22,38 @@
 
 namespace thermctl::core::testing {
 
+/// Scripted true temperatures (°C), one per row.
+struct TruthRow {
+  explicit TruthRow(std::size_t n) : scripted(n, 40.0) {}
+
+  std::vector<double> scripted;
+};
+
+/// `n` noise-free sensor rows (deterministic tests), each measuring its own
+/// scripted temperature.
+struct ScriptedSensors : TruthRow, hw::SensorColumns {
+  explicit ScriptedSensors(std::size_t n)
+      : TruthRow(n),
+        hw::SensorColumns(n, hw::SensorParams{.noise_sigma_degc = 0.0}, scripted.data()) {}
+};
+
 struct ControllerRig {
   sysfs::VirtualFs fs;
   hw::I2cBus bus;
   hw::SoloChip chip;
   hw::SoloCpu cpu;
   sysfs::Adt7467Driver driver{bus};
-  double truth = 40.0;  // scripted die temperature
-  hw::SensorColumns own_sensor_row{1};
+  ScriptedSensors own_sensor_row{1};
+  double& truth;  // scripted die temperature: this rig's row of the group
   hw::ThermalSensor sensor;
   std::unique_ptr<sysfs::HwmonDevice> hwmon;
   std::unique_ptr<sysfs::CpufreqPolicy> cpufreq;
 
   ControllerRig() : ControllerRig(own_sensor_row, 0) {}
 
-  /// A rig whose sensor holds its readings in row `slot` of `sensor_rows`.
-  ControllerRig(hw::SensorColumns& sensor_rows, std::size_t slot)
-      : sensor{[this] { return Celsius{truth}; },
-               [] {
-                 hw::SensorParams p;
-                 p.noise_sigma_degc = 0.0;  // deterministic tests
-                 return p;
-               }(),
-               Rng{1}, sensor_rows, slot} {
+  /// A rig whose sensor is row `slot` of `sensor_rows`.
+  ControllerRig(ScriptedSensors& sensor_rows, std::size_t slot)
+      : truth(sensor_rows.scripted[slot]), sensor{sensor_rows, slot, Rng{1}} {
     bus.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip);
     if (driver.probe() != sysfs::DriverStatus::kOk) {
       abort();

@@ -2,8 +2,8 @@
 // independent controllers, whatever their window geometries and whichever
 // families share the bank.
 //
-// Each bank rig's ThermalSensor holds its reading in a row of a test-owned
-// SensorColumns, as a fleet's sensors do, and the bank reads that column.
+// Each bank rig's ThermalSensor is a row of a test-owned sensor group, as a
+// fleet's sensors are, and the bank reads that group's reading column.
 // The standalone controllers read the same temperatures through the hwmon
 // temp1_input attribute, so every comparison pits the batched read against
 // the per-node VFS read path.
@@ -27,9 +27,10 @@ namespace thermctl::core {
 namespace {
 
 using testing::ControllerRig;
+using testing::ScriptedSensors;
 
 /// One controller rig per row of `sensors`, its sensor on that row.
-std::vector<std::unique_ptr<ControllerRig>> rigs_on(hw::SensorColumns& sensors) {
+std::vector<std::unique_ptr<ControllerRig>> rigs_on(ScriptedSensors& sensors) {
   std::vector<std::unique_ptr<ControllerRig>> rigs;
   for (std::size_t i = 0; i < sensors.last_degc.size(); ++i) {
     rigs.push_back(std::make_unique<ControllerRig>(sensors, i));
@@ -57,7 +58,7 @@ TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
   // bank (one tick_fans per step) and once as three standalone controllers
   // (three on_sample calls) — duty trajectories must agree exactly.
   constexpr std::size_t kNodes = 3;
-  hw::SensorColumns sensors{kNodes};
+  ScriptedSensors sensors{kNodes};
   auto bank_rigs = rigs_on(sensors);
   std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -95,7 +96,7 @@ TEST(ControlBank, BatchedFanTicksMatchStandaloneControllers) {
 
 TEST(ControlBank, BatchedTdvfsTicksMatchStandaloneDaemons) {
   constexpr std::size_t kNodes = 2;
-  hw::SensorColumns sensors{kNodes};
+  ScriptedSensors sensors{kNodes};
   auto bank_rigs = rigs_on(sensors);
   std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -133,7 +134,7 @@ TEST(ControlBank, BankedUnifiedWindowsReadTheSameRoundsAsStandaloneOnes) {
   // The one window of each banked unified node must track a standalone
   // controller's window exactly.
   constexpr std::size_t kNodes = 2;
-  hw::SensorColumns sensors{kNodes};
+  ScriptedSensors sensors{kNodes};
   auto bank_rigs = rigs_on(sensors);
   std::vector<std::unique_ptr<ControllerRig>> solo_rigs;
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -185,8 +186,8 @@ TEST(ControlBank, EveryWindowGeometryTicksLikeStandaloneControllers) {
   cfgs[2].window.level2_size = TwoLevelWindow::kMaxLevel2;
 
   for (const FanControlConfig& cfg : cfgs) {
-    hw::SensorColumns sensors{kNodes};
-    hw::SensorColumns solo_sensors{kNodes};
+    ScriptedSensors sensors{kNodes};
+    ScriptedSensors solo_sensors{kNodes};
     auto bank_rigs = rigs_on(sensors);
     auto solo_rigs = rigs_on(solo_sensors);
     ControlBank bank{kNodes, sensors.last_degc.data()};
@@ -225,7 +226,7 @@ TEST(ControlBank, NodesOfOneFamilyShareItsConstantsButKeepTheirOwnPp) {
   // One config, one selector, one Eq. (1) array and one parsed frequency
   // list per family; a node's own Pp re-points only its own array.
   constexpr std::size_t kNodes = 3;
-  hw::SensorColumns sensors{kNodes};
+  ScriptedSensors sensors{kNodes};
   auto rigs = rigs_on(sensors);
   ControlBank bank{kNodes, sensors.last_degc.data()};
   UnifiedConfig cfg;
@@ -258,8 +259,8 @@ TEST(ControlBank, FanAndUnifiedFamiliesKeepSeparateWindows) {
   // Node 0's standalone-family fan controller and node 0's unified
   // controller share one bank; ticking both families must leave the fan
   // controller exactly where a fan controller alone in its own bank is.
-  hw::SensorColumns sensors{1};
-  hw::SensorColumns lone_sensors{1};
+  ScriptedSensors sensors{1};
+  ScriptedSensors lone_sensors{1};
   auto rigs = rigs_on(sensors);
   auto lone_rigs = rigs_on(lone_sensors);
   FanControlConfig fan_cfg;
@@ -294,8 +295,8 @@ TEST(ControlBank, BatchedReadingsQuantizeLikeHwmon) {
   // millidegree quantizer. Feed both paths raw sensor values at
   // half-millidegree ties, below zero, and the untouched 0.0 °C placeholder;
   // a flat round's average is then the reading both controllers saw.
-  hw::SensorColumns sensors{1};
-  hw::SensorColumns solo_sensors{1};
+  ScriptedSensors sensors{1};
+  ScriptedSensors solo_sensors{1};
   auto bank_rigs = rigs_on(sensors);
   auto solo_rigs = rigs_on(solo_sensors);
   TdvfsConfig cfg;
@@ -325,7 +326,7 @@ TEST(ControlBank, BatchedReadingsQuantizeLikeHwmon) {
 }
 
 TEST(ControlBankDeath, SparseEmplacementAborts) {
-  hw::SensorColumns sensors{4};
+  ScriptedSensors sensors{4};
   auto rigs = rigs_on(sensors);
   ControlBank bank{4, sensors.last_degc.data()};
   FanControlConfig cfg;
@@ -335,7 +336,7 @@ TEST(ControlBankDeath, SparseEmplacementAborts) {
 TEST(ControlBankDeath, EmplacePastCapacityAborts) {
   // Rig code and the plane's Pp sinks hold controller addresses, so a family
   // must never outgrow the storage reserved for it.
-  hw::SensorColumns sensors{2};
+  ScriptedSensors sensors{2};
   auto rigs = rigs_on(sensors);
   ControlBank bank{1, sensors.last_degc.data()};
   FanControlConfig cfg;
@@ -345,7 +346,7 @@ TEST(ControlBankDeath, EmplacePastCapacityAborts) {
 
 TEST(ControlBankDeath, SecondConfigInOneFamilyAborts) {
   // Pp may differ per node; nothing else may.
-  hw::SensorColumns sensors{3};
+  ScriptedSensors sensors{3};
   auto rigs = rigs_on(sensors);
   ControlBank bank{3, sensors.last_degc.data()};
   FanControlConfig cfg;

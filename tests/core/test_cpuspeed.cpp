@@ -9,11 +9,12 @@ namespace {
 
 using testing::ControllerRig;
 
+/// The governor over a /proc/stat that publishes test-owned counters.
 struct CpuspeedRig : ControllerRig {
   std::uint64_t busy = 0;
   std::uint64_t total = 0;
-  CpuspeedGovernor governor{[this] { return busy; }, [this] { return total; }, *cpufreq,
-                            CpuspeedConfig{}};
+  sysfs::ProcStat proc_stat{fs, &busy, &total};
+  CpuspeedGovernor governor{fs, proc_stat, *cpufreq, CpuspeedConfig{}};
   SimTime now;
 
   /// Simulates one governor interval at utilization `u`.
@@ -118,7 +119,7 @@ TEST(Cpuspeed, ProcStatConstructorReadsTheFile) {
   ControllerRig rig;
   std::uint64_t busy = 0;
   std::uint64_t total = 0;
-  sysfs::ProcStat proc_stat{rig.fs, [&busy] { return busy; }, [&total] { return total; }};
+  sysfs::ProcStat proc_stat{rig.fs, &busy, &total};
   CpuspeedGovernor governor{rig.fs, proc_stat, *rig.cpufreq, CpuspeedConfig{}};
   SimTime now;
   auto interval = [&](double u) {
@@ -135,13 +136,11 @@ TEST(Cpuspeed, ProcStatConstructorReadsTheFile) {
 }
 
 TEST(CpuspeedDeath, RejectsInvertedThresholds) {
-  ControllerRig rig;
+  CpuspeedRig rig;
   CpuspeedConfig cfg;
   cfg.up_threshold = 0.5;
   cfg.down_threshold = 0.7;
-  EXPECT_DEATH(CpuspeedGovernor([] { return std::uint64_t{0}; },
-                                [] { return std::uint64_t{0}; }, *rig.cpufreq, cfg),
-               "threshold");
+  EXPECT_DEATH(CpuspeedGovernor(rig.fs, rig.proc_stat, *rig.cpufreq, cfg), "threshold");
 }
 
 }  // namespace

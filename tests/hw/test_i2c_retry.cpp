@@ -35,7 +35,7 @@ class EchoDevice final : public I2cSlave {
 struct RetryRig {
   I2cBus bus;
   EchoDevice dev;
-  RetryingI2cMaster master{bus};
+  RetryingI2cMaster master{bus, 0x2E};
 
   RetryRig() { bus.attach(0x2E, &dev); }
 };
@@ -43,10 +43,10 @@ struct RetryRig {
 TEST(RetryingI2cMaster, CleanTransfersCostOneAttempt) {
   RetryRig rig;
   std::uint8_t out = 0;
-  EXPECT_EQ(rig.master.read_byte_data(0x2E, 0, out), I2cStatus::kOk);
+  EXPECT_EQ(rig.master.read_byte_data(0, out), I2cStatus::kOk);
   EXPECT_EQ(out, 0x7E);
-  EXPECT_EQ(rig.master.write_byte_data(0x2E, 0, 0x11), I2cStatus::kOk);
-  const I2cErrorStats& s = rig.master.stats(0x2E);
+  EXPECT_EQ(rig.master.write_byte_data(0, 0x11), I2cStatus::kOk);
+  const I2cErrorStats& s = rig.master.stats();
   EXPECT_EQ(s.transfers, 2u);
   EXPECT_EQ(s.retries, 0u);
   EXPECT_EQ(s.backoff_us, 0u);
@@ -56,9 +56,9 @@ TEST(RetryingI2cMaster, TransientBusFaultIsAbsorbed) {
   RetryRig rig;
   rig.bus.inject_transient_bus_fault(2);  // budget is 3 attempts
   std::uint8_t out = 0;
-  EXPECT_EQ(rig.master.read_byte_data(0x2E, 0, out), I2cStatus::kOk);
+  EXPECT_EQ(rig.master.read_byte_data(0, out), I2cStatus::kOk);
   EXPECT_EQ(out, 0x7E);
-  const I2cErrorStats& s = rig.master.stats(0x2E);
+  const I2cErrorStats& s = rig.master.stats();
   EXPECT_EQ(s.transfers, 1u);
   EXPECT_EQ(s.retries, 2u);
   EXPECT_EQ(s.bus_faults, 2u);
@@ -71,9 +71,9 @@ TEST(RetryingI2cMaster, PersistentFaultExhaustsBudget) {
   RetryRig rig;
   rig.bus.inject_bus_fault();
   std::uint8_t out = 0x42;
-  EXPECT_EQ(rig.master.read_byte_data(0x2E, 0, out), I2cStatus::kBusFault);
+  EXPECT_EQ(rig.master.read_byte_data(0, out), I2cStatus::kBusFault);
   EXPECT_EQ(out, 0x42);  // untouched, same contract as the raw bus
-  const I2cErrorStats& s = rig.master.stats(0x2E);
+  const I2cErrorStats& s = rig.master.stats();
   EXPECT_EQ(s.transfers, 1u);
   EXPECT_EQ(s.retries, 2u);    // attempts 2 and 3
   EXPECT_EQ(s.bus_faults, 3u);
@@ -82,7 +82,7 @@ TEST(RetryingI2cMaster, PersistentFaultExhaustsBudget) {
   // bounds the bus traffic.
   EXPECT_EQ(rig.dev.reads, 0);
   rig.bus.clear_bus_fault();
-  EXPECT_EQ(rig.master.read_byte_data(0x2E, 0, out), I2cStatus::kOk);
+  EXPECT_EQ(rig.master.read_byte_data(0, out), I2cStatus::kOk);
   EXPECT_EQ(rig.dev.reads, 1);
   EXPECT_EQ(s.transfers, 2u);
   EXPECT_EQ(s.bus_faults, 3u);
@@ -90,9 +90,10 @@ TEST(RetryingI2cMaster, PersistentFaultExhaustsBudget) {
 
 TEST(RetryingI2cMaster, AddressNakIsRetried) {
   RetryRig rig;
+  RetryingI2cMaster master{rig.bus, 0x10};  // nothing answers there
   std::uint8_t out = 0;
-  EXPECT_EQ(rig.master.read_byte_data(0x10, 0, out), I2cStatus::kAddressNak);
-  const I2cErrorStats& s = rig.master.stats(0x10);
+  EXPECT_EQ(master.read_byte_data(0, out), I2cStatus::kAddressNak);
+  const I2cErrorStats& s = master.stats();
   EXPECT_EQ(s.naks, 3u);
   EXPECT_EQ(s.retries, 2u);
   EXPECT_EQ(s.exhausted, 1u);
@@ -102,8 +103,8 @@ TEST(RetryingI2cMaster, RegisterNakFailsFast) {
   // A register NAK is the device *answering* — retrying would just repeat
   // the same deterministic rejection.
   RetryRig rig;
-  EXPECT_EQ(rig.master.write_byte_data(0x2E, 1, 0x00), I2cStatus::kRegisterNak);
-  const I2cErrorStats& s = rig.master.stats(0x2E);
+  EXPECT_EQ(rig.master.write_byte_data(1, 0x00), I2cStatus::kRegisterNak);
+  const I2cErrorStats& s = rig.master.stats();
   EXPECT_EQ(s.register_naks, 1u);
   EXPECT_EQ(s.retries, 0u);
   EXPECT_EQ(s.exhausted, 1u);
@@ -116,11 +117,11 @@ TEST(RetryingI2cMaster, BackoffIsCapped) {
   cfg.max_attempts = 8;
   cfg.base_backoff_us = 100;
   cfg.max_backoff_us = 500;
-  RetryingI2cMaster master{bus, cfg};
+  RetryingI2cMaster master{bus, 0x2E, cfg};
   bus.inject_bus_fault();
   std::uint8_t out = 0;
-  EXPECT_EQ(master.read_byte_data(0x2E, 0, out), I2cStatus::kBusFault);
-  const I2cErrorStats& s = master.stats(0x2E);
+  EXPECT_EQ(master.read_byte_data(0, out), I2cStatus::kBusFault);
+  const I2cErrorStats& s = master.stats();
   EXPECT_EQ(s.retries, 7u);
   // 100 + 200 + 400 + 500 + 500 + 500 + 500: capped after the third retry.
   EXPECT_EQ(s.backoff_us, 2700u);
@@ -130,28 +131,17 @@ TEST(RetryingI2cMaster, SingleAttemptConfigDisablesRetry) {
   I2cBus bus;
   EchoDevice dev;
   bus.attach(0x2E, &dev);
-  RetryingI2cMaster master{bus, I2cRetryConfig{.max_attempts = 1}};
+  RetryingI2cMaster master{bus, 0x2E, I2cRetryConfig{.max_attempts = 1}};
   bus.inject_transient_bus_fault(1);
   std::uint8_t out = 0;
-  EXPECT_EQ(master.read_byte_data(0x2E, 0, out), I2cStatus::kBusFault);
-  EXPECT_EQ(master.stats(0x2E).retries, 0u);
-  EXPECT_EQ(master.stats(0x2E).exhausted, 1u);
-}
-
-TEST(RetryingI2cMaster, TotalAggregatesAcrossDevices) {
-  RetryRig rig;
-  std::uint8_t out = 0;
-  rig.master.read_byte_data(0x2E, 0, out);
-  rig.master.read_byte_data(0x10, 0, out);  // NAKs + exhausts
-  const I2cErrorStats total = rig.master.total();
-  EXPECT_EQ(total.transfers, 2u);
-  EXPECT_EQ(total.naks, 3u);
-  EXPECT_EQ(total.exhausted, 1u);
+  EXPECT_EQ(master.read_byte_data(0, out), I2cStatus::kBusFault);
+  EXPECT_EQ(master.stats().retries, 0u);
+  EXPECT_EQ(master.stats().exhausted, 1u);
 }
 
 TEST(RetryingI2cMasterDeath, RejectsZeroAttempts) {
   I2cBus bus;
-  EXPECT_DEATH(RetryingI2cMaster(bus, I2cRetryConfig{.max_attempts = 0}), "attempt");
+  EXPECT_DEATH(RetryingI2cMaster(bus, 0x2E, I2cRetryConfig{.max_attempts = 0}), "attempt");
 }
 
 }  // namespace

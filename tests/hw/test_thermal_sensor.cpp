@@ -17,32 +17,30 @@ SensorParams noiseless() {
 }
 
 TEST(ThermalSensor, QuantizesToStep) {
-  double truth = 42.37;
-  SoloSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
+  SoloSensor s{noiseless(), Rng{1}, 42.37};
   EXPECT_DOUBLE_EQ(s.sample().value(), 42.25);
-  truth = 42.40;
+  s.truth = 42.40;
   EXPECT_DOUBLE_EQ(s.sample().value(), 42.50);
 }
 
 TEST(ThermalSensor, CoarseQuantization) {
   SensorParams p = noiseless();
   p.quantization_degc = 1.0;  // k8temp-style integer reporting
-  SoloSensor s{[] { return Celsius{51.6}; }, p, Rng{1}};
+  SoloSensor s{p, Rng{1}, 51.6};
   EXPECT_DOUBLE_EQ(s.sample().value(), 52.0);
 }
 
 TEST(ThermalSensor, OffsetApplied) {
   SensorParams p = noiseless();
   p.offset_degc = 2.0;
-  SoloSensor s{[] { return Celsius{40.0}; }, p, Rng{1}};
+  SoloSensor s{p, Rng{1}, 40.0};
   EXPECT_DOUBLE_EQ(s.sample().value(), 42.0);
 }
 
 TEST(ThermalSensor, SampleAndHold) {
-  double truth = 40.0;
-  SoloSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
+  SoloSensor s{noiseless(), Rng{1}, 40.0};
   s.sample();
-  truth = 60.0;
+  s.truth = 60.0;
   // last_reading() must not resample.
   EXPECT_DOUBLE_EQ(s.last_reading().value(), 40.0);
   EXPECT_DOUBLE_EQ(s.sample().value(), 60.0);
@@ -52,7 +50,7 @@ TEST(ThermalSensor, NoiseIsZeroMeanAndBounded) {
   SensorParams p;
   p.noise_sigma_degc = 0.18;
   p.quantization_degc = 0.25;
-  SoloSensor s{[] { return Celsius{50.0}; }, p, Rng{42}};
+  SoloSensor s{p, Rng{42}, 50.0};
   double sum = 0.0;
   double max_dev = 0.0;
   const int n = 4000;
@@ -71,7 +69,7 @@ TEST(ThermalSensor, NoiseProducesTypeIIIJitter) {
   // adjacent codes — the Type III signature the controller must ignore.
   SensorParams p;
   p.noise_sigma_degc = 0.18;
-  SoloSensor s{[] { return Celsius{50.1}; }, p, Rng{7}};
+  SoloSensor s{p, Rng{7}, 50.1};
   int distinct_transitions = 0;
   double prev = s.sample().value();
   for (int i = 0; i < 200; ++i) {
@@ -85,11 +83,10 @@ TEST(ThermalSensor, NoiseProducesTypeIIIJitter) {
 }
 
 TEST(ThermalSensor, StuckFaultFreezesReading) {
-  double truth = 40.0;
-  SoloSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
+  SoloSensor s{noiseless(), Rng{1}, 40.0};
   s.sample();
   s.inject_stuck_fault();
-  truth = 80.0;
+  s.truth = 80.0;
   EXPECT_DOUBLE_EQ(s.sample().value(), 40.0);  // frozen
   s.clear_fault();
   EXPECT_DOUBLE_EQ(s.sample().value(), 80.0);
@@ -99,18 +96,17 @@ TEST(ThermalSensor, StuckBeforeFirstSampleHoldsFirstRealReading) {
   // Regression: a fault injected before any sample() must not freeze the
   // constructed 0.0 °C placeholder — a frozen register holds its last
   // *conversion*, and the first conversion happens at the first sample.
-  double truth = 55.0;
-  SoloSensor s{[&truth] { return Celsius{truth}; }, noiseless(), Rng{1}};
+  SoloSensor s{noiseless(), Rng{1}, 55.0};
   s.inject_stuck_fault();
   EXPECT_FALSE(s.ready());
   EXPECT_DOUBLE_EQ(s.sample().value(), 55.0);  // real reading, not 0.0
   EXPECT_TRUE(s.ready());
-  truth = 80.0;
+  s.truth = 80.0;
   EXPECT_DOUBLE_EQ(s.sample().value(), 55.0);  // now frozen at the first one
 }
 
 TEST(ThermalSensor, ReadyFlipsOnFirstSample) {
-  SoloSensor s{[] { return Celsius{40.0}; }, noiseless(), Rng{1}};
+  SoloSensor s{noiseless(), Rng{1}, 40.0};
   EXPECT_FALSE(s.ready());
   s.sample();
   EXPECT_TRUE(s.ready());
@@ -119,21 +115,21 @@ TEST(ThermalSensor, ReadyFlipsOnFirstSample) {
 TEST(ThermalSensor, DeterministicGivenSeed) {
   SensorParams p;
   p.noise_sigma_degc = 0.2;
-  SoloSensor a{[] { return Celsius{45.0}; }, p, Rng{99}};
-  SoloSensor b{[] { return Celsius{45.0}; }, p, Rng{99}};
+  SoloSensor a{p, Rng{99}, 45.0};
+  SoloSensor b{p, Rng{99}, 45.0};
   for (int i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(a.sample().value(), b.sample().value());
   }
 }
 
-TEST(ThermalSensorDeath, RejectsNullSource) {
-  EXPECT_DEATH(SoloSensor(nullptr, SensorParams{}, Rng{1}), "source");
+TEST(ThermalSensorDeath, RejectsNullTruth) {
+  EXPECT_DEATH(SensorColumns(1, SensorParams{}, nullptr), "truth");
 }
 
 TEST(ThermalSensorDeath, RejectsNonPositiveQuantization) {
   SensorParams p;
   p.quantization_degc = 0.0;
-  EXPECT_DEATH(SoloSensor([] { return Celsius{0.0}; }, p, Rng{1}), "quantization");
+  EXPECT_DEATH(SoloSensor(p, Rng{1}, 0.0), "quantization");
 }
 
 }  // namespace

@@ -3,10 +3,9 @@
 // declares `SoloCpu cpu;` where it would otherwise need the group and the
 // device side by side. The group comes first as a base, so it is built
 // (with the device's params, when it has any) before the device that views
-// it.
+// it; a sensor's scripted truth comes before its group.
 #pragma once
 
-#include <functional>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -49,9 +48,14 @@ struct SoloMeter : OneRow<MeterColumns>, PowerMeter {
   explicit SoloMeter(const PowerMeterParams& params = {}) : OneRow(params), PowerMeter(rows, 0) {}
 };
 
-struct SoloSensor : OneRow<SensorColumns>, ThermalSensor {
-  SoloSensor(std::function<Celsius()> source, SensorParams params, Rng rng)
-      : ThermalSensor(std::move(source), params, rng, rows, 0) {}
+/// The true temperature a standalone sensor measures; the test scripts it.
+struct SoloTruth {
+  double truth;
+};
+
+struct SoloSensor : SoloTruth, OneRow<SensorColumns>, ThermalSensor {
+  SoloSensor(const SensorParams& params, Rng rng, double truth_degc)
+      : SoloTruth{truth_degc}, OneRow(params, &truth), ThermalSensor(rows, 0, rng) {}
 };
 
 }  // namespace thermctl::hw

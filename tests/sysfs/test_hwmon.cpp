@@ -17,14 +17,7 @@ struct HwmonRig {
   hw::I2cBus bus;
   hw::SoloChip chip;
   Adt7467Driver driver{bus};
-  double truth = 42.5;
-  hw::SoloSensor sensor{[this] { return Celsius{truth}; },
-                           [] {
-                             hw::SensorParams p;
-                             p.noise_sigma_degc = 0.0;
-                             return p;
-                           }(),
-                           Rng{1}};
+  hw::SoloSensor sensor{hw::SensorParams{.noise_sigma_degc = 0.0}, Rng{1}, 42.5};
   std::unique_ptr<HwmonDevice> hwmon;
 
   HwmonRig() {
@@ -47,7 +40,7 @@ TEST(Hwmon, TempInputInMillidegrees) {
 
 TEST(Hwmon, ReadTemperatureHelper) {
   HwmonRig rig;
-  rig.truth = 55.25;
+  rig.sensor.truth = 55.25;
   rig.sensor.sample();
   EXPECT_DOUBLE_EQ(rig.hwmon->read_temperature().value(), 55.25);
 }

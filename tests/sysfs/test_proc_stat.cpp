@@ -9,7 +9,7 @@ TEST(ProcStat, PublishesKernelFormat) {
   VirtualFs fs;
   std::uint64_t busy = 1234;
   std::uint64_t total = 5000;
-  ProcStat ps{fs, [&busy] { return busy; }, [&total] { return total; }};
+  ProcStat ps{fs, &busy, &total};
   const auto contents = fs.read("/proc/stat");
   ASSERT_TRUE(contents.has_value());
   EXPECT_EQ(*contents, "cpu  1234 0 0 3766 0 0 0\n");
@@ -19,7 +19,7 @@ TEST(ProcStat, ParseRoundTrip) {
   VirtualFs fs;
   std::uint64_t busy = 777;
   std::uint64_t total = 1000;
-  ProcStat ps{fs, [&busy] { return busy; }, [&total] { return total; }};
+  ProcStat ps{fs, &busy, &total};
   const auto snap = ps.read(fs);
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->busy, 777u);
@@ -43,7 +43,7 @@ TEST(ProcStat, CountersAdvanceThroughAttribute) {
   VirtualFs fs;
   std::uint64_t busy = 0;
   std::uint64_t total = 0;
-  ProcStat ps{fs, [&busy] { return busy; }, [&total] { return total; }};
+  ProcStat ps{fs, &busy, &total};
   auto s1 = ps.read(fs);
   busy += 80;
   total += 100;
@@ -56,7 +56,8 @@ TEST(ProcStat, CountersAdvanceThroughAttribute) {
 TEST(ProcStat, DestructorRemovesAttribute) {
   VirtualFs fs;
   {
-    ProcStat ps{fs, [] { return std::uint64_t{0}; }, [] { return std::uint64_t{0}; }};
+    const std::uint64_t zero = 0;
+    ProcStat ps{fs, &zero, &zero};
     EXPECT_TRUE(fs.exists("/proc/stat"));
   }
   EXPECT_FALSE(fs.exists("/proc/stat"));
