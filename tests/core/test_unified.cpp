@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -120,32 +121,25 @@ void fnv(std::uint64_t& h, const void* data, std::size_t n) {
   }
 }
 
-TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
-  // A fault-aware unified controller under a seeded campaign of stuck,
-  // non-finite, out-of-range, stale and bus faults, re-tuned every 40 s.
-  // Both techniques classify the same stream with the same monitor config,
-  // reset together on failure entry, skip pushes together while failed and
-  // bridge with the same last good reading, so one window serves both:
-  // every fan window round is followed by a tDVFS round with the same Δt
-  // values, the window holds what a standalone fan controller's would, and
-  // the digest of all window rounds is pinned to the values two separate
-  // windows produced.
-  ControllerRig rig;
-  ControllerRig solo_rig;
+/// The fault-aware unified config the campaign tests run: short health
+/// thresholds so every degradation path is reached within the horizon.
+UnifiedConfig fault_aware_unified() {
   UnifiedConfig cfg = paper_unified(50);
   cfg.tdvfs.threshold = Celsius{50.0};
   cfg.fault_aware = true;
   cfg.health.stuck_samples = 6;
   cfg.health.reject_samples = 3;
   cfg.health.recovery_samples = 4;
-  UnifiedController uc{*rig.hwmon, *rig.cpufreq, cfg};
-  FanControlConfig solo_cfg = cfg.fan;
-  solo_cfg.fault_aware = true;
-  solo_cfg.health = cfg.health;
-  DynamicFanController solo{*solo_rig.hwmon, solo_cfg};
-  obs::TraceRing ring{0};
-  uc.set_trace(&ring);
+  return cfg;
+}
 
+/// A seeded 300 s campaign of stuck and bus faults on `buses`, plus short
+/// garbage bursts on top: non-finite and out-of-range readings, and stale
+/// gaps with no tick at all. Every 250 ms tick calls `tick(now, retune,
+/// reading)`: `retune` holds a new Pp every 40 s, `reading` is the sample
+/// to feed, or nullopt when it never arrives.
+template <typename Tick>
+void run_fault_campaign(std::initializer_list<hw::I2cBus*> buses, Tick&& tick) {
   constexpr double kHorizonS = 300.0;
   FaultCampaignConfig campaign;
   campaign.enabled = true;
@@ -157,20 +151,13 @@ TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
   const std::vector<FaultEpisode> schedule = make_fault_schedule(campaign, 0, Seconds{kHorizonS});
   ASSERT_FALSE(schedule.empty());
 
-  // Short garbage bursts on top of the campaign: non-finite and
-  // out-of-range readings, and stale gaps with no tick at all.
   enum class Burst { kNone, kNonFinite, kOutOfRange, kStale };
   Rng rng{2306};
   Burst burst = Burst::kNone;
   int burst_left = 0;
-
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
-  std::uint64_t cursor = 0;
-  std::vector<obs::TraceEvent> fresh;
-  std::size_t paired_rounds = 0;
   std::optional<double> held;  // the frozen value while a stuck episode runs
   SimTime now;
-  for (int tick = 0; now.seconds() < kHorizonS; ++tick) {
+  for (int tick_index = 0; now.seconds() < kHorizonS; ++tick_index) {
     now.advance_us(250000);
     const double t = now.seconds();
     bool stuck = false;
@@ -180,23 +167,22 @@ TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
         (e.kind == FaultEpisode::Kind::kSensorStuck ? stuck : bus) = true;
       }
     }
-    for (hw::I2cBus* b : {&rig.bus, &solo_rig.bus}) {
+    for (hw::I2cBus* b : buses) {
       if (bus != b->faulted()) {
         bus ? b->inject_bus_fault() : b->clear_bus_fault();
       }
     }
-    if (tick > 0 && tick % 160 == 0) {
-      const PolicyParam pp{10 + static_cast<int>(rng.below(81))};
-      uc.set_policy(pp);
-      solo.set_policy(pp);
+    std::optional<PolicyParam> retune;
+    if (tick_index > 0 && tick_index % 160 == 0) {
+      retune = PolicyParam{10 + static_cast<int>(rng.below(81))};
     }
     if (burst_left == 0 && t > 5.0 && rng.uniform() < 0.02) {
       burst = static_cast<Burst>(1 + rng.below(3));
       burst_left = 1 + static_cast<int>(rng.below(6));
     }
 
-    const double healthy = 47.0 + 6.0 * std::sin(t / 15.0) + 0.25 * (tick % 2);
-    double reading = healthy;
+    const double healthy = 47.0 + 6.0 * std::sin(t / 15.0) + 0.25 * (tick_index % 2);
+    std::optional<double> reading = healthy;
     if (stuck) {
       if (!held.has_value()) {
         held = healthy;
@@ -208,12 +194,52 @@ TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
     if (burst_left > 0) {
       --burst_left;
       if (burst == Burst::kStale) {
-        continue;  // the sample never arrives
+        reading.reset();  // the sample never arrives
+      } else {
+        reading = burst == Burst::kNonFinite ? std::numeric_limits<double>::quiet_NaN() : 150.0;
       }
-      reading = burst == Burst::kNonFinite ? std::numeric_limits<double>::quiet_NaN() : 150.0;
     }
-    uc.on_sample_with(now, Celsius{reading});
-    solo.on_sample_with(now, Celsius{reading});
+    tick(now, retune, reading);
+  }
+}
+
+TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
+  // A fault-aware unified controller under the seeded fault campaign,
+  // re-tuned every 40 s. Both techniques read the same classified stream,
+  // reset together on failure entry, skip pushes together while failed and
+  // bridge with the same last good reading, so one window serves both:
+  // every fan window round is followed by a tDVFS round with the same Δt
+  // values, the window holds what a standalone fan controller's would, and
+  // the digest of all window rounds is pinned to the values two separate
+  // windows produced.
+  ControllerRig rig;
+  ControllerRig solo_rig;
+  const UnifiedConfig cfg = fault_aware_unified();
+  UnifiedController uc{*rig.hwmon, *rig.cpufreq, cfg};
+  FanControlConfig solo_cfg = cfg.fan;
+  solo_cfg.fault_aware = true;
+  solo_cfg.health = cfg.health;
+  DynamicFanController solo{*solo_rig.hwmon, solo_cfg};
+  obs::TraceRing ring{0};
+  uc.set_trace(&ring);
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t cursor = 0;
+  std::vector<obs::TraceEvent> fresh;
+  std::size_t paired_rounds = 0;
+  run_fault_campaign({&rig.bus, &solo_rig.bus}, [&](SimTime now,
+                                                    std::optional<PolicyParam> retune,
+                                                    std::optional<double> reading) {
+    if (retune.has_value()) {
+      uc.set_policy(*retune);
+      solo.set_policy(*retune);
+    }
+    if (!reading.has_value()) {
+      return;
+    }
+    const double t = now.seconds();
+    uc.on_sample_with(now, Celsius{*reading});
+    solo.on_sample_with(now, Celsius{*reading});
     ASSERT_TRUE(same_history(uc.window(), solo.window())) << "t=" << t;
 
     fresh.clear();
@@ -244,7 +270,7 @@ TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
           << "t=" << t;
       ++paired_rounds;
     }
-  }
+  });
 
   // The campaign reached every degradation path.
   EXPECT_GT(uc.fan().failsafe_entries(), 1u);
@@ -255,6 +281,63 @@ TEST(Unified, FaultAwareTechniquesKeepOneWindowHistory) {
   EXPECT_FALSE(uc.dvfs().events().empty());
   EXPECT_GT(paired_rounds, 100u);
   EXPECT_EQ(digest, 0xd6ba9b9618a8919fULL) << std::hex << digest;
+}
+
+TEST(Unified, FaultAwareTraceIsPinned) {
+  // Every trace event the fault campaign makes a unified controller emit,
+  // with every field and in order, is pinned — except the sensor
+  // classifications tagged tDVFS: when each technique kept its own health
+  // monitor, each reading was classified twice, the tDVFS copy right after
+  // the fan acted.
+  ControllerRig rig;
+  UnifiedController uc{*rig.hwmon, *rig.cpufreq, fault_aware_unified()};
+  obs::TraceRing ring{0};
+  uc.set_trace(&ring);
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t cursor = 0;
+  std::size_t events = 0;
+  std::size_t classified = 0;
+  std::size_t tdvfs_copies = 0;
+  std::vector<obs::TraceEvent> fresh;
+  run_fault_campaign({&rig.bus}, [&](SimTime now, std::optional<PolicyParam> retune,
+                                     std::optional<double> reading) {
+    if (retune.has_value()) {
+      uc.set_policy(*retune);
+    }
+    if (reading.has_value()) {
+      uc.on_sample_with(now, Celsius{*reading});
+    }
+    fresh.clear();
+    std::uint64_t lost = 0;
+    cursor = ring.read_new(cursor, 0, fresh, lost);
+    ASSERT_EQ(lost, 0u);
+    for (const obs::TraceEvent& ev : fresh) {
+      if (ev.type == obs::TraceEventType::kSensorClassified) {
+        if (ev.subsystem == obs::TraceSubsystem::kTdvfs) {
+          ++tdvfs_copies;
+          continue;
+        }
+        ++classified;
+      }
+      ++events;
+      fnv(digest, &ev.t_s, sizeof ev.t_s);
+      fnv(digest, &ev.node, sizeof ev.node);
+      fnv(digest, &ev.type, sizeof ev.type);
+      fnv(digest, &ev.subsystem, sizeof ev.subsystem);
+      fnv(digest, &ev.flags, sizeof ev.flags);
+      fnv(digest, &ev.i0, sizeof ev.i0);
+      fnv(digest, &ev.i1, sizeof ev.i1);
+      fnv(digest, &ev.a, sizeof ev.a);
+      fnv(digest, &ev.b, sizeof ev.b);
+      fnv(digest, &ev.c, sizeof ev.c);
+    }
+  });
+
+  EXPECT_GT(classified, 0u);
+  EXPECT_EQ(tdvfs_copies, classified);
+  EXPECT_EQ(events, 1023u);
+  EXPECT_EQ(digest, 0xf53a5fe6a128df86ULL) << std::hex << digest;
 }
 
 }  // namespace
