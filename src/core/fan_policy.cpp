@@ -1,7 +1,6 @@
 #include "core/fan_policy.hpp"
 
 #include <cmath>
-#include <optional>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -47,9 +46,6 @@ FanTechnique::FanTechnique(sysfs::HwmonDevice& hwmon, std::shared_ptr<const FanF
   if (pp != array_.policy()) {
     array_.set_policy(pp);
   }
-  if (family_->config.fault_aware) {
-    health_ = std::make_unique<SensorHealthMonitor>(family_->config.health);
-  }
 }
 
 DutyCycle FanTechnique::current_duty() const {
@@ -73,19 +69,8 @@ void FanTechnique::take_over() {
   initialized_ = true;
 }
 
-bool FanTechnique::gate(SimTime now, Celsius& reading, TwoLevelWindow& window) {
-  const SensorState state = health_->observe(now, reading);
-  const bool sample_ok = state == SensorState::kOk;
-  if (!sample_ok || !last_sample_ok_) {
-    // Non-OK classifications, plus the first OK closing a bad streak.
-    THERMCTL_TRACE_EMIT(trace_,
-                        (obs::TraceEvent{.type = obs::TraceEventType::kSensorClassified,
-                                         .subsystem = obs::TraceSubsystem::kFan,
-                                         .i0 = static_cast<std::int64_t>(state),
-                                         .a = reading.value()}));
-  }
-  last_sample_ok_ = sample_ok;
-  if (health_->failed()) {
+void FanTechnique::fail_safe(SimTime now, bool failed, TwoLevelWindow& window) {
+  if (failed) {
     if (!failsafe_) {
       failsafe_ = true;
       failsafe_applied_ = false;
@@ -104,30 +89,18 @@ bool FanTechnique::gate(SimTime now, Celsius& reading, TwoLevelWindow& window) {
     if (!failsafe_applied_ && hwmon_.write_pwm(DutyCycle{array_.most_effective()})) {
       failsafe_applied_ = true;
     }
-    return false;
+    return;
   }
-  if (failsafe_) {
-    // Recovered: resume normal control from the fail-safe operating point;
-    // the window machinery walks the duty back down as readings warrant.
-    failsafe_ = false;
-    ++failsafe_exits_;
-    index_ = array_.size() - 1;
-    window.reset();
-    THERMCTL_TRACE_EMIT(trace_, (obs::TraceEvent{.type = obs::TraceEventType::kFailsafeExit,
-                                                 .subsystem = obs::TraceSubsystem::kFan,
-                                                 .i0 = static_cast<std::int64_t>(index_)}));
-    THERMCTL_LOG_DEBUG("fanctl", "t=%.2fs sensor recovered; resuming control", now.seconds());
-  }
-  if (state != SensorState::kOk) {
-    // Isolated bad sample below the failure threshold: bridge with the
-    // last good reading rather than steering on garbage.
-    const std::optional<Celsius> good = health_->last_good();
-    if (!good.has_value()) {
-      return false;
-    }
-    reading = *good;
-  }
-  return true;
+  // Recovered: resume normal control from the fail-safe operating point;
+  // the window machinery walks the duty back down as readings warrant.
+  failsafe_ = false;
+  ++failsafe_exits_;
+  index_ = array_.size() - 1;
+  window.reset();
+  THERMCTL_TRACE_EMIT(trace_, (obs::TraceEvent{.type = obs::TraceEventType::kFailsafeExit,
+                                               .subsystem = obs::TraceSubsystem::kFan,
+                                               .i0 = static_cast<std::int64_t>(index_)}));
+  THERMCTL_LOG_DEBUG("fanctl", "t=%.2fs sensor recovered; resuming control", now.seconds());
 }
 
 void FanTechnique::act(SimTime now, const WindowRound& round) {

@@ -46,10 +46,11 @@ struct FanControlConfig {
   DutyCycle max_duty{100.0};
   ModeSelectorConfig selector{};
   WindowConfig window{};
-  /// Gate readings through a SensorHealthMonitor and fail safe (escalate to
-  /// the array's most effective mode) on confirmed sensor failure. Off by
-  /// default: the paper's controller trusts its sensor, and zero-fault runs
-  /// must behave identically either way.
+  /// Gate a standalone controller's readings through a SensorHealthMonitor
+  /// and fail safe (escalate to the array's most effective mode) on
+  /// confirmed sensor failure. Off by default: the paper's controller
+  /// trusts its sensor, and zero-fault runs must behave identically either
+  /// way. A UnifiedController reads its own knob instead.
   bool fault_aware = false;
   SensorHealthConfig health{};
 
@@ -78,30 +79,39 @@ struct FanFamily {
   ThermalControlArray array;
 };
 
-/// The dynamic fan technique without a window of its own: it gates each
-/// reading into its owner's window and acts on the rounds that window
-/// closes. DynamicFanController is the standalone form; a UnifiedController
-/// feeds one from its shared window.
+/// The dynamic fan technique without a window or a sensor gate of its own:
+/// it degrades on its owner's gate verdicts and acts on the rounds its
+/// owner's window closes. DynamicFanController is the standalone form; a
+/// UnifiedController feeds one from its shared window and gate.
 class FanTechnique {
  public:
+  /// The subsystem a standalone controller's gate tags its classifications
+  /// with.
+  static constexpr obs::TraceSubsystem kSubsystem = obs::TraceSubsystem::kFan;
+
   /// A technique with its own family, built from `config`.
   FanTechnique(sysfs::HwmonDevice& hwmon, const FanControlConfig& config);
   /// A member of `family` running at this node's `pp`.
   FanTechnique(sysfs::HwmonDevice& hwmon, std::shared_ptr<const FanFamily> family,
                PolicyParam pp);
 
-  /// Takes over the fan on the first call, then gates `reading` through the
-  /// health monitor when fault-aware. Returns whether to push `reading`
-  /// into `window`; a bad sample below the failure threshold is replaced
-  /// by the last good one. Resets `window` on fail-safe entry and exit.
-  bool admit(SimTime now, Celsius& reading, TwoLevelWindow& window) {
-    // Keep the ring's clock fresh before any bus traffic so i2c retry
-    // events emitted below land at this tick's sim time.
+  /// Starts a tick, before the gate classifies its reading: keeps the
+  /// ring's clock fresh before any bus traffic, so i2c retry events land at
+  /// this tick's sim time, and takes over the fan on the first call.
+  void begin(SimTime now) {
     THERMCTL_TRACE_SET_TIME(trace_, now.seconds());
     if (!initialized_) {
       take_over();
     }
-    return health_ == nullptr || gate(now, reading, window);
+  }
+
+  /// Applies the gate's verdict: fails safe to the most effective mode
+  /// while the sensor is failed, and resumes from the top of the array
+  /// once it recovers. Resets `window` on fail-safe entry and exit.
+  void on_verdict(SimTime now, SensorVerdict verdict, TwoLevelWindow& window) {
+    if (verdict.failed || failsafe_) {
+      fail_safe(now, verdict.failed, window);
+    }
   }
 
   /// Acts on a completed window round: selector decision, maybe a retarget.
@@ -112,7 +122,9 @@ class FanTechnique {
   void set_policy(PolicyParam pp, TwoLevelWindow& window);
 
   [[nodiscard]] Celsius read_temperature() const { return hwmon_.read_temperature(); }
-  [[nodiscard]] const WindowConfig& window_config() const { return family_->config.window; }
+  /// The family's config. Its `pp` is the family's; this node's current Pp
+  /// is array().policy().
+  [[nodiscard]] const FanControlConfig& config() const { return family_->config; }
 
   [[nodiscard]] std::size_t current_index() const { return index_; }
   [[nodiscard]] DutyCycle current_duty() const;
@@ -120,37 +132,33 @@ class FanTechnique {
   [[nodiscard]] const std::vector<FanEvent>& events() const { return events_; }
   [[nodiscard]] std::uint64_t retarget_count() const { return retargets_; }
 
-  /// Fail-safe cooling state (only ever true when `fault_aware` is set).
+  /// Fail-safe cooling state (only ever true behind a fault-aware gate).
   [[nodiscard]] bool in_failsafe() const { return failsafe_; }
   [[nodiscard]] std::uint64_t failsafe_entries() const { return failsafe_entries_; }
   [[nodiscard]] std::uint64_t failsafe_exits() const { return failsafe_exits_; }
-  /// The gating monitor, or nullptr when not fault-aware.
-  [[nodiscard]] const SensorHealthMonitor* health() const {
-    return health_.get();
-  }
 
   /// Attaches a decision-trace ring (nullptr detaches). Every window round,
-  /// selector decision, PWM retarget, sensor classification, and fail-safe
-  /// transition is then recorded; control behaviour is unchanged.
+  /// selector decision, PWM retarget and fail-safe transition is then
+  /// recorded, and the owner's gate traces its classifications there;
+  /// control behaviour is unchanged.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
+  [[nodiscard]] obs::TraceRing* trace() const { return trace_; }
 
  private:
   /// Claims manual PWM control and starts at the bottom of the array.
   void take_over();
-  /// admit()'s health gating, fail-safe entry and exit, and bridging.
-  bool gate(SimTime now, Celsius& reading, TwoLevelWindow& window);
+  /// on_verdict()'s fail-safe entry, write retry and exit.
+  void fail_safe(SimTime now, bool failed, TwoLevelWindow& window);
 
   // What every tick and every round without a retarget reads comes first:
-  // 64 bytes, one cache line when the technique is line-aligned.
+  // 56 bytes, within one cache line when the technique is line-aligned.
   obs::TraceRing* trace_ = nullptr;
-  std::unique_ptr<SensorHealthMonitor> health_;  // allocated only when fault-aware
   std::shared_ptr<const FanFamily> family_;
   ThermalControlArray array_;  // the family's fill, re-pointed to this node's Pp
   std::size_t index_ = 0;
   bool initialized_ = false;
   bool failsafe_ = false;
   bool failsafe_applied_ = false;  // fail-safe duty reached the chip
-  bool last_sample_ok_ = true;     // edge detector for sensor-classification events
   sysfs::HwmonDevice& hwmon_;
   std::vector<FanEvent> events_;
   std::uint64_t retargets_ = 0;

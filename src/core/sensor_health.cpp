@@ -96,4 +96,33 @@ void SensorHealthMonitor::reset() {
   last_observe_time_.reset();
 }
 
+SensorGate::SensorGate(bool fault_aware, const SensorHealthConfig& config)
+    : state_(fault_aware ? std::make_unique<State>(State{SensorHealthMonitor{config}}) : nullptr) {}
+
+SensorVerdict SensorGate::classify(SimTime now, Celsius& reading, obs::TraceRing* trace,
+                                   obs::TraceSubsystem subsystem) {
+  const SensorState state = state_->monitor.observe(now, reading);
+  const bool sample_ok = state == SensorState::kOk;
+  if (!sample_ok || !state_->last_sample_ok) {
+    THERMCTL_TRACE_EMIT(trace, (obs::TraceEvent{.type = obs::TraceEventType::kSensorClassified,
+                                                .subsystem = subsystem,
+                                                .i0 = static_cast<std::int64_t>(state),
+                                                .a = reading.value()}));
+  }
+  state_->last_sample_ok = sample_ok;
+  if (state_->monitor.failed()) {
+    return {.push = false, .failed = true};
+  }
+  if (!sample_ok) {
+    // Isolated bad sample below the failure threshold: bridge with the last
+    // good reading rather than steering on garbage.
+    const std::optional<Celsius> good = state_->monitor.last_good();
+    if (!good.has_value()) {
+      return {.push = false};
+    }
+    reading = *good;
+  }
+  return {};
+}
+
 }  // namespace thermctl::core

@@ -17,10 +17,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
+#include "obs/trace.hpp"
 
 namespace thermctl::core {
 
@@ -100,6 +102,50 @@ class SensorHealthMonitor {
   std::optional<Celsius> last_good_;
   std::optional<SimTime> last_good_time_;
   std::optional<SimTime> last_observe_time_;
+};
+
+/// What a SensorGate says about one reading.
+struct SensorVerdict {
+  /// Push the reading (bridged with the last good one if it was bad) into
+  /// the window.
+  bool push = true;
+  /// The monitor's failure latch is set: the techniques degrade.
+  bool failed = false;
+};
+
+/// The health gate of one sensor stream, held by whoever owns the window
+/// the stream feeds: a standalone controller, or a UnifiedController for
+/// both of its techniques. It classifies each reading once, traces the
+/// classification, and bridges an isolated bad sample with the last good
+/// one; the techniques act only on its verdict.
+class SensorGate {
+ public:
+  /// Allocates a monitor only when `fault_aware`; otherwise every reading
+  /// is pushed as it is.
+  SensorGate(bool fault_aware, const SensorHealthConfig& config);
+
+  /// Gates `reading`. Non-OK classifications, and the first OK one that
+  /// closes a bad streak, go to `trace` tagged `subsystem`.
+  SensorVerdict admit(SimTime now, Celsius& reading, obs::TraceRing* trace,
+                      obs::TraceSubsystem subsystem) {
+    return state_ == nullptr ? SensorVerdict{} : classify(now, reading, trace, subsystem);
+  }
+
+  /// The monitor, or nullptr when not fault-aware.
+  [[nodiscard]] const SensorHealthMonitor* health() const {
+    return state_ == nullptr ? nullptr : &state_->monitor;
+  }
+
+ private:
+  struct State {
+    SensorHealthMonitor monitor;
+    bool last_sample_ok = true;  // edge detector for classification events
+  };
+
+  SensorVerdict classify(SimTime now, Celsius& reading, obs::TraceRing* trace,
+                         obs::TraceSubsystem subsystem);
+
+  std::unique_ptr<State> state_;  // allocated only when fault-aware
 };
 
 }  // namespace thermctl::core

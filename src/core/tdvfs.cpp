@@ -55,9 +55,6 @@ TdvfsTechnique::TdvfsTechnique(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& 
   if (pp != array_.policy()) {
     array_.set_policy(pp);
   }
-  if (family_->config.fault_aware) {
-    health_ = std::make_unique<SensorHealthMonitor>(family_->config.health);
-  }
 }
 
 GigaHertz TdvfsTechnique::current_target() const { return GigaHertz{array_.mode(index_)}; }
@@ -90,19 +87,8 @@ void TdvfsTechnique::retarget(SimTime now, std::size_t target, int consistency, 
   THERMCTL_LOG_INFO("tdvfs", "t=%.2fs frequency %.1f GHz -> %.1f GHz", now.seconds(), from, to);
 }
 
-bool TdvfsTechnique::gate(SimTime now, Celsius& reading, TwoLevelWindow& window) {
-  const SensorState state = health_->observe(now, reading);
-  const bool sample_ok = state == SensorState::kOk;
-  if (!sample_ok || !last_sample_ok_) {
-    // Non-OK classifications, plus the first OK closing a bad streak.
-    THERMCTL_TRACE_EMIT(trace_,
-                        (obs::TraceEvent{.type = obs::TraceEventType::kSensorClassified,
-                                         .subsystem = obs::TraceSubsystem::kTdvfs,
-                                         .i0 = static_cast<std::int64_t>(state),
-                                         .a = reading.value()}));
-  }
-  last_sample_ok_ = sample_ok;
-  if (health_->failed()) {
+void TdvfsTechnique::hold(SimTime now, bool failed, TwoLevelWindow& window) {
+  if (failed) {
     if (!holding_) {
       holding_ = true;
       ++hold_entries_;
@@ -119,22 +105,12 @@ bool TdvfsTechnique::gate(SimTime now, Celsius& reading, TwoLevelWindow& window)
                         array_.mode(index_));
     }
     ++held_ticks_;
-    return false;
+    return;
   }
-  if (holding_) {
-    holding_ = false;
-    THERMCTL_TRACE_EMIT(trace_, (obs::TraceEvent{.type = obs::TraceEventType::kDvfsHoldExit,
-                                                 .subsystem = obs::TraceSubsystem::kTdvfs}));
-    THERMCTL_LOG_INFO("tdvfs", "t=%.2fs sensor recovered; resuming control", now.seconds());
-  }
-  if (state != SensorState::kOk) {
-    const std::optional<Celsius> good = health_->last_good();
-    if (!good.has_value()) {
-      return false;
-    }
-    reading = *good;
-  }
-  return true;
+  holding_ = false;
+  THERMCTL_TRACE_EMIT(trace_, (obs::TraceEvent{.type = obs::TraceEventType::kDvfsHoldExit,
+                                               .subsystem = obs::TraceSubsystem::kTdvfs}));
+  THERMCTL_LOG_INFO("tdvfs", "t=%.2fs sensor recovered; resuming control", now.seconds());
 }
 
 void TdvfsTechnique::act(SimTime now, const WindowRound& round) {

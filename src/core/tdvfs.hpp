@@ -56,10 +56,11 @@ struct TdvfsConfig {
   std::size_t array_size = 16;
   ModeSelectorConfig selector{};
   WindowConfig window{};
-  /// Gate readings through a SensorHealthMonitor and *hold* the current
-  /// frequency on confirmed sensor failure: scaling on garbage would
-  /// oscillate, and the fan's fail-safe already covers cooling. Off by
-  /// default for bit-identical zero-fault behaviour.
+  /// Gate a standalone daemon's readings through a SensorHealthMonitor and
+  /// *hold* the current frequency on confirmed sensor failure: scaling on
+  /// garbage would oscillate, and the fan's fail-safe already covers
+  /// cooling. Off by default for bit-identical zero-fault behaviour. A
+  /// UnifiedController reads its own knob instead.
   bool fault_aware = false;
   SensorHealthConfig health{};
 
@@ -90,12 +91,16 @@ struct TdvfsFamily {
   const void* pstate_table;  // the table the frequency list was parsed from
 };
 
-/// The tDVFS technique without a window of its own: it gates each reading
-/// into its owner's window and acts on the rounds that window closes.
-/// TdvfsDaemon is the standalone form; a UnifiedController feeds one from
-/// its shared window.
+/// The tDVFS technique without a window or a sensor gate of its own: it
+/// holds on its owner's gate verdicts and acts on the rounds its owner's
+/// window closes. TdvfsDaemon is the standalone form; a UnifiedController
+/// feeds one from its shared window and gate.
 class TdvfsTechnique {
  public:
+  /// The subsystem a standalone daemon's gate tags its classifications
+  /// with.
+  static constexpr obs::TraceSubsystem kSubsystem = obs::TraceSubsystem::kTdvfs;
+
   /// A technique with its own family, built from `config`.
   TdvfsTechnique(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
                  const TdvfsConfig& config);
@@ -103,13 +108,17 @@ class TdvfsTechnique {
   TdvfsTechnique(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
                  std::shared_ptr<const TdvfsFamily> family, PolicyParam pp);
 
-  /// Gates `reading` through the health monitor when fault-aware. Returns
-  /// whether to push `reading` into `window`; a bad sample below the
-  /// failure threshold is replaced by the last good one. Resets `window`
-  /// on hold entry.
-  bool admit(SimTime now, Celsius& reading, TwoLevelWindow& window) {
-    THERMCTL_TRACE_SET_TIME(trace_, now.seconds());
-    return health_ == nullptr || gate(now, reading, window);
+  /// Starts a tick, before the gate classifies its reading: keeps the
+  /// ring's clock fresh.
+  void begin(SimTime now) { THERMCTL_TRACE_SET_TIME(trace_, now.seconds()); }
+
+  /// Applies the gate's verdict: holds the current frequency while the
+  /// sensor is failed, and resumes once it recovers. Resets `window` on
+  /// hold entry.
+  void on_verdict(SimTime now, SensorVerdict verdict, TwoLevelWindow& window) {
+    if (verdict.failed || holding_) {
+      hold(now, verdict.failed, window);
+    }
   }
 
   /// Acts on a completed window round: consistency counting, then maybe a
@@ -120,7 +129,6 @@ class TdvfsTechnique {
   void set_policy(PolicyParam pp, TwoLevelWindow& window);
 
   [[nodiscard]] Celsius read_temperature() const { return hwmon_.read_temperature(); }
-  [[nodiscard]] const WindowConfig& window_config() const { return family_->config.window; }
 
   [[nodiscard]] std::size_t current_index() const { return index_; }
   [[nodiscard]] GigaHertz current_target() const;
@@ -138,23 +146,20 @@ class TdvfsTechnique {
     return last_round_average_;
   }
 
-  /// Frequency-hold state (only ever true when `fault_aware` is set).
+  /// Frequency-hold state (only ever true behind a fault-aware gate).
   [[nodiscard]] bool holding() const { return holding_; }
   [[nodiscard]] std::uint64_t hold_entries() const { return hold_entries_; }
   [[nodiscard]] std::uint64_t held_ticks() const { return held_ticks_; }
-  /// The gating monitor, or nullptr when not fault-aware.
-  [[nodiscard]] const SensorHealthMonitor* health() const {
-    return health_.get();
-  }
 
   /// Attaches a decision-trace ring (nullptr detaches). Window rounds,
   /// selector decisions, trigger/restore transitions (with the consistency
   /// counts that armed them), and hold transitions are then recorded.
   void set_trace(obs::TraceRing* trace) { trace_ = trace; }
+  [[nodiscard]] obs::TraceRing* trace() const { return trace_; }
 
  private:
-  /// admit()'s health gating, hold entry and exit, and bridging.
-  bool gate(SimTime now, Celsius& reading, TwoLevelWindow& window);
+  /// on_verdict()'s hold entry, held-tick count and exit.
+  void hold(SimTime now, bool failed, TwoLevelWindow& window);
 
   /// `consistency` and `is_restore` feed the decision trace: how many
   /// consistent rounds armed this move and which direction it is.
@@ -164,7 +169,6 @@ class TdvfsTechnique {
   // What every tick reads, and all but the round average a round reads,
   // comes first: 64 bytes, one cache line when the technique is aligned.
   obs::TraceRing* trace_ = nullptr;
-  std::unique_ptr<SensorHealthMonitor> health_;  // allocated only when fault-aware
   std::shared_ptr<const TdvfsFamily> family_;
   ThermalControlArray array_;  // the family's fill, re-pointed to this node's Pp
   std::size_t index_ = 0;      // 0 = least effective = original (fastest) mode
@@ -172,7 +176,6 @@ class TdvfsTechnique {
   int rounds_below_ = 0;
   std::optional<Celsius> last_round_average_;
   bool holding_ = false;
-  bool last_sample_ok_ = true;  // edge detector for sensor-classification events
   sysfs::HwmonDevice& hwmon_;
   sysfs::CpufreqPolicy& cpufreq_;
   std::vector<TdvfsEvent> events_;

@@ -26,12 +26,12 @@
 // carries its whole history in one 200 B object with no heap and no
 // pointers to chase.
 //
-// Ownership: a window belongs to whoever feeds it. The window-driven
-// techniques (dynamic fan, tDVFS) hold none of their own: they gate a
-// reading into a caller's window (`admit`) and act on the rounds it closes
-// (`act`). `Windowed<T>` is a standalone technique with its own window; a
-// UnifiedController owns one window and hands each round to both of its
-// techniques.
+// Ownership: a window belongs to whoever feeds it, and so does the sensor
+// gate in front of it. The window-driven techniques (dynamic fan, tDVFS)
+// hold neither: they degrade on the gate's verdict (`on_verdict`) and act
+// on the rounds the window closes (`act`). `Windowed<T>` is a standalone
+// technique with its own window and gate; a UnifiedController owns one of
+// each and hands every verdict and round to both of its techniques.
 #pragma once
 
 #include <array>
@@ -42,6 +42,7 @@
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "core/policy.hpp"
+#include "core/sensor_health.hpp"
 
 namespace thermctl::core {
 
@@ -107,10 +108,12 @@ class TwoLevelWindow {
   std::array<double, kMaxLevel2> level2_{};  // FIFO ring over level2_size_ cells
 };
 
-/// A window-driven technique that owns its window: the standalone form of a
-/// technique a UnifiedController otherwise feeds from its one shared window.
-/// `Technique` provides admit(now, reading&, window) -> push?, act(now,
-/// round), set_policy(pp, window), read_temperature() and window_config().
+/// A window-driven technique that owns its window and the sensor gate in
+/// front of it: the standalone form of a technique a UnifiedController
+/// otherwise feeds from its one shared window and gate. `Technique`
+/// provides begin(now), on_verdict(now, verdict, window), act(now, round),
+/// set_policy(pp, window), read_temperature(), config() (its window,
+/// fault_aware and health fields), trace() and kSubsystem.
 template <typename Technique>
 class Windowed : public Technique {
  public:
@@ -124,7 +127,11 @@ class Windowed : public Technique {
   /// own node's value. `reading` must equal what hwmon.read_temperature()
   /// would return at this tick; the tick logic is byte-for-byte the same.
   void on_sample_with(SimTime now, Celsius reading) {
-    if (Technique::admit(now, reading, window_)) {
+    Technique::begin(now);
+    const SensorVerdict verdict =
+        gate_.admit(now, reading, Technique::trace(), Technique::kSubsystem);
+    Technique::on_verdict(now, verdict, window_);
+    if (verdict.push) {
       if (const auto round = window_.add_sample(reading)) {
         Technique::act(now, *round);
       }
@@ -137,9 +144,12 @@ class Windowed : public Technique {
 
   /// The sampling window (read-only observability).
   [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
+  /// The gate's monitor, or nullptr when not fault-aware.
+  [[nodiscard]] const SensorHealthMonitor* health() const { return gate_.health(); }
 
  private:
-  TwoLevelWindow window_{Technique::window_config()};
+  TwoLevelWindow window_{Technique::config().window};
+  SensorGate gate_{Technique::config().fault_aware, Technique::config().health};
 };
 
 }  // namespace thermctl::core

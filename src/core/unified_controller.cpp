@@ -1,7 +1,5 @@
 #include "core/unified_controller.hpp"
 
-#include "common/assert.hpp"
-
 namespace thermctl::core {
 namespace {
 
@@ -10,15 +8,9 @@ UnifiedConfig harmonize(UnifiedConfig config) {
   config.fan.pp = config.pp;
   config.tdvfs.pp = config.pp;
   config.idle.pp = config.pp;
-  // One window feeds both gated techniques.
+  // One window feeds both techniques.
   config.fan.window = config.window;
   config.tdvfs.window = config.window;
-  // Fault-awareness is likewise a single knob: both gated techniques see the
-  // same classification thresholds.
-  config.fan.fault_aware = config.fault_aware;
-  config.fan.health = config.health;
-  config.tdvfs.fault_aware = config.fault_aware;
-  config.tdvfs.health = config.health;
   return config;
 }
 
@@ -46,6 +38,7 @@ UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPo
                                      sysfs::PowerClampDevice* clamp, const UnifiedFamily& family,
                                      PolicyParam pp)
     : window_(family.config.window),
+      gate_(family.config.fault_aware, family.config.health),
       fan_(hwmon, family.fan, pp),
       dvfs_(hwmon, cpufreq, family.tdvfs, pp) {
   if (clamp != nullptr && family.config.enable_idle_injection) {
@@ -62,18 +55,18 @@ void UnifiedController::on_sample_with(SimTime now, Celsius reading) {
   // it gets first shot at the new sample; tDVFS acts only above its
   // threshold; idle injection, the bluntest instrument, backstops above a
   // still-higher threshold.
-  Celsius sample = reading;
-  const bool pushed = fan_.admit(now, sample, window_);
+  fan_.begin(now);
+  const SensorVerdict verdict = gate_.admit(now, reading, fan_.trace(), FanTechnique::kSubsystem);
+  fan_.on_verdict(now, verdict, window_);
   std::optional<WindowRound> round;
-  if (pushed) {
-    round = window_.add_sample(sample);
+  if (verdict.push) {
+    round = window_.add_sample(reading);
     if (round.has_value()) {
       fan_.act(now, *round);
     }
   }
-  const bool dvfs_pushed = dvfs_.admit(now, reading, window_);
-  THERMCTL_ASSERT(dvfs_pushed == pushed,
-                  "both techniques must admit the same samples into their one window");
+  dvfs_.begin(now);
+  dvfs_.on_verdict(now, verdict, window_);
   if (round.has_value()) {
     dvfs_.act(now, *round);
   }

@@ -32,11 +32,12 @@ struct UnifiedConfig {
   /// tdvfs.threshold so it only engages when DVFS alone is losing.
   bool enable_idle_injection = false;
   IdleInjectionConfig idle{};
-  /// Shared fault-awareness knob, harmonized into both techniques the same
-  /// way Pp is: each keeps its own SensorHealthMonitor (they classify the
-  /// same stream alike but degrade differently — fan fails safe to maximum
-  /// cooling, tDVFS holds). The idle-injection backstop is not gated; it is
-  /// already the defence of last resort.
+  /// Fault-awareness for the one sensor stream both techniques read: the
+  /// controller's one SensorHealthMonitor classifies each reading once, and
+  /// each technique degrades its own way on the verdict — the fan fails
+  /// safe to maximum cooling, tDVFS holds. The sub-configs' own knobs are
+  /// not read. The idle-injection backstop is not gated; it is already the
+  /// defence of last resort.
   bool fault_aware = false;
   SensorHealthConfig health{};
 
@@ -53,16 +54,15 @@ struct UnifiedFamily {
   /// `cpufreq` lists this family's frequencies.
   [[nodiscard]] bool admits(UnifiedConfig other, const sysfs::CpufreqPolicy& cpufreq) const;
 
-  UnifiedConfig config;  // harmonized: one Pp, window and health knob throughout
+  UnifiedConfig config;  // harmonized: one Pp and window throughout
   std::shared_ptr<const FanFamily> fan;
   std::shared_ptr<const TdvfsFamily> tdvfs;
 };
 
-/// One window, two techniques: each sample is gated by the fan technique,
-/// pushed into the window once, and each completed round goes to the fan
-/// technique, then to tDVFS. Both techniques' health monitors classify the
-/// same stream with the same config, so tDVFS admits exactly the samples
-/// the fan admits (asserted every tick).
+/// One gate, one window, two techniques: each sample is classified once,
+/// its verdict goes to the fan technique, the sample is pushed into the
+/// window once, each completed round goes to the fan technique, and then
+/// the verdict and the round go to tDVFS.
 class UnifiedController {
  public:
   /// Both techniques act on the same node through its sysfs planes.
@@ -100,6 +100,8 @@ class UnifiedController {
   [[nodiscard]] const TdvfsTechnique& dvfs() const { return dvfs_; }
   /// The one sampling window both techniques read (read-only).
   [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
+  /// The one gate's monitor, or nullptr when not fault-aware.
+  [[nodiscard]] const SensorHealthMonitor* health() const { return gate_.health(); }
   [[nodiscard]] bool has_idle_injection() const { return idle_ != nullptr; }
   [[nodiscard]] IdleInjectionController& idle_injection() { return *idle_; }
   [[nodiscard]] const IdleInjectionController& idle_injection() const { return *idle_; }
@@ -110,7 +112,8 @@ class UnifiedController {
 
   /// Attaches one decision-trace ring to both techniques (nullptr
   /// detaches): their events interleave on the node's single timeline,
-  /// distinguished by subsystem.
+  /// distinguished by subsystem. The gate's classifications are tagged
+  /// with the fan's.
   void set_trace(obs::TraceRing* trace) {
     fan_.set_trace(trace);
     dvfs_.set_trace(trace);
@@ -118,6 +121,7 @@ class UnifiedController {
 
  private:
   TwoLevelWindow window_;
+  SensorGate gate_;
   FanTechnique fan_;
   TdvfsTechnique dvfs_;
   std::unique_ptr<IdleInjectionController> idle_;  // only with enable_idle_injection

@@ -26,6 +26,10 @@ SensorHealthConfig quick_health() {
 /// signature that never looks stuck.
 double jitter(double base, int i) { return base + 0.25 * (i % 2); }
 
+/// Whether `T` exposes a sensor-health monitor.
+template <typename T>
+constexpr bool kHasMonitor = requires(const T& t) { t.health(); };
+
 TEST(FaultAware, MonitorsExistOnlyWhenFaultAware) {
   // Off by default: no monitor is allocated, and the accessors say so.
   ControllerRig rig;
@@ -34,19 +38,28 @@ TEST(FaultAware, MonitorsExistOnlyWhenFaultAware) {
   const UnifiedController blind{*rig.hwmon, *rig.cpufreq, UnifiedConfig{}};
   EXPECT_EQ(blind_fan.health(), nullptr);
   EXPECT_EQ(blind_dvfs.health(), nullptr);
-  EXPECT_EQ(blind.fan().health(), nullptr);
-  EXPECT_EQ(blind.dvfs().health(), nullptr);
+  EXPECT_EQ(blind.health(), nullptr);
   EXPECT_FALSE(blind.has_idle_injection());
 
+  // One monitor per window: the window's owner holds it, and the
+  // techniques a unified controller feeds hold none of their own.
+  EXPECT_FALSE(kHasMonitor<FanTechnique>);
+  EXPECT_FALSE(kHasMonitor<TdvfsTechnique>);
+  EXPECT_TRUE(kHasMonitor<UnifiedController>);
   UnifiedConfig aware;
   aware.fault_aware = true;
   aware.health = quick_health();
   const UnifiedController gated{*rig.hwmon, *rig.cpufreq, aware};
-  ASSERT_NE(gated.fan().health(), nullptr);
-  ASSERT_NE(gated.dvfs().health(), nullptr);
-  EXPECT_NE(gated.fan().health(), gated.dvfs().health());  // one monitor each
-  EXPECT_EQ(gated.fan().health()->config().stuck_samples, 4);
+  ASSERT_NE(gated.health(), nullptr);
+  EXPECT_EQ(gated.health()->config().stuck_samples, 4);
   EXPECT_FALSE(gated.has_idle_injection());
+
+  // The sub-configs' knobs are not read: the unified knob decides.
+  UnifiedConfig sub_only;
+  sub_only.fan.fault_aware = true;
+  sub_only.tdvfs.fault_aware = true;
+  const UnifiedController ungated{*rig.hwmon, *rig.cpufreq, sub_only};
+  EXPECT_EQ(ungated.health(), nullptr);
 }
 
 TEST(FaultAwareFan, StuckSensorTriggersFailsafeCooling) {
