@@ -90,16 +90,24 @@ void PredictiveFanController::on_sample(SimTime now) {
   }
   const double from = array_.mode(index_);
   const double to = array_.mode(decision.target);
-  index_ = decision.target;
-  if (to != from && hwmon_.write_pwm(DutyCycle{to})) {
-    ++retargets_;
-    if (feedforward_dt != 0.0 && !history_would_move) {
-      ++feedforward_;  // the counter term alone caused this move
-    }
-    events_.push_back(FanEvent{now.seconds(), from, to, decision.used_level2});
-    THERMCTL_LOG_DEBUG("predfan", "t=%.2fs duty %.0f%% -> %.0f%% (ff=%.2f degC)",
-                       now.seconds(), from, to, feedforward_dt);
+  if (to == from) {
+    index_ = decision.target;  // an Eq. (1) duplicate: no duty to write
+    return;
   }
+  // Commit the index only once the duty reached the chip, as
+  // FanTechnique::act does: after a failed write the controller must still
+  // believe the duty the chip holds.
+  if (!hwmon_.write_pwm(DutyCycle{to})) {
+    return;
+  }
+  index_ = decision.target;
+  ++retargets_;
+  if (feedforward_dt != 0.0 && !history_would_move) {
+    ++feedforward_;  // the counter term alone caused this move
+  }
+  events_.push_back(FanEvent{now.seconds(), from, to, decision.used_level2});
+  THERMCTL_LOG_DEBUG("predfan", "t=%.2fs duty %.0f%% -> %.0f%% (ff=%.2f degC)", now.seconds(),
+                     from, to, feedforward_dt);
 }
 
 }  // namespace thermctl::core

@@ -62,6 +62,27 @@ TEST(PredictiveFan, PowerStepTriggersBeforeTemperatureMoves) {
   EXPECT_GT(ctl.current_index(), 0u);
 }
 
+TEST(PredictiveFan, BusFaultDuringThePowerStepKeepsTheIndex) {
+  // PowerStepTriggersBeforeTemperatureMoves with the i2c bus down across
+  // the full-load round: the feed-forward retarget's write fails, so the
+  // controller must keep believing the duty the chip still holds.
+  PredictiveRig rig;
+  PredictiveFanController ctl{*rig.hwmon, rig.rapl, paper_cfg()};
+  SimTime now;
+  for (int i = 0; i < 8; ++i) {
+    rig.quarter_second(ctl, 0.1, 40.0, now);
+  }
+  const auto before = ctl.retarget_count();
+  rig.bus.inject_bus_fault();
+  for (int i = 0; i < 4; ++i) {
+    rig.quarter_second(ctl, 1.0, 40.0, now);
+  }
+  rig.bus.clear_bus_fault();
+  EXPECT_EQ(ctl.current_index(), 0u);
+  EXPECT_EQ(ctl.retarget_count(), before);
+  EXPECT_TRUE(ctl.events().empty());
+}
+
 TEST(PredictiveFan, HistoryOnlyControllerMissesTheSameStep) {
   // Contrast: the baseline DynamicFanController sees only the flat
   // temperature and does nothing — the lag the future-work item removes.
