@@ -178,19 +178,42 @@ FuzzReport fuzz_unified(std::uint64_t seed, int ticks) {
   cfg.fan.array_size = 2 + rng.below(99);
   cfg.tdvfs.array_size = 2 + rng.below(31);
   cfg.tdvfs.threshold = Celsius{rng.uniform(44.0, 60.0)};
+  // Odd seeds run fault-aware with short thresholds, so the stream's flat,
+  // stuck and extreme segments confirm failures and recoveries, under
+  // bus-fault episodes the fail-safe write has to outlast.
+  const bool fault_aware = seed % 2 == 1;
+  if (fault_aware) {
+    cfg.fault_aware = true;
+    cfg.health.stuck_samples = 6;
+    cfg.health.reject_samples = 3;
+    cfg.health.recovery_samples = 4;
+  }
   core::UnifiedController controller{*rig.hwmon, *rig.cpufreq, cfg};
+  const core::FanTechnique& fan = controller.fan();
+  const core::TdvfsTechnique& dvfs = controller.dvfs();
 
   AdversarialStream stream{seed, /*allow_nan=*/false};
+  Rng bus_rng{seed ^ 0x6b6b6b6b6b6b6b6bULL};
+  int bus_fault_left = 0;
+  bool was_failsafe = false;
   SimTime now;
   std::size_t seen_events = 0;
   for (int i = 0; i < ticks; ++i) {
     now.advance_us(250000);
+    if (fault_aware) {
+      if (bus_fault_left == 0 && bus_rng.below(100) == 0) {
+        bus_fault_left = 1 + static_cast<int>(bus_rng.below(20));
+      }
+      if ((bus_fault_left > 0) != rig.bus.faulted()) {
+        bus_fault_left > 0 ? rig.bus.inject_bus_fault() : rig.bus.clear_bus_fault();
+      }
+      bus_fault_left = std::max(0, bus_fault_left - 1);
+    }
+    const std::size_t dvfs_index = dvfs.current_index();
     rig.tick(controller, stream.next(), now);
     ++report.ticks;
     const double t = now.seconds();
 
-    const core::FanTechnique& fan = controller.fan();
-    const core::TdvfsTechnique& dvfs = controller.dvfs();
     ++report.invariants.checks;
     if (fan.current_index() >= fan.array().size()) {
       report.invariants.add(InvariantKind::kSelectorRange, t, 0, "fan index out of range", 64);
@@ -202,6 +225,26 @@ FuzzReport fuzz_unified(std::uint64_t seed, int ticks) {
     check_duty_bounds("unified-fan", fan.current_duty().percent(),
                       cfg.fan.min_duty.percent(), cfg.fan.max_duty.percent(), t,
                       report.invariants);
+
+    // Fail-safe cooling: from the tick after entry on, a healthy bus has
+    // carried the most effective duty to the chip.
+    if (was_failsafe && fan.in_failsafe() && !rig.bus.faulted()) {
+      ++report.invariants.checks;
+      if (std::abs(rig.chip.output_duty().percent() - fan.array().most_effective()) > 0.5) {
+        report.invariants.add(InvariantKind::kStateMachine, t, 0,
+                              "fail-safe duty not at the most effective mode", 64);
+      }
+    }
+    was_failsafe = fan.in_failsafe();
+
+    // A held frequency does not move.
+    if (dvfs.holding()) {
+      ++report.invariants.checks;
+      if (dvfs.current_index() != dvfs_index || dvfs.events().size() != seen_events) {
+        report.invariants.add(InvariantKind::kStateMachine, t, 0, "dvfs retarget while holding",
+                              64);
+      }
+    }
 
     // Fan-preferred coordination on every new DVFS down-trigger.
     const std::vector<core::TdvfsEvent>& events = dvfs.events();

@@ -13,7 +13,10 @@
 //  * UnifiedController — fan/DVFS indices stay inside their arrays, duty
 //    stays inside [min_duty, max_duty], both arrays survive random
 //    set_policy re-fills, DVFS down-triggers honour the fan-preferred
-//    coordination invariant;
+//    coordination invariant; odd seeds run fault-aware under bus-fault
+//    episodes, where the chip holds the most effective duty from the tick
+//    after fail-safe entry whenever the bus is healthy, and tDVFS never
+//    retargets while it holds;
 //  * PredictiveFanController — a RAPL wrap under flat temperature and
 //    constant load must not retarget the fan (the wrap-corrected power
 //    delta is ~zero); duty bounds as above;
