@@ -65,9 +65,6 @@ RcBatch::RcBatch(const RcNetwork& tmpl, std::size_t instances)
 
   node_tau_.assign(node_count_ * instances_, 0.0);
   min_tau_.assign(instances_, 0.0);
-  plan_stale_.assign(instances_, 1);
-  cached_dt_.assign(instances_, -1.0);
-  cached_substeps_.assign(instances_, 1);
   // All columns start identical; rebuilding instance 0 and replicating its
   // taus gives the same bits as rebuilding each column from its (equal)
   // conductances.
@@ -114,7 +111,6 @@ void RcBatch::set_resistance(std::size_t b, EdgeId e, KelvinPerWatt r) {
   refresh_node_tau(edge_nodes_[e.index].first, b);
   refresh_node_tau(edge_nodes_[e.index].second, b);
   min_tau_[b] = min_over_taus(b);
-  plan_stale_[b] = 1;
 }
 
 KelvinPerWatt RcBatch::resistance(std::size_t b, EdgeId e) const {
@@ -177,27 +173,19 @@ void RcBatch::rebuild_taus(std::size_t b) {
 
 Seconds RcBatch::min_time_constant(std::size_t b) const {
   THERMCTL_ASSERT(b < instances_, "instance out of range");
-  // min_tau_ is always fresh. Clearing plan_stale_ on read leaves a
-  // then-stale substep plan cached — the kept quirk the header comment
-  // describes.
-  plan_stale_[b] = 0;
   return Seconds{min_tau_[b]};
 }
 
-void RcBatch::ensure_plan(std::size_t b, double dt) {
-  // Explicit Euler is stable for h < 2*tau; keep sub-steps below tau/8 for
-  // accuracy (sub-degree error per time constant) on top of the stability
-  // margin. Recompute only after a conductance change or when the caller
-  // varies dt.
-  if (plan_stale_[b] || dt != cached_dt_[b]) {
-    const double max_sub = std::max(1e-6, min_tau_[b] / 8.0);
-    cached_substeps_[b] = std::max(1, static_cast<int>(std::ceil(dt / max_sub)));
-    cached_dt_[b] = dt;
-    plan_stale_[b] = 0;
-  }
-}
-
 namespace {
+
+/// Substeps of one step of `dt` for an instance whose smallest time constant
+/// is `min_tau`. Explicit Euler is stable for h < 2*tau; keep sub-steps
+/// below tau/8 for accuracy (sub-degree error per time constant) on top of
+/// the stability margin.
+int substeps(double dt, double min_tau) {
+  const double max_sub = std::max(1e-6, min_tau / 8.0);
+  return std::max(1, static_cast<int>(std::ceil(dt / max_sub)));
+}
 
 // The substep inner loops, hoisted into free functions whose pointer
 // parameters are restrict-qualified. The rows they receive never overlap:
@@ -256,18 +244,15 @@ void RcBatch::euler_substep_range(double h, std::size_t begin, std::size_t end) 
 void RcBatch::step_range(Seconds dt, std::size_t begin, std::size_t end) {
   THERMCTL_ASSERT(dt.value() > 0.0, "step duration must be positive");
   THERMCTL_ASSERT(begin <= end && end <= instances_, "instance range out of bounds");
-  for (std::size_t b = begin; b < end; ++b) {
-    ensure_plan(b, dt.value());
-  }
   // Advance maximal runs of instances that agree on the substep count in one
   // vectorized pass each; a heterogeneous plan splits the range, not the
   // arithmetic, so every instance's trajectory is independent of its
   // neighbours' plans.
   std::size_t i = begin;
   while (i < end) {
-    const int subs = cached_substeps_[i];
+    const int subs = substeps(dt.value(), min_tau_[i]);
     std::size_t j = i + 1;
-    while (j < end && cached_substeps_[j] == subs) {
+    while (j < end && substeps(dt.value(), min_tau_[j]) == subs) {
       ++j;
     }
     const double h = dt.value() / subs;
@@ -284,11 +269,9 @@ void RcBatch::settle_range(std::size_t begin, std::size_t end, int max_iteration
   // Columns per block: the block's temperature, flux, power, conductance and
   // before-copy rows stay cache-resident across its whole march.
   const std::size_t block = std::min<std::size_t>(256, end - begin);
-  // Every column's step is read, duplicates included: the read clears the
-  // column's stale-plan bit (the quirk in the header comment).
   std::vector<double> step(end - begin);
   for (std::size_t b = begin; b < end; ++b) {
-    step[b - begin] = min_time_constant(b).value() / 2.0;
+    step[b - begin] = min_tau_[b] / 2.0;
   }
   // A column that matches the first column of its run bit for bit, in every
   // temperature, power and conductance cell and in the step, would march the
@@ -385,9 +368,7 @@ void RcBatch::settle_range(std::size_t begin, std::size_t end, int max_iteration
 std::size_t RcBatch::memory_bytes() const {
   auto vec_bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return vec_bytes(temp_) + vec_bytes(power_) + vec_bytes(cond_) + vec_bytes(flux_) +
-         vec_bytes(node_tau_) + vec_bytes(min_tau_) + vec_bytes(plan_stale_) +
-         vec_bytes(cached_dt_) + vec_bytes(cached_substeps_) + vec_bytes(capacitance_) +
-         vec_bytes(fixed_) + vec_bytes(csr_offset_) + vec_bytes(csr_neighbor_) +
+         vec_bytes(node_tau_) + vec_bytes(min_tau_) + vec_bytes(capacitance_) + vec_bytes(fixed_) + vec_bytes(csr_offset_) + vec_bytes(csr_neighbor_) +
          vec_bytes(edge_slots_) + vec_bytes(edge_nodes_);
 }
 

@@ -14,13 +14,9 @@
 // Integration is explicit Euler with automatic sub-stepping: each step is
 // split so that every sub-step stays below an eighth of the instance's
 // smallest node time constant, which keeps the scheme stable for the stiff
-// die/heatsink combination without an implicit solver. The substep count is
-// cached per instance and recomputed only after a conductance change or
-// when the caller varies dt. Reading min_time_constant() (settle does) clears
-// the stale bit without refreshing an already-cached plan, so the next step
-// at an unchanged dt reuses the old plan. The quirk is kept on purpose:
-// dropping it changes the bits of any step that follows such a read, so it
-// waits for a deliberate, documented trajectory change.
+// die/heatsink combination without an implicit solver. Each step plans each
+// instance's substep count afresh from its time constant, which
+// set_resistance keeps current.
 //
 // Bit-exactness contract: a column's trajectory depends only on the calls
 // made on that column — never on the batch size, the column's neighbours,
@@ -82,8 +78,8 @@ class RcBatch {
   /// Solves every instance in [begin, end) for the steady state under its
   /// current powers and resistances, by marching it to quiescence: used to
   /// prime experiments that start from thermal equilibrium. Each column
-  /// marches with its own large stable step, min_time_constant(b) / 2 (the
-  /// read clears the column's stale-plan bit), until the largest move of one
+  /// marches with its own large stable step, min_time_constant(b) / 2, until
+  /// the largest move of one
   /// iteration drops below `tolerance_kelvin`, or `max_iterations` pass. The
   /// columns march together in cache-sized blocks: each iteration advances
   /// maximal runs of still-active columns that share a step in one
@@ -133,8 +129,6 @@ class RcBatch {
   /// min over the cached per-node taus, in node order (fixed and
   /// zero-conductance nodes hold the 1e30 sentinel and never win).
   [[nodiscard]] double min_over_taus(std::size_t b) const;
-  /// Refreshes instance b's substep plan if its recompute condition fires.
-  void ensure_plan(std::size_t b, double dt);
 
   [[nodiscard]] double* row(AlignedVector<double>& v, std::size_t k) {
     return v.data() + k * instances_;
@@ -161,18 +155,12 @@ class RcBatch {
   AlignedVector<double> cond_;   // [2E*B], slot-major rows
   AlignedVector<double> flux_;   // [K*B] scratch
 
-  // Per-instance substep plan cache. min_tau_ is kept *always fresh*:
-  // set_resistance refreshes only the touched edge's endpoint taus
-  // (node_tau_) and re-takes the min, so a slewing fan costs O(degree) per
-  // step instead of a full O(E+K) rescan. plan_stale_ marks a conductance
-  // change the cached plan has not seen yet; reading min_time_constant()
-  // clears it without refreshing an already-cached plan (the quirk in the
-  // header comment).
-  AlignedVector<double> node_tau_;               // [K*B]; 1e30 = never wins
-  mutable std::vector<double> min_tau_;          // [B]
-  mutable std::vector<std::uint8_t> plan_stale_;  // [B]
-  std::vector<double> cached_dt_;                // [B]
-  std::vector<int> cached_substeps_;             // [B]
+  // Per-instance time constants, kept *always fresh*: set_resistance
+  // refreshes only the touched edge's endpoint taus (node_tau_) and re-takes
+  // the min, so a slewing fan costs O(degree) per step instead of a full
+  // O(E+K) rescan. Each step plans its substeps from min_tau_.
+  AlignedVector<double> node_tau_;  // [K*B]; 1e30 = never wins
+  std::vector<double> min_tau_;     // [B]
 };
 
 }  // namespace thermctl::thermal

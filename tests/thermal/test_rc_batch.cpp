@@ -6,8 +6,9 @@
 // test here drives column b of a B-column batch and a one-column batch with
 // the same calls and requires bitwise agreement — across odd instance
 // counts (SIMD tails), misaligned step ranges (shard bounds), heterogeneous
-// substep plans and the settle()/min_time_constant() plan-cache quirk. The
-// bits themselves are pinned by tests/golden/.
+// substep plans, and steps after settle() and min_time_constant() reads,
+// which plan afresh like any other step. The bits themselves are pinned by
+// tests/golden/.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -180,35 +181,35 @@ TEST(RcBatch, StepRangeAdvancesOnlyTheRange) {
   EXPECT_NE(bits(batch.temperature(0, tmpl->die).value()), bits(before));
 }
 
-TEST(RcBatch, MinTimeConstantReadLeavesTheCachedPlanInPlace) {
-  // The plan-cache quirk the solver keeps on purpose:
-  // set_resistance marks the column's plan stale, but reading
-  // min_time_constant() (settle does) clears the bit without refreshing the
-  // cached substep plan, so the next step at an unchanged dt runs on the old
-  // plan. Two identical columns, one read apart, must therefore fork.
+TEST(RcBatch, StepAfterAMinTimeConstantReadPlansAfresh) {
+  // A step plans its substeps from the column's current time constant, so
+  // reading min_time_constant() (settle does) changes nothing: two
+  // identical columns, one read apart, step the same bits — and those of a
+  // plan taken after the conductance change.
   auto w = make_package_rig();
   RcBatch batch{w->net, 2};
   const Seconds dt{1.0};
   for (std::size_t b = 0; b < 2; ++b) {
     batch.set_power(b, w->die, Watts{40.0});
   }
-  batch.step_all(dt);  // primes a plan bounded by the die's tau
+  batch.step_all(dt);  // plans a step bounded by the die's tau
   const double primed_tau = batch.min_time_constant(0).value();
   for (std::size_t b = 0; b < 2; ++b) {
-    // Tight enough that the heatsink, not the die, bounds the substep: a
-    // fresh plan at dt takes more substeps than the primed one.
+    // Tight enough that the heatsink, not the die, bounds the substep: the
+    // plan at dt takes more substeps than the primed one.
     batch.set_resistance(b, w->conv, KelvinPerWatt{0.005});
   }
   ASSERT_NE(std::ceil(dt.value() * 8.0 / primed_tau),
             std::ceil(dt.value() * 8.0 / batch.min_time_constant(0).value()));
-  batch.step_all(dt);  // column 0 on the stale plan, column 1 on a fresh one
-  EXPECT_NE(bits(batch.temperature(0, w->die).value()),
-            bits(batch.temperature(1, w->die).value()));
+  batch.step_all(dt);  // column 0 was read after the change, column 1 not
+  EXPECT_BITS_EQ(batch.temperature(0, w->die).value(), batch.temperature(1, w->die).value());
+  EXPECT_BITS_EQ(batch.temperature(0, w->hs).value(), batch.temperature(1, w->hs).value());
 }
 
-TEST(RcBatch, SettleAndStalePlanQuirkMatchBatchOfOne) {
-  // A column runs the settle-then-step sequence exactly as a batch of one
-  // does, stale plan included, whatever its neighbour does.
+TEST(RcBatch, ReadSettleAndStepMatchBatchOfOne) {
+  // A column runs the read-step-settle sequence exactly as a batch of one
+  // does, whatever its neighbour does — and a read on one side only moves
+  // neither.
   auto w = make_package_rig();
   RcBatch batch{w->net, 2};
   RcBatch solo{w->net, 1};
@@ -223,20 +224,18 @@ TEST(RcBatch, SettleAndStalePlanQuirkMatchBatchOfOne) {
   batch.set_power(0, w->die, Watts{90.0});
   batch.set_resistance(0, w->conv, KelvinPerWatt{0.02});
 
-  // Prime a plan at dt = 1.0.
   drive(40.0, 0.5);
   batch.step_all(Seconds{1.0});
   solo.step_all(Seconds{1.0});
-  ASSERT_TRUE(column_matches(batch, 1, solo, *w)) << "after priming step";
+  ASSERT_TRUE(column_matches(batch, 1, solo, *w)) << "after the first step";
 
-  // Shrink the time constant until the heatsink bounds the substep, then
-  // clear the stale bit via min_time_constant: the next step must reuse the
-  // stale plan in both.
+  // Shrink the time constant until the heatsink bounds the substep, and
+  // read it on the batch only: the next step plans afresh in both.
   drive(40.0, 0.005);
-  ASSERT_BITS_EQ(batch.min_time_constant(1).value(), solo.min_time_constant(0).value());
+  ASSERT_GT(batch.min_time_constant(1).value(), 0.0);
   batch.step_all(Seconds{1.0});
   solo.step_all(Seconds{1.0});
-  ASSERT_TRUE(column_matches(batch, 1, solo, *w)) << "after stale-plan step";
+  ASSERT_TRUE(column_matches(batch, 1, solo, *w)) << "after the step that follows a read";
 
   // And settle() itself must agree bitwise.
   drive(25.0, 0.3);
@@ -304,8 +303,7 @@ TEST(RcBatch, StepRangeMisalignedBoundsStayBitExact) {
 // ---- batched settle ----
 // settle_range marches many columns at once. Its contract: every column ends
 // bitwise where settling that column alone (settle(b), which is
-// settle_range(b, b + 1)) leaves it, including the stale-plan bit the step's
-// min_time_constant() read clears.
+// settle_range(b, b + 1)) leaves it, and the steps after it plan afresh.
 
 /// Column b's load: power and convection vary with b, so neighbouring columns
 /// march with different steps and converge at different iterations. The
@@ -418,11 +416,12 @@ TEST(RcBatchSettle, TinyIterationCapMatchesPerColumnSettle) {
   }
 }
 
-TEST(RcBatchSettle, SettleThenStepKeepsThePlanCacheQuirk) {
-  // Prime a substep plan, shrink every column's time constant (the plan goes
-  // stale), then settle: the settle's step read clears the stale bit without
-  // refreshing the plan, so the next step at the same dt reuses the old plan.
-  // Batched settle, per-column settle and batches of one must agree.
+TEST(RcBatchSettle, StepsAfterASettlePlanAfresh) {
+  // Step every column once, shrink its time constant, then settle: the
+  // steps after the settle plan from the new time constant, exactly as a
+  // batch that never stepped before would. Batched settle, per-column
+  // settle, settled batches of one and fresh batches of one holding the
+  // settled state must agree.
   constexpr std::size_t kInstances = 6;
   auto w = make_package_rig();
   RcBatch together = loaded_batch(*w, kInstances);
@@ -438,8 +437,8 @@ TEST(RcBatchSettle, SettleThenStepKeepsThePlanCacheQuirk) {
   for (RcBatch& s : solo) {
     s.step_all(dt);
   }
-  // Tight enough that the heatsink, not the die, bounds the substep: a fresh
-  // plan at dt would take more substeps than the primed one.
+  // Tight enough that the heatsink, not the die, bounds the substep: the
+  // plan at dt takes more substeps than the first step's.
   auto tight = [](std::size_t b) {
     return KelvinPerWatt{0.005 + 0.002 * static_cast<double>(b % 3)};
   };
@@ -460,16 +459,25 @@ TEST(RcBatchSettle, SettleThenStepKeepsThePlanCacheQuirk) {
     alone.settle(b);
     solo[b].settle(0);
   }
+  auto fresh = batches_of_one(*w, kInstances);
+  for (std::size_t b = 0; b < kInstances; ++b) {
+    fresh[b].set_power(0, w->die, settle_power(b));
+    fresh[b].set_resistance(0, w->conv, tight(b));
+    fresh[b].set_temperature(0, w->die, together.temperature(b, w->die));
+    fresh[b].set_temperature(0, w->hs, together.temperature(b, w->hs));
+  }
   for (int step = 0; step < 3; ++step) {
     together.step_all(dt);
     alone.step_all(dt);
-    for (RcBatch& s : solo) {
-      s.step_all(dt);
+    for (std::size_t b = 0; b < kInstances; ++b) {
+      solo[b].step_all(dt);
+      fresh[b].step_all(dt);
     }
   }
   expect_columns_bitwise_equal(together, alone, *w);
   for (std::size_t b = 0; b < kInstances; ++b) {
     EXPECT_TRUE(column_matches(together, b, solo[b], *w));
+    EXPECT_TRUE(column_matches(together, b, fresh[b], *w));
   }
 }
 
@@ -646,10 +654,10 @@ TEST(RcBatchSettle, ColumnWhoseStepIsOneUlpApartMarchesOnItsOwn) {
       *w, 'T', [&](RcBatch& b) { b.set_resistance(2, w->conv, KelvinPerWatt{r}); });
 }
 
-TEST(RcBatchSettle, DuplicateColumnsKeepThePlanCacheQuirk) {
-  // SettleThenStepKeepsThePlanCacheQuirk with every column identical: each
-  // duplicate's stale bit is cleared by the settle's step read, as if it had
-  // marched, so the next steps reuse the primed plan in every column.
+TEST(RcBatchSettle, DuplicateColumnsStepAfterASettleAsOne) {
+  // StepsAfterASettlePlanAfresh with every column identical: each duplicate
+  // takes its run's first column's settled state, and the steps after the
+  // settle plan afresh in every column alike.
   const std::string pattern = "AAAAAA";
   auto w = make_package_rig();
   RcBatch together = pattern_batch(*w, pattern);
@@ -693,10 +701,11 @@ TEST(RcBatch, MemoryFootprintScalesWithInstances) {
   EXPECT_GT(small.memory_bytes(), 0u);
   EXPECT_GT(large.memory_bytes(), small.memory_bytes());
   // The hot per-instance state is (K temps + K powers + K flux + 2E conds)
-  // doubles = (3*3 + 2*2)*8 = 104 bytes/instance for the package wiring;
-  // shared structure amortizes away at scale.
+  // doubles = (3*3 + 2*2)*8 = 104 bytes/instance for the package wiring,
+  // plus K node taus and the min tau, (3 + 1)*8 = 32; shared structure
+  // amortizes away at scale.
   const std::size_t delta = large.memory_bytes() - small.memory_bytes();
-  EXPECT_NEAR(static_cast<double>(delta) / (1024 - 16), 104.0 + 8.0 * 2 + 1.0 + 4.0, 40.0);
+  EXPECT_NEAR(static_cast<double>(delta) / (1024 - 16), 104.0 + 32.0, 40.0);
 }
 
 }  // namespace

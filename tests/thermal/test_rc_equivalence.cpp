@@ -1,7 +1,7 @@
 // Equivalence of the RC solver against the seed implementation.
 //
 // RcBatch flattens adjacency into a shared CSR layout, stores B instances in
-// SoA columns and caches the stability bound / sub-step plan per column;
+// SoA columns and keeps the stability bound per column fresh;
 // this test pins it against a direct re-implementation of the original
 // edge-list solver (alloc-per-step, recompute-everything) and requires
 // trajectories to agree to 1e-9 degC — the solver is a layout/caching
