@@ -44,26 +44,9 @@ FleetState::FleetState(const NodeParams& base, std::size_t count)
       node_(count, base.protection) {}
 
 std::size_t FleetState::memory_bytes() const {
-  auto bytes = [](const auto& v) {
-    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
-  };
-  const hw::CpuColumns& c = cpu_;
-  const hw::InjectorColumns& inj = cpu_.injector;
-  const NodeColumns& n = node_;
-  return batch_.memory_bytes() + bytes(fan_.duty_pct) + bytes(fan_.rpm) + bytes(fan_.stuck) +
-         bytes(sensor_.last_degc) + bytes(sensor_.rng) + bytes(sensor_.stuck) +
-         bytes(sensor_.has_reading) + bytes(c.pstate) + bytes(c.utilization) +
-         bytes(c.die_temperature) + bytes(c.power_cache) + bytes(c.power_valid) +
-         bytes(c.power_gen) + bytes(c.throttled) + bytes(c.transitions) + bytes(c.aperf) +
-         bytes(c.mperf) + bytes(c.energy_uj) + bytes(c.aperf_frac) + bytes(c.mperf_frac) +
-         bytes(c.energy_frac) + bytes(inj.dynamic_factor) + bytes(inj.leakage_factor) +
-         bytes(inj.throughput_factor) + bytes(inj.generation) + bytes(chip_.temp_remote1) +
-         bytes(chip_.tach1) + bytes(chip_.last_measured_rpm) + bytes(chip_.output_duty_pct) +
-         bytes(meter_.energy_j) + bytes(meter_.elapsed_s) + bytes(airflow_.cfm) +
-         bytes(airflow_.set) + bytes(n.util) + bytes(n.busy_jiffies) + bytes(n.total_jiffies) +
-         bytes(n.jiffy_rem_busy) + bytes(n.jiffy_rem_total) + bytes(n.prochot_events) +
-         bytes(n.prochot_seconds) + bytes(n.halted) + bytes(n.bmc_override_duty) +
-         bytes(n.bmc_override_set) + bytes(n.sample_schedule);
+  return batch_.memory_bytes() + cpu_.memory_bytes() + fan_.memory_bytes() +
+         chip_.memory_bytes() + meter_.memory_bytes() + sensor_.memory_bytes() +
+         airflow_.memory_bytes() + node_.memory_bytes();
 }
 
 }  // namespace thermctl::cluster

@@ -31,8 +31,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
+#include "common/columns.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "hw/adt7467.hpp"
@@ -88,6 +90,14 @@ struct NodeColumns {
   std::vector<double> bmc_override_duty;  // percent; valid when the set flag != 0
   std::vector<std::uint8_t> bmc_override_set;
   std::vector<PeriodicSchedule> sample_schedule;
+
+  /// Every column, once (see common/columns.hpp).
+  [[nodiscard]] auto columns() const {
+    return std::tie(util, busy_jiffies, total_jiffies, jiffy_rem_busy, jiffy_rem_total,
+                    prochot_events, prochot_seconds, halted, bmc_override_duty, bmc_override_set,
+                    sample_schedule);
+  }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
 };
 
 class FleetState {

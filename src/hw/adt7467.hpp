@@ -30,8 +30,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <tuple>
 #include <vector>
 
+#include "common/columns.hpp"
 #include "common/units.hpp"
 #include "hw/i2c.hpp"
 
@@ -51,6 +53,12 @@ struct ChipColumns {
   /// Mirror of reg_to_duty(PWM1_DUTY).percent(), refreshed whenever the duty
   /// register changes (auto-curve refresh or manual write).
   std::vector<double> output_duty_pct;
+
+  /// Every column, once (see common/columns.hpp).
+  [[nodiscard]] auto columns() const {
+    return std::tie(temp_remote1, tach1, last_measured_rpm, output_duty_pct);
+  }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
 };
 
 class Adt7467 : public I2cSlave {

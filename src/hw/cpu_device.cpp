@@ -9,6 +9,7 @@ namespace thermctl::hw {
 
 CpuColumns::CpuColumns(std::size_t n, CpuParams cpu_params)
     : params(std::move(cpu_params)),
+      injector(n, params.idle),
       pstate(n, 0),
       utilization(n, 0.0),
       die_temperature(n, 40.0),
@@ -22,8 +23,7 @@ CpuColumns::CpuColumns(std::size_t n, CpuParams cpu_params)
       energy_uj(n, 0),
       aperf_frac(n, 0.0),
       mperf_frac(n, 0.0),
-      energy_frac(n, 0.0),
-      injector(n, params.idle) {
+      energy_frac(n, 0.0) {
   THERMCTL_ASSERT(!params.pstates.empty(), "CPU needs at least one P-state");
   for (std::size_t i = 1; i < params.pstates.size(); ++i) {
     THERMCTL_ASSERT(params.pstates[i].frequency < params.pstates[i - 1].frequency,

@@ -21,8 +21,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
+#include "common/columns.hpp"
 #include "common/units.hpp"
 #include "hw/cstates.hpp"
 
@@ -149,6 +151,7 @@ struct CpuColumns {
   CpuColumns(std::size_t n, CpuParams cpu_params);
 
   const CpuParams params;
+  InjectorColumns injector;  // built from params.idle
   std::vector<std::uint32_t> pstate;
   std::vector<double> utilization;      // fraction
   std::vector<double> die_temperature;  // °C
@@ -163,7 +166,17 @@ struct CpuColumns {
   std::vector<double> aperf_frac;
   std::vector<double> mperf_frac;
   std::vector<double> energy_frac;
-  InjectorColumns injector;  // built from params.idle
+
+  /// Every column, once (see common/columns.hpp).
+  [[nodiscard]] auto columns() const {
+    return std::tie(pstate, utilization, die_temperature, power_cache, power_valid, power_gen,
+                    throttled, transitions, aperf, mperf, energy_uj, aperf_frac, mperf_frac,
+                    energy_frac);
+  }
+  /// This group's columns and its injector's.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return column_bytes(columns()) + injector.memory_bytes();
+  }
 };
 
 /// One CPU: a view onto row `slot` of a CpuColumns.

@@ -15,8 +15,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/columns.hpp"
 #include "common/units.hpp"
 
 namespace thermctl::hw {
@@ -58,6 +60,12 @@ struct InjectorColumns {
   std::vector<double> leakage_factor;
   std::vector<double> throughput_factor;
   std::vector<std::uint64_t> generation;
+
+  /// Every column, once (see common/columns.hpp).
+  [[nodiscard]] auto columns() const {
+    return std::tie(dynamic_factor, leakage_factor, throughput_factor, generation);
+  }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
 };
 
 /// Duty-cycled forced idle on one CPU. The CpuDevice consults this to scale

@@ -16,8 +16,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
+#include "common/columns.hpp"
 #include "common/units.hpp"
 
 namespace thermctl::hw {
@@ -74,6 +76,10 @@ struct FanColumns {
   std::vector<double> duty_pct;
   std::vector<double> rpm;
   std::vector<std::uint8_t> stuck;
+
+  /// Every column, once (see common/columns.hpp).
+  [[nodiscard]] auto columns() const { return std::tie(duty_pct, rpm, stuck); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
 };
 
 /// One fan: a view onto row `slot` of a FanColumns.

@@ -9,8 +9,10 @@
 
 #include <cmath>
 #include <cstddef>
+#include <tuple>
 #include <vector>
 
+#include "common/columns.hpp"
 #include "common/units.hpp"
 
 namespace thermctl::hw {
@@ -46,6 +48,10 @@ struct MeterColumns {
   const PowerMeterParams params;
   std::vector<double> energy_j;
   std::vector<double> elapsed_s;
+
+  /// Every column, once (see common/columns.hpp).
+  [[nodiscard]] auto columns() const { return std::tie(energy_j, elapsed_s); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
 };
 
 /// One wall meter: a view onto row `slot` of a MeterColumns.

@@ -10,8 +10,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
+#include "common/columns.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 
@@ -65,6 +67,10 @@ struct SensorColumns {
   std::vector<Rng> rng;
   std::vector<std::uint8_t> stuck;
   std::vector<std::uint8_t> has_reading;
+
+  /// Every column, once (see common/columns.hpp).
+  [[nodiscard]] auto columns() const { return std::tie(last_degc, rng, stuck, has_reading); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
 };
 
 /// One sensor: a view onto row `slot` of a SensorColumns.

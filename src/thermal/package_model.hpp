@@ -10,8 +10,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
+#include "common/columns.hpp"
 #include "common/units.hpp"
 #include "thermal/convection.hpp"
 #include "thermal/rc_batch.hpp"
@@ -53,6 +55,10 @@ struct AirflowColumns {
   const ConvectionModel convection;
   std::vector<double> cfm;
   std::vector<std::uint8_t> set;
+
+  /// Every column, once (see common/columns.hpp).
+  [[nodiscard]] auto columns() const { return std::tie(cfm, set); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
 
   /// The early-out on one row's cells: records `v` and returns true unless
   /// it is the airflow last applied, in which case the convection law need

@@ -2,6 +2,8 @@
 // group per device, and the Node objects are views over them.
 #include <cstdint>
 #include <cstring>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -173,6 +175,71 @@ TEST(FleetState, MemoryFootprintIsFlatPerNode) {
   sensor.has_reading.reserve(128);
   EXPECT_EQ(small.memory_bytes() - before,
             64 * (sizeof(double) + sizeof(Rng) + 2 * sizeof(std::uint8_t)));
+}
+
+/// `group`'s columns() list names its columns in declaration order and
+/// covers the group from the first of them to its end, so a column declared
+/// but left out of the list leaves a gap or a tail.
+template <typename Group>
+::testing::AssertionResult lists_every_column(const Group& group) {
+  const auto columns = group.columns();
+  const auto* first = reinterpret_cast<const char*>(&std::get<0>(columns));
+  const auto* end = reinterpret_cast<const char*>(&group) + sizeof(Group);
+  constexpr std::size_t kColumnSize = sizeof(std::vector<char>);
+  std::size_t k = 0;
+  bool in_order = true;
+  std::apply(
+      [&](const auto&... column) {
+        ((in_order = in_order &&
+                     reinterpret_cast<const char*>(&column) == first + kColumnSize * k++),
+         ...);
+      },
+      columns);
+  if (!in_order) {
+    return ::testing::AssertionFailure() << "columns() skips or reorders a column";
+  }
+  if (static_cast<std::size_t>(end - first) != kColumnSize * k) {
+    return ::testing::AssertionFailure()
+           << (end - first) << " bytes of columns, " << k << " listed";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Reserves `rows` rows in every column `group` lists and returns the bytes
+/// one row of them takes.
+template <typename Group>
+std::size_t reserve_listed(const Group& group, std::size_t rows) {
+  return std::apply(
+      [rows](const auto&... column) {
+        // The fleet is not const; its groups hand out const lists.
+        (const_cast<std::remove_cvref_t<decltype(column)>&>(column).reserve(rows), ...);
+        return (std::size_t{0} + ... +
+                sizeof(typename std::remove_cvref_t<decltype(column)>::value_type));
+      },
+      group.columns());
+}
+
+TEST(FleetState, EveryColumnIsListedAndCounted) {
+  NodeParams params;
+  FleetState fleet{params, 64};
+  EXPECT_TRUE(lists_every_column(fleet.cpu()));
+  EXPECT_TRUE(lists_every_column(fleet.cpu().injector));
+  EXPECT_TRUE(lists_every_column(fleet.fan()));
+  EXPECT_TRUE(lists_every_column(fleet.chip()));
+  EXPECT_TRUE(lists_every_column(fleet.meter()));
+  EXPECT_TRUE(lists_every_column(fleet.sensor()));
+  EXPECT_TRUE(lists_every_column(fleet.airflow()));
+  EXPECT_TRUE(lists_every_column(fleet.node()));
+
+  // memory_bytes() counts every listed column of every group: doubling
+  // their capacity grows the total by exactly the added rows.
+  const std::size_t before = fleet.memory_bytes();
+  const std::size_t row_bytes =
+      reserve_listed(fleet.cpu(), 128) + reserve_listed(fleet.cpu().injector, 128) +
+      reserve_listed(fleet.fan(), 128) + reserve_listed(fleet.chip(), 128) +
+      reserve_listed(fleet.meter(), 128) + reserve_listed(fleet.sensor(), 128) +
+      reserve_listed(fleet.airflow(), 128) + reserve_listed(fleet.node(), 128);
+  EXPECT_EQ(fleet.memory_bytes() - before, 64 * row_bytes);
 }
 
 }  // namespace
