@@ -20,18 +20,9 @@ thermal::RcBatch make_batch(const thermal::PackageParams& package, std::size_t c
 }  // namespace
 
 NodeColumns::NodeColumns(std::size_t n, const ProtectionParams& protection_params)
-    : protection(protection_params),
-      util(n, 0.0),
-      busy_jiffies(n, 0),
-      total_jiffies(n, 0),
-      jiffy_rem_busy(n, 0.0),
-      jiffy_rem_total(n, 0.0),
-      prochot_events(n, 0),
-      prochot_seconds(n, 0.0),
-      halted(n, 0),
-      bmc_override_duty(n, 0.0),
-      bmc_override_set(n, 0),
-      sample_schedule(n) {}
+    : protection(protection_params) {
+  size_columns(columns(*this), n);
+}
 
 FleetState::FleetState(const NodeParams& base, std::size_t count)
     : batch_(make_batch(base.package, count, &wiring_)),

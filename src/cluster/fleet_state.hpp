@@ -92,12 +92,12 @@ struct NodeColumns {
   std::vector<PeriodicSchedule> sample_schedule;
 
   /// Every column, once (see common/columns.hpp).
-  [[nodiscard]] auto columns() const {
-    return std::tie(util, busy_jiffies, total_jiffies, jiffy_rem_busy, jiffy_rem_total,
-                    prochot_events, prochot_seconds, halted, bmc_override_duty, bmc_override_set,
-                    sample_schedule);
+  static auto columns(auto& g) {
+    return std::tie(g.util, g.busy_jiffies, g.total_jiffies, g.jiffy_rem_busy, g.jiffy_rem_total,
+                    g.prochot_events, g.prochot_seconds, g.halted, g.bmc_override_duty,
+                    g.bmc_override_set, g.sample_schedule);
   }
-  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns(*this)); }
 };
 
 class FleetState {

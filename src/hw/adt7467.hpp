@@ -55,10 +55,10 @@ struct ChipColumns {
   std::vector<double> output_duty_pct;
 
   /// Every column, once (see common/columns.hpp).
-  [[nodiscard]] auto columns() const {
-    return std::tie(temp_remote1, tach1, last_measured_rpm, output_duty_pct);
+  static auto columns(auto& g) {
+    return std::tie(g.temp_remote1, g.tach1, g.last_measured_rpm, g.output_duty_pct);
   }
-  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns(*this)); }
 };
 
 class Adt7467 : public I2cSlave {

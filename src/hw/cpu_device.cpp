@@ -8,22 +8,9 @@
 namespace thermctl::hw {
 
 CpuColumns::CpuColumns(std::size_t n, CpuParams cpu_params)
-    : params(std::move(cpu_params)),
-      injector(n, params.idle),
-      pstate(n, 0),
-      utilization(n, 0.0),
-      die_temperature(n, 40.0),
-      power_cache(n, 0.0),
-      power_valid(n, 0),
-      power_gen(n, 0),
-      throttled(n, 0),
-      transitions(n, 0),
-      aperf(n, 0),
-      mperf(n, 0),
-      energy_uj(n, 0),
-      aperf_frac(n, 0.0),
-      mperf_frac(n, 0.0),
-      energy_frac(n, 0.0) {
+    : params(std::move(cpu_params)), injector(n, params.idle) {
+  size_columns(columns(*this), n);
+  die_temperature.assign(n, 40.0);
   THERMCTL_ASSERT(!params.pstates.empty(), "CPU needs at least one P-state");
   for (std::size_t i = 1; i < params.pstates.size(); ++i) {
     THERMCTL_ASSERT(params.pstates[i].frequency < params.pstates[i - 1].frequency,

@@ -168,14 +168,14 @@ struct CpuColumns {
   std::vector<double> energy_frac;
 
   /// Every column, once (see common/columns.hpp).
-  [[nodiscard]] auto columns() const {
-    return std::tie(pstate, utilization, die_temperature, power_cache, power_valid, power_gen,
-                    throttled, transitions, aperf, mperf, energy_uj, aperf_frac, mperf_frac,
-                    energy_frac);
+  static auto columns(auto& g) {
+    return std::tie(g.pstate, g.utilization, g.die_temperature, g.power_cache, g.power_valid,
+                    g.power_gen, g.throttled, g.transitions, g.aperf, g.mperf, g.energy_uj,
+                    g.aperf_frac, g.mperf_frac, g.energy_frac);
   }
   /// This group's columns and its injector's.
   [[nodiscard]] std::size_t memory_bytes() const {
-    return column_bytes(columns()) + injector.memory_bytes();
+    return column_bytes(columns(*this)) + injector.memory_bytes();
   }
 };
 

@@ -62,10 +62,10 @@ struct InjectorColumns {
   std::vector<std::uint64_t> generation;
 
   /// Every column, once (see common/columns.hpp).
-  [[nodiscard]] auto columns() const {
-    return std::tie(dynamic_factor, leakage_factor, throughput_factor, generation);
+  static auto columns(auto& g) {
+    return std::tie(g.dynamic_factor, g.leakage_factor, g.throughput_factor, g.generation);
   }
-  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns(*this)); }
 };
 
 /// Duty-cycled forced idle on one CPU. The CpuDevice consults this to scale

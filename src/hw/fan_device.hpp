@@ -78,8 +78,8 @@ struct FanColumns {
   std::vector<std::uint8_t> stuck;
 
   /// Every column, once (see common/columns.hpp).
-  [[nodiscard]] auto columns() const { return std::tie(duty_pct, rpm, stuck); }
-  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
+  static auto columns(auto& g) { return std::tie(g.duty_pct, g.rpm, g.stuck); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns(*this)); }
 };
 
 /// One fan: a view onto row `slot` of a FanColumns.

@@ -50,8 +50,8 @@ struct MeterColumns {
   std::vector<double> elapsed_s;
 
   /// Every column, once (see common/columns.hpp).
-  [[nodiscard]] auto columns() const { return std::tie(energy_j, elapsed_s); }
-  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
+  static auto columns(auto& g) { return std::tie(g.energy_j, g.elapsed_s); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns(*this)); }
 };
 
 /// One wall meter: a view onto row `slot` of a MeterColumns.

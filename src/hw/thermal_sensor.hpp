@@ -69,8 +69,8 @@ struct SensorColumns {
   std::vector<std::uint8_t> has_reading;
 
   /// Every column, once (see common/columns.hpp).
-  [[nodiscard]] auto columns() const { return std::tie(last_degc, rng, stuck, has_reading); }
-  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
+  static auto columns(auto& g) { return std::tie(g.last_degc, g.rng, g.stuck, g.has_reading); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns(*this)); }
 };
 
 /// One sensor: a view onto row `slot` of a SensorColumns.

@@ -57,8 +57,8 @@ struct AirflowColumns {
   std::vector<std::uint8_t> set;
 
   /// Every column, once (see common/columns.hpp).
-  [[nodiscard]] auto columns() const { return std::tie(cfm, set); }
-  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns()); }
+  static auto columns(auto& g) { return std::tie(g.cfm, g.set); }
+  [[nodiscard]] std::size_t memory_bytes() const { return column_bytes(columns(*this)); }
 
   /// The early-out on one row's cells: records `v` and returns true unless
   /// it is the airflow last applied, in which case the convection law need

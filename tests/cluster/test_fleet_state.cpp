@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <cstring>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,12 +176,12 @@ TEST(FleetState, MemoryFootprintIsFlatPerNode) {
             64 * (sizeof(double) + sizeof(Rng) + 2 * sizeof(std::uint8_t)));
 }
 
-/// `group`'s columns() list names its columns in declaration order and
-/// covers the group from the first of them to its end, so a column declared
-/// but left out of the list leaves a gap or a tail.
+/// `group`'s column list names its columns in declaration order and covers
+/// the group from the first of them to its end, so a column declared but
+/// left out of the list leaves a gap or a tail.
 template <typename Group>
 ::testing::AssertionResult lists_every_column(const Group& group) {
-  const auto columns = group.columns();
+  const auto columns = Group::columns(group);
   const auto* first = reinterpret_cast<const char*>(&std::get<0>(columns));
   const auto* end = reinterpret_cast<const char*>(&group) + sizeof(Group);
   constexpr std::size_t kColumnSize = sizeof(std::vector<char>);
@@ -196,7 +195,7 @@ template <typename Group>
       },
       columns);
   if (!in_order) {
-    return ::testing::AssertionFailure() << "columns() skips or reorders a column";
+    return ::testing::AssertionFailure() << "the list skips or reorders a column";
   }
   if (static_cast<std::size_t>(end - first) != kColumnSize * k) {
     return ::testing::AssertionFailure()
@@ -208,15 +207,13 @@ template <typename Group>
 /// Reserves `rows` rows in every column `group` lists and returns the bytes
 /// one row of them takes.
 template <typename Group>
-std::size_t reserve_listed(const Group& group, std::size_t rows) {
+std::size_t reserve_listed(Group& group, std::size_t rows) {
   return std::apply(
-      [rows](const auto&... column) {
-        // The fleet is not const; its groups hand out const lists.
-        (const_cast<std::remove_cvref_t<decltype(column)>&>(column).reserve(rows), ...);
-        return (std::size_t{0} + ... +
-                sizeof(typename std::remove_cvref_t<decltype(column)>::value_type));
+      [rows](auto&... column) {
+        (column.reserve(rows), ...);
+        return (std::size_t{0} + ... + sizeof(column[0]));
       },
-      group.columns());
+      Group::columns(group));
 }
 
 TEST(FleetState, EveryColumnIsListedAndCounted) {
