@@ -6,28 +6,13 @@
 
 namespace thermctl::core {
 
-namespace {
-
-std::vector<double> duty_modes(const FanControlConfig& config) {
-  std::vector<double> modes;
-  const int lo = static_cast<int>(std::lround(config.min_duty.percent()));
-  const int hi = static_cast<int>(std::lround(config.max_duty.percent()));
-  for (int d = lo; d <= hi; ++d) {
-    modes.push_back(static_cast<double>(d));
-  }
-  return modes;
-}
-
-}  // namespace
-
 PredictiveFanController::PredictiveFanController(sysfs::HwmonDevice& hwmon,
                                                  sysfs::RaplDomain& rapl,
                                                  PredictiveFanConfig config)
     : hwmon_(hwmon),
       rapl_(rapl),
       config_(config),
-      array_(duty_modes(config.base), config.base.array_size, config.base.pp),
-      selector_(config.base.selector, config.base.array_size),
+      family_(config.base),
       window_(config.base.window) {}
 
 void PredictiveFanController::on_sample(SimTime now) {
@@ -36,7 +21,7 @@ void PredictiveFanController::on_sample(SimTime now) {
   if (!initialized_) {
     index_ = 0;
     if (hwmon_.set_manual_mode()) {
-      hwmon_.write_pwm(DutyCycle{array_.least_effective()});
+      hwmon_.write_pwm(DutyCycle{family_.array.least_effective()});
     }
     last_energy_uj_ = rapl_.energy_uj();
     last_round_time_ = now;
@@ -82,25 +67,24 @@ void PredictiveFanController::on_sample(SimTime now) {
   WindowRound augmented = *round;
   augmented.level1_delta = augmented.level1_delta + CelsiusDelta{feedforward_dt};
 
-  const ModeDecision decision = selector_.decide(index_, augmented);
+  const ModeDecision decision = family_.selector.decide(index_, augmented);
   // What history alone would have decided, for attribution.
-  const bool history_would_move = selector_.decide(index_, *round).changed;
+  const bool history_would_move = family_.selector.decide(index_, *round).changed;
   if (!decision.changed) {
     return;
   }
-  const double from = array_.mode(index_);
-  const double to = array_.mode(decision.target);
-  if (to == from) {
-    index_ = decision.target;  // an Eq. (1) duplicate: no duty to write
-    return;
-  }
-  // Commit the index only once the duty reached the chip, as
-  // FanTechnique::act does: after a failed write the controller must still
-  // believe the duty the chip holds.
-  if (!hwmon_.write_pwm(DutyCycle{to})) {
+  const double from = family_.array.mode(index_);
+  const double to = family_.array.mode(decision.target);
+  // Commit the index only once the duty reached the chip (an Eq. (1)
+  // duplicate needs no write), as FanTechnique::act does: after a failed
+  // write the controller must still believe the duty the chip holds.
+  if (to != from && !hwmon_.write_pwm(DutyCycle{to})) {
     return;
   }
   index_ = decision.target;
+  if (to == from) {
+    return;
+  }
   ++retargets_;
   if (feedforward_dt != 0.0 && !history_would_move) {
     ++feedforward_;  // the counter term alone caused this move

@@ -54,7 +54,7 @@ class PredictiveFanController {
   void on_sample(SimTime now);
 
   [[nodiscard]] std::size_t current_index() const { return index_; }
-  [[nodiscard]] DutyCycle current_duty() const { return DutyCycle{array_.mode(index_)}; }
+  [[nodiscard]] DutyCycle current_duty() const { return DutyCycle{family_.array.mode(index_)}; }
   [[nodiscard]] const std::vector<FanEvent>& events() const { return events_; }
   [[nodiscard]] std::uint64_t retarget_count() const { return retargets_; }
   /// Retargets attributable to the power feed-forward (counter) term.
@@ -64,8 +64,7 @@ class PredictiveFanController {
   sysfs::HwmonDevice& hwmon_;
   sysfs::RaplDomain& rapl_;
   PredictiveFanConfig config_;
-  ThermalControlArray array_;
-  ModeSelector selector_;
+  FanFamily family_;  // config.base's selector and Eq. (1) array
   TwoLevelWindow window_;
   std::size_t index_ = 0;
   bool initialized_ = false;

@@ -58,12 +58,10 @@ void UnifiedController::on_sample_with(SimTime now, Celsius reading) {
   fan_.begin(now);
   const SensorVerdict verdict = gate_.admit(now, reading, fan_.trace(), FanTechnique::kSubsystem);
   fan_.on_verdict(now, verdict, window_);
-  std::optional<WindowRound> round;
-  if (verdict.push) {
-    round = window_.add_sample(reading);
-    if (round.has_value()) {
-      fan_.act(now, *round);
-    }
+  const std::optional<WindowRound> round =
+      verdict.push ? window_.add_sample(reading) : std::nullopt;
+  if (round.has_value()) {
+    fan_.act(now, *round);
   }
   dvfs_.begin(now);
   dvfs_.on_verdict(now, verdict, window_);

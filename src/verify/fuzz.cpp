@@ -200,15 +200,13 @@ FuzzReport fuzz_unified(std::uint64_t seed, int ticks) {
   std::size_t seen_events = 0;
   for (int i = 0; i < ticks; ++i) {
     now.advance_us(250000);
-    if (fault_aware) {
-      if (bus_fault_left == 0 && bus_rng.below(100) == 0) {
-        bus_fault_left = 1 + static_cast<int>(bus_rng.below(20));
-      }
-      if ((bus_fault_left > 0) != rig.bus.faulted()) {
-        bus_fault_left > 0 ? rig.bus.inject_bus_fault() : rig.bus.clear_bus_fault();
-      }
-      bus_fault_left = std::max(0, bus_fault_left - 1);
+    if (fault_aware && bus_fault_left == 0 && bus_rng.below(100) == 0) {
+      bus_fault_left = 1 + static_cast<int>(bus_rng.below(20));
     }
+    if ((bus_fault_left > 0) != rig.bus.faulted()) {
+      bus_fault_left > 0 ? rig.bus.inject_bus_fault() : rig.bus.clear_bus_fault();
+    }
+    bus_fault_left = std::max(0, bus_fault_left - 1);
     const std::size_t dvfs_index = dvfs.current_index();
     rig.tick(controller, stream.next(), now);
     ++report.ticks;
