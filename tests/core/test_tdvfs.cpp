@@ -24,6 +24,12 @@ TEST(Tdvfs, NoActionBelowThreshold) {
   EXPECT_DOUBLE_EQ(rig.cpu.frequency().value(), 2.4);
   EXPECT_TRUE(daemon.events().empty());
   EXPECT_EQ(rig.cpu.transition_count(), 0u);
+  // The paper triggers "above 51 °C": an average of exactly 51.0 is not
+  // above it, however long it lasts.
+  rig.run_flat(daemon, 51.0, 60);
+  EXPECT_DOUBLE_EQ(rig.cpu.frequency().value(), 2.4);
+  EXPECT_TRUE(daemon.events().empty());
+  EXPECT_EQ(rig.cpu.transition_count(), 0u);
 }
 
 TEST(Tdvfs, ScalesDownWhenConsistentlyAboveThreshold) {
@@ -78,6 +84,10 @@ TEST(Tdvfs, HysteresisBandHoldsState) {
   ASSERT_LT(down, 2.4);
   // 50 °C sits inside (49, 51): neither counter accumulates.
   rig.run_flat(daemon, 50.0, 60);
+  EXPECT_DOUBLE_EQ(rig.cpu.frequency().value(), down);
+  // Restoring needs an average *below* threshold - hysteresis: exactly
+  // 49.0 holds the scaled-down state too.
+  rig.run_flat(daemon, 49.0, 60);
   EXPECT_DOUBLE_EQ(rig.cpu.frequency().value(), down);
 }
 
