@@ -22,8 +22,6 @@
 #include "core/mode_selector.hpp"
 #include "core/two_level_window.hpp"
 #include "thermal/package_model.hpp"
-#include "thermal/rc_batch.hpp"
-#include "thermal/rc_network.hpp"
 
 namespace {
 
@@ -76,13 +74,9 @@ void BM_ModeSelectorDecide(benchmark::State& state) {
 BENCHMARK(BM_ModeSelectorDecide);
 
 void BM_PackagePhysicsStep(benchmark::State& state) {
-  // One package: a view onto a one-column batch.
-  const thermal::PackageParams params;
-  thermal::RcNetwork tmpl;
-  const thermal::PackageWiring wiring = thermal::PackageModel::wire_network(params, tmpl);
-  thermal::RcBatch batch{tmpl, 1};
-  thermal::AirflowColumns airflow{1, params.convection};
-  thermal::PackageModel pkg{params, wiring, batch, airflow, 0};
+  // One package: a view onto a group of one.
+  thermal::PackageColumns cols{1, thermal::PackageParams{}};
+  thermal::PackageModel pkg{cols, 0};
   pkg.set_cpu_power(Watts{60.0});
   pkg.set_airflow(Cfm{16.0});
   for (auto _ : state) {
@@ -273,21 +267,19 @@ BENCHMARK(BM_ClusterBuild)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_RcBatchStepFleet(benchmark::State& state) {
-  // The RC solver at fleet scale: N package instances advanced by
-  // restrict-qualified, compiler-vectorized SoA sweeps over the instance
-  // axis. items/sec is package-steps per second.
+void BM_PackageStepFleet(benchmark::State& state) {
+  // The package solver at fleet scale: N packages advanced by one
+  // restrict-qualified, compiler-vectorized pass over the rows per substep.
+  // items/sec is package-steps per second.
   const std::size_t instances = static_cast<std::size_t>(state.range(0));
-  thermal::RcNetwork tmpl;
-  thermal::PackageModel::wire_network(thermal::PackageParams{}, tmpl);
-  thermal::RcBatch batch{tmpl, instances};
+  thermal::PackageColumns cols{instances, thermal::PackageParams{}};
   for (auto _ : state) {
-    batch.step_all(Seconds{0.05});
+    cols.step_range(Seconds{0.05}, 0, instances);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(instances));
 }
-BENCHMARK(BM_RcBatchStepFleet)->Arg(1)->Arg(64)->Arg(4096);
+BENCHMARK(BM_PackageStepFleet)->Arg(1)->Arg(64)->Arg(4096)->Arg(16384)->Arg(100000);
 
 // Per-phase cost of one fleet step. Every iteration runs the whole step on a
 // settled fleet under mixed load, in the order Cluster::step and the engine

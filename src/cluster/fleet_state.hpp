@@ -4,14 +4,12 @@
 // API (sysfs, controllers), but none of them owns its hot state or its
 // constants: FleetState keeps both, in one place:
 //
-//   * temperatures, power inputs, edge conductances, capacitances — inside an
-//     RcBatch built from the shared package wiring (capacitances and
-//     adjacency stored once, per-node state in node-major rows);
 //   * one column group per device, declared next to the device it belongs
-//     to: hw::CpuColumns (operating point, power memo, counter block and the
-//     idle injector's group), hw::FanColumns, hw::ChipColumns,
-//     hw::MeterColumns, hw::SensorColumns and the package's
-//     thermal::AirflowColumns;
+//     to: thermal::PackageColumns (the die–heatsink–ambient chain's
+//     temperatures, die power, convection and airflow memo, which it also
+//     solves), hw::CpuColumns (operating point, power memo, counter block
+//     and the idle injector's group), hw::FanColumns, hw::ChipColumns,
+//     hw::MeterColumns and hw::SensorColumns;
 //   * NodeColumns: the node's own jiffy, protection, BMC-override and
 //     sampling-schedule state.
 //
@@ -20,11 +18,10 @@
 // and a fresh group holds every device's power-on values. The sensor group
 // measures the batch's die-temperature row and holds each row's noise
 // generator, which the row's Node seeds. Every Node is a view over one
-// slot: its PackageModel is one batch column, and each of its devices is a
-// (group, slot) view, so controllers and sysfs keep their per-node object
+// slot: its PackageModel and each of its devices is a (group, slot) view, so controllers and sysfs keep their per-node object
 // API while the fleet carries one copy of each constant.
-// The payoff is the engine's hot loop: one vectorized RcBatch::step_range
-// call advances the whole fleet's thermals, and FleetSweep runs the
+// The payoff is the engine's hot loop: one vectorized
+// PackageColumns::step_range call advances the whole fleet's thermals, and FleetSweep runs the
 // per-node device/OS phases as contiguous array passes instead of N
 // object-graph walks.
 #pragma once
@@ -43,7 +40,6 @@
 #include "hw/power_meter.hpp"
 #include "hw/thermal_sensor.hpp"
 #include "thermal/package_model.hpp"
-#include "thermal/rc_batch.hpp"
 
 namespace thermctl::cluster {
 
@@ -105,21 +101,18 @@ class FleetState {
   /// Allocates SoA state for `count` nodes built from `base`.
   FleetState(const NodeParams& base, std::size_t count);
 
-  [[nodiscard]] std::size_t size() const { return batch_.instance_count(); }
-
-  /// The batched RC solver every node's PackageModel views into.
-  [[nodiscard]] thermal::RcBatch& batch() { return batch_; }
-  [[nodiscard]] const thermal::RcBatch& batch() const { return batch_; }
-  /// Handles into the shared die—heatsink—ambient wiring.
-  [[nodiscard]] const thermal::PackageWiring& wiring() const { return wiring_; }
+  [[nodiscard]] std::size_t size() const { return package_.size(); }
 
   // ---- the column groups, one per device ----
+  /// The packages' group, which every node's PackageModel views into and
+  /// which solves their thermals in batch.
+  [[nodiscard]] thermal::PackageColumns& batch() { return package_; }
+  [[nodiscard]] const thermal::PackageColumns& batch() const { return package_; }
   [[nodiscard]] hw::CpuColumns& cpu() { return cpu_; }
   [[nodiscard]] hw::FanColumns& fan() { return fan_; }
   [[nodiscard]] hw::ChipColumns& chip() { return chip_; }
   [[nodiscard]] hw::MeterColumns& meter() { return meter_; }
   [[nodiscard]] hw::SensorColumns& sensor() { return sensor_; }
-  [[nodiscard]] thermal::AirflowColumns& airflow() { return airflow_; }
   [[nodiscard]] NodeColumns& node() { return node_; }
 
   // ---- forwards kept for the benchmark harness ----
@@ -129,19 +122,17 @@ class FleetState {
   [[nodiscard]] double* util_data() { return node_.util.data(); }
   [[nodiscard]] std::uint8_t* halted_data() { return node_.halted.data(); }
 
-  /// Heap footprint of the fleet's hot state (bytes): the RC batch plus the
-  /// device-state columns. The scaling benchmark divides this by node count.
+  /// Heap footprint of the fleet's hot state (bytes): every group's
+  /// columns. The scaling benchmark divides this by node count.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  thermal::PackageWiring wiring_{};
-  thermal::RcBatch batch_;
+  thermal::PackageColumns package_;
   hw::CpuColumns cpu_;
   hw::FanColumns fan_;
   hw::ChipColumns chip_;
   hw::MeterColumns meter_;
   hw::SensorColumns sensor_;
-  thermal::AirflowColumns airflow_;
   NodeColumns node_;
 };
 

@@ -11,10 +11,12 @@ FleetSweep::FleetSweep(FleetState& fleet, const std::vector<Node*>& nodes)
     : fleet_(fleet), nodes_(nodes) {
   THERMCTL_ASSERT(nodes_.size() == fleet_.size(), "sweep needs one node per fleet slot");
 
-  die_temp_ = fleet_.batch().temperature_cell(0, fleet_.wiring().die);
-  die_power_ = fleet_.batch().power_cell(0, fleet_.wiring().die);
-  hs_amb_ = fleet_.wiring().hs_amb;
-
+  thermal::PackageColumns& package = fleet_.batch();
+  die_temp_ = package.t_die.data();
+  die_power_ = package.p_die.data();
+  g_conv_ = package.g_conv.data();
+  airflow_ = package.cfm.data();
+  airflow_set_ = package.set.data();
   hw::FanColumns& fan = fleet_.fan();
   fan_duty_ = fan.duty_pct.data();
   fan_rpm_ = fan.rpm.data();
@@ -50,8 +52,6 @@ FleetSweep::FleetSweep(FleetState& fleet, const std::vector<Node*>& nodes)
   chip_out_duty_ = chip.output_duty_pct.data();
   meter_energy_ = fleet_.meter().energy_j.data();
   meter_elapsed_ = fleet_.meter().elapsed_s.data();
-  airflow_ = fleet_.airflow().cfm.data();
-  airflow_set_ = fleet_.airflow().set.data();
   NodeColumns& node = fleet_.node();
   util_ = node.util.data();
   busy_jiffies_ = node.busy_jiffies.data();
@@ -114,7 +114,7 @@ void FleetSweep::pre_range(std::size_t begin, std::size_t end, Seconds dt) {
     fan_rpm_[i] = rpm;
   }
 
-  // Pass 3 — CPU power into the thermal batch (PackageModel::set_cpu_power).
+  // Pass 3 — CPU power into the package (PackageModel::set_cpu_power).
   // The memo was invalidated in pass 1, so live nodes recompute exactly like
   // CpuDevice::power(); a halted node feeds the 2 W trickle and leaves its
   // memo invalid (power() is never called for it).
@@ -122,14 +122,12 @@ void FleetSweep::pre_range(std::size_t begin, std::size_t end, Seconds dt) {
     die_power_[i] = (halted_[i] != 0) ? 2.0 : cpu_power_w(cpu, i);
   }
 
-  // Pass 4 — airflow → convection resistance (PackageModel::set_airflow's
+  // Pass 4 — airflow → convection conductance (PackageModel::set_airflow's
   // skip-if-unchanged memo; a settled rotor makes steady steps free).
-  const thermal::ConvectionModel& convection = fleet_.airflow().convection;
+  const thermal::ConvectionModel& convection = fleet_.batch().convection;
   for (std::size_t i = begin; i < end; ++i) {
-    const double af = fan.airflow_cfm(fan_rpm_[i]);
-    if (thermal::AirflowColumns::moved(af, airflow_[i], airflow_set_[i])) {
-      fleet_.batch().set_resistance(i, hs_amb_, convection.resistance(Cfm{af}));
-    }
+    thermal::PackageColumns::apply_airflow(convection, fan.airflow_cfm(fan_rpm_[i]), airflow_[i],
+                                           airflow_set_[i], g_conv_[i]);
   }
 }
 

@@ -1,14 +1,14 @@
 // Batched per-node device/OS sweep over FleetState's SoA arrays — the only
-// code that steps nodes (Cluster::step_range drives it around the RcBatch
-// solve).
+// code that steps nodes (Cluster::step_range drives it around the
+// PackageColumns solve).
 //
 // Per physics step every node needs utilization latching, fan rotor
 // dynamics, the CPU power model, the fan chip's measurement protocol, meter
 // integration, counter advance, the protection ladder, jiffy accounting and
 // the sensor sampling schedule. Walking those as N object graphs touches N
 // scattered objects per step. Every hot field has one home instead: a
-// column of its device's group in FleetState (hw::CpuColumns, FanColumns,
-// ChipColumns, MeterColumns, SensorColumns, thermal::AirflowColumns and
+// column of its device's group in FleetState (thermal::PackageColumns,
+// hw::CpuColumns, FanColumns, ChipColumns, MeterColumns, SensorColumns and
 // NodeColumns), which the device objects read and write by slot and which
 // FleetSweep runs as contiguous array passes. The sweep owns no device
 // arithmetic and no device constant: each formula it shares with a device
@@ -53,7 +53,7 @@ class FleetSweep {
   FleetSweep(FleetState& fleet, const std::vector<Node*>& nodes);
 
   /// Pre-solve pass for slots [begin, end): utilization/die latch, fan
-  /// rotor step, CPU power into the batch, airflow → convection.
+  /// rotor step, CPU power into the package, airflow → convection.
   void pre_range(std::size_t begin, std::size_t end, Seconds dt);
 
   /// Post-solve pass for slots [begin, end): chip protocol, meter,
@@ -86,12 +86,10 @@ class FleetSweep {
   FleetState& fleet_;
   std::vector<Node*> nodes_;
 
-  // Batch rows (stride-1 across instances; see RcBatch layout).
+  // Column data pointers, hoisted once (fixed for the fleet's lifetime).
   const double* die_temp_ = nullptr;
   double* die_power_ = nullptr;
-  thermal::EdgeId hs_amb_{};
-
-  // Column data pointers, hoisted once (fixed for the fleet's lifetime).
+  double* g_conv_ = nullptr;
   double* fan_duty_ = nullptr;
   double* fan_rpm_ = nullptr;
   const std::uint8_t* fan_stuck_ = nullptr;

@@ -12,7 +12,7 @@ Node::Node(int id, const NodeParams& base, FleetState& fleet, std::size_t slot,
       cpu_(fleet.cpu(), slot),
       fan_(fleet.fan(), slot),
       chip_(fleet.chip(), slot),
-      package_(base.package, fleet.wiring(), fleet.batch(), fleet.airflow(), slot),
+      package_(fleet.batch(), slot),
       sensor_(fleet.sensor(), slot, Rng{seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(id) + 1}),
       meter_(fleet.meter(), slot),
       driver_(i2c_),

@@ -21,9 +21,9 @@ std::uint64_t bits(double x) {
 
 /// Runs `write` and checks that it changed `column` at `slot` and nowhere
 /// else.
-template <typename T, typename Write>
-void expect_writes_only_slot(const std::vector<T>& column, std::size_t slot, Write write) {
-  const std::vector<T> before = column;
+template <typename Column, typename Write>
+void expect_writes_only_slot(const Column& column, std::size_t slot, Write write) {
+  const Column before = column;
   write();
   for (std::size_t i = 0; i < column.size(); ++i) {
     if (i == slot) {
@@ -77,16 +77,15 @@ TEST(FleetState, DeviceStateLivesInFleetArrays) {
   EXPECT_EQ(fleet->cpu().injector.generation[0], injector.generation());
 
   // The package's airflow memo.
-  expect_writes_only_slot(fleet->airflow().cfm, 2,
+  expect_writes_only_slot(fleet->batch().cfm, 2,
                           [&] { rack.node(2).package().set_airflow(Cfm{12.5}); });
   EXPECT_EQ(rack.node(2).package().airflow().value(), 12.5);
 
-  // The batch column is the package's temperature storage.
-  const auto& wiring = fleet->wiring();
-  EXPECT_EQ(bits(fleet->batch().temperature(0, wiring.die).value()),
-            bits(rack.node(0).die_temperature().value()));
-  rack.node(0).package().set_cpu_power(Watts{47.0});
-  EXPECT_EQ(fleet->batch().power(0, wiring.die).value(), 47.0);
+  // The package group is the package's temperature storage.
+  EXPECT_EQ(bits(fleet->batch().t_die[0]), bits(rack.node(0).die_temperature().value()));
+  expect_writes_only_slot(fleet->batch().p_die, 0,
+                          [&] { rack.node(0).package().set_cpu_power(Watts{47.0}); });
+  EXPECT_EQ(fleet->batch().p_die[0], 47.0);
 }
 
 TEST(FleetState, FreshFleetHoldsDevicePowerOnValues) {
@@ -119,7 +118,12 @@ TEST(FleetState, FreshFleetHoldsDevicePowerOnValues) {
     EXPECT_EQ(fleet.sensor().last_degc[i], 0.0);
     EXPECT_EQ(fleet.meter().energy_j[i], 0.0);
     EXPECT_EQ(fleet.meter().elapsed_s[i], 0.0);
-    EXPECT_EQ(fleet.airflow().set[i], 0);
+    const thermal::PackageColumns& package = fleet.batch();
+    EXPECT_EQ(package.t_die[i], params.package.ambient.value());
+    EXPECT_EQ(package.t_hs[i], params.package.ambient.value());
+    EXPECT_EQ(package.t_amb[i], params.package.ambient.value());
+    EXPECT_EQ(package.p_die[i], 0.0);
+    EXPECT_EQ(package.set[i], 0);
   }
   // A chip built on a fresh row re-derives the same pin value at power-on.
   hw::Adt7467 chip{fleet.chip(), 1};
@@ -144,13 +148,13 @@ TEST(FleetState, DeviceConstantsLiveOncePerFleet) {
 
 TEST(FleetState, SensorsShareOneParamsCopy) {
   // A sensor is a (group, slot) view: its constants are the group's one
-  // copy, and it measures the batch's die-temperature row.
+  // copy, and it measures the package group's die-temperature row.
   static_assert(sizeof(hw::ThermalSensor) <= 2 * sizeof(void*));
   Cluster rack{2, NodeParams{}};
   FleetState* fleet = rack.fleet();
   EXPECT_EQ(&rack.node(0).sensor().params(), &rack.node(1).sensor().params());
   EXPECT_EQ(&rack.node(0).sensor().params(), &fleet->sensor().params);
-  EXPECT_EQ(fleet->sensor().truth, fleet->batch().temperature_cell(0, fleet->wiring().die));
+  EXPECT_EQ(fleet->sensor().truth, fleet->batch().t_die.data());
 }
 
 TEST(FleetState, MemoryFootprintIsFlatPerNode) {
@@ -225,7 +229,7 @@ TEST(FleetState, EveryColumnIsListedAndCounted) {
   EXPECT_TRUE(lists_every_column(fleet.chip()));
   EXPECT_TRUE(lists_every_column(fleet.meter()));
   EXPECT_TRUE(lists_every_column(fleet.sensor()));
-  EXPECT_TRUE(lists_every_column(fleet.airflow()));
+  EXPECT_TRUE(lists_every_column(fleet.batch()));
   EXPECT_TRUE(lists_every_column(fleet.node()));
 
   // memory_bytes() counts every listed column of every group: doubling
@@ -235,7 +239,7 @@ TEST(FleetState, EveryColumnIsListedAndCounted) {
       reserve_listed(fleet.cpu(), 128) + reserve_listed(fleet.cpu().injector, 128) +
       reserve_listed(fleet.fan(), 128) + reserve_listed(fleet.chip(), 128) +
       reserve_listed(fleet.meter(), 128) + reserve_listed(fleet.sensor(), 128) +
-      reserve_listed(fleet.airflow(), 128) + reserve_listed(fleet.node(), 128);
+      reserve_listed(fleet.batch(), 128) + reserve_listed(fleet.node(), 128);
   EXPECT_EQ(fleet.memory_bytes() - before, 64 * row_bytes);
 }
 

@@ -36,7 +36,7 @@ void expect_device_api_consistent(Cluster& rack, std::size_t i, bool throttle_mo
   // changing an input, so each read below re-runs its own code path.
   if (!node.halted() && !throttle_moved) {
     cpu.set_utilization(cpu.utilization());
-    EXPECT_EQ(bits(fleet.batch().power(i, fleet.wiring().die).value()), bits(cpu.power().value()));
+    EXPECT_EQ(bits(fleet.batch().p_die[i]), bits(cpu.power().value()));
   }
   cpu.set_utilization(cpu.utilization());
   const double sweep_wall = rack.sweep()->wall_power_w(i);

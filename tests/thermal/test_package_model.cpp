@@ -2,39 +2,29 @@
 
 #include <gtest/gtest.h>
 
-#include "thermal/rc_batch.hpp"
-#include "thermal/rc_network.hpp"
-
 namespace thermctl::thermal {
 namespace {
 
 using namespace thermctl::literals;
 
-/// One package: a PackageModel viewing a one-column RcBatch and a one-row
-/// airflow memo.
+/// One package: a PackageModel viewing a group of one.
 class SoloPackage {
  public:
   explicit SoloPackage(const PackageParams& params = PackageParams{})
-      : batch_(wire(params, &wiring_)),
-        airflow_(1, params.convection),
-        model_(params, wiring_, batch_, airflow_, 0) {}
+      : cols_(1, params), model_(cols_, 0) {}
 
   PackageModel* operator->() { return &model_; }
-  [[nodiscard]] const RcBatch& batch() const { return batch_; }
-  [[nodiscard]] const PackageWiring& wiring() const { return wiring_; }
+  [[nodiscard]] const PackageColumns& cols() const { return cols_; }
 
  private:
-  static RcBatch wire(const PackageParams& params, PackageWiring* wiring) {
-    RcNetwork net;
-    *wiring = PackageModel::wire_network(params, net);
-    return RcBatch{net, 1};
-  }
-
-  PackageWiring wiring_{};
-  RcBatch batch_;
-  AirflowColumns airflow_;
+  PackageColumns cols_;
   PackageModel model_;
 };
+
+TEST(PackageModel, IsAGroupAndSlotView) {
+  // The model holds a reference to its group and its row, nothing else.
+  static_assert(sizeof(PackageModel) == 16);
+}
 
 TEST(PackageModel, StartsAtAmbient) {
   PackageParams params;
@@ -131,22 +121,20 @@ TEST(PackageModel, CpuPowerAccessor) {
   EXPECT_DOUBLE_EQ(pkg->cpu_power().value(), 33.0);
 }
 
-TEST(PackageModel, ViewReadsAndWritesItsBatchColumn) {
+TEST(PackageModel, ViewReadsAndWritesItsRow) {
   // The model holds no thermal state of its own: power, convection and
-  // ambient land in the batch column, and temperatures read back from it.
+  // ambient land in the group's row, and temperatures read back from it.
   SoloPackage pkg;
-  const PackageWiring& w = pkg.wiring();
   pkg->set_cpu_power(41.0_W);
   pkg->set_airflow(Cfm{20.0});
   pkg->set_ambient(Celsius{31.0});
-  EXPECT_DOUBLE_EQ(pkg.batch().power(0, w.die).value(), 41.0);
-  EXPECT_DOUBLE_EQ(pkg.batch().resistance(0, w.hs_amb).value(),
-                   ConvectionModel{PackageParams{}.convection}.resistance(Cfm{20.0}).value());
-  EXPECT_DOUBLE_EQ(pkg.batch().temperature(0, w.ambient).value(), 31.0);
+  EXPECT_DOUBLE_EQ(pkg.cols().p_die[0], 41.0);
+  EXPECT_DOUBLE_EQ(pkg.cols().g_conv[0],
+                   1.0 / ConvectionModel{PackageParams{}.convection}.resistance(Cfm{20.0}).value());
+  EXPECT_DOUBLE_EQ(pkg.cols().t_amb[0], 31.0);
   pkg->step(Seconds{1.0});
-  EXPECT_DOUBLE_EQ(pkg->die_temperature().value(), pkg.batch().temperature(0, w.die).value());
-  EXPECT_DOUBLE_EQ(pkg->heatsink_temperature().value(),
-                   pkg.batch().temperature(0, w.heatsink).value());
+  EXPECT_DOUBLE_EQ(pkg->die_temperature().value(), pkg.cols().t_die[0]);
+  EXPECT_DOUBLE_EQ(pkg->heatsink_temperature().value(), pkg.cols().t_hs[0]);
   EXPECT_DOUBLE_EQ(pkg->ambient_temperature().value(), 31.0);
 }
 

@@ -1,24 +1,21 @@
-// Equivalence of the RC solver against the seed implementation.
+// Equivalence of the package solver against the seed implementation.
 //
-// RcBatch flattens adjacency into a shared CSR layout, stores B instances in
-// SoA columns and keeps the stability bound per column fresh;
-// this test pins it against a direct re-implementation of the original
-// edge-list solver (alloc-per-step, recompute-everything) and requires
-// trajectories to agree to 1e-9 degC — the solver is a layout/caching
-// change, not a numerical one. Exercised on the package-model wiring (with
-// fan-like per-step resistance updates) and on a randomized 32-node network,
-// each as a batch of one and as a batch of five whose columns receive
-// different inputs, every column checked against its own reference.
+// PackageColumns fuses the die–heatsink–ambient chain into one per-row
+// kernel over structure-of-arrays rows and plans each step from the row's
+// convection; this test pins it against a direct re-implementation of the
+// original edge-list solver (alloc-per-step, recompute-everything) and
+// requires trajectories to agree to 1e-9 degC — the solver is a
+// layout change, not a numerical one. Exercised with fan-like per-step
+// convection updates, as a group of one and as a group of five whose rows
+// receive different inputs, every row checked against its own reference.
+#include <algorithm>
 #include <cmath>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "thermal/package_model.hpp"
-#include "thermal/rc_batch.hpp"
-#include "thermal/rc_network.hpp"
 
 namespace thermctl::thermal {
 namespace {
@@ -110,14 +107,9 @@ TEST_P(RcEquivalence, PackageModelWiringMatchesReference) {
   // convection modulates it in a real run.
   const std::size_t columns = GetParam();
   const PackageParams p;
-
-  RcNetwork net;
-  const NodeId die = net.add_node("die", p.c_die, Celsius{40.0});
-  const NodeId hs = net.add_node("heatsink", p.c_heatsink, Celsius{35.0});
-  const NodeId amb = net.add_fixed_node("ambient", p.ambient);
-  net.add_edge(die, hs, p.r_die_heatsink);
-  const EdgeId conv = net.add_edge(hs, amb, KelvinPerWatt{0.5});
-  RcBatch batch{net, columns};
+  PackageColumns cols{columns, p};
+  std::fill(cols.t_die.begin(), cols.t_die.end(), 40.0);
+  std::fill(cols.t_hs.begin(), cols.t_hs.end(), 35.0);
 
   std::vector<ReferenceRcNetwork> refs(columns);
   std::size_t rdie = 0;
@@ -139,125 +131,45 @@ TEST_P(RcEquivalence, PackageModelWiringMatchesReference) {
       // fan-ramp-like trajectory. Every column draws its own.
       const double power = 20.0 + 70.0 * rng.uniform();
       const double r_conv = 0.15 + 0.5 * rng.uniform();
-      batch.set_power(b, die, Watts{power});
-      batch.set_resistance(b, conv, KelvinPerWatt{r_conv});
+      cols.p_die[b] = power;
+      cols.g_conv[b] = 1.0 / r_conv;
       refs[b].set_power(rdie, power);
       refs[b].set_resistance(rconv, r_conv);
     }
 
-    batch.step_all(Seconds{dt});
+    cols.step_range(Seconds{dt}, 0, columns);
     for (std::size_t b = 0; b < columns; ++b) {
       refs[b].step(dt);
-      ASSERT_NEAR(batch.temperature(b, die).value(), refs[b].temperature(rdie), 1e-9)
+      ASSERT_NEAR(cols.t_die[b], refs[b].temperature(rdie), 1e-9)
           << "column " << b << " step " << step;
-      ASSERT_NEAR(batch.temperature(b, hs).value(), refs[b].temperature(rhs), 1e-9)
+      ASSERT_NEAR(cols.t_hs[b], refs[b].temperature(rhs), 1e-9)
           << "column " << b << " step " << step;
     }
   }
 }
 
-TEST_P(RcEquivalence, Randomized32NodeNetworkMatchesReference) {
-  const std::size_t columns = GetParam();
-  Rng rng{20260806};
-  constexpr std::size_t kNodes = 32;
-
-  RcNetwork net;
-  std::vector<ReferenceRcNetwork> refs(columns);
-  std::vector<NodeId> ids;
-  std::vector<bool> fixed(kNodes, false);
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    // A few boundary nodes scattered through the network.
-    if (i % 11 == 3) {
-      const double t = 20.0 + 10.0 * rng.uniform();
-      ids.push_back(net.add_fixed_node("amb" + std::to_string(i), Celsius{t}));
-      for (ReferenceRcNetwork& ref : refs) {
-        ref.add_fixed_node(t);
-      }
-      fixed[i] = true;
-    } else {
-      const double c = 5.0 + 200.0 * rng.uniform();
-      const double t0 = 25.0 + 30.0 * rng.uniform();
-      ids.push_back(net.add_node("n" + std::to_string(i), JoulesPerKelvin{c}, Celsius{t0}));
-      for (ReferenceRcNetwork& ref : refs) {
-        ref.add_node(c, t0);
-      }
-    }
-  }
-  // A connected random graph: chain backbone plus random chords.
-  std::vector<EdgeId> edges;
-  auto add_edge = [&](std::size_t a, std::size_t b, double r) {
-    edges.push_back(net.add_edge(ids[a], ids[b], KelvinPerWatt{r}));
-    for (ReferenceRcNetwork& ref : refs) {
-      ref.add_edge(a, b, r);
-    }
-  };
-  for (std::size_t i = 1; i < kNodes; ++i) {
-    add_edge(i - 1, i, 0.2 + 2.0 * rng.uniform());
-  }
-  for (int k = 0; k < 24; ++k) {
-    const std::size_t a = rng.below(kNodes);
-    const std::size_t b = rng.below(kNodes);
-    if (a == b) {
-      continue;
-    }
-    add_edge(a, b, 0.2 + 2.0 * rng.uniform());
-  }
-  RcBatch batch{net, columns};
-
-  const double dt = 0.05;
-  for (int step = 0; step < 4000; ++step) {
-    // Mutate a random subset of each column's powers and resistances every
-    // step to stress the cache-invalidation paths.
-    for (std::size_t b = 0; b < columns; ++b) {
-      for (int m = 0; m < 4; ++m) {
-        const std::size_t n = rng.below(kNodes);
-        if (!fixed[n]) {
-          const double p = 50.0 * rng.uniform();
-          batch.set_power(b, ids[n], Watts{p});
-          refs[b].set_power(n, p);
-        }
-        const std::size_t e = rng.below(edges.size());
-        const double r = 0.2 + 2.0 * rng.uniform();
-        batch.set_resistance(b, edges[e], KelvinPerWatt{r});
-        refs[b].set_resistance(e, r);
-      }
-    }
-
-    batch.step_all(Seconds{dt});
-    for (std::size_t b = 0; b < columns; ++b) {
-      refs[b].step(dt);
-      for (std::size_t i = 0; i < kNodes; ++i) {
-        ASSERT_NEAR(batch.temperature(b, ids[i]).value(), refs[b].temperature(i), 1e-9)
-            << "column " << b << " node " << i << " diverged at step " << step;
-      }
-    }
-  }
-}
-
-TEST_P(RcEquivalence, MinTimeConstantTracksResistanceChanges) {
-  // The cached stability bound must follow set_resistance immediately (a
-  // stale cache would show up as a wrong sub-step count, not a crash), in
-  // the touched column only.
+TEST_P(RcEquivalence, MinTimeConstantMatchesReference) {
+  // The substep plan's time constant follows every convection change, in
+  // the changed row only.
   const std::size_t columns = GetParam();
   const std::size_t last = columns - 1;
-  RcNetwork net;
-  const NodeId a = net.add_node("a", JoulesPerKelvin{10.0}, Celsius{30.0});
-  const NodeId amb = net.add_fixed_node("amb", Celsius{25.0});
-  const EdgeId e = net.add_edge(a, amb, KelvinPerWatt{1.0});
-  RcBatch batch{net, columns};
+  const PackageParams p;
+  PackageColumns cols{columns, p};
   ReferenceRcNetwork ref;
-  ref.add_node(10.0, 30.0);
-  ref.add_fixed_node(25.0);
-  ref.add_edge(0, 1, 1.0);
-  EXPECT_NEAR(batch.min_time_constant(last).value(), 10.0, 1e-12);
-  batch.step_all(Seconds{0.05});
-  for (const double r : {0.1, 10.0}) {
-    batch.set_resistance(last, e, KelvinPerWatt{r});
-    ref.set_resistance(0, r);
-    EXPECT_NEAR(batch.min_time_constant(last).value(), ref.min_time_constant(), 1e-12);
-    EXPECT_NEAR(batch.min_time_constant(last).value(), 10.0 * r, 1e-12);
-    EXPECT_NEAR(batch.min_time_constant(0).value(), columns == 1 ? 10.0 * r : 10.0, 1e-12);
-    batch.step_all(Seconds{0.05});
+  const std::size_t die = ref.add_node(p.c_die.value(), p.ambient.value());
+  const std::size_t hs = ref.add_node(p.c_heatsink.value(), p.ambient.value());
+  const std::size_t amb = ref.add_fixed_node(p.ambient.value());
+  ref.add_edge(die, hs, p.r_die_heatsink.value());
+  const std::size_t conv = ref.add_edge(hs, amb, 1.0 / cols.g_conv[0]);
+  const double still_air = cols.min_time_constant(0);
+  EXPECT_NEAR(still_air, ref.min_time_constant(), 1e-12);
+  for (const double r : {0.5, 0.02, 0.004}) {
+    cols.g_conv[last] = 1.0 / r;
+    ref.set_resistance(conv, r);
+    EXPECT_NEAR(cols.min_time_constant(last), ref.min_time_constant(), 1e-12);
+    EXPECT_NEAR(cols.min_time_constant(0), columns == 1 ? ref.min_time_constant() : still_air,
+                1e-12);
+    cols.step_range(Seconds{0.05}, 0, columns);
   }
 }
 
