@@ -16,14 +16,15 @@
 // Each group is the only storage of its fields. A group whose device has
 // constants holds one const copy of them, built from the base NodeParams,
 // and a fresh group holds every device's power-on values. The sensor group
-// measures the batch's die-temperature row and holds each row's noise
-// generator, which the row's Node seeds. Every Node is a view over one
-// slot: its PackageModel and each of its devices is a (group, slot) view, so controllers and sysfs keep their per-node object
-// API while the fleet carries one copy of each constant.
+// measures the package group's die-temperature row and holds each row's
+// noise generator, which the row's Node seeds. Every Node is a view over
+// one slot: its PackageModel and each of its devices is a (group, slot)
+// view, so controllers and sysfs keep their per-node object API while the
+// fleet carries one copy of each constant.
 // The payoff is the engine's hot loop: one vectorized
-// PackageColumns::step_range call advances the whole fleet's thermals, and FleetSweep runs the
-// per-node device/OS phases as contiguous array passes instead of N
-// object-graph walks.
+// PackageColumns::step_range call advances the whole fleet's thermals, and
+// FleetSweep runs the per-node device/OS phases as contiguous array passes
+// instead of N object-graph walks.
 #pragma once
 
 #include <cstddef>

@@ -17,6 +17,7 @@ FleetSweep::FleetSweep(FleetState& fleet, const std::vector<Node*>& nodes)
   g_conv_ = package.g_conv.data();
   airflow_ = package.cfm.data();
   airflow_set_ = package.set.data();
+
   hw::FanColumns& fan = fleet_.fan();
   fan_duty_ = fan.duty_pct.data();
   fan_rpm_ = fan.rpm.data();

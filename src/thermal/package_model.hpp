@@ -17,16 +17,16 @@
 // a single package is a group of one.
 //
 // Integration is explicit Euler with automatic sub-stepping: each step is
-// split so that every substep stays below an eighth of the column's smaller
+// split so that every substep stays below an eighth of the row's smaller
 // node time constant, which keeps the scheme stable for the stiff
 // die/heatsink combination without an implicit solver. Each step plans
-// each column's substep count afresh from its convection.
+// each row's substep count afresh from its convection.
 //
-// Bit-exactness contract: a column's trajectory depends only on the calls
-// made on that column — never on the group size, the column's neighbours,
-// their substep plans or the step_range/settle_range bounds.
-// tests/golden/ and tests/cluster/test_package_pin.cpp pin the bits; the
-// group-of-one tests in tests/thermal pin column independence.
+// Bit-exactness contract: a row's trajectory depends only on the calls
+// made on that row — never on the group size, the row's neighbours, their
+// substep plans or the step_range/settle_range bounds. tests/golden/ and
+// tests/cluster/test_package_pin.cpp pin the bits; the group-of-one tests
+// in tests/thermal pin row independence.
 #pragma once
 
 #include <cstddef>
@@ -69,8 +69,8 @@ struct PackageColumns {
   /// Die-to-heatsink conductance (W/K), 1 / r_die_heatsink.
   const double g_die_hs;
   const ConvectionModel convection;
-  // The five state rows, each on a cache-line boundary for the vectorized
-  // substep.
+  // The five state rows, each on a cache-line boundary for the substep's
+  // unit-stride pass.
   AlignedVector<double> t_die;
   AlignedVector<double> t_hs;
   AlignedVector<double> t_amb;
@@ -106,8 +106,8 @@ struct PackageColumns {
 
   /// Advances rows [begin, end) by `dt`, sub-stepping per row for
   /// stability. Contiguous runs of rows that agree on the substep count
-  /// (the homogeneous common case: all of them) advance in one vectorized
-  /// pass; disagreeing rows split the range, never the arithmetic.
+  /// (the homogeneous common case: all of them) advance in one pass per
+  /// substep; disagreeing rows split the range, never the arithmetic.
   ///
   /// Thread-safety: concurrent step_range calls on DISJOINT row ranges are
   /// safe (all touched state is per-row) — this is what the sharded engine
@@ -121,7 +121,7 @@ struct PackageColumns {
   /// the largest move of one iteration drops below `tolerance_kelvin`, or
   /// `max_iterations` pass. The rows march together in cache-sized blocks:
   /// each iteration advances maximal runs of still-active rows that share a
-  /// step in one vectorized pass, and a converged row leaves the active set.
+  /// step in one pass, and a converged row leaves the active set.
   /// A run of adjacent rows that match bit for bit (the five state cells and
   /// the step) marches once: only its first row marches, and the others take
   /// its final temperatures, so a homogeneous fleet marches one row per
@@ -154,7 +154,7 @@ class PackageModel {
 
   /// Advances this package only. A fleet's packages are normally advanced
   /// en masse via PackageColumns::step_range by the engine; stepping one
-  /// row here is the same arithmetic on one column.
+  /// row here is the same arithmetic on one row.
   void step(Seconds dt) { cols_.step_range(dt, slot_, slot_ + 1); }
 
   /// Primes the model at equilibrium for the current power/airflow.
