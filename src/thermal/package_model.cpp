@@ -155,6 +155,8 @@ void PackageColumns::settle_range(std::size_t begin, std::size_t end, int max_it
         for (std::size_t b = i; b < j; ++b) {
           const double die_move = std::abs(t_die[b] - before[b - lo]);
           const double hs_move = std::abs(t_hs[b] - before[block + b - lo]);
+          // The running max starts from 0.0, so a NaN move counts as no
+          // move rather than keeping the row marching to the cap.
           delta[b - lo] = std::max(std::max(0.0, die_move), hs_move);
         }
       }

@@ -1,7 +1,7 @@
 // PackageColumns row independence, bit for bit.
 //
 // The group advances B packages in structure-of-arrays storage with one
-// vectorized loop. Its contract: a row's trajectory depends only on the
+// unit-stride loop. Its contract: a row's trajectory depends only on the
 // calls made on that row. Every test here drives row b of a B-row group and
 // a one-row group with the same calls and requires bitwise agreement —
 // across odd row counts (SIMD tails), misaligned step ranges (shard
@@ -55,13 +55,13 @@ std::vector<PackageColumns> groups_of_one(std::size_t count) {
 /// temperature.
 ::testing::AssertionResult row_matches(const PackageColumns& g, std::size_t b,
                                        const PackageColumns& solo, std::size_t s = 0) {
-  const std::pair<const char*, double> got[] = {
-      {"die", g.t_die[b]}, {"heatsink", g.t_hs[b]}, {"ambient", g.t_amb[b]}};
+  const char* const names[] = {"die", "heatsink", "ambient"};
+  const double got[] = {g.t_die[b], g.t_hs[b], g.t_amb[b]};
   const double want[] = {solo.t_die[s], solo.t_hs[s], solo.t_amb[s]};
   for (std::size_t k = 0; k < 3; ++k) {
-    if (bits(got[k].second) != bits(want[k])) {
+    if (bits(got[k]) != bits(want[k])) {
       return ::testing::AssertionFailure()
-             << "row " << b << " " << got[k].first << ": " << got[k].second << " vs " << want[k];
+             << "row " << b << " " << names[k] << ": " << got[k] << " vs " << want[k];
     }
   }
   return ::testing::AssertionSuccess();
@@ -77,7 +77,8 @@ TEST(PackageColumns, FreshRowsStartAtAmbientInStillAir) {
     EXPECT_BITS_EQ(g.t_hs[b], p.ambient.value());
     EXPECT_BITS_EQ(g.t_amb[b], p.ambient.value());
     EXPECT_BITS_EQ(g.p_die[b], 0.0);
-    EXPECT_BITS_EQ(g.g_conv[b], 1.0 / ConvectionModel{p.convection}.still_air_resistance().value());
+    EXPECT_BITS_EQ(g.g_conv[b],
+                   1.0 / ConvectionModel{p.convection}.still_air_resistance().value());
     EXPECT_EQ(g.set[b], 0);
   }
 }
@@ -182,8 +183,8 @@ TEST(PackageColumns, StepAndSettleMatchGroupOfOne) {
   ASSERT_TRUE(row_matches(g, 1, solo)) << "after settle";
 }
 
-// The vectorized substep processes rows in SIMD lanes; counts not divisible
-// by the vector width leave scalar tail iterations, and step_range can
+// A vectorized build of the substep processes rows in SIMD lanes; counts
+// not divisible by the vector width leave scalar tail iterations, and step_range can
 // start/end mid-register. Every such shape must stay bit-exact against
 // groups of one. Widths up to 8 doubles (AVX-512) are covered by counts
 // 1..13.
