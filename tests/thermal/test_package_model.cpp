@@ -14,7 +14,7 @@ class SoloPackage {
       : cols_(1, params), model_(cols_, 0) {}
 
   PackageModel* operator->() { return &model_; }
-  [[nodiscard]] const PackageColumns& cols() const { return cols_; }
+  [[nodiscard]] PackageColumns& cols() { return cols_; }
 
  private:
   PackageColumns cols_;
@@ -136,6 +136,66 @@ TEST(PackageModel, ViewReadsAndWritesItsRow) {
   EXPECT_DOUBLE_EQ(pkg->die_temperature().value(), pkg.cols().t_die[0]);
   EXPECT_DOUBLE_EQ(pkg->heatsink_temperature().value(), pkg.cols().t_hs[0]);
   EXPECT_DOUBLE_EQ(pkg->ambient_temperature().value(), 31.0);
+}
+
+TEST(PackageModel, SetAirflowSkipsARepeatedAirflow) {
+  // The memo re-evaluates the convection law only when the airflow moved:
+  // a conductance written behind its back survives a repeat of the same
+  // airflow and is replaced by the next different one.
+  SoloPackage pkg;
+  PackageColumns& cols = pkg.cols();
+  pkg->set_airflow(Cfm{10.0});
+  cols.g_conv[0] = 123.0;
+  pkg->set_airflow(Cfm{10.0});
+  EXPECT_EQ(cols.g_conv[0], 123.0);
+  pkg->set_airflow(Cfm{12.0});
+  EXPECT_EQ(cols.g_conv[0], 1.0 / cols.convection.resistance(Cfm{12.0}).value());
+  EXPECT_EQ(pkg->airflow().value(), 12.0);
+}
+
+TEST(PackageModel, FirstAirflowAppliesEvenWhenItEqualsTheFreshMemo) {
+  // A fresh row's memo holds 0 CFM but marks it unset: the first airflow
+  // is applied even when it is 0 CFM, and only then does the memo skip.
+  SoloPackage pkg;
+  PackageColumns& cols = pkg.cols();
+  ASSERT_EQ(cols.cfm[0], 0.0);
+  ASSERT_EQ(cols.set[0], 0);
+  cols.g_conv[0] = 123.0;
+  pkg->set_airflow(Cfm{0.0});
+  EXPECT_EQ(cols.g_conv[0], 1.0 / cols.convection.still_air_resistance().value());
+  EXPECT_EQ(cols.set[0], 1);
+  cols.g_conv[0] = 123.0;
+  pkg->set_airflow(Cfm{0.0});
+  EXPECT_EQ(cols.g_conv[0], 123.0);
+}
+
+TEST(PackageModel, SteadyStateDieReadsItsRowsAmbientAndMovesNothing) {
+  // Two views on one group: each answers at its own row's ambient, and
+  // asking changes no cell of either row.
+  PackageColumns cols{2, PackageParams{}};
+  PackageModel a{cols, 0};
+  PackageModel b{cols, 1};
+  a.set_ambient(Celsius{25.0});
+  b.set_ambient(Celsius{35.0});
+  const PackageColumns before = cols;
+  const double ta = a.steady_state_die(Watts{50.0}, Cfm{16.0}).value();
+  const double tb = b.steady_state_die(Watts{50.0}, Cfm{16.0}).value();
+  EXPECT_NEAR(tb - ta, 10.0, 1e-9);
+  const double r_total = PackageParams{}.r_die_heatsink.value() +
+                         cols.convection.resistance(Cfm{16.0}).value();
+  EXPECT_NEAR(ta, 25.0 + 50.0 * r_total, 1e-9);
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(cols.t_die[r], before.t_die[r]);
+    EXPECT_EQ(cols.t_hs[r], before.t_hs[r]);
+    EXPECT_EQ(cols.p_die[r], before.p_die[r]);
+    EXPECT_EQ(cols.g_conv[r], before.g_conv[r]);
+    EXPECT_EQ(cols.set[r], before.set[r]);
+  }
+}
+
+TEST(PackageModelDeath, RejectsSlotOutOfRange) {
+  PackageColumns cols{2, PackageParams{}};
+  EXPECT_DEATH((PackageModel{cols, 2}), "slot out of range");
 }
 
 TEST(PackageModel, OperatingEnvelopeMatchesPaperPlatform) {

@@ -151,6 +151,23 @@ TEST(PackagePhysics, EnergyConservedInClosedPair) {
   EXPECT_NEAR(g.t_hs[0], e0 / (c1 + c2), 1e-6);
 }
 
+TEST(PackagePhysics, TwoNodeChainSteadyState) {
+  // Off the default parameters: the die-heatsink conductance comes from the
+  // params' resistance, and all power flows through both resistances in
+  // series whatever the capacitances.
+  PackageParams p;
+  p.c_die = JoulesPerKelvin{20.0};
+  p.c_heatsink = JoulesPerKelvin{300.0};
+  p.r_die_heatsink = KelvinPerWatt{0.12};
+  p.ambient = Celsius{25.0};
+  PackageColumns g = one_row(0.30, p);
+  EXPECT_NEAR(g.g_die_hs, 1.0 / 0.12, 1e-12);
+  g.p_die[0] = 50.0;
+  g.settle_range(0, 1);
+  EXPECT_NEAR(g.t_hs[0], 25.0 + 50.0 * 0.30, 1e-3);
+  EXPECT_NEAR(g.t_die[0], 25.0 + 50.0 * 0.42, 1e-3);
+}
+
 TEST(PackagePhysics, AmbientIsABoundary) {
   PackageColumns g = one_row(0.5);
   g.p_die[0] = 40.0;
@@ -202,6 +219,33 @@ TEST(PackageColumnsDeath, RejectsNonPositiveDieHeatsinkResistance) {
   PackageParams p;
   p.r_die_heatsink = KelvinPerWatt{0.0};
   EXPECT_DEATH(PackageColumns(1, p), "positive");
+}
+
+TEST(PackageColumnsDeath, RejectsNonPositiveCapacitance) {
+  PackageParams die;
+  die.c_die = JoulesPerKelvin{0.0};
+  EXPECT_DEATH(PackageColumns(1, die), "capacitance");
+  PackageParams heatsink;
+  heatsink.c_heatsink = JoulesPerKelvin{-1.0};
+  EXPECT_DEATH(PackageColumns(1, heatsink), "capacitance");
+}
+
+TEST(PackageColumnsDeath, RejectsEmptyGroup) {
+  EXPECT_DEATH(PackageColumns(0, PackageParams{}), "at least one row");
+}
+
+TEST(PackageColumnsDeath, RejectsNonPositiveStep) {
+  PackageColumns g = one_row(0.5);
+  EXPECT_DEATH(g.step_range(Seconds{0.0}, 0, 1), "positive");
+  EXPECT_DEATH(g.step_range(Seconds{-0.05}, 0, 1), "positive");
+}
+
+TEST(PackageColumnsDeath, RejectsRowRangeOutOfBounds) {
+  PackageColumns g{2, PackageParams{}};
+  EXPECT_DEATH(g.step_range(Seconds{0.05}, 0, 3), "out of bounds");
+  EXPECT_DEATH(g.step_range(Seconds{0.05}, 2, 1), "out of bounds");
+  EXPECT_DEATH(g.settle_range(0, 3), "out of bounds");
+  EXPECT_DEATH(g.settle_range(2, 1), "out of bounds");
 }
 
 }  // namespace
