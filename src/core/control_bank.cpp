@@ -64,15 +64,6 @@ UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDe
                                join(unified_family_, config, cpufreq), config.pp);
 }
 
-UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDevice& hwmon,
-                                                sysfs::CpufreqPolicy& cpufreq,
-                                                sysfs::PowerClampDevice& clamp,
-                                                const UnifiedConfig& config) {
-  admit(unified_, node, nodes_);
-  return unified_.emplace_back(hwmon, cpufreq, &clamp,
-                               join(unified_family_, config, cpufreq), config.pp);
-}
-
 Celsius ControlBank::reading(std::size_t i) const {
   return sysfs::HwmonDevice::from_millidegrees(
       sysfs::HwmonDevice::to_millidegrees(Celsius{sensor_last_[i]}));

@@ -17,7 +17,7 @@
 // scaling_available_frequencies — are built once, from the family's first
 // controller, and every controller points at them. A controller holds only
 // what differs per node: its window (one per unified controller, shared by
-// both techniques), indices, counters, events and Pp. Pp may differ per
+// its techniques), indices, counters, events and Pp. Pp may differ per
 // node; any other difference from the family's config is rejected.
 //
 // The golden digests (tests/golden/) pin the bits.
@@ -54,11 +54,9 @@ class ControlBank {
                                     const FanControlConfig& config);
   TdvfsDaemon& emplace_tdvfs(std::size_t node, sysfs::HwmonDevice& hwmon,
                              sysfs::CpufreqPolicy& cpufreq, const TdvfsConfig& config);
+  /// A bank's unified controllers carry no idle-injection backstop.
   UnifiedController& emplace_unified(std::size_t node, sysfs::HwmonDevice& hwmon,
                                      sysfs::CpufreqPolicy& cpufreq, const UnifiedConfig& config);
-  UnifiedController& emplace_unified(std::size_t node, sysfs::HwmonDevice& hwmon,
-                                     sysfs::CpufreqPolicy& cpufreq,
-                                     sysfs::PowerClampDevice& clamp, const UnifiedConfig& config);
 
   /// One family tick — call from a single periodic at the sampling rate.
   void tick_fans(SimTime now);

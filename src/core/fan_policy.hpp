@@ -125,6 +125,8 @@ class FanTechnique {
   /// The family's config. Its `pp` is the family's; this node's current Pp
   /// is array().policy().
   [[nodiscard]] const FanControlConfig& config() const { return family_->config; }
+  /// The family's constants: config, mode selector and Eq. (1) array.
+  [[nodiscard]] const FanFamily& family() const { return *family_; }
 
   [[nodiscard]] std::size_t current_index() const { return index_; }
   [[nodiscard]] DutyCycle current_duty() const;

@@ -1,15 +1,17 @@
 #include "core/idle_injection.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace thermctl::core {
 
-std::vector<double> IdleInjectionController::clamp_modes(
-    const sysfs::PowerClampDevice& clamp, const IdleInjectionConfig& config) {
+namespace {
+
+/// The idle percentages `clamp` accepts in `config.percent_step` steps,
+/// ascending (ascending idle percent = ascending cooling effectiveness).
+std::vector<double> clamp_modes(const sysfs::PowerClampDevice& clamp,
+                                const IdleInjectionConfig& config) {
   THERMCTL_ASSERT(config.percent_step >= 1, "percent step must be >= 1");
   std::vector<double> modes;
   const long max_state = clamp.max_state();
@@ -19,79 +21,31 @@ std::vector<double> IdleInjectionController::clamp_modes(
   if (modes.back() < static_cast<double>(max_state)) {
     modes.push_back(static_cast<double>(max_state));
   }
-  return modes;  // ascending idle percent = ascending cooling effectiveness
+  return modes;
 }
+
+}  // namespace
+
+IdleInjectionFamily::IdleInjectionFamily(const IdleInjectionConfig& cfg,
+                                         const sysfs::PowerClampDevice& clamp)
+    : config(cfg),
+      selector(cfg.selector, cfg.array_size),
+      array(clamp_modes(clamp, cfg), cfg.array_size, cfg.pp) {
+  THERMCTL_ASSERT(cfg.consistency_rounds >= 1, "consistency must be >= 1 round");
+  THERMCTL_ASSERT(cfg.release_rounds >= 1, "release consistency must be >= 1 round");
+}
+
+template class ThresholdTechnique<ClampPlane>;
 
 IdleInjectionController::IdleInjectionController(sysfs::HwmonDevice& hwmon,
                                                  sysfs::PowerClampDevice& clamp,
-                                                 IdleInjectionConfig config)
-    : hwmon_(hwmon),
-      clamp_(clamp),
-      config_(config),
-      array_(clamp_modes(clamp, config), config.array_size, config.pp),
-      selector_(config.selector, config.array_size),
-      window_(config.window) {
-  THERMCTL_ASSERT(config_.consistency_rounds >= 1, "consistency must be >= 1 round");
-  THERMCTL_ASSERT(config_.release_rounds >= 1, "release consistency must be >= 1 round");
-}
-
-long IdleInjectionController::current_percent() const {
-  return static_cast<long>(std::lround(array_.mode(index_)));
-}
-
-void IdleInjectionController::set_policy(PolicyParam pp) {
-  config_.pp = pp;
-  array_.set_policy(pp);
-  window_.reset();
-}
-
-void IdleInjectionController::retarget(SimTime now, std::size_t target) {
-  const long from = current_percent();
-  index_ = target;
-  const long to = current_percent();
-  if (to == from) {
-    return;
-  }
-  if (clamp_.set_cur_state(to)) {
-    events_.push_back(ClampEvent{now.seconds(), from, to});
-    THERMCTL_LOG_INFO("powerclamp", "t=%.2fs idle injection %ld%% -> %ld%%", now.seconds(),
-                      from, to);
-  }
-}
+                                                 const IdleInjectionConfig& config)
+    : IdleInjectionTechnique(hwmon, clamp, config), window_(config.window) {}
 
 void IdleInjectionController::on_sample(SimTime now) {
-  const auto round = window_.add_sample(hwmon_.read_temperature());
-  if (!round.has_value()) {
-    return;
-  }
-
-  const double avg = round->level1_average.value();
-  if (avg > config_.threshold.value()) {
-    ++rounds_above_;
-    rounds_below_ = 0;
-  } else if (avg < config_.threshold.value() - config_.hysteresis.value()) {
-    ++rounds_below_;
-    rounds_above_ = 0;
-  } else {
-    rounds_above_ = 0;
-    rounds_below_ = 0;
-  }
-
-  if (rounds_above_ >= config_.consistency_rounds) {
-    // Like tDVFS: the floor of a triggered move is the next distinct mode.
-    std::size_t next_distinct = index_;
-    while (next_distinct + 1 < array_.size() &&
-           array_.mode(next_distinct) == array_.mode(index_)) {
-      ++next_distinct;
-    }
-    const ModeDecision d = selector_.decide(index_, *round);
-    std::size_t target = d.changed ? std::max(d.target, next_distinct) : next_distinct;
-    target = std::min(target, array_.size() - 1);
-    retarget(now, target);
-    rounds_above_ = 0;
-  } else if (rounds_below_ >= config_.release_rounds && index_ != 0) {
-    retarget(now, 0);  // release the clamp entirely
-    rounds_below_ = 0;
+  begin(now);
+  if (const auto round = window_.add_sample(read_temperature())) {
+    act(now, *round);
   }
 }
 

@@ -4,22 +4,23 @@
 //
 // Same machinery as the other techniques: a Pp-filled ThermalControlArray
 // whose modes are forced-idle percentages (0 → max clamp, ascending
-// effectiveness), the two-level window for prediction, threshold +
-// consistency gating like tDVFS. Idle injection is the most intrusive
-// technique (it steals whole time slices from the application), so in the
-// unified controller it is staged *after* fan and DVFS as the emergency
-// backstop.
+// effectiveness), the two-level window for prediction, and tDVFS's
+// threshold + consistency state machine (threshold_technique.hpp) over the
+// powerclamp device. Idle injection is the most intrusive technique (it
+// steals whole time slices from the application), so in the unified
+// controller it is staged *after* fan and DVFS as the emergency backstop.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cmath>
 
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "core/control_array.hpp"
 #include "core/mode_selector.hpp"
 #include "core/policy.hpp"
+#include "core/threshold_technique.hpp"
 #include "core/two_level_window.hpp"
+#include "obs/trace.hpp"
 #include "sysfs/hwmon.hpp"
 #include "sysfs/powerclamp.hpp"
 
@@ -49,36 +50,61 @@ struct ClampEvent {
   long to_percent = 0;
 };
 
-class IdleInjectionController {
+/// What every idle-injection technique of one family shares, built once:
+/// the config, its mode selector and the Eq. (1) array, at the config's Pp,
+/// over the idle percentages `clamp` accepts. A UnifiedFamily holds one for
+/// its backstop; a standalone controller owns its own.
+struct IdleInjectionFamily {
+  IdleInjectionFamily(const IdleInjectionConfig& cfg, const sysfs::PowerClampDevice& clamp);
+
+  IdleInjectionConfig config;
+  ModeSelector selector;
+  ThermalControlArray array;
+};
+
+/// Idle injection's plane: forced-idle percentages through the powerclamp
+/// cooling device's cur_state. It traces under kIdle with tDVFS's event
+/// types (a and b in idle percent).
+struct ClampPlane {
+  using Device = sysfs::PowerClampDevice;
+  using Config = IdleInjectionConfig;
+  using Family = IdleInjectionFamily;
+  using Event = ClampEvent;
+  static constexpr obs::TraceSubsystem kSubsystem = obs::TraceSubsystem::kIdle;
+  static constexpr auto kRestoreRounds = &IdleInjectionConfig::release_rounds;
+  static constexpr const char* kLogTag = "powerclamp";
+  static constexpr const char* kMoveLog = "t=%.2fs idle injection %.0f%% -> %.0f%%";
+  static constexpr const char* kHoldLog = "t=%.2fs sensor failed; holding %.0f%% idle";
+
+  static long target(double percent) { return std::lround(percent); }
+  static bool write(Device& clamp, double percent) { return clamp.set_cur_state(target(percent)); }
+  static Event event(SimTime now, double from, double to) {
+    return {now.seconds(), target(from), target(to)};
+  }
+};
+
+extern template class ThresholdTechnique<ClampPlane>;
+
+/// The idle-injection technique: the threshold state machine over the
+/// clamp plane. A UnifiedController feeds one from its shared window and
+/// gate as its backstop.
+using IdleInjectionTechnique = ThresholdTechnique<ClampPlane>;
+
+/// A standalone idle-injection controller: the technique behind its own
+/// window. Its config has no fault-aware knob, so no gate stands in front.
+class IdleInjectionController : public IdleInjectionTechnique {
  public:
   IdleInjectionController(sysfs::HwmonDevice& hwmon, sysfs::PowerClampDevice& clamp,
-                          IdleInjectionConfig config);
+                          const IdleInjectionConfig& config);
 
   /// Controller tick at the sensor sampling rate.
   void on_sample(SimTime now);
 
-  [[nodiscard]] std::size_t current_index() const { return index_; }
-  [[nodiscard]] long current_percent() const;
-  [[nodiscard]] const std::vector<ClampEvent>& events() const { return events_; }
-  [[nodiscard]] const ThermalControlArray& array() const { return array_; }
-
-  void set_policy(PolicyParam pp);
+  /// Re-tunes the policy parameter; the window's history is dropped.
+  void set_policy(PolicyParam pp) { IdleInjectionTechnique::set_policy(pp, window_); }
 
  private:
-  static std::vector<double> clamp_modes(const sysfs::PowerClampDevice& clamp,
-                                         const IdleInjectionConfig& config);
-  void retarget(SimTime now, std::size_t target);
-
-  sysfs::HwmonDevice& hwmon_;
-  sysfs::PowerClampDevice& clamp_;
-  IdleInjectionConfig config_;
-  ThermalControlArray array_;
-  ModeSelector selector_;
   TwoLevelWindow window_;
-  std::size_t index_ = 0;
-  int rounds_above_ = 0;
-  int rounds_below_ = 0;
-  std::vector<ClampEvent> events_;
 };
 
 }  // namespace thermctl::core

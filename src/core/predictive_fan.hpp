@@ -14,16 +14,20 @@
 // and R_die converts watts to the eventual steady-state degrees they will
 // produce. A pure power step thus retargets the fan on the *same* round it
 // happens, instead of after the die warms.
+//
+// Everything past the feed-forward is the dynamic fan technique's: the
+// controller is a window plus a FanTechnique with its own family, and hands
+// each augmented round to FanTechnique::act, which takes the fan over,
+// decides, writes and records.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
-#include "core/control_array.hpp"
 #include "core/fan_policy.hpp"
-#include "core/mode_selector.hpp"
 #include "core/two_level_window.hpp"
 #include "sysfs/hwmon.hpp"
 #include "sysfs/powercap.hpp"
@@ -49,30 +53,29 @@ struct PredictiveFanConfig {
 class PredictiveFanController {
  public:
   PredictiveFanController(sysfs::HwmonDevice& hwmon, sysfs::RaplDomain& rapl,
-                          PredictiveFanConfig config);
+                          const PredictiveFanConfig& config);
 
   void on_sample(SimTime now);
 
-  [[nodiscard]] std::size_t current_index() const { return index_; }
-  [[nodiscard]] DutyCycle current_duty() const { return DutyCycle{family_.array.mode(index_)}; }
-  [[nodiscard]] const std::vector<FanEvent>& events() const { return events_; }
-  [[nodiscard]] std::uint64_t retarget_count() const { return retargets_; }
+  [[nodiscard]] std::size_t current_index() const { return fan_.current_index(); }
+  [[nodiscard]] DutyCycle current_duty() const { return fan_.current_duty(); }
+  [[nodiscard]] const std::vector<FanEvent>& events() const { return fan_.events(); }
+  [[nodiscard]] std::uint64_t retarget_count() const { return fan_.retarget_count(); }
   /// Retargets attributable to the power feed-forward (counter) term.
   [[nodiscard]] std::uint64_t feedforward_count() const { return feedforward_; }
 
  private:
-  sysfs::HwmonDevice& hwmon_;
+  /// The feed-forward Δt for the round closing at `now`, from the RAPL
+  /// energy spent since the last one.
+  double feedforward(SimTime now);
+
   sysfs::RaplDomain& rapl_;
   PredictiveFanConfig config_;
-  FanFamily family_;  // config.base's selector and Eq. (1) array
+  FanTechnique fan_;
   TwoLevelWindow window_;
-  std::size_t index_ = 0;
-  bool initialized_ = false;
+  std::optional<SimTime> last_round_time_;  // set on the first tick
   std::uint64_t last_energy_uj_ = 0;
-  SimTime last_round_time_{};
   double last_round_power_w_ = -1.0;
-  std::vector<FanEvent> events_;
-  std::uint64_t retargets_ = 0;
   std::uint64_t feedforward_ = 0;
 };
 

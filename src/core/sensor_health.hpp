@@ -115,7 +115,7 @@ struct SensorVerdict {
 
 /// The health gate of one sensor stream, held by whoever owns the window
 /// the stream feeds: a standalone controller, or a UnifiedController for
-/// both of its techniques. It classifies each reading once, traces the
+/// each of its techniques. It classifies each reading once, traces the
 /// classification, and bridges an isolated bad sample with the last good
 /// one; the techniques act only on its verdict.
 class SensorGate {

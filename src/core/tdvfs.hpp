@@ -20,21 +20,16 @@
 // therefore come from the same `stats/total_trans` a real system reports.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <optional>
-#include <vector>
-
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "core/control_array.hpp"
 #include "core/mode_selector.hpp"
 #include "core/policy.hpp"
 #include "core/sensor_health.hpp"
+#include "core/threshold_technique.hpp"
 #include "core/two_level_window.hpp"
 #include "obs/trace.hpp"
 #include "sysfs/cpufreq.hpp"
-#include "sysfs/hwmon.hpp"
 
 namespace thermctl::core {
 
@@ -91,97 +86,34 @@ struct TdvfsFamily {
   const void* pstate_table;  // the table the frequency list was parsed from
 };
 
-/// The tDVFS technique without a window or a sensor gate of its own: it
-/// holds on its owner's gate verdicts and acts on the rounds its owner's
-/// window closes. TdvfsDaemon is the standalone form; a UnifiedController
-/// feeds one from its shared window and gate.
-class TdvfsTechnique {
- public:
-  /// The subsystem a standalone daemon's gate tags its classifications
-  /// with.
+/// tDVFS's plane: frequencies through cpufreq's scaling_setspeed, fastest
+/// first.
+struct FrequencyPlane {
+  using Device = sysfs::CpufreqPolicy;
+  using Config = TdvfsConfig;
+  using Family = TdvfsFamily;
+  using Event = TdvfsEvent;
   static constexpr obs::TraceSubsystem kSubsystem = obs::TraceSubsystem::kTdvfs;
+  static constexpr auto kRestoreRounds = &TdvfsConfig::restore_rounds;
+  static constexpr const char* kLogTag = "tdvfs";
+  static constexpr const char* kMoveLog = "t=%.2fs frequency %.1f GHz -> %.1f GHz";
+  static constexpr const char* kHoldLog = "t=%.2fs sensor failed; holding %.1f GHz";
 
-  /// A technique with its own family, built from `config`.
-  TdvfsTechnique(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
-                 const TdvfsConfig& config);
-  /// A member of `family` running at this node's `pp`.
-  TdvfsTechnique(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
-                 std::shared_ptr<const TdvfsFamily> family, PolicyParam pp);
-
-  /// Starts a tick, before the gate classifies its reading: keeps the
-  /// ring's clock fresh.
-  void begin(SimTime now) { THERMCTL_TRACE_SET_TIME(trace_, now.seconds()); }
-
-  /// Applies the gate's verdict: holds the current frequency while the
-  /// sensor is failed, and resumes once it recovers. Resets `window` on
-  /// hold entry.
-  void on_verdict(SimTime now, SensorVerdict verdict, TwoLevelWindow& window) {
-    if (verdict.failed || holding_) {
-      hold(now, verdict.failed, window);
-    }
+  static GigaHertz target(double ghz) { return GigaHertz{ghz}; }
+  /// Writes can only fail for a non-positive frequency, which no mode list
+  /// holds.
+  static bool write(Device& cpufreq, double ghz) {
+    return cpufreq.set_khz(sysfs::CpufreqPolicy::to_khz(GigaHertz{ghz}));
   }
-
-  /// Acts on a completed window round: consistency counting, then maybe a
-  /// trigger or a restore.
-  void act(SimTime now, const WindowRound& round);
-
-  /// Re-tunes the policy parameter and resets `window`.
-  void set_policy(PolicyParam pp, TwoLevelWindow& window);
-
-  [[nodiscard]] Celsius read_temperature() const { return hwmon_.read_temperature(); }
-
-  [[nodiscard]] std::size_t current_index() const { return index_; }
-  [[nodiscard]] GigaHertz current_target() const;
-  [[nodiscard]] const std::vector<TdvfsEvent>& events() const { return events_; }
-  [[nodiscard]] const ThermalControlArray& array() const { return array_; }
-  /// The family's config. Its `pp` is the family's; this node's current Pp
-  /// is array().policy().
-  [[nodiscard]] const TdvfsConfig& config() const { return family_->config; }
-
-  /// Round-average temperature of the most recently completed window round
-  /// (nullopt until one completes). Read-only observability for the
-  /// verification layer's coordination invariant: a trigger without a
-  /// threshold-crossing average is a bug.
-  [[nodiscard]] std::optional<Celsius> last_round_average() const {
-    return last_round_average_;
-  }
-
-  /// Frequency-hold state (only ever true behind a fault-aware gate).
-  [[nodiscard]] bool holding() const { return holding_; }
-  [[nodiscard]] std::uint64_t hold_entries() const { return hold_entries_; }
-  [[nodiscard]] std::uint64_t held_ticks() const { return held_ticks_; }
-
-  /// Attaches a decision-trace ring (nullptr detaches). Window rounds,
-  /// selector decisions, trigger/restore transitions (with the consistency
-  /// counts that armed them), and hold transitions are then recorded.
-  void set_trace(obs::TraceRing* trace) { trace_ = trace; }
-  [[nodiscard]] obs::TraceRing* trace() const { return trace_; }
-
- private:
-  /// on_verdict()'s hold entry, held-tick count and exit.
-  void hold(SimTime now, bool failed, TwoLevelWindow& window);
-
-  /// `consistency` and `is_restore` feed the decision trace: how many
-  /// consistent rounds armed this move and which direction it is.
-  void retarget(SimTime now, std::size_t target, int consistency, bool used_level2,
-                bool is_restore);
-
-  // What every tick reads, and all but the round average a round reads,
-  // comes first: 64 bytes, one cache line when the technique is aligned.
-  obs::TraceRing* trace_ = nullptr;
-  std::shared_ptr<const TdvfsFamily> family_;
-  ThermalControlArray array_;  // the family's fill, re-pointed to this node's Pp
-  std::size_t index_ = 0;      // 0 = least effective = original (fastest) mode
-  int rounds_above_ = 0;
-  int rounds_below_ = 0;
-  std::optional<Celsius> last_round_average_;
-  bool holding_ = false;
-  sysfs::HwmonDevice& hwmon_;
-  sysfs::CpufreqPolicy& cpufreq_;
-  std::vector<TdvfsEvent> events_;
-  std::uint64_t hold_entries_ = 0;
-  std::uint64_t held_ticks_ = 0;
+  static Event event(SimTime now, double from, double to) { return {now.seconds(), from, to}; }
 };
+
+extern template class ThresholdTechnique<FrequencyPlane>;
+
+/// The tDVFS technique: the threshold state machine over the frequency
+/// plane. TdvfsDaemon is the standalone form; a UnifiedController feeds one
+/// from its shared window and gate.
+using TdvfsTechnique = ThresholdTechnique<FrequencyPlane>;
 
 /// The paper's tDVFS daemon: threshold-triggered frequency scaling through
 /// its own two-level window and thermal control array.

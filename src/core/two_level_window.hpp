@@ -27,11 +27,12 @@
 // pointers to chase.
 //
 // Ownership: a window belongs to whoever feeds it, and so does the sensor
-// gate in front of it. The window-driven techniques (dynamic fan, tDVFS)
-// hold neither: they degrade on the gate's verdict (`on_verdict`) and act
-// on the rounds the window closes (`act`). `Windowed<T>` is a standalone
-// technique with its own window and gate; a UnifiedController owns one of
-// each and hands every verdict and round to both of its techniques.
+// gate in front of it. The window-driven techniques (dynamic fan, tDVFS,
+// idle injection) hold neither: they degrade on the gate's verdict
+// (`on_verdict`) and act on the rounds the window closes (`act`).
+// `Windowed<T>` is a standalone technique with its own window and gate; a
+// UnifiedController owns one of each and hands every verdict and round to
+// each of its techniques.
 #pragma once
 
 #include <array>

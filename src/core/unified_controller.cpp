@@ -1,5 +1,7 @@
 #include "core/unified_controller.hpp"
 
+#include "common/assert.hpp"
+
 namespace thermctl::core {
 namespace {
 
@@ -8,18 +10,23 @@ UnifiedConfig harmonize(UnifiedConfig config) {
   config.fan.pp = config.pp;
   config.tdvfs.pp = config.pp;
   config.idle.pp = config.pp;
-  // One window feeds both techniques.
+  // One window feeds every technique.
   config.fan.window = config.window;
   config.tdvfs.window = config.window;
+  config.idle.window = config.window;
   return config;
 }
 
 }  // namespace
 
-UnifiedFamily::UnifiedFamily(const UnifiedConfig& cfg, const sysfs::CpufreqPolicy& cpufreq)
+UnifiedFamily::UnifiedFamily(const UnifiedConfig& cfg, const sysfs::CpufreqPolicy& cpufreq,
+                             const sysfs::PowerClampDevice* clamp)
     : config(harmonize(cfg)),
       fan(std::make_shared<const FanFamily>(config.fan)),
-      tdvfs(std::make_shared<const TdvfsFamily>(config.tdvfs, cpufreq)) {}
+      tdvfs(std::make_shared<const TdvfsFamily>(config.tdvfs, cpufreq)),
+      idle(clamp != nullptr && config.enable_idle_injection
+               ? std::make_shared<const IdleInjectionFamily>(config.idle, *clamp)
+               : nullptr) {}
 
 bool UnifiedFamily::admits(UnifiedConfig other, const sysfs::CpufreqPolicy& cpufreq) const {
   other.pp = config.pp;
@@ -32,7 +39,8 @@ UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPo
 
 UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
                                      sysfs::PowerClampDevice& clamp, const UnifiedConfig& config)
-    : UnifiedController(hwmon, cpufreq, &clamp, UnifiedFamily{config, cpufreq}, config.pp) {}
+    : UnifiedController(hwmon, cpufreq, &clamp, UnifiedFamily{config, cpufreq, &clamp},
+                        config.pp) {}
 
 UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
                                      sysfs::PowerClampDevice* clamp, const UnifiedFamily& family,
@@ -41,10 +49,9 @@ UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPo
       gate_(family.config.fault_aware, family.config.health),
       fan_(hwmon, family.fan, pp),
       dvfs_(hwmon, cpufreq, family.tdvfs, pp) {
-  if (clamp != nullptr && family.config.enable_idle_injection) {
-    IdleInjectionConfig idle = family.config.idle;
-    idle.pp = pp;
-    idle_ = std::make_unique<IdleInjectionController>(hwmon, *clamp, idle);
+  if (family.idle != nullptr) {
+    THERMCTL_ASSERT(clamp != nullptr, "the idle-injection backstop needs a clamp");
+    idle_ = std::make_unique<IdleInjectionTechnique>(hwmon, *clamp, family.idle, pp);
   }
 }
 
@@ -63,13 +70,16 @@ void UnifiedController::on_sample_with(SimTime now, Celsius reading) {
   if (round.has_value()) {
     fan_.act(now, *round);
   }
-  dvfs_.begin(now);
-  dvfs_.on_verdict(now, verdict, window_);
-  if (round.has_value()) {
-    dvfs_.act(now, *round);
-  }
+  const auto threshold_step = [&](auto& technique) {
+    technique.begin(now);
+    technique.on_verdict(now, verdict, window_);
+    if (round.has_value()) {
+      technique.act(now, *round);
+    }
+  };
+  threshold_step(dvfs_);
   if (idle_ != nullptr) {
-    idle_->on_sample(now);
+    threshold_step(*idle_);
   }
 }
 
@@ -77,7 +87,7 @@ void UnifiedController::set_policy(PolicyParam pp) {
   fan_.set_policy(pp, window_);
   dvfs_.set_policy(pp, window_);
   if (idle_ != nullptr) {
-    idle_->set_policy(pp);
+    idle_->set_policy(pp, window_);
   }
 }
 

@@ -24,7 +24,7 @@ struct UnifiedConfig {
   PolicyParam pp{};
   FanControlConfig fan{};
   TdvfsConfig tdvfs{};
-  /// The one two-level window both techniques read: it overrides the
+  /// The one two-level window every technique reads: it overrides the
   /// sub-configs' windows.
   WindowConfig window{};
   /// Optional third technique (sleep-state / idle-injection backstop).
@@ -32,12 +32,12 @@ struct UnifiedConfig {
   /// tdvfs.threshold so it only engages when DVFS alone is losing.
   bool enable_idle_injection = false;
   IdleInjectionConfig idle{};
-  /// Fault-awareness for the one sensor stream both techniques read: the
+  /// Fault-awareness for the one sensor stream every technique reads: the
   /// controller's one SensorHealthMonitor classifies each reading once, and
   /// each technique degrades its own way on the verdict — the fan fails
-  /// safe to maximum cooling, tDVFS holds. The sub-configs' own knobs are
-  /// not read. The idle-injection backstop is not gated; it is already the
-  /// defence of last resort.
+  /// safe to maximum cooling, tDVFS holds its frequency and the
+  /// idle-injection backstop holds its clamp. The sub-configs' own knobs
+  /// are not read.
   bool fault_aware = false;
   SensorHealthConfig health{};
 
@@ -48,7 +48,10 @@ struct UnifiedConfig {
 /// harmonized config and each technique's family. A ControlBank holds one;
 /// a standalone controller builds its own.
 struct UnifiedFamily {
-  UnifiedFamily(const UnifiedConfig& cfg, const sysfs::CpufreqPolicy& cpufreq);
+  /// Builds the idle-injection backstop's family only with a `clamp` and
+  /// config.enable_idle_injection.
+  UnifiedFamily(const UnifiedConfig& cfg, const sysfs::CpufreqPolicy& cpufreq,
+                const sysfs::PowerClampDevice* clamp = nullptr);
 
   /// True when `other` differs from this family's config in Pp at most and
   /// `cpufreq` lists this family's frequencies.
@@ -57,12 +60,14 @@ struct UnifiedFamily {
   UnifiedConfig config;  // harmonized: one Pp and window throughout
   std::shared_ptr<const FanFamily> fan;
   std::shared_ptr<const TdvfsFamily> tdvfs;
+  std::shared_ptr<const IdleInjectionFamily> idle;  // null without a backstop
 };
 
-/// One gate, one window, two techniques: each sample is classified once,
-/// its verdict goes to the fan technique, the sample is pushed into the
-/// window once, each completed round goes to the fan technique, and then
-/// the verdict and the round go to tDVFS.
+/// One gate, one window, two or three techniques: each sample is
+/// classified once, its verdict goes to the fan technique, the sample is
+/// pushed into the window once, each completed round goes to the fan
+/// technique, and then the verdict and the round go to tDVFS and, last, to
+/// the idle-injection backstop.
 class UnifiedController {
  public:
   /// Both techniques act on the same node through its sysfs planes.
@@ -74,8 +79,9 @@ class UnifiedController {
   UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
                     sysfs::PowerClampDevice& clamp, const UnifiedConfig& config);
 
-  /// A member of `family` running at this node's `pp`; `clamp` (nullable)
-  /// hosts the idle-injection backstop when the family enables it.
+  /// A member of `family` running at this node's `pp`; `clamp` hosts the
+  /// idle-injection backstop when the family has one, and may be null
+  /// otherwise.
   UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
                     sysfs::PowerClampDevice* clamp, const UnifiedFamily& family,
                     PolicyParam pp);
@@ -87,33 +93,32 @@ class UnifiedController {
   /// on_sample with the shared hwmon reading supplied by the caller (the
   /// ControlBank batches the sensor reads across a fleet). `reading` must
   /// equal what hwmon.read_temperature() would return at this tick; the
-  /// tick then behaves byte-for-byte the same. The idle-injection backstop
-  /// keeps its own read path (it samples independently).
+  /// tick then behaves byte-for-byte the same.
   void on_sample_with(SimTime now, Celsius reading);
 
-  /// Applies one Pp to both techniques (the paper's single-knob contract).
+  /// Applies one Pp to every technique (the paper's single-knob contract).
   void set_policy(PolicyParam pp);
 
   [[nodiscard]] FanTechnique& fan() { return fan_; }
   [[nodiscard]] const FanTechnique& fan() const { return fan_; }
   [[nodiscard]] TdvfsTechnique& dvfs() { return dvfs_; }
   [[nodiscard]] const TdvfsTechnique& dvfs() const { return dvfs_; }
-  /// The one sampling window both techniques read (read-only).
+  /// The one sampling window every technique reads (read-only).
   [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
   /// The one gate's monitor, or nullptr when not fault-aware.
   [[nodiscard]] const SensorHealthMonitor* health() const { return gate_.health(); }
   [[nodiscard]] bool has_idle_injection() const { return idle_ != nullptr; }
-  [[nodiscard]] IdleInjectionController& idle_injection() { return *idle_; }
-  [[nodiscard]] const IdleInjectionController& idle_injection() const { return *idle_; }
+  [[nodiscard]] IdleInjectionTechnique& idle_injection() { return *idle_; }
+  [[nodiscard]] const IdleInjectionTechnique& idle_injection() const { return *idle_; }
 
   /// Time of the first in-band (DVFS) intervention, if any — the "trigger
   /// time" Fig. 10 compares across Pp.
   [[nodiscard]] double first_dvfs_trigger_s() const;
 
-  /// Attaches one decision-trace ring to both techniques (nullptr
-  /// detaches): their events interleave on the node's single timeline,
-  /// distinguished by subsystem. The gate's classifications are tagged
-  /// with the fan's.
+  /// Attaches one decision-trace ring to the fan and tDVFS techniques
+  /// (nullptr detaches): their events interleave on the node's single
+  /// timeline, distinguished by subsystem. The gate's classifications are
+  /// tagged with the fan's. The idle-injection backstop stays untraced.
   void set_trace(obs::TraceRing* trace) {
     fan_.set_trace(trace);
     dvfs_.set_trace(trace);
@@ -124,7 +129,7 @@ class UnifiedController {
   SensorGate gate_;
   FanTechnique fan_;
   TdvfsTechnique dvfs_;
-  std::unique_ptr<IdleInjectionController> idle_;  // only with enable_idle_injection
+  std::unique_ptr<IdleInjectionTechnique> idle_;  // only with the family's backstop
 };
 
 }  // namespace thermctl::core

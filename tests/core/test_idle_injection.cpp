@@ -63,7 +63,7 @@ TEST(IdleInjection, RepeatedTriggersDeepenClamp) {
   ClampControllerRig rig;
   IdleInjectionController ctl{*rig.hwmon, rig.clamp, cfg_at(50)};
   rig.run_flat(ctl, 60.0, 80);  // sustained severe heat
-  EXPECT_GE(ctl.current_percent(), 15);
+  EXPECT_GE(ctl.current_target(), 15);
 }
 
 TEST(IdleInjection, SmallerPpClampsHarderPerTrigger) {
@@ -71,7 +71,7 @@ TEST(IdleInjection, SmallerPpClampsHarderPerTrigger) {
     ClampControllerRig rig;
     IdleInjectionController ctl{*rig.hwmon, rig.clamp, cfg_at(pp)};
     rig.run_flat(ctl, 59.0, 40);
-    return ctl.current_percent();
+    return ctl.current_target();
   };
   EXPECT_GE(percent_after(25), percent_after(75));
 }

@@ -14,6 +14,7 @@
 #include "controller_rig.hpp"
 #include "core/experiment.hpp"
 #include "obs/trace.hpp"
+#include "sysfs/powerclamp.hpp"
 
 namespace thermctl::core {
 namespace {
@@ -339,6 +340,64 @@ TEST(Unified, FaultAwareTraceIsPinned) {
   EXPECT_EQ(tdvfs_copies, 0u);
   EXPECT_EQ(events, 1023u);
   EXPECT_EQ(digest, 0xf53a5fe6a128df86ULL) << std::hex << digest;
+}
+
+struct ClampRig : ControllerRig {
+  sysfs::PowerClampDevice clamp{fs, "/sys/class/thermal", 0, cpu};
+};
+
+TEST(Unified, IdleBackstopActsOnTheSharedWindow) {
+  // The backstop reads the controller's one window, not the geometry its
+  // sub-config names: at two samples a round its three consistent hot
+  // rounds close after six ticks, where idle.window's default four-sample
+  // rounds would need twelve.
+  ClampRig rig;
+  UnifiedConfig cfg;
+  cfg.window.level1_size = 2;
+  cfg.tdvfs.threshold = Celsius{80.0};  // keep tDVFS out of it
+  cfg.enable_idle_injection = true;
+  ASSERT_EQ(cfg.idle.window.level1_size, 4u);
+  UnifiedController uc{*rig.hwmon, *rig.cpufreq, rig.clamp, cfg};
+
+  const SimTime now = rig.run_flat(uc, 58.0, 5);
+  EXPECT_FALSE(rig.cpu.idle_injector().active());
+  rig.run_flat(uc, 58.0, 1, now);
+  EXPECT_TRUE(rig.cpu.idle_injector().active());
+  ASSERT_EQ(uc.idle_injection().events().size(), 1u);
+  EXPECT_DOUBLE_EQ(uc.idle_injection().events().front().time_s, 1.5);
+}
+
+TEST(Unified, IdleBackstopHoldsItsClampWhileTheSensorHasFailed) {
+  // Behind a fault-aware gate the backstop holds its clamp on a failed
+  // sensor, as tDVFS holds its frequency: a reading frozen hot would
+  // otherwise deepen the clamp every three rounds.
+  ClampRig rig;
+  UnifiedConfig cfg = fault_aware_unified();
+  cfg.enable_idle_injection = true;
+  UnifiedController uc{*rig.hwmon, *rig.cpufreq, rig.clamp, cfg};
+
+  SimTime now;
+  for (int i = 0; i < 24; ++i) {  // severe heat on a live (jittering) sensor
+    now.advance_us(250000);
+    rig.tick(uc, 58.0 + 0.25 * (i % 2), now);
+  }
+  ASSERT_TRUE(rig.cpu.idle_injector().active());
+  const long clamped = rig.clamp.cur_state();
+  const std::size_t moves = uc.idle_injection().events().size();
+  ASSERT_LT(uc.idle_injection().current_index(), uc.idle_injection().array().size() - 1);
+
+  rig.sensor.inject_stuck_fault();
+  for (int i = 0; i < 48; ++i) {
+    now.advance_us(250000);
+    rig.tick(uc, 58.0, now);
+  }
+  ASSERT_NE(uc.health(), nullptr);
+  EXPECT_TRUE(uc.health()->failed());
+  EXPECT_TRUE(uc.dvfs().holding());
+  EXPECT_TRUE(uc.idle_injection().holding());
+  EXPECT_EQ(uc.idle_injection().hold_entries(), 1u);
+  EXPECT_EQ(rig.clamp.cur_state(), clamped);
+  EXPECT_EQ(uc.idle_injection().events().size(), moves);
 }
 
 }  // namespace
