@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <latch>
+#include <ostream>
 #include <span>
 #include <thread>
 #include <vector>
@@ -198,6 +199,14 @@ struct FillCase {
   std::size_t n;
   int physical_modes;
 };
+
+/// Names a case `pp50_n100_m75`. Without a printer gtest prints the raw
+/// bytes of the struct, padding included, and CMake's test discovery names
+/// each ctest id after what gtest prints, so the ids changed from build to
+/// build.
+void PrintTo(const FillCase& c, std::ostream* os) {
+  *os << "pp" << c.pp << "_n" << c.n << "_m" << c.physical_modes;
+}
 
 class ControlArrayFillSweep : public ::testing::TestWithParam<FillCase> {};
 
