@@ -16,9 +16,9 @@
 // happens, instead of after the die warms.
 //
 // Everything past the feed-forward is the dynamic fan technique's: the
-// controller is a window plus a FanTechnique with its own family, and hands
-// each augmented round to FanTechnique::act, which takes the fan over,
-// decides, writes and records.
+// controller is a window plus a FanTechnique with its own family, which
+// takes the fan over on the first tick, and FanTechnique::act decides,
+// writes and records on each augmented round.
 #pragma once
 
 #include <cstdint>
