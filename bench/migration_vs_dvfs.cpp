@@ -14,9 +14,8 @@
 #include "bench_util.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/engine.hpp"
+#include "core/control_bank.hpp"
 #include "core/load_balancer.hpp"
-#include "core/tdvfs.hpp"
-#include "core/unified_controller.hpp"
 #include "workload/app.hpp"
 #include "workload/npb.hpp"
 
@@ -57,7 +56,7 @@ Outcome run_response(Response response) {
   workload::ParallelApp app{"BT", workload::make_npb_programs(npb, 4, rng)};
   engine.attach_app(app, {0, 1, 2, 3});  // node 4 is the spare
 
-  std::vector<std::unique_ptr<TdvfsDaemon>> daemons;
+  ControlBank bank{kNodes, rack.fleet()->sensor().last_degc.data()};
   std::unique_ptr<ThermalLoadBalancer> balancer;
 
   if (response == Response::kDvfs) {
@@ -65,11 +64,9 @@ Outcome run_response(Response response) {
       TdvfsConfig tc;
       tc.pp = PolicyParam{50};
       tc.threshold = Celsius{55.0};
-      daemons.push_back(
-          std::make_unique<TdvfsDaemon>(rack.node(i).hwmon(), rack.node(i).cpufreq(), tc));
-      TdvfsDaemon* raw = daemons.back().get();
-      engine.add_periodic(params.sample_period, [raw](SimTime now) { raw->on_sample(now); });
+      bank.emplace_tdvfs(i, rack.node(i).hwmon(), rack.node(i).cpufreq(), tc);
     }
+    engine.add_periodic(params.sample_period, [&bank](SimTime now) { bank.tick_tdvfs(now); });
   } else if (response == Response::kMigration) {
     LoadBalancerConfig bc;
     bc.min_hot_temp = Celsius{55.0};

@@ -8,12 +8,10 @@
 // they also pay back as room heat. The bench runs an 8-node BT job three
 // ways: no feedback (fixed inlets), feedback uncontrolled, and feedback with
 // per-node unified control.
-#include <memory>
-
 #include "bench_util.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/engine.hpp"
-#include "core/unified_controller.hpp"
+#include "core/control_bank.hpp"
 #include "workload/app.hpp"
 #include "workload/npb.hpp"
 
@@ -65,17 +63,15 @@ Outcome run_case(bool with_room, bool with_control) {
   }
   engine.attach_app(app, mapping);
 
-  std::vector<std::unique_ptr<UnifiedController>> controllers;
+  ControlBank bank{kNodes, rack.fleet()->sensor().last_degc.data()};
   if (with_control) {
     for (std::size_t i = 0; i < kNodes; ++i) {
       UnifiedConfig cfg;
       cfg.pp = PolicyParam{40};
       cfg.tdvfs.threshold = Celsius{55.0};
-      controllers.push_back(std::make_unique<UnifiedController>(
-          rack.node(i).hwmon(), rack.node(i).cpufreq(), cfg));
-      UnifiedController* raw = controllers.back().get();
-      engine.add_periodic(params.sample_period, [raw](SimTime now) { raw->on_sample(now); });
+      bank.emplace_unified(i, rack.node(i).hwmon(), rack.node(i).cpufreq(), cfg);
     }
+    engine.add_periodic(params.sample_period, [&bank](SimTime now) { bank.tick_unified(now); });
   }
 
   const cluster::RunResult run = engine.run();

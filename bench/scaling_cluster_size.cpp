@@ -4,25 +4,14 @@
 // Per-node controllers are fully decentralized — each reads its own sensor
 // and actuates its own fan/DVFS — so control *quality* should be scale-free
 // while cluster-wide outcomes (hottest node, total transitions) grow
-// predictably. Two regimes share one rig construction (fleet-backed SoA
-// cluster, hot-spot inlets, per-node unified control):
+// predictably. Every point runs the same BT-per-node job at full horizon on
+// a fleet-backed SoA cluster with hot-spot inlets and one unified
+// ControlBank, comparing execution time and thermal outcomes from 4 to 32
+// nodes. Simulation throughput out to 100k nodes is micro_engine_throughput's
+// scaling ladder.
 //
-//   * quality points (4..32 nodes): the same BT-per-node job at full
-//     horizon, comparing execution time and thermal outcomes across scale;
-//   * throughput ladder (256..100k nodes): synthetic per-node loads under a
-//     fixed node-step budget, reporting simulation rate and bytes/node.
-//
-// Every point is built, run, printed and destroyed before the next one
-// starts — results stream one row at a time and exactly one rig is ever in
-// memory, which is what lets the 100k-node point fit a CI memory budget.
-//
-// Usage: scaling_cluster_size [--max-nodes N]   (default 100000)
+// Usage: scaling_cluster_size
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -40,17 +29,14 @@ using namespace thermctl::core;
 
 struct Outcome {
   std::size_t nodes = 0;
-  bool quality = false;  // full-horizon BT point vs budgeted throughput point
   double exec_s = 0.0;
   double hottest = 0.0;
   double avg_temp = 0.0;
   std::uint64_t transitions = 0;
-  double sim_rate = 0.0;        // simulated seconds per wall second
-  double node_steps_per_sec = 0.0;
   double bytes_per_node = 0.0;  // exact SoA footprint from FleetState
 };
 
-Outcome run_scale(std::size_t nodes, bool quality) {
+Outcome run_scale(std::size_t nodes) {
   cluster::NodeParams params;
   cluster::Cluster rack{nodes, params};
   for (std::size_t i = 0; i < nodes; ++i) {
@@ -60,46 +46,22 @@ Outcome run_scale(std::size_t nodes, bool quality) {
   for (std::size_t i = 7; i < nodes; i += 8) {
     rack.set_inlet_temperature(i, Celsius{35.0});
   }
-  if (quality) {
-    rack.settle_all();
-  }
+  rack.settle_all();
 
   cluster::EngineConfig engine_cfg;
-  if (quality) {
-    engine_cfg.horizon = Seconds{300.0};
-  } else {
-    // Fixed node-step budget: every ladder point costs about the same wall
-    // time no matter the scale.
-    constexpr double kNodeStepBudget = 4e6;
-    const long long steps = std::clamp(
-        static_cast<long long>(kNodeStepBudget / static_cast<double>(nodes)), 40LL, 20000LL);
-    engine_cfg.horizon =
-        Seconds{static_cast<double>(steps) * engine_cfg.physics_dt.value()};
-  }
+  engine_cfg.horizon = Seconds{300.0};
   cluster::Engine engine{rack, engine_cfg};
 
-  std::unique_ptr<workload::ParallelApp> app;
-  if (quality) {
-    Rng rng{nodes * 131 + 7};
-    workload::NpbParams npb = workload::bt_class_b();
-    npb.iterations = 100;
-    app = std::make_unique<workload::ParallelApp>(
-        "BT", workload::make_npb_programs(npb, static_cast<int>(nodes), rng));
-    std::vector<std::size_t> mapping(nodes);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      mapping[i] = i;
-    }
-    engine.attach_app(*app, mapping);
-  } else {
-    // A 100k-rank barrier-coupled program would dominate memory; the ladder
-    // drives out-of-phase synthetic loads through the same control stack.
-    for (std::size_t i = 0; i < nodes; ++i) {
-      engine.set_node_load_fn(i, [i](SimTime t) {
-        const double x = t.seconds() * 0.7 + static_cast<double>(i) * 0.13;
-        return Utilization{0.55 + 0.35 * std::sin(x)};
-      });
-    }
+  Rng rng{nodes * 131 + 7};
+  workload::NpbParams npb = workload::bt_class_b();
+  npb.iterations = 100;
+  workload::ParallelApp app{"BT",
+                            workload::make_npb_programs(npb, static_cast<int>(nodes), rng)};
+  std::vector<std::size_t> mapping(nodes);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    mapping[i] = i;
   }
+  engine.attach_app(app, mapping);
 
   ControlBank bank{nodes, rack.fleet()->sensor().last_degc.data()};
   for (std::size_t i = 0; i < nodes; ++i) {
@@ -110,97 +72,48 @@ Outcome run_scale(std::size_t nodes, bool quality) {
   }
   engine.add_periodic(params.sample_period, [&bank](SimTime now) { bank.tick_unified(now); });
 
-  const auto wall_start = std::chrono::steady_clock::now();
   const cluster::RunResult run = engine.run();
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
   Outcome o;
   o.nodes = nodes;
-  o.quality = quality;
   o.exec_s = run.exec_time_s;
   o.hottest = run.max_die_temp();
   o.avg_temp = run.avg_die_temp();
   o.transitions = run.total_freq_transitions();
-  o.sim_rate = run.times.back() / std::max(wall_s, 1e-9);
-  o.node_steps_per_sec = run.times.back() / engine_cfg.physics_dt.value() *
-                         static_cast<double>(nodes) / std::max(wall_s, 1e-9);
   o.bytes_per_node =
       static_cast<double>(rack.fleet()->memory_bytes()) / static_cast<double>(nodes);
   return o;
 }
 
-void print_row(const Outcome& o) {
-  std::printf("  %7zu | %10s | %8.1f | %7.1f | %12llu | %9.1f | %12.0f | %6.0f\n", o.nodes,
-              o.quality ? "BT-300s" : "budgeted",
-              o.quality ? o.exec_s : 0.0, o.hottest,
-              static_cast<unsigned long long>(o.transitions), o.sim_rate,
-              o.node_steps_per_sec, o.bytes_per_node);
-  std::fflush(stdout);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   namespace tb = thermctl::bench;
 
-  std::size_t max_nodes = 100000;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--max-nodes") == 0) {
-      max_nodes = static_cast<std::size_t>(std::atol(argv[i + 1]));
-    }
-  }
+  tb::banner("Scaling", "per-node unified control from 4- to 32-node racks (BT + hot spots)");
 
-  tb::banner("Scaling",
-             "per-node unified control from 4-node racks (BT + hot spots) to a "
-             "100k-node fleet");
-
-  std::printf("    nodes |   workload | exec (s) | hot die | freq changes | sim-s/s  |"
-              " node-steps/s | B/node\n");
-
-  // Quality points: identical job across scale; rows stream as they finish,
-  // one rig in memory at a time.
-  const std::vector<std::size_t> quality_scales{4, 8, 16, 32};
+  std::printf("    nodes | exec (s) | hot die | avg die | freq changes | B/node\n");
   std::vector<Outcome> quality;
-  for (std::size_t n : quality_scales) {
-    if (n > max_nodes) {
-      continue;
-    }
-    quality.push_back(run_scale(n, true));
-    print_row(quality.back());
-  }
-
-  // Throughput ladder out to fleet scale.
-  for (std::size_t n : {std::size_t{256}, std::size_t{2048}, std::size_t{16384},
-                        std::size_t{100000}}) {
-    if (n > max_nodes) {
-      continue;
-    }
-    print_row(run_scale(n, false));
+  for (const std::size_t n : {4u, 8u, 16u, 32u}) {
+    const Outcome& o = quality.emplace_back(run_scale(n));
+    std::printf("  %7zu | %8.1f | %7.1f | %7.2f | %12llu | %6.0f\n", o.nodes, o.exec_s,
+                o.hottest, o.avg_temp, static_cast<unsigned long long>(o.transitions),
+                o.bytes_per_node);
   }
 
   tb::note("decentralized per-node control: thermal quality should not degrade with\n"
            "scale; only aggregate counts grow");
 
-  tb::shape_check("hottest die stays controlled (< 60 degC) at every quality scale", [&] {
-    for (const Outcome& o : quality) {
-      if (o.hottest >= 60.0) {
-        return false;
-      }
-    }
-    return true;
+  tb::shape_check("hottest die stays controlled (< 60 degC) at every scale", [&] {
+    return std::all_of(quality.begin(), quality.end(),
+                       [](const Outcome& o) { return o.hottest < 60.0; });
   }());
   tb::shape_check("average temperature is scale-free (spread < 2 degC)", [&] {
-    double lo = 1e9;
-    double hi = -1e9;
-    for (const Outcome& o : quality) {
-      lo = std::min(lo, o.avg_temp);
-      hi = std::max(hi, o.avg_temp);
-    }
-    return hi - lo < 2.0;
+    const auto [lo, hi] = std::minmax_element(
+        quality.begin(), quality.end(),
+        [](const Outcome& a, const Outcome& b) { return a.avg_temp < b.avg_temp; });
+    return hi->avg_temp - lo->avg_temp < 2.0;
   }());
   tb::shape_check("execution time grows only mildly with scale (barrier tail, < 10%)",
-                  quality.empty() ||
-                      quality.back().exec_s < quality.front().exec_s * 1.10);
+                  quality.back().exec_s < quality.front().exec_s * 1.10);
   return 0;
 }

@@ -12,8 +12,8 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/engine.hpp"
+#include "core/control_bank.hpp"
 #include "core/fan_policy.hpp"
-#include "core/unified_controller.hpp"
 #include "workload/app.hpp"
 #include "workload/npb.hpp"
 
@@ -56,7 +56,7 @@ RackRun run_rack(bool unified) {
   }
   engine.attach_app(app, mapping);
 
-  std::vector<std::unique_ptr<core::UnifiedController>> controllers;
+  core::ControlBank bank{kNodes, rack.fleet()->sensor().last_degc.data()};
   if (unified) {
     for (std::size_t i = 0; i < kNodes; ++i) {
       core::UnifiedConfig cfg;
@@ -65,11 +65,9 @@ RackRun run_rack(bool unified) {
       // envelope, and a 51 degC trigger would pin the hot nodes at the
       // bottom of the ladder (and barrier-stall the rest of the job).
       cfg.tdvfs.threshold = Celsius{56.0};
-      controllers.push_back(std::make_unique<core::UnifiedController>(
-          rack.node(i).hwmon(), rack.node(i).cpufreq(), cfg));
-      core::UnifiedController* raw = controllers.back().get();
-      engine.add_periodic(params.sample_period, [raw](SimTime now) { raw->on_sample(now); });
+      bank.emplace_unified(i, rack.node(i).hwmon(), rack.node(i).cpufreq(), cfg);
     }
+    engine.add_periodic(params.sample_period, [&bank](SimTime now) { bank.tick_unified(now); });
   } else {
     for (std::size_t i = 0; i < kNodes; ++i) {
       core::StaticFanPolicy policy{rack.node(i).fan_driver(), core::StaticFanPolicy::Curve{},

@@ -11,7 +11,6 @@ Engine::Engine(Cluster& cluster, EngineConfig config)
     : cluster_(cluster),
       config_(config),
       rank_of_node_(cluster.size(), kNoRank),
-      node_loads_(cluster.size(), nullptr),
       steal_fraction_(cluster.size(), 0.0),
       recorder_(cluster.size()),
       record_schedule_(static_cast<std::int64_t>(config.record_period.value() * 1e6)) {
@@ -46,24 +45,28 @@ void Engine::attach_app(workload::ParallelApp& app, std::vector<std::size_t> nod
 }
 
 void Engine::set_node_load(std::size_t i, const workload::SegmentLoad* load) {
-  if (load == nullptr) {
-    set_node_load_fn(i, nullptr);
-    return;
-  }
-  set_node_load_fn(i, [load](SimTime t) { return load->at(t); });
+  set_load(NodeLoad{i, load, nullptr});
 }
 
 void Engine::set_node_load(std::size_t i, const workload::TraceLoad* load) {
-  if (load == nullptr) {
-    set_node_load_fn(i, nullptr);
-    return;
-  }
-  set_node_load_fn(i, [load](SimTime t) { return load->at(t); });
+  set_load(NodeLoad{i, nullptr, load});
 }
 
-void Engine::set_node_load_fn(std::size_t i, std::function<Utilization(SimTime)> load) {
-  THERMCTL_ASSERT(i < cluster_.size(), "node index out of range");
-  node_loads_[i] = std::move(load);
+void Engine::set_load(NodeLoad load) {
+  THERMCTL_ASSERT(load.node < cluster_.size(), "node index out of range");
+  const auto at = std::lower_bound(
+      node_loads_.begin(), node_loads_.end(), load.node,
+      [](const NodeLoad& l, std::size_t node) { return l.node < node; });
+  const bool present = at != node_loads_.end() && at->node == load.node;
+  if (load.segment == nullptr && load.trace == nullptr) {
+    if (present) {
+      node_loads_.erase(at);
+    }
+  } else if (present) {
+    *at = load;
+  } else {
+    node_loads_.insert(at, load);
+  }
 }
 
 void Engine::set_fleet_load_fn(FleetLoadFn load) { fleet_load_ = std::move(load); }
@@ -267,15 +270,17 @@ RunResult Engine::run() {
     // scalars — write the arrays directly instead of bouncing through
     // every Node object.
     if (fleet_load_) {
-      // One batched call fills the row; per-node functions override below.
+      // One batched call fills the row; per-node loads override below.
       fleet_load_(now_, util, halted, node_count);
     }
-    for (std::size_t i = 0; i < node_count; ++i) {
-      if (node_loads_[i]) {
-        util[i] = halted[i] != 0 ? 0.0 : node_loads_[i](now_).fraction();
-      } else if (app_ != nullptr && !app_running && rank_of_node_[i] != kNoRank) {
-        util[i] = halted[i] != 0 ? 0.0 : 0.02;  // job exited
+    if (app_ != nullptr && !app_running) {
+      for (std::size_t n : node_for_rank_) {
+        util[n] = halted[n] != 0 ? 0.0 : 0.02;  // job exited
       }
+    }
+    for (const NodeLoad& load : node_loads_) {
+      const std::size_t i = load.node;
+      util[i] = halted[i] != 0 ? 0.0 : load.at(now_).fraction();
     }
 
     // 2. Physics, per-node and sharded BSP-style: contiguous node ranges

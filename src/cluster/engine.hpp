@@ -10,8 +10,10 @@
 //   3. metrics recording (default 4 Hz to match the figures' sample-point
 //      axes).
 //
-// Workload sources per node: either a rank of an attached ParallelApp
-// (barrier-coupled across nodes) or a time-driven SegmentLoad. The run ends
+// Workload sources: a rank of an attached ParallelApp (barrier-coupled
+// across nodes), one batched fleet load that fills the whole utilization
+// row, and per-node time-driven loads (SegmentLoad / TraceLoad) kept
+// sparsely, so a step touches only the nodes that have one. The run ends
 // when the app completes (its completion time is the experiment's execution
 // time) or at the horizon.
 //
@@ -78,18 +80,16 @@ class Engine {
   /// At most one rank per node. The app is not owned.
   void attach_app(workload::ParallelApp& app, std::vector<std::size_t> node_for_rank);
 
-  /// Drives node `i` from a time-function load instead (not owned).
+  /// Drives node `i` from a time-function load instead (not owned); it
+  /// overrides the fleet load on that node. nullptr clears node `i`'s load.
   void set_node_load(std::size_t i, const workload::SegmentLoad* load);
   void set_node_load(std::size_t i, const workload::TraceLoad* load);
-  /// Fully general form: any utilization function of simulated time.
-  void set_node_load_fn(std::size_t i, std::function<Utilization(SimTime)> load);
 
   /// Batched load hook for dense synthetic fleets: ONE call per physics step
-  /// fills the fleet's whole utilization row in place of N per-node
-  /// std::function dispatches (at 100k nodes the per-node hops cost more
-  /// than the RC solve). The callback must write
+  /// fills the fleet's whole utilization row (at 100k nodes a per-node
+  /// dispatch costs more than the RC solve). The callback must write
   /// `util[i] = halted[i] != 0 ? 0.0 : <fraction in [0, 1]>` for every i.
-  /// Per-node load functions still override individual nodes afterwards.
+  /// Nodes with a set_node_load() load override it afterwards.
   using FleetLoadFn =
       std::function<void(SimTime, double* util, const std::uint8_t* halted, std::size_t count)>;
   void set_fleet_load_fn(FleetLoadFn load);
@@ -165,6 +165,18 @@ class Engine {
     PeriodicSchedule schedule;
     std::function<void(SimTime)> fn;
   };
+  /// One node's time-function load: exactly one of the two is set.
+  struct NodeLoad {
+    std::size_t node = 0;
+    const workload::SegmentLoad* segment = nullptr;
+    const workload::TraceLoad* trace = nullptr;
+
+    [[nodiscard]] Utilization at(SimTime t) const {
+      return segment != nullptr ? segment->at(t) : trace->at(t);
+    }
+  };
+
+  void set_load(NodeLoad load);
 
   void record_sample();
   [[nodiscard]] ActivityCode activity_of_node(std::size_t i) const;
@@ -183,7 +195,7 @@ class Engine {
   ctrl::ControlPlane* plane_ = nullptr;
   std::vector<std::size_t> node_for_rank_;
   std::vector<std::size_t> rank_of_node_;  // reverse map; kNoRank = vacant
-  std::vector<std::function<Utilization(SimTime)>> node_loads_;
+  std::vector<NodeLoad> node_loads_;  // ascending node, only nodes with a load
   FleetLoadFn fleet_load_;
   std::vector<double> steal_fraction_;  // per node, from in-band overhead
   std::vector<PeriodicTask> tasks_;

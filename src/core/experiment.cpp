@@ -128,8 +128,9 @@ struct Rig {
   /// All dynamic fan / tDVFS controllers live in one bank, ticked by one
   /// periodic per family; node i's are bank->fan(i) / bank->tdvfs(i).
   std::unique_ptr<ControlBank> bank;
-  std::vector<std::unique_ptr<CpuspeedGovernor>> cpuspeed;
-  std::vector<std::unique_ptr<FaultApplier>> fault_appliers;
+  /// Node-ordered families, each ticked by one periodic.
+  std::vector<CpuspeedGovernor> cpuspeed;
+  std::vector<FaultApplier> fault_appliers;
   std::unique_ptr<cluster::RoomModel> room;
   std::unique_ptr<cluster::ctrl::ControlPlane> plane;
   std::shared_ptr<obs::RunTrace> trace;
@@ -146,9 +147,10 @@ struct Rig {
   }
 };
 
-/// Registers the fault-injection walker for every node. Must run before the
-/// controllers are registered so a tick's faults are in force by the time
-/// the controllers sample.
+/// Builds every node's fault-injection walker and registers one periodic
+/// that ticks them in node order. Must run before the controllers are
+/// registered so a tick's faults are in force by the time the controllers
+/// sample.
 void build_fault_campaign(Rig& rig, const ExperimentConfig& config, Seconds horizon,
                           ExperimentResult& result) {
   if (!config.faults.enabled) {
@@ -157,12 +159,14 @@ void build_fault_campaign(Rig& rig, const ExperimentConfig& config, Seconds hori
   result.fault_schedules.resize(config.nodes);
   for (std::size_t i = 0; i < config.nodes; ++i) {
     result.fault_schedules[i] = make_fault_schedule(config.faults, i, horizon);
-    auto applier = std::make_unique<FaultApplier>(rig.cluster->node(i), result.fault_schedules[i]);
-    FaultApplier* raw = applier.get();
-    rig.fault_appliers.push_back(std::move(applier));
-    rig.engine->add_periodic(config.node_params.sample_period,
-                             [raw](SimTime now) { raw->tick(now); });
+    rig.fault_appliers.emplace_back(rig.cluster->node(i), result.fault_schedules[i]);
   }
+  rig.engine->add_periodic(config.node_params.sample_period,
+                           [appliers = &rig.fault_appliers](SimTime now) {
+                             for (FaultApplier& applier : *appliers) {
+                               applier.tick(now);
+                             }
+                           });
 }
 
 void build_workload(Rig& rig, const ExperimentConfig& config) {
@@ -290,15 +294,18 @@ void build_dvfs_policy(Rig& rig, const ExperimentConfig& config) {
       }
       case DvfsPolicyKind::kCpuspeed: {
         // Daemon-faithful wiring: cpuspeed reads /proc/stat from the node.
-        auto governor = std::make_unique<CpuspeedGovernor>(
-            node.vfs(), node.proc_stat(), node.cpufreq(), config.cpuspeed);
-        CpuspeedGovernor* raw = governor.get();
-        rig.cpuspeed.push_back(std::move(governor));
-        rig.engine->add_periodic(config.cpuspeed.interval,
-                                 [raw](SimTime now) { raw->on_interval(now); });
+        rig.cpuspeed.emplace_back(node.vfs(), node.proc_stat(), node.cpufreq(), config.cpuspeed);
         break;
       }
     }
+  }
+  if (!rig.cpuspeed.empty()) {
+    rig.engine->add_periodic(config.cpuspeed.interval,
+                             [governors = &rig.cpuspeed](SimTime now) {
+                               for (CpuspeedGovernor& governor : *governors) {
+                                 governor.on_interval(now);
+                               }
+                             });
   }
   if (rig.bank != nullptr && rig.bank->tdvfs_count() > 0) {
     ControlBank* bank = rig.bank.get();

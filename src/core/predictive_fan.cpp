@@ -4,37 +4,34 @@
 
 namespace thermctl::core {
 
-PredictiveFanController::PredictiveFanController(sysfs::HwmonDevice& hwmon,
-                                                 sysfs::RaplDomain& rapl,
-                                                 const PredictiveFanConfig& config)
-    : rapl_(rapl), config_(config), fan_(hwmon, config.base), window_(config.base.window) {}
+PredictiveFanTechnique::PredictiveFanTechnique(sysfs::HwmonDevice& hwmon,
+                                               sysfs::RaplDomain& rapl,
+                                               const PredictiveFanConfig& config)
+    : FanTechnique(hwmon, config.base), rapl_(rapl), config_(config) {}
 
-void PredictiveFanController::on_sample(SimTime now) {
-  const Celsius reading = fan_.read_temperature();
-  fan_.begin(now);  // takes the fan over on the first tick
+void PredictiveFanTechnique::begin(SimTime now) {
+  FanTechnique::begin(now);  // takes the fan over on the first tick
   if (!last_round_time_.has_value()) {
     last_energy_uj_ = rapl_.energy_uj();
     last_round_time_ = now;
   }
-  const auto round = window_.add_sample(reading);
-  if (!round.has_value()) {
-    return;
-  }
+}
+
+void PredictiveFanTechnique::act(SimTime now, const WindowRound& round) {
   const double feedforward_dt = feedforward(now);
-  WindowRound augmented = *round;
+  WindowRound augmented = round;
   augmented.level1_delta = augmented.level1_delta + CelsiusDelta{feedforward_dt};
 
   // What history alone would have decided, for attribution.
-  const bool history_would_move =
-      fan_.family().selector.decide(fan_.current_index(), *round).changed;
-  const std::uint64_t retargets = fan_.retarget_count();
-  fan_.act(now, augmented);
-  if (fan_.retarget_count() != retargets && feedforward_dt != 0.0 && !history_would_move) {
+  const bool history_would_move = family().selector.decide(current_index(), round).changed;
+  const std::uint64_t retargets = retarget_count();
+  FanTechnique::act(now, augmented);
+  if (retarget_count() != retargets && feedforward_dt != 0.0 && !history_would_move) {
     ++feedforward_;  // the counter term alone caused this move
   }
 }
 
-double PredictiveFanController::feedforward(SimTime now) {
+double PredictiveFanTechnique::feedforward(SimTime now) {
   // Average package power over the just-completed round, from RAPL deltas.
   // The energy counter wraps (kernel max_energy_range_uj semantics): a raw
   // `energy - last` subtraction across the wrap would read as an enormous

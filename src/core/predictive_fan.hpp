@@ -15,15 +15,15 @@
 // produce. A pure power step thus retargets the fan on the *same* round it
 // happens, instead of after the die warms.
 //
-// Everything past the feed-forward is the dynamic fan technique's: the
-// controller is a window plus a FanTechnique with its own family, which
-// takes the fan over on the first tick, and FanTechnique::act decides,
-// writes and records on each augmented round.
+// Everything past the feed-forward is the dynamic fan technique's:
+// PredictiveFanTechnique is a FanTechnique whose act() augments the round
+// first, and the controller is that technique behind its own window and
+// sensor gate, like every other standalone controller — so
+// `base.fault_aware` fails safe to maximum cooling on a dead sensor.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
@@ -50,17 +50,19 @@ struct PredictiveFanConfig {
   double max_power_w = 400.0;
 };
 
-class PredictiveFanController {
+/// The dynamic fan technique with the RAPL feed-forward added to each
+/// round's Δt_L1 before FanTechnique::act sees it.
+class PredictiveFanTechnique : public FanTechnique {
  public:
-  PredictiveFanController(sysfs::HwmonDevice& hwmon, sysfs::RaplDomain& rapl,
-                          const PredictiveFanConfig& config);
+  PredictiveFanTechnique(sysfs::HwmonDevice& hwmon, sysfs::RaplDomain& rapl,
+                         const PredictiveFanConfig& config);
 
-  void on_sample(SimTime now);
+  /// FanTechnique::begin; the first tick also takes the RAPL baseline.
+  void begin(SimTime now);
 
-  [[nodiscard]] std::size_t current_index() const { return fan_.current_index(); }
-  [[nodiscard]] DutyCycle current_duty() const { return fan_.current_duty(); }
-  [[nodiscard]] const std::vector<FanEvent>& events() const { return fan_.events(); }
-  [[nodiscard]] std::uint64_t retarget_count() const { return fan_.retarget_count(); }
+  /// Acts on the round with its Δt_L1 augmented by the feed-forward.
+  void act(SimTime now, const WindowRound& round);
+
   /// Retargets attributable to the power feed-forward (counter) term.
   [[nodiscard]] std::uint64_t feedforward_count() const { return feedforward_; }
 
@@ -71,12 +73,14 @@ class PredictiveFanController {
 
   sysfs::RaplDomain& rapl_;
   PredictiveFanConfig config_;
-  FanTechnique fan_;
-  TwoLevelWindow window_;
   std::optional<SimTime> last_round_time_;  // set on the first tick
   std::uint64_t last_energy_uj_ = 0;
   double last_round_power_w_ = -1.0;
   std::uint64_t feedforward_ = 0;
 };
+
+/// The predictive fan controller: the technique behind its own window and
+/// gate.
+using PredictiveFanController = Windowed<PredictiveFanTechnique>;
 
 }  // namespace thermctl::core

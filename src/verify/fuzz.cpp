@@ -164,6 +164,48 @@ void check_duty_bounds(const char* who, double duty_pct, double min_pct, double 
   }
 }
 
+/// Short health thresholds, so an adversarial stream's flat, stuck and
+/// extreme segments confirm sensor failures and recoveries.
+core::SensorHealthConfig quick_health() {
+  core::SensorHealthConfig health;
+  health.stuck_samples = 6;
+  health.reject_samples = 3;
+  health.recovery_samples = 4;
+  return health;
+}
+
+/// Seeded i2c bus-fault episodes: a healthy tick starts one with
+/// probability 1/100, and it lasts 1 to 20 ticks.
+struct BusFaults {
+  Rng rng;
+  int left = 0;
+
+  void step(hw::I2cBus& bus) {
+    if (left == 0 && rng.below(100) == 0) {
+      left = 1 + static_cast<int>(rng.below(20));
+    }
+    if ((left > 0) != bus.faulted()) {
+      left > 0 ? bus.inject_bus_fault() : bus.clear_bus_fault();
+    }
+    left = std::max(0, left - 1);
+  }
+};
+
+/// Fail-safe cooling: from the tick after entry on, a healthy bus has
+/// carried the most effective duty to the chip. `was_failsafe` carries the
+/// previous tick's state.
+void check_failsafe_duty(const core::FanTechnique& fan, const FuzzRig& rig, bool& was_failsafe,
+                         double t, InvariantReport& report) {
+  if (was_failsafe && fan.in_failsafe() && !rig.bus.faulted()) {
+    ++report.checks;
+    if (std::abs(rig.chip.output_duty().percent() - fan.array().most_effective()) > 0.5) {
+      report.add(InvariantKind::kStateMachine, t, 0,
+                 "fail-safe duty not at the most effective mode", 64);
+    }
+  }
+  was_failsafe = fan.in_failsafe();
+}
+
 }  // namespace
 
 FuzzReport fuzz_unified(std::uint64_t seed, int ticks) {
@@ -184,29 +226,22 @@ FuzzReport fuzz_unified(std::uint64_t seed, int ticks) {
   const bool fault_aware = seed % 2 == 1;
   if (fault_aware) {
     cfg.fault_aware = true;
-    cfg.health.stuck_samples = 6;
-    cfg.health.reject_samples = 3;
-    cfg.health.recovery_samples = 4;
+    cfg.health = quick_health();
   }
   core::UnifiedController controller{*rig.hwmon, *rig.cpufreq, cfg};
   const core::FanTechnique& fan = controller.fan();
   const core::TdvfsTechnique& dvfs = controller.dvfs();
 
   AdversarialStream stream{seed, /*allow_nan=*/false};
-  Rng bus_rng{seed ^ 0x6b6b6b6b6b6b6b6bULL};
-  int bus_fault_left = 0;
+  BusFaults bus_faults{Rng{seed ^ 0x6b6b6b6b6b6b6b6bULL}};
   bool was_failsafe = false;
   SimTime now;
   std::size_t seen_events = 0;
   for (int i = 0; i < ticks; ++i) {
     now.advance_us(250000);
-    if (fault_aware && bus_fault_left == 0 && bus_rng.below(100) == 0) {
-      bus_fault_left = 1 + static_cast<int>(bus_rng.below(20));
+    if (fault_aware) {
+      bus_faults.step(rig.bus);
     }
-    if ((bus_fault_left > 0) != rig.bus.faulted()) {
-      bus_fault_left > 0 ? rig.bus.inject_bus_fault() : rig.bus.clear_bus_fault();
-    }
-    bus_fault_left = std::max(0, bus_fault_left - 1);
     const std::size_t dvfs_index = dvfs.current_index();
     rig.tick(controller, stream.next(), now);
     ++report.ticks;
@@ -224,16 +259,7 @@ FuzzReport fuzz_unified(std::uint64_t seed, int ticks) {
                       cfg.fan.min_duty.percent(), cfg.fan.max_duty.percent(), t,
                       report.invariants);
 
-    // Fail-safe cooling: from the tick after entry on, a healthy bus has
-    // carried the most effective duty to the chip.
-    if (was_failsafe && fan.in_failsafe() && !rig.bus.faulted()) {
-      ++report.invariants.checks;
-      if (std::abs(rig.chip.output_duty().percent() - fan.array().most_effective()) > 0.5) {
-        report.invariants.add(InvariantKind::kStateMachine, t, 0,
-                              "fail-safe duty not at the most effective mode", 64);
-      }
-    }
-    was_failsafe = fan.in_failsafe();
+    check_failsafe_duty(fan, rig, was_failsafe, t, report.invariants);
 
     // A held frequency does not move.
     if (dvfs.holding()) {
@@ -278,7 +304,29 @@ FuzzReport fuzz_predictive(std::uint64_t seed, int ticks) {
   Rng rng{seed ^ 0x5c5c5c5c5c5c5c5cULL};
   core::PredictiveFanConfig cfg;
   cfg.base.pp = random_pp(rng);
+  // Odd seeds run fault-aware under seeded bus-fault episodes, as
+  // fuzz_unified does; their flat first phase confirms a stuck sensor, so
+  // the counter wrap is crossed in fail-safe.
+  const bool fault_aware = seed % 2 == 1;
+  if (fault_aware) {
+    cfg.base.fault_aware = true;
+    cfg.base.health = quick_health();
+  }
   core::PredictiveFanController controller{*rig.hwmon, *rig.rapl, cfg};
+
+  BusFaults bus_faults{Rng{seed ^ 0x4d4d4d4d4d4d4d4dULL}};
+  bool was_failsafe = false;
+  SimTime now;
+  const auto tick = [&](double temp) {
+    now.advance_us(250000);
+    if (fault_aware) {
+      bus_faults.step(rig.bus);
+    }
+    rig.cpu.advance_counters(Seconds{0.25});
+    rig.tick(controller, temp, now);
+    ++report.ticks;
+    check_failsafe_duty(controller, rig, was_failsafe, now.seconds(), report.invariants);
+  };
 
   // Phase 1: flat temperature, constant load, RAPL counter parked just below
   // the wrap boundary. The counter wraps mid-phase; a correct controller
@@ -286,13 +334,9 @@ FuzzReport fuzz_predictive(std::uint64_t seed, int ticks) {
   // line and the feed-forward delta is ~zero).
   rig.cpu.set_utilization(Utilization{0.6});
   rig.cpu.preset_counters(0, 0, sysfs::RaplDomain::kMaxEnergyRangeUj - 2'000'000ULL);
-  SimTime now;
   const int wrap_ticks = std::min(ticks / 2, 400);
   for (int i = 0; i < wrap_ticks; ++i) {
-    now.advance_us(250000);
-    rig.cpu.advance_counters(Seconds{0.25});
-    rig.tick(controller, 48.0, now);
-    ++report.ticks;
+    tick(48.0);
   }
   ++report.invariants.checks;
   if (!controller.events().empty()) {
@@ -305,13 +349,10 @@ FuzzReport fuzz_predictive(std::uint64_t seed, int ticks) {
   // Phase 2: adversarial stream with load changes; structural bounds only.
   AdversarialStream stream{seed, /*allow_nan=*/false};
   for (int i = wrap_ticks; i < ticks; ++i) {
-    now.advance_us(250000);
     if (rng.below(40) == 0) {
       rig.cpu.set_utilization(Utilization{rng.uniform(0.0, 1.0)});
     }
-    rig.cpu.advance_counters(Seconds{0.25});
-    rig.tick(controller, stream.next(), now);
-    ++report.ticks;
+    tick(stream.next());
     const double t = now.seconds();
     ++report.invariants.checks;
     if (controller.current_index() >= cfg.base.array_size) {

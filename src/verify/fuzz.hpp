@@ -19,7 +19,8 @@
 //    retargets while it holds;
 //  * PredictiveFanController — a RAPL wrap under flat temperature and
 //    constant load must not retarget the fan (the wrap-corrected power
-//    delta is ~zero); duty bounds as above;
+//    delta is ~zero); duty bounds as above; odd seeds run fault-aware
+//    under bus-fault episodes with the same fail-safe duty check;
 //  * PidFanController — duty clamps to its bounds under any input, the
 //    integrator stays finite, and a reset() is always followed by an
 //    actuation on the next tick (the hardware-state-unknown contract);

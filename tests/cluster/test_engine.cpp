@@ -143,8 +143,8 @@ TEST(Engine, FleetLoadFnDrivesWholeRow) {
   }
 }
 
-TEST(Engine, PerNodeLoadFnOverridesFleetLoad) {
-  Cluster cluster{2, quiet()};
+TEST(Engine, PerNodeLoadOverridesFleetLoad) {
+  Cluster cluster{3, quiet()};
   Engine engine{cluster, short_run(4.0)};
   engine.set_fleet_load_fn([](SimTime, double* util, const std::uint8_t* halted,
                               std::size_t count) {
@@ -152,10 +152,32 @@ TEST(Engine, PerNodeLoadFnOverridesFleetLoad) {
       util[i] = halted[i] != 0 ? 0.0 : 0.3;
     }
   });
-  engine.set_node_load_fn(1, [](SimTime) { return Utilization{0.9}; });
+  const auto high = workload::gradual_profile(Seconds{100.0}, 0.9);
+  const auto mid = workload::gradual_profile(Seconds{100.0}, 0.6);
+  engine.set_node_load(2, &mid);
+  engine.set_node_load(1, &mid);
+  engine.set_node_load(1, &high);  // replaces node 1's load
+  engine.set_node_load(2, static_cast<const workload::SegmentLoad*>(nullptr));  // clears it
   const RunResult result = engine.run();
   EXPECT_NEAR(result.nodes[0].util.back(), 0.3, 1e-12);
   EXPECT_NEAR(result.nodes[1].util.back(), 0.9, 1e-12);
+  EXPECT_NEAR(result.nodes[2].util.back(), 0.3, 1e-12);
+}
+
+TEST(Engine, ExitedRanksIdleUnlessTheyHaveALoad) {
+  Cluster cluster{2, quiet()};
+  EngineConfig cfg = short_run(60.0);
+  cfg.cooldown = Seconds{3.0};
+  Engine engine{cluster, cfg};
+  std::vector<workload::Program> progs(2, workload::Program{workload::compute_phase(2.4)});
+  workload::ParallelApp app{"t", std::move(progs)};
+  engine.attach_app(app, {0, 1});
+  const auto load = workload::gradual_profile(Seconds{100.0}, 0.6);
+  engine.set_node_load(1, &load);
+  const RunResult result = engine.run();
+  ASSERT_TRUE(result.app_completed);
+  EXPECT_NEAR(result.nodes[0].util.back(), 0.02, 1e-12);
+  EXPECT_NEAR(result.nodes[1].util.back(), 0.6, 1e-12);
 }
 
 TEST(Engine, RepeatedRunsAppendToRecordedSeries) {

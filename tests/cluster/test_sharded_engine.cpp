@@ -1,7 +1,7 @@
 // Sharded engine determinism: EngineConfig::workers must be behaviourally
 // inert. The differential oracle covers full experiment configs; these tests
 // pin the property at the engine level with a rig the oracle does not build
-// (room coupling + per-node load functions + default sensor noise), across
+// (room coupling + out-of-phase fleet loads + default sensor noise), across
 // divisible and non-divisible node/shard partitions, compared bit-for-bit.
 
 #include <cmath>
@@ -25,7 +25,7 @@ std::uint64_t bits(double x) {
 
 /// A rig that exercises every coupling point the BSP barrier must respect:
 /// room inlet feedback (rack power reduced across all nodes each step),
-/// per-node synthetic loads out of phase with each other, and the default
+/// a fleet load whose nodes run out of phase with each other, and the default
 /// seeded sensor noise so sample order matters.
 RunResult run_rig(std::size_t nodes, int workers) {
   NodeParams params;  // defaults: sensor noise on, per-node seeds
@@ -36,12 +36,13 @@ RunResult run_rig(std::size_t nodes, int workers) {
   cfg.workers = workers;
   Engine engine{cluster, cfg};
   engine.attach_room(room);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    engine.set_node_load_fn(i, [i](SimTime t) {
-      const double phase = t.seconds() + static_cast<double>(i);
-      return Utilization{0.5 + 0.4 * std::sin(phase)};
-    });
-  }
+  engine.set_fleet_load_fn(
+      [](SimTime t, double* util, const std::uint8_t* halted, std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+          const double phase = t.seconds() + static_cast<double>(i);
+          util[i] = halted[i] != 0 ? 0.0 : 0.5 + 0.4 * std::sin(phase);
+        }
+      });
   return engine.run();
 }
 

@@ -150,5 +150,26 @@ TEST(PredictiveFan, StillRespondsToPlainTemperatureTrends) {
   EXPECT_GT(ctl.retarget_count(), 0u);
 }
 
+TEST(PredictiveFan, FaultAwareFailsSafeOnAFrozenSensor) {
+  // base.fault_aware gates the predictive fan like every standalone
+  // controller: once the sensor is confirmed frozen, the chip is driven to
+  // the array's most effective duty instead of steering on a dead reading.
+  PredictiveRig rig;
+  PredictiveFanConfig cfg = paper_cfg();
+  cfg.base.fault_aware = true;
+  cfg.base.health.stuck_samples = 4;
+  PredictiveFanController ctl{*rig.hwmon, rig.rapl, cfg};
+  SimTime now;
+  for (int i = 0; i < 8; ++i) {  // healthy: the reading moves every sample
+    rig.quarter_second(ctl, 0.3, 42.0 + 0.25 * (i % 2), now);
+  }
+  ASSERT_LT(rig.chip.output_duty().percent(), 10.0);
+  rig.sensor.inject_stuck_fault();
+  for (int i = 0; i < 8; ++i) {
+    rig.quarter_second(ctl, 0.3, 42.0, now);
+  }
+  EXPECT_NEAR(rig.chip.output_duty().percent(), cfg.base.max_duty.percent(), 0.5);
+}
+
 }  // namespace
 }  // namespace thermctl::core

@@ -146,5 +146,33 @@ TEST(Tdvfs, SetPolicyRefills) {
   EXPECT_EQ(daemon.array().policy().value, 25);
 }
 
+TEST(ThresholdTechnique, TriggersOnlyAboveTheThreshold) {
+  // The paper's "above 51 °C", pinned on the rounds themselves: a round
+  // whose level-one average is exactly the threshold never counts toward a
+  // trigger, however many arrive; 0.25 °C above triggers on the
+  // consistency_rounds-th round.
+  ControllerRig rig;
+  TdvfsTechnique dvfs{*rig.hwmon, *rig.cpufreq, paper_cfg()};
+  SimTime now;
+  const auto act = [&](double average) {
+    now.advance_us(1000000);
+    WindowRound round;
+    round.level1_average = Celsius{average};
+    dvfs.act(now, round);
+  };
+  for (int i = 0; i < 20; ++i) {
+    act(51.0);
+  }
+  EXPECT_EQ(dvfs.current_index(), 0u);
+  EXPECT_TRUE(dvfs.events().empty());
+  for (int i = 1; i < paper_cfg().consistency_rounds; ++i) {
+    act(51.25);
+    EXPECT_EQ(dvfs.current_index(), 0u) << "after " << i << " hot rounds";
+  }
+  act(51.25);
+  EXPECT_GT(dvfs.current_index(), 0u);
+  EXPECT_EQ(dvfs.events().size(), 1u);
+}
+
 }  // namespace
 }  // namespace thermctl::core

@@ -32,54 +32,84 @@ workload::SegmentLoad random_load(Rng& rng) {
   return workload::SegmentLoad{std::move(segments), rng.next_u64()};
 }
 
+constexpr std::uint64_t kSeeds[] = {1u,   7u,    42u,    99u,    123u,   500u,
+                                    1234u, 5555u, 90210u, 777777u, 31337u, 271828u};
+
+/// Two nodes under random loads and a random inlet pocket, each run by a
+/// unified controller at a random Pp and fan ceiling. The idle-injection
+/// backstop sits at 48 degC rather than its 56 degC default, which no seed
+/// reaches: at 48 some seeds engage it, so the invariants also run with a
+/// clamp active.
+struct ClosedLoopRig {
+  explicit ClosedLoopRig(std::uint64_t seed) {
+    Rng rng{seed};
+
+    cluster::NodeParams params;
+    params.seed = rng.next_u64();
+    rack = std::make_unique<cluster::Cluster>(2, params);
+    for (std::size_t i = 0; i < 2; ++i) {
+      rack->node(i).set_utilization(Utilization{0.02});
+    }
+    // Random (but sane) inlet perturbation on one node.
+    rack->set_inlet_temperature(1, Celsius{29.5 + rng.uniform() * 8.0});
+    rack->settle_all();
+
+    pp = 1 + static_cast<int>(rng.below(100));
+    max_duty = 20.0 + rng.uniform() * 80.0;
+
+    cluster::EngineConfig engine_cfg;
+    engine_cfg.horizon = Seconds{120.0};
+    engine = std::make_unique<cluster::Engine>(*rack, engine_cfg);
+
+    loads.push_back(random_load(rng));
+    loads.push_back(random_load(rng));
+    engine->set_node_load(0, &loads[0]);
+    engine->set_node_load(1, &loads[1]);
+
+    for (std::size_t i = 0; i < 2; ++i) {
+      UnifiedConfig cfg;
+      cfg.pp = PolicyParam{pp};
+      cfg.fan.max_duty = DutyCycle{max_duty};
+      cfg.enable_idle_injection = true;
+      cfg.idle.threshold = Celsius{48.0};
+      controllers.push_back(std::make_unique<UnifiedController>(
+          rack->node(i).hwmon(), rack->node(i).cpufreq(), rack->node(i).powerclamp(), cfg));
+      UnifiedController* raw = controllers.back().get();
+      engine->add_periodic(params.sample_period, [raw](SimTime now) { raw->on_sample(now); });
+    }
+
+    result = engine->run();
+  }
+
+  [[nodiscard]] std::size_t clamp_events() const {
+    std::size_t n = 0;
+    for (const auto& ctl : controllers) {
+      n += ctl->idle_injection().events().size();
+    }
+    return n;
+  }
+
+  std::unique_ptr<cluster::Cluster> rack;
+  std::unique_ptr<cluster::Engine> engine;
+  std::vector<workload::SegmentLoad> loads;
+  std::vector<std::unique_ptr<UnifiedController>> controllers;
+  int pp = 0;
+  double max_duty = 0.0;
+  cluster::RunResult result;
+};
+
 class ClosedLoopFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ClosedLoopFuzz, InvariantsHoldUnderRandomConditions) {
-  Rng rng{GetParam()};
-
-  cluster::NodeParams params;
-  params.seed = rng.next_u64();
-  cluster::Cluster rack{2, params};
-  for (std::size_t i = 0; i < 2; ++i) {
-    rack.node(i).set_utilization(Utilization{0.02});
-  }
-  // Random (but sane) inlet perturbation on one node.
-  rack.set_inlet_temperature(1, Celsius{29.5 + rng.uniform() * 8.0});
-  rack.settle_all();
-
-  const int pp = 1 + static_cast<int>(rng.below(100));
-  const double max_duty = 20.0 + rng.uniform() * 80.0;
-
-  cluster::EngineConfig engine_cfg;
-  engine_cfg.horizon = Seconds{120.0};
-  cluster::Engine engine{rack, engine_cfg};
-
-  std::vector<workload::SegmentLoad> loads;
-  loads.push_back(random_load(rng));
-  loads.push_back(random_load(rng));
-  engine.set_node_load(0, &loads[0]);
-  engine.set_node_load(1, &loads[1]);
-
-  std::vector<std::unique_ptr<UnifiedController>> controllers;
-  for (std::size_t i = 0; i < 2; ++i) {
-    UnifiedConfig cfg;
-    cfg.pp = PolicyParam{pp};
-    cfg.fan.max_duty = DutyCycle{max_duty};
-    cfg.enable_idle_injection = true;
-    controllers.push_back(std::make_unique<UnifiedController>(
-        rack.node(i).hwmon(), rack.node(i).cpufreq(), rack.node(i).powerclamp(), cfg));
-    UnifiedController* raw = controllers.back().get();
-    engine.add_periodic(params.sample_period, [raw](SimTime now) { raw->on_sample(now); });
-  }
-
-  const cluster::RunResult result = engine.run();
+  const ClosedLoopRig rig{GetParam()};
+  const cluster::RunResult& result = rig.result;
 
   // Invariant 1: the fan never exceeds its configured ceiling or drops
   // below the physical floor (modulo integer duty modes + the 8-bit PWM
   // register, worst case just under 1%).
   for (const auto& node : result.nodes) {
     for (double duty : node.duty) {
-      EXPECT_LE(duty, max_duty + 1.0) << "seed " << GetParam();
+      EXPECT_LE(duty, rig.max_duty + 1.0) << "seed " << GetParam();
       EXPECT_GE(duty, 0.0);
     }
   }
@@ -95,13 +125,13 @@ TEST_P(ClosedLoopFuzz, InvariantsHoldUnderRandomConditions) {
   // Invariant 3: nothing melted or halted — the protection ladder plus the
   // controllers keep the die below THERMTRIP under any ≤100% load.
   EXPECT_LT(result.max_die_temp(), 90.0) << "seed " << GetParam();
-  EXPECT_FALSE(rack.node(0).halted());
-  EXPECT_FALSE(rack.node(1).halted());
+  EXPECT_FALSE(rig.rack->node(0).halted());
+  EXPECT_FALSE(rig.rack->node(1).halted());
 
   // Invariant 4: controller indexes stayed inside their arrays (would have
   // aborted otherwise) and Pp flowed everywhere.
-  for (const auto& ctl : controllers) {
-    EXPECT_EQ(ctl->fan().array().policy().value, pp);
+  for (const auto& ctl : rig.controllers) {
+    EXPECT_EQ(ctl->fan().array().policy().value, rig.pp);
     EXPECT_LT(ctl->fan().current_index(), ctl->fan().array().size());
     EXPECT_LT(ctl->dvfs().current_index(), ctl->dvfs().array().size());
   }
@@ -117,9 +147,17 @@ TEST_P(ClosedLoopFuzz, InvariantsHoldUnderRandomConditions) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ClosedLoopFuzz,
-                         ::testing::Values(1u, 7u, 42u, 99u, 123u, 500u, 1234u, 5555u, 90210u,
-                                           777777u, 31337u, 271828u));
+INSTANTIATE_TEST_SUITE_P(Seeds, ClosedLoopFuzz, ::testing::ValuesIn(kSeeds));
+
+TEST(ClosedLoopFuzzCoverage, BackstopEngagesOnSomeSeed) {
+  // Keeps the clamp-active path of the invariants above from going dark: if
+  // no seed engages the backstop, they only ever see it idle.
+  std::size_t clamp_events = 0;
+  for (const std::uint64_t seed : kSeeds) {
+    clamp_events += ClosedLoopRig{seed}.clamp_events();
+  }
+  EXPECT_GE(clamp_events, 1u);
+}
 
 TEST(ClosedLoopFuzzDeterminism, SameSeedSameTrajectory) {
   auto run_once = [](std::uint64_t seed) {
