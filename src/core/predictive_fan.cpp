@@ -12,9 +12,25 @@ PredictiveFanTechnique::PredictiveFanTechnique(sysfs::HwmonDevice& hwmon,
 void PredictiveFanTechnique::begin(SimTime now) {
   FanTechnique::begin(now);  // takes the fan over on the first tick
   if (!last_round_time_.has_value()) {
-    last_energy_uj_ = rapl_.energy_uj();
-    last_round_time_ = now;
+    rebaseline(now);
   }
+}
+
+void PredictiveFanTechnique::on_verdict(SimTime now, SensorVerdict verdict,
+                                        TwoLevelWindow& window) {
+  const bool was_failsafe = in_failsafe();
+  FanTechnique::on_verdict(now, verdict, window);
+  if (in_failsafe() != was_failsafe) {
+    // The outage can outlast a counter wrap, and the load can change under
+    // it: neither the energy nor the power before it says anything now.
+    rebaseline(now);
+  }
+}
+
+void PredictiveFanTechnique::rebaseline(SimTime now) {
+  last_energy_uj_ = rapl_.energy_uj();
+  last_round_time_ = now;
+  last_round_power_w_ = -1.0;
 }
 
 void PredictiveFanTechnique::act(SimTime now, const WindowRound& round) {

@@ -52,6 +52,13 @@ struct PredictiveFanConfig {
 
 /// The dynamic fan technique with the RAPL feed-forward added to each
 /// round's Δt_L1 before FanTechnique::act sees it.
+///
+/// begin, on_verdict and act hide FanTechnique's non-virtual methods of the
+/// same names. Drive the technique only through
+/// Windowed<PredictiveFanTechnique>, which calls them by name: a caller
+/// holding it as a FanTechnique& would run the base methods and skip the
+/// RAPL baseline and the feed-forward. Reading its state through a
+/// FanTechnique& is fine.
 class PredictiveFanTechnique : public FanTechnique {
  public:
   PredictiveFanTechnique(sysfs::HwmonDevice& hwmon, sysfs::RaplDomain& rapl,
@@ -59,6 +66,12 @@ class PredictiveFanTechnique : public FanTechnique {
 
   /// FanTechnique::begin; the first tick also takes the RAPL baseline.
   void begin(SimTime now);
+
+  /// FanTechnique::on_verdict; entering or leaving fail-safe also drops
+  /// the power history and re-takes the RAPL baseline, so no round after a
+  /// recovery averages power over the outage or compares with the power
+  /// seen before it.
+  void on_verdict(SimTime now, SensorVerdict verdict, TwoLevelWindow& window);
 
   /// Acts on the round with its Δt_L1 augmented by the feed-forward.
   void act(SimTime now, const WindowRound& round);
@@ -70,6 +83,8 @@ class PredictiveFanTechnique : public FanTechnique {
   /// The feed-forward Δt for the round closing at `now`, from the RAPL
   /// energy spent since the last one.
   double feedforward(SimTime now);
+  /// Forgets the power history; the next round starts it from `now`.
+  void rebaseline(SimTime now);
 
   sysfs::RaplDomain& rapl_;
   PredictiveFanConfig config_;

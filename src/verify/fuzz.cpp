@@ -305,8 +305,7 @@ FuzzReport fuzz_predictive(std::uint64_t seed, int ticks) {
   core::PredictiveFanConfig cfg;
   cfg.base.pp = random_pp(rng);
   // Odd seeds run fault-aware under seeded bus-fault episodes, as
-  // fuzz_unified does; their flat first phase confirms a stuck sensor, so
-  // the counter wrap is crossed in fail-safe.
+  // fuzz_unified does.
   const bool fault_aware = seed % 2 == 1;
   if (fault_aware) {
     cfg.base.fault_aware = true;
@@ -328,15 +327,23 @@ FuzzReport fuzz_predictive(std::uint64_t seed, int ticks) {
     check_failsafe_duty(controller, rig, was_failsafe, now.seconds(), report.invariants);
   };
 
-  // Phase 1: flat temperature, constant load, RAPL counter parked just below
-  // the wrap boundary. The counter wraps mid-phase; a correct controller
-  // computes a ~constant power and never retargets (the window sees a flat
-  // line and the feed-forward delta is ~zero).
+  // Phase 1: flat temperature, constant load, RAPL counter parked a few
+  // rounds below the wrap boundary, so it wraps in a round whose power is
+  // compared with the one before. A correct controller computes a ~constant
+  // power and never retargets (the window sees a flat line and the
+  // feed-forward delta is ~zero). The line alternates by one 0.25 degC
+  // sensor step, which leaves every half-round average equal and keeps a
+  // fault-aware gate from confirming a stuck sensor.
   rig.cpu.set_utilization(Utilization{0.6});
-  rig.cpu.preset_counters(0, 0, sysfs::RaplDomain::kMaxEnergyRangeUj - 2'000'000ULL);
+  rig.cpu.preset_counters(0, 0, sysfs::RaplDomain::kMaxEnergyRangeUj - 200'000'000ULL);
   const int wrap_ticks = std::min(ticks / 2, 400);
+  std::uint64_t energy = 0;
+  bool wrapped = false;
   for (int i = 0; i < wrap_ticks; ++i) {
-    tick(48.0);
+    tick(48.0 + 0.25 * (i % 2));
+    const std::uint64_t next = rig.rapl->energy_uj();
+    wrapped = wrapped || (i > 0 && next < energy);
+    energy = next;
   }
   ++report.invariants.checks;
   if (!controller.events().empty()) {
@@ -344,6 +351,13 @@ FuzzReport fuzz_predictive(std::uint64_t seed, int ticks) {
     msg << controller.events().size()
         << " retargets under flat temperature across a RAPL counter wrap";
     report.invariants.add(InvariantKind::kStateMachine, now.seconds(), 0, msg.str(), 64);
+  }
+  // Any phase of 10 s or more crosses the wrap: the rig spends the 200 J
+  // margin in about 17 ticks.
+  ++report.invariants.checks;
+  if (wrap_ticks >= 40 && !wrapped) {
+    report.invariants.add(InvariantKind::kStateMachine, now.seconds(), 0,
+                          "the RAPL counter never wrapped after the first tick", 64);
   }
 
   // Phase 2: adversarial stream with load changes; structural bounds only.

@@ -171,5 +171,40 @@ TEST(PredictiveFan, FaultAwareFailsSafeOnAFrozenSensor) {
   EXPECT_NEAR(rig.chip.output_duty().percent(), cfg.base.max_duty.percent(), 0.5);
 }
 
+TEST(PredictiveFan, RecoveryRoundIgnoresPowerFromBeforeTheOutage) {
+  // The load drops while the sensor is frozen. The first round after the
+  // recovery must not compare its power with the full-load power seen
+  // before the outage: that stale drop would unwind the fail-safe duty by
+  // feed-forward alone while the temperature is flat.
+  PredictiveRig rig;
+  PredictiveFanConfig cfg = paper_cfg();
+  cfg.base.fault_aware = true;
+  cfg.base.health.stuck_samples = 4;
+  PredictiveFanController ctl{*rig.hwmon, rig.rapl, cfg};
+  SimTime now;
+  int tick = 0;
+  const auto dithered = [&tick] { return 42.0 + 0.25 * (tick++ % 2); };
+  for (int i = 0; i < 8; ++i) {  // full load, power history primed
+    rig.quarter_second(ctl, 1.0, dithered(), now);
+  }
+  rig.sensor.inject_stuck_fault();
+  for (int i = 0; i < 40; ++i) {  // the load drops during the outage
+    rig.quarter_second(ctl, 0.05, 42.0, now);
+  }
+  ASSERT_TRUE(ctl.in_failsafe());
+  rig.sensor.clear_fault();
+  for (int i = 0; i < 40 && ctl.in_failsafe(); ++i) {
+    rig.quarter_second(ctl, 0.05, dithered(), now);
+  }
+  ASSERT_FALSE(ctl.in_failsafe());
+  const std::uint64_t retargets = ctl.retarget_count();
+  for (int i = 0; i < 4; ++i) {  // the first round after the recovery
+    rig.quarter_second(ctl, 0.05, dithered(), now);
+  }
+  EXPECT_EQ(ctl.feedforward_count(), 0u);
+  EXPECT_EQ(ctl.retarget_count(), retargets);
+  EXPECT_EQ(ctl.current_index(), ctl.array().size() - 1);
+}
+
 }  // namespace
 }  // namespace thermctl::core

@@ -2,6 +2,7 @@
 // policies — the invariants that must hold for *every* run, not just the
 // paper's scenarios.
 #include <algorithm>
+#include <iterator>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -34,6 +35,9 @@ workload::SegmentLoad random_load(Rng& rng) {
 
 constexpr std::uint64_t kSeeds[] = {1u,   7u,    42u,    99u,    123u,   500u,
                                     1234u, 5555u, 90210u, 777777u, 31337u, 271828u};
+/// Seeds whose rig must engage the backstop, so the invariants keep running
+/// with a clamp active.
+constexpr std::uint64_t kBackstopSeeds[] = {1u, 42u, 31337u};
 
 /// Two nodes under random loads and a random inlet pocket, each run by a
 /// unified controller at a random Pp and fan ceiling. The idle-injection
@@ -145,19 +149,16 @@ TEST_P(ClosedLoopFuzz, InvariantsHoldUnderRandomConditions) {
       EXPECT_LT(t, 150.0);
     }
   }
+
+  // Coverage: the backstop engages where it always has, so the invariants
+  // above cannot silently stop seeing it active.
+  if (std::find(std::begin(kBackstopSeeds), std::end(kBackstopSeeds), GetParam()) !=
+      std::end(kBackstopSeeds)) {
+    EXPECT_GE(rig.clamp_events(), 1u) << "seed " << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClosedLoopFuzz, ::testing::ValuesIn(kSeeds));
-
-TEST(ClosedLoopFuzzCoverage, BackstopEngagesOnSomeSeed) {
-  // Keeps the clamp-active path of the invariants above from going dark: if
-  // no seed engages the backstop, they only ever see it idle.
-  std::size_t clamp_events = 0;
-  for (const std::uint64_t seed : kSeeds) {
-    clamp_events += ClosedLoopRig{seed}.clamp_events();
-  }
-  EXPECT_GE(clamp_events, 1u);
-}
 
 TEST(ClosedLoopFuzzDeterminism, SameSeedSameTrajectory) {
   auto run_once = [](std::uint64_t seed) {

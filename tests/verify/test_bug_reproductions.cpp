@@ -97,7 +97,9 @@ TEST(RaplWrapBug, PredictiveFanIgnoresWrap) {
   ControllerRig rig;
   sysfs::RaplDomain rapl{rig.fs, "/sys/class/powercap", 0, rig.cpu};
   rig.cpu.set_utilization(Utilization{0.7});
-  rig.cpu.preset_counters(0, 0, sysfs::RaplDomain::kMaxEnergyRangeUj - 1'000'000ULL);
+  // A few rounds' energy below the wrap, so it falls in a round whose
+  // power is compared with the one before.
+  rig.cpu.preset_counters(0, 0, sysfs::RaplDomain::kMaxEnergyRangeUj - 200'000'000ULL);
 
   core::PredictiveFanController fan{*rig.hwmon, rapl, core::PredictiveFanConfig{}};
   SimTime now;

@@ -55,7 +55,8 @@ TEST(Fuzz, UnifiedSurvivesSeeds) {
 }
 
 TEST(Fuzz, PredictiveSurvivesRaplWrap) {
-  for (std::uint64_t seed : {1ULL, 7ULL}) {
+  // Odd seeds run fault-aware, even seeds trust the sensor.
+  for (std::uint64_t seed : {1ULL, 2ULL, 7ULL}) {
     const FuzzReport report = fuzz_predictive(seed, 800);
     EXPECT_TRUE(report.ok()) << report.to_string();
   }
