@@ -11,8 +11,10 @@
 //      cluster, per-node unified controllers, synthetic loads) at 16 to
 //      100k nodes under a fixed node-step budget; reports steps/sec,
 //      node-steps/sec and bytes/node (exact SoA footprint from FleetState
-//      plus the process-RSS delta across rig construction) per point, and
-//      the heap the run's record keeps per node and recorded row.
+//      plus the process-RSS delta across rig construction) per point, the
+//      heap the run's record keeps per node and recorded row, and the
+//      bytes the bank's decision logs hold per decision and per node
+//      (DecisionLog::memory_bytes).
 //   3. parallel sweep runtime: an 8-point Pp sweep executed serially
 //      (1 worker) and in parallel (hardware workers) through
 //      runtime::run_sweep; reports the wall-clock speedup and verifies the
@@ -242,6 +244,9 @@ struct ScalePoint {
   double fleet_bytes_per_node = 0.0;
   double rss_bytes_per_node = 0.0;
   double record_heap_bytes_per_node_row = 0.0;
+  std::size_t decisions = 0;
+  double decision_bytes_per_decision = 0.0;
+  double decision_bytes_per_node = 0.0;
 };
 
 /// One ladder point: fleet-backed cluster + per-node unified controllers +
@@ -328,6 +333,13 @@ ScalePoint measure_scale(std::size_t nodes, int workers) {
         static_cast<double>(heap_after - heap_before) /
         (static_cast<double>(nodes) * static_cast<double>(run.times.size()));
   }
+  const ControlBank::DecisionLogUse logs = bank.decision_logs();
+  p.decisions = logs.decisions;
+  if (logs.decisions > 0) {
+    p.decision_bytes_per_decision =
+        static_cast<double>(logs.bytes) / static_cast<double>(logs.decisions);
+  }
+  p.decision_bytes_per_node = static_cast<double>(logs.bytes) / static_cast<double>(nodes);
   return p;
 }
 
@@ -434,9 +446,11 @@ int main(int argc, char** argv) {
     const ScalePoint p = measure_scale(n, engine_workers);
     std::printf("    %7zu nodes: %8.0f steps/s, %11.0f node-steps/s, "
                 "%4.0f B/node SoA, %6.0f B/node RSS, %4.0f B/node-row record, "
+                "%zu decisions at %.1f B each (%.1f B/node), "
                 "build %.2fs, run %.2fs (%zu workers)\n",
                 p.nodes, p.steps_per_sec, p.node_steps_per_sec, p.fleet_bytes_per_node,
-                p.rss_bytes_per_node, p.record_heap_bytes_per_node_row, p.build_wall_s,
+                p.rss_bytes_per_node, p.record_heap_bytes_per_node_row, p.decisions,
+                p.decision_bytes_per_decision, p.decision_bytes_per_node, p.build_wall_s,
                 p.wall_s, p.engine_workers);
     ladder.push_back(p);
   }
@@ -506,8 +520,12 @@ int main(int argc, char** argv) {
     std::fprintf(f, "      \"node_steps_per_sec\": %.1f,\n", p.node_steps_per_sec);
     std::fprintf(f, "      \"fleet_bytes_per_node\": %.1f,\n", p.fleet_bytes_per_node);
     std::fprintf(f, "      \"rss_bytes_per_node\": %.1f,\n", p.rss_bytes_per_node);
-    std::fprintf(f, "      \"record_heap_bytes_per_node_row\": %.1f\n",
+    std::fprintf(f, "      \"record_heap_bytes_per_node_row\": %.1f,\n",
                  p.record_heap_bytes_per_node_row);
+    std::fprintf(f, "      \"decisions\": %zu,\n", p.decisions);
+    std::fprintf(f, "      \"decision_bytes_per_decision\": %.1f,\n",
+                 p.decision_bytes_per_decision);
+    std::fprintf(f, "      \"decision_bytes_per_node\": %.1f\n", p.decision_bytes_per_node);
     std::fprintf(f, "    }%s\n", i + 1 < ladder.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

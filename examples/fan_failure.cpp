@@ -76,7 +76,8 @@ IncidentReport run_incident(bool with_controller) {
   report.halted = node.halted();
   report.final_freq = node.cpu().frequency().value();
   if (controller) {
-    report.dvfs_events = controller->dvfs().events();
+    const auto events = controller->dvfs().events();
+    report.dvfs_events.assign(events.begin(), events.end());
   }
   return report;
 }

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -33,14 +34,14 @@ struct FillKeyLess {
   }
 };
 
-/// Eq. (1)'s cells for `available` at bound `n` and special index `np`.
-std::vector<double> eq1_fill(std::span<const double> available, std::size_t n, std::size_t np) {
-  std::vector<double> cells(n);
-  const std::size_t m = available.size();
+/// Eq. (1)'s cells for `m` physical modes at bound `n` and special index
+/// `np`, as indices into the modes.
+std::vector<std::uint32_t> eq1_fill(std::size_t m, std::size_t n, std::size_t np) {
+  std::vector<std::uint32_t> picks(n);
 
   // Cells [n_p, N] (1-based) take the most effective mode g_N.
   for (std::size_t i = np; i <= n; ++i) {
-    cells[i - 1] = available.back();
+    picks[i - 1] = static_cast<std::uint32_t>(m - 1);
   }
 
   // Cells [1, n_p−1] take an evenly extracted subset of the physical modes,
@@ -48,16 +49,16 @@ std::vector<double> eq1_fill(std::span<const double> available, std::size_t n, s
   // skipped (< 1) or duplicated (> 1, when N exceeds the physical count).
   const std::size_t ramp = np - 1;
   for (std::size_t i = 1; i <= ramp; ++i) {
-    const std::size_t pick = (i - 1) * m / ramp;  // floor; < m since i-1 < ramp
-    cells[i - 1] = available[pick];
+    // floor; < m since i-1 < ramp
+    picks[i - 1] = static_cast<std::uint32_t>((i - 1) * m / ramp);
   }
   // §3.2.2 boundary conditions: "The first array element g1 always stores
   // the least effective temperature control mode, the last element gN always
   // stores the most effective mode." The ramp guarantees this whenever
   // n_p >= 2; for n_p == 1 (maximally aggressive fills) cell 1 must be
   // forced back to the least effective mode.
-  cells.front() = available.front();
-  return cells;
+  picks.front() = 0;
+  return picks;
 }
 
 }  // namespace
@@ -120,8 +121,13 @@ std::shared_ptr<const ThermalControlArray::Fill> ThermalControlArray::lookup(
     }
     delete dead;
   };
-  auto* fill =
-      new Fill{std::vector<double>(modes.begin(), modes.end()), eq1_fill(modes, n, np), pp, np};
+  std::vector<std::uint32_t> picks = eq1_fill(modes.size(), n, np);
+  std::vector<double> cells(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cells[i] = modes[picks[i]];
+  }
+  auto* fill = new Fill{std::vector<double>(modes.begin(), modes.end()), std::move(picks),
+                        std::move(cells), pp, np};
   std::shared_ptr<const Fill> shared{fill, release};
   intern.fills.emplace(FillKey{fill->available, n, pp.value}, shared);
   return shared;
@@ -136,6 +142,11 @@ std::size_t ThermalControlArray::interned_fills() {
 double ThermalControlArray::mode(std::size_t i) const {
   THERMCTL_ASSERT(i < size(), "control-array index out of range");
   return fill_->cells[i];
+}
+
+std::size_t ThermalControlArray::mode_index(std::size_t i) const {
+  THERMCTL_ASSERT(i < size(), "control-array index out of range");
+  return fill_->picks[i];
 }
 
 void ThermalControlArray::set_policy(PolicyParam pp) {

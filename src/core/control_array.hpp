@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -48,6 +49,9 @@ class ThermalControlArray {
 
   /// Mode at 0-based index i (cell i+1 in the paper's 1-based notation).
   [[nodiscard]] double mode(std::size_t i) const;
+
+  /// Index into available_modes() of the mode at 0-based index i.
+  [[nodiscard]] std::size_t mode_index(std::size_t i) const;
 
   /// The least / most effective modes (cells 1 and N).
   [[nodiscard]] double least_effective() const { return fill_->cells.front(); }
@@ -75,7 +79,8 @@ class ThermalControlArray {
  private:
   struct Fill {
     std::vector<double> available;
-    std::vector<double> cells;
+    std::vector<std::uint32_t> picks;  // each cell's index into `available`
+    std::vector<double> cells;         // available[picks[i]]
     PolicyParam pp;
     std::size_t np = 1;
   };

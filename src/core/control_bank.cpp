@@ -64,6 +64,24 @@ UnifiedController& ControlBank::emplace_unified(std::size_t node, sysfs::HwmonDe
                                join(unified_family_, config, cpufreq), config.pp);
 }
 
+ControlBank::DecisionLogUse ControlBank::decision_logs() const {
+  DecisionLogUse use;
+  const auto add = [&use](const auto& family) {
+    if (family != nullptr) {
+      use.decisions += family->log.size();
+      use.bytes += family->log.memory_bytes();
+    }
+  };
+  add(fan_family_);
+  add(tdvfs_family_);
+  if (unified_family_ != nullptr) {
+    add(unified_family_->fan);
+    add(unified_family_->tdvfs);
+    add(unified_family_->idle);
+  }
+  return use;
+}
+
 Celsius ControlBank::reading(std::size_t i) const {
   return sysfs::HwmonDevice::from_millidegrees(
       sysfs::HwmonDevice::to_millidegrees(Celsius{sensor_last_[i]}));

@@ -15,10 +15,13 @@
 // State has one home. Each family's constants — its config, mode selector
 // and Eq. (1) array, and for tDVFS the frequency list parsed from
 // scaling_available_frequencies — are built once, from the family's first
-// controller, and every controller points at them. A controller holds only
+// controller, and every controller points at them. So is each family's one
+// decision log (decision_log.hpp): every retarget, trigger and restore of
+// the family's controllers, appended in tick order. A controller holds only
 // what differs per node: its window (one per unified controller, shared by
-// its techniques), indices, counters, events and Pp. Pp may differ per
-// node; any other difference from the family's config is rejected.
+// its techniques), indices, counters, its chains in the logs and Pp. Pp may
+// differ per node; any other difference from the family's config is
+// rejected.
 //
 // The golden digests (tests/golden/) pin the bits.
 #pragma once
@@ -67,6 +70,14 @@ class ControlBank {
   [[nodiscard]] std::size_t fan_count() const { return fans_.size(); }
   [[nodiscard]] std::size_t tdvfs_count() const { return tdvfs_.size(); }
   [[nodiscard]] std::size_t unified_count() const { return unified_.size(); }
+  /// Decisions recorded and bytes held (DecisionLog::memory_bytes) by the
+  /// decision logs of every family in the bank.
+  struct DecisionLogUse {
+    std::size_t decisions = 0;
+    std::size_t bytes = 0;
+  };
+  [[nodiscard]] DecisionLogUse decision_logs() const;
+
   [[nodiscard]] DynamicFanController& fan(std::size_t i) { return fans_[i]; }
   [[nodiscard]] TdvfsDaemon& tdvfs(std::size_t i) { return tdvfs_[i]; }
   [[nodiscard]] UnifiedController& unified(std::size_t i) { return unified_[i]; }

@@ -554,7 +554,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   };
   for (std::size_t i = 0; i < tdvfs_count; ++i) {
     const TdvfsDaemon& daemon = rig.bank->tdvfs(i);
-    result.tdvfs_events[i] = daemon.events();
+    const auto events = daemon.events();
+    result.tdvfs_events[i].assign(events.begin(), events.end());
     for (const TdvfsEvent& e : result.tdvfs_events[i]) {
       if (result.first_dvfs_trigger_s < 0.0 || e.time_s < result.first_dvfs_trigger_s) {
         result.first_dvfs_trigger_s = e.time_s;
@@ -566,7 +567,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   for (std::size_t i = 0; i < fan_count; ++i) {
     const DynamicFanController& fan = rig.bank->fan(i);
-    result.fan_events[i] = fan.events();
+    const auto events = fan.events();
+    result.fan_events[i].assign(events.begin(), events.end());
     fs.failsafe_entries += fan.failsafe_entries();
     fs.failsafe_exits += fan.failsafe_exits();
     fold_health(fan.health());

@@ -30,7 +30,10 @@ std::vector<double> duty_modes(const FanControlConfig& config) {
 FanFamily::FanFamily(const FanControlConfig& cfg)
     : config(cfg),
       selector(cfg.selector, cfg.array_size),
-      array(duty_modes(cfg), cfg.array_size, cfg.pp) {}
+      array(duty_modes(cfg), cfg.array_size, cfg.pp) {
+  THERMCTL_ASSERT(array.available_modes().size() <= DecisionLog::kMaxModes,
+                  "a family lists at most 256 modes");
+}
 
 bool FanFamily::admits(FanControlConfig other) const {
   other.pp = config.pp;
@@ -129,14 +132,18 @@ void FanTechnique::act(SimTime now, const WindowRound& round) {
     return;
   }
 
-  const double from = array_.mode(index_);
-  const double to = array_.mode(decision.target);
-  if (to == from) {
+  if (array_.mode(decision.target) == array_.mode(index_)) {
     // Distinct cells can hold the same duty (Eq. (1) duplicates); track the
     // index without touching the hardware.
     index_ = decision.target;
     return;
   }
+  retarget(now, decision);
+}
+
+void FanTechnique::retarget(SimTime now, const ModeDecision& decision) {
+  const double from = array_.mode(index_);
+  const double to = array_.mode(decision.target);
   const bool write_ok = hwmon_.write_pwm(DutyCycle{to});
   THERMCTL_TRACE_EMIT(trace_,
                       (obs::TraceEvent{.type = obs::TraceEventType::kFanRetarget,
@@ -146,16 +153,18 @@ void FanTechnique::act(SimTime now, const WindowRound& round) {
                                        .i0 = static_cast<std::int64_t>(decision.target),
                                        .a = from,
                                        .b = to}));
-  if (write_ok) {
+  if (!write_ok) {
     // Commit the index only once the duty actually reached the chip —
     // otherwise a bus fault would desynchronize the controller's belief
     // from the hardware.
-    index_ = decision.target;
-    ++retargets_;
-    events_.push_back(FanEvent{now.seconds(), from, to, decision.used_level2});
-    THERMCTL_LOG_DEBUG("fanctl", "t=%.2fs duty %.0f%% -> %.0f%% (%s)", now.seconds(), from,
-                       to, decision.used_level2 ? "gradual" : "sudden");
+    return;
   }
+  family_->log.append(decisions_, now, array_.mode_index(index_),
+                      array_.mode_index(decision.target),
+                      decision.used_level2 ? DecisionLog::kLevel2 : std::uint8_t{0});
+  index_ = decision.target;
+  THERMCTL_LOG_DEBUG("fanctl", "t=%.2fs duty %.0f%% -> %.0f%% (%s)", now.seconds(), from, to,
+                     decision.used_level2 ? "gradual" : "sudden");
 }
 
 StaticFanPolicy::StaticFanPolicy(sysfs::Adt7467Driver& driver, Curve curve, DutyCycle max_duty)

@@ -27,6 +27,7 @@
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "core/control_array.hpp"
+#include "core/decision_log.hpp"
 #include "core/mode_selector.hpp"
 #include "core/policy.hpp"
 #include "core/sensor_health.hpp"
@@ -63,11 +64,17 @@ struct FanEvent {
   double from_duty = 0.0;
   double to_duty = 0.0;
   bool used_level2 = false;
+
+  /// A retarget as the family's decision log holds it.
+  static FanEvent decode(SimTime at, double from, double to, std::uint8_t flags) {
+    return {at.seconds(), from, to, (flags & DecisionLog::kLevel2) != 0};
+  }
 };
 
 /// What every dynamic fan controller of one family shares, built once: the
-/// config, its mode selector and the Eq. (1) array at the config's Pp. A
-/// ControlBank holds one per family; a standalone controller owns its own.
+/// config, its mode selector, the Eq. (1) array at the config's Pp and the
+/// decision log of every member's retargets. A ControlBank holds one per
+/// family; a standalone controller owns its own.
 struct FanFamily {
   explicit FanFamily(const FanControlConfig& cfg);
 
@@ -77,6 +84,9 @@ struct FanFamily {
   FanControlConfig config;
   ModeSelector selector;
   ThermalControlArray array;
+  /// Every member's retargets. The only state a family's members change,
+  /// appended from the family's serial tick.
+  mutable DecisionLog log;
 };
 
 /// The dynamic fan technique without a window or a sensor gate of its own:
@@ -94,6 +104,12 @@ class FanTechnique {
   /// A member of `family` running at this node's `pp`.
   FanTechnique(sysfs::HwmonDevice& hwmon, std::shared_ptr<const FanFamily> family,
                PolicyParam pp);
+
+  // A copy would append to the node's chain in the family's log behind the
+  // original's back.
+  FanTechnique(const FanTechnique&) = delete;
+  FanTechnique& operator=(const FanTechnique&) = delete;
+  FanTechnique(FanTechnique&&) = default;
 
   /// Starts a tick, before the gate classifies its reading: keeps the
   /// ring's clock fresh before any bus traffic, so i2c retry events land at
@@ -131,8 +147,11 @@ class FanTechnique {
   [[nodiscard]] std::size_t current_index() const { return index_; }
   [[nodiscard]] DutyCycle current_duty() const;
   [[nodiscard]] const ThermalControlArray& array() const { return array_; }
-  [[nodiscard]] const std::vector<FanEvent>& events() const { return events_; }
-  [[nodiscard]] std::uint64_t retarget_count() const { return retargets_; }
+  /// This node's retargets, in order, decoded from the family's log.
+  [[nodiscard]] DecisionView<FanEvent> events() const {
+    return {family_->log, family_->array.available_modes(), decisions_};
+  }
+  [[nodiscard]] std::uint64_t retarget_count() const { return decisions_.count; }
 
   /// Fail-safe cooling state (only ever true behind a fault-aware gate).
   [[nodiscard]] bool in_failsafe() const { return failsafe_; }
@@ -151,6 +170,11 @@ class FanTechnique {
   void take_over();
   /// on_verdict()'s fail-safe entry, write retry and exit.
   void fail_safe(SimTime now, bool failed, TwoLevelWindow& window);
+  /// act()'s move to `decision.target`: writes the duty, traces the
+  /// retarget (write_ok clear if the write failed) and, once the write
+  /// landed, commits the index and appends the decision to the family's
+  /// log. The one place a retarget is traced and recorded.
+  void retarget(SimTime now, const ModeDecision& decision);
 
   // What every tick and every round without a retarget reads comes first:
   // 56 bytes, within one cache line when the technique is line-aligned.
@@ -161,9 +185,8 @@ class FanTechnique {
   bool initialized_ = false;
   bool failsafe_ = false;
   bool failsafe_applied_ = false;  // fail-safe duty reached the chip
+  DecisionChain decisions_;        // this node's records in family_->log
   sysfs::HwmonDevice& hwmon_;
-  std::vector<FanEvent> events_;
-  std::uint64_t retargets_ = 0;
   std::uint64_t failsafe_entries_ = 0;
   std::uint64_t failsafe_exits_ = 0;
 };

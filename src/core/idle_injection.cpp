@@ -33,6 +33,8 @@ IdleInjectionFamily::IdleInjectionFamily(const IdleInjectionConfig& cfg,
       array(clamp_modes(clamp, cfg), cfg.array_size, cfg.pp) {
   THERMCTL_ASSERT(cfg.consistency_rounds >= 1, "consistency must be >= 1 round");
   THERMCTL_ASSERT(cfg.release_rounds >= 1, "release consistency must be >= 1 round");
+  THERMCTL_ASSERT(array.available_modes().size() <= DecisionLog::kMaxModes,
+                  "a family lists at most 256 modes");
 }
 
 template class ThresholdTechnique<ClampPlane>;

@@ -48,18 +48,27 @@ struct ClampEvent {
   double time_s = 0.0;
   long from_percent = 0;
   long to_percent = 0;
+
+  /// A clamp move as the family's decision log holds it.
+  static ClampEvent decode(SimTime at, double from, double to, std::uint8_t /*flags*/) {
+    return {at.seconds(), std::lround(from), std::lround(to)};
+  }
 };
 
 /// What every idle-injection technique of one family shares, built once:
 /// the config, its mode selector and the Eq. (1) array, at the config's Pp,
-/// over the idle percentages `clamp` accepts. A UnifiedFamily holds one for
-/// its backstop; a standalone controller owns its own.
+/// over the idle percentages `clamp` accepts, and the decision log of every
+/// member's moves. A UnifiedFamily holds one for its backstop; a
+/// standalone controller owns its own.
 struct IdleInjectionFamily {
   IdleInjectionFamily(const IdleInjectionConfig& cfg, const sysfs::PowerClampDevice& clamp);
 
   IdleInjectionConfig config;
   ModeSelector selector;
   ThermalControlArray array;
+  /// Every member's moves. The only state a family's members change,
+  /// appended from the family's serial tick.
+  mutable DecisionLog log;
 };
 
 /// Idle injection's plane: forced-idle percentages through the powerclamp
@@ -78,9 +87,6 @@ struct ClampPlane {
 
   static long target(double percent) { return std::lround(percent); }
   static bool write(Device& clamp, double percent) { return clamp.set_cur_state(target(percent)); }
-  static Event event(SimTime now, double from, double to) {
-    return {now.seconds(), target(from), target(to)};
-  }
 };
 
 extern template class ThresholdTechnique<ClampPlane>;

@@ -28,6 +28,8 @@ TdvfsFamily::TdvfsFamily(const TdvfsConfig& cfg, const sysfs::CpufreqPolicy& cpu
       pstate_table(cpufreq.pstate_table()) {
   THERMCTL_ASSERT(cfg.consistency_rounds >= 1, "consistency must be >= 1 round");
   THERMCTL_ASSERT(cfg.restore_rounds >= 1, "restore consistency must be >= 1 round");
+  THERMCTL_ASSERT(array.available_modes().size() <= DecisionLog::kMaxModes,
+                  "a family lists at most 256 modes");
 }
 
 bool TdvfsFamily::admits(TdvfsConfig other, const sysfs::CpufreqPolicy& cpufreq) const {

@@ -66,13 +66,19 @@ struct TdvfsEvent {
   double time_s = 0.0;
   double from_ghz = 0.0;
   double to_ghz = 0.0;
+
+  /// A trigger or restore as the family's decision log holds it.
+  static TdvfsEvent decode(SimTime at, double from, double to, std::uint8_t /*flags*/) {
+    return {at.seconds(), from, to};
+  }
 };
 
 /// What every tDVFS daemon of one family shares, built once: the config,
 /// its mode selector and the Eq. (1) array, at the config's Pp, over the
-/// frequencies `scaling_available_frequencies` lists. A ControlBank holds
-/// one per family and parses the frequency list once for every node whose
-/// cpufreq shares the same p-state table; a standalone daemon owns its own.
+/// frequencies `scaling_available_frequencies` lists, and the decision log
+/// of every member's moves. A ControlBank holds one per family and parses
+/// the frequency list once for every node whose cpufreq shares the same
+/// p-state table; a standalone daemon owns its own.
 struct TdvfsFamily {
   TdvfsFamily(const TdvfsConfig& cfg, const sysfs::CpufreqPolicy& cpufreq);
 
@@ -84,6 +90,9 @@ struct TdvfsFamily {
   ModeSelector selector;
   ThermalControlArray array;
   const void* pstate_table;  // the table the frequency list was parsed from
+  /// Every member's moves. The only state a family's members change,
+  /// appended from the family's serial tick.
+  mutable DecisionLog log;
 };
 
 /// tDVFS's plane: frequencies through cpufreq's scaling_setspeed, fastest
@@ -105,7 +114,6 @@ struct FrequencyPlane {
   static bool write(Device& cpufreq, double ghz) {
     return cpufreq.set_khz(sysfs::CpufreqPolicy::to_khz(GigaHertz{ghz}));
   }
-  static Event event(SimTime now, double from, double to) { return {now.seconds(), from, to}; }
 };
 
 extern template class ThresholdTechnique<FrequencyPlane>;

@@ -11,29 +11,30 @@
 //    modes across cells), further when the selector's i + c·Δt says so.
 //  * The plane's restore count of cool rounds in a row returns the
 //    technique to cell 0, its least intrusive mode.
-//  * A move commits its index, and is traced and recorded, only once the
-//    device write lands: after a failed write the technique still believes
-//    the mode the device holds.
+//  * A move commits its index, and is traced and appended to the family's
+//    decision log, only once the device write lands: after a failed write
+//    the technique still believes the mode the device holds.
 //  * On its owner's failed-sensor verdict the technique holds its mode and
 //    forgets its counts.
 //
 // Like the fan technique it has no window or sensor gate of its own: it
 // holds on its owner's gate verdicts and acts on the rounds its owner's
 // window closes. A Plane names what differs between techniques: its device,
-// config, family and event types, how a mode is written, recorded and
-// reported, its trace subsystem and its log lines.
+// config, family and event types, how a mode is written and reported, its
+// trace subsystem and its log lines. The Event type decodes the family's
+// decision log (decision_log.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/log.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "core/control_array.hpp"
+#include "core/decision_log.hpp"
 #include "core/mode_selector.hpp"
 #include "core/policy.hpp"
 #include "core/sensor_health.hpp"
@@ -68,6 +69,12 @@ class ThresholdTechnique {
     }
   }
 
+  // A copy would append to the node's chain in the family's log behind the
+  // original's back.
+  ThresholdTechnique(const ThresholdTechnique&) = delete;
+  ThresholdTechnique& operator=(const ThresholdTechnique&) = delete;
+  ThresholdTechnique(ThresholdTechnique&&) = default;
+
   /// Starts a tick, before the gate classifies its reading: keeps the
   /// ring's clock fresh.
   void begin(SimTime now) { THERMCTL_TRACE_SET_TIME(trace_, now.seconds()); }
@@ -96,7 +103,10 @@ class ThresholdTechnique {
   [[nodiscard]] std::size_t current_index() const { return index_; }
   /// The current cell's mode in the plane's unit.
   [[nodiscard]] auto current_target() const { return Plane::target(array_.mode(index_)); }
-  [[nodiscard]] const std::vector<Event>& events() const { return events_; }
+  /// This node's moves, in order, decoded from the family's log.
+  [[nodiscard]] DecisionView<Event> events() const {
+    return {family_->log, family_->array.available_modes(), decisions_};
+  }
   [[nodiscard]] const ThermalControlArray& array() const { return array_; }
   /// The family's config. Its `pp` is the family's; this node's current Pp
   /// is array().policy().
@@ -125,6 +135,9 @@ class ThresholdTechnique {
   /// on_verdict()'s hold entry, held-tick count and exit.
   void hold(SimTime now, bool failed, TwoLevelWindow& window);
 
+  /// The move to `target`: writes the mode and, once the write landed,
+  /// commits the index, traces the trigger or restore and appends it to the
+  /// family's log. The one place a move is traced and recorded.
   /// `consistency` and `is_restore` feed the decision trace: how many
   /// consistent rounds armed this move and which direction it is.
   void retarget(SimTime now, std::size_t target, int consistency, bool used_level2,
@@ -140,9 +153,9 @@ class ThresholdTechnique {
   int rounds_below_ = 0;
   std::optional<Celsius> last_round_average_;
   bool holding_ = false;
+  DecisionChain decisions_;  // this node's records in family_->log
   sysfs::HwmonDevice& hwmon_;
   Device& device_;
-  std::vector<Event> events_;
   std::uint64_t hold_entries_ = 0;
   std::uint64_t held_ticks_ = 0;
 };
@@ -152,11 +165,13 @@ void ThresholdTechnique<Plane>::retarget(SimTime now, std::size_t target, int co
                                          bool used_level2, bool is_restore) {
   const double from = array_.mode(index_);
   const double to = array_.mode(target);
-  if (to != from && !Plane::write(device_, to)) {
+  if (to == from) {
+    // Distinct cells can hold the same mode (Eq. (1) duplicates): nothing
+    // to write or record.
+    index_ = target;
     return;
   }
-  index_ = target;
-  if (to == from) {
+  if (!Plane::write(device_, to)) {
     return;
   }
   THERMCTL_TRACE_EMIT(trace_,
@@ -169,7 +184,10 @@ void ThresholdTechnique<Plane>::retarget(SimTime now, std::size_t target, int co
                                        .i1 = static_cast<std::int64_t>(target),
                                        .a = from,
                                        .b = to}));
-  events_.push_back(Plane::event(now, from, to));
+  family_->log.append(decisions_, now, array_.mode_index(index_), array_.mode_index(target),
+                      static_cast<std::uint8_t>((used_level2 ? DecisionLog::kLevel2 : 0u) |
+                                                (is_restore ? DecisionLog::kRestore : 0u)));
+  index_ = target;
   THERMCTL_LOG_INFO(Plane::kLogTag, Plane::kMoveLog, now.seconds(), from, to);
 }
 

@@ -92,10 +92,8 @@ void UnifiedController::set_policy(PolicyParam pp) {
 }
 
 double UnifiedController::first_dvfs_trigger_s() const {
-  if (dvfs_.events().empty()) {
-    return -1.0;
-  }
-  return dvfs_.events().front().time_s;
+  const auto events = dvfs_.events();
+  return events.empty() ? -1.0 : events.front().time_s;
 }
 
 }  // namespace thermctl::core

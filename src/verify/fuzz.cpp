@@ -236,7 +236,7 @@ FuzzReport fuzz_unified(std::uint64_t seed, int ticks) {
   BusFaults bus_faults{Rng{seed ^ 0x6b6b6b6b6b6b6b6bULL}};
   bool was_failsafe = false;
   SimTime now;
-  std::size_t seen_events = 0;
+  core::DecisionCursor seen_events;
   for (int i = 0; i < ticks; ++i) {
     now.advance_us(250000);
     if (fault_aware) {
@@ -264,16 +264,16 @@ FuzzReport fuzz_unified(std::uint64_t seed, int ticks) {
     // A held frequency does not move.
     if (dvfs.holding()) {
       ++report.invariants.checks;
-      if (dvfs.current_index() != dvfs_index || dvfs.events().size() != seen_events) {
+      if (dvfs.current_index() != dvfs_index || dvfs.events().size() != seen_events.seen) {
         report.invariants.add(InvariantKind::kStateMachine, t, 0, "dvfs retarget while holding",
                               64);
       }
     }
 
     // Fan-preferred coordination on every new DVFS down-trigger.
-    const std::vector<core::TdvfsEvent>& events = dvfs.events();
-    for (std::size_t k = seen_events; k < events.size(); ++k) {
-      if (events[k].to_ghz >= events[k].from_ghz) {
+    const auto events = dvfs.events();
+    for (const core::TdvfsEvent& e : events.after(seen_events)) {
+      if (e.to_ghz >= e.from_ghz) {
         continue;
       }
       ++report.invariants.checks;
@@ -283,7 +283,7 @@ FuzzReport fuzz_unified(std::uint64_t seed, int ticks) {
                               "dvfs down-trigger without a hot round average", 64);
       }
     }
-    seen_events = events.size();
+    seen_events = events.cursor();
 
     // Occasional runtime re-tune: both arrays must survive any Pp.
     if (rng.below(200) == 0) {

@@ -195,7 +195,7 @@ RunInvariantChecker::RunInvariantChecker(const core::RigView& rig, InvariantConf
   last_die_.resize(cluster_ != nullptr ? cluster_->size() : 0);
   last_fan_pp_.assign(bank_ != nullptr ? bank_->fan_count() : 0, -1);
   last_tdvfs_pp_.assign(bank_ != nullptr ? bank_->tdvfs_count() : 0, -1);
-  seen_tdvfs_events_.assign(last_tdvfs_pp_.size(), 0);
+  seen_tdvfs_events_.assign(last_tdvfs_pp_.size(), core::DecisionCursor{});
 }
 
 RunInvariantChecker::~RunInvariantChecker() {
@@ -265,9 +265,8 @@ void RunInvariantChecker::tick(SimTime now) {
       check_control_array(daemon->array(), report_, t, j, cap);
       last_tdvfs_pp_[j] = pp;
     }
-    const std::vector<core::TdvfsEvent>& events = daemon->events();
-    for (std::size_t k = seen_tdvfs_events_[j]; k < events.size(); ++k) {
-      const core::TdvfsEvent& e = events[k];
+    const auto events = daemon->events();
+    for (const core::TdvfsEvent& e : events.after(seen_tdvfs_events_[j])) {
       if (e.to_ghz >= e.from_ghz) {
         continue;  // restore (or lateral): no coordination obligation
       }
@@ -290,7 +289,7 @@ void RunInvariantChecker::tick(SimTime now) {
         report_.add(InvariantKind::kCoordination, t, j, msg.str(), cap);
       }
     }
-    seen_tdvfs_events_[j] = events.size();
+    seen_tdvfs_events_[j] = events.cursor();
   }
 }
 

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/control_array.hpp"
+#include "core/decision_log.hpp"
 #include "core/experiment.hpp"
 #include "core/mode_selector.hpp"
 
@@ -148,7 +149,7 @@ class RunInvariantChecker {
   // One entry per bank fan / tDVFS controller, in node order.
   std::vector<int> last_fan_pp_;
   std::vector<int> last_tdvfs_pp_;
-  std::vector<std::size_t> seen_tdvfs_events_;
+  std::vector<core::DecisionCursor> seen_tdvfs_events_;
   InvariantReport report_;
 };
 

@@ -60,7 +60,8 @@ TEST(TraceAttribution, EveryFanModeChangeIsTracedWithDeltaSource) {
     rig.tick(fan, temp, now);
   }
 
-  const std::vector<FanEvent>& applied = fan.events();
+  const auto events = fan.events();
+  const std::vector<FanEvent> applied(events.begin(), events.end());
   const std::vector<obs::ModeChange> traced = changes_of(ring, obs::TraceSubsystem::kFan);
   ASSERT_GE(applied.size(), 3u);  // the scenario must actually move the fan
   ASSERT_EQ(traced.size(), applied.size());
@@ -149,7 +150,8 @@ TEST(TraceAttribution, EveryTdvfsTransitionIsTracedWithConsistencyCount) {
   ASSERT_LT(rig.cpu.frequency().value(), 2.4);
   rig.run_flat(daemon, 46.0, 48, SimTime::from_ms(24 * 250));
 
-  const std::vector<TdvfsEvent>& applied = daemon.events();
+  const auto events = daemon.events();
+  const std::vector<TdvfsEvent> applied(events.begin(), events.end());
   const std::vector<obs::ModeChange> traced = changes_of(ring, obs::TraceSubsystem::kTdvfs);
   ASSERT_GE(applied.size(), 2u);  // at least one trigger and the restore
   ASSERT_EQ(traced.size(), applied.size());

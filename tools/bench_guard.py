@@ -5,8 +5,8 @@ Runs `micro_engine_throughput` (best of N short runs), reads its JSON
 report, and fails when `hot_path.steps_per_sec` lands below the checked-in
 floor in tools/bench_floor.json, when a scaling-ladder point's
 node_steps_per_sec falls below its floor, or when a ladder point's
-rss_bytes_per_node or record_heap_bytes_per_node_row rises above its
-ceiling.
+rss_bytes_per_node, record_heap_bytes_per_node_row or
+decision_bytes_per_decision rises above its ceiling.
 
 The floor is deliberately far below the recorded baseline in
 BENCH_engine.json: CI runners, sanitizer overhead, and shared developer
@@ -28,9 +28,13 @@ and a structural regression (a per-node object graph that grows by
 kilobytes) fails. record_heap_bytes_per_node_row is the heap a ladder
 point's run keeps, with its result alive, per node and recorded row; its
 ceilings sit ~25 % above one copy of the series (8 fields x 8 B plus the
-per-series overhead), so a second copy of the run record fails. Memory does
-not depend on runner speed, so no single-core scale applies; the best
-(lowest) reading across runs is judged.
+per-series overhead), so a second copy of the run record fails.
+decision_bytes_per_decision is what the bank's decision logs hold
+(DecisionLog::memory_bytes) per recorded fan retarget or tDVFS move; its
+ceilings sit ~25 % above the chunked 16-byte records, so a per-technique
+event vector that grows by doubling fails. Memory does not depend on runner
+speed, so no single-core scale applies; the best (lowest) reading across
+runs is judged.
 
 Usage:
     tools/bench_guard.py <path-to-micro_engine_throughput> [options]
@@ -121,6 +125,7 @@ def main():
     ladder_best = {}  # node count -> best node_steps_per_sec across runs
     ladder_rss = {}  # node count -> lowest rss_bytes_per_node across runs
     ladder_record = {}  # node count -> lowest record_heap_bytes_per_node_row
+    ladder_decision = {}  # node count -> lowest decision_bytes_per_decision
     parallelism_available = True
     for i in range(max(1, args.runs)):
         report = run_once(bench, args.horizon, max_scale=args.ladder_scale,
@@ -138,6 +143,9 @@ def main():
             ladder_rss[nodes] = min(ladder_rss.get(nodes, point_rss), point_rss)
             point_record = float(point.get("record_heap_bytes_per_node_row", 0.0))
             ladder_record[nodes] = min(ladder_record.get(nodes, point_record), point_record)
+            point_decision = float(point.get("decision_bytes_per_decision", 0.0))
+            ladder_decision[nodes] = min(ladder_decision.get(nodes, point_decision),
+                                         point_decision)
         if sps > best:
             best, best_node_steps = sps, nsps
 
@@ -150,7 +158,11 @@ def main():
         floor_doc, "scaling_record_heap_bytes_per_node_row_ceilings", ladder_record,
         "record heap bytes/node-row",
         "look for a second copy of the recorded series (MetricsRecorder, RunResult).")
-    memory_ok = rss_ok and record_ok
+    decision_ok = check_ceilings(
+        floor_doc, "scaling_decision_bytes_per_decision_ceilings", ladder_decision,
+        "decision-log bytes/decision",
+        "look for a per-technique event vector beside the family's DecisionLog.")
+    memory_ok = rss_ok and record_ok and decision_ok
 
     if not parallelism_available:
         # The floor was recorded on a multi-core host where the sharded
