@@ -15,7 +15,8 @@
 //      heap the run's record keeps per node and recorded row, and the
 //      bytes the bank's decision logs hold per decision and per node
 //      (DecisionLog::memory_bytes).
-//   3. parallel sweep runtime: an 8-point Pp sweep executed serially
+//   3. parallel sweep runtime: an 8-point Pp sweep, repeated until the
+//      serial run takes >= 0.5 s, executed serially
 //      (1 worker) and in parallel (hardware workers) through
 //      runtime::run_sweep; reports the wall-clock speedup and verifies the
 //      two result sets are bit-identical (the runtime's determinism
@@ -458,13 +459,28 @@ int main(int argc, char** argv) {
   const std::size_t hw = runtime::default_thread_count();
   const std::size_t par_threads = threads == 0 ? hw : threads;
   const bool parallelism_available = hw > 1;
-  const std::vector<ExperimentConfig> sweep_cfgs = build_sweep(sweep_points);
+  // One pass of the sweep's small points runs in milliseconds, where worker
+  // start-up rather than the runtime sets the parallel wall. The points are
+  // repeated, doubling the repeats until the serial run takes kMinSweepWallS.
+  constexpr double kMinSweepWallS = 0.5;
+  const std::vector<ExperimentConfig> points = build_sweep(sweep_points);
+  std::vector<ExperimentConfig> sweep_cfgs;
+  std::vector<ExperimentResult> serial;
+  double serial_wall = 0.0;
+  std::size_t repeats = 0;
+  while (serial_wall < kMinSweepWallS && !points.empty()) {
+    const std::size_t more = std::max<std::size_t>(repeats, 1);
+    for (std::size_t r = 0; r < more; ++r) {
+      sweep_cfgs.insert(sweep_cfgs.end(), points.begin(), points.end());
+    }
+    repeats += more;
+    serial.clear();  // the shorter run's results are freed outside the timed span
+    const auto start = std::chrono::steady_clock::now();
+    serial = runtime::run_sweep(sweep_cfgs, {.threads = 1});
+    serial_wall = wall_seconds_since(start);
+  }
 
-  auto start = std::chrono::steady_clock::now();
-  const auto serial = runtime::run_sweep(sweep_cfgs, {.threads = 1});
-  const double serial_wall = wall_seconds_since(start);
-
-  start = std::chrono::steady_clock::now();
+  const auto start = std::chrono::steady_clock::now();
   const auto parallel = runtime::run_sweep(sweep_cfgs, {.threads = par_threads});
   const double parallel_wall = wall_seconds_since(start);
 
@@ -474,8 +490,9 @@ int main(int argc, char** argv) {
   }
   const double speedup = serial_wall / std::max(parallel_wall, 1e-9);
 
-  std::printf("  sweep: %zu points, serial %.3f s, parallel (%zu workers) %.3f s, %.2fx\n",
-              sweep_cfgs.size(), serial_wall, par_threads, parallel_wall, speedup);
+  std::printf("  sweep: %zu points x %zu repeats, serial %.3f s, parallel (%zu workers) %.3f s,"
+              " %.2fx\n",
+              points.size(), repeats, serial_wall, par_threads, parallel_wall, speedup);
   tb::shape_check("parallel sweep results bit-identical to serial", identical);
   if (hw >= 4) {
     tb::shape_check("parallel sweep speedup >= 3x with >= 4 hardware threads", speedup >= 3.0);
@@ -530,7 +547,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"sweep\": {\n");
-  std::fprintf(f, "    \"points\": %zu,\n", sweep_cfgs.size());
+  std::fprintf(f, "    \"points\": %zu,\n", points.size());
+  std::fprintf(f, "    \"repeats\": %zu,\n", repeats);
   std::fprintf(f, "    \"workers\": %zu,\n", par_threads);
   std::fprintf(f, "    \"serial_wall_s\": %.6f,\n", serial_wall);
   std::fprintf(f, "    \"parallel_wall_s\": %.6f,\n", parallel_wall);

@@ -118,7 +118,13 @@ void RunResult::write_csv(const std::string& path, const std::string& field) con
   }
 }
 
-MetricsRecorder::MetricsRecorder(std::size_t node_count) : node_count_(node_count) {}
+MetricsRecorder::MetricsRecorder(std::size_t node_count) : node_count_(node_count) {
+  blocks_.reserve((node_count + kBlockNodes - 1) / kBlockNodes);
+  for (std::size_t first = 0; first < node_count; first += kBlockNodes) {
+    blocks_.push_back(
+        Block{.first = first, .width = std::min(kBlockNodes, node_count - first), .cols = {}});
+  }
+}
 
 void MetricsRecorder::stamp(double t_seconds) { times_.push_back(t_seconds); }
 
@@ -126,8 +132,10 @@ void MetricsRecorder::reserve(std::size_t samples) {
   const std::size_t row_bytes = std::max<std::size_t>(1, node_count_) * sizeof(double);
   const std::size_t rows = std::min(samples, kReserveBytesPerColumn / row_bytes);
   times_.reserve(rows);
-  for (std::vector<double>& col : cols_) {
-    col.reserve(rows * node_count_);
+  for (Block& block : blocks_) {
+    for (std::vector<double>& col : block.cols) {
+      col.reserve(rows * block.width);
+    }
   }
 }
 
@@ -139,14 +147,15 @@ void MetricsRecorder::sample(double t_seconds, std::size_t node, double die, dou
   // what the engine's recording loop produces.
   THERMCTL_ASSERT(node == next_node_, "samples must arrive node-major (0..N-1 per round)");
   next_node_ = (next_node_ + 1 == node_count_) ? 0 : next_node_ + 1;
-  cols_[0].push_back(die);
-  cols_[1].push_back(sensor);
-  cols_[2].push_back(duty);
-  cols_[3].push_back(rpm);
-  cols_[4].push_back(freq_ghz);
-  cols_[5].push_back(power_w);
-  cols_[6].push_back(util);
-  cols_[7].push_back(static_cast<double>(static_cast<int>(activity)));
+  std::array<std::vector<double>, kFieldCount>& cols = blocks_[node / kBlockNodes].cols;
+  cols[0].push_back(die);
+  cols[1].push_back(sensor);
+  cols[2].push_back(duty);
+  cols[3].push_back(rpm);
+  cols[4].push_back(freq_ghz);
+  cols[5].push_back(power_w);
+  cols[6].push_back(util);
+  cols[7].push_back(static_cast<double>(static_cast<int>(activity)));
 }
 
 RunResult MetricsRecorder::result() {
@@ -163,7 +172,7 @@ RunResult MetricsRecorder::result() {
 }
 
 void MetricsRecorder::flush() {
-  const std::size_t staged = cols_[0].size() / node_count_;
+  const std::size_t staged = blocks_[0].cols[0].size() / blocks_[0].width;
   if (record_ != nullptr && staged == 0) {
     return;
   }
@@ -177,32 +186,35 @@ void MetricsRecorder::flush() {
       &NodeSeries::util,     &NodeSeries::activity,
   };
 
-  // One field at a time, so at most one column is ever held twice. Blocked
-  // transpose: a block of destination series stays cache-resident across
-  // all rows while the column is read in contiguous row spans, so the
-  // scatter cost is paid once per element.
-  constexpr std::size_t kBlock = 128;
-  for (std::size_t f = 0; f < kFieldCount; ++f) {
-    const auto field = kFields[f];
-    const double* col = cols_[f].data();
-    for (std::size_t b0 = 0; b0 < node_count_; b0 += kBlock) {
-      const std::size_t b1 = std::min(node_count_, b0 + kBlock);
-      for (std::size_t i = b0; i < b1; ++i) {
-        std::vector<double>& series = (*next)[i].*field;
-        series.reserve(kept + staged);
-        if (kept != 0) {
-          const std::vector<double>& old = (*record_)[i].*field;
-          series.assign(old.begin(), old.end());
+  // Block by block and one field at a time, so at most one block's column is
+  // ever held twice. Blocked transpose: a tile of destination series stays
+  // cache-resident across all rows while the column is read in contiguous
+  // row spans, so the scatter cost is paid once per element.
+  constexpr std::size_t kTile = 128;
+  for (Block& block : blocks_) {
+    const std::size_t width = block.width;
+    for (std::size_t f = 0; f < kFieldCount; ++f) {
+      const auto field = kFields[f];
+      const double* col = block.cols[f].data();
+      for (std::size_t t0 = 0; t0 < width; t0 += kTile) {
+        const std::size_t t1 = std::min(width, t0 + kTile);
+        for (std::size_t i = t0; i < t1; ++i) {
+          std::vector<double>& series = (*next)[block.first + i].*field;
+          series.reserve(kept + staged);
+          if (kept != 0) {
+            const std::vector<double>& old = (*record_)[block.first + i].*field;
+            series.assign(old.begin(), old.end());
+          }
+        }
+        for (std::size_t r = 0; r < staged; ++r) {
+          const double* row = col + r * width;
+          for (std::size_t i = t0; i < t1; ++i) {
+            ((*next)[block.first + i].*field).push_back(row[i]);
+          }
         }
       }
-      for (std::size_t r = 0; r < staged; ++r) {
-        const double* row = col + r * node_count_;
-        for (std::size_t i = b0; i < b1; ++i) {
-          ((*next)[i].*field).push_back(row[i]);
-        }
-      }
+      std::vector<double>().swap(block.cols[f]);
     }
-    std::vector<double>().swap(cols_[f]);
   }
   record_ = std::move(next);
 }

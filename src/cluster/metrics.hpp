@@ -115,22 +115,28 @@ struct RunResult {
 
 /// Accumulates samples during a run; the engine owns one.
 ///
-/// Hot-path layout: samples are staged column-major — eight flat arrays, one
-/// per recorded field, appended a fleet-row at a time — because the recording
-/// loop visits every node each round. Appending into per-node series here
-/// would touch 8 x node_count scattered heap buffers per round (at 100k
-/// nodes that is ~800k cache misses every record tick, and it shows up as
-/// ~30% of a fleet-ladder run).
+/// Hot-path layout: samples are staged column-major in fixed blocks of
+/// kBlockNodes nodes — each block holds eight flat arrays, one per recorded
+/// field, appended a block-row at a time — because the recording loop visits
+/// every node each round. Appending into per-node series here would touch
+/// 8 x node_count scattered heap buffers per round (at 100k nodes that is
+/// ~800k cache misses every record tick, and it shows up as ~30% of a
+/// fleet-ladder run).
 ///
 /// A read moves the staged rows into the per-node record that everything
-/// downstream consumes, one field at a time by a blocked transpose — same
-/// values, same order, bit-identical output — releasing each column as soon
-/// as its field is moved. Every RunResult handed out shares that record, so
-/// a run holds one copy of its samples once it is read. The record is
-/// copy-on-write: rows staged after a read go into a fresh record that
-/// clones the old rows first, so a result already handed out never changes.
+/// downstream consumes, block by block and one field at a time, by a blocked
+/// transpose — same values, same order, bit-identical output — releasing
+/// each block's column as soon as its field is moved. So the read holds at
+/// most one block's column twice, never a fleet-wide one. Every RunResult
+/// handed out shares that record, so a run holds one copy of its samples
+/// once it is read. The record is copy-on-write: rows staged after a read go
+/// into a fresh record that clones the old rows first, so a result already
+/// handed out never changes.
 class MetricsRecorder {
  public:
+  /// Nodes per staging block (the last block holds the remainder).
+  static constexpr std::size_t kBlockNodes = 1024;
+
   explicit MetricsRecorder(std::size_t node_count);
 
   void sample(double t_seconds, std::size_t node, double die, double sensor, double duty,
@@ -140,9 +146,10 @@ class MetricsRecorder {
   void stamp(double t_seconds);
 
   /// Pre-sizes the staging columns for `samples` sampling rounds so recording
-  /// never reallocates mid-run, up to kReserveBytesPerColumn per column so a
-  /// long horizon on a large fleet cannot ask for more memory up front than
-  /// a host has. A hint: recording past it still works.
+  /// never reallocates mid-run, up to kReserveBytesPerColumn per field
+  /// (summed over the blocks) so a long horizon on a large fleet cannot ask
+  /// for more memory up front than a host has. A hint: recording past it
+  /// still works.
   void reserve(std::size_t samples);
 
   /// Every row recorded so far as per-node series, with one default summary
@@ -155,6 +162,13 @@ class MetricsRecorder {
   static constexpr std::size_t kFieldCount = 8;
   static constexpr std::size_t kReserveBytesPerColumn = std::size_t{64} << 20;
 
+  /// Rows staged since the last read for nodes [first, first + width).
+  struct Block {
+    std::size_t first = 0;
+    std::size_t width = 0;
+    std::array<std::vector<double>, kFieldCount> cols;
+  };
+
   /// Moves the staged rows into record_ (allocating it at the first read,
   /// cloning it if a result already holds it).
   void flush();
@@ -162,7 +176,7 @@ class MetricsRecorder {
   std::size_t node_count_ = 0;
   std::size_t next_node_ = 0;  // enforced node-major arrival order
   std::vector<double> times_;
-  std::array<std::vector<double>, kFieldCount> cols_;  // rows staged since the last read
+  std::vector<Block> blocks_;  // rows staged since the last read, ceil(N / kBlockNodes)
   std::shared_ptr<const std::vector<NodeSeries>> record_;  // rows read so far
 };
 

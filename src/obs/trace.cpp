@@ -1,6 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <new>
 
 #include "common/assert.hpp"
 
@@ -72,13 +75,17 @@ std::string_view to_string(TraceSubsystem subsystem) {
   return "?";
 }
 
-TraceRing::TraceRing(std::uint16_t node, std::size_t capacity) : node_(node) {
+TraceRing::TraceRing(std::uint16_t node, std::size_t capacity)
+    : node_(node), capacity_(capacity) {
   THERMCTL_ASSERT(capacity >= 1, "trace ring needs capacity");
-  buffer_.resize(capacity);
+  THERMCTL_ASSERT(capacity <= SIZE_MAX / sizeof(TraceEvent), "trace ring capacity overflows");
+  // Not value-initialized: writing every slot here would make the whole
+  // ring resident before its first event.
+  slots_.reset(static_cast<TraceEvent*>(::operator new(capacity * sizeof(TraceEvent))));
 }
 
 std::size_t TraceRing::size() const {
-  return emitted_ < buffer_.size() ? static_cast<std::size_t>(emitted_) : buffer_.size();
+  return emitted_ < capacity_ ? static_cast<std::size_t>(emitted_) : capacity_;
 }
 
 void TraceRing::emit(TraceEvent ev) {
@@ -86,8 +93,8 @@ void TraceRing::emit(TraceEvent ev) {
   if (ev.t_s == 0.0) {
     ev.t_s = now_s_;
   }
-  buffer_[head_] = ev;
-  head_ = head_ + 1 == buffer_.size() ? 0 : head_ + 1;
+  std::construct_at(&slots_[head_], ev);
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
   ++emitted_;
 }
 
@@ -96,9 +103,9 @@ std::vector<TraceEvent> TraceRing::events() const {
   const std::size_t n = size();
   out.reserve(n);
   // Oldest event sits at head_ once the ring has wrapped, at 0 before.
-  const std::size_t start = emitted_ < buffer_.size() ? 0 : head_;
+  const std::size_t start = emitted_ < capacity_ ? 0 : head_;
   for (std::size_t k = 0; k < n; ++k) {
-    out.push_back(buffer_[(start + k) % buffer_.size()]);
+    out.push_back(slots_[(start + k) % capacity_]);
   }
   return out;
 }
@@ -106,8 +113,7 @@ std::vector<TraceEvent> TraceRing::events() const {
 std::uint64_t TraceRing::read_new(std::uint64_t cursor, std::size_t max_events,
                                   std::vector<TraceEvent>& out, std::uint64_t& lost) const {
   // Oldest absolute index still resident in the buffer.
-  const std::uint64_t oldest =
-      emitted_ > buffer_.size() ? emitted_ - buffer_.size() : 0;
+  const std::uint64_t oldest = emitted_ > capacity_ ? emitted_ - capacity_ : 0;
   if (cursor < oldest) {
     lost += oldest - cursor;
     cursor = oldest;
@@ -121,7 +127,7 @@ std::uint64_t TraceRing::read_new(std::uint64_t cursor, std::size_t max_events,
   for (std::uint64_t k = 0; k < n; ++k) {
     // Absolute index j was written at slot j % capacity (head_ starts at 0
     // and advances one slot per emit).
-    out.push_back(buffer_[static_cast<std::size_t>((cursor + k) % buffer_.size())]);
+    out.push_back(slots_[static_cast<std::size_t>((cursor + k) % capacity_)]);
   }
   return cursor + n;
 }

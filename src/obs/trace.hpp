@@ -7,7 +7,8 @@
 // exit — is recordable as a fixed-size POD event in a per-node ring. The ring
 // is bounded (oldest events overwritten), allocation-free after construction,
 // and single-writer: one node's controllers and bus all run on the engine
-// thread that owns that node.
+// thread that owns that node. Its storage is allocated and never filled, so
+// a ring costs memory only for the pages its events have landed on.
 //
 // Cost model: emission sites go through THERMCTL_TRACE_* macros that reduce
 // to one null-pointer test when tracing is wired off (the default — no ring
@@ -18,6 +19,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -133,13 +135,13 @@ class TraceRing {
   explicit TraceRing(std::uint16_t node, std::size_t capacity = 1u << 14);
 
   [[nodiscard]] std::uint16_t node() const { return node_; }
-  [[nodiscard]] std::size_t capacity() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Events currently held (≤ capacity).
   [[nodiscard]] std::size_t size() const;
   /// Total events ever emitted, including overwritten ones.
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
   [[nodiscard]] std::uint64_t dropped() const {
-    return emitted_ > buffer_.size() ? emitted_ - buffer_.size() : 0;
+    return emitted_ > capacity_ ? emitted_ - capacity_ : 0;
   }
 
   /// Current sim time for emitters without their own clock (the i2c layer).
@@ -168,8 +170,15 @@ class TraceRing {
   void clear();
 
  private:
+  struct SlotsDeleter {
+    void operator()(TraceEvent* slots) const { ::operator delete(slots); }
+  };
+
   std::uint16_t node_;
-  std::vector<TraceEvent> buffer_;
+  std::size_t capacity_;
+  // Raw storage for capacity_ events: a slot holds an event only once emit
+  // has placed one there, and only emitted slots are ever read.
+  std::unique_ptr<TraceEvent[], SlotsDeleter> slots_;
   std::size_t head_ = 0;  // next write position
   std::uint64_t emitted_ = 0;
   double now_s_ = 0.0;

@@ -153,6 +153,52 @@ TEST(MetricsRecorder, RowsAfterAReadLeaveHandedOutResultsUnchanged) {
   EXPECT_EQ(series_bits(early), early_bits);
 }
 
+TEST(MetricsRecorder, ReadsAcrossStagingBlocksMatchPerNodeSeries) {
+  // Fleets that end inside, at and just past a staging block, read mid-run
+  // and again after more rows, against series built by plain per-node
+  // appends. Every value is distinct, so one landing in another node's,
+  // field's or row's place shows.
+  constexpr std::size_t kB = MetricsRecorder::kBlockNodes;
+  for (const std::size_t nodes : {std::size_t{1}, kB - 1, kB, kB + 1, 2 * kB + 3}) {
+    SCOPED_TRACE(nodes);
+    MetricsRecorder rec{nodes};
+    rec.reserve(2);  // the third row and every row after the read grow past it
+    RunResult expected;
+    std::vector<NodeSeries> reference(nodes);
+    auto record = [&](int first, int count) {
+      for (int i = first; i < first + count; ++i) {
+        const double t = 0.25 * i;
+        rec.stamp(t);
+        expected.times.push_back(t);
+        for (std::size_t n = 0; n < nodes; ++n) {
+          const double v = 1e5 * i + 8.0 * static_cast<double>(n);
+          const auto activity = static_cast<ActivityCode>((i + static_cast<int>(n)) % 6);
+          rec.sample(t, n, v, v + 1, v + 2, v + 3, v + 4, v + 5, v + 6, activity);
+          NodeSeries& s = reference[n];
+          s.die_temp.push_back(v);
+          s.sensor_temp.push_back(v + 1);
+          s.duty.push_back(v + 2);
+          s.rpm.push_back(v + 3);
+          s.freq_ghz.push_back(v + 4);
+          s.power_w.push_back(v + 5);
+          s.util.push_back(v + 6);
+          s.activity.push_back(static_cast<double>(static_cast<int>(activity)));
+        }
+      }
+      expected.nodes = NodeSeriesTable{reference};
+    };
+    record(0, 3);
+    const RunResult early = rec.result();
+    const std::vector<std::uint64_t> early_bits = series_bits(early);
+    EXPECT_EQ(early_bits, series_bits(expected));
+    record(3, 4);
+    const RunResult later = rec.result();
+    ASSERT_EQ(later.nodes.size(), nodes);
+    EXPECT_EQ(series_bits(later), series_bits(expected));
+    EXPECT_EQ(series_bits(early), early_bits);
+  }
+}
+
 TEST(MetricsRecorder, ReserveIsCappedInBytesNotRows) {
   // A 100k-node fleet over a 100000 s horizon at 4 Hz: uncapped, this asks
   // for 320 GB per column and throws std::bad_alloc.

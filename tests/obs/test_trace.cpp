@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,62 @@ TEST(TraceRing, ClearResetsEverything) {
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.emitted(), 0u);
   EXPECT_TRUE(ring.events().empty());
+}
+
+TEST(TraceRing, FullSizeRingReadsOnlyTheEventsEmitted) {
+  // The default capacity, never filled: the slots past the third event were
+  // never written, and no read may reach them.
+  TraceRing ring{5, 1u << 14};
+  for (int i = 0; i < 3; ++i) {
+    ring.emit(TraceEvent{.t_s = 1.0 + i, .type = TraceEventType::kWindowRound, .i0 = i});
+  }
+  EXPECT_EQ(ring.capacity(), 1u << 14);
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  const std::vector<TraceEvent> events = ring.events();
+  std::vector<TraceEvent> read;
+  std::uint64_t lost = 0;
+  EXPECT_EQ(ring.read_new(0, 0, read, lost), 3u);
+  EXPECT_EQ(lost, 0u);
+  ASSERT_EQ(events.size(), 3u);
+  ASSERT_EQ(read.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    for (const TraceEvent& ev : {events[k], read[k]}) {
+      EXPECT_EQ(ev.node, 5);
+      EXPECT_EQ(ev.type, TraceEventType::kWindowRound);
+      EXPECT_DOUBLE_EQ(ev.t_s, 1.0 + i);
+      EXPECT_EQ(ev.i0, i);
+    }
+  }
+}
+
+TEST(TraceRing, ClearAfterALapReadsOnlyLaterEvents) {
+  // The lapped ring's slots still hold old events after a clear; reads see
+  // only what was emitted since.
+  TraceRing ring{0, 4};
+  for (int i = 0; i < 10; ++i) {
+    ring.emit(TraceEvent{.t_s = static_cast<double>(i), .type = TraceEventType::kWindowRound});
+  }
+  ring.clear();
+  ring.emit(TraceEvent{.t_s = 20.0, .type = TraceEventType::kFailsafeEnter});
+  ring.emit(TraceEvent{.t_s = 21.0, .type = TraceEventType::kFailsafeExit});
+  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.emitted(), 2u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  const std::vector<TraceEvent> events = ring.events();
+  std::vector<TraceEvent> read;
+  std::uint64_t lost = 0;
+  EXPECT_EQ(ring.read_new(0, 0, read, lost), 2u);
+  EXPECT_EQ(lost, 0u);
+  for (const std::vector<TraceEvent>* got :
+       std::initializer_list<const std::vector<TraceEvent>*>{&events, &read}) {
+    ASSERT_EQ(got->size(), 2u);
+    EXPECT_DOUBLE_EQ((*got)[0].t_s, 20.0);
+    EXPECT_EQ((*got)[0].type, TraceEventType::kFailsafeEnter);
+    EXPECT_DOUBLE_EQ((*got)[1].t_s, 21.0);
+    EXPECT_EQ((*got)[1].type, TraceEventType::kFailsafeExit);
+  }
 }
 
 TEST(TraceRing, ReadNewAdvancesCursorWithoutLoss) {
