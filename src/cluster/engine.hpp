@@ -145,9 +145,6 @@ class Engine {
   /// and result finalization happen exactly as on a natural exit). A stop
   /// requested before run() makes the run end after its first step.
   void request_stop() { stop_requested_.store(true, std::memory_order_release); }
-  [[nodiscard]] bool stop_requested() const {
-    return stop_requested_.load(std::memory_order_acquire);
-  }
 
   [[nodiscard]] SimTime now() const { return now_; }
 

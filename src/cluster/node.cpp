@@ -4,6 +4,18 @@
 
 namespace thermctl::cluster {
 
+constexpr sysfs::BmcEndpoint::Sensor Node::kBmcSensors[3] = {
+    {.name = "CPU Temp",
+     .unit = "degrees C",
+     .read = [](const void* n) { return static_cast<const Node*>(n)->sensor_reading().value(); }},
+    {.name = "Fan1",
+     .unit = "RPM",
+     .read = [](const void* n) { return static_cast<const Node*>(n)->fan_.rpm().value(); }},
+    {.name = "System Power",
+     .unit = "Watts",
+     .read = [](const void* n) { return static_cast<const Node*>(n)->wall_power().value(); }},
+};
+
 Node::Node(int id, const NodeParams& base, FleetState& fleet, std::size_t slot,
            std::uint64_t seed)
     : id_(id),
@@ -22,7 +34,17 @@ Node::Node(int id, const NodeParams& base, FleetState& fleet, std::size_t slot,
       hwmon_(vfs_, "/sys/class/hwmon", 0, sensor_, driver_),
       clamp_(vfs_, "/sys/class/thermal", 0, cpu_),
       rapl_(vfs_, "/sys/class/powercap", 0, cpu_),
-      proc_stat_(vfs_, &row().busy_jiffies[slot], &row().total_jiffies[slot]) {
+      proc_stat_(vfs_, &row().busy_jiffies[slot], &row().total_jiffies[slot]),
+      // Out-of-band plane: BMC sensors + fan override.
+      bmc_(kBmcSensors, this, [](void* n, std::optional<DutyCycle> duty) {
+        Node& node = *static_cast<Node*>(n);
+        if (duty.has_value()) {
+          node.row().bmc_override_duty[node.slot_] = duty->percent();
+          node.row().bmc_override_set[node.slot_] = 1;
+        } else {
+          node.row().bmc_override_set[node.slot_] = 0;
+        }
+      }) {
   sample_schedule() =
       PeriodicSchedule{static_cast<std::int64_t>(base.sample_period.value() * 1e6)};
   i2c_.attach(sysfs::Adt7467Driver::kDefaultAddress, &chip_);
@@ -35,19 +57,6 @@ Node::Node(int id, const NodeParams& base, FleetState& fleet, std::size_t slot,
   THERMCTL_ASSERT(probe == sysfs::DriverStatus::kOk, "ADT7467 probe failed");
   const auto restore = driver_.set_automatic_mode();
   THERMCTL_ASSERT(restore == sysfs::DriverStatus::kOk, "ADT7467 mode restore failed");
-
-  // Out-of-band plane: BMC sensors + fan override.
-  bmc_.add_sensor("CPU Temp", "degrees C", [this] { return sensor_.last_reading().value(); });
-  bmc_.add_sensor("Fan1", "RPM", [this] { return fan_.rpm().value(); });
-  bmc_.add_sensor("System Power", "Watts", [this] { return wall_power().value(); });
-  bmc_.set_fan_override_handler([this](std::optional<DutyCycle> duty) {
-    if (duty.has_value()) {
-      row().bmc_override_duty[slot_] = duty->percent();
-      row().bmc_override_set[slot_] = 1;
-    } else {
-      row().bmc_override_set[slot_] = 0;
-    }
-  });
 
   // Start the fan at the chip's automatic-curve output for the initial
   // (ambient) temperature, as the BIOS would have left it.

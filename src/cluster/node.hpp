@@ -126,6 +126,10 @@ class Node {
   /// This node's OS/protection scalars live in row `slot_` of these columns.
   [[nodiscard]] NodeColumns& row() const { return fleet_.node(); }
 
+  // The BMC's sensor repository in sensor-number order, read through the
+  // node.
+  static const sysfs::BmcEndpoint::Sensor kBmcSensors[3];
+
   int id_;
   FleetState& fleet_;
   std::size_t slot_;

@@ -125,7 +125,6 @@ class MetricsRegistry {
   /// shard is the common single-run case.
   explicit MetricsRegistry(std::size_t shards = 1);
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] MetricsShard& shard(std::size_t index);
 
   /// Convenience for the single-writer case: shard 0.

@@ -29,8 +29,6 @@ class ParallelRunner {
   /// valid degenerate case: everything runs serially on the one worker.
   explicit ParallelRunner(std::size_t threads = 0) : pool_(threads) {}
 
-  [[nodiscard]] std::size_t thread_count() const { return pool_.size(); }
-
   /// Runs `job(i)` for i in [0, count) across the pool and returns the
   /// results in index order. Blocks until every job finished.
   template <typename R>

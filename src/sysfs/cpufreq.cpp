@@ -60,7 +60,7 @@ CpufreqPolicy::CpufreqPolicy(VirtualFs& fs, std::string_view root, int index,
                 kFiles[kCpuinfoMinFreq].name == "cpuinfo_min_freq" &&
                 kFiles[kScalingSetspeed].name == "scaling_setspeed" &&
                 kFiles[kScalingAvailableFrequencies].name == "scaling_available_frequencies");
-  std::string dir = VirtualFs::device_dir(root, "/cpu", index);
+  VirtualFs::DeviceDir dir = VirtualFs::device_dir(root, "/cpu", index);
   dir += "/cpufreq";
   mount_ = fs_.mount(dir, kFiles, this);
   dir += "/stats";

@@ -6,14 +6,12 @@
 
 namespace thermctl::sysfs {
 
-std::uint8_t BmcEndpoint::add_sensor(std::string name, std::string unit, SensorFn read) {
-  THERMCTL_ASSERT(static_cast<bool>(read), "sensor needs a read function");
-  THERMCTL_ASSERT(sensors_.size() < 255, "sensor repository full");
-  if (sensors_.empty()) {
-    sensors_.reserve(4);  // a node's BMC carries three sensors
+BmcEndpoint::BmcEndpoint(std::span<const Sensor> sensors, void* owner, FanOverride fan_override)
+    : sensors_(sensors), owner_(owner), fan_override_(fan_override) {
+  THERMCTL_ASSERT(sensors.size() <= 255, "sensor repository full");
+  for (const Sensor& s : sensors) {
+    THERMCTL_ASSERT(s.read != nullptr, "sensor needs a read function");
   }
-  sensors_.push_back(Sensor{std::move(name), std::move(unit), std::move(read)});
-  return static_cast<std::uint8_t>(sensors_.size());
 }
 
 IpmiCompletion BmcEndpoint::get_sensor_reading(std::uint8_t sensor, SensorReading& out) const {
@@ -24,7 +22,7 @@ IpmiCompletion BmcEndpoint::get_sensor_reading(std::uint8_t sensor, SensorReadin
     return IpmiCompletion::kInvalidSensor;
   }
   const Sensor& s = sensors_[sensor - 1];
-  out.value = s.read();
+  out.value = s.read(owner_);
   out.unit = s.unit;
   return IpmiCompletion::kOk;
 }
@@ -42,10 +40,10 @@ IpmiCompletion BmcEndpoint::set_fan_override(std::optional<DutyCycle> duty) {
   if (!reachable_) {
     return IpmiCompletion::kDestinationUnavailable;
   }
-  if (!fan_override_) {
+  if (fan_override_ == nullptr) {
     return IpmiCompletion::kInvalidCommand;
   }
-  fan_override_(duty);
+  fan_override_(owner_, duty);
   return IpmiCompletion::kOk;
 }
 

@@ -10,9 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
@@ -32,18 +33,27 @@ struct SensorReading {
   std::string unit;
 };
 
-/// The node-side BMC endpoint.
+/// The node-side BMC endpoint. Its sensor repository is a static table
+/// published over an owner, the VirtualFs::Attr idiom: each Sensor is a
+/// name, a unit and a plain function that reads the owner, so an endpoint
+/// allocates nothing and a reading always reflects the owner's current
+/// state. Sensor number n is table entry n - 1. The fan override is a plain
+/// function over the same owner.
 class BmcEndpoint {
  public:
-  using SensorFn = std::function<double()>;
-  using FanOverrideFn = std::function<void(std::optional<DutyCycle>)>;
+  struct Sensor {
+    std::string_view name;
+    std::string_view unit;
+    double (*read)(const void* owner) = nullptr;
+  };
+  /// Sets (duty) or releases (nullopt) the fan override on the owner.
+  using FanOverride = void (*)(void* owner, std::optional<DutyCycle> duty);
 
-  /// Registers a sensor in the repository; returns its sensor number
-  /// (numbers run 1, 2, ... in registration order).
-  std::uint8_t add_sensor(std::string name, std::string unit, SensorFn read);
-
-  /// Installs the fan-override hook (nullopt duty = release override).
-  void set_fan_override_handler(FanOverrideFn fn) { fan_override_ = std::move(fn); }
+  /// Publishes `sensors` (numbered 1, 2, ... in table order, at most 255,
+  /// each with a read function) and `fan_override` (may be null), each
+  /// called with `owner`. Neither the table nor the owner is copied: both
+  /// must outlive the endpoint.
+  BmcEndpoint(std::span<const Sensor> sensors, void* owner, FanOverride fan_override);
 
   IpmiCompletion get_sensor_reading(std::uint8_t sensor, SensorReading& out) const;
   [[nodiscard]] std::vector<std::pair<std::uint8_t, std::string>> list_sensors() const;
@@ -53,18 +63,11 @@ class BmcEndpoint {
 
   /// Marks the endpoint unreachable (powered off BMC / network partition).
   void set_reachable(bool reachable) { reachable_ = reachable; }
-  [[nodiscard]] bool reachable() const { return reachable_; }
 
  private:
-  struct Sensor {
-    std::string name;
-    std::string unit;
-    SensorFn read;
-  };
-  // Sensor number n lives at sensors_[n - 1]: registration order is number
-  // order, so a lookup is an index.
-  std::vector<Sensor> sensors_;
-  FanOverrideFn fan_override_;
+  std::span<const Sensor> sensors_;
+  void* owner_ = nullptr;
+  FanOverride fan_override_ = nullptr;
   bool reachable_ = true;
 };
 

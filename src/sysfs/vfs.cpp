@@ -1,6 +1,7 @@
 #include "sysfs/vfs.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -71,9 +72,10 @@ VirtualFs::Mount VirtualFs::mount(std::string_view dir, std::span<const Attr> ta
                   "mount directory must be absolute");
   THERMCTL_ASSERT(valid_table(table), "mount table must be name-sorted files with handlers");
   if (slots_.empty()) {
-    // A node mounts six directories; start with room for them.
-    slots_.reserve(8);
-    index_.reserve(8);
+    // A node mounts six directories (cpufreq and its stats, hwmon,
+    // powercap, thermal, /proc); start with room for exactly those.
+    slots_.reserve(6);
+    index_.reserve(6);
   }
   // Names are files, so a path can only collide within its own directory.
   const auto [first, last] = mounts_at(dir);
@@ -85,8 +87,8 @@ VirtualFs::Mount VirtualFs::mount(std::string_view dir, std::span<const Attr> ta
   const auto slot = static_cast<std::uint32_t>(slots_.size());
   THERMCTL_ASSERT(slot != kNone, "mount slots exhausted");
   const auto at = last - index_.begin();  // after any mounts of the same directory
-  slots_.push_back(Slot{intern(dir), table.data(), static_cast<std::uint32_t>(table.size()),
-                        owner, nullptr});
+  slots_.push_back(
+      Slot{intern(dir), table.data(), static_cast<std::uint32_t>(table.size()), false, owner});
   index_.insert(index_.begin() + at, slot);
   return Mount{slot};
 }
@@ -98,17 +100,31 @@ void VirtualFs::unmount(Mount m) {
   Slot& s = slots_[m.slot_];
   const auto [first, last] = mounts_at(*s.dir);
   index_.erase(std::find(first, last, m.slot_));
+  if (s.closures) {
+    closures_.remove_if([&s](const Closures& c) { return &c == s.owner; });
+  }
   // Retire rather than free: handles name this slot. An empty table makes
   // every stale access fail closed, and a re-mount takes a fresh slot, so
   // it can never alias the old one.
-  s = Slot{s.dir, nullptr, 0, nullptr, nullptr};
+  s = Slot{s.dir, nullptr, 0, false, nullptr};
 }
 
-std::string VirtualFs::device_dir(std::string_view root, std::string_view leaf, int index) {
-  const std::string number = std::to_string(index);
-  std::string dir;
-  dir.reserve(root.size() + leaf.size() + number.size() + 16);
-  dir.append(root).append(leaf).append(number);
+VirtualFs::DeviceDir& VirtualFs::DeviceDir::operator+=(std::string_view sub) {
+  THERMCTL_ASSERT(sub.size() <= kCapacity - size_, "device directory too long");
+  std::copy(sub.begin(), sub.end(), text_ + size_);
+  size_ += sub.size();
+  return *this;
+}
+
+VirtualFs::DeviceDir VirtualFs::device_dir(std::string_view root, std::string_view leaf,
+                                           int index) {
+  char number[16];
+  const auto [end, ec] = std::to_chars(number, number + sizeof number, index);
+  THERMCTL_ASSERT(ec == std::errc{}, "device index fits its buffer");
+  DeviceDir dir;
+  dir += root;
+  dir += leaf;
+  dir += std::string_view{number, static_cast<std::size_t>(end - number)};
   return dir;
 }
 
@@ -118,9 +134,10 @@ const std::string& VirtualFs::directory(Mount m) const {
   return *slots_[m.slot_].dir;
 }
 
-VirtualFs::Mount VirtualFs::add_closures(std::string_view path, std::unique_ptr<Closures> c) {
+VirtualFs::Mount VirtualFs::add_closures(std::string_view path, Closures closures) {
   THERMCTL_ASSERT(!path.empty() && path.front() == '/', "attribute path must be absolute");
   const auto [dir, name] = split(path);
+  Closures* c = &closures_.emplace_front(std::move(closures));
   c->name = name;
   Attr& a = c->attr;
   a.name = c->name;
@@ -136,25 +153,25 @@ VirtualFs::Mount VirtualFs::add_closures(std::string_view path, std::unique_ptr<
   if (c->write_long) {
     a.write_long = [](void* o, long v) { return static_cast<Closures*>(o)->write_long(v); };
   }
-  const Mount m = mount(dir, {&a, 1}, c.get());
-  slots_[m.slot_].closures = std::move(c);
+  const Mount m = mount(dir, {&a, 1}, c);
+  slots_[m.slot_].closures = true;
   return m;
 }
 
 VirtualFs::Mount VirtualFs::add_attribute(std::string_view path, ReadFn read, WriteFn write) {
   THERMCTL_ASSERT(read || write, "attribute needs at least one handler");
-  auto c = std::make_unique<Closures>();
-  c->read = std::move(read);
-  c->write = std::move(write);
+  Closures c;
+  c.read = std::move(read);
+  c.write = std::move(write);
   return add_closures(path, std::move(c));
 }
 
 VirtualFs::Mount VirtualFs::add_attribute_long(std::string_view path, LongReadFn read,
                                                LongWriteFn write) {
   THERMCTL_ASSERT(read || write, "attribute needs at least one handler");
-  auto c = std::make_unique<Closures>();
-  c->read_long = std::move(read);
-  c->write_long = std::move(write);
+  Closures c;
+  c.read_long = std::move(read);
+  c.write_long = std::move(write);
   return add_closures(path, std::move(c));
 }
 
@@ -163,7 +180,7 @@ void VirtualFs::remove_attribute(std::string_view path) {
   if (!h) {
     return;
   }
-  THERMCTL_ASSERT(slots_[h.slot_].closures != nullptr,
+  THERMCTL_ASSERT(slots_[h.slot_].closures,
                   "only add_attribute* attributes are removed one by one");
   unmount(Mount{h.slot_});
 }

@@ -14,9 +14,10 @@
 // per directory rather than one registration per attribute.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <forward_list>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -122,10 +123,27 @@ class VirtualFs {
     return Handle{m.slot_, static_cast<std::uint32_t>(entry)};
   }
 
+  /// A device's mount directory, assembled on the stack: mount() interns
+  /// its text, so building one allocates nothing. `+=` appends a
+  /// subdirectory.
+  class DeviceDir {
+   public:
+    DeviceDir& operator+=(std::string_view sub);
+    operator std::string_view() const { return {text_, size_}; }
+
+   private:
+    friend class VirtualFs;
+    DeviceDir() = default;
+    // Room for any sysfs directory a device mounts (the deepest a node
+    // mounts, "/sys/devices/system/cpu/cpu0/cpufreq/stats", is 42).
+    static constexpr std::size_t kCapacity = 128;
+    char text_[kCapacity]{};
+    std::size_t size_ = 0;
+  };
+
   /// "<root><leaf><index>", the directory of a numbered device (e.g.
-  /// "/sys/class/hwmon" "/hwmon" 0), in one allocation with room left for
-  /// a subdirectory or two.
-  static std::string device_dir(std::string_view root, std::string_view leaf, int index);
+  /// "/sys/class/hwmon" "/hwmon" 0).
+  static DeviceDir device_dir(std::string_view root, std::string_view leaf, int index);
 
   /// The directory a live mount was mounted at.
   [[nodiscard]] const std::string& directory(Mount m) const;
@@ -187,8 +205,8 @@ class VirtualFs {
     const std::string* dir = nullptr;  // interned: one copy per directory per process
     const Attr* table = nullptr;
     std::uint32_t size = 0;  // 0 once unmounted
+    bool closures = false;   // owner is an entry of closures_
     void* owner = nullptr;
-    std::unique_ptr<Closures> closures;
   };
 
   /// The file a handle names and its owner; a file with no handlers for a
@@ -200,7 +218,7 @@ class VirtualFs {
   mounts_at(std::string_view dir) const;
   /// `name` in slot `slot`'s table, or null.
   [[nodiscard]] const Attr* find_file(std::uint32_t slot, std::string_view name) const;
-  Mount add_closures(std::string_view path, std::unique_ptr<Closures> c);
+  Mount add_closures(std::string_view path, Closures c);
 
   // Every mount ever made, by slot; a Handle or Mount names a slot. Slots
   // are retired in place, never reused, so the graveyard is bounded by the
@@ -208,6 +226,10 @@ class VirtualFs {
   std::vector<Slot> slots_;
   // Live slots sorted by directory: binary-search lookup.
   std::vector<std::uint32_t> index_;
+  // The closures behind add_attribute* mounts, one list node each so a
+  // mount's owner never moves. A device tree has none; empty, the list is
+  // one pointer.
+  std::forward_list<Closures> closures_;
 };
 
 }  // namespace thermctl::sysfs

@@ -5,8 +5,9 @@ Runs `micro_engine_throughput` (best of N short runs), reads its JSON
 report, and fails when `hot_path.steps_per_sec` lands below the checked-in
 floor in tools/bench_floor.json, when a scaling-ladder point's
 node_steps_per_sec falls below its floor, or when a ladder point's
-rss_bytes_per_node, record_heap_bytes_per_node_row or
-decision_bytes_per_decision rises above its ceiling.
+rss_bytes_per_node, build_heap_bytes_per_node,
+record_heap_bytes_per_node_row or decision_bytes_per_decision rises above
+its ceiling.
 
 The floor is deliberately far below the recorded baseline in
 BENCH_engine.json: CI runners, sanitizer overhead, and shared developer
@@ -25,7 +26,11 @@ Memory: rss_bytes_per_node is the resident growth of building one ladder
 point's rig (cluster plus controllers) divided by its node count. The
 ceilings sit ~25 % above the measured values, so allocator jitter passes
 and a structural regression (a per-node object graph that grows by
-kilobytes) fails. record_heap_bytes_per_node_row is the heap a ladder
+kilobytes) fails. RSS grows by whole pages, so at small points it jumps
+between readings; build_heap_bytes_per_node is the mallinfo2() in-use heap
+the same rig build adds per node, exact to the byte, and its ceilings sit
+~20 % above it, so a per-node heap object of a few hundred bytes fails at
+every point. record_heap_bytes_per_node_row is the heap a ladder
 point's run keeps, with its result alive, per node and recorded row; its
 ceilings sit ~25 % above one copy of the series (8 fields x 8 B plus the
 per-series overhead), so a second copy of the run record fails.
@@ -124,6 +129,7 @@ def main():
     best_node_steps = 0.0
     ladder_best = {}  # node count -> best node_steps_per_sec across runs
     ladder_rss = {}  # node count -> lowest rss_bytes_per_node across runs
+    ladder_build_heap = {}  # node count -> lowest build_heap_bytes_per_node
     ladder_record = {}  # node count -> lowest record_heap_bytes_per_node_row
     ladder_decision = {}  # node count -> lowest decision_bytes_per_decision
     parallelism_available = True
@@ -141,6 +147,9 @@ def main():
             ladder_best[nodes] = max(ladder_best.get(nodes, 0.0), point_nsps)
             point_rss = float(point.get("rss_bytes_per_node", 0.0))
             ladder_rss[nodes] = min(ladder_rss.get(nodes, point_rss), point_rss)
+            point_build = float(point.get("build_heap_bytes_per_node", 0.0))
+            ladder_build_heap[nodes] = min(ladder_build_heap.get(nodes, point_build),
+                                           point_build)
             point_record = float(point.get("record_heap_bytes_per_node_row", 0.0))
             ladder_record[nodes] = min(ladder_record.get(nodes, point_record), point_record)
             point_decision = float(point.get("decision_bytes_per_decision", 0.0))
@@ -154,6 +163,10 @@ def main():
         floor_doc, "scaling_rss_bytes_per_node_ceilings", ladder_rss,
         "rss bytes/node",
         "look for a per-node object (sysfs tree, controller) that gained heap state.")
+    build_heap_ok = check_ceilings(
+        floor_doc, "scaling_build_heap_bytes_per_node_ceilings", ladder_build_heap,
+        "build heap bytes/node",
+        "look for a per-node object (sysfs tree, BMC, controller) that gained heap state.")
     record_ok = check_ceilings(
         floor_doc, "scaling_record_heap_bytes_per_node_row_ceilings", ladder_record,
         "record heap bytes/node-row",
@@ -162,7 +175,7 @@ def main():
         floor_doc, "scaling_decision_bytes_per_decision_ceilings", ladder_decision,
         "decision-log bytes/decision",
         "look for a per-technique event vector beside the family's DecisionLog.")
-    memory_ok = rss_ok and record_ok and decision_ok
+    memory_ok = rss_ok and build_heap_ok and record_ok and decision_ok
 
     if not parallelism_available:
         # The floor was recorded on a multi-core host where the sharded
