@@ -38,8 +38,6 @@ std::string_view to_string(MsgType type) {
       return "join_request";
     case MsgType::kJoinAck:
       return "join_ack";
-    case MsgType::kLeave:
-      return "leave";
     case MsgType::kPolicyUpdate:
       return "policy_update";
     case MsgType::kPowerBudget:
@@ -138,13 +136,6 @@ void NodeAgent::drain(SimTime now, QueueTransport& transport) {
       case MsgType::kPolicyUpdate:
         last_heard_ = now;
         apply_policy(m.policy.pp);
-        break;
-      case MsgType::kLeave:
-        // Orderly coordinator resignation: same degradation as a stall,
-        // minus the timeout wait.
-        if (joined_) {
-          enter_failsafe(now);
-        }
         break;
       default:
         break;  // stray upstream-direction traffic; drop
@@ -286,9 +277,6 @@ void RackCoordinator::drain(SimTime /*now*/, QueueTransport& transport) {
         // and its backoff retry will restore membership.
         break;
       }
-      case MsgType::kLeave:
-        members_.erase(m.from);
-        break;
       case MsgType::kPowerBudget:
         budget_w_ = m.budget.watts;  // room override; <= 0 lifts the cap
         break;

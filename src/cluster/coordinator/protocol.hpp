@@ -12,7 +12,7 @@
 //
 //   NodeAgent      ──TelemetryReport──▶  RackCoordinator ──RackReport──▶ Room
 //   NodeAgent      ──JoinRequest─────▶  RackCoordinator
-//   RackCoordinator──JoinAck/Leave───▶  NodeAgent
+//   RackCoordinator──JoinAck─────────▶  NodeAgent
 //   RackCoordinator──PowerBudget─────▶  NodeAgent        (also the heartbeat)
 //   RackCoordinator──PolicyUpdate────▶  NodeAgent
 //   RoomCoordinator──PowerBudget─────▶  RackCoordinator
@@ -36,8 +36,6 @@ enum class MsgType : std::uint8_t {
   kJoinRequest = 2,
   /// Rack → node: membership confirmed; budgets/policy will follow.
   kJoinAck = 3,
-  /// Either direction: the sender is leaving the member set.
-  kLeave = 4,
   /// Downstream: re-tune the unified controllers' policy parameter Pp.
   kPolicyUpdate = 5,
   /// Downstream: power budget in watts (<= 0 releases any cap).
@@ -72,10 +70,6 @@ struct JoinAck {
   std::uint32_t epoch = 0;
 };
 
-struct Leave {
-  std::uint32_t node = 0;
-};
-
 struct PolicyUpdate {
   int pp = 50;  // core::PolicyParam value, [1, 100]
 };
@@ -105,7 +99,6 @@ struct Message {
     TelemetryReport telemetry;
     JoinRequest join;
     JoinAck join_ack;
-    Leave leave;
     PolicyUpdate policy;
     PowerBudget budget;
     RackReport rack_report;
@@ -132,13 +125,6 @@ struct Message {
   Message m;
   m.type = MsgType::kJoinAck;
   m.join_ack = JoinAck{epoch};
-  return m;
-}
-
-[[nodiscard]] inline Message make_leave(std::uint32_t node) {
-  Message m;
-  m.type = MsgType::kLeave;
-  m.leave = Leave{node};
   return m;
 }
 

@@ -30,8 +30,9 @@ std::vector<double> duty_modes(const FanControlConfig& config) {
 FanFamily::FanFamily(const FanControlConfig& cfg)
     : config(cfg),
       selector(cfg.selector, cfg.array_size),
-      array(duty_modes(cfg), cfg.array_size, cfg.pp) {
-  THERMCTL_ASSERT(array.available_modes().size() <= DecisionLog::kMaxModes,
+      modes(duty_modes(cfg)),
+      array(modes, cfg.array_size, cfg.pp) {
+  THERMCTL_ASSERT(modes.size() <= DecisionLog::kMaxModes,
                   "a family lists at most 256 modes");
 }
 

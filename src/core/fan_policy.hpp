@@ -72,17 +72,21 @@ struct FanEvent {
 };
 
 /// What every dynamic fan controller of one family shares, built once: the
-/// config, its mode selector, the Eq. (1) array at the config's Pp and the
-/// decision log of every member's retargets. A ControlBank holds one per
-/// family; a standalone controller owns its own.
+/// config, its mode selector, the duty modes, the Eq. (1) array over them
+/// at the config's Pp and the decision log of every member's retargets. A
+/// ControlBank holds one per family; a standalone controller owns its own.
+/// Pinned in place: every member's array views `modes`.
 struct FanFamily {
   explicit FanFamily(const FanControlConfig& cfg);
+  FanFamily(const FanFamily&) = delete;
+  FanFamily& operator=(const FanFamily&) = delete;
 
   /// True when `other` differs from this family's config in Pp at most.
   [[nodiscard]] bool admits(FanControlConfig other) const;
 
   FanControlConfig config;
   ModeSelector selector;
+  std::vector<double> modes;  // integer duty percents, ascending
   ThermalControlArray array;
   /// Every member's retargets. The only state a family's members change,
   /// appended from the family's serial tick.
@@ -149,7 +153,7 @@ class FanTechnique {
   [[nodiscard]] const ThermalControlArray& array() const { return array_; }
   /// This node's retargets, in order, decoded from the family's log.
   [[nodiscard]] DecisionView<FanEvent> events() const {
-    return {family_->log, family_->array.available_modes(), decisions_};
+    return {family_->log, family_->modes, decisions_};
   }
   [[nodiscard]] std::uint64_t retarget_count() const { return decisions_.count; }
 
@@ -180,7 +184,7 @@ class FanTechnique {
   // 56 bytes, within one cache line when the technique is line-aligned.
   obs::TraceRing* trace_ = nullptr;
   std::shared_ptr<const FanFamily> family_;
-  ThermalControlArray array_;  // the family's fill, re-pointed to this node's Pp
+  ThermalControlArray array_;  // the family's array, re-tuned to this node's Pp
   std::size_t index_ = 0;
   bool initialized_ = false;
   bool failsafe_ = false;

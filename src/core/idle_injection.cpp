@@ -30,10 +30,11 @@ IdleInjectionFamily::IdleInjectionFamily(const IdleInjectionConfig& cfg,
                                          const sysfs::PowerClampDevice& clamp)
     : config(cfg),
       selector(cfg.selector, cfg.array_size),
-      array(clamp_modes(clamp, cfg), cfg.array_size, cfg.pp) {
+      modes(clamp_modes(clamp, cfg)),
+      array(modes, cfg.array_size, cfg.pp) {
   THERMCTL_ASSERT(cfg.consistency_rounds >= 1, "consistency must be >= 1 round");
   THERMCTL_ASSERT(cfg.release_rounds >= 1, "release consistency must be >= 1 round");
-  THERMCTL_ASSERT(array.available_modes().size() <= DecisionLog::kMaxModes,
+  THERMCTL_ASSERT(modes.size() <= DecisionLog::kMaxModes,
                   "a family lists at most 256 modes");
 }
 

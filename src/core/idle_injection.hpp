@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cmath>
+#include <vector>
 
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
@@ -56,15 +57,19 @@ struct ClampEvent {
 };
 
 /// What every idle-injection technique of one family shares, built once:
-/// the config, its mode selector and the Eq. (1) array, at the config's Pp,
-/// over the idle percentages `clamp` accepts, and the decision log of every
-/// member's moves. A UnifiedFamily holds one for its backstop; a
-/// standalone controller owns its own.
+/// the config, its mode selector, the idle percentages `clamp` accepts, the
+/// Eq. (1) array over them at the config's Pp, and the decision log of
+/// every member's moves. A UnifiedFamily holds one for its backstop; a
+/// standalone controller owns its own. Pinned in place: every member's
+/// array views `modes`.
 struct IdleInjectionFamily {
   IdleInjectionFamily(const IdleInjectionConfig& cfg, const sysfs::PowerClampDevice& clamp);
+  IdleInjectionFamily(const IdleInjectionFamily&) = delete;
+  IdleInjectionFamily& operator=(const IdleInjectionFamily&) = delete;
 
   IdleInjectionConfig config;
   ModeSelector selector;
+  std::vector<double> modes;  // idle percents, ascending
   ThermalControlArray array;
   /// Every member's moves. The only state a family's members change,
   /// appended from the family's serial tick.

@@ -24,11 +24,12 @@ std::vector<double> frequency_modes(const sysfs::CpufreqPolicy& cpufreq) {
 TdvfsFamily::TdvfsFamily(const TdvfsConfig& cfg, const sysfs::CpufreqPolicy& cpufreq)
     : config(cfg),
       selector(cfg.selector, cfg.array_size),
-      array(frequency_modes(cpufreq), cfg.array_size, cfg.pp),
+      modes(frequency_modes(cpufreq)),
+      array(modes, cfg.array_size, cfg.pp),
       pstate_table(cpufreq.pstate_table()) {
   THERMCTL_ASSERT(cfg.consistency_rounds >= 1, "consistency must be >= 1 round");
   THERMCTL_ASSERT(cfg.restore_rounds >= 1, "restore consistency must be >= 1 round");
-  THERMCTL_ASSERT(array.available_modes().size() <= DecisionLog::kMaxModes,
+  THERMCTL_ASSERT(modes.size() <= DecisionLog::kMaxModes,
                   "a family lists at most 256 modes");
 }
 
@@ -40,9 +41,7 @@ bool TdvfsFamily::admits(TdvfsConfig other, const sysfs::CpufreqPolicy& cpufreq)
   if (cpufreq.pstate_table() == pstate_table) {
     return true;
   }
-  const std::vector<double> modes = frequency_modes(cpufreq);
-  return std::equal(modes.begin(), modes.end(), array.available_modes().begin(),
-                    array.available_modes().end());
+  return frequency_modes(cpufreq) == modes;
 }
 
 template class ThresholdTechnique<FrequencyPlane>;

@@ -20,6 +20,8 @@
 // therefore come from the same `stats/total_trans` a real system reports.
 #pragma once
 
+#include <vector>
+
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "core/control_array.hpp"
@@ -74,13 +76,16 @@ struct TdvfsEvent {
 };
 
 /// What every tDVFS daemon of one family shares, built once: the config,
-/// its mode selector and the Eq. (1) array, at the config's Pp, over the
-/// frequencies `scaling_available_frequencies` lists, and the decision log
-/// of every member's moves. A ControlBank holds one per family and parses
-/// the frequency list once for every node whose cpufreq shares the same
-/// p-state table; a standalone daemon owns its own.
+/// its mode selector, the frequencies `scaling_available_frequencies`
+/// lists, the Eq. (1) array over them at the config's Pp, and the decision
+/// log of every member's moves. A ControlBank holds one per family and
+/// parses the frequency list once for every node whose cpufreq shares the
+/// same p-state table; a standalone daemon owns its own. Pinned in place:
+/// every member's array views `modes`.
 struct TdvfsFamily {
   TdvfsFamily(const TdvfsConfig& cfg, const sysfs::CpufreqPolicy& cpufreq);
+  TdvfsFamily(const TdvfsFamily&) = delete;
+  TdvfsFamily& operator=(const TdvfsFamily&) = delete;
 
   /// True when `other` differs from this family's config in Pp at most and
   /// `cpufreq` lists this family's frequencies.
@@ -88,6 +93,7 @@ struct TdvfsFamily {
 
   TdvfsConfig config;
   ModeSelector selector;
+  std::vector<double> modes;  // GHz, fastest first
   ThermalControlArray array;
   const void* pstate_table;  // the table the frequency list was parsed from
   /// Every member's moves. The only state a family's members change,

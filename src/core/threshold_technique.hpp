@@ -105,7 +105,7 @@ class ThresholdTechnique {
   [[nodiscard]] auto current_target() const { return Plane::target(array_.mode(index_)); }
   /// This node's moves, in order, decoded from the family's log.
   [[nodiscard]] DecisionView<Event> events() const {
-    return {family_->log, family_->array.available_modes(), decisions_};
+    return {family_->log, family_->modes, decisions_};
   }
   [[nodiscard]] const ThermalControlArray& array() const { return array_; }
   /// The family's config. Its `pp` is the family's; this node's current Pp
@@ -147,7 +147,7 @@ class ThresholdTechnique {
   // comes first: 64 bytes, one cache line when the technique is aligned.
   obs::TraceRing* trace_ = nullptr;
   std::shared_ptr<const Family> family_;
-  ThermalControlArray array_;  // the family's fill, re-pointed to this node's Pp
+  ThermalControlArray array_;  // the family's array, re-tuned to this node's Pp
   std::size_t index_ = 0;      // 0 = least effective = least intrusive mode
   int rounds_above_ = 0;
   int rounds_below_ = 0;

@@ -9,6 +9,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/coordinator/coordinator.hpp"
 #include "cluster/engine.hpp"
+#include "core/decision_log.hpp"
 #include "core/pid_fan.hpp"
 #include "core/predictive_fan.hpp"
 #include "core/step_wise.hpp"
@@ -512,10 +513,11 @@ FuzzReport fuzz_selector(std::uint64_t seed, int rounds) {
     check_selector_decision(selector, decision, current, round, n, report.invariants, 0.0, 0);
     ++report.ticks;
 
-    // Array fills: random physical mode counts and bounds, random Pp, plus
-    // a runtime re-tune — every fill must keep Eq. (1)'s structure.
+    // Array fills: random physical mode counts up to a family's limit and
+    // random bounds, random Pp, plus a runtime re-tune — every fill must
+    // keep Eq. (1)'s structure.
     if (i % 4 == 0) {
-      const std::size_t m = 1 + rng.below(80);
+      const std::size_t m = 1 + rng.below(core::DecisionLog::kMaxModes);
       std::vector<double> modes;
       modes.reserve(m);
       double v = rng.uniform(0.0, 5.0);

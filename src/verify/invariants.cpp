@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/node.hpp"
@@ -152,8 +153,12 @@ void check_control_array_cells(std::span<const double> cells,
 
 void check_control_array(const core::ThermalControlArray& array, InvariantReport& report,
                          double time_s, std::size_t node, std::size_t cap) {
-  check_control_array_cells(array.cells(), array.available_modes(), array.np(),
-                            array.policy(), report, time_s, node, cap);
+  std::vector<double> cells(array.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i] = array.mode(i);
+  }
+  check_control_array_cells(cells, array.available_modes(), array.np(), array.policy(), report,
+                            time_s, node, cap);
 }
 
 void check_selector_decision(const core::ModeSelector& selector,

@@ -223,8 +223,8 @@ TEST(ControlBank, EveryWindowGeometryTicksLikeStandaloneControllers) {
 }
 
 TEST(ControlBank, NodesOfOneFamilyShareItsConstantsButKeepTheirOwnPp) {
-  // One config, one selector, one Eq. (1) array and one parsed frequency
-  // list per family; a node's own Pp re-points only its own array.
+  // One config, one selector, one mode list and one parsed frequency list
+  // per family; a node's own Pp re-tunes only its own array.
   constexpr std::size_t kNodes = 3;
   ScriptedSensors sensors{kNodes};
   auto rigs = rigs_on(sensors);
@@ -236,15 +236,17 @@ TEST(ControlBank, NodesOfOneFamilyShareItsConstantsButKeepTheirOwnPp) {
   }
   EXPECT_EQ(&bank.unified(0).dvfs().config(), &bank.unified(1).dvfs().config());
   EXPECT_EQ(&bank.unified(0).dvfs().config(), &bank.unified(2).dvfs().config());
-  EXPECT_EQ(bank.unified(0).fan().array().cells().data(),
-            bank.unified(1).fan().array().cells().data());
+  EXPECT_EQ(bank.unified(0).fan().array().available_modes().data(),
+            bank.unified(2).fan().array().available_modes().data());
   EXPECT_EQ(bank.unified(2).fan().array().policy().value, 80);
   EXPECT_EQ(bank.unified(2).dvfs().array().policy().value, 80);
   EXPECT_EQ(bank.unified(0).dvfs().array().policy().value, 50);
   // Each rig's CPU has its own p-state table, listing the same frequencies:
-  // the family admits each node and its array still shares one fill.
-  EXPECT_EQ(bank.unified(0).dvfs().array().cells().data(),
-            bank.unified(1).dvfs().array().cells().data());
+  // the family admits each node and every array views its one mode list.
+  EXPECT_EQ(bank.unified(0).dvfs().array().available_modes().data(),
+            bank.unified(1).dvfs().array().available_modes().data());
+  EXPECT_EQ(bank.unified(0).dvfs().array().available_modes().data(),
+            bank.unified(2).dvfs().array().available_modes().data());
 }
 
 TEST(ControlBank, UnifiedControllerStaysSmall) {

@@ -16,8 +16,9 @@ std::vector<double> ascending(int count) {
 }
 
 TEST(ArrayInvariants, CleanFillPasses) {
+  const std::vector<double> modes = ascending(10);
   for (int pp : {1, 25, 50, 75, 100}) {
-    core::ThermalControlArray arr{ascending(10), 32, core::PolicyParam{pp}};
+    core::ThermalControlArray arr{modes, 32, core::PolicyParam{pp}};
     InvariantReport report;
     check_control_array(arr, report);
     EXPECT_TRUE(report.ok()) << report.to_string();
