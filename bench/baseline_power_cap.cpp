@@ -46,7 +46,8 @@ int main() {
     cluster::Engine engine{rack, engine_cfg};
     const auto burn = workload::gradual_profile(Seconds{300.0});
     engine.set_node_load(0, &burn);
-    engine.add_periodic(cfg.interval, [&capper](SimTime now) { capper.on_interval(now); });
+    engine.add_periodic(PowerCapper::kInterval,
+                        [&capper](SimTime now) { capper.on_interval(now); });
     const cluster::RunResult run = engine.run();
 
     rows.push_back(Row{budget, capper.last_power_w(), capper.overshoot_seconds(),

@@ -9,6 +9,10 @@
 namespace thermctl::cluster::ctrl {
 namespace {
 
+/// A member whose wall power is below `kRaiseMargin · share` gets its cap
+/// raised one p-state (hysteresis against cap flapping).
+constexpr double kRaiseMargin = 0.8;
+
 // Endpoint layout: agents [0, N), racks [N, N+R), room at N+R.
 std::size_t rack_count_for(std::size_t nodes, std::size_t nodes_per_rack) {
   if (nodes_per_rack == 0 || nodes_per_rack >= nodes) {
@@ -162,7 +166,7 @@ void NodeAgent::apply_budget(double watts, SimTime now) {
     ++cap_index_;
     actuate_cap();
     ++stats_.caps_lowered;
-  } else if (wall < watts * config_.raise_margin && cap_index_ > 0) {
+  } else if (wall < watts * kRaiseMargin && cap_index_ > 0) {
     --cap_index_;
     actuate_cap();
     ++stats_.caps_raised;
@@ -518,22 +522,6 @@ std::size_t ControlPlane::rack_of(std::size_t node) const {
   const std::size_t per_rack =
       config_.nodes_per_rack == 0 ? agents_.size() : config_.nodes_per_rack;
   return node / per_rack;
-}
-
-std::size_t ControlPlane::capped_count() const {
-  std::size_t n = 0;
-  for (const NodeAgent& agent : agents_) {
-    n += agent.cap_index() > 0 ? 1 : 0;
-  }
-  return n;
-}
-
-std::size_t ControlPlane::autonomous_count() const {
-  std::size_t n = 0;
-  for (const NodeAgent& agent : agents_) {
-    n += agent.autonomous() ? 1 : 0;
-  }
-  return n;
 }
 
 }  // namespace thermctl::cluster::ctrl

@@ -68,9 +68,6 @@ struct PlaneConfig {
   /// Agent-side coordinator-stall fail-safe: quiet longer than this and the
   /// node reverts to autonomous control.
   Seconds stall_timeout{5.0};
-  /// A member whose wall power is below `raise_margin · share` gets its cap
-  /// raised one p-state (hysteresis against cap flapping).
-  double raise_margin = 0.8;
   QueueTransportConfig transport{};
 };
 
@@ -262,10 +259,6 @@ class ControlPlane {
   [[nodiscard]] std::size_t rack_count() const { return racks_.size(); }
   /// Rack index owning node `i` (matches the agents' endpoint layout).
   [[nodiscard]] std::size_t rack_of(std::size_t node) const;
-  /// Nodes currently under a plane p-state cap / running autonomously —
-  /// the fleet rollup's per-sample plane columns.
-  [[nodiscard]] std::size_t capped_count() const;
-  [[nodiscard]] std::size_t autonomous_count() const;
   [[nodiscard]] const PlaneStats& stats() const { return stats_; }
   [[nodiscard]] const NodeAgent& agent(std::size_t i) const { return agents_[i]; }
   [[nodiscard]] const RackCoordinator& rack(std::size_t r) const { return racks_[r]; }

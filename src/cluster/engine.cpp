@@ -86,12 +86,6 @@ void Engine::set_inband_overhead(std::size_t i, Seconds per_tick, Seconds period
   steal_fraction_[i] = per_tick.value() / period.value();
 }
 
-std::size_t Engine::node_of_rank(std::size_t r) const {
-  THERMCTL_ASSERT(app_ != nullptr, "no app attached");
-  THERMCTL_ASSERT(r < node_for_rank_.size(), "rank out of range");
-  return node_for_rank_[r];
-}
-
 std::optional<std::size_t> Engine::rank_on_node(std::size_t i) const {
   THERMCTL_ASSERT(i < rank_of_node_.size(), "node index out of range");
   const std::size_t r = rank_of_node_[i];

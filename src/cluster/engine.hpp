@@ -117,8 +117,6 @@ class Engine {
 
   // ---- load migration (the in-band technique of Heath/Powell et al.) ----
 
-  /// Node currently hosting rank `r` (requires an attached app).
-  [[nodiscard]] std::size_t node_of_rank(std::size_t r) const;
   /// Rank hosted on node `i`, if any. O(1): served from a reverse map kept
   /// in sync by attach_app()/migrate_rank().
   [[nodiscard]] std::optional<std::size_t> rank_on_node(std::size_t i) const;

@@ -21,10 +21,11 @@
 // one slot: its PackageModel and each of its devices is a (group, slot)
 // view, so controllers and sysfs keep their per-node object API while the
 // fleet carries one copy of each constant.
-// The payoff is the engine's hot loop: one vectorized
-// PackageColumns::step_range call advances the whole fleet's thermals, and
-// FleetSweep runs the per-node device/OS phases as contiguous array passes
-// instead of N object-graph walks.
+// The payoff is the engine's hot loop: one PackageColumns::step_range call
+// advances the whole fleet's thermals over unit-stride rows, and FleetSweep
+// runs the per-node device/OS phases as contiguous array passes instead of
+// N object-graph walks. Neither vectorizes at the build's -O2 (GCC's
+// default cost model leaves both scalar); the gain is the memory layout.
 #pragma once
 
 #include <cstddef>

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 
 namespace thermctl::cluster {

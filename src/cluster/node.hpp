@@ -83,7 +83,6 @@ class Node {
   [[nodiscard]] std::uint64_t busy_jiffies() const { return row().busy_jiffies[slot_]; }
   [[nodiscard]] std::uint64_t total_jiffies() const { return row().total_jiffies[slot_]; }
 
-  [[nodiscard]] bool prochot_active() const { return cpu_.thermal_throttled(); }
   [[nodiscard]] int prochot_events() const { return row().prochot_events[slot_]; }
   [[nodiscard]] Seconds prochot_time() const { return Seconds{row().prochot_seconds[slot_]}; }
   [[nodiscard]] bool halted() const { return row().halted[slot_] != 0; }

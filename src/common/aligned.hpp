@@ -1,9 +1,10 @@
 // Cache-line-aligned vector storage for SoA hot arrays.
 //
 // The batched solvers sweep node-major rows of per-instance doubles with
-// compiler-vectorized unit-stride loops; starting each array on a 64-byte
-// boundary keeps the vectorizer's peel prologue minimal and row starts
-// cache-line clean for the (power-of-two) fleet sizes the ladder measures.
+// unit-stride loops; starting each array on a 64-byte boundary keeps row
+// starts cache-line clean for the (power-of-two) fleet sizes the ladder
+// measures, and leaves a vectorizing build no peel prologue to pay (the
+// default -O2 build vectorizes none of these loops).
 // Alignment changes where the bytes live, never what they hold — bit-exact
 // trajectories are unaffected.
 #pragma once

@@ -1,85 +1,6 @@
 #include "common/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/assert.hpp"
-
 namespace thermctl {
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void OnlineStats::merge(const OnlineStats& o) {
-  if (o.n_ == 0) {
-    return;
-  }
-  if (n_ == 0) {
-    *this = o;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(o.n_);
-  const double delta = o.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += o.m2_ + delta * delta * na * nb / total;
-  n_ += o.n_;
-  min_ = std::min(min_, o.min_);
-  max_ = std::max(max_, o.max_);
-}
-
-double percentile_sorted(std::span<const double> sorted, double q) {
-  THERMCTL_ASSERT(!sorted.empty(), "percentile of empty sample");
-  THERMCTL_ASSERT(q >= 0.0 && q <= 1.0, "percentile q out of [0,1]");
-  if (sorted.size() == 1) {
-    return sorted[0];
-  }
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) {
-    return s;
-  }
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-
-  OnlineStats acc;
-  for (double x : xs) {
-    acc.add(x);
-  }
-  s.mean = acc.mean();
-  s.stddev = acc.stddev();
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.p25 = percentile_sorted(sorted, 0.25);
-  s.median = percentile_sorted(sorted, 0.50);
-  s.p75 = percentile_sorted(sorted, 0.75);
-  s.p95 = percentile_sorted(sorted, 0.95);
-  return s;
-}
-
-std::vector<double> moving_average(std::span<const double> xs, std::size_t w) {
-  THERMCTL_ASSERT(w >= 1, "moving average window must be >= 1");
-  std::vector<double> out;
-  out.reserve(xs.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sum += xs[i];
-    if (i >= w) {
-      sum -= xs[i - w];
-    }
-    const std::size_t n = std::min(i + 1, w);
-    out.push_back(sum / static_cast<double>(n));
-  }
-  return out;
-}
 
 double slope(std::span<const double> ys, double dx) {
   if (ys.size() < 2) {

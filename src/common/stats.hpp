@@ -1,72 +1,11 @@
-// Streaming and batch statistics.
+// Trend statistics.
 //
-// Experiment summaries (Table 1 columns, figure captions) are produced from
-// these: online mean/variance for per-run aggregates, and batch summaries
-// (min/max/percentiles) over recorded series.
+// The Type I/II/III phase classifier reads a series' trend from here.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace thermctl {
-
-/// Welford online accumulator: numerically stable mean/variance without
-/// storing samples.
-class OnlineStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    if (n_ == 1 || x < min_) min_ = x;
-    if (n_ == 1 || x > max_) max_ = x;
-  }
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
-
-  /// Merges another accumulator (parallel reduction of per-node stats).
-  void merge(const OnlineStats& o);
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Batch summary of a sample vector.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double p95 = 0.0;
-  double max = 0.0;
-};
-
-/// Computes a batch Summary; copies + sorts internally, input order preserved.
-[[nodiscard]] Summary summarize(std::span<const double> xs);
-
-/// Linear-interpolated percentile of an already-sorted sample, q in [0, 1].
-[[nodiscard]] double percentile_sorted(std::span<const double> sorted, double q);
-
-/// Simple moving average of `xs` with window `w` (w>=1). Element i averages
-/// the up-to-`w` most recent values ending at i. Used by trace analysis and
-/// plot smoothing in the benches.
-[[nodiscard]] std::vector<double> moving_average(std::span<const double> xs, std::size_t w);
 
 /// Ordinary least-squares slope of y over x index (per-sample trend). Returns
 /// 0 for fewer than two samples. Used by the Type I/II/III phase classifier.

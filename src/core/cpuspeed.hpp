@@ -18,9 +18,6 @@
 namespace thermctl::core {
 
 struct CpuspeedConfig {
-  /// Governor evaluation interval (cpuspeed's -i default is 2 s; the paper's
-  /// platform used a snappier 1 s).
-  Seconds interval{1.0};
   /// Jump to max frequency at or above this utilization.
   double up_threshold = 0.90;
   /// Step down one frequency at or below this utilization. 0.75 makes the
@@ -32,13 +29,17 @@ struct CpuspeedConfig {
 
 class CpuspeedGovernor {
  public:
+  /// Governor evaluation interval (cpuspeed's -i default is 2 s; the paper's
+  /// platform used a snappier 1 s).
+  static constexpr Seconds kInterval{1.0};
+
   /// Reads and parses /proc/stat from the node's filesystem once every
   /// interval, exactly like the real cpuspeed; frequency actuation goes
   /// through cpufreq.
   CpuspeedGovernor(const sysfs::VirtualFs& fs, const sysfs::ProcStat& proc_stat,
                    sysfs::CpufreqPolicy& cpufreq, CpuspeedConfig config = {});
 
-  /// Governor tick; call every `config().interval`.
+  /// Governor tick; call every kInterval.
   void on_interval(SimTime now);
 
   [[nodiscard]] const CpuspeedConfig& config() const { return config_; }

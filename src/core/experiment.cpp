@@ -47,11 +47,13 @@ std::vector<FaultEpisode> make_fault_schedule(const FaultCampaignConfig& cfg, st
   // Per-node stream: same splitmix64-style spread the cluster uses for node
   // seeds, so schedules are independent across nodes and stable across runs.
   Rng rng{cfg.seed * 0x9e3779b97f4a7c15ULL + node + 1};
+  // Probability an episode is kSensorStuck (the rest are kBusFault).
+  constexpr double kSensorStuckWeight = 0.5;
   schedule.reserve(static_cast<std::size_t>(cfg.episodes_per_node));
   for (int i = 0; i < cfg.episodes_per_node; ++i) {
     FaultEpisode e;
-    e.kind = rng.uniform() < cfg.sensor_stuck_weight ? FaultEpisode::Kind::kSensorStuck
-                                                     : FaultEpisode::Kind::kBusFault;
+    e.kind = rng.uniform() < kSensorStuckWeight ? FaultEpisode::Kind::kSensorStuck
+                                                : FaultEpisode::Kind::kBusFault;
     e.start = Seconds{rng.uniform(cfg.start_after.value(), latest_start)};
     const double duration = rng.uniform(cfg.min_duration.value(), cfg.max_duration.value());
     e.end = Seconds{std::min(e.start.value() + duration, horizon.value())};
@@ -300,7 +302,7 @@ void build_dvfs_policy(Rig& rig, const ExperimentConfig& config) {
     }
   }
   if (!rig.cpuspeed.empty()) {
-    rig.engine->add_periodic(config.cpuspeed.interval,
+    rig.engine->add_periodic(CpuspeedGovernor::kInterval,
                              [governors = &rig.cpuspeed](SimTime now) {
                                for (CpuspeedGovernor& governor : *governors) {
                                  governor.on_interval(now);

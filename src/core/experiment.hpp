@@ -84,8 +84,6 @@ struct FaultCampaignConfig {
   Seconds start_after{20.0};
   Seconds min_duration{10.0};
   Seconds max_duration{30.0};
-  /// Probability an episode is kSensorStuck (the rest are kBusFault).
-  double sensor_stuck_weight = 0.5;
 };
 
 /// The deterministic schedule for `node` (sorted by start time). Exposed so

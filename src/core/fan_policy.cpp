@@ -29,7 +29,7 @@ std::vector<double> duty_modes(const FanControlConfig& config) {
 
 FanFamily::FanFamily(const FanControlConfig& cfg)
     : config(cfg),
-      selector(cfg.selector, cfg.array_size),
+      selector(ModeSelectorConfig{}, cfg.array_size),
       modes(duty_modes(cfg)),
       array(modes, cfg.array_size, cfg.pp) {
   THERMCTL_ASSERT(modes.size() <= DecisionLog::kMaxModes,

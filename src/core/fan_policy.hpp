@@ -45,8 +45,6 @@ struct FanControlConfig {
   /// Physical duty range; max_duty emulates less powerful fans (Fig. 7).
   DutyCycle min_duty{1.0};
   DutyCycle max_duty{100.0};
-  ModeSelectorConfig selector{};
-  WindowConfig window{};
   /// Gate a standalone controller's readings through a SensorHealthMonitor
   /// and fail safe (escalate to the array's most effective mode) on
   /// confirmed sensor failure. Off by default: the paper's controller

@@ -29,11 +29,10 @@ std::vector<double> clamp_modes(const sysfs::PowerClampDevice& clamp,
 IdleInjectionFamily::IdleInjectionFamily(const IdleInjectionConfig& cfg,
                                          const sysfs::PowerClampDevice& clamp)
     : config(cfg),
-      selector(cfg.selector, cfg.array_size),
+      selector(ModeSelectorConfig{}, cfg.array_size),
       modes(clamp_modes(clamp, cfg)),
       array(modes, cfg.array_size, cfg.pp) {
   THERMCTL_ASSERT(cfg.consistency_rounds >= 1, "consistency must be >= 1 round");
-  THERMCTL_ASSERT(cfg.release_rounds >= 1, "release consistency must be >= 1 round");
   THERMCTL_ASSERT(modes.size() <= DecisionLog::kMaxModes,
                   "a family lists at most 256 modes");
 }
@@ -43,7 +42,7 @@ template class ThresholdTechnique<ClampPlane>;
 IdleInjectionController::IdleInjectionController(sysfs::HwmonDevice& hwmon,
                                                  sysfs::PowerClampDevice& clamp,
                                                  const IdleInjectionConfig& config)
-    : IdleInjectionTechnique(hwmon, clamp, config), window_(config.window) {}
+    : IdleInjectionTechnique(hwmon, clamp, config) {}
 
 void IdleInjectionController::on_sample(SimTime now) {
   begin(now);

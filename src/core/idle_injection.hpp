@@ -32,15 +32,10 @@ struct IdleInjectionConfig {
   /// Engage only above this (defaults above the tDVFS threshold: last
   /// resort).
   Celsius threshold{56.0};
-  CelsiusDelta hysteresis{2.0};
   int consistency_rounds = 3;
-  /// Rounds below (threshold − hysteresis) before releasing the clamp.
-  int release_rounds = 8;
   /// Idle-percent step between modes (0, step, 2·step, … max_state).
   int percent_step = 5;
   std::size_t array_size = 16;
-  ModeSelectorConfig selector{};
-  WindowConfig window{};
 
   bool operator==(const IdleInjectionConfig&) const = default;
 };
@@ -85,7 +80,9 @@ struct ClampPlane {
   using Family = IdleInjectionFamily;
   using Event = ClampEvent;
   static constexpr obs::TraceSubsystem kSubsystem = obs::TraceSubsystem::kIdle;
-  static constexpr auto kRestoreRounds = &IdleInjectionConfig::release_rounds;
+  static constexpr CelsiusDelta kHysteresis{2.0};
+  /// Rounds below (threshold − hysteresis) before releasing the clamp.
+  static constexpr int kRestoreRounds = 8;
   static constexpr const char* kLogTag = "powerclamp";
   static constexpr const char* kMoveLog = "t=%.2fs idle injection %.0f%% -> %.0f%%";
   static constexpr const char* kHoldLog = "t=%.2fs sensor failed; holding %.0f%% idle";

@@ -8,6 +8,18 @@
 
 namespace thermctl::core {
 
+namespace {
+
+/// |slope| above this is "sudden" (°C/s).
+constexpr double kSuddenRate = 0.35;
+/// |slope| above this (but below sudden) with a consistent sign is
+/// "gradual" (°C/s).
+constexpr double kGradualRate = 0.04;
+/// Peak-to-peak swing above this with no trend is "jitter" (°C).
+constexpr double kJitterSwing = 0.8;
+
+}  // namespace
+
 std::string_view to_string(ThermalBehaviour b) {
   switch (b) {
     case ThermalBehaviour::kStable:
@@ -87,13 +99,13 @@ ClassifierReport PhaseClassifier::classify() const {
   // residual trend (the trend's total contribution over the window must be
   // smaller than the swing itself, or the trend is the real story).
   const bool oscillation_dominates =
-      report.swing_c >= config_.jitter_swing && report.reversal_rate >= 0.25 &&
+      report.swing_c >= kJitterSwing && report.reversal_rate >= 0.25 &&
       rate * window_span_s < report.swing_c;
-  if (rate >= config_.sudden_rate) {
+  if (rate >= kSuddenRate) {
     report.behaviour = ThermalBehaviour::kSudden;
   } else if (oscillation_dominates) {
     report.behaviour = ThermalBehaviour::kJitter;
-  } else if (rate >= config_.gradual_rate) {
+  } else if (rate >= kGradualRate) {
     report.behaviour = ThermalBehaviour::kGradual;
   } else {
     report.behaviour = ThermalBehaviour::kStable;

@@ -36,13 +36,6 @@ struct ClassifierConfig {
   std::size_t window = 32;
   /// Sample spacing in seconds (4 Hz default).
   double sample_dt_s = 0.25;
-  /// |slope| above this is "sudden" (°C/s).
-  double sudden_rate = 0.35;
-  /// |slope| above this (but below sudden) with a consistent sign is
-  /// "gradual" (°C/s).
-  double gradual_rate = 0.04;
-  /// Peak-to-peak swing above this with no trend is "jitter" (°C).
-  double jitter_swing = 0.8;
 };
 
 struct ClassifierReport {

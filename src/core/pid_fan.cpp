@@ -7,6 +7,13 @@
 
 namespace thermctl::core {
 
+namespace {
+
+/// Proportional gain (duty-% per degC).
+constexpr double kKp = 8.0;
+
+}  // namespace
+
 PidFanController::PidFanController(sysfs::HwmonDevice& hwmon, PidFanConfig config)
     : hwmon_(hwmon), config_(config) {
   THERMCTL_ASSERT(config_.period.value() > 0.0, "controller period must be positive");
@@ -40,7 +47,7 @@ void PidFanController::on_sample(SimTime now) {
   prev_error_ = error;
   primed_ = true;
 
-  const double raw = config_.kp * error + config_.ki * integral_ + config_.kd * derivative;
+  const double raw = kKp * error + config_.ki * integral_ + config_.kd * derivative;
   const double lo = config_.min_duty.percent();
   const double hi = config_.max_duty.percent();
   const double clamped = std::clamp(raw, lo, hi);

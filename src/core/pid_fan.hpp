@@ -27,7 +27,6 @@ namespace thermctl::core {
 
 struct PidFanConfig {
   Celsius setpoint{50.0};
-  double kp = 8.0;    // duty-% per degC
   double ki = 0.4;    // duty-% per degC-second
   double kd = 4.0;    // duty-% per (degC/second)
   DutyCycle min_duty{1.0};

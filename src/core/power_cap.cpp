@@ -13,7 +13,6 @@ PowerCapper::PowerCapper(sysfs::RaplDomain& rapl, sysfs::CpufreqPolicy& cpufreq,
     : rapl_(rapl), cpufreq_(cpufreq), config_(config) {
   THERMCTL_ASSERT(config_.budget.value() > 0.0, "budget must be positive");
   THERMCTL_ASSERT(config_.margin.value() >= 0.0, "margin must be non-negative");
-  THERMCTL_ASSERT(config_.interval.value() > 0.0, "interval must be positive");
 }
 
 void PowerCapper::on_interval(SimTime now) {

@@ -25,15 +25,16 @@ struct PowerCapConfig {
   Watts budget{45.0};
   /// Step back up only below budget − margin.
   Watts margin{6.0};
-  /// Evaluation interval.
-  Seconds interval{1.0};
 };
 
 class PowerCapper {
  public:
+  /// Evaluation interval.
+  static constexpr Seconds kInterval{1.0};
+
   PowerCapper(sysfs::RaplDomain& rapl, sysfs::CpufreqPolicy& cpufreq, PowerCapConfig config);
 
-  /// Capper tick; call every `config().interval`.
+  /// Capper tick; call every kInterval.
   void on_interval(SimTime now);
 
   [[nodiscard]] double last_power_w() const { return last_power_w_; }

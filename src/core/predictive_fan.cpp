@@ -4,6 +4,21 @@
 
 namespace thermctl::core {
 
+namespace {
+
+/// Weight of the power feed-forward term (1.0 = trust the model fully).
+constexpr double kPowerGain = 0.8;
+/// Thermal resistance estimate converting ΔP to eventual Δt (K/W): the
+/// die-to-ambient total of the platform, a calibration input as it would be
+/// on a real deployment.
+constexpr double kRThermal = 0.45;
+/// Reject a round's power sample entirely above this (W): wrap-corrected
+/// RAPL deltas can still be garbage after a counter reset or torn read, and
+/// a bogus spike must not reach the feed-forward term.
+constexpr double kMaxPowerW = 400.0;
+
+}  // namespace
+
 PredictiveFanTechnique::PredictiveFanTechnique(sysfs::HwmonDevice& hwmon,
                                                sysfs::RaplDomain& rapl,
                                                const PredictiveFanConfig& config)
@@ -64,7 +79,7 @@ double PredictiveFanTechnique::feedforward(SimTime now) {
   // Clamp: even wrap-corrected, a counter glitch (domain reset, torn read)
   // can yield an implausible delta. Discard the sample instead of steering
   // on it — the power history simply skips a round.
-  if (span_s <= 0.0 || power_w > config_.max_power_w) {
+  if (span_s <= 0.0 || power_w > kMaxPowerW) {
     return 0.0;
   }
   // Feed-forward: the round-over-round power change, converted to the
@@ -73,7 +88,7 @@ double PredictiveFanTechnique::feedforward(SimTime now) {
   if (last_round_power_w_ >= 0.0) {
     const double dp = power_w - last_round_power_w_;
     if (std::abs(dp) > config_.power_deadband_w) {
-      feedforward_dt = config_.power_gain * dp * config_.r_thermal;
+      feedforward_dt = kPowerGain * dp * kRThermal;
     }
   }
   last_round_power_w_ = power_w;

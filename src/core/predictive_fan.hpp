@@ -36,18 +36,8 @@ namespace thermctl::core {
 
 struct PredictiveFanConfig {
   FanControlConfig base{};
-  /// Weight of the power feed-forward term (1.0 = trust the model fully).
-  double power_gain = 0.8;
-  /// Thermal resistance estimate converting ΔP to eventual Δt (K/W). The
-  /// die-to-ambient total of the platform; a calibration input, as it would
-  /// be on a real deployment.
-  double r_thermal = 0.45;
   /// Ignore power deltas below this (meter noise floor, W).
   double power_deadband_w = 3.0;
-  /// Reject a round's power sample entirely above this (W): wrap-corrected
-  /// RAPL deltas can still be garbage after a counter reset or torn read,
-  /// and a bogus spike must not reach the feed-forward term.
-  double max_power_w = 400.0;
 };
 
 /// The dynamic fan technique with the RAPL feed-forward added to each

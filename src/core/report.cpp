@@ -1,140 +1,12 @@
 #include "core/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
-#include "common/csv.hpp"
-#include "common/table.hpp"
 #include "obs/json_writer.hpp"
 
 namespace thermctl::core {
-
-namespace {
-
-struct TimelineEntry {
-  double time_s;
-  std::string text;
-};
-
-std::string format_line(const char* fmt, double a, double b = 0.0, double c = 0.0) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, fmt, a, b, c);
-  return std::string{buf};
-}
-
-}  // namespace
-
-std::string render_verdict(const ExperimentResult& result) {
-  std::ostringstream out;
-  out << (result.run.app_completed ? "completed" : "horizon reached") << " in "
-      << format_number(result.run.exec_time_s, 1) << " s; hottest die "
-      << format_number(result.run.max_die_temp(), 1) << " degC; avg node power "
-      << format_number(result.run.avg_power_w(), 1) << " W; "
-      << result.run.total_freq_transitions() << " frequency transitions";
-  return out.str();
-}
-
-std::string render_report(const ExperimentResult& result, const ReportOptions& options) {
-  std::ostringstream out;
-  out << render_verdict(result) << "\n";
-
-  // Fault accounting, printed only when something actually happened so
-  // clean-run reports are byte-identical to the pre-fault-handling format.
-  const ControllerFaultStats& fs = result.fault_stats;
-  const std::uint64_t i2c_retries = result.run.total_i2c_retries();
-  const std::uint64_t i2c_bus_faults = result.run.total_i2c_bus_faults();
-  const std::uint64_t i2c_exhausted = result.run.total_i2c_exhausted();
-  if (i2c_retries + i2c_bus_faults + i2c_exhausted != 0) {
-    out << "i2c faults: " << i2c_bus_faults << " bus faults, " << i2c_retries << " retries, "
-        << i2c_exhausted << " transfers exhausted\n";
-  }
-  if (fs.sensor_rejected + fs.sensor_stuck_detections + fs.sensor_failures != 0) {
-    out << "sensor health: " << fs.sensor_rejected << " rejected, "
-        << fs.sensor_stuck_detections << " stuck detections, " << fs.sensor_failures
-        << " failures, " << fs.sensor_recoveries << " recoveries\n";
-  }
-  if (fs.failsafe_entries + fs.dvfs_hold_entries != 0) {
-    out << "degradation: " << fs.failsafe_entries << " fail-safe entries ("
-        << fs.failsafe_exits << " exits), " << fs.dvfs_hold_entries << " DVFS holds ("
-        << fs.dvfs_held_ticks << " held ticks)\n";
-  }
-
-  // Live-pipeline accounting, same only-when-it-happened policy.
-  if (result.trace != nullptr && result.trace->total_dropped() != 0) {
-    std::size_t nodes_dropping = 0;
-    for (std::uint64_t d : result.trace->dropped_by_node()) {
-      nodes_dropping += d != 0 ? 1 : 0;
-    }
-    out << "trace: " << result.trace->total_dropped() << " events dropped to ring wraps on "
-        << nodes_dropping << " node(s)";
-    if (result.spill.has_value()) {
-      out << "; spiller lost " << result.spill->events_lost << " of "
-          << result.spill->events_spilled + result.spill->events_lost << " spilled";
-    }
-    out << "\n";
-  }
-  if (!result.alerts.empty()) {
-    std::size_t still_firing = 0;
-    for (const obs::AlertEvent& e : result.alerts) {
-      still_firing += e.cleared_at_s < 0.0 ? 1 : 0;
-    }
-    out << "alerts: " << result.alerts.size() << " episode(s), " << still_firing
-        << " still firing at end of run\n";
-  }
-
-  if (options.per_node) {
-    TextTable table{{"node", "avg die (degC)", "max die", "avg duty (%)", "avg power (W)",
-                     "freq changes", "PROCHOT"}};
-    for (std::size_t i = 0; i < result.run.summaries.size(); ++i) {
-      const cluster::NodeSummary& s = result.run.summaries[i];
-      table.add_row("node" + std::to_string(i),
-                    {s.avg_die_temp, s.max_die_temp, s.avg_duty, s.avg_power_w,
-                     static_cast<double>(s.freq_transitions),
-                     static_cast<double>(s.prochot_events)},
-                    1);
-    }
-    out << table.render();
-  }
-
-  if (options.events) {
-    std::vector<TimelineEntry> timeline;
-    for (std::size_t n = 0; n < result.tdvfs_events.size(); ++n) {
-      for (const TdvfsEvent& e : result.tdvfs_events[n]) {
-        timeline.push_back(
-            {e.time_s, "node" + std::to_string(n) + " tDVFS " +
-                           format_line("%.1f -> %.1f GHz", e.from_ghz, e.to_ghz)});
-      }
-    }
-    for (std::size_t n = 0; n < result.fan_events.size(); ++n) {
-      for (const FanEvent& e : result.fan_events[n]) {
-        timeline.push_back(
-            {e.time_s, "node" + std::to_string(n) + " fan " +
-                           format_line("%.0f%% -> %.0f%% duty", e.from_duty, e.to_duty) +
-                           (e.used_level2 ? " (gradual)" : "")});
-      }
-    }
-    std::sort(timeline.begin(), timeline.end(),
-              [](const TimelineEntry& a, const TimelineEntry& b) { return a.time_s < b.time_s; });
-
-    if (!timeline.empty()) {
-      out << "controller timeline";
-      const std::size_t cap =
-          options.max_events == 0 ? timeline.size() : options.max_events;
-      if (timeline.size() > cap) {
-        out << " (first " << cap << " of " << timeline.size() << ")";
-      }
-      out << ":\n";
-      for (std::size_t i = 0; i < std::min(cap, timeline.size()); ++i) {
-        out << "  t=" << format_number(timeline[i].time_s, 1) << "s  " << timeline[i].text
-            << "\n";
-      }
-    }
-  }
-  return out.str();
-}
 
 void write_run_summary_json(const std::string& path, const std::string& name,
                             const ExperimentResult& result) {

@@ -1,9 +1,9 @@
-// Run reporting: turn an ExperimentResult into the summary a human reads.
+// Run reporting: the machine-readable summary of an ExperimentResult.
 //
-// One place for the numbers every consumer prints (thermctld, examples,
-// post-run analysis): per-node table, cluster aggregates, controller event
-// timeline, and a compact verdict line. Pure formatting — all analysis stays
-// in the metrics layer.
+// One JSON file per run: run aggregates, per-node summaries, fault
+// counters, trace bookkeeping and the live-pipeline sections. The benches
+// write it beside their CSV series. Pure formatting: all analysis stays in
+// the metrics layer.
 #pragma once
 
 #include <string>
@@ -11,22 +11,6 @@
 #include "core/experiment.hpp"
 
 namespace thermctl::core {
-
-struct ReportOptions {
-  /// Include the per-node breakdown table.
-  bool per_node = true;
-  /// Include the merged controller event timeline (tDVFS + fan retargets).
-  bool events = true;
-  /// Cap on timeline rows (0 = unlimited).
-  std::size_t max_events = 20;
-};
-
-/// Renders a human-readable report of an experiment run.
-[[nodiscard]] std::string render_report(const ExperimentResult& result,
-                                        const ReportOptions& options = {});
-
-/// One-line verdict: completion, hottest die, power, transition count.
-[[nodiscard]] std::string render_verdict(const ExperimentResult& result);
 
 /// Writes the machine-readable run-summary JSON: run aggregates, per-node
 /// summaries, fault counters, trace bookkeeping, and (when telemetry was on)

@@ -6,6 +6,13 @@
 
 namespace thermctl::core {
 
+namespace {
+
+/// No observation for this long ⇒ the held value is stale.
+constexpr Seconds kStaleDeadline{2.0};
+
+}  // namespace
+
 SensorHealthMonitor::SensorHealthMonitor(SensorHealthConfig config) : config_(config) {
   THERMCTL_ASSERT(config_.max_plausible > config_.min_plausible,
                   "plausible band must be non-empty");
@@ -82,7 +89,7 @@ bool SensorHealthMonitor::stale(SimTime now) const {
   if (!last_observe_time_.has_value()) {
     return true;
   }
-  return (now - *last_observe_time_).value() > config_.stale_deadline.value();
+  return (now - *last_observe_time_).value() > kStaleDeadline.value();
 }
 
 void SensorHealthMonitor::reset() {

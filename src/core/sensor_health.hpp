@@ -53,8 +53,6 @@ struct SensorHealthConfig {
   /// Consecutive good readings required to clear a confirmed failure — the
   /// same consistency-count idea the tDVFS restore path uses.
   int recovery_samples = 8;
-  /// No observation for this long ⇒ the held value is stale.
-  Seconds stale_deadline{2.0};
 
   bool operator==(const SensorHealthConfig&) const = default;
 };

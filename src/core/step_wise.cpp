@@ -6,6 +6,13 @@
 
 namespace thermctl::core {
 
+namespace {
+
+/// Trend deadband: |ΔT| below this counts as stable (°C per sample).
+constexpr double kTrendDeadbandC = 0.05;
+
+}  // namespace
+
 StepWiseGovernor::StepWiseGovernor(sysfs::ThermalZone& zone, StepWiseConfig config)
     : zone_(zone), config_(config) {}
 
@@ -39,8 +46,8 @@ void StepWiseGovernor::on_sample(SimTime now) {
     }
   }
 
-  const bool rising = trend > config_.trend_deadband_c;
-  const bool falling = trend < -config_.trend_deadband_c;
+  const bool rising = trend > kTrendDeadbandC;
+  const bool falling = trend < -kTrendDeadbandC;
   falling_streak_ = falling ? falling_streak_ + 1 : 0;
 
   const auto step_down_all = [this] {

@@ -30,8 +30,6 @@
 namespace thermctl::core {
 
 struct StepWiseConfig {
-  /// Trend deadband: |ΔT| below this counts as stable (°C per sample).
-  double trend_deadband_c = 0.05;
   /// Step-down hysteresis while still above the passive trip: the zone must
   /// have been falling for this many consecutive samples before one cooling
   /// step is released (a single cool sample never unwinds the response).

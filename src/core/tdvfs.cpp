@@ -23,12 +23,11 @@ std::vector<double> frequency_modes(const sysfs::CpufreqPolicy& cpufreq) {
 
 TdvfsFamily::TdvfsFamily(const TdvfsConfig& cfg, const sysfs::CpufreqPolicy& cpufreq)
     : config(cfg),
-      selector(cfg.selector, cfg.array_size),
+      selector(ModeSelectorConfig{}, cfg.array_size),
       modes(frequency_modes(cpufreq)),
       array(modes, cfg.array_size, cfg.pp),
       pstate_table(cpufreq.pstate_table()) {
   THERMCTL_ASSERT(cfg.consistency_rounds >= 1, "consistency must be >= 1 round");
-  THERMCTL_ASSERT(cfg.restore_rounds >= 1, "restore consistency must be >= 1 round");
   THERMCTL_ASSERT(modes.size() <= DecisionLog::kMaxModes,
                   "a family lists at most 256 modes");
 }

@@ -39,20 +39,11 @@ struct TdvfsConfig {
   PolicyParam pp{};
   /// Trigger threshold (the paper's experiments use 51 °C).
   Celsius threshold{51.0};
-  /// Scale back up once average temperature < threshold − hysteresis.
-  CelsiusDelta hysteresis{2.0};
   /// Window rounds the average must stay above threshold to count as
   /// "consistent" (rounds are ~1 s at the paper's rates).
   int consistency_rounds = 3;
-  /// Rounds below (threshold − hysteresis) before restoring the original
-  /// frequency. Deliberately longer than the trigger consistency: restoring
-  /// eagerly right after a down-scale causes down/up thrash, and transitions
-  /// are the reliability cost Table 1 scores.
-  int restore_rounds = 10;
   /// Thermal control array bound N for the frequency modes.
   std::size_t array_size = 16;
-  ModeSelectorConfig selector{};
-  WindowConfig window{};
   /// Gate a standalone daemon's readings through a SensorHealthMonitor and
   /// *hold* the current frequency on confirmed sensor failure: scaling on
   /// garbage would oscillate, and the fan's fail-safe already covers
@@ -109,7 +100,13 @@ struct FrequencyPlane {
   using Family = TdvfsFamily;
   using Event = TdvfsEvent;
   static constexpr obs::TraceSubsystem kSubsystem = obs::TraceSubsystem::kTdvfs;
-  static constexpr auto kRestoreRounds = &TdvfsConfig::restore_rounds;
+  /// Scale back up once the round average is below threshold − hysteresis.
+  static constexpr CelsiusDelta kHysteresis{2.0};
+  /// Rounds below (threshold − hysteresis) before restoring the original
+  /// frequency. Deliberately longer than the trigger consistency: restoring
+  /// eagerly right after a down-scale causes down/up thrash, and transitions
+  /// are the reliability cost Table 1 scores.
+  static constexpr int kRestoreRounds = 10;
   static constexpr const char* kLogTag = "tdvfs";
   static constexpr const char* kMoveLog = "t=%.2fs frequency %.1f GHz -> %.1f GHz";
   static constexpr const char* kHoldLog = "t=%.2fs sensor failed; holding %.1f GHz";

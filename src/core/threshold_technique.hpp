@@ -20,9 +20,9 @@
 // Like the fan technique it has no window or sensor gate of its own: it
 // holds on its owner's gate verdicts and acts on the rounds its owner's
 // window closes. A Plane names what differs between techniques: its device,
-// config, family and event types, how a mode is written and reported, its
-// trace subsystem and its log lines. The Event type decodes the family's
-// decision log (decision_log.hpp).
+// config, family and event types, its hysteresis and restore count, how a
+// mode is written and reported, its trace subsystem and its log lines. The
+// Event type decodes the family's decision log (decision_log.hpp).
 #pragma once
 
 #include <algorithm>
@@ -101,8 +101,6 @@ class ThresholdTechnique {
   [[nodiscard]] Celsius read_temperature() const { return hwmon_.read_temperature(); }
 
   [[nodiscard]] std::size_t current_index() const { return index_; }
-  /// The current cell's mode in the plane's unit.
-  [[nodiscard]] auto current_target() const { return Plane::target(array_.mode(index_)); }
   /// This node's moves, in order, decoded from the family's log.
   [[nodiscard]] DecisionView<Event> events() const {
     return {family_->log, family_->modes, decisions_};
@@ -234,7 +232,7 @@ void ThresholdTechnique<Plane>::act(SimTime now, const WindowRound& round) {
   if (avg > config.threshold.value()) {
     ++rounds_above_;
     rounds_below_ = 0;
-  } else if (avg < config.threshold.value() - config.hysteresis.value()) {
+  } else if (avg < config.threshold.value() - Plane::kHysteresis.value()) {
     ++rounds_below_;
     rounds_above_ = 0;
   } else {
@@ -268,7 +266,7 @@ void ThresholdTechnique<Plane>::act(SimTime now, const WindowRound& round) {
     target = std::min(target, array_.size() - 1);
     retarget(now, target, rounds_above_, d.changed && d.used_level2, /*is_restore=*/false);
     rounds_above_ = 0;
-  } else if (rounds_below_ >= config.*Plane::kRestoreRounds && index_ != 0) {
+  } else if (rounds_below_ >= Plane::kRestoreRounds && index_ != 0) {
     // Consistently cool again: restore the least intrusive mode outright.
     retarget(now, 0, rounds_below_, /*used_level2=*/false, /*is_restore=*/true);
     rounds_below_ = 0;

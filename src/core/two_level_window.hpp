@@ -113,8 +113,8 @@ class TwoLevelWindow {
 /// front of it: the standalone form of a technique a UnifiedController
 /// otherwise feeds from its one shared window and gate. `Technique`
 /// provides begin(now), on_verdict(now, verdict, window), act(now, round),
-/// set_policy(pp, window), read_temperature(), config() (its window,
-/// fault_aware and health fields), trace() and kSubsystem.
+/// set_policy(pp, window), read_temperature(), config() (its fault_aware
+/// and health fields), trace() and kSubsystem.
 template <typename Technique>
 class Windowed : public Technique {
  public:
@@ -149,7 +149,7 @@ class Windowed : public Technique {
   [[nodiscard]] const SensorHealthMonitor* health() const { return gate_.health(); }
 
  private:
-  TwoLevelWindow window_{Technique::config().window};
+  TwoLevelWindow window_;
   SensorGate gate_{Technique::config().fault_aware, Technique::config().health};
 };
 

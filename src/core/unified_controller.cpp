@@ -10,10 +10,6 @@ UnifiedConfig harmonize(UnifiedConfig config) {
   config.fan.pp = config.pp;
   config.tdvfs.pp = config.pp;
   config.idle.pp = config.pp;
-  // One window feeds every technique.
-  config.fan.window = config.window;
-  config.tdvfs.window = config.window;
-  config.idle.window = config.window;
   return config;
 }
 
@@ -45,8 +41,7 @@ UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPo
 UnifiedController::UnifiedController(sysfs::HwmonDevice& hwmon, sysfs::CpufreqPolicy& cpufreq,
                                      sysfs::PowerClampDevice* clamp, const UnifiedFamily& family,
                                      PolicyParam pp)
-    : window_(family.config.window),
-      gate_(family.config.fault_aware, family.config.health),
+    : gate_(family.config.fault_aware, family.config.health),
       fan_(hwmon, family.fan, pp),
       dvfs_(hwmon, cpufreq, family.tdvfs, pp) {
   if (family.idle != nullptr) {

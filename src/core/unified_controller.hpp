@@ -24,9 +24,6 @@ struct UnifiedConfig {
   PolicyParam pp{};
   FanControlConfig fan{};
   TdvfsConfig tdvfs{};
-  /// The one two-level window every technique reads: it overrides the
-  /// sub-configs' windows.
-  WindowConfig window{};
   /// Optional third technique (sleep-state / idle-injection backstop).
   /// Requires the clamp-aware constructor; its threshold should sit above
   /// tdvfs.threshold so it only engages when DVFS alone is losing.
@@ -57,7 +54,7 @@ struct UnifiedFamily {
   /// `cpufreq` lists this family's frequencies.
   [[nodiscard]] bool admits(UnifiedConfig other, const sysfs::CpufreqPolicy& cpufreq) const;
 
-  UnifiedConfig config;  // harmonized: one Pp and window throughout
+  UnifiedConfig config;  // harmonized: one Pp throughout
   std::shared_ptr<const FanFamily> fan;
   std::shared_ptr<const TdvfsFamily> tdvfs;
   std::shared_ptr<const IdleInjectionFamily> idle;  // null without a backstop
@@ -107,7 +104,6 @@ class UnifiedController {
   [[nodiscard]] const TwoLevelWindow& window() const { return window_; }
   /// The one gate's monitor, or nullptr when not fault-aware.
   [[nodiscard]] const SensorHealthMonitor* health() const { return gate_.health(); }
-  [[nodiscard]] bool has_idle_injection() const { return idle_ != nullptr; }
   [[nodiscard]] IdleInjectionTechnique& idle_injection() { return *idle_; }
   [[nodiscard]] const IdleInjectionTechnique& idle_injection() const { return *idle_; }
 

@@ -248,9 +248,9 @@ class CpuDevice {
   }
 
   /// Work executed during `dt` at the current frequency and utilization, in
-  /// normalized units of GHz-seconds (cycles / 1e9). The workload model uses
-  /// this to advance application progress. Accounts for PROCHOT throttling
-  /// and forced-idle injection.
+  /// normalized units of GHz-seconds (cycles / 1e9). Accounts for PROCHOT
+  /// throttling and forced-idle injection. The engine advances the workload
+  /// from delivered_frequency() instead; only tests read this product.
   [[nodiscard]] double work_capacity(Seconds dt) const {
     return effective_frequency().value() * cols_.utilization[slot_] * dt.value() *
            idle_injector_.throughput_factor();

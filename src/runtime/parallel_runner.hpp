@@ -59,28 +59,6 @@ class ParallelRunner {
     return results;
   }
 
-  /// Void-returning variant (side-effecting jobs that manage their own
-  /// output slots).
-  void for_each(std::size_t count, const std::function<void(std::size_t)>& job) {
-    THERMCTL_ASSERT(static_cast<bool>(job), "job must be callable");
-    std::vector<std::exception_ptr> errors(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      pool_.submit([&, i] {
-        try {
-          job(i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    pool_.wait_idle();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (errors[i]) {
-        std::rethrow_exception(errors[i]);
-      }
-    }
-  }
-
  private:
   ThreadPool pool_;
 };

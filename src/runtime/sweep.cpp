@@ -11,14 +11,6 @@ std::vector<core::ExperimentResult> run_sweep(const std::vector<core::Experiment
       points.size(), [&points](std::size_t i) { return core::run_experiment(points[i]); });
 }
 
-obs::MetricsSnapshot merged_sweep_metrics(const std::vector<core::ExperimentResult>& results) {
-  obs::MetricsSnapshot merged;
-  for (const core::ExperimentResult& r : results) {
-    merged.merge(r.metrics);
-  }
-  return merged;
-}
-
 std::uint64_t sweep_point_seed(std::uint64_t base_seed, std::size_t point) {
   // splitmix64 of (base + point + 1): adjacent points land in unrelated
   // stream neighborhoods, and point 0 never collides with the base itself.

@@ -26,12 +26,6 @@ struct SweepOptions {
 [[nodiscard]] std::vector<core::ExperimentResult> run_sweep(
     const std::vector<core::ExperimentConfig>& points, SweepOptions options = {});
 
-/// Folds every point's telemetry snapshot in point order — deterministic for
-/// any worker count, because results (not workers) define the fold order.
-/// Points that ran without telemetry contribute nothing.
-[[nodiscard]] obs::MetricsSnapshot merged_sweep_metrics(
-    const std::vector<core::ExperimentResult>& results);
-
 /// Derives a decorrelated per-point seed from a sweep's base seed
 /// (splitmix64 mix), for sweeps whose points should not share noise streams.
 /// Paper-figure sweeps intentionally reuse one seed per point instead, so

@@ -1,17 +1,17 @@
 #include "sysfs/thermal_zone.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.hpp"
+#include "sysfs/hwmon.hpp"
 
 namespace thermctl::sysfs {
 
+// Temperatures are typed files in millidegrees, quantized as hwmon's are.
 constexpr VirtualFs::Attr ThermalZone::kFiles[2] = {
     {.name = "temp",
-     .read = [](const void* z) {
-       return std::to_string(static_cast<long>(
-           std::lround(static_cast<const ThermalZone*>(z)->read_temp_().value() * 1000.0)));
+     .read_long = [](const void* z) {
+       return HwmonDevice::to_millidegrees(static_cast<const ThermalZone*>(z)->read_temp_());
      }},
     {.name = "type",
      .read = [](const void* z) { return static_cast<const ThermalZone*>(z)->type_; }},
@@ -26,8 +26,8 @@ ThermalZone::ThermalZone(VirtualFs& fs, std::string_view root, int index, std::s
 }
 
 ThermalZone::~ThermalZone() {
-  for (const VirtualFs::Mount m : trip_mounts_) {
-    fs_.unmount(m);
+  for (const auto& files : trip_files_) {
+    fs_.unmount(files->mount);
   }
   fs_.unmount(mount_);
 }
@@ -35,14 +35,23 @@ ThermalZone::~ThermalZone() {
 std::size_t ThermalZone::add_trip(TripPoint trip) {
   const std::size_t index = trips_.size();
   trips_.push_back(trip);
-  const std::string base = fs_.directory(mount_) + "/trip_point_" + std::to_string(index);
-  trip_mounts_.push_back(fs_.add_attribute(base + "_temp", [this, index] {
-    return std::to_string(
-        static_cast<long>(std::lround(trips_[index].temperature.value() * 1000.0)));
-  }));
-  trip_mounts_.push_back(fs_.add_attribute(base + "_type", [this, index] {
-    return std::string{trips_[index].type == TripType::kCritical ? "critical" : "passive"};
-  }));
+  TripFiles& files = *trip_files_.emplace_back(std::make_unique<TripFiles>());
+  files.zone = this;
+  files.index = index;
+  const std::string base = "trip_point_" + std::to_string(index);
+  files.temp_name = base + "_temp";
+  files.type_name = base + "_type";
+  files.table[0] = {.name = files.temp_name, .read_long = [](const void* f) {
+                      const auto& tf = *static_cast<const TripFiles*>(f);
+                      return HwmonDevice::to_millidegrees(tf.zone->trips_[tf.index].temperature);
+                    }};
+  files.table[1] = {.name = files.type_name, .read = [](const void* f) {
+                      const auto& tf = *static_cast<const TripFiles*>(f);
+                      return std::string{tf.zone->trips_[tf.index].type == TripType::kCritical
+                                             ? "critical"
+                                             : "passive"};
+                    }};
+  files.mount = fs_.mount(fs_.directory(mount_), files.table, &files);
   return index;
 }
 

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,8 +57,8 @@ class ThermalZone {
   ThermalZone(const ThermalZone&) = delete;
   ThermalZone& operator=(const ThermalZone&) = delete;
 
-  /// Adds a trip point; returns its index. Publishes its two attributes,
-  /// each a one-file mount the fs owns.
+  /// Adds a trip point; returns its index. Publishes its two files as one
+  /// mount in the zone's directory.
   std::size_t add_trip(TripPoint trip);
   [[nodiscard]] const std::vector<TripPoint>& trips() const { return trips_; }
 
@@ -69,6 +70,18 @@ class ThermalZone {
   [[nodiscard]] Celsius temperature() const { return read_temp_(); }
 
  private:
+  /// One trip point's mount: its table, the names the table views and the
+  /// owner its handlers read. Each lives on the heap, so the names and the
+  /// owner stay put while mounted, however many trips follow.
+  struct TripFiles {
+    const ThermalZone* zone = nullptr;
+    std::size_t index = 0;
+    std::string temp_name;  // trip_point_<index>_temp
+    std::string type_name;  // trip_point_<index>_type
+    VirtualFs::Attr table[2];
+    VirtualFs::Mount mount;
+  };
+
   static const VirtualFs::Attr kFiles[2];  // temp, type
 
   VirtualFs& fs_;
@@ -77,7 +90,7 @@ class ThermalZone {
   std::vector<TripPoint> trips_;
   std::vector<CoolingDevice*> devices_;
   VirtualFs::Mount mount_;
-  std::vector<VirtualFs::Mount> trip_mounts_;
+  std::vector<std::unique_ptr<TripFiles>> trip_files_;
 };
 
 /// Fan as a cooling device: state s maps to duty (s / max) * duty ceiling.

@@ -88,7 +88,7 @@ VirtualFs::Mount VirtualFs::mount(std::string_view dir, std::span<const Attr> ta
   THERMCTL_ASSERT(slot != kNone, "mount slots exhausted");
   const auto at = last - index_.begin();  // after any mounts of the same directory
   slots_.push_back(
-      Slot{intern(dir), table.data(), static_cast<std::uint32_t>(table.size()), false, owner});
+      Slot{intern(dir), table.data(), static_cast<std::uint32_t>(table.size()), owner});
   index_.insert(index_.begin() + at, slot);
   return Mount{slot};
 }
@@ -100,13 +100,10 @@ void VirtualFs::unmount(Mount m) {
   Slot& s = slots_[m.slot_];
   const auto [first, last] = mounts_at(*s.dir);
   index_.erase(std::find(first, last, m.slot_));
-  if (s.closures) {
-    closures_.remove_if([&s](const Closures& c) { return &c == s.owner; });
-  }
   // Retire rather than free: handles name this slot. An empty table makes
   // every stale access fail closed, and a re-mount takes a fresh slot, so
   // it can never alias the old one.
-  s = Slot{s.dir, nullptr, 0, false, nullptr};
+  s = Slot{s.dir, nullptr, 0, nullptr};
 }
 
 VirtualFs::DeviceDir& VirtualFs::DeviceDir::operator+=(std::string_view sub) {
@@ -132,57 +129,6 @@ const std::string& VirtualFs::directory(Mount m) const {
   THERMCTL_ASSERT(m.slot_ < slots_.size() && slots_[m.slot_].size != 0,
                   "directory of a live mount");
   return *slots_[m.slot_].dir;
-}
-
-VirtualFs::Mount VirtualFs::add_closures(std::string_view path, Closures closures) {
-  THERMCTL_ASSERT(!path.empty() && path.front() == '/', "attribute path must be absolute");
-  const auto [dir, name] = split(path);
-  Closures* c = &closures_.emplace_front(std::move(closures));
-  c->name = name;
-  Attr& a = c->attr;
-  a.name = c->name;
-  if (c->read) {
-    a.read = [](const void* o) { return static_cast<const Closures*>(o)->read(); };
-  }
-  if (c->write) {
-    a.write = [](void* o, const std::string& v) { return static_cast<Closures*>(o)->write(v); };
-  }
-  if (c->read_long) {
-    a.read_long = [](const void* o) { return static_cast<const Closures*>(o)->read_long(); };
-  }
-  if (c->write_long) {
-    a.write_long = [](void* o, long v) { return static_cast<Closures*>(o)->write_long(v); };
-  }
-  const Mount m = mount(dir, {&a, 1}, c);
-  slots_[m.slot_].closures = true;
-  return m;
-}
-
-VirtualFs::Mount VirtualFs::add_attribute(std::string_view path, ReadFn read, WriteFn write) {
-  THERMCTL_ASSERT(read || write, "attribute needs at least one handler");
-  Closures c;
-  c.read = std::move(read);
-  c.write = std::move(write);
-  return add_closures(path, std::move(c));
-}
-
-VirtualFs::Mount VirtualFs::add_attribute_long(std::string_view path, LongReadFn read,
-                                               LongWriteFn write) {
-  THERMCTL_ASSERT(read || write, "attribute needs at least one handler");
-  Closures c;
-  c.read_long = std::move(read);
-  c.write_long = std::move(write);
-  return add_closures(path, std::move(c));
-}
-
-void VirtualFs::remove_attribute(std::string_view path) {
-  const Handle h = open(path);
-  if (!h) {
-    return;
-  }
-  THERMCTL_ASSERT(slots_[h.slot_].closures,
-                  "only add_attribute* attributes are removed one by one");
-  unmount(Mount{h.slot_});
 }
 
 VirtualFs::Handle VirtualFs::open(std::string_view path) const {

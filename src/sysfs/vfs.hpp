@@ -9,15 +9,14 @@
 // temp*_input).
 //
 // The tree indexes directories, not attributes. A device mounts each of its
-// directories once, with a static name-sorted table of plain-function
-// handlers over the device, so publishing a device costs one sorted insert
-// per directory rather than one registration per attribute.
+// directories once, with a name-sorted table of plain-function handlers
+// over the device, so publishing a device costs one sorted insert per
+// directory rather than one registration per attribute. Mounting a table is
+// the only way to publish a file.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <forward_list>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -26,16 +25,6 @@
 #include <vector>
 
 namespace thermctl::sysfs {
-
-/// Read handler: produces the attribute's current contents.
-using ReadFn = std::function<std::string()>;
-/// Write handler: consumes a value; returns false on rejection (-EINVAL).
-using WriteFn = std::function<bool(const std::string&)>;
-/// Typed handlers for numeric attributes (kernel-style integer files):
-/// the text surface is synthesized from these, and handle-based
-/// read_long/write_long bypass the string round-trip entirely.
-using LongReadFn = std::function<long()>;
-using LongWriteFn = std::function<bool(long)>;
 
 class VirtualFs {
  public:
@@ -84,11 +73,11 @@ class VirtualFs {
   /// Opaque cached handle to one attribute: (mount, table entry), resolved
   /// once with open() or handle(). Skips the per-access path lookup on the
   /// sampling hot path (controllers read temperatures every tick on up to
-  /// 100k nodes). Unmounting or removing the attribute invalidates the
-  /// handle safely: a mount's slot is retired in place and never reused, so
-  /// a stale handle reads nullopt / writes false rather than dangling — and
-  /// if the path is mounted again, it lands in a fresh slot, so old handles
-  /// can never observe it; callers re-open() to see the new attribute.
+  /// 100k nodes). Unmounting invalidates the handle safely: a mount's slot
+  /// is retired in place and never reused, so a stale handle reads nullopt /
+  /// writes false rather than dangling — and if the path is mounted again,
+  /// it lands in a fresh slot, so old handles can never observe it; callers
+  /// re-open() to see the new attribute.
   class Handle {
    public:
     Handle() = default;
@@ -148,20 +137,6 @@ class VirtualFs {
   /// The directory a live mount was mounted at.
   [[nodiscard]] const std::string& directory(Mount m) const;
 
-  /// Registers one attribute at `path` (e.g. "/sys/class/hwmon/hwmon0/name")
-  /// from closures: a mount of a one-file table the fs owns. Either handler
-  /// may be null for write-only / read-only attributes.
-  Mount add_attribute(std::string_view path, ReadFn read, WriteFn write = nullptr);
-
-  /// The typed form of add_attribute: the text surface is synthesized as for
-  /// any typed Attr. Use for integer files polled every tick.
-  Mount add_attribute_long(std::string_view path, LongReadFn read, LongWriteFn write = nullptr);
-
-  /// Unregisters an attribute added with add_attribute*; outstanding handles
-  /// to it are invalidated (reads return nullopt, writes return false) but
-  /// never dangle. A file of a device's table leaves only with its mount.
-  void remove_attribute(std::string_view path);
-
   [[nodiscard]] bool exists(std::string_view path) const;
 
   /// Reads an attribute; nullopt if missing or write-only (-EACCES).
@@ -190,22 +165,10 @@ class VirtualFs {
  private:
   static constexpr std::uint32_t kNone = UINT32_MAX;
 
-  /// The closures behind one add_attribute*, and the one-file table that
-  /// serves them through trampolines.
-  struct Closures {
-    std::string name;
-    ReadFn read;
-    WriteFn write;
-    LongReadFn read_long;
-    LongWriteFn write_long;
-    Attr attr;
-  };
-
   struct Slot {
     const std::string* dir = nullptr;  // interned: one copy per directory per process
     const Attr* table = nullptr;
     std::uint32_t size = 0;  // 0 once unmounted
-    bool closures = false;   // owner is an entry of closures_
     void* owner = nullptr;
   };
 
@@ -218,7 +181,6 @@ class VirtualFs {
   mounts_at(std::string_view dir) const;
   /// `name` in slot `slot`'s table, or null.
   [[nodiscard]] const Attr* find_file(std::uint32_t slot, std::string_view name) const;
-  Mount add_closures(std::string_view path, Closures c);
 
   // Every mount ever made, by slot; a Handle or Mount names a slot. Slots
   // are retired in place, never reused, so the graveyard is bounded by the
@@ -226,10 +188,6 @@ class VirtualFs {
   std::vector<Slot> slots_;
   // Live slots sorted by directory: binary-search lookup.
   std::vector<std::uint32_t> index_;
-  // The closures behind add_attribute* mounts, one list node each so a
-  // mount's owner never moves. A device tree has none; empty, the list is
-  // one pointer.
-  std::forward_list<Closures> closures_;
 };
 
 }  // namespace thermctl::sysfs

@@ -51,9 +51,6 @@ class ConvectionModel {
   /// Resistance with the fan stopped (natural convection only).
   [[nodiscard]] KelvinPerWatt still_air_resistance() const { return resistance(Cfm{0.0}); }
 
-  /// Asymptotic floor as airflow → ∞ (the conduction term).
-  [[nodiscard]] KelvinPerWatt limit_resistance() const { return params_.r_conduction; }
-
   [[nodiscard]] const ConvectionParams& params() const { return params_; }
 
  private:

@@ -69,6 +69,17 @@ std::string InvariantReport::to_string() const {
 
 namespace {
 
+/// A checker stops recording (but keeps counting) beyond this many
+/// violations.
+constexpr std::size_t kMaxViolations = 64;
+/// Largest credible die-temperature change per sample period (°C). The die
+/// stage has a seconds-scale time constant; an 8 °C jump in 250 ms means the
+/// physics integrator or recorder is broken.
+constexpr double kMaxStepDeltaC = 8.0;
+/// Physical die-temperature envelope (°C).
+constexpr double kEnvelopeMinC = 5.0;
+constexpr double kEnvelopeMaxC = 120.0;
+
 /// Effectiveness rank of a cell value: its index in the physical mode list
 /// (which is ordered least → most effective), or nullopt if the value is not
 /// a physical mode at all.
@@ -194,9 +205,9 @@ void check_selector_decision(const core::ModeSelector& selector,
   }
 }
 
-RunInvariantChecker::RunInvariantChecker(const core::RigView& rig, InvariantConfig config,
+RunInvariantChecker::RunInvariantChecker(const core::RigView& rig,
                                          std::shared_ptr<InvariantLog> log)
-    : config_(config), log_(std::move(log)), cluster_(rig.cluster), bank_(rig.bank) {
+    : log_(std::move(log)), cluster_(rig.cluster), bank_(rig.bank) {
   last_die_.resize(cluster_ != nullptr ? cluster_->size() : 0);
   last_fan_pp_.assign(bank_ != nullptr ? bank_->fan_count() : 0, -1);
   last_tdvfs_pp_.assign(bank_ != nullptr ? bank_->tdvfs_count() : 0, -1);
@@ -211,7 +222,7 @@ RunInvariantChecker::~RunInvariantChecker() {
 
 void RunInvariantChecker::tick(SimTime now) {
   const double t = now.seconds();
-  const std::size_t cap = config_.max_violations;
+  const std::size_t cap = kMaxViolations;
 
   // RC-network sanity, per node.
   for (std::size_t i = 0; cluster_ != nullptr && i < cluster_->size(); ++i) {
@@ -223,14 +234,13 @@ void RunInvariantChecker::tick(SimTime now) {
       continue;
     }
     ++report_.checks;
-    if (die < config_.envelope_min_c || die > config_.envelope_max_c) {
+    if (die < kEnvelopeMinC || die > kEnvelopeMaxC) {
       std::ostringstream msg;
-      msg << "die " << die << " degC outside [" << config_.envelope_min_c << ", "
-          << config_.envelope_max_c << "]";
+      msg << "die " << die << " degC outside [" << kEnvelopeMinC << ", " << kEnvelopeMaxC << "]";
       report_.add(InvariantKind::kRcEnvelope, t, i, msg.str(), cap);
     }
     ++report_.checks;
-    if (last_die_[i].has_value() && std::abs(die - *last_die_[i]) > config_.max_step_delta_c) {
+    if (last_die_[i].has_value() && std::abs(die - *last_die_[i]) > kMaxStepDeltaC) {
       std::ostringstream msg;
       msg << "die jumped " << die - *last_die_[i] << " degC in one sample period";
       report_.add(InvariantKind::kRcStepDelta, t, i, msg.str(), cap);
@@ -298,12 +308,11 @@ void RunInvariantChecker::tick(SimTime now) {
   }
 }
 
-std::shared_ptr<InvariantLog> arm_invariants(core::ExperimentConfig& config,
-                                             InvariantConfig icfg) {
+std::shared_ptr<InvariantLog> arm_invariants(core::ExperimentConfig& config) {
   auto log = std::make_shared<InvariantLog>();
   // Chain: an already-installed observer keeps running first.
   auto prev = config.on_rig_built;
-  config.on_rig_built = [log, icfg, prev = std::move(prev)](const core::RigView& rig) {
+  config.on_rig_built = [log, prev = std::move(prev)](const core::RigView& rig) {
     if (prev) {
       prev(rig);
     }
@@ -311,7 +320,7 @@ std::shared_ptr<InvariantLog> arm_invariants(core::ExperimentConfig& config,
     // (serial + parallel oracle passes) and checkers must not share mutable
     // state across runs. The engine owns the periodic task (and with it the
     // checker); teardown flushes into the shared log.
-    auto checker = std::make_shared<RunInvariantChecker>(rig, icfg, log);
+    auto checker = std::make_shared<RunInvariantChecker>(rig, log);
     rig.engine->add_periodic(rig.config->node_params.sample_period,
                              [checker](SimTime now) { checker->tick(now); });
   };

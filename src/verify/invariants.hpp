@@ -60,18 +60,6 @@ struct InvariantViolation {
   std::string message;
 };
 
-struct InvariantConfig {
-  /// Stop recording (but keep counting) beyond this many violations.
-  std::size_t max_violations = 64;
-  /// Largest credible die-temperature change per sample period (°C). The RC
-  /// network's die stage has a seconds-scale time constant; an 8 °C jump in
-  /// 250 ms means the physics integrator or recorder is broken.
-  double max_step_delta_c = 8.0;
-  /// Physical die-temperature envelope (°C).
-  double envelope_min_c = 5.0;
-  double envelope_max_c = 120.0;
-};
-
 struct InvariantReport {
   std::vector<InvariantViolation> violations;
   /// Total violations found (>= violations.size() once capped).
@@ -129,8 +117,7 @@ class InvariantLog {
 /// into the shared log when the rig tears down.
 class RunInvariantChecker {
  public:
-  RunInvariantChecker(const core::RigView& rig, InvariantConfig config,
-                      std::shared_ptr<InvariantLog> log);
+  RunInvariantChecker(const core::RigView& rig, std::shared_ptr<InvariantLog> log);
   ~RunInvariantChecker();
 
   RunInvariantChecker(const RunInvariantChecker&) = delete;
@@ -141,7 +128,6 @@ class RunInvariantChecker {
   [[nodiscard]] const InvariantReport& report() const { return report_; }
 
  private:
-  InvariantConfig config_;
   std::shared_ptr<InvariantLog> log_;
   cluster::Cluster* cluster_ = nullptr;
   core::ControlBank* bank_ = nullptr;  // null when no dynamic fan or tDVFS runs
@@ -157,7 +143,6 @@ class RunInvariantChecker {
 /// RunInvariantChecker whose findings accumulate in the returned log. Chains
 /// with any observer already installed. The armed run's RunResult stays
 /// bit-identical to an unarmed run.
-[[nodiscard]] std::shared_ptr<InvariantLog> arm_invariants(core::ExperimentConfig& config,
-                                                           InvariantConfig icfg = {});
+[[nodiscard]] std::shared_ptr<InvariantLog> arm_invariants(core::ExperimentConfig& config);
 
 }  // namespace thermctl::verify

@@ -86,11 +86,12 @@ TEST(FleetSweep, StepLeavesDeviceApiConsistent) {
     apply();
     for (int step = 0; step < kStepsPerScenario; ++step) {
       for (std::size_t i = 0; i < kNodes; ++i) {
-        throttled[i] = rack.node(i).prochot_active();
+        throttled[i] = rack.node(i).cpu().thermal_throttled();
       }
       rack.step(Seconds{0.05});
       for (std::size_t i = 0; i < kNodes; ++i) {
-        expect_device_api_consistent(rack, i, throttled[i] != rack.node(i).prochot_active());
+        expect_device_api_consistent(rack, i,
+                                     throttled[i] != rack.node(i).cpu().thermal_throttled());
       }
       if (HasFailure()) {
         return;

@@ -47,9 +47,10 @@ TEST(Migration, MovesUtilizationToNewNode) {
   engine.add_periodic(Seconds{5.0}, [&](SimTime now) {
     if (now.seconds() >= 5.0 && fired == 0) {
       ++fired;
-      EXPECT_EQ(engine.node_of_rank(0), 0u);
+      EXPECT_EQ(engine.rank_on_node(0), std::optional<std::size_t>{0});
       EXPECT_TRUE(engine.migrate_rank(0, 2, Seconds{1.0}));
-      EXPECT_EQ(engine.node_of_rank(0), 2u);
+      EXPECT_EQ(engine.rank_on_node(2), std::optional<std::size_t>{0});
+      EXPECT_FALSE(engine.rank_on_node(0).has_value());
     }
   });
   const RunResult result = engine.run();
@@ -72,7 +73,7 @@ TEST(Migration, RefusesOccupiedTarget) {
   workload::ParallelApp app{"t", std::move(progs)};
   engine.attach_app(app, {0, 1});
   EXPECT_FALSE(engine.migrate_rank(0, 1, Seconds{1.0}));
-  EXPECT_EQ(engine.node_of_rank(0), 0u);
+  EXPECT_EQ(engine.rank_on_node(0), std::optional<std::size_t>{0});
   EXPECT_EQ(engine.migrations(), 0);
 }
 
@@ -112,7 +113,7 @@ TEST(Balancer, MigratesOffHotNode) {
   ASSERT_FALSE(balancer.events().empty());
   EXPECT_EQ(balancer.events().front().from_node, 0u);
   EXPECT_EQ(balancer.events().front().to_node, 1u);
-  EXPECT_EQ(engine.node_of_rank(0), 1u);
+  EXPECT_EQ(engine.rank_on_node(1), std::optional<std::size_t>{0});
 }
 
 TEST(Balancer, HonoursCooldown) {

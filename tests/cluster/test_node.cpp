@@ -91,10 +91,10 @@ TEST(Node, ProchotAssertsAboveThresholdAndThrottles) {
   node.set_utilization(Utilization{1.0});
   // Pin the fan low via BMC override so the node overheats.
   node.bmc().set_fan_override(DutyCycle{1.0});
-  for (int i = 0; i < 4000 && !node.prochot_active(); ++i) {
+  for (int i = 0; i < 4000 && !node.cpu().thermal_throttled(); ++i) {
     fleet.step(Seconds{0.05});
   }
-  EXPECT_TRUE(node.prochot_active());
+  EXPECT_TRUE(node.cpu().thermal_throttled());
   EXPECT_GE(node.prochot_events(), 1);
   EXPECT_DOUBLE_EQ(node.effective_frequency().value(), 1.0);
   // The OS-visible P-state is untouched.

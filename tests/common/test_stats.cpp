@@ -1,119 +1,11 @@
 #include "common/stats.hpp"
 
-#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace thermctl {
 namespace {
-
-TEST(OnlineStats, MeanAndVariance) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.add(x);
-  }
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(OnlineStats, SingleSampleHasZeroVariance) {
-  OnlineStats s;
-  s.add(42.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(OnlineStats, MergeMatchesSequential) {
-  OnlineStats whole;
-  OnlineStats a;
-  OnlineStats b;
-  for (int i = 0; i < 50; ++i) {
-    const double x = 0.1 * i * i - 3.0 * i;
-    whole.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), whole.min());
-  EXPECT_DOUBLE_EQ(a.max(), whole.max());
-}
-
-TEST(OnlineStats, MergeWithEmptyIsIdentity) {
-  OnlineStats a;
-  a.add(1.0);
-  a.add(3.0);
-  OnlineStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-
-  OnlineStats target;
-  target.merge(a);
-  EXPECT_EQ(target.count(), 2u);
-  EXPECT_DOUBLE_EQ(target.mean(), 2.0);
-}
-
-TEST(Summarize, BasicPercentiles) {
-  std::vector<double> xs;
-  for (int i = 1; i <= 100; ++i) {
-    xs.push_back(static_cast<double>(i));
-  }
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_DOUBLE_EQ(s.mean, 50.5);
-  EXPECT_NEAR(s.median, 50.5, 1e-9);
-  EXPECT_NEAR(s.p25, 25.75, 1e-9);
-  EXPECT_NEAR(s.p95, 95.05, 1e-9);
-}
-
-TEST(Summarize, EmptyInput) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(PercentileSorted, SingleElement) {
-  const std::vector<double> xs{7.0};
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.0), 7.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 1.0), 7.0);
-}
-
-TEST(PercentileSorted, Interpolates) {
-  const std::vector<double> xs{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.25), 2.5);
-}
-
-TEST(MovingAverage, WindowOneIsIdentity) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  EXPECT_EQ(moving_average(xs, 1), xs);
-}
-
-TEST(MovingAverage, SmoothsRamp) {
-  const std::vector<double> xs{0.0, 2.0, 4.0, 6.0};
-  const auto out = moving_average(xs, 2);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_DOUBLE_EQ(out[0], 0.0);
-  EXPECT_DOUBLE_EQ(out[1], 1.0);
-  EXPECT_DOUBLE_EQ(out[2], 3.0);
-  EXPECT_DOUBLE_EQ(out[3], 5.0);
-}
 
 TEST(Slope, LinearSeriesExact) {
   std::vector<double> ys;

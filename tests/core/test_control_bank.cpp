@@ -176,14 +176,14 @@ TEST(ControlBank, BankedUnifiedWindowsReadTheSameRoundsAsStandaloneOnes) {
   EXPECT_FALSE(bank.unified(1).dvfs().events().empty());
 }
 
-TEST(ControlBank, EveryWindowGeometryTicksLikeStandaloneControllers) {
-  // A family has one geometry, whatever it is: a bank of each geometry must
-  // match standalone controllers of that geometry.
+TEST(ControlBank, EveryFamilyShapeTicksLikeStandaloneControllers) {
+  // A family has one array bound and one duty range, whatever they are: a
+  // bank of each shape must match standalone controllers of that shape.
   constexpr std::size_t kNodes = 2;
   std::vector<FanControlConfig> cfgs(3);
-  cfgs[1].window.level1_size = TwoLevelWindow::kMaxLevel1;
-  cfgs[2].window.level1_size = 2;
-  cfgs[2].window.level2_size = TwoLevelWindow::kMaxLevel2;
+  cfgs[1].max_duty = DutyCycle{50.0};  // a weaker fan (Fig. 7)
+  cfgs[2].array_size = 64;
+  cfgs[2].min_duty = DutyCycle{10.0};
 
   for (const FanControlConfig& cfg : cfgs) {
     ScriptedSensors sensors{kNodes};
@@ -209,14 +209,13 @@ TEST(ControlBank, EveryWindowGeometryTicksLikeStandaloneControllers) {
       for (std::size_t i = 0; i < kNodes; ++i) {
         solo[i]->on_sample(now);
         ASSERT_TRUE(same_window(bank.fan(i).window(), solo[i]->window()))
-            << "level one " << cfg.window.level1_size << " node " << i << " step " << step;
+            << "N " << cfg.array_size << " node " << i << " step " << step;
         ASSERT_EQ(bank.fan(i).current_duty().percent(), solo[i]->current_duty().percent())
-            << "level one " << cfg.window.level1_size << " node " << i << " step " << step;
+            << "N " << cfg.array_size << " node " << i << " step " << step;
       }
     }
     for (std::size_t i = 0; i < kNodes; ++i) {
-      EXPECT_EQ(bank.fan(i).window().config().level1_size, cfg.window.level1_size);
-      EXPECT_EQ(bank.fan(i).window().config().level2_size, cfg.window.level2_size);
+      EXPECT_EQ(bank.fan(i).array().size(), cfg.array_size);
       EXPECT_GT(bank.fan(i).retarget_count(), 0u) << "node " << i;
     }
   }
@@ -315,7 +314,7 @@ TEST(ControlBank, BatchedReadingsQuantizeLikeHwmon) {
   for (const double raw : {0.0, 40.0005, 40.0015, 0.0005, -0.0005, -3.2115, -12.3456}) {
     sensors.last_degc[0] = raw;
     solo_sensors.last_degc[0] = raw;
-    for (std::size_t k = 0; k < cfg.window.level1_size; ++k) {
+    for (std::size_t k = 0; k < banked.window().config().level1_size; ++k) {
       now.advance_us(250000);
       bank.tick_tdvfs(now);
       solo.on_sample(now);
@@ -358,7 +357,7 @@ TEST(ControlBankDeath, SecondConfigInOneFamilyAborts) {
   bank.emplace_fan(0, *rigs[0]->hwmon, cfg);
   cfg.pp = PolicyParam{90};
   bank.emplace_fan(1, *rigs[1]->hwmon, cfg);
-  cfg.window.level2_size = 6;
+  cfg.max_duty = DutyCycle{75.0};
   EXPECT_DEATH(bank.emplace_fan(2, *rigs[2]->hwmon, cfg), "one config per controller family");
 
   ControlBank unified_bank{3, sensors.last_degc.data()};

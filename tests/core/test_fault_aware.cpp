@@ -39,7 +39,6 @@ TEST(FaultAware, MonitorsExistOnlyWhenFaultAware) {
   EXPECT_EQ(blind_fan.health(), nullptr);
   EXPECT_EQ(blind_dvfs.health(), nullptr);
   EXPECT_EQ(blind.health(), nullptr);
-  EXPECT_FALSE(blind.has_idle_injection());
 
   // One monitor per window: the window's owner holds it, and the
   // techniques a unified controller feeds hold none of their own.
@@ -52,7 +51,6 @@ TEST(FaultAware, MonitorsExistOnlyWhenFaultAware) {
   const UnifiedController gated{*rig.hwmon, *rig.cpufreq, aware};
   ASSERT_NE(gated.health(), nullptr);
   EXPECT_EQ(gated.health()->config().stuck_samples, 4);
-  EXPECT_FALSE(gated.has_idle_injection());
 
   // The sub-configs' knobs are not read: the unified knob decides.
   UnifiedConfig sub_only;

@@ -63,7 +63,7 @@ TEST(IdleInjection, RepeatedTriggersDeepenClamp) {
   ClampControllerRig rig;
   IdleInjectionController ctl{*rig.hwmon, rig.clamp, cfg_at(50)};
   rig.run_flat(ctl, 60.0, 80);  // sustained severe heat
-  EXPECT_GE(ctl.current_target(), 15);
+  EXPECT_GE(ctl.array().mode(ctl.current_index()), 15.0);
 }
 
 TEST(IdleInjection, SmallerPpClampsHarderPerTrigger) {
@@ -71,7 +71,7 @@ TEST(IdleInjection, SmallerPpClampsHarderPerTrigger) {
     ClampControllerRig rig;
     IdleInjectionController ctl{*rig.hwmon, rig.clamp, cfg_at(pp)};
     rig.run_flat(ctl, 59.0, 40);
-    return ctl.current_target();
+    return ctl.array().mode(ctl.current_index());
   };
   EXPECT_GE(percent_after(25), percent_after(75));
 }
@@ -104,7 +104,6 @@ TEST(UnifiedThreeTechniques, StagedEscalation) {
   cfg.enable_idle_injection = true;
   cfg.idle.threshold = Celsius{56.0};
   UnifiedController uc{*rig.hwmon, *rig.cpufreq, rig.clamp, cfg};
-  ASSERT_TRUE(uc.has_idle_injection());
 
   // Warm (52): DVFS engages, clamp does not.
   rig.run_flat(uc, 52.0, 24);
@@ -130,10 +129,13 @@ TEST(UnifiedThreeTechniques, OnePpFlowsToAllThree) {
 }
 
 TEST(UnifiedThreeTechniques, TwoArgConstructorHasNoClamp) {
+  // Without a clamp the flag alone allocates no backstop.
   ClampControllerRig rig;
   UnifiedConfig cfg;
+  cfg.enable_idle_injection = true;
   UnifiedController uc{*rig.hwmon, *rig.cpufreq, cfg};
-  EXPECT_FALSE(uc.has_idle_injection());
+  rig.run_flat(uc, 70.0, 24);  // hot, yet nothing injects idle time
+  EXPECT_FALSE(rig.cpu.idle_injector().active());
 }
 
 TEST(UnifiedThreeTechniques, ClampConstructorWithoutFlagHasNoBackstop) {
@@ -141,7 +143,6 @@ TEST(UnifiedThreeTechniques, ClampConstructorWithoutFlagHasNoBackstop) {
   ClampControllerRig rig;
   UnifiedConfig cfg;
   UnifiedController uc{*rig.hwmon, *rig.cpufreq, rig.clamp, cfg};
-  EXPECT_FALSE(uc.has_idle_injection());
   rig.run_flat(uc, 70.0, 24);  // hot, yet nothing injects idle time
   EXPECT_FALSE(rig.cpu.idle_injector().active());
 }

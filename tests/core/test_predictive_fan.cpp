@@ -62,6 +62,40 @@ TEST(PredictiveFan, PowerStepTriggersBeforeTemperatureMoves) {
   EXPECT_GT(ctl.current_index(), 0u);
 }
 
+TEST(PredictiveFan, PowerStepInTheRoundTheCounterWrapsActsAtOnce) {
+  // PowerStepTriggersBeforeTemperatureMoves with the RAPL counter wrapping
+  // halfway through the full-load round. Read wrap-correctly, that round's
+  // power is the step, and the feed-forward retargets in it. A raw
+  // `energy - last` would read an underflowed delta, which the sample clamp
+  // discards, and the feed-forward would act only a round later.
+  const auto energy_after = [](int quiet_quarters, int full_quarters) {
+    PredictiveRig dry;
+    for (int i = 0; i < quiet_quarters + full_quarters; ++i) {
+      dry.cpu.set_utilization(Utilization{i < quiet_quarters ? 0.1 : 1.0});
+      dry.cpu.advance_counters(Seconds{0.25});
+    }
+    return dry.cpu.energy_uj();
+  };
+  PredictiveRig rig;
+  // The counter reaches max_energy_range_uj one quarter into the full-load
+  // round and wraps on the next.
+  rig.cpu.preset_counters(0, 0, sysfs::RaplDomain::kMaxEnergyRangeUj - energy_after(8, 1));
+  PredictiveFanController ctl{*rig.hwmon, rig.rapl, paper_cfg()};
+  SimTime now;
+  for (int i = 0; i < 8; ++i) {  // two quiet rounds to prime power history
+    rig.quarter_second(ctl, 0.1, 40.0, now);
+  }
+  const std::uint64_t before_step = rig.rapl.energy_uj();
+  const auto before = ctl.retarget_count();
+  for (int i = 0; i < 4; ++i) {  // one round of full load, temp still flat
+    rig.quarter_second(ctl, 1.0, 40.0, now);
+  }
+  ASSERT_LT(rig.rapl.energy_uj(), before_step) << "the counter did not wrap in this round";
+  EXPECT_GT(ctl.retarget_count(), before);
+  EXPECT_GT(ctl.feedforward_count(), 0u);
+  EXPECT_GT(ctl.current_index(), 0u);
+}
+
 TEST(PredictiveFan, BusFaultDuringThePowerStepKeepsTheIndex) {
   // PowerStepTriggersBeforeTemperatureMoves with the i2c bus down across
   // the full-load round: the feed-forward retarget's write fails, so the

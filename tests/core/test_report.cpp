@@ -41,65 +41,36 @@ ExperimentResult sample_result() {
   return r;
 }
 
+/// The run-summary JSON `write_run_summary_json` writes for `r`.
+std::string summary_json(const ExperimentResult& r) {
+  const std::string path = test_temp_path("summary.json");
+  write_run_summary_json(path, "report", r);
+  std::stringstream ss;
+  ss << std::ifstream{path}.rdbuf();
+  std::remove(path.c_str());
+  return ss.str();
+}
+
 TEST(Report, VerdictCarriesHeadlineNumbers) {
-  const std::string v = render_verdict(sample_result());
-  EXPECT_NE(v.find("completed"), std::string::npos);
-  EXPECT_NE(v.find("219"), std::string::npos);
-  EXPECT_NE(v.find("53.5"), std::string::npos);  // hottest die
-  EXPECT_NE(v.find("2 frequency transitions"), std::string::npos);
+  const std::string json = summary_json(sample_result());
+  EXPECT_NE(json.find("\"completed\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"exec_time_s\":219"), std::string::npos);
+  EXPECT_NE(json.find("\"max_die_temp_c\":53.5"), std::string::npos);  // hottest die
+  EXPECT_NE(json.find("\"freq_transitions\":2"), std::string::npos);
 }
 
 TEST(Report, IncompleteRunSaysSo) {
   ExperimentResult r = sample_result();
   r.run.app_completed = false;
-  EXPECT_NE(render_verdict(r).find("horizon reached"), std::string::npos);
+  EXPECT_NE(summary_json(r).find("\"completed\":false"), std::string::npos);
 }
 
 TEST(Report, PerNodeTableListsEveryNode) {
-  const std::string report = render_report(sample_result());
-  EXPECT_NE(report.find("node0"), std::string::npos);
-  EXPECT_NE(report.find("node1"), std::string::npos);
-  EXPECT_NE(report.find("49.5"), std::string::npos);
-}
-
-TEST(Report, TimelineMergedAndSorted) {
-  const std::string report = render_report(sample_result());
-  const auto fan_first = report.find("fan 10% -> 35% duty");
-  const auto dvfs = report.find("tDVFS 2.4 -> 2.2 GHz");
-  const auto fan_second = report.find("fan 35% -> 50% duty (gradual)");
-  ASSERT_NE(fan_first, std::string::npos);
-  ASSERT_NE(dvfs, std::string::npos);
-  ASSERT_NE(fan_second, std::string::npos);
-  EXPECT_LT(fan_first, dvfs);
-  EXPECT_LT(dvfs, fan_second);
-}
-
-TEST(Report, EventCapAnnounced) {
-  ExperimentResult r = sample_result();
-  for (int i = 0; i < 40; ++i) {
-    r.fan_events[0].push_back(FanEvent{100.0 + i, 10.0, 11.0, false});
-  }
-  ReportOptions opts;
-  opts.max_events = 5;
-  const std::string report = render_report(r, opts);
-  EXPECT_NE(report.find("first 5 of"), std::string::npos);
-}
-
-TEST(Report, SectionsSuppressible) {
-  ReportOptions opts;
-  opts.per_node = false;
-  opts.events = false;
-  const std::string report = render_report(sample_result(), opts);
-  EXPECT_EQ(report.find("node0"), std::string::npos);
-  EXPECT_EQ(report.find("timeline"), std::string::npos);
-  EXPECT_NE(report.find("completed"), std::string::npos);
-}
-
-TEST(Report, EmptyEventsNoTimelineHeader) {
-  ExperimentResult r = sample_result();
-  r.tdvfs_events.assign(2, {});
-  r.fan_events.assign(2, {});
-  EXPECT_EQ(render_report(r).find("timeline"), std::string::npos);
+  const std::string json = summary_json(sample_result());
+  EXPECT_NE(json.find("\"node\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"node\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"avg_die_temp_c\":49.5"), std::string::npos);
+  EXPECT_NE(json.find("\"prochot_events\":1"), std::string::npos);
 }
 
 // The live-pipeline sections of the run-summary JSON are a machine-readable
@@ -202,10 +173,13 @@ TEST(Report, MentionsDropsSpillLossAndAlerts) {
   ev.fired_at_s = 0.5;
   r.alerts = {ev};
 
-  const std::string report = render_report(r);
-  EXPECT_NE(report.find("2 events dropped"), std::string::npos);
-  EXPECT_NE(report.find("spiller lost 2 of 10"), std::string::npos);
-  EXPECT_NE(report.find("alerts: 1 episode(s), 1 still firing"), std::string::npos);
+  const std::string json = summary_json(r);
+  EXPECT_NE(json.find("\"dropped\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"events_spilled\":8,\"events_lost\":2"), std::string::npos);
+  // One episode, still firing at the end of the run.
+  EXPECT_NE(json.find("\"name\":\"hot-rack\",\"rack\":-1,\"fired_at_s\":0.5,"
+                      "\"cleared_at_s\":-1"),
+            std::string::npos);
 }
 
 }  // namespace

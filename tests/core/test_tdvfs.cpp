@@ -134,9 +134,9 @@ TEST(Tdvfs, EventsRecordTransitions) {
 TEST(Tdvfs, CurrentTargetTracksArray) {
   ControllerRig rig;
   TdvfsDaemon daemon{*rig.hwmon, *rig.cpufreq, paper_cfg()};
-  EXPECT_DOUBLE_EQ(daemon.current_target().value(), 2.4);
+  EXPECT_DOUBLE_EQ(daemon.array().mode(daemon.current_index()), 2.4);
   rig.run_flat(daemon, 54.0, 24);
-  EXPECT_DOUBLE_EQ(daemon.current_target().value(), rig.cpu.frequency().value());
+  EXPECT_DOUBLE_EQ(daemon.array().mode(daemon.current_index()), rig.cpu.frequency().value());
 }
 
 TEST(Tdvfs, SetPolicyRefills) {

@@ -168,7 +168,7 @@ TEST(TraceAttribution, EveryTdvfsTransitionIsTracedWithConsistencyCount) {
   // The scripted scenario ends with the restore to the original frequency.
   EXPECT_TRUE(traced.back().is_restore);
   EXPECT_DOUBLE_EQ(traced.back().to, 2.4);
-  EXPECT_GE(traced.back().consistency_rounds, cfg.restore_rounds);
+  EXPECT_GE(traced.back().consistency_rounds, FrequencyPlane::kRestoreRounds);
 }
 
 TEST(TraceAttribution, QuietScenarioEmitsRoundsButNoModeChanges) {

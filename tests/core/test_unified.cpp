@@ -347,24 +347,23 @@ struct ClampRig : ControllerRig {
 };
 
 TEST(Unified, IdleBackstopActsOnTheSharedWindow) {
-  // The backstop reads the controller's one window, not the geometry its
-  // sub-config names: at two samples a round its three consistent hot
-  // rounds close after six ticks, where idle.window's default four-sample
-  // rounds would need twelve.
+  // The backstop counts the rounds the controller's one window closes, with
+  // its own consistency count: at four samples a round, two consistent hot
+  // rounds close after eight ticks.
   ClampRig rig;
   UnifiedConfig cfg;
-  cfg.window.level1_size = 2;
   cfg.tdvfs.threshold = Celsius{80.0};  // keep tDVFS out of it
   cfg.enable_idle_injection = true;
-  ASSERT_EQ(cfg.idle.window.level1_size, 4u);
+  cfg.idle.consistency_rounds = 2;
   UnifiedController uc{*rig.hwmon, *rig.cpufreq, rig.clamp, cfg};
+  ASSERT_EQ(uc.window().config().level1_size, 4u);
 
-  const SimTime now = rig.run_flat(uc, 58.0, 5);
+  const SimTime now = rig.run_flat(uc, 58.0, 7);
   EXPECT_FALSE(rig.cpu.idle_injector().active());
   rig.run_flat(uc, 58.0, 1, now);
   EXPECT_TRUE(rig.cpu.idle_injector().active());
   ASSERT_EQ(uc.idle_injection().events().size(), 1u);
-  EXPECT_DOUBLE_EQ(uc.idle_injection().events().front().time_s, 1.5);
+  EXPECT_DOUBLE_EQ(uc.idle_injection().events().front().time_s, 2.0);
 }
 
 TEST(Unified, IdleBackstopHoldsItsClampWhileTheSensorHasFailed) {

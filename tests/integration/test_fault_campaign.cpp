@@ -5,9 +5,16 @@
 // control on recovery, and account every fault event — deterministically.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "runtime/sweep.hpp"
+#include "temp_path.hpp"
+#include "verify/differential.hpp"
 
 namespace thermctl::core {
 namespace {
@@ -97,12 +104,22 @@ TEST(FaultCampaign, FailsafeEngagesAndNodesStayBelowEmergency) {
   EXPECT_GT(result.run.total_i2c_retries(), 0u);
   EXPECT_GT(result.run.total_i2c_exhausted(), 0u);
 
-  // The same counters surface in the human-readable report.
-  ReportOptions opts;
-  const std::string report = render_report(result, opts);
-  EXPECT_NE(report.find("i2c faults"), std::string::npos);
-  EXPECT_NE(report.find("sensor health"), std::string::npos);
-  EXPECT_NE(report.find("fail-safe"), std::string::npos);
+  // The same counters surface in the run-summary JSON.
+  const std::string path = test_temp_path("summary.json");
+  write_run_summary_json(path, cfg.name, result);
+  std::stringstream json;
+  json << std::ifstream{path}.rdbuf();
+  std::remove(path.c_str());
+  const auto has = [&json](const std::string& key, std::uint64_t value) {
+    return json.str().find("\"" + key + "\":" + std::to_string(value)) != std::string::npos;
+  };
+  EXPECT_TRUE(has("failsafe_entries", fs.failsafe_entries));
+  EXPECT_TRUE(has("sensor_failures", fs.sensor_failures));
+  EXPECT_TRUE(has("dvfs_hold_entries", fs.dvfs_hold_entries));
+  for (const cluster::NodeSummary& s : result.run.summaries) {
+    EXPECT_TRUE(has("i2c_retries", s.i2c_retries));
+    EXPECT_TRUE(has("i2c_exhausted", s.i2c_exhausted));
+  }
 }
 
 TEST(FaultCampaign, ParallelSweepReproducesCampaignBitExactly) {
@@ -149,13 +166,12 @@ TEST(FaultCampaign, ZeroFaultRunsBitIdenticalWithGatingOnOrOff) {
     EXPECT_EQ(a.run.nodes[n].duty, b.run.nodes[n].duty);
     EXPECT_EQ(a.run.nodes[n].freq_ghz, b.run.nodes[n].freq_ghz);
   }
-  // No fault machinery fired, and the clean-run report is unchanged too.
+  // No fault machinery fired, and the clean run's digest is unchanged too.
   EXPECT_EQ(b.fault_stats.failsafe_entries, 0u);
   EXPECT_EQ(b.fault_stats.sensor_failures, 0u);
   EXPECT_EQ(a.run.total_i2c_retries(), 0u);
   EXPECT_EQ(b.run.total_i2c_retries(), 0u);
-  ReportOptions opts;
-  EXPECT_EQ(render_report(a, opts), render_report(b, opts));
+  EXPECT_EQ(verify::digest_result(a), verify::digest_result(b));
 }
 
 }  // namespace

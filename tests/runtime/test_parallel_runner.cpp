@@ -26,10 +26,10 @@ TEST(ParallelRunner, MapReturnsResultsInInputOrder) {
   }
 }
 
-TEST(ParallelRunner, ForEachVisitsEveryIndexOnce) {
+TEST(ParallelRunner, MapRunsEveryIndexOnce) {
   ParallelRunner runner{3};
   std::vector<std::atomic<int>> hits(32);
-  runner.for_each(32, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  runner.map<int>(32, [&hits](std::size_t i) { return hits[i].fetch_add(1); });
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace thermctl::sysfs {
 namespace {
 
@@ -49,6 +53,45 @@ TEST(ThermalZone, DestructorRemovesEverything) {
   }
   EXPECT_FALSE(fs.exists("/sys/class/thermal/thermal_zone1/temp"));
   EXPECT_FALSE(fs.exists("/sys/class/thermal/thermal_zone1/trip_point_0_temp"));
+}
+
+TEST(ThermalZone, TripHandleOutlivesLaterTripsAndFailsClosedWithTheZone) {
+  VirtualFs fs;
+  VirtualFs::Handle temp;
+  {
+    ThermalZone zone{fs, "/sys/class/thermal", 2, "t", [] { return Celsius{40.0}; }};
+    zone.add_trip({Celsius{51.0}, TripType::kPassive});
+    temp = fs.open("/sys/class/thermal/thermal_zone2/trip_point_0_temp");
+    ASSERT_EQ(fs.read_long(temp), 51000);
+    // No bound on trips, and adding one leaves the earlier ones in place.
+    for (int k = 1; k < 100; ++k) {
+      zone.add_trip({Celsius{60.0 + k}, TripType::kCritical});
+      ASSERT_EQ(fs.read(temp), "51000") << "after trip " << k;
+    }
+    EXPECT_EQ(zone.trips().size(), 100u);
+    EXPECT_EQ(fs.read("/sys/class/thermal/thermal_zone2/trip_point_99_temp"), "159000");
+    EXPECT_EQ(fs.read("/sys/class/thermal/thermal_zone2/trip_point_99_type"), "critical");
+  }
+  EXPECT_FALSE(fs.read(temp).has_value());
+  EXPECT_FALSE(fs.read_long(temp).has_value());
+  EXPECT_FALSE(fs.write(temp, "1"));
+  EXPECT_TRUE(fs.list("/sys/class/thermal").empty());
+}
+
+TEST(ThermalZone, ZoneDirectoryListsSorted) {
+  ZoneRig rig;
+  const std::string dir = "/sys/class/thermal/thermal_zone0/";
+  for (int k = 0; k < 12; ++k) {
+    rig.zone.add_trip({Celsius{50.0 + k}, TripType::kPassive});
+  }
+  const std::vector<std::string> listed = rig.fs.list(dir);
+  ASSERT_EQ(listed.size(), 2u + 2u * 12u);
+  EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
+  EXPECT_EQ(listed[0], dir + "temp");
+  EXPECT_EQ(listed[1], dir + "trip_point_0_temp");
+  EXPECT_EQ(listed[2], dir + "trip_point_0_type");
+  EXPECT_EQ(listed[3], dir + "trip_point_10_temp");  // "10" sorts before "1_"
+  EXPECT_EQ(listed.back(), dir + "type");
 }
 
 TEST(FanCoolingAdapter, StateMapsLinearlyToDuty) {

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -47,9 +50,63 @@ constexpr VirtualFs::Attr kTextAndTyped[] = {
 static_assert(!VirtualFs::valid_table(kUnsorted) && !VirtualFs::valid_table(kNested) &&
               !VirtualFs::valid_table(kTextAndTyped));
 
+/// Files the test states inline: each one a one-entry mount table over the
+/// test's closures, text or typed. The fs holds each table's address and
+/// its name's, and a deque never moves its elements, so they stay put.
+class Files {
+ public:
+  VirtualFs::Mount text(VirtualFs& fs, std::string_view path, std::function<std::string()> read,
+                        std::function<bool(const std::string&)> write = nullptr) {
+    File& f = files_.emplace_back();
+    f.read = std::move(read);
+    f.write = std::move(write);
+    if (f.read) {
+      f.attr.read = [](const void* o) { return static_cast<const File*>(o)->read(); };
+    }
+    if (f.write) {
+      f.attr.write = [](void* o, const std::string& v) { return static_cast<File*>(o)->write(v); };
+    }
+    return publish(fs, path, f);
+  }
+
+  VirtualFs::Mount number(VirtualFs& fs, std::string_view path, std::function<long()> read,
+                          std::function<bool(long)> write = nullptr) {
+    File& f = files_.emplace_back();
+    f.read_long = std::move(read);
+    f.write_long = std::move(write);
+    if (f.read_long) {
+      f.attr.read_long = [](const void* o) { return static_cast<const File*>(o)->read_long(); };
+    }
+    if (f.write_long) {
+      f.attr.write_long = [](void* o, long v) { return static_cast<File*>(o)->write_long(v); };
+    }
+    return publish(fs, path, f);
+  }
+
+ private:
+  struct File {
+    std::string name;
+    std::function<std::string()> read;
+    std::function<bool(const std::string&)> write;
+    std::function<long()> read_long;
+    std::function<bool(long)> write_long;
+    VirtualFs::Attr attr;
+  };
+
+  static VirtualFs::Mount publish(VirtualFs& fs, std::string_view path, File& f) {
+    const std::size_t slash = path.rfind('/');
+    f.name = path.substr(slash + 1);
+    f.attr.name = f.name;
+    return fs.mount(path.substr(0, slash), {&f.attr, 1}, &f);
+  }
+
+  std::deque<File> files_;
+};
+
 TEST(VirtualFs, ReadRegisteredAttribute) {
+  Files files;
   VirtualFs fs;
-  fs.add_attribute("/sys/test/value", [] { return std::string{"42"}; });
+  files.text(fs, "/sys/test/value", [] { return std::string{"42"}; });
   EXPECT_TRUE(fs.exists("/sys/test/value"));
   EXPECT_EQ(fs.read("/sys/test/value").value(), "42");
 }
@@ -61,10 +118,11 @@ TEST(VirtualFs, MissingAttributeReadsNullopt) {
 }
 
 TEST(VirtualFs, WriteDispatchesToHandler) {
+  Files files;
   VirtualFs fs;
   std::string stored;
-  fs.add_attribute(
-      "/sys/test/knob", [&stored] { return stored; },
+  files.text(
+      fs, "/sys/test/knob", [&stored] { return stored; },
       [&stored](const std::string& v) {
         stored = v;
         return true;
@@ -74,42 +132,48 @@ TEST(VirtualFs, WriteDispatchesToHandler) {
 }
 
 TEST(VirtualFs, WriteToReadOnlyFails) {
+  Files files;
   VirtualFs fs;
-  fs.add_attribute("/sys/test/ro", [] { return std::string{"x"}; });
+  files.text(fs, "/sys/test/ro", [] { return std::string{"x"}; });
   EXPECT_FALSE(fs.write("/sys/test/ro", "y"));
 }
 
 TEST(VirtualFs, ReadFromWriteOnlyFails) {
+  Files files;
   VirtualFs fs;
-  fs.add_attribute("/sys/test/wo", nullptr, [](const std::string&) { return true; });
+  files.text(fs, "/sys/test/wo", nullptr, [](const std::string&) { return true; });
   EXPECT_FALSE(fs.read("/sys/test/wo").has_value());
   EXPECT_TRUE(fs.write("/sys/test/wo", "v"));
 }
 
 TEST(VirtualFs, HandlerRejectionPropagates) {
+  Files files;
   VirtualFs fs;
-  fs.add_attribute("/sys/test/strict", [] { return std::string{}; },
+  files.text(fs, "/sys/test/strict", [] { return std::string{}; },
                    [](const std::string& v) { return v == "ok"; });
   EXPECT_FALSE(fs.write("/sys/test/strict", "bad"));
   EXPECT_TRUE(fs.write("/sys/test/strict", "ok"));
 }
 
 TEST(VirtualFs, ReadLongParses) {
+  Files files;
   VirtualFs fs;
-  fs.add_attribute("/sys/test/num", [] { return std::string{"2400000"}; });
+  files.text(fs, "/sys/test/num", [] { return std::string{"2400000"}; });
   EXPECT_EQ(fs.read_long("/sys/test/num").value(), 2400000);
 }
 
 TEST(VirtualFs, ReadLongRejectsGarbage) {
+  Files files;
   VirtualFs fs;
-  fs.add_attribute("/sys/test/str", [] { return std::string{"userspace"}; });
+  files.text(fs, "/sys/test/str", [] { return std::string{"userspace"}; });
   EXPECT_FALSE(fs.read_long("/sys/test/str").has_value());
 }
 
 TEST(VirtualFs, WriteLongFormats) {
+  Files files;
   VirtualFs fs;
   std::string stored;
-  fs.add_attribute("/sys/test/n", nullptr, [&stored](const std::string& v) {
+  files.text(fs, "/sys/test/n", nullptr, [&stored](const std::string& v) {
     stored = v;
     return true;
   });
@@ -118,11 +182,12 @@ TEST(VirtualFs, WriteLongFormats) {
 }
 
 TEST(VirtualFs, ListReturnsSortedPrefixMatches) {
+  Files files;
   VirtualFs fs;
   auto ro = [] { return std::string{}; };
-  fs.add_attribute("/sys/class/hwmon/hwmon0/temp1_input", ro);
-  fs.add_attribute("/sys/class/hwmon/hwmon0/pwm1", ro);
-  fs.add_attribute("/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq", ro);
+  files.text(fs, "/sys/class/hwmon/hwmon0/temp1_input", ro);
+  files.text(fs, "/sys/class/hwmon/hwmon0/pwm1", ro);
+  files.text(fs, "/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq", ro);
   const auto listed = fs.list("/sys/class/hwmon/hwmon0");
   ASSERT_EQ(listed.size(), 2u);
   EXPECT_EQ(listed[0], "/sys/class/hwmon/hwmon0/pwm1");
@@ -130,9 +195,9 @@ TEST(VirtualFs, ListReturnsSortedPrefixMatches) {
 }
 
 TEST(VirtualFs, RemoveAttribute) {
+  Files files;
   VirtualFs fs;
-  fs.add_attribute("/sys/x", [] { return std::string{}; });
-  fs.remove_attribute("/sys/x");
+  fs.unmount(files.text(fs, "/sys/x", [] { return std::string{}; }));
   EXPECT_FALSE(fs.exists("/sys/x"));
 }
 
@@ -140,10 +205,11 @@ TEST(VirtualFs, TypedHandleSeesStringPathWrites) {
   // Mixed access to one numeric attribute: the typed handle and the string
   // path are two views of the same handlers, so a write through either
   // surface must be visible to the next read through the other.
+  Files files;
   VirtualFs fs;
   long stored = 1000;
-  fs.add_attribute_long(
-      "/sys/test/freq", [&stored] { return stored; },
+  files.number(
+      fs, "/sys/test/freq", [&stored] { return stored; },
       [&stored](long v) {
         stored = v;
         return true;
@@ -160,10 +226,11 @@ TEST(VirtualFs, TypedHandleSeesStringPathWrites) {
 }
 
 TEST(VirtualFs, StaleHandleFailsClosedAfterRemove) {
+  Files files;
   VirtualFs fs;
   long stored = 7;
-  fs.add_attribute_long(
-      "/sys/test/gone", [&stored] { return stored; },
+  const VirtualFs::Mount m = files.number(
+      fs, "/sys/test/gone", [&stored] { return stored; },
       [&stored](long v) {
         stored = v;
         return true;
@@ -171,7 +238,7 @@ TEST(VirtualFs, StaleHandleFailsClosedAfterRemove) {
   const VirtualFs::Handle h = fs.open("/sys/test/gone");
   ASSERT_EQ(fs.read_long(h).value(), 7);
 
-  fs.remove_attribute("/sys/test/gone");
+  fs.unmount(m);
   // The handle must not dangle: every access through it fails closed.
   EXPECT_FALSE(fs.read_long(h).has_value());
   EXPECT_FALSE(fs.read(h).has_value());
@@ -185,15 +252,16 @@ TEST(VirtualFs, StaleHandleNeverReadsReRegisteredAttribute) {
   // handle cached before the swap must not alias the new attribute — a
   // string-path write to the new one can then never be shadowed by a stale
   // cached long from the old one.
+  Files files;
   VirtualFs fs;
-  fs.add_attribute_long("/sys/test/temp", [] { return 41000L; });
+  const VirtualFs::Mount old = files.number(fs, "/sys/test/temp", [] { return 41000L; });
   const VirtualFs::Handle stale = fs.open("/sys/test/temp");
   ASSERT_EQ(fs.read_long(stale).value(), 41000);
 
-  fs.remove_attribute("/sys/test/temp");
+  fs.unmount(old);
   long fresh_value = 52000;
-  fs.add_attribute_long(
-      "/sys/test/temp", [&fresh_value] { return fresh_value; },
+  files.number(
+      fs, "/sys/test/temp", [&fresh_value] { return fresh_value; },
       [&fresh_value](long v) {
         fresh_value = v;
         return true;
@@ -209,14 +277,16 @@ TEST(VirtualFs, StaleHandleNeverReadsReRegisteredAttribute) {
 TEST(VirtualFs, TreesWithIdenticalPathsAreIndependent) {
   // Every node registers the same paths, so the path keys are shared across
   // trees; the handlers behind them must not be.
+  Files files;
   VirtualFs a;
   VirtualFs b;
   long va = 1;
   long vb = 2;
   const std::string path = "/sys/class/hwmon/hwmon0/pwm1";
+  VirtualFs::Mount in_b;
   for (auto [fs, v] : {std::pair{&a, &va}, std::pair{&b, &vb}}) {
-    fs->add_attribute_long(
-        path, [v] { return *v; },
+    in_b = files.number(
+        *fs, path, [v] { return *v; },
         [v](long x) {
           *v = x;
           return true;
@@ -228,7 +298,7 @@ TEST(VirtualFs, TreesWithIdenticalPathsAreIndependent) {
   EXPECT_EQ(b.read(path).value(), "2");
   EXPECT_EQ(b.read_long(b.open(path)).value(), 2);
 
-  b.remove_attribute(path);
+  b.unmount(in_b);
   EXPECT_FALSE(b.exists(path));
   EXPECT_EQ(a.read(path).value(), "100");
 }
@@ -242,10 +312,11 @@ TEST(VirtualFs, TreesBuiltConcurrentlyShareNoState) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t, &mismatches] {
       for (int k = 0; k < kTrees; ++k) {
+        Files files;
         VirtualFs fs;
         const long value = t * 1000 + k;
-        fs.add_attribute_long("/sys/class/hwmon/hwmon0/temp1_input", [value] { return value; });
-        fs.add_attribute("/sys/class/hwmon/hwmon0/name", [] { return std::string{"adt7467"}; });
+        files.number(fs, "/sys/class/hwmon/hwmon0/temp1_input", [value] { return value; });
+        files.text(fs, "/sys/class/hwmon/hwmon0/name", [] { return std::string{"adt7467"}; });
         Knob knob{"k", value};
         fs.mount("/sys/class/thermal/cooling_device0", kKnobFiles, &knob);
         if (fs.read_long("/sys/class/hwmon/hwmon0/temp1_input") != value ||
@@ -264,19 +335,20 @@ TEST(VirtualFs, TreesBuiltConcurrentlyShareNoState) {
 }
 
 TEST(VirtualFs, StaleHandleWritesFailAfterReRegister) {
+  Files files;
   VirtualFs fs;
   long old_value = 1;
-  fs.add_attribute_long(
-      "/sys/test/pwm", [&old_value] { return old_value; },
+  const VirtualFs::Mount old = files.number(
+      fs, "/sys/test/pwm", [&old_value] { return old_value; },
       [&old_value](long v) {
         old_value = v;
         return true;
       });
   const VirtualFs::Handle stale = fs.open("/sys/test/pwm");
-  fs.remove_attribute("/sys/test/pwm");
+  fs.unmount(old);
   std::string new_value = "fresh";
-  fs.add_attribute(
-      "/sys/test/pwm", [&new_value] { return new_value; },
+  files.text(
+      fs, "/sys/test/pwm", [&new_value] { return new_value; },
       [&new_value](const std::string& v) {
         new_value = v;
         return true;
@@ -296,17 +368,18 @@ TEST(VirtualFs, StaleHandleWritesFailAfterReRegister) {
 }
 
 TEST(VirtualFs, ListStaysSortedAcrossAddAndRemove) {
+  Files files;
   VirtualFs fs;
   auto ro = [] { return std::string{}; };
-  fs.add_attribute("/sys/a/z", ro);
-  fs.add_attribute("/sys/b/x", ro);
-  fs.add_attribute("/sys/a/m", ro);
-  fs.add_attribute("/sys/ab/c", ro);  // shares the "/sys/a" text, not the dir
-  fs.remove_attribute("/sys/a/z");
-  fs.add_attribute("/sys/a/b", ro);
-  fs.add_attribute("/sys/a/z", ro);
-  fs.remove_attribute("/sys/a/m");
-  fs.add_attribute("/sys/a", ro);  // the directory name itself is no child
+  const VirtualFs::Mount z = files.text(fs, "/sys/a/z", ro);
+  files.text(fs, "/sys/b/x", ro);
+  const VirtualFs::Mount m = files.text(fs, "/sys/a/m", ro);
+  files.text(fs, "/sys/ab/c", ro);  // shares the "/sys/a" text, not the dir
+  fs.unmount(z);
+  files.text(fs, "/sys/a/b", ro);
+  files.text(fs, "/sys/a/z", ro);
+  fs.unmount(m);
+  files.text(fs, "/sys/a", ro);  // the directory name itself is no child
   EXPECT_EQ(fs.list("/sys/a"), (std::vector<std::string>{"/sys/a/b", "/sys/a/z"}));
   EXPECT_EQ(fs.list("/sys/a/"), (std::vector<std::string>{"/sys/a/b", "/sys/a/z"}));
   EXPECT_EQ(fs.list("/sys"), (std::vector<std::string>{"/sys/a", "/sys/a/b", "/sys/a/z",
@@ -315,10 +388,11 @@ TEST(VirtualFs, ListStaysSortedAcrossAddAndRemove) {
 }
 
 TEST(VirtualFs, LongAttributeTextAndTypedSurfacesAgree) {
+  Files files;
   VirtualFs fs;
   long stored = -42;
-  fs.add_attribute_long(
-      "/sys/test/n", [&stored] { return stored; },
+  files.number(
+      fs, "/sys/test/n", [&stored] { return stored; },
       [&stored](long v) {
         stored = v;
         return true;
@@ -341,8 +415,9 @@ TEST(VirtualFs, LongAttributeTextAndTypedSurfacesAgree) {
 }
 
 TEST(VirtualFs, ReadOnlyLongAttributeRejectsWrites) {
+  Files files;
   VirtualFs fs;
-  fs.add_attribute_long("/sys/test/ro", [] { return 5L; });
+  files.number(fs, "/sys/test/ro", [] { return 5L; });
   EXPECT_FALSE(fs.write("/sys/test/ro", "6"));
   EXPECT_FALSE(fs.write_long(fs.open("/sys/test/ro"), 6));
   EXPECT_EQ(fs.read_long("/sys/test/ro").value(), 5);
@@ -401,18 +476,20 @@ TEST(VirtualFs, UnmountFailsHandlesClosedAndReMountNeverRevivesThem) {
 }
 
 TEST(VirtualFs, MountsAndClosuresShareOneDirectory) {
-  // A directory may hold several mounts: a device table and closure
-  // attributes (how a thermal zone adds trip points) list and resolve as one.
+  // A directory may hold several mounts: a device table and further
+  // tables (how a thermal zone adds trip points) list and resolve as one.
+  Files files;
   VirtualFs fs;
   Knob knob{"zone", 3};
   fs.mount("/sys/z", kKnobFiles, &knob);
-  fs.add_attribute("/sys/z/trip", [] { return std::string{"passive"}; });
-  fs.add_attribute_long("/sys/z/alpha", [] { return 9L; });
+  const VirtualFs::Mount trip =
+      files.text(fs, "/sys/z/trip", [] { return std::string{"passive"}; });
+  files.number(fs, "/sys/z/alpha", [] { return 9L; });
   EXPECT_EQ(fs.list("/sys/z"), (std::vector<std::string>{"/sys/z/alpha", "/sys/z/label",
                                                          "/sys/z/trip", "/sys/z/value"}));
   EXPECT_EQ(fs.read("/sys/z/trip").value(), "passive");
   EXPECT_EQ(fs.read_long("/sys/z/value").value(), 3);
-  fs.remove_attribute("/sys/z/trip");
+  fs.unmount(trip);
   EXPECT_EQ(fs.list("/sys/z"),
             (std::vector<std::string>{"/sys/z/alpha", "/sys/z/label", "/sys/z/value"}));
 }
@@ -421,7 +498,7 @@ TEST(VirtualFs, ListMatchesSortedFullPathsOverRandomMounts) {
   // Directories that are prefixes of one another ("/sys/a", "/sys/a/b"),
   // share a text prefix ("/sys/ab", "/sys/a-b", "/sys/a.b") or sit at the
   // root interleave in path order; list() must return exactly the sorted
-  // full paths under the prefix, across mounts, closures and unmounts, and
+  // full paths under the prefix, across mounts of every size and unmounts, and
   // every handle of a withdrawn attribute must stay dead.
   const std::vector<std::string> dirs{"",        "/sys",      "/sys/a",  "/sys/a/b", "/sys/a/b/c",
                                       "/sys/ab", "/sys/a-b",  "/sys/a.b", "/sys/b",  "/proc"};
@@ -433,6 +510,7 @@ TEST(VirtualFs, ListMatchesSortedFullPathsOverRandomMounts) {
     auto pick = [&rng](std::size_t n) {
       return std::uniform_int_distribution<std::size_t>{0, n - 1}(rng);
     };
+    Files files;
     VirtualFs fs;
     std::vector<std::unique_ptr<Knob>> knobs;
     struct Live {
@@ -461,7 +539,7 @@ TEST(VirtualFs, ListMatchesSortedFullPathsOverRandomMounts) {
           continue;
         }
         const std::string text = "t" + std::to_string(op);
-        live.push_back({fs.add_attribute(path, [text] { return text; }), {path}});
+        live.push_back({files.text(fs, path, [text] { return text; }), {path}});
         expected[path] = text;
       } else if (!live.empty()) {
         const std::size_t victim = pick(live.size());
@@ -469,11 +547,7 @@ TEST(VirtualFs, ListMatchesSortedFullPathsOverRandomMounts) {
           dead.push_back(fs.open(path));
           expected.erase(path);
         }
-        if (kind == 2 || live[victim].paths.size() != 1) {
-          fs.unmount(live[victim].mount);
-        } else {
-          fs.remove_attribute(live[victim].paths[0]);
-        }
+        fs.unmount(live[victim].mount);
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
       }
 
@@ -500,40 +574,36 @@ TEST(VirtualFs, ListMatchesSortedFullPathsOverRandomMounts) {
 }
 
 TEST(VirtualFsDeath, RelativePathAborts) {
+  Files files;
   VirtualFs fs;
-  EXPECT_DEATH(fs.add_attribute("sys/x", [] { return std::string{}; }), "absolute");
+  EXPECT_DEATH(files.text(fs, "sys/x", [] { return std::string{}; }), "absolute");
 }
 
 TEST(VirtualFsDeath, DuplicateRegistrationAborts) {
+  Files files;
   VirtualFs fs;
-  fs.add_attribute("/sys/x", [] { return std::string{}; });
-  EXPECT_DEATH(fs.add_attribute("/sys/x", [] { return std::string{}; }), "already");
+  files.text(fs, "/sys/x", [] { return std::string{}; });
+  EXPECT_DEATH(files.text(fs, "/sys/x", [] { return std::string{}; }), "already");
 }
 
 TEST(VirtualFsDeath, MountCollidingWithAnotherMountAborts) {
+  Files files;
   VirtualFs fs;
   Knob a;
   Knob b;
   fs.mount("/sys/k", kKnobFiles, &a);
   EXPECT_DEATH(fs.mount("/sys/k", kKnobFiles, &b), "already");
-  EXPECT_DEATH(fs.add_attribute("/sys/k/value", [] { return std::string{}; }), "already");
+  EXPECT_DEATH(files.text(fs, "/sys/k/value", [] { return std::string{}; }), "already");
 }
 
 TEST(VirtualFsDeath, BadMountsAbort) {
+  Files files;
   VirtualFs fs;
   Knob k;
   EXPECT_DEATH(fs.mount("/sys/k/", kKnobFiles, &k), "absolute");
   EXPECT_DEATH(fs.mount("sys/k", kKnobFiles, &k), "absolute");
   EXPECT_DEATH(fs.mount("/sys/k", kUnsorted, &k), "name-sorted");
-  EXPECT_DEATH(fs.add_attribute("/sys/k/", [] { return std::string{}; }), "name-sorted");
-}
-
-TEST(VirtualFsDeath, RemovingOneFileOfAMountAborts) {
-  // A device's files leave together, with its mount.
-  VirtualFs fs;
-  Knob k;
-  fs.mount("/sys/k", kKnobFiles, &k);
-  EXPECT_DEATH(fs.remove_attribute("/sys/k/value"), "one by one");
+  EXPECT_DEATH(files.text(fs, "/sys/k/", [] { return std::string{}; }), "name-sorted");
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ TEST(Convection, StillAirMatchesNaturalConductance) {
 
 TEST(Convection, ApproachesConductionFloorAtHighAirflow) {
   ConvectionModel m;
-  const double floor = m.limit_resistance().value();
+  const double floor = m.params().r_conduction.value();
   const double r = m.resistance(Cfm{10000.0}).value();
   EXPECT_GT(r, floor);
   EXPECT_NEAR(r, floor, 0.01);
