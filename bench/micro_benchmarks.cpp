@@ -4,9 +4,10 @@
 // own overhead must be negligible next to the workload. These benchmarks
 // quantify that claim for every layer: window update, array fill, selector
 // arithmetic, the full controller tick including the sysfs + i2c round
-// trips, a ControlBank family tick per node, one RC physics step, each
-// device/OS sweep phase of a fleet step, a whole-node engine step, and the
-// set-up settle of a whole cluster and of its unified controller bank.
+// trips, a ControlBank family tick per node, a decision-log append, one RC
+// physics step, each device/OS sweep phase of a fleet step, a whole-node
+// engine step, and the set-up settle of a whole cluster and of its unified
+// controller bank.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -18,6 +19,7 @@
 #include "cluster/cluster.hpp"
 #include "core/control_array.hpp"
 #include "core/control_bank.hpp"
+#include "core/decision_log.hpp"
 #include "core/fan_policy.hpp"
 #include "core/mode_selector.hpp"
 #include "core/two_level_window.hpp"
@@ -242,6 +244,36 @@ BENCHMARK(BM_ControlBankTickTdvfs)
     ->ArgNames({"nodes", "moving"})
     ->ArgsProduct({{2048, 16384}, {0, 1}})
     ->UseManualTime();
+
+// Appends to one family's DecisionLog, 4 096 per timed iteration, over
+// 4 096 node chains in turn. `per_instant:4096` is a bank tick in which every
+// node decides (one time run per 4 096 records); `per_instant:1` gives every
+// record its own instant, so each opens a run. The log is rebuilt, untimed,
+// every 2^20 records; first-touch page faults of its chunks stay timed.
+void BM_DecisionLogAppend(benchmark::State& state) {
+  constexpr std::size_t kNodes = 4096;
+  constexpr std::size_t kRebuildAt = std::size_t{1} << 20;
+  const std::size_t per_instant = static_cast<std::size_t>(state.range(0));
+  auto log = std::make_unique<core::DecisionLog>();
+  std::vector<core::DecisionChain> chains(kNodes);
+  SimTime now;
+  for (auto _ : state) {
+    if (log->size() >= kRebuildAt) {
+      state.PauseTiming();
+      log = std::make_unique<core::DecisionLog>();
+      chains.assign(kNodes, core::DecisionChain{});
+      state.ResumeTiming();
+    }
+    for (std::size_t k = 0; k < kNodes; ++k) {
+      if (k % per_instant == 0) {
+        now.advance_us(250000);
+      }
+      log->append(chains[k], now, k % 100, (k + 1) % 100, 0);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kNodes));
+}
+BENCHMARK(BM_DecisionLogAppend)->ArgName("per_instant")->Arg(4096)->Arg(1);
 
 void BM_ClusterBuild(benchmark::State& state) {
   // Rig set-up at fleet scale: a Cluster of N nodes built from scratch, each

@@ -14,8 +14,13 @@ void DecisionLog::append(DecisionChain& chain, SimTime when, std::size_t from, s
     chunks_.emplace_back(new DecisionRecord[records]);
     capacity_ += records;
   }
-  at(i) = DecisionRecord{when.us(), static_cast<std::uint8_t>(from), static_cast<std::uint8_t>(to),
-                         flags, kNoDecision};
+  if (runs_.empty() || runs_.back().us != when.us()) {
+    THERMCTL_ASSERT(runs_.empty() || runs_.back().us < when.us(),
+                    "a decision is earlier than the log's last");
+    runs_.push_back({i, when.us()});
+  }
+  at(i) = DecisionRecord{kNoDecision, static_cast<std::uint8_t>(from),
+                         static_cast<std::uint8_t>(to), flags};
   if (chain.count == 0) {
     chain.head = i;
   } else {

@@ -4,11 +4,18 @@
 // cell of an Eq. (1) array to another, and every cell holds a mode copied
 // from the family's fixed list of physical modes (control_array.hpp). So a
 // decision is fully described by its sim time, the from- and to-mode indices
-// into the family's available_modes() and two flags: a 16-byte record. Each
-// controller family keeps one log for all its nodes. Records land in tick
-// order, and each node's records are linked into a chain, so a node reads
-// its own decisions back in the order they were made. A node holds only a
-// 12-byte DecisionChain (head, tail, count).
+// into the family's available_modes() and two flags. Each controller family
+// keeps one log for all its nodes. Records land in tick order, and each
+// node's records are linked into a chain, so a node reads its own decisions
+// back in the order they were made. A node holds only a 12-byte
+// DecisionChain (head, tail, count).
+//
+// A record is 8 bytes: the link, the two mode indices and the flags. The
+// time is not in it. A whole family ticks at one instant, so the log keeps a
+// side table of time runs, each the index of the first record made at a
+// time and that time; a record's time is the run whose first index is the
+// greatest one <= its own. A bank tick in which N nodes decide costs
+// N × 8 B plus one 16-byte run. Appends must come in time order.
 //
 // Records live in chunks that never move: chunk k holds 64·2^k records, so
 // growth never copies, a record keeps its address for the log's life, and
@@ -25,6 +32,7 @@
 // standalone controller's own); the log takes no lock.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -42,15 +50,14 @@ namespace thermctl::core {
 /// The link that ends a chain, and the head and tail of an empty one.
 inline constexpr std::uint32_t kNoDecision = 0xFFFF'FFFFu;
 
-/// One controller decision.
+/// One controller decision; its time is in the log's run table.
 struct DecisionRecord {
-  std::int64_t us;     // sim time of the decision
+  std::uint32_t next;  // the node's next record, or kNoDecision
   std::uint8_t from;   // index into the family's available_modes()
   std::uint8_t to;     // likewise
   std::uint8_t flags;  // DecisionLog::kLevel2 | DecisionLog::kRestore
-  std::uint32_t next;  // the node's next record, or kNoDecision
 };
-static_assert(sizeof(DecisionRecord) == 16, "a decision record is 16 bytes");
+static_assert(sizeof(DecisionRecord) == 8, "a decision record is 8 bytes");
 // Chunks are allocated uninitialized: their pages are touched only as
 // records land.
 static_assert(std::is_trivial_v<DecisionRecord>, "chunks are not zeroed");
@@ -76,9 +83,15 @@ class DecisionLog {
   DecisionLog(const DecisionLog&) = delete;
   DecisionLog& operator=(const DecisionLog&) = delete;
 
+  /// Records from `first` on, up to the next run's first, were made at `us`.
+  struct TimeRun {
+    std::uint32_t first;
+    std::int64_t us;
+  };
+
   /// Appends a decision at `when` from mode `from` to mode `to` (indices
   /// into the family's available_modes()) and links it to the end of
-  /// `chain`.
+  /// `chain`. `when` is never earlier than the last append's.
   void append(DecisionChain& chain, SimTime when, std::size_t from, std::size_t to,
               std::uint8_t flags);
 
@@ -89,13 +102,26 @@ class DecisionLog {
     return chunks_[s.chunk][s.offset];
   }
 
+  /// The sim time record `i` was made at.
+  [[nodiscard]] SimTime when(std::uint32_t i) const {
+    THERMCTL_ASSERT(i < size_, "decision record out of range");
+    const auto run = std::upper_bound(runs_.begin(), runs_.end(), i,
+                                      [](std::uint32_t k, const TimeRun& r) { return k < r.first; });
+    return SimTime::from_us(std::prev(run)->us);
+  }
+
   /// Records appended, over every node.
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Bytes the log holds: every chunk's full capacity and the chunk table.
+  /// Distinct times the records were made at.
+  [[nodiscard]] std::size_t time_runs() const { return runs_.size(); }
+
+  /// Bytes the log holds: every chunk's full capacity, the chunk table and
+  /// the run table.
   [[nodiscard]] std::size_t memory_bytes() const {
     return capacity_ * sizeof(DecisionRecord) +
-           chunks_.capacity() * sizeof(std::unique_ptr<DecisionRecord[]>);
+           chunks_.capacity() * sizeof(std::unique_ptr<DecisionRecord[]>) +
+           runs_.capacity() * sizeof(TimeRun);
   }
 
  private:
@@ -120,7 +146,8 @@ class DecisionLog {
   }
 
   std::vector<std::unique_ptr<DecisionRecord[]>> chunks_;
-  std::size_t capacity_ = 0;  // records the chunks hold
+  std::vector<TimeRun> runs_;  // ascending in both first and us
+  std::size_t capacity_ = 0;   // records the chunks hold
   std::uint32_t size_ = 0;
 };
 
@@ -208,7 +235,7 @@ class DecisionView {
  private:
   static Event decode(const DecisionLog& log, const double* modes, std::uint32_t i) {
     const DecisionRecord& r = log[i];
-    return Event::decode(SimTime::from_us(r.us), modes[r.from], modes[r.to], r.flags);
+    return Event::decode(log.when(i), modes[r.from], modes[r.to], r.flags);
   }
 
   const DecisionLog* log_;

@@ -39,6 +39,8 @@ void write_run_summary_json(const std::string& path, const std::string& name,
     w.field("prochot_events", static_cast<std::uint64_t>(s.prochot_events));
     w.field("i2c_retries", s.i2c_retries);
     w.field("i2c_exhausted", s.i2c_exhausted);
+    w.field("i2c_naks", s.i2c_naks);
+    w.field("i2c_bus_faults", s.i2c_bus_faults);
     w.end_object();
   }
   w.end_array();

@@ -69,11 +69,13 @@ struct ControllerRig {
     truth = temp;
     sensor.sample();
     controller.on_sample(now);
+    last_tick = now;
   }
 
-  /// Runs `n` ticks at a fixed temperature, advancing a local clock.
+  /// Runs `n` ticks at a fixed temperature, one sample period apart, from
+  /// `start`.
   template <typename Controller>
-  SimTime run_flat(Controller& controller, double temp, int n, SimTime start = {}) {
+  SimTime run_flat(Controller& controller, double temp, int n, SimTime start) {
     SimTime now = start;
     for (int i = 0; i < n; ++i) {
       now.advance_us(250000);
@@ -81,6 +83,15 @@ struct ControllerRig {
     }
     return now;
   }
+
+  /// Runs `n` ticks at a fixed temperature from the rig's last tick: the
+  /// clock never runs backward, as a controller's decision log requires.
+  template <typename Controller>
+  SimTime run_flat(Controller& controller, double temp, int n) {
+    return run_flat(controller, temp, n, last_tick);
+  }
+
+  SimTime last_tick;  // the time of the rig's latest tick
 };
 
 }  // namespace thermctl::core::testing

@@ -1,5 +1,6 @@
-// The per-family decision log: chunked storage, per-node chains, bit-exact
-// decoding, and how the fan and threshold techniques write to it.
+// The per-family decision log: chunked storage, per-node chains, the time
+// runs, bit-exact decoding, and how the fan and threshold techniques write to
+// it.
 #include "core/decision_log.hpp"
 
 #include <gtest/gtest.h>
@@ -8,9 +9,11 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "controller_rig.hpp"
+#include "core/control_bank.hpp"
 #include "core/fan_policy.hpp"
 #include "core/idle_injection.hpp"
 #include "core/tdvfs.hpp"
@@ -62,9 +65,10 @@ TEST(DecisionLog, AllocatesNothingBeforeTheFirstAppend) {
   EXPECT_EQ(log.memory_bytes(), 0u);
   DecisionChain chain;
   log.append(chain, SimTime::from_us(1), 0, 1, 0);
-  // One 64-record chunk.
-  EXPECT_GE(log.memory_bytes(), 64 * sizeof(DecisionRecord));
-  EXPECT_LT(log.memory_bytes(), 65 * sizeof(DecisionRecord));
+  // One 64-record chunk, its slot in the chunk table and one time run.
+  EXPECT_EQ(log.memory_bytes(), 64 * sizeof(DecisionRecord) +
+                                    sizeof(std::unique_ptr<DecisionRecord[]>) +
+                                    sizeof(DecisionLog::TimeRun));
 }
 
 TEST(DecisionLog, ChunkGrowthLeavesEarlierRecordsInPlace) {
@@ -84,12 +88,98 @@ TEST(DecisionLog, ChunkGrowthLeavesEarlierRecordsInPlace) {
   }
   ASSERT_EQ(log.size(), kRecords);
   for (std::uint32_t i = 0; i < kRecords; ++i) {
-    EXPECT_EQ(log[i].us, 1000 + static_cast<std::int64_t>(i));
+    EXPECT_EQ(log.when(i).us(), 1000 + static_cast<std::int64_t>(i));
     EXPECT_EQ(log[i].from, i % 7);
     EXPECT_EQ(log[i].to, i % 11);
   }
-  // Doubling chunks: at most twice what was appended, plus the chunk table.
-  EXPECT_LE(log.memory_bytes(), 2 * (64 + 128 + 256 + 512) * sizeof(DecisionRecord));
+  // Every record has its own time here, so every one opens a run. Doubling
+  // chunks and run table: at most twice what was appended, plus the chunk
+  // table.
+  ASSERT_EQ(log.time_runs(), kRecords);
+  EXPECT_LE(log.memory_bytes(),
+            2 * kRecords * (sizeof(DecisionRecord) + sizeof(DecisionLog::TimeRun)) +
+                4 * sizeof(std::unique_ptr<DecisionRecord[]>));
+}
+
+TEST(DecisionLog, RecordsOfOneInstantShareOneTimeRun) {
+  DecisionLog log;
+  std::vector<DecisionChain> chains(300);
+  // Three instants, each more records than a chunk holds, then a fourth
+  // with one record.
+  for (std::int64_t t : {5, 9, 12}) {
+    for (DecisionChain& chain : chains) {
+      log.append(chain, SimTime::from_us(t), 0, 1, 0);
+    }
+  }
+  log.append(chains[7], SimTime::from_us(40), 1, 0, 0);
+  EXPECT_EQ(log.time_runs(), 4u);
+  for (std::uint32_t i = 0; i < log.size(); ++i) {
+    const std::int64_t expected = i < 300 ? 5 : (i < 600 ? 9 : (i < 900 ? 12 : 40));
+    ASSERT_EQ(log.when(i).us(), expected) << "record " << i;
+  }
+}
+
+TEST(DecisionLog, OneBankTickAddsOneTimeRun) {
+  // Every node ramps alike, so whole ticks of the bank retarget many fans.
+  constexpr std::size_t kNodes = 16;
+  testing::ScriptedSensors sensors{kNodes};
+  std::vector<std::unique_ptr<ControllerRig>> rigs;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    rigs.push_back(std::make_unique<ControllerRig>(sensors, i));
+  }
+  ControlBank bank{kNodes, sensors.last_degc.data()};
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    bank.emplace_fan(i, *rigs[i]->hwmon, FanControlConfig{});
+  }
+  const DecisionLog& log = bank.fan(0).family().log;
+  SimTime now;
+  std::size_t ticks_deciding = 0;
+  std::size_t most_in_one_tick = 0;
+  for (int step = 0; step < 200; ++step) {
+    now.advance_us(250000);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      rigs[i]->truth = 40.0 + 0.2 * step;
+      rigs[i]->sensor.sample();
+    }
+    const std::size_t records = log.size();
+    const std::size_t runs = log.time_runs();
+    bank.tick_fans(now);
+    const std::size_t decided = log.size() - records;
+    ASSERT_EQ(log.time_runs() - runs, decided > 0 ? 1u : 0u) << "step " << step;
+    ticks_deciding += decided > 0 ? 1 : 0;
+    most_in_one_tick = std::max(most_in_one_tick, decided);
+  }
+  EXPECT_EQ(log.time_runs(), ticks_deciding);
+  EXPECT_EQ(most_in_one_tick, kNodes);
+}
+
+TEST(DecisionLog, TimesPastTwoToTheThirtyTwoMicrosecondsDecodeBitForBit) {
+  const std::vector<double> modes = index_modes();
+  DecisionLog log;
+  DecisionChain chain;
+  // 2^32 µs is about 71.6 min; a daemon runs for days.
+  const std::vector<std::int64_t> times{(std::int64_t{1} << 32) - 1, std::int64_t{1} << 32,
+                                        (std::int64_t{1} << 32) + 250'000,
+                                        std::int64_t{7} * 24 * 3600 * 1'000'000 + 1};
+  for (const std::int64_t us : times) {
+    log.append(chain, SimTime::from_us(us), 0, 1, 0);
+  }
+  std::size_t k = 0;
+  for (const FanEvent& e : DecisionView<FanEvent>{log, modes, chain}) {
+    EXPECT_EQ(log.when(static_cast<std::uint32_t>(k)).us(), times[k]);
+    EXPECT_EQ(bits(e.time_s), bits(SimTime::from_us(times[k]).seconds())) << times[k] << " us";
+    ++k;
+  }
+  EXPECT_EQ(k, times.size());
+}
+
+TEST(DecisionLogDeath, AppendEarlierThanTheLastAborts) {
+  DecisionLog log;
+  DecisionChain a;
+  DecisionChain b;
+  log.append(a, SimTime::from_us(10), 0, 1, 0);
+  log.append(b, SimTime::from_us(10), 0, 1, 0);
+  EXPECT_DEATH(log.append(a, SimTime::from_us(9), 1, 2, 0), "earlier");
 }
 
 TEST(DecisionLog, InterleavedNodesReadBackInTheirOwnOrder) {

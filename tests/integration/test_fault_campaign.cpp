@@ -119,6 +119,8 @@ TEST(FaultCampaign, FailsafeEngagesAndNodesStayBelowEmergency) {
   for (const cluster::NodeSummary& s : result.run.summaries) {
     EXPECT_TRUE(has("i2c_retries", s.i2c_retries));
     EXPECT_TRUE(has("i2c_exhausted", s.i2c_exhausted));
+    EXPECT_TRUE(has("i2c_naks", s.i2c_naks));
+    EXPECT_TRUE(has("i2c_bus_faults", s.i2c_bus_faults));
   }
 }
 

@@ -7,12 +7,14 @@
 // On a mismatch it names every changed config and prints the complete
 // replacement file. That printout is the regen path: paste it over the
 // checked-in file only for a deliberate trajectory change, in one commit
-// that says why (docs/verification.md).
+// that says why (docs/verification.md). The same corpus also runs with the
+// run invariants armed, and every config must come out clean.
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 
 #include "runtime/sweep.hpp"
 #include "verify/differential.hpp"
+#include "verify/invariants.hpp"
 
 namespace thermctl::verify {
 namespace {
@@ -102,6 +105,23 @@ void expect_matches_golden(const std::vector<core::ExperimentConfig>& corpus) {
 
 TEST(GoldenDigests, OracleCorpusMatchesCheckedInDigests) {
   expect_matches_golden(golden_corpus());
+}
+
+TEST(RunInvariants, HoldOnEveryGoldenCorpusConfig) {
+  // The envelope, per-sample die step and fan-first coordination checks on
+  // every config the digests pin, the fault-campaign variants included; the
+  // coordination check decodes each node's tDVFS decisions as they land.
+  std::vector<core::ExperimentConfig> corpus = golden_corpus();
+  std::vector<std::shared_ptr<InvariantLog>> logs;
+  for (core::ExperimentConfig& cfg : corpus) {
+    logs.push_back(arm_invariants(cfg));
+  }
+  (void)runtime::run_sweep(corpus);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const InvariantReport report = logs[i]->snapshot();
+    EXPECT_TRUE(report.ok()) << corpus[i].name << ": " << report.to_string();
+    EXPECT_GT(report.checks, 0u) << corpus[i].name;
+  }
 }
 
 TEST(GoldenDigests, DigestCoversEveryDiffedField) {

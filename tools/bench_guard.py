@@ -36,8 +36,9 @@ ceilings sit ~25 % above one copy of the series (8 fields x 8 B plus the
 per-series overhead), so a second copy of the run record fails.
 decision_bytes_per_decision is what the bank's decision logs hold
 (DecisionLog::memory_bytes) per recorded fan retarget or tDVFS move; its
-ceilings sit ~25 % above the chunked 16-byte records, so a per-technique
-event vector that grows by doubling fails. Memory does not depend on runner
+ceilings sit ~25 % above the chunked 8-byte records and their time runs,
+so a record that carries its own time again, or a per-technique event
+vector that grows by doubling, fails. Memory does not depend on runner
 speed, so no single-core scale applies; the best (lowest) reading across
 runs is judged.
 
@@ -174,7 +175,8 @@ def main():
     decision_ok = check_ceilings(
         floor_doc, "scaling_decision_bytes_per_decision_ceilings", ladder_decision,
         "decision-log bytes/decision",
-        "look for a per-technique event vector beside the family's DecisionLog.")
+        "look for a wider DecisionRecord or a per-technique event vector beside the "
+        "family's DecisionLog.")
     memory_ok = rss_ok and build_heap_ok and record_ok and decision_ok
 
     if not parallelism_available:
