@@ -82,6 +82,37 @@ ControlBank::DecisionLogUse ControlBank::decision_logs() const {
   return use;
 }
 
+void ControlBank::set_policy(std::size_t i, PolicyParam pp) {
+  if (i < fans_.size()) {
+    fans_[i].set_policy(pp);
+  }
+  if (i < tdvfs_.size()) {
+    tdvfs_[i].set_policy(pp);
+  }
+  if (i < unified_.size()) {
+    unified_[i].set_policy(pp);
+  }
+}
+
+SensorHealthStats ControlBank::health_stats() const {
+  SensorHealthStats sum;
+  const auto add = [&sum](const auto& family) {
+    for (const auto& controller : family) {
+      if (const SensorHealthMonitor* m = controller.health(); m != nullptr) {
+        sum.samples += m->stats().samples;
+        sum.rejected += m->stats().rejected;
+        sum.stuck_detections += m->stats().stuck_detections;
+        sum.failures += m->stats().failures;
+        sum.recoveries += m->stats().recoveries;
+      }
+    }
+  };
+  add(fans_);
+  add(tdvfs_);
+  add(unified_);
+  return sum;
+}
+
 Celsius ControlBank::reading(std::size_t i) const {
   return sysfs::HwmonDevice::from_millidegrees(
       sysfs::HwmonDevice::to_millidegrees(Celsius{sensor_last_[i]}));

@@ -23,6 +23,10 @@
 // differ per node; any other difference from the family's config is
 // rejected.
 //
+// Readers ask per node, not per family: node i's fan and tDVFS techniques,
+// its re-tune and the gates' summed stats are the same questions whether a
+// standalone controller or a unified one holds the node.
+//
 // The golden digests (tests/golden/) pin the bits.
 #pragma once
 
@@ -81,6 +85,23 @@ class ControlBank {
   [[nodiscard]] DynamicFanController& fan(std::size_t i) { return fans_[i]; }
   [[nodiscard]] TdvfsDaemon& tdvfs(std::size_t i) { return tdvfs_[i]; }
   [[nodiscard]] UnifiedController& unified(std::size_t i) { return unified_[i]; }
+
+  /// Node i's fan and tDVFS techniques, whichever controller holds them: a
+  /// standalone controller is its technique, a unified one holds both.
+  /// Null when no family holds node i's technique; a node held by a
+  /// standalone and a unified family answers with the unified one.
+  [[nodiscard]] const FanTechnique* fan_technique(std::size_t i) const {
+    return i < unified_.size() ? &unified_[i].fan() : i < fans_.size() ? &fans_[i] : nullptr;
+  }
+  [[nodiscard]] const TdvfsTechnique* tdvfs_technique(std::size_t i) const {
+    return i < unified_.size() ? &unified_[i].dvfs() : i < tdvfs_.size() ? &tdvfs_[i] : nullptr;
+  }
+  /// Re-tunes every controller that holds node i to `pp`.
+  void set_policy(std::size_t i, PolicyParam pp);
+  /// Sensor-health stats summed over the bank's fault-aware gates. Every
+  /// controller has one gate, so a unified controller counts each reading
+  /// once for both its techniques.
+  [[nodiscard]] SensorHealthStats health_stats() const;
 
  private:
   /// Node i's reading as the hwmon temp1_input attribute reports it.

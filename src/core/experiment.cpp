@@ -3,18 +3,14 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "core/cpuspeed.hpp"
 #include "workload/app.hpp"
 
 namespace thermctl::core {
 
 void retune_policy(const RigView& rig, PolicyParam pp) {
-  if (rig.bank != nullptr) {
-    for (std::size_t i = 0; i < rig.bank->fan_count(); ++i) {
-      rig.bank->fan(i).set_policy(pp);
-    }
-    for (std::size_t i = 0; i < rig.bank->tdvfs_count(); ++i) {
-      rig.bank->tdvfs(i).set_policy(pp);
-    }
+  for (std::size_t i = 0; rig.bank != nullptr && i < rig.bank->nodes(); ++i) {
+    rig.bank->set_policy(i, pp);
   }
   if (rig.plane != nullptr) {
     rig.plane->broadcast_policy(pp.value);
@@ -127,10 +123,10 @@ struct Rig {
   std::unique_ptr<cluster::Engine> engine;
   std::unique_ptr<workload::ParallelApp> app;
   std::vector<workload::SegmentLoad> loads;
-  /// All dynamic fan / tDVFS controllers live in one bank, ticked by one
-  /// periodic per family; node i's are bank->fan(i) / bank->tdvfs(i).
+  /// The dynamic fan and tDVFS controllers live in one bank, whose one
+  /// family (fan, tDVFS or, for the hybrid, unified) one periodic ticks.
   std::unique_ptr<ControlBank> bank;
-  /// Node-ordered families, each ticked by one periodic.
+  /// Node-ordered cpuspeed governors, ticked by one periodic.
   std::vector<CpuspeedGovernor> cpuspeed;
   std::vector<FaultApplier> fault_appliers;
   std::unique_ptr<cluster::RoomModel> room;
@@ -236,6 +232,9 @@ void build_workload(Rig& rig, const ExperimentConfig& config) {
   }
 }
 
+/// The fan policies that run no controller of ours: the chip's automatic
+/// mode, the static curve and a constant duty. The dynamic fan lives in the
+/// bank (build_bank).
 void build_fan_policy(Rig& rig, const ExperimentConfig& config) {
   for (std::size_t i = 0; i < config.nodes; ++i) {
     cluster::Node& node = rig.cluster->node(i);
@@ -258,68 +257,75 @@ void build_fan_policy(Rig& rig, const ExperimentConfig& config) {
         THERMCTL_ASSERT(policy.apply(), "constant fan policy apply failed");
         break;
       }
-      case FanPolicyKind::kDynamic: {
-        FanControlConfig fc = config.fan_cfg;
-        fc.pp = config.pp;
-        fc.max_duty = config.max_duty;
-        fc.fault_aware = config.fault_aware;
-        fc.health = config.health;
-        DynamicFanController& fan = rig.bank->emplace_fan(i, node.hwmon(), fc);
-        fan.set_trace(rig.ring(i));
+      case FanPolicyKind::kDynamic:
         break;
-      }
     }
-  }
-  if (rig.bank != nullptr && rig.bank->fan_count() > 0) {
-    // One periodic sweeps the whole family in node order, after the fault
-    // appliers and before the DVFS policy's tasks.
-    ControlBank* bank = rig.bank.get();
-    rig.engine->add_periodic(config.node_params.sample_period,
-                             [bank](SimTime now) { bank->tick_fans(now); });
   }
 }
 
-void build_dvfs_policy(Rig& rig, const ExperimentConfig& config) {
+/// The dynamic fan and tDVFS, in one bank family: a fan controller per node,
+/// a tDVFS daemon per node under a fixed fan policy, or for both the paper's
+/// hybrid (§4.4), one unified controller per node, fan first under one Pp
+/// and one sensor gate. One periodic ticks the bank in node order, after the
+/// fault appliers and before cpuspeed's tasks.
+void build_bank(Rig& rig, const ExperimentConfig& config) {
+  const bool fan = config.fan == FanPolicyKind::kDynamic;
+  const bool tdvfs = config.dvfs == DvfsPolicyKind::kTdvfs;
+  if (!fan && !tdvfs) {
+    return;
+  }
+  rig.bank = std::make_unique<ControlBank>(config.nodes,
+                                           rig.cluster->fleet()->sensor().last_degc.data());
+  const FanControlConfig fan_cfg{.pp = config.pp, .max_duty = config.max_duty,
+                                 .fault_aware = config.fault_aware, .health = config.health};
+  TdvfsConfig tdvfs_cfg = config.tdvfs;
+  tdvfs_cfg.pp = config.pp;
+  tdvfs_cfg.fault_aware = config.fault_aware;
+  tdvfs_cfg.health = config.health;
+  const UnifiedConfig unified_cfg{.pp = config.pp, .fan = fan_cfg, .tdvfs = tdvfs_cfg,
+                                  .fault_aware = config.fault_aware, .health = config.health};
   for (std::size_t i = 0; i < config.nodes; ++i) {
     cluster::Node& node = rig.cluster->node(i);
-    switch (config.dvfs) {
-      case DvfsPolicyKind::kNone:
-        break;
-      case DvfsPolicyKind::kTdvfs: {
-        TdvfsConfig tc = config.tdvfs;
-        tc.pp = config.pp;
-        tc.fault_aware = config.fault_aware;
-        tc.health = config.health;
-        TdvfsDaemon& daemon = rig.bank->emplace_tdvfs(i, node.hwmon(), node.cpufreq(), tc);
-        daemon.set_trace(rig.ring(i));
-        break;
-      }
-      case DvfsPolicyKind::kCpuspeed: {
-        // Daemon-faithful wiring: cpuspeed reads /proc/stat from the node.
-        rig.cpuspeed.emplace_back(node.vfs(), node.proc_stat(), node.cpufreq(), config.cpuspeed);
-        break;
-      }
+    if (fan && tdvfs) {
+      rig.bank->emplace_unified(i, node.hwmon(), node.cpufreq(), unified_cfg)
+          .set_trace(rig.ring(i));
+    } else if (fan) {
+      rig.bank->emplace_fan(i, node.hwmon(), fan_cfg).set_trace(rig.ring(i));
+    } else {
+      rig.bank->emplace_tdvfs(i, node.hwmon(), node.cpufreq(), tdvfs_cfg).set_trace(rig.ring(i));
     }
   }
-  if (!rig.cpuspeed.empty()) {
-    rig.engine->add_periodic(CpuspeedGovernor::kInterval,
-                             [governors = &rig.cpuspeed](SimTime now) {
-                               for (CpuspeedGovernor& governor : *governors) {
-                                 governor.on_interval(now);
-                               }
-                             });
+  // Two of the three families are empty and cost nothing to tick.
+  rig.engine->add_periodic(config.node_params.sample_period,
+                           [bank = rig.bank.get()](SimTime now) {
+                             bank->tick_fans(now);
+                             bank->tick_tdvfs(now);
+                             bank->tick_unified(now);
+                           });
+}
+
+/// cpuspeed, wired like the daemon: each governor reads /proc/stat from its
+/// node.
+void build_cpuspeed(Rig& rig, const ExperimentConfig& config) {
+  if (config.dvfs != DvfsPolicyKind::kCpuspeed) {
+    return;
   }
-  if (rig.bank != nullptr && rig.bank->tdvfs_count() > 0) {
-    ControlBank* bank = rig.bank.get();
-    rig.engine->add_periodic(config.node_params.sample_period,
-                             [bank](SimTime now) { bank->tick_tdvfs(now); });
+  for (std::size_t i = 0; i < config.nodes; ++i) {
+    cluster::Node& node = rig.cluster->node(i);
+    rig.cpuspeed.emplace_back(node.vfs(), node.proc_stat(), node.cpufreq());
   }
+  rig.engine->add_periodic(CpuspeedGovernor::kInterval,
+                           [governors = &rig.cpuspeed](SimTime now) {
+                             for (CpuspeedGovernor& governor : *governors) {
+                               governor.on_interval(now);
+                             }
+                           });
 }
 
 /// Builds the room model and hierarchical control plane when enabled. Runs
 /// after the fan/DVFS controllers so the Pp re-tune sinks can point at them;
-/// node `i`'s controllers sit at index `i` of their bank family because the
-/// builders above emplace one per node for the dynamic kinds.
+/// build_bank emplaces a controller for every node, so with a bank
+/// every node has one to re-tune.
 void build_control_plane(Rig& rig, const ExperimentConfig& config) {
   if (!config.control_plane.enabled) {
     return;
@@ -335,21 +341,9 @@ void build_control_plane(Rig& rig, const ExperimentConfig& config) {
   }
   rig.plane = std::make_unique<cluster::ctrl::ControlPlane>(
       *rig.cluster, config.control_plane.plane, rig.room.get());
-  for (std::size_t i = 0; i < config.nodes; ++i) {
-    DynamicFanController* fan =
-        config.fan == FanPolicyKind::kDynamic ? &rig.bank->fan(i) : nullptr;
-    TdvfsDaemon* daemon = config.dvfs == DvfsPolicyKind::kTdvfs ? &rig.bank->tdvfs(i) : nullptr;
-    if (fan == nullptr && daemon == nullptr) {
-      continue;
-    }
-    rig.plane->set_policy_sink(i, [fan, daemon](int pp) {
-      const PolicyParam p{std::clamp(pp, PolicyParam::kMin, PolicyParam::kMax)};
-      if (fan != nullptr) {
-        fan->set_policy(p);
-      }
-      if (daemon != nullptr) {
-        daemon->set_policy(p);
-      }
+  for (std::size_t i = 0; rig.bank != nullptr && i < config.nodes; ++i) {
+    rig.plane->set_policy_sink(i, [bank = rig.bank.get(), i](int pp) {
+      bank->set_policy(i, PolicyParam{std::clamp(pp, PolicyParam::kMin, PolicyParam::kMax)});
     });
   }
   if (rig.trace != nullptr) {
@@ -402,23 +396,10 @@ void build_live_telemetry(Rig& rig, const ExperimentConfig& config) {
     rig.watchdog->set_trace(rig.ring(0));
   }
 
-  // Cumulative sensor-rejection counters live in the controllers' health
-  // monitors; resolve them once instead of per sample.
-  std::vector<const SensorHealthMonitor*> monitors;
-  for (std::size_t i = 0; rig.bank != nullptr && i < rig.bank->fan_count(); ++i) {
-    if (const SensorHealthMonitor* m = rig.bank->fan(i).health(); m != nullptr) {
-      monitors.push_back(m);
-    }
-  }
-  for (std::size_t i = 0; rig.bank != nullptr && i < rig.bank->tdvfs_count(); ++i) {
-    if (const SensorHealthMonitor* m = rig.bank->tdvfs(i).health(); m != nullptr) {
-      monitors.push_back(m);
-    }
-  }
-
   // One periodic drives sample → watchdog → exposition so the three stay
   // phase-locked on the rollup cadence.
   cluster::Cluster* cl = rig.cluster.get();
+  const ControlBank* bank = rig.bank.get();
   cluster::ctrl::ControlPlane* plane = rig.plane.get();
   obs::FleetRollup* rollup = rig.rollup.get();
   obs::AlertWatchdog* watchdog = rig.watchdog.get();
@@ -428,8 +409,8 @@ void build_live_telemetry(Rig& rig, const ExperimentConfig& config) {
   const std::uint32_t live_every = t.live_every == 0 ? 1 : t.live_every;
   rig.engine->add_periodic(
       Seconds{rollup_cfg.interval_s},
-      [cl, plane, rollup, watchdog, spiller, registry, sink, live_every,
-       monitors = std::move(monitors), ticks = std::uint64_t{0}](SimTime now) mutable {
+      [cl, bank, plane, rollup, watchdog, spiller, registry, sink, live_every,
+       ticks = std::uint64_t{0}](SimTime now) mutable {
         rollup->begin(now.seconds());
         for (std::size_t i = 0; i < cl->size(); ++i) {
           const cluster::Node& node = cl->node(i);
@@ -438,11 +419,8 @@ void build_live_telemetry(Rig& rig, const ExperimentConfig& config) {
           rollup->observe(i, node.die_temperature().value(), node.wall_power().value(),
                           capped, autonomous);
         }
-        std::uint64_t rejected = 0;
-        for (const SensorHealthMonitor* m : monitors) {
-          rejected += m->stats().rejected;
-        }
-        rollup->commit(plane != nullptr ? plane->stats().failsafe_entries : 0, rejected);
+        rollup->commit(plane != nullptr ? plane->stats().failsafe_entries : 0,
+                       bank != nullptr ? bank->health_stats().rejected : 0);
         if (watchdog != nullptr) {
           watchdog->evaluate(now.seconds(), *rollup);
         }
@@ -468,10 +446,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   cluster::NodeParams node_params = config.node_params;
   node_params.seed = config.seed;
   rig.cluster = std::make_unique<cluster::Cluster>(config.nodes, node_params);
-  if (config.fan == FanPolicyKind::kDynamic || config.dvfs == DvfsPolicyKind::kTdvfs) {
-    rig.bank = std::make_unique<ControlBank>(config.nodes,
-                                             rig.cluster->fleet()->sensor().last_degc.data());
-  }
 
   // The machine idles before the job starts: settle at near-zero load.
   for (std::size_t i = 0; i < config.nodes; ++i) {
@@ -508,7 +482,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   build_workload(rig, config);
   build_fault_campaign(rig, config, engine_cfg.horizon, result);
   build_fan_policy(rig, config);
-  build_dvfs_policy(rig, config);
+  build_bank(rig, config);
+  build_cpuspeed(rig, config);
   build_control_plane(rig, config);
   build_live_telemetry(rig, config);
 
@@ -543,65 +518,60 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   result.tdvfs_events.resize(config.nodes);
   result.fan_events.resize(config.nodes);
-  const std::size_t fan_count = rig.bank != nullptr ? rig.bank->fan_count() : 0;
-  const std::size_t tdvfs_count = rig.bank != nullptr ? rig.bank->tdvfs_count() : 0;
   ControllerFaultStats& fs = result.fault_stats;
-  const auto fold_health = [&fs](const SensorHealthMonitor* m) {
-    if (m != nullptr) {
-      fs.sensor_rejected += m->stats().rejected;
-      fs.sensor_stuck_detections += m->stats().stuck_detections;
-      fs.sensor_failures += m->stats().failures;
-      fs.sensor_recoveries += m->stats().recoveries;
-    }
-  };
-  for (std::size_t i = 0; i < tdvfs_count; ++i) {
-    const TdvfsDaemon& daemon = rig.bank->tdvfs(i);
-    const auto events = daemon.events();
-    result.tdvfs_events[i].assign(events.begin(), events.end());
-    for (const TdvfsEvent& e : result.tdvfs_events[i]) {
-      if (result.first_dvfs_trigger_s < 0.0 || e.time_s < result.first_dvfs_trigger_s) {
-        result.first_dvfs_trigger_s = e.time_s;
+  obs::MetricsShard* shard = rig.registry != nullptr ? &rig.registry->shard(0) : nullptr;
+  for (std::size_t i = 0; rig.bank != nullptr && i < config.nodes; ++i) {
+    if (const FanTechnique* fan = rig.bank->fan_technique(i); fan != nullptr) {
+      const auto events = fan->events();
+      result.fan_events[i].assign(events.begin(), events.end());
+      fs.failsafe_entries += fan->failsafe_entries();
+      fs.failsafe_exits += fan->failsafe_exits();
+      if (shard != nullptr) {
+        // Controller totals, folded in post-run so the control loops never
+        // pay for the bookkeeping.
+        shard->counter("fan.retargets").add(fan->retarget_count());
+        shard->counter("fan.failsafe_entries").add(fan->failsafe_entries());
+        shard->counter("fan.failsafe_exits").add(fan->failsafe_exits());
       }
     }
-    fs.dvfs_hold_entries += daemon.hold_entries();
-    fs.dvfs_held_ticks += daemon.held_ticks();
-    fold_health(daemon.health());
+    if (const TdvfsTechnique* dvfs = rig.bank->tdvfs_technique(i); dvfs != nullptr) {
+      const auto events = dvfs->events();
+      result.tdvfs_events[i].assign(events.begin(), events.end());
+      for (const TdvfsEvent& e : result.tdvfs_events[i]) {
+        if (result.first_dvfs_trigger_s < 0.0 || e.time_s < result.first_dvfs_trigger_s) {
+          result.first_dvfs_trigger_s = e.time_s;
+        }
+      }
+      fs.dvfs_hold_entries += dvfs->hold_entries();
+      fs.dvfs_held_ticks += dvfs->held_ticks();
+      if (shard != nullptr) {
+        shard->counter("tdvfs.transitions").add(events.size());
+        shard->counter("tdvfs.hold_entries").add(dvfs->hold_entries());
+        shard->counter("tdvfs.held_ticks").add(dvfs->held_ticks());
+      }
+    }
   }
-  for (std::size_t i = 0; i < fan_count; ++i) {
-    const DynamicFanController& fan = rig.bank->fan(i);
-    const auto events = fan.events();
-    result.fan_events[i].assign(events.begin(), events.end());
-    fs.failsafe_entries += fan.failsafe_entries();
-    fs.failsafe_exits += fan.failsafe_exits();
-    fold_health(fan.health());
+  if (rig.bank != nullptr) {
+    const SensorHealthStats health = rig.bank->health_stats();
+    fs.sensor_rejected = health.rejected;
+    fs.sensor_stuck_detections = health.stuck_detections;
+    fs.sensor_failures = health.failures;
+    fs.sensor_recoveries = health.recoveries;
   }
 
-  if (rig.registry != nullptr) {
-    // Controller/bus totals and series-shape histograms, folded in post-run
-    // so the control loops never pay for the bookkeeping.
-    obs::MetricsShard& shard = rig.registry->shard(0);
-    for (std::size_t i = 0; i < fan_count; ++i) {
-      const DynamicFanController& fan = rig.bank->fan(i);
-      shard.counter("fan.retargets").add(fan.retarget_count());
-      shard.counter("fan.failsafe_entries").add(fan.failsafe_entries());
-      shard.counter("fan.failsafe_exits").add(fan.failsafe_exits());
-    }
-    for (std::size_t i = 0; i < tdvfs_count; ++i) {
-      const TdvfsDaemon& daemon = rig.bank->tdvfs(i);
-      shard.counter("tdvfs.transitions").add(daemon.events().size());
-      shard.counter("tdvfs.hold_entries").add(daemon.hold_entries());
-      shard.counter("tdvfs.held_ticks").add(daemon.held_ticks());
-    }
+  if (shard != nullptr) {
+    // Bus totals and series-shape histograms, folded in post-run like the
+    // controller totals above.
     for (std::size_t i = 0; i < config.nodes; ++i) {
       const hw::I2cErrorStats& io = rig.cluster->node(i).fan_driver().io_stats();
-      shard.counter("i2c.transfers").add(io.transfers);
-      shard.counter("i2c.retries").add(io.retries);
-      shard.counter("i2c.exhausted").add(io.exhausted);
+      shard->counter("i2c.transfers").add(io.transfers);
+      shard->counter("i2c.retries").add(io.retries);
+      shard->counter("i2c.exhausted").add(io.exhausted);
     }
     obs::Histogram& duty_h =
-        shard.histogram("fan.duty_pct", {10, 20, 30, 40, 50, 60, 70, 80, 90, 100});
+        shard->histogram("fan.duty_pct", {10, 20, 30, 40, 50, 60, 70, 80, 90, 100});
     obs::Histogram& temp_h =
-        shard.histogram("node.die_temp_c", {40, 45, 50, 55, 60, 65, 70, 75, 80, 85});
+        shard->histogram("node.die_temp_c", {40, 45, 50, 55, 60, 65, 70, 75, 80, 85});
     for (const cluster::NodeSeries& series : result.run.nodes) {
       for (double d : series.duty) {
         duty_h.observe(d);
@@ -611,20 +581,20 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       }
     }
     if (rig.trace != nullptr) {
-      shard.counter("trace.emitted").add(rig.trace->total_emitted());
-      shard.counter("trace.dropped").add(rig.trace->total_dropped());
+      shard->counter("trace.emitted").add(rig.trace->total_emitted());
+      shard->counter("trace.dropped").add(rig.trace->total_dropped());
     }
     if (result.spill.has_value()) {
-      shard.counter("spill.drains").add(result.spill->drains);
-      shard.counter("spill.events").add(result.spill->events_spilled);
-      shard.counter("spill.events_lost").add(result.spill->events_lost);
-      shard.counter("spill.deferred_drains").add(result.spill->deferred_drains);
+      shard->counter("spill.drains").add(result.spill->drains);
+      shard->counter("spill.events").add(result.spill->events_spilled);
+      shard->counter("spill.events_lost").add(result.spill->events_lost);
+      shard->counter("spill.deferred_drains").add(result.spill->deferred_drains);
     }
     if (rig.rollup != nullptr) {
-      shard.counter("rollup.samples").add(rig.rollup->samples_recorded());
+      shard->counter("rollup.samples").add(rig.rollup->samples_recorded());
     }
     if (rig.watchdog != nullptr) {
-      shard.counter("alerts.events").add(rig.watchdog->events().size());
+      shard->counter("alerts.events").add(rig.watchdog->events().size());
     }
     result.metrics = rig.registry->merged();
   }

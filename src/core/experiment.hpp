@@ -21,7 +21,6 @@
 #include "cluster/metrics.hpp"
 #include "cluster/room.hpp"
 #include "core/control_bank.hpp"
-#include "core/cpuspeed.hpp"
 #include "core/fan_policy.hpp"
 #include "core/policy.hpp"
 #include "core/tdvfs.hpp"
@@ -91,13 +90,16 @@ struct FaultCampaignConfig {
 [[nodiscard]] std::vector<FaultEpisode> make_fault_schedule(const FaultCampaignConfig& cfg,
                                                             std::size_t node, Seconds horizon);
 
-/// Cluster-wide controller-side fault counters (sums over all nodes).
+/// Cluster-wide controller-side fault counters (sums over all nodes). The
+/// sensor_* counters come from the sensor gates, one per controller: a
+/// node's one controller — its fan, its tDVFS daemon or, for the hybrid, its
+/// unified controller — counts each reading once.
 struct ControllerFaultStats {
   std::uint64_t failsafe_entries = 0;      // fan fail-safe cooling entries
   std::uint64_t failsafe_exits = 0;        // ... and recoveries out of it
   std::uint64_t dvfs_hold_entries = 0;     // tDVFS frequency-hold entries
   std::uint64_t dvfs_held_ticks = 0;       // ticks spent holding
-  std::uint64_t sensor_rejected = 0;       // readings rejected by the monitors
+  std::uint64_t sensor_rejected = 0;       // readings rejected, once per node
   std::uint64_t sensor_stuck_detections = 0;
   std::uint64_t sensor_failures = 0;       // confirmed-failure entries
   std::uint64_t sensor_recoveries = 0;
@@ -170,8 +172,10 @@ struct TelemetryConfig {
 struct RigView {
   cluster::Cluster* cluster = nullptr;
   cluster::Engine* engine = nullptr;
-  // Node i's dynamic fan controller is bank->fan(i) (fan == kDynamic) and
-  // its tDVFS daemon bank->tdvfs(i) (dvfs == kTdvfs); null when neither runs.
+  // The bank holds one family: bank->fan(i) when fan == kDynamic alone,
+  // bank->tdvfs(i) when dvfs == kTdvfs alone, and bank->unified(i) for the
+  // hybrid of the two. bank->fan_technique(i) and tdvfs_technique(i) answer
+  // for any of them. Null when neither runs.
   ControlBank* bank = nullptr;
   cluster::ctrl::ControlPlane* plane = nullptr;  // null unless plane enabled
   // Live-telemetry handles (null unless the corresponding TelemetryConfig
@@ -184,9 +188,9 @@ struct RigView {
 };
 
 /// Hot policy re-tune across a built rig: applies `pp` directly to every
-/// dynamic fan controller and tDVFS daemon (taking effect at their next
-/// sample, i.e. well inside one L2 window) and, when an active control plane
-/// is attached, also broadcasts it down the hierarchy so late joiners and
+/// node's controller in the bank (taking effect at its next sample, i.e.
+/// well inside one L2 window) and, when an active control plane is
+/// attached, also broadcasts it down the hierarchy so late joiners and
 /// plane bookkeeping converge on the same Pp. This is thermctld's
 /// `set-policy` path; engine-thread only, like the controllers themselves.
 void retune_policy(const RigView& rig, PolicyParam pp);
@@ -210,17 +214,16 @@ struct ExperimentConfig {
   DutyCycle constant_duty{75.0};
 
   TdvfsConfig tdvfs{};
-  CpuspeedConfig cpuspeed{};
-  FanControlConfig fan_cfg{};
 
   cluster::NodeParams node_params{};
   cluster::EngineConfig engine{};
   std::uint64_t seed = 20260708;
 
   /// Sensor-health gating for the dynamic fan and tDVFS controllers (one
-  /// knob for both, like Pp). Off by default: zero-fault runs are
-  /// bit-identical with it on or off, but the default keeps the paper's
-  /// blind-controller behaviour exact under injected faults too.
+  /// knob for both, like Pp; the hybrid's one gate serves both). Off by
+  /// default: zero-fault runs are bit-identical with it on or off, but the
+  /// default keeps the paper's blind-controller behaviour exact under
+  /// injected faults too.
   bool fault_aware = false;
   SensorHealthConfig health{};
   FaultCampaignConfig faults{};

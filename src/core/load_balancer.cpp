@@ -24,7 +24,7 @@ void ThermalLoadBalancer::on_tick(SimTime now) {
   bool have_cool = false;
   for (int id : cluster_.ipmi().nodes()) {
     sysfs::SensorReading reading;
-    if (cluster_.ipmi().get_sensor_reading(id, config_.temp_sensor, reading) !=
+    if (cluster_.ipmi().get_sensor_reading(id, kCpuTempSensor, reading) !=
         sysfs::IpmiCompletion::kOk) {
       continue;  // unreachable BMC: skip, don't stall the survey
     }

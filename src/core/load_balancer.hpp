@@ -34,9 +34,6 @@ struct LoadBalancerConfig {
   Seconds migration_cost{4.0};
   /// Minimum simulated time between migrations.
   Seconds cooldown{30.0};
-  /// BMC sensor number carrying the CPU temperature (Node registers it as
-  /// sensor 1).
-  std::uint8_t temp_sensor = 1;
 };
 
 struct MigrationEvent {
@@ -59,6 +56,10 @@ class ThermalLoadBalancer {
   [[nodiscard]] const std::vector<MigrationEvent>& events() const { return events_; }
 
  private:
+  /// BMC sensor number carrying the CPU temperature (Node registers it as
+  /// sensor 1).
+  static constexpr std::uint8_t kCpuTempSensor = 1;
+
   cluster::Cluster& cluster_;
   cluster::Engine& engine_;
   LoadBalancerConfig config_;

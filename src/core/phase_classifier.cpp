@@ -17,6 +17,8 @@ constexpr double kSuddenRate = 0.35;
 constexpr double kGradualRate = 0.04;
 /// Peak-to-peak swing above this with no trend is "jitter" (°C).
 constexpr double kJitterSwing = 0.8;
+/// Samples held for analysis (32 = 8 s at 4 Hz).
+constexpr std::size_t kWindow = 32;
 
 }  // namespace
 
@@ -35,7 +37,7 @@ std::string_view to_string(ThermalBehaviour b) {
 }
 
 PhaseClassifier::PhaseClassifier(ClassifierConfig config)
-    : config_(config), samples_(std::max<std::size_t>(config.window, 8)) {}
+    : config_(config), samples_(kWindow) {}
 
 void PhaseClassifier::add_sample(Celsius t) { samples_.push(t.value()); }
 

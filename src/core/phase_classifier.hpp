@@ -32,8 +32,6 @@ enum class ThermalBehaviour {
 [[nodiscard]] std::string_view to_string(ThermalBehaviour b);
 
 struct ClassifierConfig {
-  /// Samples held for analysis (default 32 = 8 s at 4 Hz).
-  std::size_t window = 32;
   /// Sample spacing in seconds (4 Hz default).
   double sample_dt_s = 0.25;
 };
@@ -49,7 +47,8 @@ class PhaseClassifier {
  public:
   explicit PhaseClassifier(ClassifierConfig config = {});
 
-  /// Adds a sample; classification uses up to `window` most recent samples.
+  /// Adds a sample; classification uses up to the 32 most recent samples
+  /// (8 s at 4 Hz).
   void add_sample(Celsius t);
 
   /// Classifies the current window (needs at least 8 samples; returns

@@ -17,9 +17,7 @@ TraceAnalysis analyze_trace(std::span<const double> temps, double sample_dt_s,
   }
 
   // Per-sample labels from the sliding classifier.
-  ClassifierConfig cc = config.classifier;
-  cc.sample_dt_s = sample_dt_s;
-  PhaseClassifier classifier{cc};
+  PhaseClassifier classifier{ClassifierConfig{.sample_dt_s = sample_dt_s}};
   std::vector<ThermalBehaviour> labels(temps.size(), ThermalBehaviour::kStable);
   for (std::size_t i = 0; i < temps.size(); ++i) {
     classifier.add_sample(Celsius{temps[i]});

@@ -39,7 +39,6 @@ struct TraceAnalysis {
 };
 
 struct TraceAnalysisConfig {
-  ClassifierConfig classifier{};
   /// Segments shorter than this are merged into their neighbour (debounce).
   std::size_t min_segment_samples = 8;
 };

@@ -103,7 +103,14 @@ int main(int argc, char** argv) {
     cfg.workload = core::WorkloadKind::kIdle;
   } else if (workload == "cpu-burn") {
     cfg.workload = core::WorkloadKind::kCpuBurn;
+    // The burn lasts the whole run. run_experiment stretches a cpu-burn
+    // horizon to twice the burn, so the daemon stops the engine itself at
+    // the horizon it was given.
     cfg.cpu_burn_duration = Seconds{horizon_s};
+    cfg.on_rig_built = [horizon_s](const core::RigView& rig) {
+      rig.engine->add_periodic(Seconds{horizon_s},
+                               [engine = rig.engine](SimTime) { engine->request_stop(); });
+    };
   } else if (workload == "bt") {
     cfg.workload = core::WorkloadKind::kNpbBt;
   } else if (workload == "lu") {

@@ -12,9 +12,10 @@
 // accompanying voltage drop, the paper's "cubic" claim) while leakage couples
 // power back to die temperature.
 //
-// Frequency transitions are not free: each one stalls execution briefly
-// (voltage ramp) and is counted, because Table 1 scores governors by the
-// number of transitions they inflict (a reliability proxy).
+// Frequency transitions are counted, because Table 1 scores governors by
+// the number of transitions they inflict (a reliability proxy). The model
+// charges a transition no execution time: the workload sees only the new
+// frequency.
 #pragma once
 
 #include <algorithm>
@@ -54,8 +55,6 @@ struct CpuParams {
   Celsius t_ref{45.0};
   /// Floor activity when idle (OS housekeeping, clock tree).
   double idle_activity = 0.06;
-  /// Execution stall per frequency transition (voltage ramp + relock).
-  Seconds transition_stall{0.000150};
   /// ACPI idle-state ladder + injection mechanics (§3.2.2's third
   /// technique).
   IdleInjectorParams idle{};
@@ -241,11 +240,6 @@ class CpuDevice {
 
   /// Number of completed frequency transitions since construction.
   [[nodiscard]] std::uint64_t transition_count() const { return cols_.transitions[slot_]; }
-
-  /// Total execution stall accumulated from transitions.
-  [[nodiscard]] Seconds transition_stall_total() const {
-    return Seconds{static_cast<double>(transition_count()) * params().transition_stall.value()};
-  }
 
   /// Work executed during `dt` at the current frequency and utilization, in
   /// normalized units of GHz-seconds (cycles / 1e9). Accounts for PROCHOT

@@ -209,9 +209,7 @@ RunInvariantChecker::RunInvariantChecker(const core::RigView& rig,
                                          std::shared_ptr<InvariantLog> log)
     : log_(std::move(log)), cluster_(rig.cluster), bank_(rig.bank) {
   last_die_.resize(cluster_ != nullptr ? cluster_->size() : 0);
-  last_fan_pp_.assign(bank_ != nullptr ? bank_->fan_count() : 0, -1);
-  last_tdvfs_pp_.assign(bank_ != nullptr ? bank_->tdvfs_count() : 0, -1);
-  seen_tdvfs_events_.assign(last_tdvfs_pp_.size(), core::DecisionCursor{});
+  seen_.resize(bank_ != nullptr ? bank_->nodes() : 0);
 }
 
 RunInvariantChecker::~RunInvariantChecker() {
@@ -248,40 +246,36 @@ void RunInvariantChecker::tick(SimTime now) {
     last_die_[i] = die;
   }
 
-  // Dynamic fan controllers: index in range; full array re-check whenever
-  // the policy changed (construction counts as a change).
-  for (std::size_t j = 0; j < last_fan_pp_.size(); ++j) {
-    const core::DynamicFanController* fan = &bank_->fan(j);
+  // Each node's techniques, whichever controller holds them: index in
+  // range, and the full array re-checked whenever the policy changed
+  // (construction counts as a change).
+  const auto check_technique = [&](const char* name, const auto& technique, int& last_pp,
+                                   std::size_t i) {
     ++report_.checks;
-    if (fan->current_index() >= fan->array().size()) {
+    if (technique.current_index() >= technique.array().size()) {
       std::ostringstream msg;
-      msg << "fan index " << fan->current_index() << " >= N=" << fan->array().size();
-      report_.add(InvariantKind::kSelectorRange, t, j, msg.str(), cap);
+      msg << name << " index " << technique.current_index() << " >= N="
+          << technique.array().size();
+      report_.add(InvariantKind::kSelectorRange, t, i, msg.str(), cap);
     }
-    const int pp = fan->array().policy().value;
-    if (pp != last_fan_pp_[j]) {
-      check_control_array(fan->array(), report_, t, j, cap);
-      last_fan_pp_[j] = pp;
+    const int pp = technique.array().policy().value;
+    if (pp != last_pp) {
+      check_control_array(technique.array(), report_, t, i, cap);
+      last_pp = pp;
     }
-  }
-
-  // tDVFS daemons: index in range, array fill on policy change, and the
-  // coordination invariant on every new down-trigger.
-  for (std::size_t j = 0; j < last_tdvfs_pp_.size(); ++j) {
-    const core::TdvfsDaemon* daemon = &bank_->tdvfs(j);
-    ++report_.checks;
-    if (daemon->current_index() >= daemon->array().size()) {
-      std::ostringstream msg;
-      msg << "tdvfs index " << daemon->current_index() << " >= N=" << daemon->array().size();
-      report_.add(InvariantKind::kSelectorRange, t, j, msg.str(), cap);
+  };
+  for (std::size_t i = 0; i < seen_.size(); ++i) {
+    if (const core::FanTechnique* fan = bank_->fan_technique(i); fan != nullptr) {
+      check_technique("fan", *fan, seen_[i].fan_pp, i);
     }
-    const int pp = daemon->array().policy().value;
-    if (pp != last_tdvfs_pp_[j]) {
-      check_control_array(daemon->array(), report_, t, j, cap);
-      last_tdvfs_pp_[j] = pp;
+    // tDVFS also owes the coordination invariant on every new down-trigger.
+    const core::TdvfsTechnique* dvfs = bank_->tdvfs_technique(i);
+    if (dvfs == nullptr) {
+      continue;
     }
-    const auto events = daemon->events();
-    for (const core::TdvfsEvent& e : events.after(seen_tdvfs_events_[j])) {
+    check_technique("tdvfs", *dvfs, seen_[i].tdvfs_pp, i);
+    const auto events = dvfs->events();
+    for (const core::TdvfsEvent& e : events.after(seen_[i].tdvfs_events)) {
       if (e.to_ghz >= e.from_ghz) {
         continue;  // restore (or lateral): no coordination obligation
       }
@@ -291,8 +285,8 @@ void RunInvariantChecker::tick(SimTime now) {
       // it, cooling demand belongs to the fan (which still has headroom by
       // definition of "not hot enough to trigger").
       ++report_.checks;
-      const std::optional<Celsius> avg = daemon->last_round_average();
-      const double threshold = daemon->config().threshold.value();
+      const std::optional<Celsius> avg = dvfs->last_round_average();
+      const double threshold = dvfs->config().threshold.value();
       if (!avg.has_value() || avg->value() <= threshold) {
         std::ostringstream msg;
         msg << "down-trigger " << e.from_ghz << " -> " << e.to_ghz << " GHz with round average ";
@@ -301,10 +295,10 @@ void RunInvariantChecker::tick(SimTime now) {
         } else {
           msg << "unset";
         }
-        report_.add(InvariantKind::kCoordination, t, j, msg.str(), cap);
+        report_.add(InvariantKind::kCoordination, t, i, msg.str(), cap);
       }
     }
-    seen_tdvfs_events_[j] = events.cursor();
+    seen_[i].tdvfs_events = events.cursor();
   }
 }
 

@@ -130,12 +130,15 @@ class RunInvariantChecker {
  private:
   std::shared_ptr<InvariantLog> log_;
   cluster::Cluster* cluster_ = nullptr;
-  core::ControlBank* bank_ = nullptr;  // null when no dynamic fan or tDVFS runs
+  const core::ControlBank* bank_ = nullptr;  // null when no dynamic fan or tDVFS runs
   std::vector<std::optional<double>> last_die_;
-  // One entry per bank fan / tDVFS controller, in node order.
-  std::vector<int> last_fan_pp_;
-  std::vector<int> last_tdvfs_pp_;
-  std::vector<core::DecisionCursor> seen_tdvfs_events_;
+  // What the checker last saw of each bank node's techniques.
+  struct Seen {
+    int fan_pp = -1;
+    int tdvfs_pp = -1;
+    core::DecisionCursor tdvfs_events;
+  };
+  std::vector<Seen> seen_;
   InvariantReport report_;
 };
 

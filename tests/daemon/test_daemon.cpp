@@ -360,5 +360,23 @@ TEST(DaemonLifecycle, ShutdownMidDrainLeavesReadableSpill) {
   std::remove(spill_path.c_str());
 }
 
+TEST(Thermctld, CpuBurnRunsExactlyTheHorizon) {
+  // run_experiment stretches a cpu-burn horizon to twice the burn, so a
+  // throttled burn can finish. thermctld's burn lasts its whole --horizon,
+  // and the run must still end there. By 120 sim-s tDVFS has slowed the
+  // burn enough that it would otherwise run on past the horizon.
+  const std::string command = std::string{THERMCTLD_BINARY} + " --socket " +
+                              unique_socket_path() + " --nodes 4 --horizon 120 2>&1";
+  FILE* out = ::popen(command.c_str(), "r");
+  ASSERT_NE(out, nullptr);
+  std::string log;
+  char chunk[4096];
+  while (const std::size_t n = std::fread(chunk, 1, sizeof chunk, out)) {
+    log.append(chunk, n);
+  }
+  EXPECT_EQ(::pclose(out), 0) << log;
+  EXPECT_NE(log.find("thermctld: done t=120.0s "), std::string::npos) << log;
+}
+
 }  // namespace
 }  // namespace thermctl::daemon

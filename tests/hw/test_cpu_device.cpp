@@ -43,16 +43,6 @@ TEST(CpuDevice, TransitionCountingOnlyOnChange) {
   EXPECT_EQ(cpu.transition_count(), 2u);
 }
 
-TEST(CpuDevice, TransitionStallAccumulates) {
-  CpuParams params;
-  params.transition_stall = Seconds{0.001};
-  SoloCpu cpu{params};
-  cpu.set_pstate(1);
-  cpu.set_pstate(0);
-  cpu.set_pstate(4);
-  EXPECT_NEAR(cpu.transition_stall_total().value(), 0.003, 1e-12);
-}
-
 TEST(CpuDevice, PowerIncreasesWithUtilization) {
   SoloCpu cpu;
   cpu.set_utilization(Utilization{0.0});

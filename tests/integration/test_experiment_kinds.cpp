@@ -96,5 +96,46 @@ TEST(ExperimentKinds, EventLogsSizedToCluster) {
   EXPECT_DOUBLE_EQ(r.first_dvfs_trigger_s, -1.0);
 }
 
+TEST(ExperimentKinds, EachDynamicShapeBuildsOneBankFamily) {
+  // The dynamic fan alone builds fan controllers, tDVFS alone (under a
+  // static fan) tDVFS daemons, and the hybrid of the two one unified
+  // controller per node: never a fan family beside a tDVFS family.
+  struct Shape {
+    FanPolicyKind fan;
+    DvfsPolicyKind dvfs;
+    std::size_t fans;
+    std::size_t tdvfs;
+    std::size_t unified;
+  };
+  constexpr std::size_t kNodes = 3;
+  const Shape shapes[] = {
+      {FanPolicyKind::kDynamic, DvfsPolicyKind::kNone, kNodes, 0, 0},
+      {FanPolicyKind::kStaticCurve, DvfsPolicyKind::kTdvfs, 0, kNodes, 0},
+      {FanPolicyKind::kDynamic, DvfsPolicyKind::kTdvfs, 0, 0, kNodes},
+  };
+  for (const Shape& shape : shapes) {
+    ExperimentConfig cfg = paper_platform();
+    cfg.nodes = kNodes;
+    cfg.workload = WorkloadKind::kIdle;
+    cfg.engine.horizon = Seconds{1.0};
+    cfg.fan = shape.fan;
+    cfg.dvfs = shape.dvfs;
+    bool observed = false;
+    cfg.on_rig_built = [&](const RigView& rig) {
+      ASSERT_NE(rig.bank, nullptr);
+      EXPECT_EQ(rig.bank->fan_count(), shape.fans);
+      EXPECT_EQ(rig.bank->tdvfs_count(), shape.tdvfs);
+      EXPECT_EQ(rig.bank->unified_count(), shape.unified);
+      for (std::size_t i = 0; i < kNodes; ++i) {
+        EXPECT_EQ(rig.bank->fan_technique(i) != nullptr, shape.fan == FanPolicyKind::kDynamic);
+        EXPECT_EQ(rig.bank->tdvfs_technique(i) != nullptr, shape.dvfs == DvfsPolicyKind::kTdvfs);
+      }
+      observed = true;
+    };
+    (void)run_experiment(cfg);
+    EXPECT_TRUE(observed);
+  }
+}
+
 }  // namespace
 }  // namespace thermctl::core

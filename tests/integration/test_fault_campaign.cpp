@@ -124,6 +124,36 @@ TEST(FaultCampaign, FailsafeEngagesAndNodesStayBelowEmergency) {
   }
 }
 
+TEST(FaultCampaign, HybridCountsEachSensorReadingOncePerNode) {
+  // The hybrid's one unified controller per node classifies each reading
+  // through one gate, and the run's sensor counters are the sum of those
+  // gates: a reading rejected on a node counts once, not once per technique.
+  ExperimentConfig cfg = campaign_config();
+  SensorHealthStats gates;
+  cfg.on_rig_built = [&gates](const RigView& rig) {
+    ASSERT_EQ(rig.bank->unified_count(), rig.cluster->size());
+    // Registered after the bank's tick, so the last firing sees the gates'
+    // final counts.
+    rig.engine->add_periodic(rig.config->node_params.sample_period,
+                             [&gates, bank = rig.bank](SimTime) {
+                               gates = SensorHealthStats{};
+                               for (std::size_t i = 0; i < bank->unified_count(); ++i) {
+                                 const SensorHealthStats& s = bank->unified(i).health()->stats();
+                                 gates.rejected += s.rejected;
+                                 gates.stuck_detections += s.stuck_detections;
+                                 gates.failures += s.failures;
+                                 gates.recoveries += s.recoveries;
+                               }
+                             });
+  };
+  const ControllerFaultStats fs = run_experiment(cfg).fault_stats;
+  EXPECT_GT(fs.sensor_rejected + fs.sensor_stuck_detections, 0u);
+  EXPECT_EQ(fs.sensor_rejected, gates.rejected);
+  EXPECT_EQ(fs.sensor_stuck_detections, gates.stuck_detections);
+  EXPECT_EQ(fs.sensor_failures, gates.failures);
+  EXPECT_EQ(fs.sensor_recoveries, gates.recoveries);
+}
+
 TEST(FaultCampaign, ParallelSweepReproducesCampaignBitExactly) {
   const ExperimentConfig cfg = campaign_config();
   const std::vector<ExperimentConfig> points{cfg, cfg};

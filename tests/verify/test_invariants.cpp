@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster.hpp"
+#include "cluster/engine.hpp"
+#include "core/control_bank.hpp"
 #include "verify/differential.hpp"
+#include "workload/app.hpp"
+#include "workload/npb.hpp"
 
 namespace thermctl::verify {
 namespace {
@@ -161,6 +166,70 @@ TEST(RunInvariants, SameLogAccumulatesAcrossRuns) {
   const std::uint64_t after_two = log->snapshot().checks;
   EXPECT_GT(after_one, 0u);
   EXPECT_EQ(after_two, after_one * 2);  // fresh checker per run, same work
+}
+
+TEST(RunInvariants, UnifiedBankGetsEveryTechniqueCheck) {
+  // scaling_cluster_size's rig, armed by hand: a BT job on a fleet-backed
+  // rack with hot-spot inlets and one unified ControlBank, no
+  // run_experiment. The checker must reach both techniques of every unified
+  // controller: per tick, each node's three RC checks and two index checks;
+  // each technique's Eq. (1) fill once; one coordination check per tDVFS
+  // down-trigger.
+  constexpr std::size_t kNodes = 8;
+  cluster::NodeParams params;
+  cluster::Cluster rack{kNodes, params};
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    rack.node(i).set_utilization(Utilization{0.02});
+  }
+  rack.set_inlet_temperature(kNodes - 1, Celsius{35.0});
+  rack.settle_all();
+  cluster::EngineConfig engine_cfg;
+  engine_cfg.horizon = Seconds{120.0};
+  cluster::Engine engine{rack, engine_cfg};
+  Rng rng{kNodes * 131 + 7};
+  workload::NpbParams npb = workload::bt_class_b();
+  npb.iterations = 100;
+  workload::ParallelApp app{"BT",
+                            workload::make_npb_programs(npb, static_cast<int>(kNodes), rng)};
+  std::vector<std::size_t> mapping(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    mapping[i] = i;
+  }
+  engine.attach_app(app, mapping);
+  core::ControlBank bank{kNodes, rack.fleet()->sensor().last_degc.data()};
+  core::UnifiedConfig cfg;
+  cfg.pp = core::PolicyParam{50};
+  cfg.tdvfs.threshold = Celsius{46.0};  // low enough to see triggers
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    bank.emplace_unified(i, rack.node(i).hwmon(), rack.node(i).cpufreq(), cfg);
+  }
+  engine.add_periodic(params.sample_period, [&bank](SimTime now) { bank.tick_unified(now); });
+
+  core::RigView rig;
+  rig.cluster = &rack;
+  rig.engine = &engine;
+  rig.bank = &bank;
+  RunInvariantChecker checker{rig, nullptr};
+  std::uint64_t ticks = 0;
+  engine.add_periodic(params.sample_period, [&](SimTime now) {
+    checker.tick(now);
+    ++ticks;
+  });
+  (void)engine.run();
+
+  InvariantReport fills;
+  std::uint64_t down_triggers = 0;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    check_control_array(bank.unified(i).fan().array(), fills);
+    check_control_array(bank.unified(i).dvfs().array(), fills);
+    for (const core::TdvfsEvent& e : bank.unified(i).dvfs().events()) {
+      down_triggers += e.to_ghz < e.from_ghz ? 1 : 0;
+    }
+  }
+  const InvariantReport& report = checker.report();
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_GT(down_triggers, 0u);
+  EXPECT_EQ(report.checks, ticks * kNodes * (3 + 2) + fills.checks + down_triggers);
 }
 
 }  // namespace
